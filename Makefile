@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest
+.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest bench-e2e bench-compare
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -84,3 +84,15 @@ bench-skew:
 # which CI gates the routed-message reduction against
 bench-ingest:
 	$(PY) -m repro.experiments.ingest --out BENCH_ingest.json
+
+# the repo benchmark (BENCHMARK.json, bench/README.md): all four workloads,
+# end to end and per layer, at seed 0; .bench_out/ is git-ignored
+bench-e2e:
+	mkdir -p .bench_out
+	python3 bench/run.py --seed 0 --out .bench_out/new.json
+
+# one row per (end-to-end metric, workload) between two bench-e2e results,
+# e.g. make bench-compare BASE=/tmp/parent.json NEW=.bench_out/new.json;
+# exits non-zero on any "worse"
+bench-compare:
+	python3 bench/run.py --compare $(BASE) $(NEW)

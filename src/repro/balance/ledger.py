@@ -17,7 +17,13 @@ traffic:
 
 Ticks are driven explicitly — by the serving engine's rebalance clock
 or by tests — never by wall time, so every rate is deterministic.
+
+The tallies are :class:`collections.Counter` tables: recording runs once
+per copy written or read, so each one is a single ``+=``, and looking up
+a key or peer that was never metered reads 0 without creating an entry.
 """
+
+from collections import Counter
 
 
 class LoadLedger:
@@ -28,14 +34,14 @@ class LoadLedger:
             raise ValueError("decay must be in [0, 1)")
         self.decay = decay
         # cumulative totals (never decayed)
-        self.key_reads = {}
-        self.key_read_bytes = {}
-        self.key_writes = {}
-        self.key_write_bytes = {}
-        self.peer_reads = {}
-        self.peer_read_bytes = {}
-        self.peer_writes = {}
-        self.peer_write_bytes = {}
+        self.key_reads = Counter()
+        self.key_read_bytes = Counter()
+        self.key_writes = Counter()
+        self.key_write_bytes = Counter()
+        self.peer_reads = Counter()
+        self.peer_read_bytes = Counter()
+        self.peer_writes = Counter()
+        self.peer_write_bytes = Counter()
         self.total_reads = 0
         self.total_read_bytes = 0
         self.total_writes = 0
@@ -43,43 +49,35 @@ class LoadLedger:
         # decayed-rate state: folded window + bytes since the last tick
         self._key_rate = {}
         self._peer_rate = {}
-        self._key_window = {}
-        self._peer_window = {}
+        self._key_window = Counter()
+        self._peer_window = Counter()
         self.ticks = 0
 
     # -- recording ---------------------------------------------------------
 
     def record_read(self, key, peer_index, nbytes):
         """One read of ``key`` served by peer ``peer_index``."""
-        self.key_reads[key] = self.key_reads.get(key, 0) + 1
-        self.key_read_bytes[key] = self.key_read_bytes.get(key, 0) + nbytes
-        self.peer_reads[peer_index] = self.peer_reads.get(peer_index, 0) + 1
-        self.peer_read_bytes[peer_index] = (
-            self.peer_read_bytes.get(peer_index, 0) + nbytes
-        )
+        self.key_reads[key] += 1
+        self.key_read_bytes[key] += nbytes
+        self.peer_reads[peer_index] += 1
+        self.peer_read_bytes[peer_index] += nbytes
         self.total_reads += 1
         self.total_read_bytes += nbytes
-        self._key_window[key] = self._key_window.get(key, 0) + nbytes
-        self._peer_window[peer_index] = (
-            self._peer_window.get(peer_index, 0) + nbytes
-        )
+        self._key_window[key] += nbytes
+        self._peer_window[peer_index] += nbytes
 
     def record_write(self, key, peer_index, nbytes):
         """One write of ``key`` applied at peer ``peer_index`` (the owner
         apply, each replica push, and each hot-copy/migration copy are
         separate events — utilization counts every copy landed)."""
-        self.key_writes[key] = self.key_writes.get(key, 0) + 1
-        self.key_write_bytes[key] = self.key_write_bytes.get(key, 0) + nbytes
-        self.peer_writes[peer_index] = self.peer_writes.get(peer_index, 0) + 1
-        self.peer_write_bytes[peer_index] = (
-            self.peer_write_bytes.get(peer_index, 0) + nbytes
-        )
+        self.key_writes[key] += 1
+        self.key_write_bytes[key] += nbytes
+        self.peer_writes[peer_index] += 1
+        self.peer_write_bytes[peer_index] += nbytes
         self.total_writes += 1
         self.total_write_bytes += nbytes
         # writes count toward peer utilization but not key *read* heat
-        self._peer_window[peer_index] = (
-            self._peer_window.get(peer_index, 0) + nbytes
-        )
+        self._peer_window[peer_index] += nbytes
 
     # -- decayed rates -----------------------------------------------------
 

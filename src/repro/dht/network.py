@@ -48,6 +48,13 @@ from repro.storage.clustered import ClusteredIndexStore
 #: nominal size of a routed control message (key + op header), bytes
 CONTROL_BYTES = 64
 
+#: entries the per-hop routing memo may hold before it is cleared wholesale:
+#: about 9 MB at the measured ~140 bytes an entry (a 16-peer ring that
+#: indexed 3,000 distinct terms holds 11,000)
+HOP_MEMO_CAP = 1 << 16
+
+_MISS = object()  # "not memoised": None is a real next_hop result (deliver)
+
 #: store-key prefixes that must live wherever their *term* lives: the DPP
 #: keeps a term's root block and first data block at the term owner, so
 #: ownership (and failure re-homing) must follow the term key, not the
@@ -133,8 +140,10 @@ class DhtNetwork:
         self.overlay = overlay
         self.nodes = []  # in join order; index == peer_index
         self._by_id = {}
+        # derived from membership + placement; see _invalidate_caches
         self._owner_cache = {}
         self._replica_cache = {}
+        self._hop_memo = {}  # (forwarding peer index, key id) -> next_hop()
         # observability hooks (repro.obs): strictly read-only observers —
         # None by default, attached by KadopNetwork.enable_tracing
         self.tracer = None
@@ -431,8 +440,17 @@ class DhtNetwork:
         ids = [n.node_id for n in self.alive_nodes()]
         for node in self.alive_nodes():
             node.routing.rebuild(ids)
-        self._owner_cache = {}
-        self._replica_cache = {}
+        self._invalidate_caches()
+
+    def _invalidate_caches(self):
+        """Forget everything derived from membership or placement.
+
+        The one place that knows the full list of caches: every join,
+        leave, crash and restart comes through :meth:`_rebuild_routing`,
+        every placement change through :meth:`set_placement`."""
+        self._owner_cache.clear()
+        self._replica_cache.clear()
+        self._hop_memo.clear()
 
     # -- ownership -----------------------------------------------------------------
 
@@ -456,18 +474,15 @@ class DhtNetwork:
         ``node`` first (:meth:`_sync_copy`), or reads would route to a
         copy-less owner."""
         self.placement[alias] = node
-        self._owner_cache = {}
-        self._replica_cache = {}
+        self._invalidate_caches()
 
     def owner_of(self, key):
         """The node in charge of ``key``: numerically closest id."""
-        cached = getattr(self, "_owner_cache", {}).get(key)
+        cached = self._owner_cache.get(key)
         if cached is not None and cached.alive:
             return cached
         placed = self._placed(key)
         if placed is not None:
-            if not hasattr(self, "_owner_cache"):
-                self._owner_cache = {}
             self._owner_cache[key] = placed
             return placed
         kid = key_id(routing_alias(key))
@@ -485,16 +500,12 @@ class DhtNetwork:
             owner = min(
                 alive, key=lambda n: (n.node_id.distance(kid), int(n.node_id))
             )
-        if not hasattr(self, "_owner_cache"):
-            self._owner_cache = {}
         self._owner_cache[key] = owner
         return owner
 
     def replica_nodes(self, key):
         """The ``replication`` closest nodes: owner first, then backups."""
-        cache = getattr(self, "_replica_cache", None)
-        if cache is None:
-            cache = self._replica_cache = {}
+        cache = self._replica_cache
         cached = cache.get(key)
         if cached is not None and all(n.alive for n in cached):
             return list(cached)
@@ -589,7 +600,18 @@ class DhtNetwork:
         # forwarding node and the key
         path = [] if (self.tracer is not None and self.tracer.active) else None
         while True:
-            nxt_id = current.routing.next_hop(kid)
+            # the routing decision is a function of (node, key) until
+            # membership changes, so it is memoised per hop; the hops
+            # themselves are still walked (and charged, traced and
+            # fault-injected) one by one.  Read the memo through ``self``
+            # each round: a hop crash below rebuilds routing mid-route.
+            hop = (current.peer_index, kid)
+            nxt_id = self._hop_memo.get(hop, _MISS)
+            if nxt_id is _MISS:
+                nxt_id = current.routing.next_hop(kid)
+                if len(self._hop_memo) >= HOP_MEMO_CAP:
+                    self._hop_memo.clear()
+                self._hop_memo[hop] = nxt_id
             if nxt_id is None:
                 placed = self._placed(key)
                 if placed is not None and placed is not current:
@@ -900,7 +922,10 @@ class DhtNetwork:
             self.balancer.on_write(key, owner, payload)
         if replicate:
             receipt.merge(
-                self._replicate(owner, key, postings, fault_idx=idx, stamp=stamp)
+                self._replicate(
+                    owner, key, postings, fault_idx=idx, stamp=stamp,
+                    payload=payload,
+                )
             )
         if self.balancer is not None:
             self.balancer.propagate_write("append", key, postings, stamp)
@@ -973,7 +998,10 @@ class DhtNetwork:
             self.balancer.on_write(key, owner, payload)
         if replicate:
             receipt.merge(
-                self._replicate(owner, key, postings, fault_idx=idx, stamp=stamp)
+                self._replicate(
+                    owner, key, postings, fault_idx=idx, stamp=stamp,
+                    payload=payload,
+                )
             )
         if self.balancer is not None:
             # keep any hot extra copies byte-fresh (same stamp, so they
@@ -987,8 +1015,13 @@ class DhtNetwork:
             return num_replicas
         return num_replicas // 2 + 1
 
-    def _replicate(self, owner, key, postings, fault_idx=None, stamp=None):
+    def _replicate(
+        self, owner, key, postings, fault_idx=None, stamp=None, payload=None
+    ):
         """Push ``postings`` to the backup replicas.
+
+        ``payload`` is ``encoded_size(postings)`` when the caller has
+        already computed it (every write op has, to charge the request).
 
         Without a FaultPlan this is fire-and-forget to every backup, as
         before.  Under a plan each backup is retried until it acknowledges
@@ -998,7 +1031,8 @@ class DhtNetwork:
         :meth:`anti_entropy_repair` to catch up.  Fewer acks than the
         quorum raise :class:`~repro.faults.OpTimeoutError`."""
         receipt = OpReceipt()
-        payload = encoded_size(postings)
+        if payload is None:
+            payload = encoded_size(postings)
         plan = self.faults
         replicas = self.replica_nodes(key)
         acked = 1  # the owner's own, already-applied copy

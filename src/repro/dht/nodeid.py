@@ -32,14 +32,8 @@ class NodeId(int):
 
     def shared_prefix_len(self, other):
         """Number of leading base-16 digits shared with ``other``."""
-        other = NodeId(other)
-        length = 0
-        for i in range(DIGITS):
-            if self.digit(i) == other.digit(i):
-                length += 1
-            else:
-                break
-        return length
+        # the highest differing bit decides: every digit above it is shared
+        return (ID_BITS - (self ^ (other % ID_SPACE)).bit_length()) // DIGIT_BITS
 
     def distance(self, other):
         """Ring distance to ``other`` (minimum of the two arc lengths)."""

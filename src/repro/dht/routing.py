@@ -15,7 +15,24 @@ known node strictly closer to the key.  This yields the ceil(log16 N)
 average route lengths the cost model expects.
 """
 
-from repro.dht.nodeid import DIGIT_BASE, DIGITS, NodeId
+import bisect
+
+from repro.dht.nodeid import (
+    DIGIT_BASE,
+    DIGIT_BITS,
+    DIGITS,
+    ID_BITS,
+    ID_SPACE,
+    NodeId,
+)
+
+_HALF_RING = ID_SPACE // 2
+
+
+def _ring_distance(a, b):
+    """:meth:`NodeId.distance` over plain ints already on the ring."""
+    diff = (a - b) % ID_SPACE
+    return diff if diff <= _HALF_RING else ID_SPACE - diff
 
 
 class RoutingState:
@@ -26,6 +43,12 @@ class RoutingState:
         self.leaf_size = leaf_size
         self.table = [[None] * DIGIT_BASE for _ in range(DIGITS)]
         self.leaves = []  # sorted NodeIds, excluding self
+        # plain-int mirrors of the state above, refreshed by rebuild():
+        # routing decisions run on every hop of every DHT operation, so
+        # they work on these instead of going through NodeId methods
+        self._int = int(self.node_id)
+        self._leaf_ints = []
+        self._known = []  # (int, NodeId) of every leaf and table entry
 
     # -- maintenance ---------------------------------------------------------
 
@@ -40,6 +63,8 @@ class RoutingState:
         others = [NodeId(i) for i in all_ids if int(i) != int(self.node_id)]
         self._rebuild_leaves(others)
         self._rebuild_table(others)
+        self._leaf_ints = [int(leaf) for leaf in self.leaves]
+        self._known = [(int(n), n) for n in sorted(self.known_ids())]
 
     def _rebuild_leaves(self, others):
         ring = sorted(others)
@@ -47,8 +72,6 @@ class RoutingState:
             self.leaves = []
             return
         half = self.leaf_size // 2
-        import bisect
-
         pos = bisect.bisect_left(ring, self.node_id)
         leaves = []
         n = len(ring)
@@ -76,38 +99,35 @@ class RoutingState:
     def is_owner(self, key):
         """True iff this node is numerically closest to ``key`` among the
         nodes it knows (with full leaf sets this equals global ownership)."""
-        my_dist = self.node_id.distance(key)
-        return all(leaf.distance(key) >= my_dist for leaf in self.leaves)
+        key = key % ID_SPACE
+        my_dist = _ring_distance(self._int, key)
+        return all(_ring_distance(leaf, key) >= my_dist for leaf in self._leaf_ints)
 
     def next_hop(self, key):
         """The next node id on the route to ``key``, or None to deliver."""
-        key = NodeId(key)
-        my_dist = self.node_id.distance(key)
+        key = key % ID_SPACE
 
-        # 1. within leaf-set coverage: go straight to the numerically closest
-        best_leaf = min(self.leaves, key=lambda l: (l.distance(key), int(l)), default=None)
-        if best_leaf is not None and best_leaf.distance(key) < my_dist:
-            candidates = [best_leaf]
-        else:
-            candidates = []
+        # 1. no leaf is strictly closer to the key: deliver here
         if self.is_owner(key):
             return None
 
-        # 2. prefix routing: match one more digit
-        row = self.node_id.shared_prefix_len(key)
-        if row < DIGITS:
-            entry = self.table[row][key.digit(row)]
-            if entry is not None:
-                return entry
+        # 2. prefix routing: match one more digit.  (We do not own the key,
+        # so it differs from our id and the shared prefix is < DIGITS.)
+        row = (ID_BITS - (self._int ^ key).bit_length()) // DIGIT_BITS
+        col = (key >> (DIGITS - 1 - row) * DIGIT_BITS) & (DIGIT_BASE - 1)
+        entry = self.table[row][col]
+        if entry is not None:
+            return entry
 
-        # 3. rare case: any known node strictly closer with >= prefix
-        known = self.leaves + [e for r in self.table for e in r if e is not None]
-        closer = [n for n in known if n.distance(key) < my_dist]
-        if closer:
-            return min(closer, key=lambda n: (n.distance(key), int(n)))
-        if candidates:
-            return candidates[0]
-        return None  # we are the best node we know: deliver here
+        # 3. the row has no node under the key's next digit: the closest
+        # node we know at all, ties to the smaller id.  Some leaf is
+        # strictly closer than us (step 1), so that node is too.  This is
+        # no rare case in a small ring: a row has 16 columns, so at 16
+        # peers most of row 0 is empty and 1 call in 4 ends here; the
+        # share falls as the ring outgrows the digit base.
+        return min(
+            (_ring_distance(n, key), n, node_id) for n, node_id in self._known
+        )[2]
 
     def known_ids(self):
         ids = set(self.leaves)

@@ -61,8 +61,9 @@ class ClusteredIndexStore(Store):
 
     def append(self, term, postings):
         r, w = self._tree.pages_read, self._tree.pages_written
+        prefix = _encode_term(term)
         added = self._tree.insert_many(
-            (_composite_key(term, posting), b"") for posting in postings
+            (prefix + _POSTING_STRUCT.pack(*posting), b"") for posting in postings
         )
         if added:
             self._counts[term] = self._counts.get(term, 0) + added

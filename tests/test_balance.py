@@ -21,6 +21,7 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -126,6 +127,125 @@ class TestLoadLedger:
         assert payload["total_write_bytes"] == 10
         assert payload["hottest_keys"] == [{"key": "a", "read_bytes": 100}]
         assert payload["hottest_peers"] == [{"peer": 0, "read_bytes": 100}]
+
+    def test_equals_dict_based_reference_on_a_seeded_stream(self):
+        """The Counter tallies are the plain-dict tallies they replaced."""
+        rng = random.Random(29)
+        ledger = LoadLedger(decay=0.5)
+        # the reference: one plain dict per partition, ``.get(k, 0) + n``
+        ref = {
+            part: {}
+            for part in ("key_reads", "key_read_bytes", "key_writes",
+                         "key_write_bytes", "peer_reads", "peer_read_bytes",
+                         "peer_writes", "peer_write_bytes")
+        }
+        totals = dict.fromkeys(
+            ("total_reads", "total_read_bytes", "total_writes",
+             "total_write_bytes"), 0
+        )
+        key_rate, peer_rate, key_window, peer_window = {}, {}, {}, {}
+        ticks = 0
+
+        def bump(table, ident, amount):
+            table[ident] = table.get(ident, 0) + amount
+
+        snapshot, ref_snapshot = ledger.read_snapshot(), None
+        for step in range(600):
+            kind = rng.choice(["read"] * 5 + ["write"] * 4 + ["tick"])
+            key, peer = "k%d" % rng.randrange(12), rng.randrange(6)
+            nbytes = rng.choice([0, 1, 64, 5_000])
+            if kind == "tick":
+                ledger.tick()
+                ticks += 1
+                for rate, window in ((key_rate, key_window), (peer_rate, peer_window)):
+                    for ident in list(rate):
+                        decayed = rate[ident] * 0.5
+                        if decayed < 1e-9 and ident not in window:
+                            del rate[ident]
+                        else:
+                            rate[ident] = decayed
+                    for ident, amount in window.items():
+                        rate[ident] = rate.get(ident, 0.0) + amount
+                    window.clear()
+            elif kind == "read":
+                ledger.record_read(key, peer, nbytes)
+                bump(ref["key_reads"], key, 1)
+                bump(ref["key_read_bytes"], key, nbytes)
+                bump(ref["peer_reads"], peer, 1)
+                bump(ref["peer_read_bytes"], peer, nbytes)
+                totals["total_reads"] += 1
+                totals["total_read_bytes"] += nbytes
+                bump(key_window, key, nbytes)
+                bump(peer_window, peer, nbytes)
+            else:
+                ledger.record_write(key, peer, nbytes)
+                bump(ref["key_writes"], key, 1)
+                bump(ref["key_write_bytes"], key, nbytes)
+                bump(ref["peer_writes"], peer, 1)
+                bump(ref["peer_write_bytes"], peer, nbytes)
+                totals["total_writes"] += 1
+                totals["total_write_bytes"] += nbytes
+                bump(peer_window, peer, nbytes)
+            if step == 300:
+                snapshot = ledger.read_snapshot()
+                ref_snapshot = {
+                    "key": dict(ref["key_read_bytes"]),
+                    "peer": dict(ref["peer_read_bytes"]),
+                }
+
+        assert ledger.check_conservation()
+        for part, table in ref.items():
+            assert dict(getattr(ledger, part)) == table, part
+        ranked_keys = sorted(
+            ((n, k) for k, n in ref["key_read_bytes"].items()),
+            key=lambda item: (-item[0], item[1]),
+        )
+        ranked_peers = sorted(
+            ((n, p) for p, n in ref["peer_read_bytes"].items()),
+            key=lambda item: (-item[0], item[1]),
+        )
+        assert ledger.hottest_keys() == ranked_keys
+        assert ledger.hottest_keys(3) == ranked_keys[:3]
+        assert ledger.hottest_peers() == ranked_peers
+        assert ledger.to_dict(top=4) == dict(
+            totals,
+            ticks=ticks,
+            hottest_keys=[{"read_bytes": n, "key": k} for n, k in ranked_keys[:4]],
+            hottest_peers=[
+                {"read_bytes": n, "peer": p} for n, p in ranked_peers[:4]
+            ],
+        )
+        assert ledger.read_delta(snapshot) == {
+            part: {
+                ident: n - ref_snapshot[part].get(ident, 0)
+                for ident, n in ref[table].items()
+                if n != ref_snapshot[part].get(ident, 0)
+            }
+            for part, table in (("key", "key_read_bytes"), ("peer", "peer_read_bytes"))
+        }
+        for key in ["k%d" % i for i in range(12)]:
+            assert ledger.key_rate(key) == key_rate.get(key, 0.0) + key_window.get(key, 0)
+        for peer in range(6):
+            assert ledger.peer_load(peer) == (
+                peer_rate.get(peer, 0.0) + peer_window.get(peer, 0)
+            )
+
+    def test_looking_up_the_unseen_creates_no_entry(self):
+        ledger = LoadLedger()
+        ledger.record_read("a", 0, 100)
+        before = (ledger.to_dict(), ledger.hottest_keys(), ledger.hottest_peers())
+        assert ledger.key_read_bytes["never"] == 0
+        assert ledger.peer_read_bytes[99] == 0
+        assert ledger.key_writes["never"] == 0
+        assert ledger.key_rate("never") == 0.0
+        assert ledger.peer_load(99) == 0.0
+        ledger.tick()
+        assert ledger.read_delta(ledger.read_snapshot()) == {"key": {}, "peer": {}}
+        after = (ledger.to_dict(), ledger.hottest_keys(), ledger.hottest_peers())
+        assert dict(before[0], ticks=1) == after[0] and before[1:] == after[1:]
+        assert "never" not in ledger.key_read_bytes
+        assert 99 not in ledger.peer_read_bytes
+        assert ledger.check_conservation()
 
 
 class TestConfigValidation:
