@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest bench-e2e bench-compare
+.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest bench-e2e bench-compare step-profile
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -96,3 +96,11 @@ bench-e2e:
 # exits non-zero on any "worse"
 bench-compare:
 	python3 bench/run.py --compare $(BASE) $(NEW)
+
+# where one workload of the repo benchmark spends its interpreter steps,
+# per function (bench/ only attributes per layer): top 40 with shares,
+# self-checked against a counted run of the benchmark itself, e.g.
+# make step-profile WORKLOAD=query_index
+WORKLOAD ?= query_docphase
+step-profile:
+	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD)

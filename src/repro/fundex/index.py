@@ -247,9 +247,9 @@ class FundexIndex:
         streams, fetch_time, _ = executor._fetch_streams(
             component, src_peer, None
         )
-        dpp_blocks = getattr(executor, "_last_dpp_blocks", None)
+        dpp_blocks = executor._last_dpp_blocks
         executor._last_dpp_blocks = None
-        dpp_solutions = getattr(executor, "_last_dpp_solutions", None)
+        dpp_solutions = executor._last_dpp_solutions
         executor._last_dpp_solutions = None
         executor._last_dpp_counters = None
         if dpp_solutions is not None:

@@ -6,7 +6,8 @@ KadoP processes a query in two phases (Section 2):
    lists) of the query's terms are brought to the query peer and combined
    by the holistic twig join, yielding the candidate documents;
 2. the **document phase**: the query is sent to the peers holding those
-   documents, which evaluate it on the actual trees and ship back answers.
+   documents, which run the same join over each document's own element
+   streams (:meth:`KadopPeer.evaluate`) and ship back exact answers.
 
 This module really executes both phases (answers are exact) and, in
 parallel, accounts the simulated response time with the task scheduler:
@@ -31,7 +32,7 @@ from repro.query.block_join import (
 )
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis
-from repro.query.twigjoin import twig_join
+from repro.query.twigjoin import TwigPlan, twig_join
 from repro.sim.tasks import Scheduler
 
 #: small fixed cost for emitting one joined answer tuple
@@ -93,6 +94,12 @@ def term_key_of(node):
     return label_key(value) if kind == "label" else word_key(value)
 
 
+def _root_docs(component, bindings):
+    """The ``(peer, doc)`` pairs the root of ``component`` is bound in."""
+    root_id = component.root.node_id
+    return {(sol[root_id].peer, sol[root_id].doc) for sol in bindings}
+
+
 class QueryExecutor:
     """Runs tree-pattern queries against a KadoP network."""
 
@@ -108,6 +115,12 @@ class QueryExecutor:
         # ``[(peer_index, time_s)]`` — the serving engine turns these into
         # per-peer egress tasks on the shared timeline
         self._last_doc_peer_times = None
+        # what the DPP fetch of the current component left for the join
+        # (eager/window: the blocks; lazy: the solutions it already
+        # joined) and its block counters; consumed and reset by ``run``
+        self._last_dpp_blocks = None
+        self._last_dpp_solutions = None
+        self._last_dpp_counters = None
 
     # -- entry point -------------------------------------------------------------
 
@@ -302,8 +315,8 @@ class QueryExecutor:
                 if ctx is not None:
                     ctx.parent_id = index_span
                 continue
-            report.postings_fetched += sum(len(s) for s in streams.values())
             join_inputs = sum(len(s) for s in streams.values())
+            report.postings_fetched += join_inputs
             join_cpu = system.net.cost.join_time(join_inputs)
             if ctx is not None:
                 tracer.set_duration(
@@ -335,9 +348,9 @@ class QueryExecutor:
             report.index_time_s = max(report.index_time_s, component_time)
             report.time_to_first_s = max(report.time_to_first_s, component_ttfa)
 
-            dpp_blocks = getattr(self, "_last_dpp_blocks", None)
+            dpp_blocks = self._last_dpp_blocks
             self._last_dpp_blocks = None
-            dpp_solutions = getattr(self, "_last_dpp_solutions", None)
+            dpp_solutions = self._last_dpp_solutions
             self._last_dpp_solutions = None
             if config.index_granularity == "document":
                 # coarse index (Section 8): only (p, d) is recorded, so the
@@ -354,35 +367,15 @@ class QueryExecutor:
                 # fetching — the solutions drove which blocks were pulled
                 bindings, vectors = dpp_solutions
                 report.block_vectors += vectors
-                docs = {
-                    (
-                        sol[component.root.node_id].peer,
-                        sol[component.root.node_id].doc,
-                    )
-                    for sol in bindings
-                }
+                docs = _root_docs(component, bindings)
             elif dpp_blocks is not None:
                 # the block-based parallel twig join of Section 4.2: join
                 # meaningful block vectors instead of merged lists
                 result = parallel_block_join(component, dpp_blocks)
                 report.block_vectors += result.vectors_considered
-                bindings = result.solutions
-                docs = {
-                    (
-                        sol[component.root.node_id].peer,
-                        sol[component.root.node_id].doc,
-                    )
-                    for sol in bindings
-                }
+                docs = _root_docs(component, result.solutions)
             else:
-                bindings = twig_join(component, streams)
-                docs = {
-                    (
-                        sol[component.root.node_id].peer,
-                        sol[component.root.node_id].doc,
-                    )
-                    for sol in bindings
-                }
+                docs = _root_docs(component, twig_join(component, streams))
             if first:
                 candidate_docs = docs
                 first = False
@@ -464,7 +457,7 @@ class QueryExecutor:
         )
 
     def _merge_dpp_counters(self, report):
-        counters = getattr(self, "_last_dpp_counters", None)
+        counters = self._last_dpp_counters
         if counters:
             report.blocks_fetched, report.blocks_skipped = counters
         self._last_dpp_counters = None
@@ -1033,6 +1026,12 @@ class QueryExecutor:
         peer_times = []
         doc_peer_times = []
         timed_out = 0
+        # one join plan per query, shared by every candidate document; no
+        # membership change happens inside the loop, so one hop estimate
+        # and one query-shipping time
+        plan = TwigPlan(pattern)
+        hops = net.cost.expected_hops(len(net.alive_nodes()))
+        ship_time = net.cost.transfer_time(64, hops=hops)
         for peer_idx, doc_indexes in by_peer.items():
             peer = system.peers[peer_idx]
             if not peer.node.alive:
@@ -1065,7 +1064,7 @@ class QueryExecutor:
                     # document peer simply answers "no such document",
                     # keeping answers sound under update-heavy churn
                     continue
-                for postings, _incomplete in peer.evaluate(pattern, doc_idx):
+                for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
                     answers.append(
                         Answer(
                             peer_idx,
@@ -1078,12 +1077,9 @@ class QueryExecutor:
                         sorted(postings.values())
                     )
             # query shipping + answer return, one round trip per doc peer
-            hops = net.cost.expected_hops(len(net.alive_nodes()))
             net.meter.record("control", 64 * hops)
             net.meter.record("documents", sent_bytes)
-            peer_time = net.cost.transfer_time(64, hops=hops) + net.cost.transfer_time(
-                sent_bytes, hops=1
-            )
+            peer_time = ship_time + net.cost.transfer_time(sent_bytes, hops=1)
             peer_times.append(peer_time)
             doc_peer_times.append((peer_idx, peer_time))
             if ctx is not None:

@@ -2,12 +2,19 @@
 
 XML documents are stored at their publishing peer; only the ``Term``
 relation is spread over the DHT.  A peer therefore owns (a) its parsed
-documents, and (b) whatever slice of the distributed index the DHT assigns
-to its node.
+documents, each with the element streams the document phase joins over
+(:mod:`repro.xmldata.streams`, built when the document is stored and kept
+on it, so withdrawing the document drops both), and (b) whatever slice of
+the distributed index the DHT assigns to its node.
 """
 
 from repro.query.matcher import match_document, match_to_postings
+from repro.query.pattern import Axis
+from repro.query.twigjoin import TwigPlan, twig_join
 from repro.xmldata.parser import parse_document
+from repro.xmldata.streams import ElementStreams
+
+_COMPLETE = frozenset()
 
 
 class KadopPeer:
@@ -43,6 +50,7 @@ class KadopPeer:
         """Index an already parsed document owned by this peer."""
         doc_index = self._next_doc
         self._next_doc += 1
+        document.streams = ElementStreams(document)
         self.documents[doc_index] = document
         receipt = self.system.publisher.publish(
             self.node, document, self.index, doc_index
@@ -76,6 +84,7 @@ class KadopPeer:
             )
             doc_index = self._next_doc
             self._next_doc += 1
+            document.streams = ElementStreams(document)
             self.documents[doc_index] = document
             parsed.append((document, self.index, doc_index))
         receipt = self.system.publisher.publish_many(self.node, parsed)
@@ -134,20 +143,43 @@ class KadopPeer:
 
     # -- the document phase of query processing --------------------------------
 
-    def evaluate(self, pattern, doc_index, allow_incomplete=False):
+    def evaluate(self, pattern, doc_index, allow_incomplete=False, plan=None):
         """Evaluate ``pattern`` on one owned document.
 
         Returns a list of ``(bindings, incomplete_ids)`` pairs with
         bindings as ``node_id → Posting`` (this is what is shipped back to
-        the query peer)."""
+        the query peer), in document order of the bound elements.
+
+        The document's stored element streams are joined by the same
+        holistic twig join that runs the index query; ``plan`` is the
+        pattern's :class:`TwigPlan`, for callers that evaluate one pattern
+        on many documents.  Only ``allow_incomplete`` (Fundex potential
+        answers, which bind elements *without* a match below them) has no
+        stream form and goes through the tree matcher."""
         document = self.documents[doc_index]
-        results = []
-        for match in match_document(
-            pattern, document, allow_incomplete=allow_incomplete
-        ):
-            postings = match_to_postings(match, self.index, doc_index)
-            results.append((postings, match.incomplete))
-        return results
+        if allow_incomplete:
+            return [
+                (match_to_postings(match, self.index, doc_index), match.incomplete)
+                for match in match_document(pattern, document, allow_incomplete=True)
+            ]
+        if plan is None:
+            plan = TwigPlan(pattern)
+        local = document.streams
+        streams = {}
+        for node in plan.nodes:
+            # a root on the ``/`` axis binds the document root only
+            root_only = node.parent is None and node.axis is Axis.CHILD
+            if node.word is not None:
+                cols = local.word_columns(self.index, doc_index, node.word, root_only)
+            else:
+                label = None if node.is_wildcard else node.label
+                cols = local.label_columns(
+                    self.index, doc_index, label, node.value_equals, root_only
+                )
+            if cols is None:  # nothing to bind the node to: no answers
+                return []
+            streams[node.node_id] = cols
+        return [(bindings, _COMPLETE) for bindings in twig_join(pattern, streams, plan)]
 
     def __repr__(self):
         return "KadopPeer(%d, %d docs)" % (self.index, len(self.documents))

@@ -6,6 +6,11 @@ every optimization must preserve.  This module checks them for a live
 network: it evaluates a query centrally over every (alive) document and
 compares with the distributed answer, reporting missing and spurious
 tuples.  Useful as a deployment diagnostic and used by the test suite.
+
+The central evaluation is the recursive tree matcher
+(:mod:`repro.query.matcher`); the distributed one runs the holistic twig
+join in both of its phases.  The two share no code, which is what makes
+the comparison a check.
 """
 
 from dataclasses import dataclass, field

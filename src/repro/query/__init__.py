@@ -4,9 +4,10 @@
   tag, ``*`` or a text word; ``/`` ``//`` and descendant-or-self edges);
 * :mod:`repro.query.xpath` — parser for the XPath subset the paper uses;
 * :mod:`repro.query.matcher` — direct recursive evaluation over a parsed
-  document (the document-peer phase, and the test oracle);
+  document (the test oracle);
 * :mod:`repro.query.twigjoin` — the holistic twig join over sorted posting
-  streams (the index-query phase, after [Bruno et al. 2002]);
+  streams (the index query, and the document phase over one document's
+  element streams; after [Bruno et al. 2002]);
 * :mod:`repro.query.index_plan` — turning a user pattern into the index
   query: dropping wildcards/stop words and tracking completeness/precision.
 """

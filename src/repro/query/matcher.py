@@ -1,9 +1,13 @@
-"""Direct tree-pattern evaluation over parsed documents.
+"""Direct tree-pattern evaluation over parsed documents: the oracle.
 
-This is the second phase of KadoP query processing: once the index query
-has located candidate documents, the query is shipped to the peers holding
-them and evaluated there on the actual trees.  The same code doubles as the
-test oracle for the holistic twig join.
+A recursive matcher over element trees, kept deliberately plain and
+independent of the twig join.  It is what ``kadop.verify.oracle_answers``,
+the fuzzer and every differential test compare the system against — both
+the index query and the document phase (``KadopPeer.evaluate``) run the
+holistic twig join, so a fast path and its oracle share no code.  Outside
+the oracle it serves only where a join over element streams does not
+apply: potential answers (below), Fundex sub-pattern checks on functional
+documents, and view maintenance at publish time.
 
 For Section 6 (intensional data), evaluation can run in *potential answer*
 mode: when a required sub-pattern has no match under an element whose

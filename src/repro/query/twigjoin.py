@@ -31,13 +31,15 @@ _INF_KEY = (float("inf"), float("inf"), float("inf"))
 class _Stream:
     """Columnar cursor over one node's sorted posting list.
 
-    The stream reads the struct-of-arrays columns directly; sort keys are
-    built once per cursor position (cached, invalidated by ``advance``) and
-    a :class:`Posting` is materialized only for the postings that actually
-    get pushed on a stack — skipped postings never become objects.
+    The ``(peer, doc, start)`` and ``(peer, doc, end)`` sort keys of every
+    row are zipped out of the columns once, when the cursor is opened, with
+    ``_INF_KEY`` after the last row: reading the key under the cursor is
+    one list index, and at eof it reads +inf with no bounds test.  A
+    :class:`Posting` is materialized only for the rows that actually get
+    pushed on a stack — skipped rows never become objects.
     """
 
-    __slots__ = ("peer", "doc", "start", "end", "level", "n", "pos", "_skey", "_ekey")
+    __slots__ = ("peer", "doc", "start", "end", "level", "n", "pos", "skeys", "ekeys")
 
     def __init__(self, postings):
         if isinstance(postings, PostingList):
@@ -53,63 +55,44 @@ class _Stream:
         self.start = cols.start
         self.end = cols.end
         self.level = cols.level
-        self.n = len(cols)
+        self.n = len(cols.peer)
         self.pos = 0
-        self._skey = None
-        self._ekey = None
+        self.skeys = list(zip(cols.peer, cols.doc, cols.start))
+        self.skeys.append(_INF_KEY)
+        self.ekeys = list(zip(cols.peer, cols.doc, cols.end))
+        self.ekeys.append(_INF_KEY)
 
     def cur(self):
-        pos = self.pos
-        if pos >= self.n:
+        i = self.pos
+        if i >= self.n:
             return None
-        return Posting(
-            self.peer[pos], self.doc[pos], self.start[pos], self.end[pos],
-            self.level[pos],
-        )
+        return Posting(self.peer[i], self.doc[i], self.start[i], self.end[i], self.level[i])
 
     def cur_start_key(self):
-        key = self._skey
-        if key is None:
-            pos = self.pos
-            if pos >= self.n:
-                key = _INF_KEY
-            else:
-                key = (self.peer[pos], self.doc[pos], self.start[pos])
-            self._skey = key
-        return key
+        return self.skeys[self.pos]
 
     def cur_end_key(self):
-        key = self._ekey
-        if key is None:
-            pos = self.pos
-            if pos >= self.n:
-                key = _INF_KEY
-            else:
-                key = (self.peer[pos], self.doc[pos], self.end[pos])
-            self._ekey = key
-        return key
+        return self.ekeys[self.pos]
 
     def advance(self):
+        """Step over the current row (there must be one: not at eof)."""
         self.pos += 1
-        self._skey = None
-        self._ekey = None
 
     def skip_end_lt(self, key):
         """Advance past rows whose ``(peer, doc, end)`` sorts before ``key``.
 
         Returns the number of rows consumed.  Equivalent to advancing
-        while ``cur_end_key() < key`` but runs as one kernel call, so
-        long skips (the TwigStack interval-probe fast-forward) go through
-        the vectorized backend instead of a per-row Python loop."""
+        while ``cur_end_key() < key``.  Most calls skip nothing, and those
+        cost one comparison; a real skip runs as one kernel call from the
+        next row on, so long skips (the TwigStack interval-probe
+        fast-forward) go through the vectorized backend instead of a
+        per-row Python loop."""
         pos = self.pos
-        new = kernels.active().seek_end_ge(
-            self.peer, self.doc, self.end, pos, self.n, key
-        )
-        if new != pos:
-            self.pos = new
-            self._skey = None
-            self._ekey = None
-        return new - pos
+        if self.ekeys[pos] >= key:
+            return 0
+        seek = kernels.active().seek_end_ge
+        self.pos = seek(self.peer, self.doc, self.end, pos + 1, self.n, key)
+        return self.pos - pos
 
     @property
     def eof(self):
@@ -223,7 +206,7 @@ class TwigJoin:
             if result is not child:
                 return result
         streams = self.streams
-        keys = [streams[c.node_id].cur_start_key() for c in alive]
+        keys = [(s := streams[c.node_id]).skeys[s.pos] for c in alive]
         nmax_start = max(keys)
         nmin_start = min(keys)
         sq = streams[q.node_id]
@@ -232,7 +215,7 @@ class TwigJoin:
         # the cursor keys are +inf, which ends the skip and fails the
         # `<= nmin_start` test, so no separate eof checks are needed.
         self.postings_consumed += sq.skip_end_lt(nmax_start)
-        if sq.cur_start_key() <= nmin_start:
+        if sq.skeys[sq.pos] <= nmin_start:
             return q
         return alive[keys.index(nmin_start)]
 
@@ -303,10 +286,13 @@ class TwigJoin:
             for qi in range(depth - 2, -1, -1):
                 if q_idx != qi + 1:
                     break
-                child_start = streams[qi + 1].cur_start_key()
+                child = streams[qi + 1]
+                child_start = child.skeys[child.pos]
                 sq = streams[qi]
-                consumed += sq.skip_end_lt(child_start)
-                q_idx = qi if sq.cur_start_key() <= child_start else qi + 1
+                if sq.ekeys[sq.pos] < child_start:
+                    consumed += sq.skip_end_lt(child_start)
+                if sq.skeys[sq.pos] <= child_start:
+                    q_idx = qi
             stream = streams[q_idx]
             posting = stream.cur()
             if posting is None:  # q itself drained; only descendants remain

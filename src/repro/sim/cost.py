@@ -82,8 +82,7 @@ class CostModel:
         here.)
         """
         p = self.params
-        wire = nbytes + p.msg_overhead_bytes
-        return hops * p.hop_latency_s + wire / p.egress_bw
+        return hops * p.hop_latency_s + (nbytes + p.msg_overhead_bytes) / p.egress_bw
 
     def rpc_time(self, request_bytes, response_bytes, hops=1):
         """A request/response round trip over the overlay."""

@@ -19,7 +19,15 @@ result is fully deterministic either way.
 """
 
 import heapq
-from itertools import count
+from bisect import bisect_right, insort
+from itertools import compress
+from operator import attrgetter, itemgetter, not_
+
+_DEPS = attrgetter("deps")
+_FINISH = attrgetter("finish")
+_RANK = attrgetter("priority", "seq")
+_TASK = itemgetter(2)  # of a (release, seq, task) or (finish, seq, task) entry
+_LAST = float("inf")  # sorts after every seq
 
 
 class Task:
@@ -27,7 +35,8 @@ class Task:
 
     ``duration``   simulated seconds of work once started.
     ``deps``       tasks that must finish before this one may start.
-    ``resources``  names of resources a slot of which is held while running.
+    ``resources``  names of resources a slot of which is held while running
+                   (distinct names: a task holds one slot of each).
     ``release``    earliest simulated instant the task may start, even when
                    all dependencies are done (models work submitted to an
                    already-running schedule, e.g. a lazy DPP block fetch
@@ -63,22 +72,15 @@ class Task:
     def __init__(
         self, name, duration, deps=(), resources=(), release=0.0, tag=None, priority=0
     ):
-        if duration < 0:
-            raise ValueError("task %r has negative duration %r" % (name, duration))
-        if release < 0:
+        if duration < 0 or release < 0:  # one test on the per-task path
+            if duration < 0:
+                raise ValueError("task %r has negative duration %r" % (name, duration))
             raise ValueError("task %r has negative release %r" % (name, release))
-        self.name = name
-        self.duration = float(duration)
-        self.deps = list(deps)
-        self.resources = tuple(resources)
-        self.release = float(release)
-        self.tag = tag
-        self.priority = priority
-        self.seq = None  # assigned by the scheduler
-        self.start = None
-        self.finish = None
-        self.ready = None
-        self.blocked_on = None
+        self.name, self.tag, self.priority = name, tag, priority
+        self.duration, self.release = float(duration), float(release)
+        self.deps, self.resources = list(deps), tuple(resources)
+        # seq is assigned by the scheduler, the rest by Scheduler.run
+        self.seq = self.start = self.finish = self.ready = self.blocked_on = None
 
     def __repr__(self):
         return "Task(%r, %.6gs)" % (self.name, self.duration)
@@ -88,10 +90,10 @@ class Scheduler:
     """Builds and runs a task graph; see module docstring."""
 
     def __init__(self):
-        self._tasks = []
+        self._tasks = []  # in submission order: ``_tasks[t.seq] is t``
         self._capacity = {}
-        self._seq = count()
         self._faults = None  # optional repro.faults.FaultPlan (link jitter)
+        self._ran = False  # tasks may carry a previous run's schedule
 
     def install_faults(self, plan):
         """Attach a :class:`~repro.faults.FaultPlan`; started tasks are
@@ -119,19 +121,11 @@ class Scheduler:
         self, name, duration, deps=(), resources=(), release=0.0, tag=None, priority=0
     ):
         """Create, register, and return a :class:`Task`."""
-        task = Task(
-            name,
-            duration,
-            deps=deps,
-            resources=resources,
-            release=release,
-            tag=tag,
-            priority=priority,
-        )
-        for res in task.resources:
-            if res not in self._capacity:
-                raise KeyError("unknown resource %r for task %r" % (res, name))
-        task.seq = next(self._seq)
+        task = Task(name, duration, deps, resources, release, tag, priority)
+        if not all(map(self._capacity.__contains__, task.resources)):
+            res = next(r for r in task.resources if r not in self._capacity)
+            raise KeyError("unknown resource %r for task %r" % (res, name))
+        task.seq = len(self._tasks)
         self._tasks.append(task)
         return task
 
@@ -140,107 +134,99 @@ class Scheduler:
 
         Start/finish times are stored on each task.
         """
-        if not self._tasks:
+        tasks = self._tasks
+        if not tasks:
             return 0.0
 
-        remaining_deps = {t.seq: len(t.deps) for t in self._tasks}
-        dependents = {t.seq: [] for t in self._tasks}
-        by_seq = {t.seq: t for t in self._tasks}
-        for task in self._tasks:
+        remaining_deps = list(map(len, map(_DEPS, tasks)))  # by seq
+        dependents = {}  # seq -> tasks waiting on it, in submission order
+        for task in filter(_DEPS, tasks):
             for dep in task.deps:
-                if by_seq.get(dep.seq) is not dep:
+                seq = dep.seq
+                if seq is None or seq >= len(tasks) or tasks[seq] is not dep:
                     raise ValueError(
                         "task %r depends on unregistered task %r" % (task.name, dep.name)
                     )
-                dependents[dep.seq].append(task)
+                dependents.setdefault(seq, []).append(task)
 
+        if self._ran:  # a fresh run owes no state to a prior one
+            for task in tasks:
+                task.start = task.finish = task.ready = task.blocked_on = None
+        self._ran = True
         free = dict(self._capacity)
-        for task in self._tasks:  # a fresh run owes no state to a prior one
-            task.start = task.finish = task.ready = task.blocked_on = None
-        # Ready queue is a min-heap keyed by (priority, seq): newly
-        # unblocked tasks are pushed in O(log n) instead of re-sorting the
-        # whole list at every event.  With the default priority 0 the start
-        # scan pops in pure seq order — exactly the order the sorted-list
-        # implementation used — so plain schedules are byte-identical.
+        slots = free.__getitem__
+        faults = self._faults
+        # Tasks whose dependencies are done wait in ``pending``, sorted by
+        # ``(release, seq)``, until simulated time reaches their release
+        # (seq is unique, so the task riding along is never compared), then
+        # in ``ready`` until every resource they name has a free slot.
+        pending = sorted((t.release, t.seq, t) for t in compress(tasks, map(not_, remaining_deps)))
         ready = []
-        # Tasks whose dependencies are done but whose release time lies in
-        # the future wait in ``pending`` (a min-heap on release) and are
-        # admitted to the ready queue when simulated time reaches them.
-        pending = []
-        for t in self._tasks:
-            if not remaining_deps[t.seq]:
-                if t.release > 0.0:
-                    heapq.heappush(pending, (t.release, t.seq, t))
-                else:
-                    t.ready = 0.0
-                    ready.append((t.priority, t.seq))
-        heapq.heapify(ready)
         running = []  # heap of (finish_time, seq, task)
         now = 0.0
-        completed = 0
 
         def try_start():
+            """Start, in ``(priority, seq)`` order, every ready task whose
+            resources allow it; the others stay ready."""
             nonlocal ready
+            ready.sort(key=_RANK)
             blocked = []
-            while ready:
-                key = heapq.heappop(ready)
-                task = by_seq[key[1]]
-                if all(free[r] > 0 for r in task.resources):
+            for task in ready:
+                # slot counts never go below 0: a resource with no free
+                # slot reads exactly 0
+                if 0 in map(slots, task.resources):
+                    task.blocked_on = task.resources[list(map(slots, task.resources)).index(0)]
+                    blocked.append(task)
+                else:
                     for r in task.resources:
                         free[r] -= 1
                     task.start = now
-                    duration = task.duration
-                    if self._faults is not None:
+                    if faults is None:
+                        task.finish = now + task.duration
+                    else:
                         # deterministic congestion jitter: a keyed hash of
                         # (name, seq) decides whether — and by how much —
                         # this transfer is stretched, so schedules replay
                         # exactly from the plan's seed
-                        duration += self._faults.task_delay(task.name, task.seq)
-                    task.finish = now + duration
+                        task.finish = now + (
+                            task.duration + faults.task_delay(task.name, task.seq)
+                        )
                     heapq.heappush(running, (task.finish, task.seq, task))
-                else:
-                    task.blocked_on = next(
-                        r for r in task.resources if free[r] <= 0
-                    )
-                    blocked.append(key)
-            # ``blocked`` was produced in increasing key order, so it is
-            # already a valid min-heap
             ready = blocked
 
-        try_start()
         while running or pending:
             if running and (not pending or running[0][0] <= pending[0][0]):
-                now, _, done = heapq.heappop(running)
-                batch = [done]
-                while running and running[0][0] == now:
-                    batch.append(heapq.heappop(running)[2])
-                for task in batch:
-                    completed += 1
-                    for r in task.resources:
-                        free[r] += 1
-                    for child in dependents[task.seq]:
+                now, _, task = heapq.heappop(running)
+                for r in task.resources:
+                    free[r] += 1
+                if dependents:
+                    for child in dependents.get(task.seq, ()):
                         remaining_deps[child.seq] -= 1
                         if not remaining_deps[child.seq]:
                             if child.release > now:
-                                heapq.heappush(
-                                    pending, (child.release, child.seq, child)
-                                )
+                                insort(pending, (child.release, child.seq, child))
                             else:
                                 child.ready = now
-                                heapq.heappush(ready, (child.priority, child.seq))
+                                ready.append(child)
+                if running and running[0][0] == now:
+                    continue  # everything that ends at this instant ends before anything starts
             else:
                 now = pending[0][0]
-            while pending and pending[0][0] <= now:
-                _, seq, task = heapq.heappop(pending)
-                task.ready = now
-                heapq.heappush(ready, (task.priority, seq))
-            try_start()
+            if pending and pending[0][0] <= now:
+                released = bisect_right(pending, (now, _LAST))
+                admitted = list(map(_TASK, pending[:released]))
+                del pending[:released]
+                for task in admitted:
+                    task.ready = now
+                ready += admitted
+            if ready:
+                try_start()
 
-        if completed != len(self._tasks):
-            stuck = [t.name for t in self._tasks if t.finish is None]
+        if None in map(_FINISH, tasks):
+            stuck = [t.name for t in tasks if t.finish is None]
             # a failed run leaves no schedule: wipe the partial times so no
             # caller can mistake them for a completed run's accounting
-            for task in self._tasks:
+            for task in tasks:
                 task.start = task.finish = task.ready = task.blocked_on = None
             raise RuntimeError(
                 "schedule did not complete; cyclic dependencies among %r" % (stuck,)

@@ -140,6 +140,9 @@ class Document:
         self.uri = uri
         self.source_bytes = source_bytes
         self.doc_type = doc_type or root.label
+        # the ElementStreams the document phase joins over, set by the peer
+        # that publishes the document and dropped with it
+        self.streams = None
 
     def iter_elements(self):
         return self.root.iter_elements()

@@ -1,8 +1,10 @@
 """Tests for query evaluation: the matcher oracle and the twig join.
 
-The key test is differential: on random documents and random patterns, the
-holistic twig join over extracted posting streams must produce exactly the
-matches the direct tree matcher finds.
+The key tests are differential: on random documents and random patterns,
+the holistic twig join over extracted posting streams, and the document
+phase (``KadopPeer.evaluate``, the same join over the document's stored
+element streams), must produce exactly the matches the direct tree matcher
+finds.
 """
 
 import random
@@ -11,12 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.index.publisher import extract_postings
+from repro.kadop.config import KadopConfig
+from repro.kadop.peer import KadopPeer
+from repro.kadop.system import KadopNetwork
 from repro.postings.plist import PostingList
 from repro.query.matcher import Match, match_document, match_to_postings
 from repro.query.pattern import Axis, PatternNode, TreePattern
 from repro.query.twigjoin import twig_join
 from repro.query.xpath import parse_query
 from repro.xmldata.parser import parse_document
+from repro.xmldata.streams import ElementStreams
 
 DOC = parse_document(
     "<lib>"
@@ -236,47 +242,85 @@ LABELS = ["a", "b", "c", "d"]
 WORDS = ["x", "y"]
 
 
-def random_document(rng, max_nodes=25):
+#: rich draws: a stop word, mixed case, a phrase, a hyphenated pair
+RICH_TEXTS = ["x", "y", "the", "The X", "x y", "x-y", "xy"]
+
+
+def random_document(rng, max_nodes=25, rich=False):
+    """A random tree over ``LABELS``.  ``rich`` adds what only the document
+    phase sees: text on both sides of child elements, stop words, and an
+    unexpanded include (an intensional reference the matcher steps over)."""
     parts = []
 
     def build(depth, budget):
         label = rng.choice(LABELS)
         parts.append("<%s>" % label)
         if rng.random() < 0.4:
-            parts.append(rng.choice(WORDS))
+            parts.append(rng.choice(RICH_TEXTS if rich else WORDS))
         n_children = 0 if depth > 4 else rng.randint(0, 3)
         for _ in range(n_children):
             if budget[0] <= 0:
                 break
             budget[0] -= 1
             build(depth + 1, budget)
+        if rich and rng.random() < 0.2:
+            parts.append(rng.choice(RICH_TEXTS))
+        if rich and rng.random() < 0.1:
+            parts.append("&inc;")
         parts.append("</%s>" % label)
 
     build(0, [max_nodes])
-    return parse_document("".join(parts))
+    prolog = '<!DOCTYPE a [ <!ENTITY inc SYSTEM "u:inc"> ]>' if rich else ""
+    return parse_document(prolog + "".join(parts))
 
 
-def random_pattern(rng, max_nodes=4):
+def random_pattern(rng, max_nodes=4, rich=False):
+    """A random pattern over ``LABELS``.  ``rich`` adds the draws the index
+    query cannot express or answers imprecisely, which the document phase
+    must get exactly right: a root ``/`` axis, ``*`` anywhere, value
+    conditions, a stop word, a label no document has, one label nested in
+    itself, and word nodes on every axis with children of their own."""
+
     def build(depth):
         if rng.random() < 0.25:
+            if not rich:
+                return PatternNode(
+                    word=rng.choice(WORDS), axis=Axis.DESCENDANT_OR_SELF
+                )
             node = PatternNode(
-                word=rng.choice(WORDS), axis=Axis.DESCENDANT_OR_SELF
+                word=rng.choice(WORDS + ["the", "xy", "X"]), axis=rng.choice(list(Axis))
             )
+            if depth < 2 and rng.random() < 0.2:
+                node.add_child(build(depth + 1))
             return node
         axis = rng.choice([Axis.CHILD, Axis.DESCENDANT])
-        node = PatternNode(label=rng.choice(LABELS), axis=axis)
+        labels = LABELS + ["*", "*", "zz"] if rich else LABELS
+        node = PatternNode(label=rng.choice(labels), axis=axis)
+        if rich and rng.random() < 0.15:
+            node.value_equals = rng.choice(RICH_TEXTS + [""])
         if depth < 2:
             for _ in range(rng.randint(0, 2)):
-                node.add_child(build(depth + 1))
+                child = node.add_child(build(depth + 1))
+                if rich and not child.is_word and rng.random() < 0.2:
+                    child.label = node.label  # //a//a, //*/*
         return node
 
     root = build(0)
-    if root.is_word:
+    if root.is_word and not rich:
         parent = PatternNode(label=rng.choice(LABELS), axis=Axis.DESCENDANT)
         parent.add_child(root)
         root = parent
-    root.axis = Axis.DESCENDANT
+    if not rich or rng.random() < 0.6:
+        root.axis = Axis.DESCENDANT
     return TreePattern(root)
+
+
+def matcher_answers(pattern, document, peer, doc):
+    """What ``KadopPeer.evaluate`` must return, list order included."""
+    return [
+        (match_to_postings(m, peer, doc), m.incomplete)
+        for m in match_document(pattern, document)
+    ]
 
 
 @settings(max_examples=120, deadline=None)
@@ -308,3 +352,139 @@ def test_twigjoin_multi_doc_differential(seed):
         }
     got = {tuple(sorted(sol.items())) for sol in twig_join(pattern, merged)}
     assert got == expected
+
+
+# -- the document phase against the matcher -----------------------------------------
+
+
+def stored(document, peer=3, doc=5):
+    """A peer holding ``document`` the way ``publish_document`` leaves it,
+    without a network around it."""
+    holder = KadopPeer(None, peer, None)
+    document.streams = ElementStreams(document)
+    holder.documents[doc] = document
+    return holder
+
+
+class TestDocumentPhase:
+    """``KadopPeer.evaluate`` on hand-picked cases; the random sweep below
+    covers their combinations."""
+
+    @pytest.mark.parametrize(
+        "query,keywords",
+        [
+            ("/lib", ()),
+            ("/article", ()),
+            ("/lib/article/author", ()),
+            ("/*", ()),
+            ("//*", ()),
+            ("//*//title", ()),
+            ("//book/*/title", ()),
+            ("//article/*", ()),
+            ("//nonexistent", ()),
+            ("//article//nonexistent", ()),
+            ('//author[. = "smith"]', ()),
+            ('//author[. = "jones smith"]', ()),
+            ('//author[. = "jones"]', ()),
+            ('//*[. = "smith"]', ()),
+            ('//article[. contains "ULLMAN"]', ()),
+            ('//article[. contains "xml"][. contains "xml"]', ()),
+            ('//lib[contains(.//title, "intro")]//author', ()),
+            ("//article//author//smith", ("smith",)),
+            ("//article/author/smith", ("smith",)),
+            ("//lib[//book]//article[//author]//title", ()),
+        ],
+    )
+    def test_equals_matcher(self, query, keywords):
+        pattern = parse_query(query, keyword_steps=keywords)
+        assert stored(DOC).evaluate(pattern, 5) == matcher_answers(pattern, DOC, 3, 5)
+
+    def test_stop_words_are_matched_on_the_document(self):
+        doc = parse_document("<a><b>the cat</b><b>a dog</b><b>other</b></a>")
+        pattern = parse_query('//b[. contains "the"]')
+        answers = stored(doc).evaluate(pattern, 5)
+        assert answers == matcher_answers(pattern, doc, 3, 5)
+        assert len(answers) == 1  # "other" holds no token "the"
+
+    def test_word_spanning_text_nodes_and_case(self):
+        doc = parse_document("<a>Big<b/>DATA big</a>")
+        for word, hits in (("big", 1), ("data", 1), ("bigdata", 0), ("ig", 0)):
+            pattern = TreePattern(PatternNode(word=word))
+            answers = stored(doc).evaluate(pattern, 5)
+            assert answers == matcher_answers(pattern, doc, 3, 5)
+            assert len(answers) == hits
+
+    def test_value_joins_the_direct_text_nodes(self):
+        # the first b holds two text nodes, "x" and "y", around its child
+        doc = parse_document("<a><b> x <c>no</c> y </b><b>x y</b><b/></a>")
+        for value, hits in (("x y", 2), ("x", 0), ("", 1), ("no", 0)):
+            node = PatternNode(label="b")
+            node.value_equals = value
+            pattern = TreePattern(node)
+            answers = stored(doc).evaluate(pattern, 5)
+            assert answers == matcher_answers(pattern, doc, 3, 5)
+            assert len(answers) == hits
+
+    def test_unexpanded_include_is_stepped_over(self):
+        doc = parse_document(
+            '<!DOCTYPE a [ <!ENTITY inc SYSTEM "u:inc"> ]>'
+            "<a><b>x&inc;</b><b>&inc;</b></a>"
+        )
+        assert doc.is_intensional
+        for query in ('//a//b[. contains "x"]', "//b//c", "//a/b"):
+            pattern = parse_query(query)
+            assert stored(doc).evaluate(pattern, 5) == matcher_answers(pattern, doc, 3, 5)
+
+    def test_allow_incomplete_still_marks_potential_answers(self):
+        doc = parse_document(
+            '<!DOCTYPE l [ <!ENTITY a SYSTEM "u:a"> ]><l><x>graph</x><x>&a;</x></l>'
+        )
+        pattern = parse_query('//l//x[. contains "graph"]')
+        answers = stored(doc).evaluate(pattern, 5, allow_incomplete=True)
+        assert [bool(incomplete) for _, incomplete in answers] == [False, True]
+        assert len(stored(doc).evaluate(pattern, 5)) == 1
+
+    def test_bindings_carry_the_owner_ids(self):
+        pattern = parse_query("//article//author")
+        for bindings, incomplete in stored(DOC, peer=4, doc=9).evaluate(pattern, 9):
+            assert not incomplete
+            assert all((p.peer, p.doc) == (4, 9) for p in bindings.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_document_phase_differential_random(seed):
+    """The join over stored element streams == direct tree matching: the
+    same bindings in the same list order, on rich random inputs."""
+    rng = random.Random(seed)
+    document = random_document(rng, rich=True)
+    pattern = random_pattern(rng, rich=True)
+    assert stored(document).evaluate(pattern, 5) == matcher_answers(pattern, document, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {},
+        {"index_granularity": "document"},
+        {"word_index_labels": frozenset({"a"})},
+        {"index_granularity": "document", "word_index_labels": frozenset({"b"})},
+    ],
+    ids=["default", "doc-granularity", "word-labels", "both"],
+)
+def test_document_phase_ignores_index_reductions(knobs):
+    """The Section 8 knobs thin the *index*; the streams a peer keeps for
+    its own documents must hold every element and every word regardless."""
+    net = KadopNetwork.create(3, config=KadopConfig(replication=1, **knobs), seed=5)
+    net.register_resource("u:inc", "<a><b>x</b></a>")  # what &inc; stands for
+    rng = random.Random(11)
+    for i in range(6):
+        document = random_document(rng, rich=True)
+        peer = net.peers[i % 3]
+        peer.publish_document(document)
+        doc_index = next(i for i, d in peer.documents.items() if d is document)
+        for _ in range(25):
+            pattern = random_pattern(rng, rich=True)
+            assert peer.evaluate(pattern, doc_index) == matcher_answers(
+                pattern, document, peer.index, doc_index
+            )
