@@ -24,7 +24,7 @@ fuzz-smoke:
 	$(PY) -m repro fuzz --seed 1000 --iterations 60 --overlay chord
 	$(PY) -m repro fuzz --seed 5000 --iterations 60 --write-quorum majority
 	$(PY) -m repro fuzz --seed 9000 --iterations 40 --crash-rate 0.15 \
-		--drop-rate 0.1 --delay-rate 0.1 --duplicate-rate 0.1
+		--drop-rate 0.45 --delay-rate 0.1 --duplicate-rate 0.1
 	$(PY) -m repro fuzz --seed 3000 --iterations 60 --store-backend lsm
 
 # serving-clock telemetry smoke: a short skewed serve with the sampler +

@@ -16,8 +16,7 @@ This package is the adaptive-redistribution layer:
   and synchronous write propagation that keeps every extra copy fresh;
 * :class:`~repro.balance.rebalancer.Rebalancer` — the background pass
   migrating whole keys (their alias group: term, DPP root, first data
-  block) off overloaded peers via the same versioned handover used by
-  ``_rehome_key`` and anti-entropy repair.
+  block) off overloaded peers via the network's versioned hand-over.
 
 Everything is deterministic and strictly opt-in: the default policy
 (``owner``, no thresholds, no rebalance interval) is byte-identical to

@@ -184,15 +184,10 @@ class LoadBalancer:
         if want <= 0:
             self.extras[key] = existing
             return
-        replicas = self.net.replica_nodes(key)
-        holders = [n for n in net.alive_nodes() if key in n.store]
-        if not holders:
+        source = net.freshest_holder(key)
+        if source is None or key not in source.store:
             return
-        source = max(
-            holders,
-            key=lambda n: (n.versions.get(key, 0), n.store.count(key), -n.peer_index),
-        )
-        taken = {id(n) for n in replicas}
+        taken = {id(n) for n in net.replica_nodes(key)}
         taken.update(id(n) for n in existing)
         candidates = sorted(
             (
@@ -202,12 +197,8 @@ class LoadBalancer:
             ),
             key=lambda n: (self.ledger.peer_load(n.peer_index), n.peer_index),
         )
-        postings = source.store.get(key)
-        version = source.versions.get(key, 0)
-        payload = encoded_size(postings)
         for node in candidates[:want]:
-            net._sync_copy(node, key, postings, version=version)
-            net.meter.record("postings", payload)
+            payload = net.copy_key(source, node, key)
             self.ledger.record_write(key, node.peer_index, payload)
             existing.append(node)
             self.promotions += 1

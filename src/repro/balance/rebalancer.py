@@ -7,20 +7,18 @@ plus its ``dpproot:``/``dppdata:`` pseudo-keys, which
 :func:`~repro.dht.network.routing_alias` pins to one placement — so a
 term and its DPP root/first block never split across peers.
 
-The move reuses the versioned handover machinery of ``_rehome_key`` and
-anti-entropy repair: the freshest holder's copy is landed on the target
-with :meth:`DhtNetwork._sync_copy` (same stamp — a migrated copy is the
-same logical write, moved), metered as wire traffic, and then
-:meth:`DhtNetwork.set_placement` redirects ownership.  The old owner
-keeps its copy and stays in the replica set as a backup, so no acked
-posting ever has fewer live copies after a migration than before —
+The move is the network's one versioned hand-over
+(:meth:`DhtNetwork.freshest_holder` + :meth:`DhtNetwork.copy_key`: the
+freshest copy lands on the target at the same stamp, metered as wire
+traffic), then :meth:`DhtNetwork.set_placement` redirects ownership.  The
+old owner keeps its copy and stays in the replica set as a backup, so no
+acked posting ever has fewer live copies after a migration than before —
 the fuzzer's migration invariant.
 """
 
 from dataclasses import dataclass, field
 
 from repro.dht.network import routing_alias
-from repro.postings.encoder import encoded_size
 
 
 @dataclass
@@ -102,14 +100,14 @@ class Rebalancer:
         on the target too, or the re-placed owner would serve gaps."""
         net = self.net
         groups = {}
-        for key in net._all_keys():
+        for key in sorted(net._all_keys()):
             alias = routing_alias(key)
             entry = groups.setdefault(alias, [0.0, []])
             entry[0] += self.ledger.key_rate(key)
             entry[1].append(key)
         ranked = sorted(
             (
-                (heat, alias, sorted(keys))
+                (heat, alias, keys)
                 for alias, (heat, keys) in groups.items()
                 if heat > 0.0 and net.owner_of(alias) is node
             ),
@@ -142,56 +140,35 @@ class Rebalancer:
     def _migrate(self, alias, group, target):
         """Land the group's freshest copies on ``target``, then re-place.
 
-        Versioned handover, exactly like ``_rehome_key``: per key the
-        freshest holder (highest stamp, then count) is the source; the
-        target copy inherits the stamp.  Ownership flips only after every
-        key of the group has landed, so a reader never routes to a target
-        that is still missing part of the family."""
+        Per key the freshest holder is the source and the target copy
+        inherits its stamp.  Ownership flips only after every key of the
+        group has landed, so a reader never routes to a target that is
+        still missing part of the family."""
         net = self.net
         moved_bytes = 0
         for key in group:
-            holders = [
-                n
-                for n in net.alive_nodes()
-                if n is not target and (key in n.store or key in n.objects)
-            ]
-            source = max(
-                holders,
-                key=lambda n: (
-                    n.versions.get(key, 0),
-                    n.store.count(key) if key in n.store else 0,
-                    -n.peer_index,
-                ),
-                default=None,
-            )
+            source = net.freshest_holder(key, exclude=target)
             if source is None:
                 continue
             version = source.versions.get(key, 0)
+            # never replace a copy the target already holds at the
+            # source's freshness or better (repair semantics: the
+            # freshest copy wins, a move can only catch copies up)
             if key in source.store:
-                src_score = (version, source.store.count(key))
-                tgt_score = (
+                held = (
                     target.versions.get(key, 0),
                     target.store.count(key) if key in target.store else 0,
                 )
-                # never replace a copy the target already holds at the
-                # source's freshness or better (repair semantics: the
-                # freshest copy wins, a move can only catch copies up)
-                if tgt_score < src_score:
-                    postings = source.store.get(key)
-                    nbytes = encoded_size(postings)
-                    net._sync_copy(target, key, postings, version=version)
-                    net.meter.record("postings", nbytes)
-                    self.ledger.record_write(key, target.peer_index, nbytes)
-                    moved_bytes += nbytes
-            if key in source.objects:
-                obj, nbytes = source.objects[key]
-                if (
+                stale = held < (version, source.store.count(key))
+            else:
+                stale = (
                     key not in target.objects
                     or target.versions.get(key, 0) < version
-                ):
-                    target.objects[key] = (obj, nbytes)
-                    target.versions[key] = version
-                    net.meter.record("control", nbytes)
-                    moved_bytes += nbytes
+                )
+            if stale:
+                nbytes = net.copy_key(source, target, key)
+                if key in source.store:
+                    self.ledger.record_write(key, target.peer_index, nbytes)
+                moved_bytes += nbytes
         net.set_placement(alias, target)
         return moved_bytes

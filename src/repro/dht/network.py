@@ -18,19 +18,16 @@ recording the hops taken, the bytes moved (also logged to the global
 Requests are routed multi-hop over the overlay; bulk responses flow over a
 direct connection (one hop), as in the real system.
 
-Fault tolerance (:mod:`repro.faults`): when a :class:`FaultPlan` is
-installed on :attr:`DhtNetwork.faults`, every operation consults it at its
-injection points — requests and bulk responses can be dropped (the op
-retries with the network's :class:`~repro.faults.RetryPolicy`, each lost
-copy metered and each wait charged in simulated time), delayed, or
-duplicated (idempotent delivery: the duplicate is metered as wire traffic
-but not double-counted in the op's receipt); peers can crash between
-routing hops, before applying a write, or between pipelined chunks.
-Writes acknowledge on a replica quorum (:attr:`DhtNetwork.write_quorum`)
-and :meth:`DhtNetwork.anti_entropy_repair` re-replicates what a crash left
-under-replicated.  With no plan installed — or a plan whose rates are all
-zero — every byte, hop, and simulated second is identical to the original
-code path (the differential test in ``tests/test_faults.py``).
+Fault tolerance (:mod:`repro.faults`): with a :class:`FaultPlan` on
+:attr:`DhtNetwork.faults` any message can be dropped (retry with backoff,
+then :class:`~repro.faults.OpTimeoutError`), delayed or duplicated, and
+peers can crash mid-operation; DESIGN.md "Fault model" tabulates, op by
+op, what each fate meters, bills and charges.  Writes acknowledge on a
+replica quorum (:attr:`DhtNetwork.write_quorum`); divergent copies are
+reconciled by highest write stamp (:meth:`DhtNetwork.freshest_holder`).
+With no plan installed — or a plan whose rates are all zero — every byte,
+hop, and simulated second is identical to the fault-free code path (the
+differential test in ``tests/test_faults.py``).
 """
 
 from dataclasses import dataclass, field
@@ -79,20 +76,11 @@ class OpReceipt:
     response_bytes: int = 0
     duration_s: float = 0.0
 
-    def merge(self, other, count_bytes=True):
-        """Fold ``other`` into this receipt.
-
-        ``count_bytes=False`` merges the hop/latency effects of a message
-        the *network* duplicated without charging its bytes again: the op
-        sent those bytes once, so counting the spontaneous second delivery
-        would double-bill the operation (the wire copy still lands in the
-        :class:`~repro.sim.meter.TrafficMeter`, which counts every copy
-        actually transmitted).
-        """
+    def merge(self, other):
+        """Fold ``other`` into this receipt."""
         self.hops += other.hops
-        if count_bytes:
-            self.request_bytes += other.request_bytes
-            self.response_bytes += other.response_bytes
+        self.request_bytes += other.request_bytes
+        self.response_bytes += other.response_bytes
         self.duration_s += other.duration_s
         return self
 
@@ -213,47 +201,17 @@ class DhtNetwork:
         )
         if int(node.node_id) in self._by_id:
             raise DhtError("node id collision for uri %r" % uri)
-        existing_keys = self._all_keys() if rebuild and self.nodes else ()
+        existing_keys = sorted(self._all_keys()) if rebuild and self.nodes else ()
         self.nodes.append(node)
         self._by_id[int(node.node_id)] = node
         if rebuild:
             self._rebuild_routing()
             for key in existing_keys:
-                self._handover_key(key, node)
+                if node in self.replica_nodes(key):
+                    source = self.freshest_holder(key, exclude=node)
+                    if source is not None:
+                        self.copy_key(source, node, key)
         return node
-
-    def _handover_key(self, key, joined):
-        """Move/copy ``key`` to ``joined`` if it is now owner or replica."""
-        replicas = self.replica_nodes(key)
-        if joined not in replicas:
-            return
-        holders = [
-            n
-            for n in self.alive_nodes()
-            if n is not joined and (key in n.store or key in n.objects)
-        ]
-        source = max(
-            holders,
-            key=lambda n: (
-                n.versions.get(key, 0),
-                n.store.count(key) if key in n.store else 0,
-                -n.peer_index,
-            ),
-            default=None,
-        )
-        if source is None:
-            return
-        version = source.versions.get(key, 0)
-        if key in source.store:
-            postings = source.store.get(key)
-            joined.store.append(key, postings)
-            joined.versions[key] = version
-            self.meter.record("postings", encoded_size(postings))
-        if key in source.objects:
-            obj, nbytes = source.objects[key]
-            joined.objects[key] = (obj, nbytes)
-            joined.versions[key] = version
-            self.meter.record("control", nbytes)
 
     def remove_node(self, node, rehome=True):
         """Fail/stop ``node``.  With ``rehome``, surviving replicas copy the
@@ -263,7 +221,7 @@ class DhtNetwork:
             raise NoSuchPeerError("node already removed: %r" % (node,))
         owned = [
             key
-            for key in self._all_keys()
+            for key in sorted(self._all_keys())
             if self.owner_of(key) is node
         ]
         node.alive = False
@@ -271,7 +229,11 @@ class DhtNetwork:
         self._rebuild_routing()
         if rehome:
             for key in owned:
-                self._rehome_key(key, failed=node)
+                source = self.freshest_holder(key)
+                new_owner = self.owner_of(key)
+                # no source: data lost, replication factor exceeded
+                if source is not None and source is not new_owner:
+                    self.copy_key(source, new_owner, key)
 
     def crash_node(self, node):
         """Fail ``node`` abruptly: its disk state survives, nothing is
@@ -302,44 +264,94 @@ class DhtNetwork:
         self._by_id[int(node.node_id)] = node
         self._rebuild_routing()
         for key in sorted(self._all_keys()):
-            holders = [
-                n
-                for n in self.alive_nodes()
-                if n is not node and (key in n.store or key in n.objects)
-            ]
-            source = max(
-                holders,
-                key=lambda n: (
-                    n.versions.get(key, 0),
-                    n.store.count(key) if key in n.store else 0,
-                    -n.peer_index,
-                ),
-                default=None,
-            )
-            if node not in self.replica_nodes(key):
-                # the ring moved on while the node was down: if the data
-                # lives elsewhere, its local copy is an orphan that a
-                # later failover read or ownership shift would serve
-                # stale — drop it (kept only as a sole survivor)
-                if source is not None:
-                    if key in node.store:
-                        node.store.delete(key)
-                    node.objects.pop(key, None)
-                    node.versions.pop(key, None)
-                continue
+            source = self.freshest_holder(key, exclude=node)
             if source is None:
                 continue
-            version = source.versions.get(key, 0)
-            if key in source.store:
-                postings = source.store.get(key)
-                self._sync_copy(node, key, postings, version=version)
-                self.meter.record("postings", encoded_size(postings))
-            if key in source.objects:
-                obj, nbytes = source.objects[key]
-                node.objects[key] = (obj, nbytes)
-                node.versions[key] = version
-                self.meter.record("control", nbytes)
+            if node in self.replica_nodes(key):
+                self.copy_key(source, node, key)
+            else:
+                # the ring moved on while the node was down: the data
+                # lives elsewhere, so its local copy is an orphan that a
+                # later failover read or ownership shift would serve
+                # stale — drop it (kept only as a sole survivor)
+                if key in node.store:
+                    node.store.delete(key)
+                node.objects.pop(key, None)
+                node.versions.pop(key, None)
         self._observe_fault("restart", node.uri)
+
+    def freshest_holder(self, key, exclude=None):
+        """The alive node, other than ``exclude``, with the freshest copy
+        of ``key`` (posting list or control object); None if nobody has one.
+
+        The one ranking every hand-over uses — join, restart, graceful
+        leave, rebalancer migration, hot-key promotion: highest write stamp
+        (see :meth:`next_stamp`), then most postings, then lowest peer."""
+        holders = [
+            n
+            for n in self.alive_nodes()
+            if n is not exclude and (key in n.store or key in n.objects)
+        ]
+        return max(
+            holders,
+            key=lambda n: (
+                n.versions.get(key, 0),
+                n.store.count(key) if key in n.store else 0,
+                -n.peer_index,
+            ),
+            default=None,
+        )
+
+    def copy_key(self, source, target, key):
+        """Replace ``target``'s copy of ``key`` with ``source``'s — posting
+        list and control object, whichever exist — at the source's stamp
+        (a moved copy is the same logical write), metered as wire traffic.
+        Returns the bytes moved."""
+        version = source.versions.get(key, 0)
+        moved = 0
+        if key in source.store:
+            postings = source.store.get(key)
+            self._sync_copy(target, key, postings, version)
+            moved = encoded_size(postings)
+            self.meter.record("postings", moved)
+        if key in source.objects:
+            obj, nbytes = source.objects[key]
+            target.objects[key] = (obj, nbytes)
+            target.versions[key] = version
+            self.meter.record("control", nbytes)
+            moved += nbytes
+        return moved
+
+    def freshest_postings(self, key, exclude=None, floor=0):
+        """``(version, postings)``: the highest stamp at which an alive
+        node other than ``exclude`` stores ``key``, and the union of the
+        copies at that stamp.  None when nobody stores the key, or when
+        that stamp is below ``floor`` (the caller's own copy is fresher;
+        no list is read).
+
+        The freshest *version* wins — size is no proxy, a stale
+        pre-rewrite (pre-split) copy can be the largest.  Copies at the
+        same top version can still differ: under a majority quorum each
+        may have missed a different earlier append, so the reference is
+        their union.  (Safe because rewrites — splits, deletes — always
+        bump the version on every copy they touch; equal-version copies
+        only ever diverge by missed appends.)"""
+        holders = [
+            n for n in self.alive_nodes() if n is not exclude and key in n.store
+        ]
+        if not holders:
+            return None
+        version = max(n.versions.get(key, 0) for n in holders)
+        if version < floor:
+            return None
+        tops = sorted(
+            (n for n in holders if n.versions.get(key, 0) == version),
+            key=lambda n: (-n.store.count(key), n.peer_index),
+        )
+        postings = tops[0].store.get(key)
+        for other in tops[1:]:
+            postings = postings.merge(other.store.get(key))
+        return version, postings
 
     def anti_entropy_repair(self):
         """One background anti-entropy pass over every visible key.
@@ -355,32 +367,13 @@ class DhtNetwork:
         for key in sorted(self._all_keys()):
             report.keys_checked += 1
             replicas = self.replica_nodes(key)
-            store_holders = [n for n in self.alive_nodes() if key in n.store]
+            fresh = self.freshest_postings(key)
             object_holders = [n for n in self.alive_nodes() if key in n.objects]
-            if not store_holders and not object_holders:
+            if fresh is None and not object_holders:
                 lost.append(key)
                 continue
-            if store_holders:
-                # the freshest *version* wins — size is no proxy, a stale
-                # pre-rewrite (pre-split) copy can be the largest.  Copies
-                # at the same top version can still differ: under a
-                # majority quorum each may have missed a different earlier
-                # append, so the reference is their union.  (Safe because
-                # rewrites — splits, deletes — always bump the version on
-                # every copy they touch; equal-version copies only ever
-                # diverge by missed appends.)
-                version = max(n.versions.get(key, 0) for n in store_holders)
-                tops = sorted(
-                    (
-                        n
-                        for n in store_holders
-                        if n.versions.get(key, 0) == version
-                    ),
-                    key=lambda n: (-n.store.count(key), n.peer_index),
-                )
-                reference = tops[0].store.get(key)
-                for other in tops[1:]:
-                    reference = reference.merge(other.store.get(key))
+            if fresh is not None:
+                version, reference = fresh
                 nbytes = encoded_size(reference)
                 for node in replicas:
                     if (
@@ -388,7 +381,7 @@ class DhtNetwork:
                         and node.store.count(key) >= len(reference)
                     ):
                         continue
-                    self._sync_copy(node, key, reference, version=version)
+                    self._sync_copy(node, key, reference, version)
                     self.meter.record("postings", nbytes)
                     report.copies_made += 1
                     report.bytes_copied += nbytes
@@ -419,7 +412,7 @@ class DhtNetwork:
         return report
 
     @staticmethod
-    def _sync_copy(target, key, postings, version=None):
+    def _sync_copy(target, key, postings, version):
         """Replace ``target``'s copy of ``key`` with ``postings``.
 
         Delete-then-append rather than ``put``: the naive store's put has
@@ -430,8 +423,7 @@ class DhtNetwork:
         if key in target.store:
             target.store.delete(key)
         target.store.append(key, postings)
-        if version is not None:
-            target.versions[key] = version
+        target.versions[key] = version
 
     def alive_nodes(self):
         return [n for n in self.nodes if n.alive]
@@ -471,7 +463,7 @@ class DhtNetwork:
         """Re-home ``alias``'s group onto ``node`` (the rebalancer's move).
 
         Only redirects ownership — the caller must have landed the data on
-        ``node`` first (:meth:`_sync_copy`), or reads would route to a
+        ``node`` first (:meth:`copy_key`), or reads would route to a
         copy-less owner."""
         self.placement[alias] = node
         self._invalidate_caches()
@@ -535,41 +527,13 @@ class DhtNetwork:
         return replicas
 
     def _all_keys(self):
+        """Every key an alive node holds.  A ``set``: walk it ``sorted``,
+        or ``PYTHONHASHSEED`` decides in which order stores fill."""
         keys = set()
         for node in self.alive_nodes():
             keys.update(node.store.terms())
             keys.update(node.objects)
         return keys
-
-    def _rehome_key(self, key, failed):
-        replicas = [
-            n
-            for n in self.alive_nodes()
-            if n is not failed and (key in n.store or key in n.objects)
-        ]
-        if not replicas:
-            return  # data lost: replication factor exceeded
-        source = max(
-            replicas,
-            key=lambda n: (
-                n.versions.get(key, 0),
-                n.store.count(key) if key in n.store else 0,
-                -n.peer_index,
-            ),
-        )
-        new_owner = self.owner_of(key)
-        if new_owner is source:
-            return
-        version = source.versions.get(key, 0)
-        if key in source.store:
-            postings = source.store.get(key)
-            self._sync_copy(new_owner, key, postings, version=version)
-            self.meter.record("postings", encoded_size(postings))
-        if key in source.objects:
-            obj, nbytes = source.objects[key]
-            new_owner.objects[key] = (obj, nbytes)
-            new_owner.versions[key] = version
-            self.meter.record("control", nbytes)
 
     # -- routing ------------------------------------------------------------------
 
@@ -613,45 +577,25 @@ class DhtNetwork:
                     self._hop_memo.clear()
                 self._hop_memo[hop] = nxt_id
             if nxt_id is None:
-                placed = self._placed(key)
-                if placed is not None and placed is not current:
-                    # the hash-closest node forwards to the re-placed
-                    # owner it knows about (one extra hop, like the
-                    # stale-entry fallback below)
-                    if path is not None:
-                        path.append(
-                            (
-                                current.peer_index,
-                                placed.peer_index,
-                                current.node_id.shared_prefix_len(kid),
-                            )
-                        )
+                nxt = self._placed(key)
+                if nxt is None or nxt is current:
                     self._last_path = path
-                    return placed, hops + 1
-                self._last_path = path
-                return current, hops
-            nxt = self._by_id.get(int(nxt_id))
-            if (
-                plan is not None
-                and nxt is not None
-                and nxt.alive
-                and int(nxt_id) not in seen
-            ):
-                plan.maybe_crash_hop(self, fault_idx, hops, nxt, protect=src)
-            if nxt is None or not nxt.alive or int(nxt_id) in seen:
-                # stale entry: fall back to global owner (one extra hop),
-                # which is what Pastry's repair would converge to
-                owner = self.owner_of(key)
-                if path is not None:
-                    path.append(
-                        (
-                            current.peer_index,
-                            owner.peer_index,
-                            current.node_id.shared_prefix_len(kid),
-                        )
-                    )
-                self._last_path = path
-                return owner, hops + 1
+                    return current, hops
+                # the hash-closest node forwards to the re-placed owner it
+                # knows about (one extra hop, like the stale-entry fallback)
+            else:
+                nxt = self._by_id.get(int(nxt_id))
+                if (
+                    plan is not None
+                    and nxt is not None
+                    and nxt.alive
+                    and int(nxt_id) not in seen
+                ):
+                    plan.maybe_crash_hop(self, fault_idx, hops, nxt, protect=src)
+                if nxt is None or not nxt.alive or int(nxt_id) in seen:
+                    # stale entry: fall back to global owner (one extra
+                    # hop), which is what Pastry's repair would converge to
+                    nxt, nxt_id = self.owner_of(key), None
             if path is not None:
                 path.append(
                     (
@@ -660,9 +604,12 @@ class DhtNetwork:
                         current.node_id.shared_prefix_len(kid),
                     )
                 )
+            hops += 1
+            if nxt_id is None:  # forwarded or fell back: nxt is the owner
+                self._last_path = path
+                return nxt, hops
             seen.add(int(nxt_id))
             current = nxt
-            hops += 1
             if hops > len(self.nodes) + 4:
                 raise DhtError("routing loop for key %r" % (key,))
 
@@ -755,10 +702,36 @@ class DhtNetwork:
         out the op timeout, then backs off before resending."""
         return self.retry.timeout_s + self.retry.backoff(attempt)
 
-    def _timeout(self, plan, key, op, attempts, receipt):
-        plan.stats.timeouts += 1
+    def _timeout(self, key, op, receipt):
+        self.faults.stats.timeouts += 1
         self._observe_fault("timeout", key)
-        raise OpTimeoutError(key, op, attempts, receipt)
+        raise OpTimeoutError(key, op, self.retry.max_retries + 1, receipt)
+
+    def _attempt_lost(self, key, op, attempt, receipt, wasted_s=0.0, located=None):
+        """Attempt ``attempt`` of ``op`` was lost (message dropped, or its
+        receiver crashed): charge ``wasted_s`` plus the wait to ``receipt``
+        and return the next attempt's number, or raise
+        :class:`~repro.faults.OpTimeoutError` once retries are exhausted —
+        with ``receipt`` attached, folded into ``located`` (the receipt of
+        the op's earlier locate) when there is one."""
+        receipt.duration_s += wasted_s + self._retry_wait(attempt)
+        if attempt >= self.retry.max_retries:
+            if located is not None:
+                receipt = located.merge(receipt)
+            self._timeout(key, op, receipt)
+        return attempt + 1
+
+    def _delayed_or_duplicated(self, fate, key, receipt, category, nbytes):
+        """The two fates of a message that did arrive.  A delay costs
+        ``delay_s``.  A duplicate is a second copy on the wire, so the
+        meter counts it, but delivery is idempotent (the receiver absorbs
+        it) and the op sent those bytes once: the receipt is not billed."""
+        if fate == "delay":
+            self._observe_fault("delay", key)
+            receipt.duration_s += self.faults.delay_s
+        elif fate == "duplicate":
+            self._observe_fault("duplicate", key)
+            self.meter.record(category, nbytes)
 
     def _read_holder(self, key, owner, receipt, want="store"):
         """Find an alive node actually holding ``key``.
@@ -790,47 +763,94 @@ class DhtNetwork:
 
     # -- the DHT API -----------------------------------------------------------------
 
+    def _deliver_request(self, op, src, key, category, nbytes, idx, applies=True):
+        """Route a request of ``nbytes`` to ``key``'s owner until it arrives.
+
+        Each attempt walks the overlay and puts ``nbytes × hops`` on the
+        wire.  Under a FaultPlan the request can be dropped, or — when the
+        owner must apply it (``applies``; a ``locate`` only asks) — reach
+        an owner that crashes first: either way the sender waits, backs off
+        and resends (the retry re-routes to the successor), until
+        :class:`~repro.faults.OpTimeoutError`.  A request that ``applies``
+        bills the receipt per hop like the wire; a lookup bills the
+        envelope once per attempt.  Returns ``(owner, receipt)``."""
+        plan = self.faults
+        receipt = OpReceipt()
+        attempt = 0
+        while True:
+            owner, hops = self.route(src, key, fault_idx=idx)
+            wire = nbytes * max(1, hops)  # multi-hop routed request
+            self.meter.record(category, wire)
+            receipt.hops += hops
+            receipt.request_bytes += wire if applies else nbytes
+            if plan is None:
+                break
+            fate = plan.request_fate(idx, attempt)
+            if fate == "drop":
+                self._observe_fault("drop", key)
+            elif applies and plan.maybe_crash_owner(
+                self, idx, attempt, owner, protect=src
+            ):
+                # the request reached a dying owner: nothing was applied,
+                # so it is a lost attempt like a dropped message
+                plan.stats.retries += 1
+            else:
+                break
+            attempt = self._attempt_lost(key, op, attempt, receipt)
+        receipt.duration_s += self.cost.transfer_time(nbytes, hops=max(1, hops))
+        if plan is not None:
+            self._delayed_or_duplicated(fate, key, receipt, category, wire)
+        return owner, receipt
+
+    def _deliver_response(self, op, key, idx, located, read):
+        """Ship ``read()``'s posting list back over a direct connection
+        until it arrives; ``located`` is the receipt so far.
+
+        Each attempt re-reads the list (one disk read), meters it and may
+        be dropped.  Returns ``(postings, payload, receipt)``."""
+        plan = self.faults
+        extra = OpReceipt()  # what lost attempts cost, folded in last
+        attempt = 0
+        while True:
+            postings = read()
+            payload = encoded_size(postings)
+            self.meter.record("postings", payload)
+            if plan is None:
+                break
+            fate = plan.response_fate(idx, attempt)
+            if fate != "drop":
+                break
+            self._observe_fault("drop", key)
+            extra.response_bytes += payload
+            attempt = self._attempt_lost(
+                key, op, attempt, extra,
+                wasted_s=self.cost.disk_read_time(payload), located=located,
+            )
+        receipt = OpReceipt(
+            hops=located.hops,
+            request_bytes=located.request_bytes,
+            response_bytes=payload,
+            duration_s=located.duration_s
+            + self.cost.disk_read_time(payload)
+            + self.cost.transfer_time(payload, hops=1),
+        )
+        if plan is not None:
+            receipt.merge(extra)
+            self._delayed_or_duplicated(fate, key, receipt, "postings", payload)
+        return postings, payload, receipt
+
     def locate(self, src, key, _observe=True, _fault_idx=None):
         """``locate(k)``: the node in charge of ``k`` plus a receipt.
 
         ``_observe=False`` suppresses the tracer's op span — used by the
         compound ops (``get``/``pipelined_get``/``get_object``) that embed
         a locate, so each logical operation traces exactly once."""
-        plan = self.faults
         idx = _fault_idx
-        if plan is not None and idx is None:
-            idx = plan.begin_op(self, "locate", key)
-        receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("control", CONTROL_BYTES * max(1, hops))
-            receipt.hops += hops
-            receipt.request_bytes += CONTROL_BYTES
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "locate", attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(
-            CONTROL_BYTES, hops=max(1, hops)
+        if self.faults is not None and idx is None:
+            idx = self.faults.begin_op(self, "locate", key)
+        owner, receipt = self._deliver_request(
+            "locate", src, key, "control", CONTROL_BYTES, idx, applies=False
         )
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("control", CONTROL_BYTES * max(1, hops))
-                receipt.merge(
-                    OpReceipt(request_bytes=CONTROL_BYTES), count_bytes=False
-                )
         if _observe:
             self._observe_op("locate", src, key, receipt)
         return owner, receipt
@@ -845,6 +865,18 @@ class DhtNetwork:
         Kept verbatim so the store ablation can measure the quadratic
         behaviour the paper had to engineer away."""
         return self._write("put", src, key, _as_plist(postings), replicate)
+
+    def _write(self, op, src, key, postings, replicate):
+        """Shared body of ``append`` and ``put`` (they differ only in the
+        store primitive applied at the owner): the postings ride the
+        routed request, charged ``payload × hops``."""
+        plan = self.faults
+        idx = plan.begin_op(self, op, key) if plan is not None else None
+        payload = encoded_size(postings)
+        owner, receipt = self._deliver_request(op, src, key, "postings", payload, idx)
+        self._apply(op, owner, key, postings, payload, receipt, idx, replicate)
+        self._observe_op(op, src, key, receipt, payload=payload)
+        return receipt
 
     def append_batch(self, src, key, postings, replicate=True):
         """Bulk-publish insert: one amortized ``locate``, then the whole
@@ -869,28 +901,19 @@ class DhtNetwork:
         owner, receipt = self.locate(src, key, _observe=False, _fault_idx=idx)
         attempt = 0
         while True:
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
             self.meter.record("postings", payload)
             receipt.request_bytes += payload
+            if plan is None:
+                break
+            fate = plan.request_fate(idx, attempt)
             if fate == "drop":
                 self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "append_batch", attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
+                attempt = self._attempt_lost(key, "append_batch", attempt, receipt)
+            elif plan.maybe_crash_owner(self, idx, attempt, owner, protect=src):
                 # the batch reached a dying owner before it was applied;
                 # the retry must re-resolve the key to its successor
                 plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "append_batch", attempt, receipt)
+                attempt = self._attempt_lost(key, "append_batch", attempt, receipt)
                 owner, hops = self.route(src, key, fault_idx=idx)
                 self.meter.record("control", CONTROL_BYTES * max(1, hops))
                 receipt.hops += hops
@@ -898,98 +921,21 @@ class DhtNetwork:
                 receipt.duration_s += self.cost.transfer_time(
                     CONTROL_BYTES, hops=max(1, hops)
                 )
-                continue
-            break
+            else:
+                break
         receipt.duration_s += self.cost.transfer_time(payload, hops=1)
         if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(request_bytes=payload), count_bytes=False
-                )
-        stamp = self.next_stamp()
-        before = owner.store.stats.snapshot()
-        owner.store.append(key, postings)
-        owner.versions[key] = stamp
-        receipt.duration_s += owner.store.stats.delta_since(before).cost_seconds(
-            self.cost
-        )
-        if self.balancer is not None:
-            self.balancer.on_write(key, owner, payload)
-        if replicate:
-            receipt.merge(
-                self._replicate(
-                    owner, key, postings, fault_idx=idx, stamp=stamp,
-                    payload=payload,
-                )
-            )
-        if self.balancer is not None:
-            self.balancer.propagate_write("append", key, postings, stamp)
+            self._delayed_or_duplicated(fate, key, receipt, "postings", payload)
+        self._apply("append", owner, key, postings, payload, receipt, idx, replicate)
         self._observe_op("append_batch", src, key, receipt, payload=payload)
         return receipt
 
-    def _write(self, op, src, key, postings, replicate):
-        """Shared body of ``append`` and ``put`` (they differ only in the
-        store primitive applied at the owner).
-
-        Under an active FaultPlan the routed request can be dropped (the
-        writer times out, backs off, and resends — every lost copy is
-        metered, every wait charged in simulated time) or the owner can
-        crash before applying it (the retry re-routes to the successor).
-        Retries exhausted raise :class:`~repro.faults.OpTimeoutError`.
-        """
-        plan = self.faults
-        idx = plan.begin_op(self, op, key) if plan is not None else None
-        payload = encoded_size(postings)
-        receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            wire = payload * max(1, hops)  # multi-hop routed request
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", wire)
-            receipt.hops += hops
-            receipt.request_bytes += wire
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, op, attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
-                # the request reached a dying owner: the write was not
-                # applied, so it is a lost attempt like a dropped message
-                plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, op, attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(payload, hops=max(1, hops))
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                # a second copy of the request arrives: real wire traffic,
-                # but delivery is idempotent (the owner absorbs it), so it
-                # must not double into this op's receipt
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", wire)
-                receipt.merge(OpReceipt(request_bytes=wire), count_bytes=False)
+    def _apply(self, store_op, owner, key, postings, payload, receipt, idx, replicate):
+        """Apply a delivered write at ``owner`` under a fresh stamp, charge
+        the store time to ``receipt``, and push it to the backups."""
         stamp = self.next_stamp()
         before = owner.store.stats.snapshot()
-        getattr(owner.store, op)(key, postings)
+        getattr(owner.store, store_op)(key, postings)
         owner.versions[key] = stamp
         receipt.duration_s += owner.store.stats.delta_since(before).cost_seconds(
             self.cost
@@ -997,18 +943,11 @@ class DhtNetwork:
         if self.balancer is not None:
             self.balancer.on_write(key, owner, payload)
         if replicate:
-            receipt.merge(
-                self._replicate(
-                    owner, key, postings, fault_idx=idx, stamp=stamp,
-                    payload=payload,
-                )
-            )
+            receipt.merge(self._replicate(owner, key, postings, idx, stamp, payload))
         if self.balancer is not None:
             # keep any hot extra copies byte-fresh (same stamp, so they
             # stay eligible for fan-out reads)
-            self.balancer.propagate_write(op, key, postings, stamp)
-        self._observe_op(op, src, key, receipt, payload=payload)
-        return receipt
+            self.balancer.propagate_write(store_op, key, postings, stamp)
 
     def _quorum_needed(self, num_replicas):
         if self.write_quorum == "all":
@@ -1023,65 +962,46 @@ class DhtNetwork:
         ``payload`` is ``encoded_size(postings)`` when the caller has
         already computed it (every write op has, to charge the request).
 
-        Without a FaultPlan this is fire-and-forget to every backup, as
-        before.  Under a plan each backup is retried until it acknowledges
-        or retries run out; the write succeeds once
-        :attr:`write_quorum` acks are in (the owner's local apply counts
-        as the first), leaving any unacked backup under-replicated for
-        :meth:`anti_entropy_repair` to catch up.  Fewer acks than the
-        quorum raise :class:`~repro.faults.OpTimeoutError`."""
+        Without a FaultPlan every push arrives first time.  Under a plan
+        each backup is retried until it acknowledges or retries run out;
+        the write succeeds once :attr:`write_quorum` acks are in (the
+        owner's local apply counts as the first), leaving any unacked
+        backup under-replicated for :meth:`anti_entropy_repair` to catch
+        up.  Fewer acks than the quorum raise
+        :class:`~repro.faults.OpTimeoutError`."""
         receipt = OpReceipt()
         if payload is None:
             payload = encoded_size(postings)
         plan = self.faults
+        attempts = range(self.retry.max_retries + 1 if plan is not None else 1)
         replicas = self.replica_nodes(key)
         acked = 1  # the owner's own, already-applied copy
         for r_i, node in enumerate(replicas):
             if node is owner:
                 continue
-            if plan is None:
-                node.store.append(key, postings)
-                if stamp is not None:
-                    node.versions[key] = stamp
+            for attempt in attempts:
                 self.meter.record("postings", payload)
                 receipt.request_bytes += payload
-                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
-                if self.balancer is not None:
-                    self.balancer.on_write(key, node, payload)
-                acked += 1
-                continue
-            delivered = False
-            for attempt in range(self.retry.max_retries + 1):
+                if plan is None:
+                    break
                 fate = plan.replica_fate(fault_idx, attempt, r_i)
-                self.meter.record("postings", payload)
-                receipt.request_bytes += payload
-                if fate == "drop":
-                    self._observe_fault("drop", key)
-                    receipt.duration_s += self._retry_wait(attempt)
-                    continue
-                node.store.append(key, postings)
-                if stamp is not None:
-                    node.versions[key] = stamp
-                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
-                if fate == "delay":
-                    self._observe_fault("delay", key)
-                    receipt.duration_s += plan.delay_s
-                elif fate == "duplicate":
-                    self._observe_fault("duplicate", key)
-                    self.meter.record("postings", payload)
-                    receipt.merge(
-                        OpReceipt(request_bytes=payload), count_bytes=False
-                    )
-                delivered = True
-                break
-            if delivered:
-                if self.balancer is not None:
-                    self.balancer.on_write(key, node, payload)
-                acked += 1
+                if fate != "drop":
+                    break
+                self._observe_fault("drop", key)
+                receipt.duration_s += self._retry_wait(attempt)
+            else:
+                continue  # a deaf backup is not an error: the quorum decides
+            node.store.append(key, postings)
+            if stamp is not None:
+                node.versions[key] = stamp
+            receipt.duration_s += self.cost.transfer_time(payload, hops=1)
+            if plan is not None:
+                self._delayed_or_duplicated(fate, key, receipt, "postings", payload)
+            if self.balancer is not None:
+                self.balancer.on_write(key, node, payload)
+            acked += 1
         if plan is not None and acked < self._quorum_needed(len(replicas)):
-            self._timeout(
-                plan, key, "replicate", self.retry.max_retries + 1, receipt
-            )
+            self._timeout(key, "replicate", receipt)
         return receipt
 
     def get(self, src, key):
@@ -1095,55 +1015,15 @@ class DhtNetwork:
                 return flight.data, OpReceipt(duration_s=flight.receipt_s)
         plan = self.faults
         idx = plan.begin_op(self, "get", key) if plan is not None else None
-        owner, locate_receipt = self.locate(
-            src, key, _observe=False, _fault_idx=idx
-        )
+        owner, located = self.locate(src, key, _observe=False, _fault_idx=idx)
         holder = owner
         if self.balancer is not None:
             holder = self.balancer.read_holder(key, owner) or owner
         if plan is not None and key not in holder.store:
-            holder = self._read_holder(key, owner, locate_receipt) or owner
-        extra = OpReceipt()
-        attempt = 0
-        while True:
-            plist = holder.store.get(key)
-            payload = encoded_size(plist)
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", payload)
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                extra.response_bytes += payload
-                extra.duration_s += self.cost.disk_read_time(
-                    payload
-                ) + self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(
-                        plan, key, "get", attempt, locate_receipt.merge(extra)
-                    )
-                continue
-            break
-        receipt = OpReceipt(
-            hops=locate_receipt.hops,
-            request_bytes=locate_receipt.request_bytes,
-            response_bytes=payload,
-            duration_s=locate_receipt.duration_s
-            + self.cost.disk_read_time(payload)
-            + self.cost.transfer_time(payload, hops=1),
+            holder = self._read_holder(key, owner, located) or owner
+        plist, payload, receipt = self._deliver_response(
+            "get", key, idx, located, lambda: holder.store.get(key)
         )
-        if plan is not None:
-            receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(response_bytes=payload), count_bytes=False
-                )
         self._observe_op(
             "get", src, key, receipt, payload=payload,
             served_by=holder.peer_index,
@@ -1172,41 +1052,9 @@ class DhtNetwork:
         """
         plan = self.faults
         idx = plan.begin_op(self, "block_get", key) if plan is not None else None
-        payload = encoded_size(postings)
-        extra = OpReceipt()
-        attempt = 0
-        while True:
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("postings", payload)
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                extra.response_bytes += payload
-                extra.duration_s += self.cost.disk_read_time(
-                    payload
-                ) + self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "block_get", attempt, extra)
-                continue
-            break
-        receipt = OpReceipt(
-            response_bytes=payload,
-            duration_s=self.cost.disk_read_time(payload)
-            + self.cost.transfer_time(payload, hops=1),
+        _, payload, receipt = self._deliver_response(
+            "block_get", key, idx, OpReceipt(), lambda: postings
         )
-        if plan is not None:
-            receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", payload)
-                receipt.merge(
-                    OpReceipt(response_bytes=payload), count_bytes=False
-                )
         served_by = holder if holder is not None else self.owner_of(key)
         self._observe_op(
             "block_get", src, key, receipt, payload=payload,
@@ -1224,7 +1072,9 @@ class DhtNetwork:
         :class:`PostingList` pieces; the receipt's duration covers only the
         locate and the *first* chunk (time-to-first-data) — the query
         executor schedules the remaining chunks against link resources to
-        model the pipeline.
+        model the pipeline.  A lost attempt (holder crashed mid-stream, or
+        response dropped) bills the bytes it wasted but, unlike ``get``,
+        no disk read.
         """
         if self.coalescer is not None:
             flight = self.coalescer.lookup("pget", key)
@@ -1237,9 +1087,7 @@ class DhtNetwork:
             if plan is not None
             else None
         )
-        owner, locate_receipt = self.locate(
-            src, key, _observe=False, _fault_idx=idx
-        )
+        owner, located = self.locate(src, key, _observe=False, _fault_idx=idx)
         extra = OpReceipt()
         attempt = 0
         while True:
@@ -1249,75 +1097,47 @@ class DhtNetwork:
             if plan is not None and (
                 not holder.alive or key not in holder.store
             ):
-                holder = self._read_holder(key, owner, locate_receipt) or owner
+                holder = self._read_holder(key, owner, located) or owner
             plist = holder.store.get(key)
             chunks = list(plist.chunks(chunk_postings)) if len(plist) else []
+            crash_at = None
             if plan is not None:
                 crash_at = plan.crash_chunk_index(
                     self, idx, attempt, len(chunks), holder, protect=src
                 )
-                if crash_at is not None:
-                    # the stream's holder died mid-transfer: the chunks
-                    # already received are wasted wire traffic; the client
-                    # times out waiting for the next one and retries, which
-                    # re-resolves to a surviving replica of the key
-                    partial = 0
-                    for chunk in chunks[: crash_at + 1]:
-                        partial += encoded_size(chunk)
-                    self.meter.record("postings", partial)
-                    extra.response_bytes += partial
-                    extra.duration_s += self._retry_wait(attempt)
-                    plan.stats.retries += 1
-                    attempt += 1
-                    if attempt > self.retry.max_retries:
-                        self._timeout(
-                            plan,
-                            key,
-                            "pipelined_get",
-                            attempt,
-                            locate_receipt.merge(extra),
-                        )
-                    continue
+            # a holder that dies mid-transfer leaves the chunks already
+            # received as wasted wire traffic; the client times out waiting
+            # for the next one and retries, which re-resolves to a
+            # surviving replica of the key
             total = 0
-            for chunk in chunks:
+            for chunk in chunks if crash_at is None else chunks[: crash_at + 1]:
                 total += encoded_size(chunk)
-            fate = (
-                plan.response_fate(idx, attempt) if plan is not None else "deliver"
-            )
             self.meter.record("postings", total)
-            if fate == "drop":
+            if plan is None:
+                break
+            if crash_at is not None:
+                plan.stats.retries += 1
+            else:
+                fate = plan.response_fate(idx, attempt)
+                if fate != "drop":
+                    break
                 self._observe_fault("drop", key)
-                extra.response_bytes += total
-                extra.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(
-                        plan,
-                        key,
-                        "pipelined_get",
-                        attempt,
-                        locate_receipt.merge(extra),
-                    )
-                continue
-            break
+            extra.response_bytes += total
+            attempt = self._attempt_lost(
+                key, "pipelined_get", attempt, extra, located=located
+            )
         first = encoded_size(chunks[0]) if chunks else 0
         receipt = OpReceipt(
-            hops=locate_receipt.hops,
-            request_bytes=locate_receipt.request_bytes,
+            hops=located.hops,
+            request_bytes=located.request_bytes,
             response_bytes=total,
-            duration_s=locate_receipt.duration_s
+            duration_s=located.duration_s
             + self.cost.disk_read_time(first)
             + self.cost.transfer_time(first, hops=1),
         )
         if plan is not None:
             receipt.merge(extra)
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("postings", total)
-                receipt.merge(OpReceipt(response_bytes=total), count_bytes=False)
+            self._delayed_or_duplicated(fate, key, receipt, "postings", total)
         self._observe_op(
             "pipelined_get", src, key, receipt, payload=total,
             served_by=holder.peer_index,
@@ -1350,43 +1170,9 @@ class DhtNetwork:
         """Store a small control object (replicated like postings)."""
         plan = self.faults
         idx = plan.begin_op(self, "put_object", key) if plan is not None else None
-        receipt = OpReceipt()
-        attempt = 0
-        while True:
-            owner, hops = self.route(src, key, fault_idx=idx)
-            wire = nbytes * max(1, hops)
-            fate = (
-                plan.request_fate(idx, attempt) if plan is not None else "deliver"
-            )
-            self.meter.record("control", wire)
-            receipt.hops += hops
-            receipt.request_bytes += wire
-            if fate == "drop":
-                self._observe_fault("drop", key)
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "put_object", attempt, receipt)
-                continue
-            if plan is not None and plan.maybe_crash_owner(
-                self, idx, attempt, owner, protect=src
-            ):
-                plan.stats.retries += 1
-                receipt.duration_s += self._retry_wait(attempt)
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    self._timeout(plan, key, "put_object", attempt, receipt)
-                continue
-            break
-        receipt.duration_s += self.cost.transfer_time(nbytes, hops=max(1, hops))
-        if plan is not None:
-            if fate == "delay":
-                self._observe_fault("delay", key)
-                receipt.duration_s += plan.delay_s
-            elif fate == "duplicate":
-                self._observe_fault("duplicate", key)
-                self.meter.record("control", wire)
-                receipt.merge(OpReceipt(request_bytes=wire), count_bytes=False)
+        owner, receipt = self._deliver_request(
+            "put_object", src, key, "control", nbytes, idx
+        )
         stamp = self.next_stamp()
         for node in self.replica_nodes(key):
             node.objects[key] = (obj, nbytes)

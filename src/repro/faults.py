@@ -46,7 +46,7 @@ class OpTimeoutError(FaultError):
     the partial :class:`~repro.dht.network.OpReceipt` charged so far.
     """
 
-    def __init__(self, key, op, attempts, receipt=None):
+    def __init__(self, key, op, attempts, receipt):
         super().__init__(
             "%s(%r) timed out after %d attempt(s)" % (op, key, attempts)
         )

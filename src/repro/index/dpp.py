@@ -259,16 +259,8 @@ class DppIndex:
         # churn can hand the term to a node whose root copy was dropped
         # while it was down; creating a fresh empty root here would orphan
         # every existing block, so adopt the freshest alive copy instead
-        fellows = [
-            n
-            for n in self.net.nodes
-            if n.alive and n is not owner and key in n.objects
-        ]
-        if fellows:
-            source = max(
-                fellows,
-                key=lambda n: (n.versions.get(key, 0), -n.peer_index),
-            )
+        source = self.net.freshest_holder(key, exclude=owner)
+        if source is not None:
             owner.objects[key] = source.objects[key]
             owner.versions[key] = source.versions.get(key, 0)
             return owner.objects[key][0]
@@ -413,28 +405,15 @@ class DppIndex:
         union of the freshest alive copies.  In a fault-free network every
         copy is identical, so this never transfers (or meters) anything.
         """
-        fellows = [
-            n
-            for n in self.net.nodes
-            if n.alive and n is not holder and store_key in n.store
-        ]
-        if not fellows:
-            return
-        version = max(n.versions.get(store_key, 0) for n in fellows)
         mine = (
             holder.versions.get(store_key, 0)
             if store_key in holder.store
             else -1
         )
-        if mine > version:
+        fresh = self.net.freshest_postings(store_key, exclude=holder, floor=mine)
+        if fresh is None:
             return
-        tops = sorted(
-            (n for n in fellows if n.versions.get(store_key, 0) == version),
-            key=lambda n: (-n.store.count(store_key), n.peer_index),
-        )
-        reference = tops[0].store.get(store_key)
-        for other in tops[1:]:
-            reference = reference.merge(other.store.get(store_key))
+        version, reference = fresh
         if mine == version:
             # equal versions may hold different quorum holes: union them
             current = holder.store.get(store_key)

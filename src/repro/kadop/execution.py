@@ -18,7 +18,6 @@ degree-K parallel block fetches (Section 4.2) earn their speedups.
 
 from dataclasses import dataclass, field
 
-from repro.dht.network import OpReceipt
 from repro.faults import OpTimeoutError
 from repro.obs.trace import observe_schedule
 from repro.postings.encoder import encoded_size
@@ -519,10 +518,7 @@ class QueryExecutor:
                     # join then under-approximates; the report's
                     # unreachable_keys names what was lost)
                     self._unreachable.add(exc.key)
-                    term_lists[key] = (
-                        PostingList(),
-                        exc.receipt if exc.receipt is not None else OpReceipt(),
-                    )
+                    term_lists[key] = (PostingList(), exc.receipt)
                     streams[node.node_id] = term_lists[key][0]
                     continue
                 locate_time = max(locate_time, receipt.duration_s)

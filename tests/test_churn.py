@@ -7,9 +7,14 @@ documents published over time, peers joining, an index peer failing — and
 checks that queries stay correct throughout (modulo documents whose only
 holder died, which are reported via the incomplete flag)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -182,3 +187,47 @@ class TestChurnEdges:
         assert key in new_owner.store
         src = next(p for p in net.peers if p.node.alive)
         assert {a.bindings for a in net.query("//a//b", peer=src)} == baseline
+
+
+_HANDOVER_SCRIPT = """
+from repro.kadop.system import KadopNetwork
+from repro.postings.posting import Posting
+
+system = KadopNetwork.create(8, seed=1)
+net = system.net
+src = system.peers[0].node
+keys = ["elem:k%d" % k for k in range(60)]
+for key in keys:
+    net.append(src, key, [
+        Posting(0, doc, 2 * e + 1, 2 * e + 2, 1)
+        for doc in range(6) for e in range(20)
+    ])
+system.add_peer("peer://late")
+for key in keys:
+    print(repr(net.append(src, key, [Posting(0, 7, 1, 2, 1)]).duration_s))
+net.remove_node(system.peers[3].node)
+for key in keys:
+    print(repr(net.append(src, key, [Posting(0, 8, 1, 2, 1)]).duration_s))
+"""
+
+
+def test_handover_order_ignores_the_hash_seed():
+    """Join and leave hand keys over in sorted order, not ``set`` order:
+    the receiving store fills the same way, so later simulated store times
+    there are the same in every process (``faults.py`` promises decisions
+    "identical across processes and ``PYTHONHASHSEED`` values")."""
+
+    def receipts(hash_seed):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        return subprocess.run(
+            [sys.executable, "-c", _HANDOVER_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+
+    first = receipts("1")
+    assert len(first.splitlines()) == 120
+    assert first == receipts("2")

@@ -14,19 +14,33 @@ Three families:
   postings, retries back off exponentially (capped) in simulated time,
   majority quorums tolerate a deaf replica that anti-entropy later
   catches up, and queries degrade to partial answers instead of raising.
+* **op x fate table** — every DHT op under every message fate, owner and
+  stream-holder crashes, a deaf backup and exhausted retries: receipt,
+  meter and ``plan.events`` against the same op's clean run.
 """
 
+import collections
 import dataclasses
 import json
 import os
 
 import pytest
 
+from repro import faults
+from repro.dht.network import CONTROL_BYTES, OpReceipt
 from repro.faults import FaultPlan, OpTimeoutError, RetryPolicy
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
+from repro.postings.encoder import encoded_size
+from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.sim.fuzz import FuzzConfig, FuzzResult, _Iteration, repro_command
+
+#: one message a forced fate hits: where the fate is drawn, what one copy
+#: meters and bills, and what losing it costs beside ``timeout + backoff``
+_Message = collections.namedtuple(
+    "_Message", "point category metered field billed hops wasted_s"
+)
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "fuzz_corpus.json")
 
@@ -215,8 +229,8 @@ class TestDuplicateAccounting:
         assert plan.stats.duplicates == 1
         # idempotent delivery: the second copy never lands in the store
         assert dup_list.items() == clean_list.items()
-        # ... and never double-bills the op's receipt (OpReceipt.merge with
-        # count_bytes=False), even though the wire carried it twice
+        # ... and never double-bills the op's receipt (a duplicate only
+        # reaches the meter), even though the wire carried it twice
         assert dup_receipt.request_bytes == clean_receipt.request_bytes
         assert dup_receipt.response_bytes == clean_receipt.response_bytes
 
@@ -227,6 +241,292 @@ class TestDuplicateAccounting:
         clean_bytes = clean_net.net.meter.bytes("postings")
         dup_bytes = dup_net.net.meter.bytes("postings")
         assert dup_bytes > clean_bytes  # the wire copy is real transmission
+
+
+class TestOpFateTable:
+    """Every op x every fate, against the same op's clean run.
+
+    One rule covers the table.  A *drop* meters and bills the lost copy
+    and adds ``timeout + backoff`` (a dropped ``get``/``block_get``
+    response also charges the disk read that produced it; a dropped
+    ``pipelined_get`` response does not — pinned, not endorsed).  A
+    *delay* adds ``delay_s`` and nothing else.  A *duplicate* meters one
+    more copy and leaves the receipt alone.  ``append_batch`` draws its
+    locate and its direct transfer from the same ``(op, attempt,
+    request)`` point, so one forced fate hits both messages.
+    """
+
+    KEY = "elem:t"
+    OBJ = "obj:t"
+    RETRIES = 2
+    WRITES = ("append", "put", "append_batch", "put_object")
+    OPS = ("locate",) + WRITES + ("get", "pipelined_get", "block_get")
+    #: the value ``faults._unit`` must return for each fate under rates
+    #: drop = delay = duplicate = 0.3 (crash rate 0: no draw ever crashes)
+    DRAW = {"drop": 0.0, "delay": 0.4, "duplicate": 0.7, None: 0.99}
+
+    def _run(self, monkeypatch, op, decide=None, script=None, quorum="all"):
+        """Run ``op`` once on a fresh, identically built network whose
+        fate draws are ``decide(attempt, point, nth draw at that point
+        kind)`` (a fate name or None); returns what there is to compare."""
+        draws = None  # armed (a dict) only around the op under test
+
+        def unit(seed, *parts):
+            if decide is None or draws is None or len(parts) != 3:
+                return self.DRAW[None]
+            _, attempt, point = parts
+            nth = draws[point[0]] = draws.get(point[0], 0) + 1
+            return self.DRAW[decide(attempt, point, nth)]
+
+        monkeypatch.setattr(faults, "_unit", unit)
+        system = KadopNetwork.create(
+            num_peers=8,
+            config=KadopConfig(
+                replication=3, op_max_retries=self.RETRIES, write_quorum=quorum
+            ),
+            seed=5,
+        )
+        net = system.net
+        plan = system.install_faults(
+            FaultPlan(seed=5, drop_rate=0.3, delay_rate=0.3, duplicate_rate=0.3)
+        )
+        src = next(
+            n for n in net.nodes
+            if n not in net.replica_nodes(self.KEY)
+            and n not in net.replica_nodes(self.OBJ)
+        )
+        stored = [Posting(1, 1, 1 + 2 * i, 2 + 2 * i, 1) for i in range(8)]
+        net.append(src, self.KEY, stored)
+        net.put_object(src, self.OBJ, "old", 48)
+        new = [Posting(2, 2, 1 + 2 * i, 2 + 2 * i, 1) for i in range(4)]
+        block = PostingList(stored[:5])
+        calls = {
+            "locate": lambda: net.locate(src, self.KEY)[1],
+            "append": lambda: net.append(src, self.KEY, new),
+            "put": lambda: net.put(src, self.KEY, new),
+            "append_batch": lambda: net.append_batch(src, self.KEY, new),
+            "put_object": lambda: net.put_object(src, self.OBJ, "v", 48),
+            "get_object": lambda: net.get_object(src, self.OBJ)[1],
+            "get": lambda: net.get(src, self.KEY)[1],
+            "pipelined_get": lambda: net.pipelined_get(
+                src, self.KEY, chunk_postings=3
+            )[1],
+            "block_get": lambda: net.block_get(src, self.KEY, block),
+        }
+        owner = net.owner_of(self.OBJ if op.endswith("_object") else self.KEY)
+        idx = plan.op_count
+        plan.script.update({idx: script} if script else {})
+        before = net.meter.snapshot()
+        draws = {}
+        try:
+            receipt, error = calls[op](), None
+        except OpTimeoutError as exc:
+            receipt, error = exc.receipt, exc
+        meter = {
+            category: nbytes
+            for category, nbytes in net.meter.delta_since(before).items()
+            if nbytes
+        }
+        return {
+            "net": net, "plan": plan, "idx": idx, "owner": owner,
+            "receipt": receipt, "error": error, "meter": meter,
+            "events": [e for e in plan.events if e[0] >= idx],
+            "new_bytes": encoded_size(PostingList(new)),
+            "chunk0_bytes": encoded_size(PostingList(stored[:3])),
+        }
+
+    def _messages(self, op, clean):
+        """The messages one forced fate at attempt 0 hits."""
+        receipt, cost = clean["receipt"], clean["net"].cost
+        hops, span = receipt.hops, max(1, receipt.hops)
+        if op in ("locate", "get_object"):  # get_object: its locate, no more
+            wire = CONTROL_BYTES * span
+            return [_Message("request", "control", wire, "request_bytes",
+                             CONTROL_BYTES, hops, 0.0)]
+        if op in ("append", "put", "put_object"):
+            category = "control" if op == "put_object" else "postings"
+            wire = (48 if op == "put_object" else clean["new_bytes"]) * span
+            return [_Message("request", category, wire, "request_bytes", wire,
+                             hops, 0.0)]
+        if op == "append_batch":
+            payload = clean["new_bytes"]
+            return self._messages("locate", clean) + [
+                _Message("request", "postings", payload, "request_bytes",
+                         payload, 0, 0.0)
+            ]
+        payload = receipt.response_bytes
+        wasted = 0.0 if op == "pipelined_get" else cost.disk_read_time(payload)
+        return [_Message("response", "postings", payload, "response_bytes",
+                         payload, 0, wasted)]
+
+    @pytest.mark.parametrize("fate", ["drop", "delay", "duplicate"])
+    @pytest.mark.parametrize("op", OPS + ("get_object",))
+    def test_one_fate_against_the_clean_run(self, monkeypatch, op, fate):
+        clean = self._run(monkeypatch, op)
+        assert clean["error"] is None and clean["events"] == []
+        messages = self._messages(op, clean)
+        point = messages[0].point
+        run = self._run(
+            monkeypatch, op,
+            decide=lambda attempt, pt, nth: (
+                fate if attempt == 0 and pt[0] == point else None
+            ),
+        )
+        assert run["error"] is None
+        assert run["events"] == [(run["idx"], fate, (point,))] * len(messages)
+        net, plan = run["net"], run["plan"]
+        expected = dataclasses.replace(clean["receipt"])
+        meter = dict(clean["meter"])
+        for msg in messages:
+            if fate == "drop":
+                expected.hops += msg.hops
+                billed = getattr(expected, msg.field) + msg.billed
+                setattr(expected, msg.field, billed)
+                expected.duration_s += msg.wasted_s + net._retry_wait(0)
+            elif fate == "delay":
+                expected.duration_s += plan.delay_s
+            if fate != "delay":
+                meter[msg.category] += msg.metered
+        got = run["receipt"]
+        assert (got.hops, got.request_bytes, got.response_bytes) == (
+            expected.hops, expected.request_bytes, expected.response_bytes
+        )
+        if fate == "duplicate":
+            assert got == clean["receipt"]  # to the last bit
+        else:
+            assert got.duration_s == pytest.approx(expected.duration_s, rel=1e-12)
+        assert run["meter"] == meter
+        counts = plan.stats.to_dict()
+        assert counts[fate + "s"] == len(messages)
+        assert counts["retries"] == (len(messages) if fate == "drop" else 0)
+        assert counts["timeouts"] == counts["crashes"] == 0
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_retries_exhausted(self, monkeypatch, op):
+        clean = self._run(monkeypatch, op)
+        msg = self._messages(op, clean)[-1]
+        # append_batch: let the locate (first request draw) through, so it
+        # is the direct transfer that runs out of retries
+        spare = 1 if op == "append_batch" else 0
+        run = self._run(
+            monkeypatch, op,
+            decide=lambda attempt, pt, nth: (
+                "drop" if pt[0] == msg.point and nth > spare else None
+            ),
+        )
+        error, net, attempts = run["error"], run["net"], self.RETRIES + 1
+        assert isinstance(error, OpTimeoutError)
+        assert (error.op, error.attempts) == (op, attempts)
+        assert error.key == (self.OBJ if op == "put_object" else self.KEY)
+        assert run["events"] == [(run["idx"], "drop", (msg.point,))] * attempts
+        assert run["plan"].stats.timeouts == 1
+        assert run["plan"].stats.drops == run["plan"].stats.retries == attempts
+        # the receipt so far rides on the error: every lost copy billed and
+        # metered, every wait charged; compound ops fold their locate in
+        located = OpReceipt()
+        if op in ("append_batch", "get", "pipelined_get"):
+            span = max(1, clean["receipt"].hops)
+            located = OpReceipt(
+                hops=clean["receipt"].hops,
+                request_bytes=CONTROL_BYTES,
+                duration_s=net.cost.transfer_time(CONTROL_BYTES, hops=span),
+            )
+            assert run["meter"].pop("control") == CONTROL_BYTES * span
+        got = error.receipt
+        assert got.hops == located.hops + msg.hops * attempts
+        assert got.request_bytes + got.response_bytes == (
+            located.request_bytes + msg.billed * attempts
+        )
+        assert getattr(got, msg.field) == (
+            getattr(located, msg.field) + msg.billed * attempts
+        )
+        assert got.duration_s == pytest.approx(
+            located.duration_s
+            + sum(msg.wasted_s + net._retry_wait(a) for a in range(attempts))
+        )
+        assert run["meter"] == {msg.category: msg.metered * attempts}
+
+    @pytest.mark.parametrize("op", WRITES)
+    def test_crash_owner_before_a_write_applies(self, monkeypatch, op):
+        clean = self._run(monkeypatch, op)
+        run = self._run(monkeypatch, op, script="crash-owner")
+        net, plan, old_owner = run["net"], run["plan"], run["owner"]
+        assert run["error"] is None
+        assert run["events"] == [(run["idx"], "crash", old_owner.peer_index)]
+        assert not old_owner.alive
+        counts = plan.stats.to_dict()
+        assert (counts["crashes"], counts["retries"], counts["drops"]) == (1, 1, 0)
+        # the lost attempt is billed and waited out, then the retry
+        # re-routes: the successor applied the write, the dead owner did not
+        key = self.OBJ if op == "put_object" else self.KEY
+        new_owner = net.owner_of(key)
+        assert new_owner is not old_owner and new_owner.alive
+        got, lost = run["receipt"], self._messages(op, clean)[-1]
+        assert got.request_bytes >= clean["receipt"].request_bytes + lost.billed
+        assert got.duration_s > net._retry_wait(0)
+        if op == "put_object":
+            assert new_owner.objects[key][0] == "v"
+            assert old_owner.objects[key][0] == "old"
+        else:
+            assert old_owner.store.count(key) == 8
+            assert new_owner.store.count(key) == 12
+        if op in ("append", "put"):
+            # routed writes bill exactly what they put on the wire
+            assert run["meter"] == {"postings": got.request_bytes}
+
+    def test_crash_chunk_mid_pipelined_get(self, monkeypatch):
+        clean = self._run(monkeypatch, "pipelined_get")
+        run = self._run(monkeypatch, "pipelined_get", script="crash-chunk:0")
+        holder = run["owner"]
+        assert run["events"] == [
+            (run["idx"], "crash", holder.peer_index),
+            (run["idx"], "crash-chunk", 0),
+        ]
+        assert run["plan"].stats.retries == 1
+        # the one chunk already received is wasted wire traffic, billed and
+        # metered; the wait is charged; no disk read for the lost attempt
+        wasted = run["chunk0_bytes"]
+        got, base = run["receipt"], clean["receipt"]
+        assert got.response_bytes == base.response_bytes + wasted
+        assert (got.hops, got.request_bytes) == (base.hops, base.request_bytes)
+        assert got.duration_s == pytest.approx(
+            base.duration_s + run["net"]._retry_wait(0)
+        )
+        assert run["meter"]["postings"] == clean["meter"]["postings"] + wasted
+
+    @pytest.mark.parametrize("quorum", ["all", "majority"])
+    def test_deaf_backup(self, monkeypatch, quorum):
+        clean = self._run(monkeypatch, "append", quorum=quorum)
+        run = self._run(
+            monkeypatch, "append", quorum=quorum,
+            decide=lambda attempt, pt, nth: (
+                "drop" if pt == ("replica", 1) else None
+            ),
+        )
+        net, payload, attempts = run["net"], run["new_bytes"], self.RETRIES + 1
+        assert run["events"] == [(run["idx"], "drop", ("replica", 1))] * attempts
+        deaf = net.replica_nodes(self.KEY)[1]
+        assert deaf.store.count(self.KEY) == 8  # never got the append
+        waits = sum(net._retry_wait(a) for a in range(attempts))
+        extra = {"postings": clean["meter"]["postings"] + self.RETRIES * payload}
+        assert run["meter"] == extra  # R + 1 copies sent where one would do
+        if quorum == "all":
+            # the error carries the *replication* receipt: the deaf
+            # backup's copies and waits, plus the other backup's delivery
+            error = run["error"]
+            assert (error.op, error.attempts) == ("replicate", attempts)
+            assert error.receipt.request_bytes == (attempts + 1) * payload
+            assert error.receipt.duration_s == pytest.approx(
+                waits + net.cost.transfer_time(payload, hops=1)
+            )
+            assert run["plan"].stats.timeouts == 1
+        else:
+            assert run["error"] is None and run["plan"].stats.timeouts == 0
+            got, base = run["receipt"], clean["receipt"]
+            assert got.request_bytes == base.request_bytes + self.RETRIES * payload
+            assert got.duration_s == pytest.approx(
+                base.duration_s - net.cost.transfer_time(payload, hops=1) + waits
+            )
 
 
 class TestRetryPolicy:
