@@ -216,3 +216,35 @@ def test_kernel_bloom_batch(benchmark, kernel_backend):
 
     hits = benchmark(build_and_probe)
     assert all(hits)
+
+
+def _probe_traffic(rng, n, widths):
+    """``n`` element intervals inside ``[1, 2**9]`` over 4 peers x 15 docs."""
+    rows = []
+    for _ in range(n):
+        start = rng.randrange(1, 500)
+        rows.append(
+            (rng.randrange(4), rng.randrange(15), start,
+             min(512, start + rng.choice(widths)), rng.randrange(1, 9))
+        )
+    return PostingList._adopt(PostingColumns.from_rows(rows))
+
+
+def test_kernel_dbf_probe(benchmark, kernel_backend):
+    # the serve_churn traffic of ISSUE 20: a 28-posting source, l = 9, probe
+    # lists of 443 (median) and 1,709 (largest) rows, a few percent kept
+    rng = random.Random(15)
+    dbf = DescendantBloomFilter(_probe_traffic(rng, 28, (1, 2)), l=9)
+    probes = [
+        _probe_traffic(rng, n, (2, 2, 2, 3, 3, 4, 6, 40)) for n in (443, 1709)
+    ]
+    kept = benchmark(lambda: [dbf.filter_postings(la) for la in probes])
+    assert all(0 < len(k) < len(la) // 5 for k, la in zip(kept, probes))
+
+
+def test_columns_bisect_left(benchmark):
+    # the LSM memtable's insert search: 200 probes into 700 rows
+    cols = PostingColumns.from_rows(_kernel_rows(700, seed=16))
+    keys = [cols.key(i) for i in range(0, 700, 7)] + _kernel_rows(100, seed=17)
+    found = benchmark(lambda: [cols.bisect_left(key) for key in keys])
+    assert found[:100] == list(range(0, 700, 7))

@@ -15,7 +15,6 @@ import math
 from hashlib import blake2b
 
 from repro.postings import kernels
-from repro.util.hashing import stable_hash
 
 _INT_TUPLE_FORMATS = {
     n: b"(" + b",".join([b"i%d"] * n) + b")" for n in range(1, 9)
@@ -74,26 +73,8 @@ class BloomFilter:
         m, k = optimal_params(expected_items, fp_rate)
         return cls(m, k, seed=seed)
 
-    def _positions(self, item):
-        data = _canonical_bytes(item)
-        h1 = stable_hash(data, seed=self.seed * 2 + 1, bits=64)
-        h2 = stable_hash(data, seed=self.seed * 2 + 2, bits=64) | 1
-        for i in range(self.hashes):
-            yield (h1 + i * h2) % self.bits
-
     def insert(self, item):
-        data = _canonical_bytes(item)
-        h1 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=self._salt1).digest(), "little"
-        )
-        h2 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=self._salt2).digest(), "little"
-        ) | 1
-        vector = self._vector
-        bits = self.bits
-        for i in range(self.hashes):
-            pos = (h1 + i * h2) % bits
-            vector[pos >> 3] |= 1 << (pos & 7)
+        self.insert_serialized(_canonical_bytes(item))
         self.inserted += 1
 
     def insert_serialized(self, data):
@@ -145,20 +126,7 @@ class BloomFilter:
         return True
 
     def __contains__(self, item):
-        data = _canonical_bytes(item)
-        h1 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=self._salt1).digest(), "little"
-        )
-        h2 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=self._salt2).digest(), "little"
-        ) | 1
-        vector = self._vector
-        bits = self.bits
-        for i in range(self.hashes):
-            pos = (h1 + i * h2) % bits
-            if not vector[pos >> 3] & (1 << (pos & 7)):
-                return False
-        return True
+        return self.contains_serialized(_canonical_bytes(item))
 
     @property
     def size_bytes(self):

@@ -79,7 +79,7 @@ class BloomReducers:
             self._db_phase(run)
         elif strategy == "bloom":
             self._ab_phase(run)
-            self._db_phase(run, on_reduced=True)
+            self._db_phase(run)  # over the AB-reduced lists
         else:
             self._subquery_phase(run)
         streams, transfer_time, ttfa = self._ship_to_query_peer(run)
@@ -150,9 +150,9 @@ class BloomReducers:
                 level_time = max(level_time, build + ship + probe)
             run.phase_time += level_time
 
-    def _db_phase(self, run, on_reduced=False):
-        """Figure 6: DB filters flow from the leaves toward the root."""
-        del on_reduced  # the phase always works on run.lists as they stand
+    def _db_phase(self, run):
+        """Figure 6: DB filters flow from the leaves toward the root, over
+        ``run.lists`` as they stand."""
         for level_nodes in reversed(self._levels_top_down(run)):
             level_time = 0.0
             for node in level_nodes:

@@ -37,6 +37,7 @@ from repro.bloom.dyadic import (
     point_chain,
 )
 from repro.bloom.filter import BloomFilter
+from repro.postings import kernels
 from repro.postings.plist import PostingList
 
 
@@ -117,15 +118,14 @@ class AncestorBloomFilter:
             for trace in range(self._psi[level])
         )
 
-    def may_have_ancestor(self, posting, or_self=True):
+    def may_have_ancestor(self, posting):
         """Theorem 1 probe: every cover interval of ``posting`` must have a
         container present.
 
-        With ``or_self`` (the semantics word predicates need), the posting
-        itself counts as its own ancestor; strict mode additionally rejects
-        the exact self-cover... which a Bloom filter cannot distinguish, so
-        strictness is left to the final join (one-sided filtering)."""
-        del or_self  # documented: the filter is inherently or-self
+        The posting counts as its own ancestor (the semantics word
+        predicates need): a Bloom filter cannot tell the exact self-cover
+        apart, so strictness is left to the final join (one-sided
+        filtering)."""
         if posting.end > (1 << self.l):
             # no indexed ancestor interval can contain it
             return False
@@ -330,73 +330,21 @@ class DescendantBloomFilter:
     def filter_postings(self, postings, or_self=False):
         """The sublist ``F(a, DBF(b))`` of postings that may join.
 
-        Column-backed lists run through a staged batch kernel mirroring
-        the AB filter's: raw column walk, per-call memoization of interval
-        memberships shared between postings, and the remaining probes
-        batched per cover-interval round through the kernel backend — a
-        row exits at the first present interval, so later intervals are
-        only hashed for rows still undecided (the scalar ``any()``
-        short-circuit, batched)."""
+        Column-backed lists go through the active kernel backend's
+        ``descendant_probe``; anything else is probed posting by posting
+        with :meth:`may_have_descendant`, the definition both kernels are
+        tested against."""
         if not isinstance(postings, PostingList):
             return PostingList(
                 [p for p in postings if self.may_have_descendant(p, or_self=or_self)],
                 presorted=True,
             )
         cols = postings.columns()
-        l = self.l
-        limit = 1 << l
-        interior = 0 if or_self else 1
-        contains_batch = self.filter.contains_serialized_batch
-        cover_cache = {}
-        rows = []
-        push_row = rows.append
-        for i, peer, doc, start, end in zip(
-            range(len(cols)), cols.peer, cols.doc, cols.start, cols.end
-        ):
-            lo = start + interior
-            hi = end - interior
-            if hi > limit:
-                hi = limit
-            if lo > hi:
-                continue
-            span = (lo, hi)
-            cover = cover_cache.get(span)
-            if cover is None:
-                cover = cover_cache[span] = tuple(dyadic_cover(lo, hi, l))
-            push_row((i, peer, doc, cover))
-        member = {}
-        keep = []
-        push = keep.append
-        depth = 0
-        pending = rows
-        while pending:
-            probes = []
-            for _i, peer, doc, cover in pending:
-                if depth < len(cover):
-                    ilo, ihi = cover[depth]
-                    key = (peer, doc, ilo, ihi)
-                    if key not in member:
-                        member[key] = False
-                        probes.append(key)
-            if probes:
-                hits = contains_batch(
-                    [b"(i%d,i%d,i%d,i%d)" % key for key in probes]
-                )
-                for key, hit in zip(probes, hits):
-                    member[key] = hit
-            still = []
-            for row in pending:
-                i, peer, doc, cover = row
-                if depth >= len(cover):
-                    continue  # every interval missed: drop
-                ilo, ihi = cover[depth]
-                if member[(peer, doc, ilo, ihi)]:
-                    push(i)
-                else:
-                    still.append(row)
-            pending = still
-            depth += 1
-        keep.sort()
+        f = self.filter
+        keep = kernels.active().descendant_probe(
+            cols.arrays(), 0 if or_self else 1, self.l,
+            f._vector, f.bits, f.hashes, f._salt1, f._salt2,
+        )
         return PostingList._adopt(cols.select(keep))
 
     @property

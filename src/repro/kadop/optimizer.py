@@ -90,7 +90,7 @@ class StrategyOptimizer:
                 per_term[key] = TermStats(
                     postings=len(plist),
                     documents=len(plist.doc_ids()),
-                    max_end=max((p.end for p in plist), default=1),
+                    max_end=plist.max_end() or 1,
                 )
                 net.meter.record("control", CONTROL_BYTES)
                 slowest = max(

@@ -27,6 +27,7 @@ duplicate-free, exactly like :class:`~repro.postings.plist.PostingList`
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 
 from repro.postings import kernels
 from repro.postings.posting import Posting
@@ -185,28 +186,28 @@ class PostingColumns:
     # -- search kernels -----------------------------------------------------
 
     def bisect_left(self, key, lo=0, hi=None):
-        """First index whose row key is ``>= key`` (5-tuple compare)."""
+        """First index whose row key is ``>= key`` (tuple compare).
+
+        ``[lo, hi)`` is narrowed one column at a time by the C ``bisect``
+        to the rows equal to ``key`` so far; a ``key`` of fewer than five
+        fields sorts before every row it is a prefix of."""
         if hi is None:
             hi = len(self.peer)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if self.key(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        for col, value in zip(self.arrays(), key):
+            if lo >= hi:
+                return lo
+            lo, hi = bisect_left(col, value, lo, hi), bisect_right(col, value, lo, hi)
         return lo
 
     def bisect_right(self, key, lo=0, hi=None):
         """First index whose row key is ``> key``."""
         if hi is None:
             hi = len(self.peer)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if key < self.key(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        for col, value in zip(self.arrays(), key):
+            if lo >= hi:
+                return lo
+            lo, hi = bisect_left(col, value, lo, hi), bisect_right(col, value, lo, hi)
+        return hi if len(key) >= 5 else lo
 
     def gallop_left(self, key, lo=0):
         """Galloping :meth:`bisect_left` starting from index ``lo``.

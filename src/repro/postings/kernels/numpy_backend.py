@@ -447,3 +447,54 @@ def bloom_test_batch(vector, bits, hashes, salt1, salt2, datas):
         np.frombuffer(vector, dtype=np.uint8), bitorder="little"
     )
     return bitarr[positions].all(axis=1).tolist()
+
+
+def descendant_probe(cols, interior, l, vector, bits, hashes, salt1, salt2):
+    n = len(cols[0])
+    peer, doc, start, end, _level = _views(cols)
+    # one int64 (document, level, node) names a filter key; documents are
+    # numbered along the sorted columns
+    node_bits = max(1, l)
+    level_bits = (l + 1).bit_length()
+    if (
+        not n
+        or n.bit_length() + level_bits + node_bits > 62
+        or int(start.min()) + interior < 1  # the pure kernel's ValueError
+    ):
+        return _pure.descendant_probe(cols, interior, l, vector, bits, hashes, salt1, salt2)
+    base = np.zeros(n, dtype=_I64)
+    np.cumsum((peer[1:] != peer[:-1]) | (doc[1:] != doc[:-1]), out=base[1:])
+    base <<= level_bits + node_bits
+    # the interior as the half-open node range [x, y) at level 0, where
+    # node k of level j is the interval [(k << j) + 1, (k + 1) << j]; an
+    # empty interior is x == y, which also keeps x + 1 inside int64
+    y = np.minimum(end - interior, 1 << l)
+    x = np.minimum(start + (interior - 1), y)
+    # level-synchronous minimal cover: an odd left end emits its node and
+    # steps right, an odd right end steps left and emits; both halve
+    keys = []
+    owners = []
+    for level in range(max(1, int((y - x).max())).bit_length()):
+        live = x < y
+        odd = (live & ((x & 1) != 0)).nonzero()[0]
+        keys.append(base[odd] | (level << node_bits) | x[odd])
+        owners.append(odd)
+        x = (x + 1) >> 1
+        odd = (live & ((y & 1) != 0)).nonzero()[0]
+        keys.append(base[odd] | (level << node_bits) | (y[odd] - 1))
+        owners.append(odd)
+        y >>= 1
+    owners = np.concatenate(owners)
+    distinct, first, inverse = np.unique(
+        np.concatenate(keys), return_index=True, return_inverse=True
+    )
+    level = (distinct >> node_bits) & ((1 << level_bits) - 1)
+    lo = ((distinct & ((1 << node_bits) - 1)) << level) + 1
+    first = owners[first]
+    intervals = zip(
+        peer[first].tolist(), doc[first].tolist(), lo.tolist(), (lo + (1 << level) - 1).tolist()
+    )
+    hits = bloom_test_batch(
+        vector, bits, hashes, salt1, salt2, list(map(b"(i%d,i%d,i%d,i%d)".__mod__, intervals))
+    )
+    return sorted(set(owners[np.array(hits, dtype=bool)[inverse]].tolist()))

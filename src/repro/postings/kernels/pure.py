@@ -356,3 +356,69 @@ def bloom_test_batch(vector, bits, hashes, salt1, salt2, datas):
                 break
         push(ok)
     return out
+
+
+def descendant_probe(cols, interior, l, vector, bits, hashes, salt1, salt2):
+    """Row indexes, increasing, that pass a Descendant Bloom Filter.
+
+    Row ``i`` passes when some interval of the dyadic cover of
+    ``[start + interior, min(end - interior, 2**l)]`` is in the filter
+    under the key ``(peer, doc, lo, hi)``.  Staged: memberships shared
+    between rows are decided once, and each cover-interval round is one
+    batched probe over the rows still undecided — a row exits at its first
+    present interval (the scalar ``any()`` short-circuit, batched)."""
+    # imported here: repro.bloom's package import needs this package first
+    from repro.bloom.dyadic import dyadic_cover
+
+    peer, doc, start, end, _level = cols
+    limit = 1 << l
+    cover_cache = {}
+    rows = []
+    push_row = rows.append
+    for i, p, d, lo, hi in zip(range(len(peer)), peer, doc, start, end):
+        lo += interior
+        hi -= interior
+        if hi > limit:
+            hi = limit
+        if lo > hi:
+            continue
+        span = (lo, hi)
+        cover = cover_cache.get(span)
+        if cover is None:
+            cover = cover_cache[span] = tuple(dyadic_cover(lo, hi, l))
+        push_row((i, p, d, cover))
+    member = {}
+    keep = []
+    push = keep.append
+    depth = 0
+    pending = rows
+    while pending:
+        probes = []
+        for _i, p, d, cover in pending:
+            if depth < len(cover):
+                ilo, ihi = cover[depth]
+                key = (p, d, ilo, ihi)
+                if key not in member:
+                    member[key] = False
+                    probes.append(key)
+        if probes:
+            hits = bloom_test_batch(
+                vector, bits, hashes, salt1, salt2,
+                [b"(i%d,i%d,i%d,i%d)" % key for key in probes],
+            )
+            for key, hit in zip(probes, hits):
+                member[key] = hit
+        still = []
+        for row in pending:
+            i, p, d, cover = row
+            if depth >= len(cover):
+                continue  # every interval missed: drop
+            ilo, ihi = cover[depth]
+            if member[(p, d, ilo, ihi)]:
+                push(i)
+            else:
+                still.append(row)
+        pending = still
+        depth += 1
+    keep.sort()
+    return keep

@@ -182,6 +182,11 @@ class PostingList:
         kept = [p for p in self.items() if predicate(p)]
         return PostingList._adopt(PostingColumns._from_sorted_unique(kept))
 
+    def without(self, keys):
+        """This list minus the 5-field rows in ``keys``; builds no Posting objects."""
+        kept = [row for row in self._cols.rows() if row not in keys]
+        return PostingList._adopt(PostingColumns._from_sorted_unique(kept))
+
     @classmethod
     def concat(cls, parts):
         """Ordered union of many PostingLists in one concat/sort pass.

@@ -213,7 +213,7 @@ class LsmStore(Store):
             else:
                 kill = newer.dead.get(term)
                 if kill:
-                    base = base.filter(lambda p, k=kill: tuple(p) not in k)
+                    base = base.without(kill)
             if term in newer.data:
                 addition, _ = decode_postings(newer.data[term])
                 base = base.merge(addition)
@@ -272,7 +272,7 @@ class LsmStore(Store):
             else:
                 kill = run.dead.get(term)
                 if kill:
-                    acc = acc.filter(lambda p, k=kill: tuple(p) not in k)
+                    acc = acc.without(kill)
                     touched = True
             blob = run.data.get(term)
             if blob is not None:
@@ -286,7 +286,7 @@ class LsmStore(Store):
             acc = PostingList()
         kill = self._mem_dead.get(term)
         if kill:
-            acc = acc.filter(lambda p, k=kill: tuple(p) not in k)
+            acc = acc.without(kill)
         mem = self._mem.get(term)
         if mem is not None:
             acc = acc.merge(mem)

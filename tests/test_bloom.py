@@ -26,6 +26,7 @@ from repro.bloom.structural import (
     psi,
 )
 from repro.index.publisher import extract_postings
+from repro.postings import kernels
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.xmldata.parser import parse_document
@@ -332,3 +333,51 @@ class TestStructuralFilters:
         for a in la:
             if any(a.is_ancestor_of(b) for b in lb):
                 assert a in kept_a
+
+
+def _random_intervals(rng, n, pos_max):
+    """``n`` element intervals over 2 peers x 5 documents; about a third
+    are leaves (``start == end``, an empty interior either way)."""
+    items = []
+    for _ in range(n):
+        start = rng.randrange(1, pos_max)
+        width = rng.choice((0, 1, 2, rng.randrange(pos_max)))
+        items.append(
+            Posting(rng.randrange(2), rng.randrange(5), start, start + width, 1)
+        )
+    return PostingList(items)
+
+
+class TestDescendantProbeExactness:
+    """``filter_postings``' kernel path keeps exactly the postings the
+    scalar ``may_have_descendant`` keeps, under every backend."""
+
+    @pytest.fixture(
+        params=["pure"] + (["numpy"] if kernels.numpy_available() else [])
+    )
+    def backend(self, request):
+        previous = kernels.use_backend(request.param)
+        yield request.param
+        kernels.use_backend(previous)
+
+    @pytest.mark.parametrize("fp_rate", [0.01, 0.2, 0.5])
+    def test_batch_path_equals_scalar_oracle(self, backend, fp_rate):
+        kept_some = dropped_some = False
+        for seed in range(25):
+            rng = random.Random(seed)
+            lb = _random_intervals(rng, rng.randrange(1, 30), 200)
+            # probe positions run past the source's: end > 2**l is clamped
+            for size in (0, 1, 9, 120):
+                la = _random_intervals(rng, size, 300)
+                for l in (None, level_for(lb.max_end()) + 2):
+                    dbf = DescendantBloomFilter(lb, l=l, fp_rate=fp_rate, seed=seed)
+                    for or_self in (False, True):
+                        want = [
+                            p for p in la
+                            if dbf.may_have_descendant(p, or_self=or_self)
+                        ]
+                        got = dbf.filter_postings(la, or_self=or_self)
+                        assert got.items() == want, (seed, size, l, or_self)
+                        kept_some |= bool(want)
+                        dropped_some |= len(want) < len(la)
+        assert kept_some and dropped_some

@@ -182,6 +182,51 @@ class TestGallopingRanges:
             assert cols.gallop_left(probe, start) == want
 
 
+def loop_bisect(cols, key, side, lo=0, hi=None):
+    """The tuple-compare binary search the column-wise bisect replaced."""
+    if hi is None:
+        hi = len(cols)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        row = cols.key(mid)
+        if row < key if side == "left" else row <= key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestColumnBisect:
+    def test_matches_tuple_compare_loop(self):
+        rng = random.Random(5)
+        for case in range(120):
+            cols = cols_of(
+                [
+                    (rng.randrange(3), rng.randrange(5), rng.randrange(30),
+                     rng.randrange(30), rng.randrange(3))
+                    for _ in range((0, 1, 2, 40, 300)[case % 5])
+                ]
+            )
+            n = len(cols)
+            keys = [  # absent and present keys, full and prefixes of 0-4 fields
+                tuple(rng.randrange(-1, 6) for _ in range(rng.randrange(6)))
+                for _ in range(30)
+            ]
+            for i in range(0, n, 7):
+                keys += [cols.key(i)[:width] for width in range(1, 6)]
+            # doc_range's sentinels: below and above every real field
+            keys += [(1, 2, -1, -1, -1), (1, 2, 2**63, 2**63, 2**63)]
+            for key in keys:
+                windows = [(0, None), (rng.randrange(n + 1), rng.randrange(n + 1))]
+                for lo, hi in windows:
+                    assert cols.bisect_left(key, lo, hi) == loop_bisect(
+                        cols, key, "left", lo, hi
+                    ), (key, lo, hi)
+                    assert cols.bisect_right(key, lo, hi) == loop_bisect(
+                        cols, key, "right", lo, hi
+                    ), (key, lo, hi)
+
+
 class TestCodec:
     @given(posting_lists)
     def test_roundtrip_fuzz(self, postings):

@@ -10,16 +10,19 @@ workload under both backends on Pastry AND Chord and asserts identical
 answers and identical metered traffic.
 """
 
+import inspect
 import random
 
 import pytest
 
 from repro.bloom.filter import BloomFilter
+from repro.bloom.structural import DescendantBloomFilter
 from repro.errors import ConfigError
 from repro.kadop.config import KadopConfig
 from repro.postings import kernels
 from repro.postings.columnar import PostingColumns
 from repro.postings.kernels import pure
+from repro.postings.plist import PostingList
 
 HAVE_NUMPY = kernels.numpy_available()
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -273,6 +276,65 @@ class TestBloomKernelEquivalence:
                 f_pure._vector, bits, hashes, f_pure._salt1, f_pure._salt2, probes
             ) == [f_scalar.contains_serialized(p) for p in probes]
 
+    @staticmethod
+    def _interval_rows(rng, n, stretch=0):
+        """Random rows inside the dyadic domain (positions from 1)."""
+        return [
+            (p, d, s + 1, e + 1 + stretch, v)
+            for p, d, s, e, v in random_rows(rng, n)
+        ]
+
+    def _probe_args(self, rng, probe_rows, l=None, interior=1):
+        """``descendant_probe`` arguments: a random source list's filter
+        over the given probe rows."""
+        source = PostingList(self._interval_rows(rng, rng.randrange(1, 30)))
+        dbf = DescendantBloomFilter(source, l=l, fp_rate=0.1, seed=3)
+        f = dbf.filter
+        return (
+            arrays_of(probe_rows), interior, dbf.l,
+            f._vector, f.bits, f.hashes, f._salt1, f._salt2,
+        )
+
+    @requires_numpy
+    def test_descendant_probe_matches_pure(self, monkeypatch):
+        rng = random.Random(912)
+        cases = []
+        for case in range(60):
+            rows = self._interval_rows(
+                rng, rng.choice((1, 2, 30, 400)), stretch=(case % 3) * 40
+            )
+            args = self._probe_args(
+                rng, rows, l=(None, 9, 12)[case % 3], interior=case % 2
+            )
+            cases.append((args, pure.descendant_probe(*args)))
+        # starts at the int64 boundary: every interior is empty, no wrap
+        args = self._probe_args(rng, big_rows(rng, 10) + [(3, 0, BIG, BIG, 1)] + rows, l=9)
+        cases.append((args, pure.descendant_probe(*args)))
+        assert any(want for _args, want in cases)
+        assert any(len(want) < len(args[0][0]) for args, want in cases)
+
+        def no_fallback(*args):
+            raise AssertionError("vector path expected")
+
+        monkeypatch.setattr(pure, "descendant_probe", no_fallback)
+        for case, (args, want) in enumerate(cases):
+            assert npk.descendant_probe(*args) == want, case
+
+    @requires_numpy
+    def test_descendant_probe_fallbacks(self):
+        rng = random.Random(913)
+        rows = self._interval_rows(rng, 50)
+        # empty input, and a level count past what one int64 key can hold
+        for args in (self._probe_args(rng, []), self._probe_args(rng, rows, l=61)):
+            assert npk.descendant_probe(*args) == pure.descendant_probe(*args)
+        # or-self from position 0 is outside the dyadic domain in both
+        args = self._probe_args(rng, [(0, 0, 0, 5, 1)] + rows, interior=0)
+        with pytest.raises(ValueError) as err_pure:
+            pure.descendant_probe(*args)
+        with pytest.raises(ValueError) as err_np:
+            npk.descendant_probe(*args)
+        assert str(err_np.value) == str(err_pure.value)
+
     def test_fill_ratio_matches_per_byte_popcount(self):
         rng = random.Random(911)
         f = BloomFilter(997, 3, seed=1)
@@ -284,6 +346,23 @@ class TestBloomKernelEquivalence:
 
 
 class TestBackendSelection:
+    @requires_numpy
+    def test_backends_export_the_same_functions(self):
+        """A kernel added to one backend only, or with other arguments,
+        fails here by name instead of as an AttributeError under
+        ``REPRO_KERNELS=pure``."""
+
+        def public(module):
+            return {
+                name: str(inspect.signature(function))
+                for name, function in vars(module).items()
+                if not name.startswith("_")
+                and inspect.isfunction(function)
+                and function.__module__ == module.__name__
+            }
+
+        assert public(npk) == public(pure)
+
     def test_env_override_wins(self, restore_backend, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "pure")
         kernels.apply_config("numpy" if HAVE_NUMPY else "auto")

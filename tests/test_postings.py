@@ -145,6 +145,13 @@ class TestPostingList:
         pl = PostingList([P(0, 0, i, i + 1) for i in range(1, 8, 2)])
         assert len(pl.filter(lambda p: p.start > 3)) == 2
 
+    def test_without_drops_exactly_the_given_rows(self):
+        pl = PostingList([P(0, 0, i, i + 1) for i in range(1, 8, 2)])
+        gone = {tuple(pl[1]), tuple(pl[3]), (9, 9, 9, 9, 9)}
+        assert pl.without(gone) == pl.filter(lambda p: tuple(p) not in gone)
+        assert pl.without(gone).items() == [pl[0], pl[2]]
+        assert pl.without(set()) == pl
+
     def test_slice_returns_posting_list(self):
         pl = PostingList([P(0, 0, i, i + 1) for i in range(1, 9, 2)])
         assert isinstance(pl[1:3], PostingList)
