@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest bench-e2e bench-compare step-profile
+.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential bench-micro check-micro bench bench-views bench-blocks bench-serve bench-skew bench-ingest bench-sim-check bench-e2e bench-compare step-profile
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -37,6 +37,21 @@ telemetry-smoke:
 	p = validate_telemetry(json.load(open('telemetry.json'))); \
 	print('telemetry.json: %d series, %d samples OK' % (len(p['series']), p['samples_taken']))"
 	$(PY) -m repro explain "//article//author" > /dev/null && echo "explain: reconciled OK"
+
+# behaviour digests of QueryExecutor (one line per configuration) and of
+# DhtNetwork (one line per seeded fault script): they must not depend on
+# the hash seed and must equal the committed benchmarks/differential.digests.
+# A deliberate behaviour change refreshes that file in the same diff and
+# says in CHANGES.md which line moved and why
+differential:
+	mkdir -p .bench_out
+	for seed in 1 2; do \
+		( PYTHONHASHSEED=$$seed $(PY) benchmarks/executor_differential.py && \
+		  PYTHONHASHSEED=$$seed $(PY) benchmarks/dht_differential.py ) \
+			> .bench_out/differential.$$seed || exit 1; \
+	done
+	cmp .bench_out/differential.1 .bench_out/differential.2
+	cmp .bench_out/differential.1 benchmarks/differential.digests
 
 # everything, including the slow experiment regenerations
 test-all:
@@ -85,6 +100,20 @@ bench-skew:
 # which CI gates the routed-message reduction against
 bench-ingest:
 	$(PY) -m repro.experiments.ingest --out BENCH_ingest.json
+
+# the four trajectories above hold simulated fields only, so each is an
+# exact differential: regenerate them into .bench_out/ and cmp against the
+# committed files.  A local tool; the CI --check steps keep their 2 %
+# slack for cross-interpreter floats
+bench-sim-check:
+	mkdir -p .bench_out
+	$(PY) -m repro.experiments.block_pruning --out .bench_out/BENCH_blocks.json > /dev/null
+	$(PY) -m repro.experiments.serving --out .bench_out/BENCH_serve.json > /dev/null
+	$(PY) -m repro.experiments.skew_balance --out .bench_out/BENCH_skew.json > /dev/null
+	$(PY) -m repro.experiments.ingest --out .bench_out/BENCH_ingest.json > /dev/null
+	for f in blocks serve skew ingest; do \
+		cmp BENCH_$$f.json .bench_out/BENCH_$$f.json || exit 1; \
+	done
 
 # the repo benchmark (BENCHMARK.json, bench/README.md): all four workloads,
 # end to end and per layer, at seed 0; .bench_out/ is git-ignored

@@ -24,7 +24,6 @@ mode's ``blocks_fetched`` on this workload must never exceed it.
 
 import argparse
 import json
-import time
 
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -62,16 +61,13 @@ def run(num_peers=12, docs=20, seed=0):
     results = {}
     for mode in MODES:
         net = _network(mode, num_peers, docs, seed)
-        wall0 = time.perf_counter()
         answers, report = net.query_with_report(QUERY)
-        wall_s = time.perf_counter() - wall0
         results[mode] = {
             "blocks_fetched": report.blocks_fetched,
             "blocks_skipped": report.blocks_skipped,
             "postings_fetched": report.postings_fetched,
             "fetch_bytes": report.traffic.get("postings", 0),
             "index_time_s": report.index_time_s,
-            "wall_s": wall_s,
             "answers": len(answers),
             "answers_sig": [
                 (a.peer, a.doc, repr(a.bindings)) for a in answers
@@ -82,16 +78,16 @@ def run(num_peers=12, docs=20, seed=0):
 
 def format_rows(results):
     lines = [
-        "%-8s %8s %8s %10s %12s %12s %10s %8s"
+        "%-8s %8s %8s %10s %12s %12s %8s"
         % (
             "mode", "fetched", "skipped", "postings",
-            "sim bytes", "sim time (s)", "wall (s)", "answers",
+            "sim bytes", "sim time (s)", "answers",
         )
     ]
     for mode in MODES:
         row = results[mode]
         lines.append(
-            "%-8s %8d %8d %10d %12d %12.4f %10.4f %8d"
+            "%-8s %8d %8d %10d %12d %12.4f %8d"
             % (
                 mode,
                 row["blocks_fetched"],
@@ -99,7 +95,6 @@ def format_rows(results):
                 row["postings_fetched"],
                 row["fetch_bytes"],
                 row["index_time_s"],
-                row["wall_s"],
                 row["answers"],
             )
         )

@@ -26,7 +26,6 @@ by at least :data:`MESSAGE_REDUCTION` on every backend.
 
 import argparse
 import json
-import time
 
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -85,7 +84,6 @@ def run(num_peers=10, seed=0):
             net = _network(backend, seed, num_peers)
             publisher = net.peers[0]
             before = net.net.meter.snapshot()
-            wall0 = time.perf_counter()
             if variant == "batched":
                 receipt = publisher.publish_batch(
                     [xml for xml, _ in docs], uris=[uri for _, uri in docs]
@@ -95,7 +93,6 @@ def run(num_peers=10, seed=0):
                 for xml, uri in docs:
                     part = publisher.publish(xml, uri=uri)
                     receipt = part if receipt is None else receipt.merge(part)
-            wall_s = time.perf_counter() - wall0
             after = net.net.meter.snapshot()
             ingest_bytes = sum(after.values()) - sum(before.values())
             sigs = _answer_sigs(net)
@@ -108,7 +105,6 @@ def run(num_peers=10, seed=0):
                 "bytes": ingest_bytes,
                 "sim_s": receipt.duration_s,
                 "per_doc_ms": receipt.duration_s / DOCS * 1000.0,
-                "wall_s": wall_s,
                 "answers_match_reference": sigs == reference_sigs,
             }
         results[backend] = rows

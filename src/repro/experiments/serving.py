@@ -27,7 +27,6 @@ keep p99 below the no-admission baseline.
 
 import argparse
 import json
-import time
 
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -114,14 +113,12 @@ def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
                 if telemetry
                 else None
             )
-            wall0 = time.perf_counter()
             result = net.serve(
                 arrivals,
                 max_inflight=knobs["max_inflight"],
                 policy="fifo",
                 coalesce=knobs["coalesce"],
             )
-            wall_s = time.perf_counter() - wall0
             sigs = _answer_sigs(
                 {q.seq: q.answers for q in result.queries}
             )
@@ -133,7 +130,6 @@ def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
                 if "latency_s" in span.args
             )
             row = result.to_dict()
-            row["wall_s"] = wall_s
             row["span_latencies_match"] = (
                 span_latencies == result.latencies()
             )

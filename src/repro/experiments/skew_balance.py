@@ -25,7 +25,6 @@ latency by a fixed margin while holding throughput.
 
 import argparse
 import json
-import time
 
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -121,12 +120,9 @@ def run(num_peers=10, docs=12, seed=0, telemetry=False):
                 if telemetry
                 else None
             )
-            wall0 = time.perf_counter()
             result = net.serve(arrivals, policy="fifo", coalesce=False)
-            wall_s = time.perf_counter() - wall0
             sigs = {q.seq: _sigs(q.answers) for q in result.queries}
             row = result.to_dict()
-            row["wall_s"] = wall_s
             row["answers_match_serial"] = sigs == serial_sigs
             row["balance"] = net.balance.summary()
             if sampler is not None:

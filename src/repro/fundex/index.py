@@ -17,7 +17,7 @@ from repro.postings.posting import Posting
 from repro.query.matcher import match_document, match_to_postings
 from repro.query.pattern import PatternNode, TreePattern
 from repro.fundex.representative import skeleton_labels, skeleton_matches
-from repro.kadop.execution import Answer
+from repro.kadop.execution import Answer, QueryRun
 from repro.xmldata.parser import parse_document
 
 #: functional doc indexes start here, far above any real doc index
@@ -50,6 +50,10 @@ class FundexReport:
     completed_answers: int = 0
     candidate_docs: int = 0
     traffic: dict = field(default_factory=dict)
+    # as in QueryReport: keys whose fetch exhausted its retries under an
+    # active FaultPlan; the answer is then partial, not silently empty
+    complete: bool = True
+    unreachable_keys: tuple = ()
 
     @property
     def total_bytes(self):
@@ -151,35 +155,32 @@ class FundexIndex:
         snapshot = meter.snapshot()
         report = FundexReport(mode=mode)
 
-        if mode == "naive":
-            answers, exec_report = self.system.executor.run(pattern, src_peer)
-            report.response_time_s = exec_report.response_time_s
-            report.index_time_s = exec_report.index_time_s
-            report.candidate_docs = exec_report.candidate_docs
-            report.completed_answers = len(answers)
-            report.traffic = meter.delta_since(snapshot)
-            return answers, report
-
-        if mode == "brutal":
-            return self._query_brutal(pattern, src_peer, report, snapshot)
+        if mode in ("naive", "brutal"):
+            shipped = self._intensional_docs if mode == "brutal" else ()
+            return self._query_extensional(
+                pattern, src_peer, report, snapshot, shipped
+            )
         return self._query_fundex(pattern, src_peer, report, snapshot, mode)
 
-    # -- brutal --------------------------------------------------------------------
+    # -- naive / brutal ------------------------------------------------------------
 
-    def _query_brutal(self, pattern, src_peer, report, snapshot):
-        """Return extensional matches plus *every* intensional document."""
+    def _query_extensional(self, pattern, src_peer, report, snapshot, shipped):
+        """The plain executor's answers, plus the cost of shipping every
+        document of ``shipped`` whole: none for ``naive``, *every*
+        intensional document for ``brutal``."""
         answers, exec_report = self.system.executor.run(pattern, src_peer)
         report.index_time_s = exec_report.index_time_s
-        candidates = set(self._intensional_docs)
+        report.complete = exec_report.complete
+        report.unreachable_keys = exec_report.unreachable_keys
         net = self.system.net
         # contacting every candidate peer and shipping whole documents
         ship_time = 0.0
-        for peer_idx, doc_idx in sorted(candidates):
+        for peer_idx, doc_idx in sorted(shipped):
             document = self.system.peers[peer_idx].documents[doc_idx]
             nbytes = document.source_bytes
             net.meter.record("documents", nbytes)
             ship_time = max(ship_time, net.cost.transfer_time(nbytes, hops=1))
-        report.candidate_docs = len(candidates) + exec_report.candidate_docs
+        report.candidate_docs = len(shipped) + exec_report.candidate_docs
         report.response_time_s = exec_report.response_time_s + ship_time
         report.completed_answers = len(answers)
         report.traffic = net.meter.delta_since(snapshot)
@@ -192,7 +193,8 @@ class FundexIndex:
         net = system.net
 
         # 1. potential answers over candidate documents
-        candidates, index_time = self._candidate_docs(pattern, src_peer)
+        run = QueryRun()
+        candidates, index_time = self._candidate_docs(pattern, src_peer, run)
         report.candidate_docs = len(candidates)
         report.index_time_s = index_time
         complete, potential, doc_time = self._potential_answers(
@@ -222,46 +224,24 @@ class FundexIndex:
             index_time + doc_time + eval_time + rev_time
         )
         report.traffic = net.meter.delta_since(snapshot)
+        run.flag(report)
         return answers, report
 
-    def _component_docs(self, component, src_peer):
-        """Candidate ``(peer, doc)`` ids of one index-plan component, via
-        the executor's own fetch machinery.
+    def _component_docs(self, component, src_peer, run):
+        """Candidate ``(peer, doc)`` ids of one index-plan component.
 
-        Fundex must not re-implement posting retrieval: under DPP the Term
-        relation lives in blocks (plain ``net.get`` on a term key returns
-        nothing), and ``dpp_fetch_mode`` decides whether those blocks
-        arrive eagerly, windowed, or lazily zone-map-pruned.  We call
-        :meth:`QueryExecutor._fetch_streams` and then mirror the
-        executor's own join dispatch on the block state it leaves behind
-        (consuming it, so none leaks into a later query): lazy fetches
-        already ran the demand-driven block join, window/eager fetches
-        join meaningful block vectors, and the plain path twig-joins the
-        merged streams."""
+        Fundex must not re-implement posting retrieval or the join over
+        what was retrieved: under DPP the Term relation lives in blocks
+        (plain ``net.get`` on a term key returns nothing),
+        ``dpp_fetch_mode`` decides how those blocks arrive, and a coarse
+        index joins by document id.  Both steps are the executor's own;
+        ``run`` collects the keys that timed out under a FaultPlan."""
         executor = self.system.executor
-        from repro.query.block_join import parallel_block_join
-        from repro.query.twigjoin import twig_join
+        fetched = executor.fetch(component, src_peer, None, run)
+        docs, _ = executor.component_docs(component, fetched)
+        return docs, fetched.time_s
 
-        executor._last_dpp_blocks = None
-        executor._last_dpp_solutions = None
-        streams, fetch_time, _ = executor._fetch_streams(
-            component, src_peer, None
-        )
-        dpp_blocks = executor._last_dpp_blocks
-        executor._last_dpp_blocks = None
-        dpp_solutions = executor._last_dpp_solutions
-        executor._last_dpp_solutions = None
-        executor._last_dpp_counters = None
-        if dpp_solutions is not None:
-            bindings, _ = dpp_solutions
-        elif dpp_blocks is not None:
-            bindings = parallel_block_join(component, dpp_blocks).solutions
-        else:
-            bindings = twig_join(component, streams)
-        root_id = component.root.node_id
-        return {(b[root_id].peer, b[root_id].doc) for b in bindings}, fetch_time
-
-    def _candidate_docs(self, pattern, src_peer):
+    def _candidate_docs(self, pattern, src_peer, run):
         """Complete candidate set: extensional index candidates plus the
         intensional documents that contain the root term."""
         from repro.query.index_plan import build_index_plan
@@ -270,7 +250,7 @@ class FundexIndex:
         candidates = set()
         index_time = 0.0
         for component, _ in zip(plan.components, plan.node_maps):
-            docs, fetch_time = self._component_docs(component, src_peer)
+            docs, fetch_time = self._component_docs(component, src_peer, run)
             index_time = max(index_time, fetch_time)
             candidates |= docs
 
@@ -282,7 +262,7 @@ class FundexIndex:
         root = pattern.root
         if root.term is not None:
             single = _single_node_pattern(root)
-            root_docs, lookup_time = self._component_docs(single, src_peer)
+            root_docs, lookup_time = self._component_docs(single, src_peer, run)
             index_time = max(index_time, lookup_time)
             candidates |= self._intensional_docs & root_docs
         else:

@@ -17,17 +17,13 @@ class KadopConfig:
 
     Section 3 (base system):
 
-    ``store``            ``"btree"`` (BerkeleyDB replacement) or ``"naive"``
-                         (PAST-style read-modify-write store)
-    ``store_backend``    authoritative per-peer store selector:
-                         ``"btree"``, ``"naive"``, or ``"lsm"`` (memtable +
+    ``store_backend``    the per-peer store: ``"btree"`` (BerkeleyDB
+                         replacement), ``"naive"`` (PAST-style
+                         read-modify-write store), or ``"lsm"`` (memtable +
                          sorted immutable runs with background compaction on
-                         the serving clock).  ``None`` (the default) resolves
-                         to ``store``, which keeps old configs and
-                         checkpoints working; when both are given they must
-                         agree unless ``store_backend`` is ``"lsm"``.
-                         Query answers are byte-identical across backends —
-                         only the store-time accounting differs
+                         the serving clock).  Query answers are
+                         byte-identical across backends — only the
+                         store-time accounting differs
     ``use_append``       use the extended ``append`` API instead of ``put``
     ``pipelined_get``    stream posting lists instead of blocking ``get``
     ``chunk_postings``   pipeline chunk size, in postings
@@ -162,8 +158,7 @@ class KadopConfig:
                             anti-entropy repair)
     """
 
-    store: str = "btree"
-    store_backend: str = None
+    store_backend: str = "btree"
     use_append: bool = True
     pipelined_get: bool = True
     chunk_postings: int = 2048
@@ -222,12 +217,6 @@ class KadopConfig:
             raise ConfigError(
                 "index_granularity must be 'element' or 'document'"
             )
-        if self.store not in ("btree", "naive"):
-            raise ConfigError("store must be 'btree' or 'naive', got %r" % self.store)
-        if self.store_backend is None:
-            # resolved once here so checkpoints round-trip the effective
-            # backend; ``store`` remains the legacy two-way spelling
-            self.store_backend = self.store
         if self.store_backend not in ("btree", "naive", "lsm"):
             raise ConfigError(
                 "store_backend must be 'btree', 'naive', or 'lsm', got %r"
@@ -300,7 +289,3 @@ class KadopConfig:
             or self.retry_backoff_cap_s < 0
         ):
             raise ConfigError("timeout/backoff durations must be >= 0")
-        if self.store == "naive" and self.use_append:
-            # the naive store has no real append; calling it is allowed but
-            # degenerates to put — make the intent explicit in experiments
-            pass

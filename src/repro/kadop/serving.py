@@ -475,14 +475,8 @@ class ServingEngine:
             tracer.seek(admit_s)
             spans_before = len(tracer.spans)
         meter_before = system.net.meter.snapshot()
-        executor._capture = []
-        executor._last_doc_peer_times = None
-        try:
+        with executor.capturing() as capture:
             answers, report = executor.run(pattern, src_peer)
-        finally:
-            captured = executor._capture or []
-            executor._capture = None
-        doc_peer_times = executor._last_doc_peer_times or []
         record = ServedQuery(
             seq=seq,
             arrival_s=arrival.arrival_s,
@@ -503,7 +497,7 @@ class ServingEngine:
                     record.root_id = span.span_id
                     break
         record.tasks = self._replay(
-            record, admit_s, captured, doc_peer_times, report
+            record, admit_s, capture.captured, capture.doc_peer_times, report
         )
         self._shared.run()
         for rec in self._records:

@@ -357,6 +357,11 @@ class KadopNetwork:
         if state.get("format") != 1:
             raise ValueError("unknown checkpoint format %r" % state.get("format"))
         config_dict = dict(state["config"])
+        # a checkpoint from before ``store_backend`` was the only selector
+        # carries the legacy ``store`` key, beside it or instead of it
+        legacy_store = config_dict.pop("store", None)
+        if legacy_store is not None:
+            config_dict.setdefault("store_backend", legacy_store)
         config_dict["cost"] = CostParams(**config_dict["cost"])
         if config_dict.get("word_index_labels") is not None:
             config_dict["word_index_labels"] = frozenset(

@@ -239,8 +239,17 @@ class TestFundexDepth:
         # both sub-patterns had to be completed intensionally
         assert report.potential_answers == 1
 
-    def test_mixed_extensional_and_intensional_matches(self):
-        net = KadopNetwork.create(num_peers=6, config=KadopConfig(replication=1))
+    @pytest.mark.parametrize("use_dpp", [False, True])
+    @pytest.mark.parametrize("granularity", ["element", "document"])
+    def test_mixed_extensional_and_intensional_matches(self, granularity, use_dpp):
+        """Fundex joins what it fetched through the executor's own
+        dispatch, so a coarse index keeps the extensional match too."""
+        net = KadopNetwork.create(
+            num_peers=6,
+            config=KadopConfig(
+                replication=1, index_granularity=granularity, use_dpp=use_dpp
+            ),
+        )
         net.register_resource("u:abs", "<abstract>hidden gem</abstract>")
         net.peers[0].publish(
             "<article><title>x</title><abstract>hidden gem</abstract></article>",
@@ -257,6 +266,61 @@ class TestFundexDepth:
         # naive only finds the extensional one
         naive, _ = net.fundex.query(pattern, net.peers[0], mode="naive")
         assert {a.doc_id for a in naive} == {(0, 0)}
+        assert set(naive) <= set(answers)
+
+
+class TestUnderFaults:
+    """A Fundex answer degraded by a FaultPlan is flagged, not silently
+    empty, and the lost keys travel with the run that lost them."""
+
+    QUERY = '//article[contains(.//abstract, "gem")]'
+
+    @staticmethod
+    def _blackout():
+        from repro.faults import FaultPlan
+
+        net = KadopNetwork.create(
+            num_peers=6, config=KadopConfig(replication=1, op_max_retries=0)
+        )
+        net.register_resource("u:abs", "<abstract>hidden gem</abstract>")
+        net.peers[0].publish(
+            '<!DOCTYPE article [ <!ENTITY a SYSTEM "u:abs"> ]>'
+            "<article><title>y</title>&a;</article>",
+            uri="u:int",
+        )
+        net.install_faults(FaultPlan(seed=1, drop_rate=1.0))
+        return net
+
+    @pytest.mark.parametrize("mode", ["fundex", "representative", "naive", "brutal"])
+    def test_fresh_executor_flags_degraded_answer(self, mode):
+        net = self._blackout()
+        answers, report = net.fundex.query(
+            net.parse(self.QUERY), net.peers[0], mode=mode
+        )
+        assert answers == []
+        assert not report.complete
+        assert set(report.unreachable_keys) == {
+            "elem:article", "elem:abstract", "word:gem"
+        }
+
+    def test_lost_keys_do_not_leak_into_the_next_run(self):
+        net = self._blackout()
+        _, plain = net.query_with_report("//article//title")
+        assert set(plain.unreachable_keys) == {"elem:article", "elem:title"}
+        _, report = net.fundex.query(
+            net.parse(self.QUERY), net.peers[0], mode="fundex"
+        )
+        assert set(report.unreachable_keys) == {
+            "elem:article", "elem:abstract", "word:gem"
+        }
+        net.clear_faults()
+        answers, healthy = net.fundex.query(
+            net.parse(self.QUERY), net.peers[0], mode="fundex"
+        )
+        assert {a.doc_id for a in answers} == {(0, 0)}
+        assert healthy.complete and healthy.unreachable_keys == ()
+        _, plain = net.query_with_report("//article//title")
+        assert plain.complete and plain.unreachable_keys == ()
 
 
 class TestDppRouting:
@@ -307,10 +371,7 @@ class TestDppRouting:
         net, gen = self._build(use_dpp=True, dpp_fetch_mode="lazy")
         query = gen.query()
         net.fundex.query(net.parse(query), net.peers[0], mode="fundex")
-        executor = net.executor
-        assert getattr(executor, "_last_dpp_blocks", None) is None
-        assert getattr(executor, "_last_dpp_solutions", None) is None
-        # and a plain executor query right after is unperturbed
+        # a plain executor query right after is unperturbed
         alone = KadopNetwork.create(
             num_peers=8,
             config=KadopConfig(replication=1, use_dpp=True, dpp_fetch_mode="lazy"),

@@ -57,7 +57,7 @@ QUERIES = [
 CONFIGS = {
     "baseline": KadopConfig(replication=1),
     "blocking": KadopConfig(replication=1, pipelined_get=False),
-    "naive-store": KadopConfig(replication=1, store="naive", use_append=False),
+    "naive-store": KadopConfig(replication=1, store_backend="naive", use_append=False),
     "dpp": KadopConfig(replication=1, use_dpp=True, dpp_block_entries=12),
     "dpp-random": KadopConfig(
         replication=1,

@@ -83,6 +83,40 @@ class TestSaveLoad:
         restored = KadopNetwork.load(path)
         assert restored.config.word_index_labels == frozenset({"abstract"})
 
+    @pytest.mark.parametrize(
+        "legacy, expected",
+        [
+            ({"store": "naive"}, "naive"),  # before store_backend existed
+            ({"store": "btree", "store_backend": "lsm"}, "lsm"),  # beside it
+            ({}, "btree"),
+        ],
+    )
+    def test_legacy_store_key_maps_onto_store_backend(
+        self, tmp_path, legacy, expected
+    ):
+        """A hand-written format-1 checkpoint from before ``store_backend``
+        was the only store selector still loads."""
+        from repro.storage.naive_store import NaiveGzipStore
+
+        state = {
+            "format": 1,
+            "num_peers": 2,
+            "peer_uris": ["kadop://s0/p0", "kadop://s0/p1"],
+            "config": dict(legacy, replication=1, cost={}),
+            "resources": {},
+            "documents": [
+                {"peer": 0, "uri": "u:0", "doc_type": None, "xml": "<a><b>x</b></a>"}
+            ],
+        }
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(state))
+        restored = KadopNetwork.load(path)
+        assert restored.config.store_backend == expected
+        assert not hasattr(restored.config, "store")
+        is_naive = isinstance(restored.net.nodes[0].store, NaiveGzipStore)
+        assert is_naive == (expected == "naive")
+        assert [a.doc_id for a in restored.query("//a//b")] == [(0, 0)]
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": 99}))
