@@ -1,29 +1,26 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one table/figure of the paper at a reduced
-scale (see DESIGN.md for the substitution notes), prints the paper-style
-rows, asserts the qualitative *shape* of the result (who wins, by what
-rough factor), and reports the data through pytest-benchmark's
+``test_paper_shapes.py`` regenerates every table/figure of the paper at a
+reduced scale (see DESIGN.md for the substitution notes), prints the
+paper-style rows, asserts the qualitative *shape* of the result (who wins,
+by what rough factor), and reports the data through pytest-benchmark's
 ``extra_info`` so it lands in the benchmark JSON.
 """
 
 import pytest
 
 
-def run_experiment(benchmark, run_fn, format_fn, check_fn, label):
-    """Run ``run_fn`` once under the benchmark, print and validate."""
-    result = benchmark.pedantic(run_fn, rounds=1, iterations=1)
-    table = format_fn(result)
-    print("\n== %s ==\n%s" % (label, table))
-    benchmark.extra_info["table"] = table
-    if check_fn is not None:
-        assert check_fn(result)
-    return result
-
-
 @pytest.fixture
 def experiment(benchmark):
-    def runner(run_fn, format_fn, check_fn, label):
-        return run_experiment(benchmark, run_fn, format_fn, check_fn, label)
+    """Run one row of ``repro.experiments.EXPERIMENTS`` once under the
+    benchmark, print and validate."""
+
+    def runner(row):
+        result = benchmark.pedantic(row.run, rounds=1, iterations=1)
+        table = row.format(result)
+        print("\n== %s ==\n%s" % (row.description, table))
+        benchmark.extra_info["table"] = table
+        row.check(result)
+        return result
 
     return runner

@@ -5,6 +5,8 @@ Usage::
     python -m repro list                     # available experiments
     python -m repro run table1 fig7          # run selected experiments
     python -m repro run --all --json         # run everything, JSON output
+    python -m repro run --all --check        # ... and gate the BENCH_*.json
+    python -m repro run blocks --write       # refresh BENCH_blocks.json
     python -m repro demo                     # tiny end-to-end demo
     python -m repro trace demo               # Perfetto trace of demo queries
     python -m repro trace "//article//author" -o q.json
@@ -18,9 +20,9 @@ Usage::
     python -m repro fuzz --seed 5076 --iterations 1 --write-quorum majority
 
 Each experiment prints the paper-style rows and verifies its qualitative
-shape (the same checks the benchmark suite asserts).  ``trace`` writes
-Chrome trace-event JSON openable in Perfetto or ``chrome://tracing``;
-``profile`` prints where the simulated time went.
+shape; the table of experiments is ``repro.experiments.EXPERIMENTS``.
+``trace`` writes Chrome trace-event JSON openable in Perfetto or
+``chrome://tracing``; ``profile`` prints where the simulated time went.
 """
 
 import argparse
@@ -29,161 +31,13 @@ import sys
 import time
 
 
-def _registry():
-    """Name -> (runner, formatter, checker, description).  Runners are
-    thunks at the default benchmark scales."""
-    from repro.experiments import (
-        block_pruning,
-        dpp_order_ablation,
-        fault_tolerance,
-        optimizer_eval,
-        fig2_indexing,
-        fig3_query,
-        fig7_reducers,
-        fig9_fundex,
-        filter_sensitivity,
-        ingest,
-        pipeline_ablation,
-        posting_skew,
-        serving,
-        skew_balance,
-        store_ablation,
-        table1_dyadic,
-        traffic,
-        view_warmup,
-    )
-
-    return {
-        "fig2": (
-            lambda: fig2_indexing.run(scale=0.0005, peer_scale=0.1),
-            fig2_indexing.format_rows,
-            fig2_indexing.check_shape,
-            "Figure 2: indexing time vs. published volume",
-        ),
-        "fig3": (
-            lambda: fig3_query.run(scale=0.001, num_peers=30),
-            fig3_query.format_rows,
-            fig3_query.check_shape,
-            "Figure 3: query response time with/without DPP",
-        ),
-        "traffic": (
-            lambda: traffic.run(scale=0.0003, num_peers=20, num_queries=50),
-            traffic.format_rows,
-            traffic.check_shape,
-            "Section 4.3: traffic of the 50-query workload",
-        ),
-        "postskew": (
-            lambda: posting_skew.run(sample_bytes=400_000),
-            posting_skew.format_rows,
-            posting_skew.check_shape,
-            "Section 4.3: posting-list skew",
-        ),
-        "skew": (
-            skew_balance.run,
-            skew_balance.format_rows,
-            skew_balance.check_shape,
-            "Load balancing: skewed-serving ablation (redistribution on/off)",
-        ),
-        "table1": (
-            lambda: table1_dyadic.run(scale=0.02),
-            table1_dyadic.format_rows,
-            None,
-            "Table 1: average dyadic cover size",
-        ),
-        "sensitivity": (
-            lambda: filter_sensitivity.run(docs=20),
-            filter_sensitivity.format_rows,
-            filter_sensitivity.check_shape,
-            "Section 5.4: filter sensitivity analysis",
-        ),
-        "fig7": (
-            lambda: fig7_reducers.run(num_peers=16, docs=30, doc_bytes=15_000),
-            fig7_reducers.format_rows,
-            fig7_reducers.check_shape,
-            "Figure 7: Bloom reducer data volumes",
-        ),
-        "fig9": (
-            lambda: fig9_fundex.run(scale=0.005, num_peers=8, matches=4),
-            fig9_fundex.format_rows,
-            fig9_fundex.check_shape,
-            "Figure 9: Fundex query times",
-        ),
-        "store": (
-            lambda: store_ablation.run(list_sizes=(5_000, 20_000, 80_000)),
-            store_ablation.format_rows,
-            store_ablation.check_shape,
-            "Section 3 ablation: PAST store vs. B+-tree vs. LSM",
-        ),
-        "ingest": (
-            ingest.run,
-            ingest.format_rows,
-            ingest.check_shape,
-            "Write-path ablation: batched vs doc-at-a-time publishing",
-        ),
-        "pipeline": (
-            lambda: pipeline_ablation.run(docs=30, num_peers=12),
-            pipeline_ablation.format_rows,
-            lambda r: pipeline_ablation.check_shape(r, min_ttfa_gain=2.0),
-            "Section 3 ablation: blocking vs. pipelined get",
-        ),
-        "dpporder": (
-            dpp_order_ablation.run,
-            dpp_order_ablation.format_rows,
-            dpp_order_ablation.check_shape,
-            "Section 4.1 ablation: ordered vs. random splits",
-        ),
-        "blocks": (
-            block_pruning.run,
-            block_pruning.format_rows,
-            block_pruning.check_shape,
-            "Section 4.2 ablation: eager vs window vs zone-map-lazy fetches",
-        ),
-        "optimizer": (
-            optimizer_eval.run,
-            optimizer_eval.format_rows,
-            optimizer_eval.check_shape,
-            "Strategy optimizer vs. fixed strategies",
-        ),
-        "views": (
-            view_warmup.run,
-            view_warmup.format_rows,
-            view_warmup.check_shape,
-            "Materialized views: repeated-query warmup crossover",
-        ),
-        "faults": (
-            fault_tolerance.run,
-            fault_tolerance.format_rows,
-            fault_tolerance.check_shape,
-            "Section 4.2 ablation: completeness/latency vs. crash rate",
-        ),
-        "serve": (
-            serving.run,
-            serving.format_rows,
-            serving.check_shape,
-            "Concurrent serving: saturation sweep with coalescing/admission",
-        ),
-    }
-
-
 def cmd_list(_args):
-    registry = _registry()
-    width = max(len(name) for name in registry)
-    for name, (_, _, _, description) in registry.items():
-        print("%-*s  %s" % (width, name, description))
+    from repro.experiments import EXPERIMENTS
+
+    width = max(len(name) for name in EXPERIMENTS)
+    for name, experiment in EXPERIMENTS.items():
+        print("%-*s  %s" % (width, name, experiment.description))
     return 0
-
-
-def _chart_for(name, result):
-    from repro.experiments import charts
-
-    renderers = {
-        "fig2": charts.chart_fig2,
-        "fig3": charts.chart_fig3,
-        "fig9": charts.chart_fig9,
-        "traffic": charts.chart_traffic,
-    }
-    renderer = renderers.get(name)
-    return renderer(result) if renderer else None
 
 
 def _jsonable(value):
@@ -198,89 +52,97 @@ def _jsonable(value):
 
 
 def cmd_run(args):
-    registry = _registry()
-    names = list(registry) if args.all else args.experiments
-    unknown = [n for n in names if n not in registry]
+    from repro.experiments import EXPERIMENTS
+
+    names = list(EXPERIMENTS) if args.all else args.experiments
+    unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print("unknown experiments: %s" % ", ".join(unknown), file=sys.stderr)
         return 2
     if not names:
         print("nothing to run; use --all or name experiments", file=sys.stderr)
         return 2
-    as_json = getattr(args, "json", False)
-    telemetry = getattr(args, "telemetry", False)
+    if args.telemetry and (args.check or args.write):
+        # telemetry adds slo/findings keys to the rows a baseline holds
+        print("--telemetry cannot be combined with --check/--write", file=sys.stderr)
+        return 2
     failed = []
     records = []
     for name in names:
-        runner, formatter, checker, description = registry[name]
-        if not as_json:
-            print("== %s ==" % description)
+        experiment = EXPERIMENTS[name]
+        if not args.json:
+            print("== %s ==" % experiment.description)
         started = time.time()
-        if telemetry and name in _TELEMETRY_EXPERIMENTS:
-            result = runner(telemetry=True)
+        if args.telemetry and "telemetry" in experiment.run_options:
+            result = experiment.run(telemetry=True)
         else:
-            if telemetry and name not in _TELEMETRY_EXPERIMENTS:
+            if args.telemetry:
                 print(
                     "note: %s does not support --telemetry; running plain"
                     % name,
                     file=sys.stderr,
                 )
-            result = runner()
-        shape_ok = None
+            result = experiment.run()
         shape_error = None
-        if checker is not None:
-            try:
-                checker(result)
-                shape_ok = True
-            except AssertionError as exc:
-                failed.append(name)
-                shape_ok = False
-                shape_error = str(exc)
+        try:
+            experiment.check(result)
+        except AssertionError as exc:
+            shape_error = str(exc)
         seconds = time.time() - started
-        if as_json:
+        diffs = None  # not compared
+        if experiment.baseline and shape_error is None:
+            if args.write:
+                with open(experiment.baseline, "w") as handle:
+                    handle.write(experiment.baseline_text(result))
+                print("wrote %s" % experiment.baseline, file=sys.stderr)
+            if args.check:
+                diffs = experiment.baseline_diffs(result)
+        if shape_error is not None or diffs:
+            failed.append(name)
+        if args.json:
             records.append(
                 {
                     "experiment": name,
-                    "description": description,
+                    "description": experiment.description,
                     "result": _jsonable(result),
-                    "shape_ok": shape_ok,
+                    "shape_ok": shape_error is None,
                     "shape_error": shape_error,
                     "seconds": seconds,
                 }
             )
-            continue
-        print(formatter(result))
-        if getattr(args, "chart", False):
-            chart = _chart_for(name, result)
-            if chart:
-                print(chart)
-        if shape_ok is True:
-            print("shape: OK")
-        elif shape_ok is False:
-            print("shape: FAILED (%s)" % shape_error)
-        print("(%.1fs)\n" % seconds)
-    if as_json:
+        else:
+            print(experiment.format(result))
+            if args.chart and experiment.chart:
+                print(experiment.chart(result))
+            if shape_error is None:
+                print("shape: OK")
+            else:
+                print("shape: FAILED (%s)" % shape_error)
+            if diffs is not None:
+                print(
+                    "baseline %s: %s"
+                    % (experiment.baseline, "FAILED" if diffs else "OK")
+                )
+            print("(%.1fs)\n" % seconds)
+        for diff in diffs or ():
+            print("%s: %s: %s" % (name, experiment.baseline, diff), file=sys.stderr)
+    if args.json:
         print(json.dumps(records, indent=2, sort_keys=True))
     if failed:
-        print("failed shapes: %s" % ", ".join(failed), file=sys.stderr)
+        print("failed: %s" % ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 
 
 def _demo_system():
     """The small shared corpus behind ``stats``/``trace``/``profile``."""
+    from repro.experiments.harness import dblp_network
     from repro.kadop.config import KadopConfig
-    from repro.kadop.system import KadopNetwork
-    from repro.workloads.dblp import DblpGenerator
 
     config = KadopConfig(
         replication=1, use_views=True, view_auto_materialize_after=2
     )
-    net = KadopNetwork.create(num_peers=12, config=config)
-    gen = DblpGenerator(seed=1, target_doc_bytes=8_000)
-    for i, doc in enumerate(gen.documents(10)):
-        net.peers[i % 6].publish(doc, uri="d:%d" % i)
-    return net
+    return dblp_network(config, 12, 10, 8_000, gen_seed=1)
 
 
 def _demo_queries(net):
@@ -329,7 +191,7 @@ def cmd_top(args):
     from repro.obs.slo import diagnose
     from repro.workloads.profiles import open_loop_workload, skewed_profile
 
-    net = skew_balance._network(args.peers, args.docs, args.seed, {})
+    net = skew_balance.network(args.peers, args.docs, args.seed, {})
     profile = skewed_profile(args.skew, num_queries=args.queries)
     arrivals = open_loop_workload(
         profile, args.rate, seed=args.seed, num_sources=3
@@ -380,37 +242,20 @@ def cmd_explain(args):
     return 0 if explain.reconcile()["ok"] else 1
 
 
-#: experiments whose run() takes a ``telemetry=`` kwarg (repro run --telemetry)
-_TELEMETRY_EXPERIMENTS = ("serve", "skew")
-
-#: experiments that accept an (optionally shared) tracer/metrics pair
-_TRACEABLE_EXPERIMENTS = ("views", "traffic")
-
-
 def _traced_run(target):
     """Run ``target`` with tracing on; returns ``(tracer, metrics)``.
 
     ``target`` is ``"demo"`` (the shared demo corpus and query mix), an
-    XPath query string (run once against the demo corpus), or one of the
-    traced experiments (%s).
-    """ % (", ".join(_TRACEABLE_EXPERIMENTS),)
+    experiment whose ``run`` takes a tracer, or an XPath query string (run
+    once against the demo corpus)."""
+    from repro.experiments import EXPERIMENTS
     from repro.obs import MetricsRegistry, Tracer
 
     tracer = Tracer()
     metrics = MetricsRegistry()
-    if target == "views":
-        from repro.experiments import view_warmup
-
-        view_warmup.run(tracer=tracer, metrics=metrics)
-        return tracer, metrics
-    if target == "traffic":
-        from repro.experiments import traffic
-
-        # the `repro run traffic` scale, so tracing stays interactive
-        traffic.run(
-            scale=0.0003, num_peers=20, num_queries=50, tracer=tracer,
-            metrics=metrics,
-        )
+    experiment = EXPERIMENTS.get(target)
+    if experiment is not None and "tracer" in experiment.run_options:
+        experiment.run(tracer=tracer, metrics=metrics)
         return tracer, metrics
     net = _demo_system()
     net.enable_tracing(tracer, metrics)
@@ -531,7 +376,15 @@ def cmd_demo(_args):
     return 0
 
 
+def _taking(option):
+    """Names of the experiments whose ``run`` accepts ``option``."""
+    from repro.experiments import EXPERIMENTS
+
+    return [n for n, e in EXPERIMENTS.items() if option in e.run_options]
+
+
 def main(argv=None):
+    traceable = _taking("tracer")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'XML processing in DHT networks' (ICDE 2008)",
@@ -555,7 +408,20 @@ def main(argv=None):
         "--telemetry",
         action="store_true",
         help="attach the telemetry sampler + SLO diagnostics to the "
-        "serving experiments (%s)" % ", ".join(_TELEMETRY_EXPERIMENTS),
+        "serving experiments (%s)" % ", ".join(_taking("telemetry")),
+    )
+    run_parser.add_argument(
+        "--check",
+        action="store_true",
+        help="regression gate: also compare every number of a result with "
+        "the experiment's committed BENCH_*.json (read from the working "
+        "directory); a leaf outside the tolerance exits 1",
+    )
+    run_parser.add_argument(
+        "--write",
+        action="store_true",
+        help="refresh the committed BENCH_*.json of each experiment run "
+        "that has one (written to the working directory)",
     )
     run_parser.set_defaults(func=cmd_run)
     sub.add_parser("demo", help="tiny end-to-end demo").set_defaults(func=cmd_demo)
@@ -625,11 +491,11 @@ def main(argv=None):
     trace_parser = sub.add_parser(
         "trace",
         help="record a Perfetto-compatible trace (demo, a query, or an "
-        "experiment: %s)" % ", ".join(_TRACEABLE_EXPERIMENTS),
+        "experiment: %s)" % ", ".join(traceable),
     )
     trace_parser.add_argument(
         "target", nargs="?", default="demo", help="demo | <xpath query> | %s"
-        % " | ".join(_TRACEABLE_EXPERIMENTS),
+        % " | ".join(traceable),
     )
     trace_parser.add_argument(
         "-o", "--out", default="trace.json", help="output path (trace.json)"
@@ -640,7 +506,7 @@ def main(argv=None):
     )
     profile_parser.add_argument(
         "target", nargs="?", default="demo", help="demo | <xpath query> | %s"
-        % " | ".join(_TRACEABLE_EXPERIMENTS),
+        % " | ".join(traceable),
     )
     profile_parser.add_argument(
         "--top", type=int, default=12, help="rows in the top-span table"

@@ -17,17 +17,17 @@ The workload makes the three modes separate cleanly:
   demands are not transferred (``lazy`` beats ``window``).
 
 All three modes must return identical answers; ``blocks_fetched +
-blocks_skipped`` is the same total everywhere.  The committed
-``BENCH_blocks.json`` doubles as a CI regression baseline: the lazy
-mode's ``blocks_fetched`` on this workload must never exceed it.
+blocks_skipped`` is the same total everywhere.  ``repro run blocks
+--check`` compares every number with the committed ``BENCH_blocks.json``.
 """
 
-import argparse
-import json
-
+from repro.experiments.harness import answer_sigs
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.sim.cost import CostParams
+
+DESCRIPTION = "Section 4.2 ablation: eager vs window vs zone-map-lazy fetches"
+BASELINE = "BENCH_blocks.json"
 
 MODES = ("eager", "window", "lazy")
 
@@ -69,9 +69,7 @@ def run(num_peers=12, docs=20, seed=0):
             "fetch_bytes": report.traffic.get("postings", 0),
             "index_time_s": report.index_time_s,
             "answers": len(answers),
-            "answers_sig": [
-                (a.peer, a.doc, repr(a.bindings)) for a in answers
-            ],
+            "answers_sig": answer_sigs(answers),
         }
     return results
 
@@ -119,56 +117,12 @@ def check_shape(results):
     # fewer blocks means fewer simulated bytes and less simulated time
     assert lazy["fetch_bytes"] < window["fetch_bytes"] < eager["fetch_bytes"]
     assert lazy["index_time_s"] < eager["index_time_s"]
-    return True
 
 
-def _strip(results):
-    """Drop the (bulky, order-sensitive) answer signatures for the JSON."""
+def baseline_rows(results):
+    """What ``BENCH_blocks.json`` holds: the rows without their (bulky,
+    order-sensitive) answer signatures."""
     return {
         mode: {k: v for k, v in row.items() if k != "answers_sig"}
         for mode, row in results.items()
     }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="eager vs window vs zone-map-lazy DPP block fetching"
-    )
-    parser.add_argument("--docs", type=int, default=20)
-    parser.add_argument("--peers", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out", help="write the result table to this JSON file"
-    )
-    parser.add_argument(
-        "--check",
-        help="regression gate: assert lazy blocks_fetched does not exceed "
-        "the committed baseline JSON",
-    )
-    args = parser.parse_args(argv)
-    results = run(num_peers=args.peers, docs=args.docs, seed=args.seed)
-    print(format_rows(results))
-    check_shape(results)
-    print("shape OK")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(_strip(results), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out)
-    if args.check:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        allowed = baseline["lazy"]["blocks_fetched"]
-        got = results["lazy"]["blocks_fetched"]
-        assert got <= allowed, (
-            "lazy blocks_fetched regressed: %d > baseline %d" % (got, allowed)
-        )
-        print(
-            "regression gate OK: lazy fetches %d blocks (baseline %d)"
-            % (got, allowed)
-        )
-    return results
-
-
-if __name__ == "__main__":
-    main()

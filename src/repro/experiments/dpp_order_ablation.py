@@ -16,6 +16,8 @@ from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.sim.cost import CostParams
 
+DESCRIPTION = "Section 4.1 ablation: ordered vs. random splits"
+
 
 def _network(ordered, num_peers, docs, seed):
     config = KadopConfig(
@@ -81,4 +83,3 @@ def check_shape(results):
     assert random_["blocks_skipped"] == 0
     assert ordered["blocks_fetched"] < random_["blocks_fetched"]
     assert ordered["time"] < random_["time"]
-    return True

@@ -16,23 +16,15 @@ for it with retry latency.
 
 import random
 
+from repro.experiments.harness import dblp_network
 from repro.faults import FaultPlan
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
+
+DESCRIPTION = "Section 4.2 ablation: completeness/latency vs. crash rate"
 
 QUERY = "//article//author"
 CRASH_RATES = (0.0, 0.05, 0.15)
 REPLICATIONS = (1, 2, 3)
-
-
-def _build(replication, num_peers, docs, seed):
-    config = KadopConfig(replication=replication)
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=6_000)
-    for i, doc in enumerate(gen.documents(docs)):
-        net.peers[i % (num_peers // 2)].publish(doc, uri="d:%d" % i)
-    return net
 
 
 def run(num_peers=12, docs=12, num_queries=8, seed=0):
@@ -41,7 +33,10 @@ def run(num_peers=12, docs=12, num_queries=8, seed=0):
     for replication in REPLICATIONS:
         per_rate = {}
         for crash_rate in CRASH_RATES:
-            net = _build(replication, num_peers, docs, seed)
+            net = dblp_network(
+                KadopConfig(replication=replication), num_peers, docs, 6_000,
+                seed=seed,
+            )
             baseline = len(net.query(QUERY))
             plan = FaultPlan(
                 seed=seed,

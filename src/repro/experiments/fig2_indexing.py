@@ -17,9 +17,11 @@ actually indexed).
 
 from dataclasses import dataclass
 
+from repro.experiments.harness import DblpCorpus
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
+
+DESCRIPTION = "Figure 2: indexing time vs. published volume"
 
 #: the paper's x-axis, in MB
 PAPER_SIZES_MB = (250, 500, 750, 1000)
@@ -56,25 +58,18 @@ def run_series(series, sizes_bytes, doc_bytes=20_000, seed=0, peer_scale=1.0):
         dpp_block_entries=2000,
     )
     net = KadopNetwork.create(num_peers=peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
+    corpus = DblpCorpus(net, series.publishers, doc_bytes, seed)
     per_publisher = [0.0] * series.publishers
-    published = 0
-    doc_index = 0
     checkpoints = []
     for target in sorted(sizes_bytes):
-        while published < target:
-            text = gen.document(doc_index)
-            publisher = doc_index % series.publishers
-            peer = net.peers[publisher % len(net.peers)]
-            receipt = peer.publish(text, uri="dblp:%d" % doc_index)
-            per_publisher[publisher] += receipt.duration_s
-            published += len(text)
-            doc_index += 1
-        checkpoints.append((published, max(per_publisher) / 60.0))
+        first = corpus.docs
+        for doc, receipt in enumerate(corpus.grow_to(target), first):
+            per_publisher[doc % series.publishers] += receipt.duration_s
+        checkpoints.append((corpus.bytes, max(per_publisher) / 60.0))
     return checkpoints
 
 
-def run(sizes_bytes=None, scale=0.002, seed=0, peer_scale=0.2, series=SERIES):
+def run(sizes_bytes=None, scale=0.0005, seed=0, peer_scale=0.1, series=SERIES):
     """The full Figure 2: ``{label: [(bytes, minutes)]}``.
 
     ``scale`` shrinks the paper's 250–1000 MB x-axis; ``peer_scale``
@@ -130,4 +125,3 @@ def check_shape(results):
     assert p25[-1][1] < last_one / 6
     assert p50[-1][1] < last_one / 10
     assert p50[-1][1] <= p25[-1][1] * 1.05
-    return True

@@ -8,10 +8,12 @@ DPP the list is spread over peers and fetched with degree-K parallelism,
 cutting response time by a factor of ~3 and flattening its growth.
 """
 
+from repro.experiments.harness import DblpCorpus
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.sim.cost import CostParams
-from repro.workloads.dblp import DblpGenerator
+
+DESCRIPTION = "Figure 3: query response time with/without DPP"
 
 PAPER_QUERY = "//article//author//Ullman"
 PAPER_KEYWORDS = ("Ullman",)
@@ -61,24 +63,18 @@ def run_variant(
         cost=cost or CostParams(),
     )
     net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
-    published = 0
-    doc_index = 0
+    corpus = DblpCorpus(net, publishers, doc_bytes, seed)
     points = []
     for target in sorted(sizes_bytes):
-        while published < target:
-            text = gen.document(doc_index)
-            net.peers[doc_index % publishers].publish(text, uri="d:%d" % doc_index)
-            published += len(text)
-            doc_index += 1
+        corpus.grow_to(target)
         answers, report = net.query_with_report(
             PAPER_QUERY, keyword_steps=PAPER_KEYWORDS
         )
-        points.append((published, report.index_time_s, len(answers)))
+        points.append((corpus.bytes, report.index_time_s, len(answers)))
     return points
 
 
-def run(sizes_bytes=None, scale=0.002, num_peers=50, seed=0, **kwargs):
+def run(sizes_bytes=None, scale=0.001, num_peers=30, seed=0, **kwargs):
     """Both series: ``{"with DPP": [...], "without DPP": [...]}``."""
     if sizes_bytes is None:
         sizes_bytes = [int(mb * 1_000_000 * scale) for mb in PAPER_SIZES_MB]
@@ -121,4 +117,3 @@ def check_shape(results, min_speedup=2.0):
     growth_without = without[-1][1] - without[0][1]
     growth_with = with_dpp[-1][1] - with_dpp[0][1]
     assert growth_with < growth_without / (min_speedup * 0.8)
-    return True

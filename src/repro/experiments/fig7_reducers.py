@@ -14,9 +14,10 @@ DB filters are initialized with basic false-positive rates of 20% and 1%
 respectively, as in Section 5.4.
 """
 
+from repro.experiments.harness import dblp_network
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
+
+DESCRIPTION = "Figure 7: Bloom reducer data volumes"
 
 QUERIES = {
     "a": ('//article[. contains "Ullman"]', ()),
@@ -25,16 +26,6 @@ QUERIES = {
 }
 
 STRATEGIES = ("ab", "db", "bloom")
-
-
-def build_network(num_peers=20, docs=40, doc_bytes=20_000, seed=0):
-    """A network with enough DBLP data for 'Ullman' to occur."""
-    config = KadopConfig(replication=1, ab_fp_rate=0.20, db_fp_rate=0.01)
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
-    for i, doc in enumerate(gen.documents(docs)):
-        net.peers[i % (num_peers // 2)].publish(doc, uri="d:%d" % i)
-    return net
 
 
 def _index_volume(report):
@@ -73,9 +64,11 @@ def run_query(net, query, keywords, include_subquery=False):
     return results
 
 
-def run(num_peers=20, docs=40, doc_bytes=20_000, seed=0):
-    """All three Figure 7 panels: ``{panel: {strategy: volumes}}``."""
-    net = build_network(num_peers=num_peers, docs=docs, doc_bytes=doc_bytes, seed=seed)
+def run(num_peers=16, docs=30, doc_bytes=15_000, seed=0):
+    """All three Figure 7 panels: ``{panel: {strategy: volumes}}``, over
+    enough DBLP data for 'Ullman' to occur."""
+    config = KadopConfig(replication=1, ab_fp_rate=0.20, db_fp_rate=0.01)
+    net = dblp_network(config, num_peers, docs, doc_bytes, seed=seed)
     return {
         "a": run_query(net, *QUERIES["a"]),
         "b": run_query(net, *QUERIES["b"]),
@@ -119,4 +112,3 @@ def check_shape(results):
     assert c["subquery"]["total"] < min(
         c["ab"]["total"], c["db"]["total"], c["bloom"]["total"]
     )
-    return True

@@ -22,6 +22,8 @@ from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.workloads.inex import InexGenerator
 
+DESCRIPTION = "Figure 9: Fundex query times"
+
 PAPER_SIZES = (5_000, 10_000, 15_000, 20_000, 25_000)
 
 
@@ -45,7 +47,7 @@ def _build(sizes, inline, num_peers, seed, matches):
         yield target, net, gen
 
 
-def run(sizes=None, scale=0.01, num_peers=10, seed=0, matches=10):
+def run(sizes=None, scale=0.005, num_peers=8, seed=0, matches=4):
     """``{technique: [(docs, seconds)]}`` for the three Figure 9 curves."""
     if sizes is None:
         sizes = [max(10, int(s * scale)) for s in PAPER_SIZES]
@@ -98,4 +100,3 @@ def check_shape(results):
     # the Fundex curves grow with the collection; inlining stays cheap
     assert simple[-1][1] > simple[0][1]
     assert inline[-1][1] < simple[-1][1] / 2
-    return True

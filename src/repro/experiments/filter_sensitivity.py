@@ -8,7 +8,8 @@ Findings reproduced here:
 * the AB filter stays below ~10% error even at ``fp[ψ] = 20%``;
 * the DB filter needs ``fp[ψ] < 5%`` to stay below 10%, degrading badly as
   ``fp[ψ]`` grows (its probe is a disjunction, the AB probe a conjunction);
-* the ψ trace function beats a single trace per level for equal size.
+* the ψ trace function beats a single trace per level (at equal filter
+  size: :mod:`repro.experiments.filter_same_size`).
 """
 
 from repro.bloom.analysis import empirical_fp_rate
@@ -19,10 +20,12 @@ from repro.postings.term_relation import label_key
 from repro.workloads.dblp import DblpGenerator
 from repro.xmldata.parser import parse_document
 
+DESCRIPTION = "Section 5.4: filter sensitivity analysis"
+
 FP_RATES = (0.01, 0.05, 0.10, 0.20, 0.30)
 
 
-def _corpus_lists(docs=20, doc_bytes=8_000, seed=0):
+def corpus_lists(docs=20, doc_bytes=8_000, seed=0):
     """Posting lists over a DBLP-like sample for the two probe scenarios.
 
     AB scenario ``article//author``: authors under the other record kinds
@@ -51,7 +54,7 @@ def _corpus_lists(docs=20, doc_bytes=8_000, seed=0):
     )
 
 
-def _true_descendants(la, lb):
+def true_descendants(la, lb):
     return {b for b in lb if any(a.is_ancestor_of(b) for a in la)}
 
 
@@ -74,8 +77,8 @@ def run(fp_rates=FP_RATES, docs=20, seed=0, psi_c=4):
 
     Returns ``[{fp, ab, ab_single_trace, db}]``.
     """
-    l_article, l_author, l_title, l_word = _corpus_lists(docs=docs, seed=seed)
-    true_desc = _true_descendants(l_article, l_author)
+    l_article, l_author, l_title, l_word = corpus_lists(docs=docs, seed=seed)
+    true_desc = true_descendants(l_article, l_author)
     true_anc = _true_ancestors_or_self(l_article, l_word)
     rows = []
     for fp in fp_rates:
@@ -130,60 +133,3 @@ def check_shape(rows):
     # psi beats the single-trace baseline at every rate
     for row in rows:
         assert row["ab"] <= row["ab_single_trace"] + 0.01
-    return True
-
-
-def run_same_size(budget_bits_per_posting=(4, 8, 16, 32), docs=20, seed=0, psi_c=4):
-    """The paper's equal-size ψ comparison (Section 5.1 / 5.4).
-
-    "For a filter of the same size, the proposed function achieved a lower
-    error rate compared to the default function that uses a single trace
-    per level."  Both AB variants get the same bit budget; ψ spends it on
-    replicated traces of wide intervals, the baseline on one trace per
-    level.  Returns ``[{bits_per_posting, filter_bytes, psi, single}]``.
-    """
-    l_article, l_author, _, _ = _corpus_lists(docs=docs, seed=seed)
-    true_desc = _true_descendants(l_article, l_author)
-    rows = []
-    for budget in budget_bits_per_posting:
-        bits = max(64, budget * len(l_article))
-        with_psi = AncestorBloomFilter(
-            l_article, fp_rate=0.2, psi_c=psi_c, seed=1, bits=bits
-        )
-        kept = with_psi.filter_postings(l_author)
-        psi_rate = empirical_fp_rate(len(kept), len(true_desc), len(l_author))
-
-        single = AncestorBloomFilter(
-            l_article, fp_rate=0.2, psi_c=None, seed=2, bits=bits
-        )
-        kept_single = single.filter_postings(l_author)
-        single_rate = empirical_fp_rate(
-            len(kept_single), len(true_desc), len(l_author)
-        )
-        rows.append(
-            {
-                "bits_per_posting": budget,
-                "filter_bytes": with_psi.size_bytes,
-                "psi": psi_rate,
-                "single": single_rate,
-            }
-        )
-    return rows
-
-
-def format_same_size(rows):
-    lines = ["%16s %14s %10s %14s" % ("bits/posting", "filter bytes", "psi", "single-trace")]
-    for row in rows:
-        lines.append(
-            "%16d %14d %10.4f %14.4f"
-            % (row["bits_per_posting"], row["filter_bytes"], row["psi"], row["single"])
-        )
-    return "\n".join(lines)
-
-
-def check_same_size(rows):
-    """ψ never loses at equal size, and wins where the budget is tight."""
-    for row in rows:
-        assert row["psi"] <= row["single"] + 0.02, row
-    assert any(row["psi"] < row["single"] - 0.02 for row in rows)
-    return True

@@ -19,25 +19,27 @@ invariant: every cell must serve byte-identical answers to the
 reference cell (btree, unbatched) on a shared query mix — batching and
 backend choice are performance models, never semantics changes.
 
-The committed ``BENCH_ingest.json`` doubles as the CI baseline: at
-batch size 32 the batched pipeline must cut routed insertion messages
-by at least :data:`MESSAGE_REDUCTION` on every backend.
+At batch size 32 the batched pipeline must cut routed insertion messages
+by at least :data:`MESSAGE_REDUCTION` on every backend; ``repro run
+ingest --check`` also compares every number with the committed
+``BENCH_ingest.json``.
 """
 
-import argparse
-import json
-
+from repro.experiments.harness import answer_sigs
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.workloads.dblp import DblpGenerator
 
-#: documents per ingest run — the batch size the CI gate quotes
+DESCRIPTION = "Write-path ablation: batched vs doc-at-a-time publishing"
+BASELINE = "BENCH_ingest.json"
+
+#: documents per ingest run, and the size of the one batch
 DOCS = 32
 
 BACKENDS = ("btree", "naive", "lsm")
 VARIANTS = ("unbatched", "batched")
 
-#: CI gate: unbatched routed messages / batched routed messages
+#: the floor on unbatched routed messages / batched routed messages
 MESSAGE_REDUCTION = 3.0
 
 #: the shared query mix every cell must answer identically
@@ -67,9 +69,7 @@ def _answer_sigs(net):
     sigs = []
     for query_text in QUERIES:
         answers, _report = net.query_with_report(query_text)
-        sigs.append(
-            sorted((a.peer, a.doc, repr(a.bindings)) for a in answers)
-        )
+        sigs.append(sorted(answer_sigs(answers)))
     return sigs
 
 
@@ -165,61 +165,3 @@ def check_shape(results):
             "%s: unbatched %d msgs < %.1fx batched %d msgs"
             % (backend, unb, MESSAGE_REDUCTION, bat)
         )
-    return True
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="ingest ablation: batched vs unbatched, three backends"
-    )
-    parser.add_argument("--peers", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out", help="write the result table to this JSON file"
-    )
-    parser.add_argument(
-        "--check",
-        help="regression gate: assert the routed-message reduction holds"
-        " against the committed baseline",
-    )
-    args = parser.parse_args(argv)
-    results = run(num_peers=args.peers, seed=args.seed)
-    print(format_rows(results))
-    check_shape(results)
-    print("shape OK")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out)
-    if args.check:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        for backend in BACKENDS:
-            committed = (
-                baseline[backend]["unbatched"]["messages"]
-                / max(1, baseline[backend]["batched"]["messages"])
-            )
-            got = (
-                results[backend]["unbatched"]["messages"]
-                / max(1, results[backend]["batched"]["messages"])
-            )
-            # the fixed floor always holds; the committed ratio may only
-            # erode by 10% (routing/count changes shift it slightly)
-            assert got >= MESSAGE_REDUCTION, (
-                "%s: reduction %.2fx below the %.1fx floor"
-                % (backend, got, MESSAGE_REDUCTION)
-            )
-            assert got >= committed * 0.9, (
-                "%s: reduction regressed: %.2fx < 90%% of committed %.2fx"
-                % (backend, got, committed)
-            )
-            print(
-                "regression gate OK: %s %.1fx reduction (committed %.1fx)"
-                % (backend, got, committed)
-            )
-    return results
-
-
-if __name__ == "__main__":
-    main()

@@ -9,9 +9,10 @@ closely and never pay much more than the baseline — while every fixed
 strategy loses badly on *some* query.
 """
 
+from repro.experiments.harness import dblp_network
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
+
+DESCRIPTION = "Strategy optimizer vs. fixed strategies"
 
 WORKLOAD = [
     ('//article[. contains "Ullman"]', ()),
@@ -26,22 +27,15 @@ WORKLOAD = [
 STRATEGIES = (None, "ab", "db", "bloom", "subquery")
 
 
-def build_network(num_peers=16, docs=30, doc_bytes=15_000, seed=0):
-    config = KadopConfig(replication=1)
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
-    for i, doc in enumerate(gen.documents(docs)):
-        net.peers[i % (num_peers // 2)].publish(doc, uri="d:%d" % i)
-    return net
-
-
 def _index_volume(report):
     return report.traffic.get("postings", 0) + report.traffic.get("filters", 0)
 
 
 def run(num_peers=16, docs=30, doc_bytes=15_000, seed=0, workload=WORKLOAD):
     """Per-query volumes: ``[{query, baseline, ab, ..., auto, chosen}]``."""
-    net = build_network(num_peers, docs, doc_bytes, seed)
+    net = dblp_network(
+        KadopConfig(replication=1), num_peers, docs, doc_bytes, seed=seed
+    )
     rows = []
     for query, keywords in workload:
         row = {"query": query}
@@ -105,4 +99,3 @@ def check_shape(rows):
     # and captures a real share of the oracle-best savings
     oracle = sum(min(row[name] for name in fixed) for row in rows)
     assert totals["auto"] <= (totals["baseline"] + oracle) / 2 * 1.15
-    return True

@@ -20,19 +20,22 @@ per-query answers must be byte-identical to running the same queries
 sequentially on an identical fresh network — concurrency is a
 performance model, never a semantics change.
 
-The committed ``BENCH_serve.json`` doubles as a CI regression baseline:
-at the top rate, coalescing must keep saving bytes and admission must
-keep p99 below the no-admission baseline.
+``repro run serve --check`` compares every number of the sweep with the
+committed ``BENCH_serve.json``.
 """
 
-import argparse
-import json
-
+from repro.experiments.harness import (
+    diagnostics_lines,
+    dblp_network,
+    serial_answer_sigs,
+    serve_row,
+)
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
 from repro.sim.cost import CostParams
-from repro.workloads.dblp import DblpGenerator
 from repro.workloads.profiles import REPEATED_QUERY_PROFILES, open_loop_workload
+
+DESCRIPTION = "Concurrent serving: saturation sweep with coalescing/admission"
+BASELINE = "BENCH_serve.json"
 
 #: queries/second of simulated time: light load, near-saturation, saturation
 RATES = (4.0, 16.0, 64.0)
@@ -47,9 +50,6 @@ VARIANTS = (
 #: sources the stream originates from — few, so ingress/CPU contention bites
 NUM_SOURCES = 3
 
-#: latency objective handed to the SLO tracker under ``--telemetry``
-SLO_OBJECTIVE_S = 0.8
-
 
 def _network(num_peers, docs, seed):
     # slow links (as in experiments.block_pruning) so per-query service
@@ -58,11 +58,10 @@ def _network(num_peers, docs, seed):
         replication=1,
         cost=CostParams(egress_bw=100_000.0, ingress_bw=600_000.0),
     )
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed + 1, target_doc_bytes=6_000)
-    for i in range(docs):
-        net.peers[i % num_peers].publish(gen.document(), uri="dblp:%d" % i)
-    return net
+    return dblp_network(
+        config, num_peers, docs, 6_000, publishers=num_peers, seed=seed,
+        gen_seed=seed + 1,
+    )
 
 
 def _arrivals(rate, queries, seed):
@@ -72,20 +71,13 @@ def _arrivals(rate, queries, seed):
     )[:queries]
 
 
-def _answer_sigs(answers_by_seq):
-    return {
-        seq: [(a.peer, a.doc, repr(a.bindings)) for a in answers]
-        for seq, answers in answers_by_seq.items()
-    }
-
-
 def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
     """``{rate: {variant: row}}`` plus the serial answer reference.
 
     ``telemetry=True`` attaches the serving-clock sampler + SLO tracker
     to every variant run and embeds ``slo`` / ``findings`` in its row.
-    Telemetry is strictly observational, so every benchmark number is
-    byte-identical either way (the CI gates read the same keys)."""
+    Telemetry is strictly observational, so every other number is
+    byte-identical either way."""
     from repro.obs import Tracer
 
     results = {}
@@ -93,34 +85,15 @@ def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
         arrivals = _arrivals(rate, queries, seed)
         # serial reference: the same queries, one at a time, on an
         # identical fresh network — the answers every variant must match
-        serial_net = _network(num_peers, docs, seed)
-        serial_sigs = {}
-        for seq, arrival in enumerate(arrivals):
-            answers, _ = serial_net.query_with_report(
-                arrival.query_text,
-                keyword_steps=arrival.keyword_steps,
-                peer=serial_net.peers[arrival.src],
-            )
-            serial_sigs[seq] = [
-                (a.peer, a.doc, repr(a.bindings)) for a in answers
-            ]
+        serial_sigs = serial_answer_sigs(
+            _network(num_peers, docs, seed), arrivals
+        )
         rows = {}
         for name, knobs in VARIANTS:
             net = _network(num_peers, docs, seed)
             tracer = net.enable_tracing(Tracer())
-            sampler = (
-                net.enable_telemetry(slo_objective_s=SLO_OBJECTIVE_S)
-                if telemetry
-                else None
-            )
-            result = net.serve(
-                arrivals,
-                max_inflight=knobs["max_inflight"],
-                policy="fifo",
-                coalesce=knobs["coalesce"],
-            )
-            sigs = _answer_sigs(
-                {q.seq: q.answers for q in result.queries}
+            result, row = serve_row(
+                net, arrivals, serial_sigs, telemetry, **knobs
             )
             # the tracer's patched query roots carry the served latency;
             # percentiles quoted below come from those spans
@@ -129,46 +102,12 @@ def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
                 for span in tracer.spans_by_cat("query")
                 if "latency_s" in span.args
             )
-            row = result.to_dict()
             row["span_latencies_match"] = (
                 span_latencies == result.latencies()
             )
-            row["answers_match_serial"] = sigs == serial_sigs
-            if sampler is not None:
-                from repro.obs.slo import diagnose
-
-                row["slo"] = sampler.slo.to_dict()
-                row["findings"] = [
-                    f.to_dict()
-                    for f in diagnose(
-                        sampler, sampler.slo, ledger=net.balance.ledger
-                    )
-                ]
             rows[name] = row
         results["%g" % rate] = rows
     return results
-
-
-def _diagnostics_lines(results, axis_keys, variants):
-    """Findings rows for :func:`format_rows`, when --telemetry ran."""
-    lines = []
-    for axis in axis_keys:
-        for name, _ in variants:
-            row = results[axis][name]
-            for f in row.get("findings", ()):
-                lines.append(
-                    "  %s/%s [%s] %s %.2f-%.2fs: %s"
-                    % (
-                        axis,
-                        name,
-                        f["severity"],
-                        f["kind"],
-                        f["t0_s"],
-                        f["t1_s"],
-                        f["detail"],
-                    )
-                )
-    return lines
 
 
 def format_rows(results):
@@ -196,13 +135,9 @@ def format_rows(results):
                     "OK" if row["answers_match_serial"] else "DIFF",
                 )
             )
-    extra = _diagnostics_lines(
-        results, ["%g" % r for r in RATES], VARIANTS
+    lines.extend(
+        diagnostics_lines(results, ["%g" % r for r in RATES], VARIANTS)
     )
-    if extra:
-        lines.append("")
-        lines.append("diagnostics (--telemetry):")
-        lines.extend(extra)
     return "\n".join(lines)
 
 
@@ -222,68 +157,3 @@ def check_shape(results):
     assert top["admit"]["p99_s"] < top["base"]["p99_s"]
     # queueing is where admission pays: waits exist under the bound
     assert top["admit"]["mean_queue_wait_s"] > 0
-    return True
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="open-loop serving saturation sweep"
-    )
-    parser.add_argument("--peers", type=int, default=10)
-    parser.add_argument("--docs", type=int, default=12)
-    parser.add_argument("--queries", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out", help="write the result table to this JSON file"
-    )
-    parser.add_argument(
-        "--check",
-        help="regression gate: assert the saturation-rate coalescing "
-        "savings and admission p99 hold against the committed baseline",
-    )
-    args = parser.parse_args(argv)
-    results = run(
-        num_peers=args.peers,
-        docs=args.docs,
-        queries=args.queries,
-        seed=args.seed,
-    )
-    print(format_rows(results))
-    check_shape(results)
-    print("shape OK")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out)
-    if args.check:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        top_rate = "%g" % RATES[-1]
-        base_top = baseline[top_rate]
-        got_top = results[top_rate]
-        # byte savings must not regress below the committed run's
-        saved_baseline = base_top["coalesce"]["coalesced_bytes_saved"]
-        saved_now = got_top["coalesce"]["coalesced_bytes_saved"]
-        assert saved_now >= saved_baseline, (
-            "coalescing savings regressed: %d < baseline %d"
-            % (saved_now, saved_baseline)
-        )
-        # admission p99 must stay below the no-admission baseline, with
-        # headroom no worse than the committed run's (2% slack for float
-        # differences across interpreter versions)
-        allowed = base_top["admit"]["p99_s"] * 1.02
-        got = got_top["admit"]["p99_s"]
-        assert got <= allowed, (
-            "admission p99 regressed: %.4f > allowed %.4f" % (got, allowed)
-        )
-        print(
-            "regression gate OK: saved %d bytes (baseline %d), "
-            "admit p99 %.4fs (allowed %.4fs)"
-            % (saved_now, saved_baseline, got, allowed)
-        )
-    return results
-
-
-if __name__ == "__main__":
-    main()

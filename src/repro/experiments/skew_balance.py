@@ -18,19 +18,22 @@ are the invariant: every variant must serve byte-identical answers to
 running the same queries serially on an identical fresh *unbalanced*
 network — balancing is a performance model, never a semantics change.
 
-The committed ``BENCH_skew.json`` doubles as a CI regression baseline:
-at Zipf exponents >= 1.0, balanced serving must beat unbalanced on p99
-latency by a fixed margin while holding throughput.
+``repro run skew --check`` compares every number of the sweep with the
+committed ``BENCH_skew.json``.
 """
 
-import argparse
-import json
-
+from repro.experiments.harness import (
+    diagnostics_lines,
+    dblp_network,
+    serial_answer_sigs,
+    serve_row,
+)
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
 from repro.sim.cost import CostParams
-from repro.workloads.dblp import DblpGenerator
 from repro.workloads.profiles import open_loop_workload, skewed_profile
+
+DESCRIPTION = "Load balancing: skewed-serving ablation (redistribution on/off)"
+BASELINE = "BENCH_skew.json"
 
 #: the sweep axis: uniform, skewed, heavily skewed
 SKEWS = (0.0, 1.0, 1.4)
@@ -42,14 +45,8 @@ QUERIES = 48
 NUM_SOURCES = 3
 
 #: balanced p99 must stay below this fraction of unbalanced p99 at
-#: Zipf >= 1.0 — the fixed margin the CI gate enforces
+#: Zipf >= 1.0
 P99_MARGIN = 0.95
-
-#: latency objective handed to the SLO tracker under ``--telemetry``;
-#: calibrated between the committed balanced (max p99 0.51s) and
-#: unbalanced (min p99 1.25s at Zipf >= 1.0) baselines, so diagnostics
-#: flag exactly the unbalanced skewed cells
-SLO_OBJECTIVE_S = 0.8
 
 _BALANCE_KNOBS = {
     "read_policy": "least_loaded",
@@ -65,7 +62,8 @@ VARIANTS = (
 )
 
 
-def _network(num_peers, docs, seed, knobs):
+def network(num_peers, docs, seed, knobs):
+    """The sweep's corpus on a network configured with ``knobs``."""
     # slow links (as in experiments.serving) so per-query service times
     # are long enough for arrivals to genuinely overlap; replication=2
     # gives the read fan-out a real replica set to spread over
@@ -75,11 +73,10 @@ def _network(num_peers, docs, seed, knobs):
         cost=CostParams(egress_bw=100_000.0, ingress_bw=600_000.0),
         **knobs,
     )
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed + 1, target_doc_bytes=6_000)
-    for i in range(docs):
-        net.peers[i % num_peers].publish(gen.document(), uri="dblp:%d" % i)
-    return net
+    return dblp_network(
+        config, num_peers, docs, 6_000, publishers=num_peers, seed=seed,
+        gen_seed=seed + 1,
+    )
 
 
 def _arrivals(skew, seed):
@@ -87,54 +84,28 @@ def _arrivals(skew, seed):
     return open_loop_workload(profile, RATE, seed=seed, num_sources=NUM_SOURCES)
 
 
-def _sigs(answers):
-    return [(a.peer, a.doc, repr(a.bindings)) for a in answers]
-
-
 def run(num_peers=10, docs=12, seed=0, telemetry=False):
     """``{skew: {variant: row}}``; every row carries the answer check.
 
     ``telemetry=True`` attaches the serving-clock sampler + SLO tracker
     to every variant run and embeds ``slo`` / ``findings`` in its row —
-    strictly observational, so the benchmark numbers (and the CI gate)
-    are byte-identical either way."""
+    strictly observational, so every other number is byte-identical
+    either way."""
     results = {}
     for skew in SKEWS:
         arrivals = _arrivals(skew, seed)
         # serial reference on a fresh *unbalanced* network: the answers
         # every variant (balanced included) must reproduce byte-for-byte
-        serial_net = _network(num_peers, docs, seed, {})
-        serial_sigs = {}
-        for seq, arrival in enumerate(arrivals):
-            answers, _ = serial_net.query_with_report(
-                arrival.query_text,
-                keyword_steps=arrival.keyword_steps,
-                peer=serial_net.peers[arrival.src],
-            )
-            serial_sigs[seq] = _sigs(answers)
+        serial_sigs = serial_answer_sigs(
+            network(num_peers, docs, seed, {}), arrivals
+        )
         rows = {}
         for name, knobs in VARIANTS:
-            net = _network(num_peers, docs, seed, knobs)
-            sampler = (
-                net.enable_telemetry(slo_objective_s=SLO_OBJECTIVE_S)
-                if telemetry
-                else None
+            net = network(num_peers, docs, seed, knobs)
+            _, row = serve_row(
+                net, arrivals, serial_sigs, telemetry, coalesce=False
             )
-            result = net.serve(arrivals, policy="fifo", coalesce=False)
-            sigs = {q.seq: _sigs(q.answers) for q in result.queries}
-            row = result.to_dict()
-            row["answers_match_serial"] = sigs == serial_sigs
             row["balance"] = net.balance.summary()
-            if sampler is not None:
-                from repro.obs.slo import diagnose
-
-                row["slo"] = sampler.slo.to_dict()
-                row["findings"] = [
-                    f.to_dict()
-                    for f in diagnose(
-                        sampler, sampler.slo, ledger=net.balance.ledger
-                    )
-                ]
             rows[name] = row
         results["%g" % skew] = rows
     return results
@@ -169,15 +140,9 @@ def format_rows(results):
                     "OK" if row["answers_match_serial"] else "DIFF",
                 )
             )
-    from repro.experiments.serving import _diagnostics_lines
-
-    extra = _diagnostics_lines(
-        results, ["%g" % s for s in SKEWS], VARIANTS
+    lines.extend(
+        diagnostics_lines(results, ["%g" % s for s in SKEWS], VARIANTS)
     )
-    if extra:
-        lines.append("")
-        lines.append("diagnostics (--telemetry):")
-        lines.extend(extra)
     return "\n".join(lines)
 
 
@@ -205,51 +170,3 @@ def check_shape(results):
             % (skew, balanced["p99_s"], P99_MARGIN, unbalanced["p99_s"])
         )
         assert balanced["throughput_qps"] >= unbalanced["throughput_qps"], skew
-    return True
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="skewed-serving ablation: redistribution on/off"
-    )
-    parser.add_argument("--peers", type=int, default=10)
-    parser.add_argument("--docs", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out", help="write the result table to this JSON file"
-    )
-    parser.add_argument(
-        "--check",
-        help="regression gate: assert the balanced-vs-unbalanced p99 "
-        "margin holds against the committed baseline",
-    )
-    args = parser.parse_args(argv)
-    results = run(num_peers=args.peers, docs=args.docs, seed=args.seed)
-    print(format_rows(results))
-    check_shape(results)
-    print("shape OK")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.out)
-    if args.check:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        top = "%g" % SKEWS[-1]
-        # balanced p99 must not regress above the committed run's (2%
-        # slack for float differences across interpreter versions)
-        allowed = baseline[top]["balanced"]["p99_s"] * 1.02
-        got = results[top]["balanced"]["p99_s"]
-        assert got <= allowed, (
-            "balanced p99 regressed: %.4f > allowed %.4f" % (got, allowed)
-        )
-        print(
-            "regression gate OK: balanced p99 %.4fs (allowed %.4fs)"
-            % (got, allowed)
-        )
-    return results
-
-
-if __name__ == "__main__":
-    main()

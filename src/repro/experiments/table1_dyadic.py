@@ -14,6 +14,17 @@ reported alongside for transparency.
 from repro.bloom.dyadic import dyadic_cover, level_for
 from repro.workloads.profiles import DATASET_PROFILES, generate_profile_document
 
+DESCRIPTION = "Table 1: average dyadic cover size"
+
+#: the paper's Table 1: ``{dataset: (average cover size, 2l)}``
+PAPER = {
+    "IMDB": (1.37, 32),
+    "XMark": (1.50, 34),
+    "SwissProt": (1.29, 42),
+    "NASA": (1.55, 38),
+    "DBLP": (1.23, 40),
+}
+
 #: scale factor applied to the Table 1 element counts (1.0 = full size)
 DEFAULT_SCALE = 0.02
 
@@ -79,3 +90,11 @@ def format_rows(rows):
             % (row["dataset"], row["elements"], row["avg_cover"], row["two_l"])
         )
     return "\n".join(lines)
+
+
+def check_shape(rows):
+    """Every row lands next to the paper's."""
+    for row in rows:
+        paper_cover, paper_two_l = PAPER[row["dataset"]]
+        assert abs(row["avg_cover"] - paper_cover) < 0.25, row
+        assert abs(row["two_l"] - paper_two_l) <= 4, row

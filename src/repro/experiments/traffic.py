@@ -7,10 +7,12 @@ linear in the indexed volume, which is the observation motivating the
 Bloom filter work of Section 5.
 """
 
+from repro.experiments.harness import DblpCorpus
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
 from repro.workloads.queries import traffic_workload
+
+DESCRIPTION = "Section 4.3: traffic of the 50-query workload"
 
 PAPER_SIZES_MB = (200, 400, 600, 800)
 PAPER_TRAFFIC_MB = (32, 66, 95, 127)
@@ -18,8 +20,8 @@ PAPER_TRAFFIC_MB = (32, 66, 95, 127)
 
 def run(
     sizes_bytes=None,
-    scale=0.001,
-    num_peers=50,
+    scale=0.0003,
+    num_peers=20,
     num_queries=50,
     publishers=10,
     doc_bytes=20_000,
@@ -44,24 +46,18 @@ def run(
     net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
     if tracer is not None:
         net.enable_tracing(tracer, metrics)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
+    corpus = DblpCorpus(net, publishers, doc_bytes, seed)
     workload = traffic_workload(num_queries, seed=seed)
-    published = 0
-    doc_index = 0
     points = []
     for target in sorted(sizes_bytes):
-        while published < target:
-            text = gen.document(doc_index)
-            net.peers[doc_index % publishers].publish(text, uri="d:%d" % doc_index)
-            published += len(text)
-            doc_index += 1
+        corpus.grow_to(target)
         snapshot = net.meter.snapshot()
         for i, (query, keywords) in enumerate(workload):
             src = net.peers[i % len(net.peers)]
             net.query(query, keyword_steps=keywords, peer=src)
         delta = net.meter.delta_since(snapshot)
         traffic = sum(delta.values())
-        points.append((published, traffic))
+        points.append((corpus.bytes, traffic))
     return points
 
 
@@ -80,4 +76,3 @@ def check_shape(points):
     # strictly increasing
     volumes = [t for _, t in points]
     assert volumes == sorted(volumes)
-    return True

@@ -19,22 +19,15 @@ and verifies on every single query that both networks return
 element-for-element identical answers.
 """
 
+from repro.experiments.harness import dblp_network
 from repro.kadop.config import KadopConfig
-from repro.kadop.system import KadopNetwork
-from repro.workloads.dblp import DblpGenerator
 from repro.workloads.profiles import REPEATED_QUERY_PROFILES, zipfian_query_workload
+
+DESCRIPTION = "Materialized views: repeated-query warmup crossover"
 
 
 def _mean(values):
     return sum(values) / len(values) if values else 0.0
-
-
-def _build(config, num_peers, num_docs, doc_bytes, publishers, seed):
-    net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
-    gen = DblpGenerator(seed=seed, target_doc_bytes=doc_bytes)
-    for i, text in enumerate(gen.documents(num_docs)):
-        net.peers[i % publishers].publish(text, uri="d:%d" % i)
-    return net
 
 
 def run(
@@ -68,8 +61,8 @@ def run(
         use_views=True,
         view_auto_materialize_after=materialize_after,
     )
-    base_net = _build(base_config, num_peers, num_docs, doc_bytes, publishers, seed)
-    view_net = _build(view_config, num_peers, num_docs, doc_bytes, publishers, seed)
+    base_net = dblp_network(base_config, num_peers, num_docs, doc_bytes, publishers, seed)
+    view_net = dblp_network(view_config, num_peers, num_docs, doc_bytes, publishers, seed)
     if tracer is not None:
         view_net.enable_tracing(tracer, metrics)
 
@@ -217,4 +210,3 @@ def check_shape(result):
         "payback only after the cold phase: %r" % result["crossover"]
     )
     assert result["cumulative_on_bytes"] < result["cumulative_off_bytes"]
-    return True

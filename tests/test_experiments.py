@@ -1,18 +1,27 @@
-"""Smoke tests for every experiment driver, at tiny scale.
+"""Smoke tests for every experiment driver, at tiny scale, and for the
+table that lists them.
 
-The full-scale shape assertions run in ``benchmarks/``; here each driver is
-exercised end-to-end quickly so a broken driver fails the unit suite, and
-cheap invariants (determinism, answer consistency) are verified.
+The full-scale shape assertions run in ``repro run --all --check`` (CI) and
+``benchmarks/``; here each driver is exercised end-to-end quickly so a
+broken driver fails the unit suite, and cheap invariants (determinism,
+answer consistency) are verified.
 """
+
+import importlib
+import os
+import pkgutil
 
 import pytest
 
+import repro.experiments
 from repro.experiments import (
+    EXPERIMENTS,
     dpp_order_ablation,
     fig2_indexing,
     fig3_query,
     fig7_reducers,
     fig9_fundex,
+    filter_same_size,
     filter_sensitivity,
     pipeline_ablation,
     posting_skew,
@@ -84,7 +93,7 @@ class TestTraffic:
             sizes_bytes=[40_000, 80_000], num_peers=10, num_queries=8
         )
         assert len(points) == 2
-        assert traffic.check_shape(points)
+        traffic.check_shape(points)
 
     def test_format(self):
         points = [(100_000, 50_000)]
@@ -94,7 +103,7 @@ class TestTraffic:
 class TestPostingSkew:
     def test_small_sample(self):
         results = posting_skew.run(sample_bytes=100_000)
-        assert posting_skew.check_shape(results)
+        posting_skew.check_shape(results)
 
     def test_format(self):
         text = posting_skew.format_rows(posting_skew.run(sample_bytes=60_000))
@@ -140,7 +149,7 @@ class TestFig7:
 class TestFig9:
     def test_tiny_run_ordering(self):
         results = fig9_fundex.run(sizes=[12, 24], num_peers=6, matches=2)
-        assert fig9_fundex.check_shape(results)
+        fig9_fundex.check_shape(results)
 
     def test_format(self):
         results = {"Inlining": [(10, 0.5)]}
@@ -171,21 +180,49 @@ class TestPipelineAblation:
 class TestDppOrderAblation:
     def test_full_shape(self):
         results = dpp_order_ablation.run(num_peers=10, docs=12)
-        assert dpp_order_ablation.check_shape(results)
+        dpp_order_ablation.check_shape(results)
 
 
 class TestSameSizeSweep:
     def test_psi_wins_at_equal_size(self):
-        rows = filter_sensitivity.run_same_size(
-            budget_bits_per_posting=(8, 16), docs=8
-        )
+        rows = filter_same_size.run(budget_bits_per_posting=(8, 16), docs=8)
         assert len(rows) == 2
         for row in rows:
             assert 0 <= row["psi"] <= 1
             assert row["filter_bytes"] > 0
 
     def test_format(self):
-        rows = filter_sensitivity.run_same_size(
-            budget_bits_per_posting=(8,), docs=6
-        )
-        assert "single-trace" in filter_sensitivity.format_same_size(rows)
+        rows = filter_same_size.run(budget_bits_per_posting=(8,), docs=6)
+        assert "single-trace" in filter_same_size.format_rows(rows)
+
+
+class TestTable:
+    def test_every_driver_is_in_the_table(self):
+        listed = [row.module for row in EXPERIMENTS.values()]
+        assert len(set(listed)) == len(listed), "a driver is listed twice"
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(
+                "repro.experiments." + info.name
+            )
+            if hasattr(module, "run"):
+                assert module in listed, "%s is not in EXPERIMENTS" % info.name
+
+    def test_every_row_is_complete(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for name, row in EXPERIMENTS.items():
+            assert row.name == name and row.description
+            assert callable(row.run) and callable(row.format)
+            assert callable(row.check), "%s has no shape predicate" % name
+            if row.baseline is not None:
+                assert os.path.exists(os.path.join(root, row.baseline)), name
+
+    def test_store_predicate_tells_quadratic_from_linear(self):
+        # 4x the data: PAST-style 16x, B+-tree 4x, as measured
+        rows = [(20_000, 1.0, 0.25, 4.0, 0.2), (80_000, 16.0, 1.0, 16.0, 0.8)]
+        store_ablation.check_shape(rows, min_final_speedup=10.0)
+        linear_naive = [rows[0], (80_000, 4.4, 0.25, 17.6, 0.2)]
+        with pytest.raises(AssertionError, match="not quadratic"):
+            store_ablation.check_shape(linear_naive, min_final_speedup=10.0)
+        quadratic_btree = [rows[0], (80_000, 80.0, 4.0, 20.0, 0.8)]
+        with pytest.raises(AssertionError, match="not linear"):
+            store_ablation.check_shape(quadratic_btree, min_final_speedup=10.0)
