@@ -38,16 +38,20 @@ telemetry-smoke:
 	print('telemetry.json: %d series, %d samples OK' % (len(p['series']), p['samples_taken']))"
 	$(PY) -m repro explain "//article//author" > /dev/null && echo "explain: reconciled OK"
 
-# behaviour digests of QueryExecutor (one line per configuration) and of
-# DhtNetwork (one line per seeded fault script): they must not depend on
-# the hash seed and must equal the committed benchmarks/differential.digests.
+# behaviour digests of QueryExecutor (one line per configuration), of
+# DhtNetwork (one line per seeded fault script) and of the index write path
+# (write_differential.py, one line per configuration: red when a publish
+# receipt, removed count, meter total, stored posting or stamp, DPP root
+# entry, view block or answer moves): they must not depend on the hash seed
+# and must equal the committed benchmarks/differential.digests.
 # A deliberate behaviour change refreshes that file in the same diff and
 # says in CHANGES.md which line moved and why
 differential:
 	mkdir -p .bench_out
 	for seed in 1 2; do \
 		( PYTHONHASHSEED=$$seed $(PY) benchmarks/executor_differential.py && \
-		  PYTHONHASHSEED=$$seed $(PY) benchmarks/dht_differential.py ) \
+		  PYTHONHASHSEED=$$seed $(PY) benchmarks/dht_differential.py && \
+		  PYTHONHASHSEED=$$seed $(PY) benchmarks/write_differential.py ) \
 			> .bench_out/differential.$$seed || exit 1; \
 	done
 	cmp .bench_out/differential.1 .bench_out/differential.2

@@ -53,10 +53,8 @@ class LoadBalancer:
         read_policy="owner",
         hot_key_threshold=None,
         hot_key_copies=1,
-        decay=0.5,
         rebalance_interval_s=None,
         rebalance_overload=2.0,
-        rebalance_max_keys=2,
     ):
         if read_policy not in READ_POLICIES:
             raise ValueError("unknown read policy %r" % (read_policy,))
@@ -65,13 +63,8 @@ class LoadBalancer:
         self.hot_key_threshold = hot_key_threshold
         self.hot_key_copies = hot_key_copies
         self.rebalance_interval_s = rebalance_interval_s
-        self.ledger = LoadLedger(decay=decay)
-        self.rebalancer = Rebalancer(
-            net,
-            self.ledger,
-            overload=rebalance_overload,
-            max_keys=rebalance_max_keys,
-        )
+        self.ledger = LoadLedger()
+        self.rebalancer = Rebalancer(net, self.ledger, overload=rebalance_overload)
         self.extras = {}  # store key -> [nodes] holding extra hot copies
         self._rr = {}  # store key -> round-robin cursor
         self.promotions = 0

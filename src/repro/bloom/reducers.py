@@ -106,12 +106,10 @@ class BloomReducers:
         return node.axis is Axis.DESCENDANT_OR_SELF
 
     def _ab_filter(self, run, node_id):
-        config = self.system.config
         return AncestorBloomFilter(
             run.lists[node_id],
             l=run.level,
-            fp_rate=config.ab_fp_rate,
-            psi_c=config.psi_c,
+            fp_rate=self.system.config.ab_fp_rate,
             seed=node_id + 1,
         )
 

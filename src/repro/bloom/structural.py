@@ -52,6 +52,10 @@ def _interval_rows(postings):
     return ((p.peer, p.doc, p.start, p.end) for p in postings)
 
 
+#: the c of ψ(j) = ceil(1 + j/c) the deployed filters use (Section 5.1)
+PSI_C = 4
+
+
 def psi(level, c):
     """The trace function ψ(j) = ceil(1 + j/c) of Section 5.1.
 
@@ -70,7 +74,7 @@ class AncestorBloomFilter:
     "filter of the same size" comparisons), with the hash count re-derived
     from the actual load."""
 
-    def __init__(self, postings, l=None, fp_rate=0.20, psi_c=4, seed=0, bits=None):
+    def __init__(self, postings, l=None, fp_rate=0.20, psi_c=PSI_C, seed=0, bits=None):
         self.psi_c = psi_c
         self.l = l if l is not None else _level_of_postings(postings)
         self._psi = [psi(level, psi_c) for level in range(self.l + 1)]

@@ -311,7 +311,7 @@ class DhtNetwork:
         moved = 0
         if key in source.store:
             postings = source.store.get(key)
-            self._sync_copy(target, key, postings, version)
+            self.sync_copy(target, key, postings, version)
             moved = encoded_size(postings)
             self.meter.record("postings", moved)
         if key in source.objects:
@@ -381,7 +381,7 @@ class DhtNetwork:
                         and node.store.count(key) >= len(reference)
                     ):
                         continue
-                    self._sync_copy(node, key, reference, version)
+                    self.sync_copy(node, key, reference, version)
                     self.meter.record("postings", nbytes)
                     report.copies_made += 1
                     report.bytes_copied += nbytes
@@ -412,18 +412,55 @@ class DhtNetwork:
         return report
 
     @staticmethod
-    def _sync_copy(target, key, postings, version):
-        """Replace ``target``'s copy of ``key`` with ``postings``.
+    def sync_copy(target, key, postings, version, replace=True):
+        """Make ``postings`` ``target``'s copy of ``key`` at ``version``;
+        ``replace=False`` appends to the copy instead.
 
         Delete-then-append rather than ``put``: the naive store's put has
         read-reconcile-*extend* semantics, which would duplicate postings
         when reconciling a stale copy.  ``version`` is the stamp of the
         copy being propagated — the target copy inherits it, not a fresh
         one (a repair copy is the *same* logical write, moved)."""
-        if key in target.store:
+        if replace and key in target.store:
             target.store.delete(key)
         target.store.append(key, postings)
         target.versions[key] = version
+
+    def timed_store_op(self, receipt, store, op, *args):
+        """Run ``store.<op>(*args)`` and charge ``receipt`` the simulated
+        seconds of its disk traffic and store ops; returns its result."""
+        before = store.stats.snapshot()
+        result = getattr(store, op)(*args)
+        receipt.duration_s += store.stats.delta_since(before).cost_seconds(self.cost)
+        return result
+
+    def write_at(self, holder, key, postings, receipt, replace=False):
+        """Write ``postings`` under ``key`` at a known ``holder`` and on the
+        rest of the key's replica set, as one logical write.
+
+        The rule for a write whose destination is already resolved (a DPP
+        block, named by the root), where :meth:`_apply` is the rule for a
+        routed one: one fresh stamp on every copy, the holder's store time
+        charged to ``receipt``, and per other member of
+        :meth:`replica_nodes` one direct transfer, metered and timed but
+        (unlike :meth:`_replicate`) neither billed as request bytes nor
+        shown to the balancer.  ``replace`` rewrites the copies (a split's
+        lower half) instead of appending: a replica that merely appended
+        would keep the pre-split block, a copy that is larger (hence "more
+        complete" to anti-entropy repair) yet stale."""
+        stamp = self.next_stamp()
+        if replace:
+            holder.store.delete(key)
+        self.timed_store_op(receipt, holder.store, "append", key, postings)
+        holder.versions[key] = stamp
+        if self.replication > 1:  # a lone copy has no replica set to look up
+            payload = encoded_size(postings)
+            for backup in self.replica_nodes(key):
+                if backup is holder:
+                    continue
+                self.sync_copy(backup, key, postings, stamp, replace)
+                self.meter.record("postings", payload)
+                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
 
     def alive_nodes(self):
         return [n for n in self.nodes if n.alive]
@@ -763,6 +800,25 @@ class DhtNetwork:
 
     # -- the DHT API -----------------------------------------------------------------
 
+    def _meter_route(self, category, nbytes, hops, receipt, applies=True):
+        """A request of ``nbytes`` walked ``hops`` overlay hops: meter
+        ``nbytes × max(1, hops)`` under ``category`` and bill ``receipt``
+        the hops and the same bytes (a lookup, ``applies=False``, bills
+        the envelope once).  Returns the bytes on the wire."""
+        wire = nbytes * max(1, hops)  # multi-hop routed request
+        self.meter.record(category, wire)
+        receipt.hops += hops
+        receipt.request_bytes += wire if applies else nbytes
+        return wire
+
+    def charge_route(self, category, nbytes, hops, receipt):
+        """Account for ``nbytes`` shipped along a :meth:`route` of ``hops``
+        that drew no message fates: the wire bytes, the receipt, and the
+        transfer time.  The DPP and the view store send their blocks this
+        way (whether those sends should draw fates is ROADMAP 6.4)."""
+        self._meter_route(category, nbytes, hops, receipt)
+        receipt.duration_s += self.cost.transfer_time(nbytes, hops=max(1, hops))
+
     def _deliver_request(self, op, src, key, category, nbytes, idx, applies=True):
         """Route a request of ``nbytes`` to ``key``'s owner until it arrives.
 
@@ -779,10 +835,7 @@ class DhtNetwork:
         attempt = 0
         while True:
             owner, hops = self.route(src, key, fault_idx=idx)
-            wire = nbytes * max(1, hops)  # multi-hop routed request
-            self.meter.record(category, wire)
-            receipt.hops += hops
-            receipt.request_bytes += wire if applies else nbytes
+            wire = self._meter_route(category, nbytes, hops, receipt, applies)
             if plan is None:
                 break
             fate = plan.request_fate(idx, attempt)
@@ -857,14 +910,14 @@ class DhtNetwork:
 
     def append(self, src, key, postings, replicate=True):
         """The Section 3 extension: linear-cost posting insertion."""
-        return self._write("append", src, key, _as_plist(postings), replicate)
+        return self._write("append", src, key, PostingList.of(postings), replicate)
 
     def put(self, src, key, postings, replicate=True):
         """The *original* DHT insert: read old value, reconcile, rewrite.
 
         Kept verbatim so the store ablation can measure the quadratic
         behaviour the paper had to engineer away."""
-        return self._write("put", src, key, _as_plist(postings), replicate)
+        return self._write("put", src, key, PostingList.of(postings), replicate)
 
     def _write(self, op, src, key, postings, replicate):
         """Shared body of ``append`` and ``put`` (they differ only in the
@@ -892,7 +945,7 @@ class DhtNetwork:
         Under an active FaultPlan the direct transfer can be dropped (resend
         after backoff) or the owner can crash before applying it (the retry
         re-routes to the successor, charging a fresh control round)."""
-        postings = _as_plist(postings)
+        postings = PostingList.of(postings)
         plan = self.faults
         idx = (
             plan.begin_op(self, "append_batch", key) if plan is not None else None
@@ -915,9 +968,7 @@ class DhtNetwork:
                 plan.stats.retries += 1
                 attempt = self._attempt_lost(key, "append_batch", attempt, receipt)
                 owner, hops = self.route(src, key, fault_idx=idx)
-                self.meter.record("control", CONTROL_BYTES * max(1, hops))
-                receipt.hops += hops
-                receipt.request_bytes += CONTROL_BYTES
+                self._meter_route("control", CONTROL_BYTES, hops, receipt, applies=False)
                 receipt.duration_s += self.cost.transfer_time(
                     CONTROL_BYTES, hops=max(1, hops)
                 )
@@ -934,12 +985,8 @@ class DhtNetwork:
         """Apply a delivered write at ``owner`` under a fresh stamp, charge
         the store time to ``receipt``, and push it to the backups."""
         stamp = self.next_stamp()
-        before = owner.store.stats.snapshot()
-        getattr(owner.store, store_op)(key, postings)
+        self.timed_store_op(receipt, owner.store, store_op, key, postings)
         owner.versions[key] = stamp
-        receipt.duration_s += owner.store.stats.delta_since(before).cost_seconds(
-            self.cost
-        )
         if self.balancer is not None:
             self.balancer.on_write(key, owner, payload)
         if replicate:
@@ -1216,9 +1263,3 @@ class DhtNetwork:
             # tiny control objects: metered for utilization, never promoted
             self.balancer.on_read(key, holder, nbytes, promote=False)
         return obj, receipt
-
-
-def _as_plist(postings):
-    if isinstance(postings, PostingList):
-        return postings
-    return PostingList(postings)

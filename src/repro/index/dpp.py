@@ -56,17 +56,6 @@ class ZoneMap:
         self.max_level = max_level
 
     @classmethod
-    def of_group(cls, group):
-        """Exact zone map of a batch of postings."""
-        return cls(
-            len(group),
-            min(p.start for p in group),
-            max(p.start for p in group),
-            min(p.level for p in group),
-            max(p.level for p in group),
-        )
-
-    @classmethod
     def of_list(cls, plist):
         """Exact zone map of a PostingList, straight off the columns."""
         cols = plist.columns()
@@ -75,18 +64,14 @@ class ZoneMap:
             min(cols.level), max(cols.level),
         )
 
-    def widen(self, group, count):
+    def widen(self, plist, count):
         """Absorb an appended batch; ``count`` is the block's exact size."""
+        cols = plist.columns()
         self.count = count
-        for p in group:
-            if p.start < self.min_start:
-                self.min_start = p.start
-            if p.start > self.max_start:
-                self.max_start = p.start
-            if p.level < self.min_level:
-                self.min_level = p.level
-            if p.level > self.max_level:
-                self.max_level = p.level
+        self.min_start = min(self.min_start, min(cols.start))
+        self.max_start = max(self.max_start, max(cols.start))
+        self.min_level = min(self.min_level, min(cols.level))
+        self.max_level = max(self.max_level, max(cols.level))
 
     def __repr__(self):
         return "ZoneMap(n=%d, start=[%d,%d], level=[%d,%d])" % (
@@ -317,68 +302,50 @@ class DppIndex:
         the holder of the block's pseudo-key — splitting blocks that
         overflow.  ``doc_type`` (Section 4.1) tags the touched blocks with
         the publishing document's type."""
-        postings = (
-            postings if isinstance(postings, PostingList) else PostingList(postings)
-        )
+        postings = PostingList.of(postings)
         if not len(postings):
             return OpReceipt()
         owner, hops = self.net.route(src, term_key)
-        payload = encoded_size(postings)
-        self.net.meter.record("postings", payload * max(1, hops))
-        receipt = OpReceipt(
-            hops=hops,
-            request_bytes=payload * max(1, hops),
-            duration_s=self.net.cost.transfer_time(payload, hops=max(1, hops)),
-        )
+        receipt = OpReceipt()
+        self.net.charge_route("postings", encoded_size(postings), hops, receipt)
         root = self._root_at(owner, term_key, create=True)
 
         # group the batch by target block: by range condition (ordered
         # mode) or by hash (the random-scattering alternative of §4.1)
-        groups = {}
         if self.ordered_splits:
             # conditions partition the (p, d, sid) order and the batch is
             # sorted, so per-entry membership is a consecutive slice: one
             # batched bisect over the condition upper bounds replaces the
             # per-posting entry scan
-            items = list(postings)
-            n = len(items)
-            bounded = []
-            catch_all = None
-            for entry in root.entries:
-                if entry.condition is None:
-                    catch_all = entry  # absorbs everything not caught above
-                    break
-                bounded.append(entry)
-            cuts = (
-                postings.columns().batch_bisect_right(
-                    [tuple(entry.condition.hi) for entry in bounded]
+            entries = root.entries
+            if entries[0].condition is None:
+                cuts = [len(postings)]  # a fresh root: one unbounded block
+            else:
+                cuts = postings.columns().batch_bisect_right(
+                    [tuple(entry.condition.hi) for entry in entries]
                 )
-                if bounded
-                else []
-            )
+                # the last block absorbs what sorts above every condition
+                cuts[-1] = len(postings)
+            groups = []
             lo = 0
-            for entry, cut in zip(bounded, cuts):
-                if lo >= n:
-                    break
+            for entry, cut in zip(entries, cuts):
                 if cut > lo:
-                    groups[entry.seq] = (entry, items[lo:cut])
+                    groups.append((entry, postings[lo:cut]))
                     lo = cut
-            if lo < n:
-                entry = catch_all if catch_all is not None else root.entries[-1]
-                held = groups.get(entry.seq)
-                if held is not None:
-                    held[1].extend(items[lo:])
-                else:
-                    groups[entry.seq] = (entry, items[lo:])
         else:
             from repro.util.hashing import stable_hash
 
+            scattered = {}
             for posting in postings:
                 pick = stable_hash(repr(tuple(posting)), seed=7) % len(root.entries)
                 entry = root.entries[pick]
-                groups.setdefault(entry.seq, (entry, []))[1].append(posting)
+                scattered.setdefault(entry.seq, (entry, []))[1].append(posting)
+            groups = [
+                (entry, PostingList(group, presorted=True))
+                for entry, group in scattered.values()
+            ]
 
-        for entry, group in groups.values():
+        for entry, group in groups:
             if doc_type is not None:
                 entry.types.add(doc_type)
             receipt.merge(self._append_to_block(owner, root, entry, group))
@@ -420,10 +387,7 @@ class DppIndex:
             reference = reference.merge(current)
             if len(reference) == len(current):
                 return
-        if store_key in holder.store:
-            holder.store.delete(store_key)
-        holder.store.append(store_key, reference)
-        holder.versions[store_key] = version
+        self.net.sync_copy(holder, store_key, reference, version)
         payload = encoded_size(reference)
         self.net.meter.record("postings", payload)
         receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
@@ -437,38 +401,22 @@ class DppIndex:
             self.net.meter.record("postings", payload)
             receipt.request_bytes += payload
             receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
-        stamp = self.net.next_stamp()
-        before = holder.store.stats.snapshot()
-        holder.store.append(store_key, group)
-        holder.versions[store_key] = stamp
-        receipt.duration_s += holder.store.stats.delta_since(before).cost_seconds(
-            self.net.cost
-        )
         # DPP blocks enjoy the DHT's reliability replication like any other
         # key (Section 4.2: "the DHT does replicate its index for
         # reliability"); the popularity replicas are a separate mechanism
-        if self.net.replication > 1:
-            payload = encoded_size(group)
-            for backup in self.net.replica_nodes(store_key):
-                if backup is holder:
-                    continue
-                backup.store.append(store_key, group)
-                backup.versions[store_key] = stamp
-                self.net.meter.record("postings", payload)
-                receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
+        self.net.write_at(holder, store_key, group, receipt)
         # refresh the condition to cover the new postings
-        group_lo, group_hi = min(group), max(group)
         if entry.condition is None:
-            entry.condition = Condition(group_lo, group_hi)
+            entry.condition = Condition(group.first, group.last)
         else:
             entry.condition = Condition(
-                min(entry.condition.lo, group_lo),
-                max(entry.condition.hi, group_hi),
+                min(entry.condition.lo, group.first),
+                max(entry.condition.hi, group.last),
             )
         # refresh the zone map alongside (count is the block's exact size;
         # start/level bounds widen conservatively from the batch)
         if entry.zone is None:
-            entry.zone = ZoneMap.of_group(group)
+            entry.zone = ZoneMap.of_list(group)
             entry.zone.count = holder.store.count(store_key)
         else:
             entry.zone.widen(group, holder.store.count(store_key))
@@ -491,60 +439,17 @@ class DppIndex:
             lower = PostingList(items[0::2], presorted=True)
             upper = PostingList(items[1::2], presorted=True)
 
-        # rewrite the lower half in place
-        stamp = self.net.next_stamp()
-        holder.store.delete(store_key)
-        before = holder.store.stats.snapshot()
-        holder.store.append(store_key, lower)
-        holder.versions[store_key] = stamp
-        receipt.duration_s += holder.store.stats.delta_since(before).cost_seconds(
-            self.net.cost
-        )
-        # ... and on every reliability replica: a split is a *rewrite*, so
-        # merely appending would leave replicas with the pre-split block —
-        # a copy that is larger (hence "more complete" to anti-entropy
-        # repair) yet stale, poisoning any later repair or failover read
-        if self.net.replication > 1:
-            lower_payload = encoded_size(lower)
-            for backup in self.net.replica_nodes(store_key):
-                if backup is holder:
-                    continue
-                if store_key in backup.store:
-                    backup.store.delete(store_key)
-                backup.store.append(store_key, lower)
-                backup.versions[store_key] = stamp
-                self.net.meter.record("postings", lower_payload)
-                receipt.duration_s += self.net.cost.transfer_time(
-                    lower_payload, hops=1
-                )
-
-        # ship the upper half to the peer in charge of a fresh pseudo-key
+        # rewrite the lower half in place, on every reliability replica too
+        self.net.write_at(holder, store_key, lower, receipt, replace=True)
+        # ship the upper half to the peer in charge of a fresh pseudo-key,
+        # where it gets the DHT's reliability replication like any other
+        # key: crashing the new holder right after a split must not lose
+        # the upper half at replication > 1
         new_seq = root.new_seq()
         new_key = overflow_key(new_seq, root.term_key)
         new_holder, hops = self.net.route(owner, new_key)
-        payload = encoded_size(upper)
-        self.net.meter.record("postings", payload * max(1, hops))
-        receipt.request_bytes += payload * max(1, hops)
-        receipt.duration_s += self.net.cost.transfer_time(payload, hops=max(1, hops))
-        upper_stamp = self.net.next_stamp()
-        before = new_holder.store.stats.snapshot()
-        new_holder.store.append(new_key, upper)
-        new_holder.versions[new_key] = upper_stamp
-        receipt.duration_s += new_holder.store.stats.delta_since(
-            before
-        ).cost_seconds(self.net.cost)
-        # the split-off half gets the DHT's reliability replication like
-        # any other key (cf. _append_to_block): without this, crashing the
-        # new holder right after a split would lose the upper half even at
-        # replication > 1
-        if self.net.replication > 1:
-            for backup in self.net.replica_nodes(new_key):
-                if backup is new_holder:
-                    continue
-                backup.store.append(new_key, upper)
-                backup.versions[new_key] = upper_stamp
-                self.net.meter.record("postings", payload)
-                receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
+        self.net.charge_route("postings", encoded_size(upper), hops, receipt)
+        self.net.write_at(new_holder, new_key, upper, receipt)
 
         # the root replaces C with C1, C2
         idx = root.entries.index(entry)
@@ -578,15 +483,13 @@ class DppIndex:
             entry = root.target_entry(posting)
             holder, store_key = self._block_location(owner, entry, term_key)
             self._freshen_block(holder, store_key, receipt)
-            before = holder.store.stats.snapshot()
-            if holder.store.delete(store_key, posting):
+            if self.net.timed_store_op(
+                receipt, holder.store, "delete", store_key, posting
+            ):
                 removed += 1
                 # stamp the rewrite so anti-entropy pushes the deletion to
                 # the block's replicas instead of resurrecting from them
                 holder.versions[store_key] = self.net.next_stamp()
-            receipt.duration_s += holder.store.stats.delta_since(
-                before
-            ).cost_seconds(self.net.cost)
         self.net.meter.record("control", CONDITION_BYTES * max(1, removed))
         return removed, receipt
 
@@ -601,14 +504,16 @@ class DppIndex:
             or entry.access_count < self.replicate_after
         ):
             return
-        _, store_key = self._block_location(owner, entry, term_key)
-        primary_holder, _ = self._block_location(owner, entry, term_key)
+        primary_holder, store_key = self._block_location(owner, entry, term_key)
         postings = primary_holder.store.get(store_key)
         for copy in range(self.replica_copies):
             rep_key = self.replica_block_key(entry, term_key, copy)
-            rep_holder = self.net.owner_of(rep_key)
-            rep_holder.store.append(rep_key, postings)
-            rep_holder.versions[rep_key] = self.net.next_stamp()
+            # a popularity replica is one more copy of the block under a
+            # pseudo-key of its own (never on that key's replica set, never
+            # charged store time), so it takes the copy rule
+            self.net.sync_copy(
+                self.net.owner_of(rep_key), rep_key, postings, self.net.next_stamp()
+            )
             self.net.meter.record("postings", encoded_size(postings))
             entry.replica_keys.append(rep_key)
 
@@ -643,11 +548,7 @@ class DppIndex:
         if doc_lo is not None and doc_hi is not None:
             lo = Posting(doc_lo[0], doc_lo[1], 0, 1, 0)
             hi = Posting(doc_hi[0], doc_hi[1], 2**62, 2**62, 2**62)
-            getter = getattr(holder.store, "get_range", None)
-            if getter is not None:
-                postings = getter(store_key, lo, hi)
-            else:
-                postings = holder.store.get(store_key).range(lo, hi)
+            postings = holder.store.get_range(store_key, lo, hi)
         else:
             postings = holder.store.get(store_key)
         receipt = self.net.block_get(src, store_key, postings, holder=holder)

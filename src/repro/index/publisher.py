@@ -115,27 +115,9 @@ class Publisher:
         pipeline, which is why Figure 2's multi-publisher runs divide the
         total time."""
         receipt = PublishReceipt(documents=1)
-        receipt.duration_s += self.net.cost.parse_time(document.source_bytes)
-        extracted = extract_postings(
-            document,
-            peer_index,
-            doc_index,
-            granularity=self.granularity,
-            word_labels=self.word_labels,
-        )
-        receipt.terms = len(extracted)
-        for term_key in sorted(extracted):
-            plist = extracted[term_key]
-            receipt.postings += len(plist)
-            for start in range(0, len(plist), self.batch_size):
-                batch = plist[start : start + self.batch_size]
-                op = self._send_batch(
-                    src_node, term_key, batch, document.doc_type
-                )
-                receipt.messages += 1
-                receipt.duration_s += op.duration_s
-                receipt.bytes_sent += op.request_bytes + op.response_bytes
-        return receipt
+        extracted = self._extract(receipt, document, peer_index, doc_index)
+        groups = [(key, document.doc_type, extracted[key]) for key in sorted(extracted)]
+        return self._send(src_node, groups, self.net.append, receipt)
 
     def publish_many(self, src_node, docs):
         """Bulk-publish a batch of parsed documents; returns one receipt.
@@ -155,45 +137,56 @@ class Publisher:
         receipt = PublishReceipt(documents=len(docs))
         buffered = {}
         for document, peer_index, doc_index in docs:
-            receipt.duration_s += self.net.cost.parse_time(document.source_bytes)
-            extracted = extract_postings(
-                document,
-                peer_index,
-                doc_index,
-                granularity=self.granularity,
-                word_labels=self.word_labels,
-            )
-            receipt.terms += len(extracted)
+            extracted = self._extract(receipt, document, peer_index, doc_index)
             for term_key, plist in extracted.items():
-                receipt.postings += len(plist)
-                buffered.setdefault((term_key, document.doc_type), []).extend(
-                    plist
-                )
-        for term_key, doc_type in sorted(
-            buffered, key=lambda k: (k[0], k[1] or "")
-        ):
-            plist = buffered[(term_key, doc_type)]
+                buffered.setdefault((term_key, document.doc_type), []).extend(plist)
+        groups = [
+            (term_key, doc_type, buffered[term_key, doc_type])
+            for term_key, doc_type in sorted(
+                buffered, key=lambda k: (k[0], k[1] or "")
+            )
+        ]
+        return self._send(src_node, groups, self.net.append_batch, receipt)
+
+    def postings_of(self, document, peer_index, doc_index):
+        """The ``{term_key: postings}`` this index holds for ``document``
+        (what a publish inserts and an unpublish must delete)."""
+        return extract_postings(
+            document,
+            peer_index,
+            doc_index,
+            granularity=self.granularity,
+            word_labels=self.word_labels,
+        )
+
+    def _extract(self, receipt, document, peer_index, doc_index):
+        """:meth:`postings_of` with the document's parse time, terms and
+        postings folded into ``receipt``."""
+        receipt.duration_s += self.net.cost.parse_time(document.source_bytes)
+        extracted = self.postings_of(document, peer_index, doc_index)
+        receipt.terms += len(extracted)
+        receipt.postings += sum(map(len, extracted.values()))
+        return extracted
+
+    def _send(self, src_node, groups, flat_append, receipt):
+        """The one publish loop: ship each ``(term_key, doc_type, postings)``
+        group in batches of ``batch_size`` and fold every op into
+        ``receipt``.  The two callers differ in how they group (one
+        document, or a whole batch buffered per key) and in the flat
+        index's send arm: the routed ``append``, or the locate-once
+        ``append_batch``.  DPP appends take the same arm either way (one
+        directory round per term per chunk already amortizes the batch),
+        and so does the PAST-style ``put``."""
+        for term_key, doc_type, plist in groups:
             for start in range(0, len(plist), self.batch_size):
                 batch = plist[start : start + self.batch_size]
-                op = self._send_bulk(src_node, term_key, batch, doc_type)
+                if self.dpp is not None:
+                    op = self.dpp.append(src_node, term_key, batch, doc_type=doc_type)
+                elif self.use_append:
+                    op = flat_append(src_node, term_key, batch)
+                else:
+                    op = self.net.put(src_node, term_key, batch)
                 receipt.messages += 1
                 receipt.duration_s += op.duration_s
                 receipt.bytes_sent += op.request_bytes + op.response_bytes
         return receipt
-
-    def _send_batch(self, src_node, term_key, batch, doc_type=None):
-        if self.dpp is not None:
-            return self.dpp.append(src_node, term_key, batch, doc_type=doc_type)
-        if self.use_append:
-            return self.net.append(src_node, term_key, batch)
-        return self.net.put(src_node, term_key, batch)
-
-    def _send_bulk(self, src_node, term_key, batch, doc_type=None):
-        # DPP appends already amortize across the buffered batch (one
-        # directory round per term per chunk); the flat index uses the
-        # locate-once batched transfer
-        if self.dpp is not None:
-            return self.dpp.append(src_node, term_key, batch, doc_type=doc_type)
-        if self.use_append:
-            return self.net.append_batch(src_node, term_key, batch)
-        return self.net.put(src_node, term_key, batch)

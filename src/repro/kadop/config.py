@@ -63,7 +63,6 @@ class KadopConfig:
                              list's peer and join there — Section 4.2)
     ``ab_fp_rate``           target basic false-positive rate of AB filters
     ``db_fp_rate``           target basic false-positive rate of DB filters
-    ``psi_c``                the c of ψ(j) = ceil(1 + j/c)
 
     Section 4.2 optimizations:
 
@@ -97,7 +96,6 @@ class KadopConfig:
     DHT:
 
     ``replication``      copies per key (fixed factor, set at network start)
-    ``leaf_size``        Pastry leaf-set size / Chord successor-list length
     ``overlay``          ``"pastry"`` (the paper's PAST substrate) or
                          ``"chord"`` — the techniques only assume the
                          generic DHT interface of Section 2
@@ -130,28 +128,18 @@ class KadopConfig:
                                gets extra copies on cold peers beyond
                                ``replication``; None disables promotion
     ``hot_key_copies``         extra copies per hot key
-    ``hot_key_decay``          per-tick multiplier of the ledger's rates
-                               (rates halve per quiet tick at the 0.5
-                               default; promotion exits at half the entry
-                               threshold)
     ``rebalance_interval_s``   simulated seconds between balance ticks of
                                the serving engine (decay + demotion + one
                                rebalancer pass); None disables the clock
     ``rebalance_overload``     a peer is overloaded when its decayed load
                                exceeds this multiple of the mean
-    ``rebalance_max_keys``     alias groups migrated off one overloaded
-                               peer per pass
 
     Fault tolerance (:mod:`repro.faults` — only observable when a
     FaultPlan is installed; all-zero-fault runs are byte-identical to the
     pre-fault code path):
 
-    ``op_timeout_s``        simulated seconds a sender waits before
-                            declaring a message lost
     ``op_max_retries``      resends per op/replica before
                             :class:`~repro.faults.OpTimeoutError`
-    ``retry_backoff_s``     base of the capped exponential backoff
-    ``retry_backoff_cap_s`` backoff ceiling
     ``write_quorum``        ``"all"`` (every replica must ack, the
                             original semantics) or ``"majority"``
                             (ack-on-quorum; stragglers are caught up by
@@ -176,7 +164,6 @@ class KadopConfig:
     filter_strategy: str = None
     ab_fp_rate: float = 0.20
     db_fp_rate: float = 0.01
-    psi_c: int = 4
 
     striped_replica_fetch: bool = False
 
@@ -188,7 +175,6 @@ class KadopConfig:
     view_cost_based: bool = True
 
     replication: int = 2
-    leaf_size: int = 8
     overlay: str = "pastry"
     cost: CostParams = field(default_factory=CostParams)
 
@@ -199,15 +185,10 @@ class KadopConfig:
     read_policy: str = "owner"
     hot_key_threshold: int = None
     hot_key_copies: int = 1
-    hot_key_decay: float = 0.5
     rebalance_interval_s: float = None
     rebalance_overload: float = 2.0
-    rebalance_max_keys: int = 2
 
-    op_timeout_s: float = 0.25
     op_max_retries: int = 6
-    retry_backoff_s: float = 0.05
-    retry_backoff_cap_s: float = 1.0
     write_quorum: str = "all"
 
     def __post_init__(self):
@@ -228,6 +209,12 @@ class KadopConfig:
             raise ConfigError("unknown filter strategy %r" % self.filter_strategy)
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.replication < 1:
+            raise ConfigError("replication must be >= 1")
+        if self.dpp_block_entries < 2:
+            raise ConfigError("dpp_block_entries must be >= 2")
+        if self.dpp_replicate_after is not None and self.dpp_replicate_after < 1:
+            raise ConfigError("dpp_replicate_after must be >= 1 or None")
         if self.kernel_backend not in ("auto", "pure", "numpy"):
             raise ConfigError(
                 "kernel_backend must be 'auto', 'pure', or 'numpy', got %r"
@@ -270,8 +257,6 @@ class KadopConfig:
             raise ConfigError("hot_key_threshold must be >= 1 or None")
         if self.hot_key_copies < 1:
             raise ConfigError("hot_key_copies must be >= 1")
-        if not 0.0 <= self.hot_key_decay < 1.0:
-            raise ConfigError("hot_key_decay must be in [0, 1)")
         if (
             self.rebalance_interval_s is not None
             and self.rebalance_interval_s <= 0
@@ -279,13 +264,5 @@ class KadopConfig:
             raise ConfigError("rebalance_interval_s must be > 0 or None")
         if self.rebalance_overload <= 1.0:
             raise ConfigError("rebalance_overload must be > 1")
-        if self.rebalance_max_keys < 1:
-            raise ConfigError("rebalance_max_keys must be >= 1")
         if self.op_max_retries < 0:
             raise ConfigError("op_max_retries must be >= 0")
-        if (
-            self.op_timeout_s < 0
-            or self.retry_backoff_s < 0
-            or self.retry_backoff_cap_s < 0
-        ):
-            raise ConfigError("timeout/backoff durations must be >= 0")

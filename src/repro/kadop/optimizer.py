@@ -24,7 +24,7 @@ beats the baseline, it ships full lists (filters are never free).
 import math
 from dataclasses import dataclass, field
 
-from repro.bloom.structural import psi
+from repro.bloom.structural import PSI_C, psi
 from repro.dht.network import CONTROL_BYTES
 from repro.kadop.execution import term_key_of
 from repro.query.pattern import Axis
@@ -129,7 +129,7 @@ class StrategyOptimizer:
 
     def _ab_filter_bytes(self, postings):
         config = self.system.config
-        avg_psi = psi(4, config.psi_c)  # traces at the typical mid level
+        avg_psi = psi(4, PSI_C)  # traces at the typical mid level
         items = postings * AVG_COVER * avg_psi
         return items * _bits_per_item(config.ab_fp_rate) / 8 + 16
 

@@ -48,23 +48,16 @@ class KadopPeer:
 
     def publish_document(self, document):
         """Index an already parsed document owned by this peer."""
-        doc_index = self._next_doc
-        self._next_doc += 1
-        document.streams = ElementStreams(document)
-        self.documents[doc_index] = document
+        doc_index = self._admit(document)
         receipt = self.system.publisher.publish(
             self.node, document, self.index, doc_index
         )
-        self.system.catalog.register_doc(
-            self.node, self.index, doc_index, document.uri or ""
-        )
-        if document.is_intensional:
-            self.system.fundex_register(self, doc_index, document)
-        if self.system.views is not None:
-            self.system.views.on_publish(self, doc_index, document)
+        self._after_index_write(doc_index, document)
         return receipt
 
-    def publish_batch(self, xml_texts, uris=None, resolver=None, doc_type=None):
+    def publish_batch(
+        self, xml_texts, uris=None, resolver=None, inline=False, doc_type=None
+    ):
         """Parse and bulk-index a batch of XML documents.
 
         The batch goes through :meth:`Publisher.publish_many`, which
@@ -80,23 +73,33 @@ class KadopPeer:
         for i, xml_text in enumerate(xml_texts):
             uri = uris[i] if uris is not None else None
             document = parse_document(
-                xml_text, uri=uri, resolver=resolver, doc_type=doc_type
+                xml_text, uri=uri, resolver=resolver, inline=inline, doc_type=doc_type
             )
-            doc_index = self._next_doc
-            self._next_doc += 1
-            document.streams = ElementStreams(document)
-            self.documents[doc_index] = document
-            parsed.append((document, self.index, doc_index))
+            parsed.append((document, self.index, self._admit(document)))
         receipt = self.system.publisher.publish_many(self.node, parsed)
         for document, _, doc_index in parsed:
-            self.system.catalog.register_doc(
-                self.node, self.index, doc_index, document.uri or ""
-            )
-            if document.is_intensional:
-                self.system.fundex_register(self, doc_index, document)
-            if self.system.views is not None:
-                self.system.views.on_publish(self, doc_index, document)
+            self._after_index_write(doc_index, document)
         return receipt
+
+    def _admit(self, document):
+        """Take a parsed document in: allot its ``doc_index``, build the
+        element streams the document phase joins over, store it."""
+        doc_index = self._next_doc
+        self._next_doc += 1
+        document.streams = ElementStreams(document)
+        self.documents[doc_index] = document
+        return doc_index
+
+    def _after_index_write(self, doc_index, document):
+        """What follows a document's index write: its catalog row, the
+        Fundex registration of an intensional document, view maintenance."""
+        self.system.catalog.register_doc(
+            self.node, self.index, doc_index, document.uri or ""
+        )
+        if document.is_intensional:
+            self.system.fundex_register(self, doc_index, document)
+        if self.system.views is not None:
+            self.system.views.on_publish(self, doc_index, document)
 
     def unpublish(self, doc_index):
         """Withdraw a document: delete its postings from the index.
@@ -104,21 +107,12 @@ class KadopPeer:
         Section 2: "a document modification is interpreted as deletion
         followed by insertion".  Returns the number of postings removed.
         """
-        from repro.index.publisher import extract_postings
-
         document = self.documents.pop(doc_index, None)
         if document is None:
             raise KeyError("peer %d has no document %d" % (self.index, doc_index))
         if self.system.views is not None:
             self.system.views.on_unpublish(self, doc_index, document)
-        publisher = self.system.publisher
-        extracted = extract_postings(
-            document,
-            self.index,
-            doc_index,
-            granularity=publisher.granularity,
-            word_labels=publisher.word_labels,
-        )
+        extracted = self.system.publisher.postings_of(document, self.index, doc_index)
         removed = 0
         net = self.system.net
         dpp = self.system.dpp

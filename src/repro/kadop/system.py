@@ -27,6 +27,15 @@ from repro.storage.lsm import LsmStore
 from repro.storage.naive_store import NaiveGzipStore
 
 
+#: ``KadopConfig`` fields of older checkpoints that are constants now (in
+#: ``RetryPolicy``, ``LoadLedger``, ``Rebalancer``, ``DhtNetwork`` and
+#: ``bloom.structural.PSI_C``)
+RETIRED_CONFIG_KEYS = (
+    "op_timeout_s", "retry_backoff_s", "retry_backoff_cap_s",
+    "hot_key_decay", "rebalance_max_keys", "leaf_size", "psi_c",
+)
+
+
 class KadopNetwork:
     """A deployment of KadoP peers over one DHT ring."""
 
@@ -43,15 +52,9 @@ class KadopNetwork:
         self.net = DhtNetwork(
             cost=CostModel(self.config.cost),
             replication=self.config.replication,
-            leaf_size=self.config.leaf_size,
             overlay=self.config.overlay,
         )
-        self.net.retry = RetryPolicy(
-            timeout_s=self.config.op_timeout_s,
-            max_retries=self.config.op_max_retries,
-            backoff_s=self.config.retry_backoff_s,
-            backoff_cap_s=self.config.retry_backoff_cap_s,
-        )
+        self.net.retry = RetryPolicy(max_retries=self.config.op_max_retries)
         self.net.write_quorum = self.config.write_quorum
         from repro.balance import LoadBalancer
 
@@ -60,10 +63,8 @@ class KadopNetwork:
             read_policy=self.config.read_policy,
             hot_key_threshold=self.config.hot_key_threshold,
             hot_key_copies=self.config.hot_key_copies,
-            decay=self.config.hot_key_decay,
             rebalance_interval_s=self.config.rebalance_interval_s,
             rebalance_overload=self.config.rebalance_overload,
-            rebalance_max_keys=self.config.rebalance_max_keys,
         )
         self.net.balancer = self.balance
         self._store_factory = store_factory
@@ -109,14 +110,17 @@ class KadopNetwork:
 
         ``seed`` varies peer URIs (hence node placement) across runs."""
         system = cls(config)
-        for i in range(num_peers):
-            uri = "kadop://s%d/p%d" % (seed, i)
-            node = system.net.add_node(uri, system._store_factory(), rebuild=False)
-            system.peers.append(KadopPeer(system, len(system.peers), node))
-        system.net._rebuild_routing()
-        for peer in system.peers:
-            system.catalog.register_peer(peer.node, peer.index, peer.uri)
+        system._start_peers("kadop://s%d/p%d" % (seed, i) for i in range(num_peers))
         return system
+
+    def _start_peers(self, uris):
+        """Bring up the initial ring: one peer per URI, routing built once."""
+        for uri in uris:
+            node = self.net.add_node(uri, self._store_factory(), rebuild=False)
+            self.peers.append(KadopPeer(self, len(self.peers), node))
+        self.net._rebuild_routing()
+        for peer in self.peers:
+            self.catalog.register_peer(peer.node, peer.index, peer.uri)
 
     def add_peer(self, uri):
         node = self.net.add_node(uri, self._store_factory())
@@ -362,18 +366,15 @@ class KadopNetwork:
         legacy_store = config_dict.pop("store", None)
         if legacy_store is not None:
             config_dict.setdefault("store_backend", legacy_store)
+        for retired in RETIRED_CONFIG_KEYS:  # fields that became constants
+            config_dict.pop(retired, None)
         config_dict["cost"] = CostParams(**config_dict["cost"])
         if config_dict.get("word_index_labels") is not None:
             config_dict["word_index_labels"] = frozenset(
                 config_dict["word_index_labels"]
             )
         system = cls(KadopConfig(**config_dict))
-        for uri in state["peer_uris"]:
-            node = system.net.add_node(uri, system._store_factory(), rebuild=False)
-            system.peers.append(KadopPeer(system, len(system.peers), node))
-        system.net._rebuild_routing()
-        for peer in system.peers:
-            system.catalog.register_peer(peer.node, peer.index, peer.uri)
+        system._start_peers(state["peer_uris"])
         for uri, text in state["resources"].items():
             system.register_resource(uri, text)
         for entry in state["documents"]:

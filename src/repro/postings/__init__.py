@@ -4,7 +4,7 @@ from repro.postings.posting import Posting, StructuralId
 from repro.postings.columnar import PostingColumns
 from repro.postings.plist import PostingList
 from repro.postings.encoder import decode_postings, encode_postings, encoded_size
-from repro.postings.term_relation import TermRelation, label_key, word_key
+from repro.postings.term_relation import label_key, word_key
 
 __all__ = [
     "Posting",
@@ -14,7 +14,6 @@ __all__ = [
     "encode_postings",
     "decode_postings",
     "encoded_size",
-    "TermRelation",
     "label_key",
     "word_key",
 ]

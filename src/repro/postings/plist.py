@@ -45,6 +45,12 @@ class PostingList:
         pl._cache = None
         return pl
 
+    @classmethod
+    def of(cls, postings):
+        """``postings`` itself when it already is a list of this type (no
+        copy), else a sorted, duplicate-free list of its rows."""
+        return postings if isinstance(postings, cls) else cls(postings)
+
     def columns(self):
         """The columnar core (read-only by convention; batch kernels)."""
         return self._cols

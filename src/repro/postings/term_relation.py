@@ -1,4 +1,4 @@
-"""The ``Term`` relation and its key scheme.
+"""The key scheme of the ``Term`` relation.
 
 ``Term(p, d, sid, t)`` says term ``t`` (an element label or a word) occurs
 at element ``(p, d, sid)``.  The relation is split horizontally across the
@@ -6,8 +6,6 @@ DHT with the term as key; KadoP distinguishes labels from words, which we
 realize with distinct key prefixes so ``author`` the tag and ``author`` the
 word never collide.
 """
-
-from repro.postings.plist import PostingList
 
 LABEL_PREFIX = "elem:"
 WORD_PREFIX = "word:"
@@ -33,46 +31,3 @@ def term_of_key(key):
         if key.startswith(prefix):
             return key[len(prefix) :]
     raise ValueError("not a Term key: %r" % (key,))
-
-
-class TermRelation:
-    """A peer's portion ``Term_p`` of the distributed relation.
-
-    Thin posting-level facade over a :class:`repro.storage.api.Store`.
-    """
-
-    def __init__(self, store):
-        self._store = store
-
-    @property
-    def store(self):
-        return self._store
-
-    def add(self, term_key, postings):
-        """Append ``postings`` (any iterable) under ``term_key``."""
-        if not isinstance(postings, (list, tuple, PostingList)):
-            postings = list(postings)
-        self._store.append(term_key, postings)
-
-    def postings(self, term_key):
-        """The full ordered posting list of ``term_key``."""
-        return self._store.get(term_key)
-
-    def postings_in_range(self, term_key, lo, hi):
-        """Ordered postings of ``term_key`` within ``[lo, hi]``."""
-        getter = getattr(self._store, "get_range", None)
-        if getter is not None:
-            return getter(term_key, lo, hi)
-        return self._store.get(term_key).range(lo, hi)
-
-    def remove(self, term_key, posting=None):
-        return self._store.delete(term_key, posting)
-
-    def count(self, term_key):
-        return self._store.count(term_key)
-
-    def term_keys(self):
-        return self._store.terms()
-
-    def __contains__(self, term_key):
-        return term_key in self._store

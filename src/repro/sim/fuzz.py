@@ -638,21 +638,14 @@ class _Iteration:
         from the DHT (their last postings deleted), so exactly those keys
         leave the durability set when no alive holder remains — keys
         shared with other documents keep their postings and stay acked."""
-        from repro.index.publisher import extract_postings
-
         candidates = [p for p in self._alive_peers() if p.documents]
         if not candidates:
             return
         peer = self.rng.choice(candidates)
         doc_index = self.rng.choice(sorted(peer.documents))
-        publisher = self.system.publisher
         doc_keys = set(
-            extract_postings(
-                peer.documents[doc_index],
-                peer.index,
-                doc_index,
-                granularity=publisher.granularity,
-                word_labels=publisher.word_labels,
+            self.system.publisher.postings_of(
+                peer.documents[doc_index], peer.index, doc_index
             )
         )
         try:

@@ -77,6 +77,11 @@ class Store(abc.ABC):
         """Return the :class:`~repro.postings.PostingList` of ``term``
         (empty list if absent)."""
 
+    def get_range(self, term, lo, hi):
+        """The postings of ``term`` within ``[lo, hi]`` (inclusive).  A
+        store that can read just that range off its layout overrides this."""
+        return self.get(term).range(lo, hi)
+
     @abc.abstractmethod
     def delete(self, term, posting=None):
         """Remove one posting of ``term``, or the whole term if ``posting``

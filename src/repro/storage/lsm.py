@@ -101,11 +101,7 @@ class LsmStore(Store):
 
     def append(self, term, postings):
         """Memtable insert: one sequential log write of the batch."""
-        plist = (
-            postings
-            if isinstance(postings, PostingList)
-            else PostingList(postings)
-        )
+        plist = PostingList.of(postings)
         live = self._keys.setdefault(term, set())
         mem = self._mem.get(term)
         dead = self._mem_dead.get(term)

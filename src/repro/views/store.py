@@ -54,36 +54,26 @@ class ViewBlockStore:
         Used once per materialization; returns an :class:`OpReceipt` whose
         duration covers routing each block to its holder (blocks ship in
         parallel: the makespan is scheduled over egress/ingress links)."""
-        postings = (
-            postings
-            if isinstance(postings, PostingList)
-            else PostingList(postings)
-        )
+        postings = PostingList.of(postings)
         receipt = OpReceipt()
         scheduler = Scheduler()
         egress = scheduler.add_resource("egress", 1)  # one materializing peer
-        chunks = (
-            list(postings.chunks(self.max_block_entries)) if len(postings) else []
-        )
-        for chunk in chunks:
+        for chunk in postings.chunks(self.max_block_entries):
             seq = view.new_seq()
             key = block_key(view.view_id, seq)
             holder, hops = self.net.route(src_node, key)
             payload = encoded_size(chunk)
-            self.net.meter.record(VIEW_TRAFFIC, payload * max(1, hops))
-            receipt.hops += hops
-            receipt.request_bytes += payload * max(1, hops)
-            before = holder.store.stats.snapshot()
-            holder.store.append(key, chunk)
-            store_s = holder.store.stats.delta_since(before).cost_seconds(
-                self.net.cost
-            )
+            sent = OpReceipt()  # its seconds go on the schedule, not the sum
+            self.net.charge_route(VIEW_TRAFFIC, payload, hops, sent)
+            self.net.timed_store_op(sent, holder.store, "append", key, chunk)
+            receipt.hops += sent.hops
+            receipt.request_bytes += sent.request_bytes
             ingress = "ingress:%d" % holder.peer_index
             if not scheduler.has_resource(ingress):
                 scheduler.add_resource(ingress, 1)
             scheduler.add_task(
                 "viewblk:%d" % seq,
-                self.net.cost.transfer_time(payload, hops=max(1, hops)) + store_s,
+                sent.duration_s,
                 resources=(egress, ingress),
             )
             view.blocks.append(
@@ -103,11 +93,7 @@ class ViewBlockStore:
     def append(self, src_node, view, postings):
         """Route a publish delta into the view's blocks (splitting on
         overflow), keeping the catalog's ranges/counts current."""
-        postings = (
-            postings
-            if isinstance(postings, PostingList)
-            else PostingList(postings)
-        )
+        postings = PostingList.of(postings)
         receipt = OpReceipt()
         if not len(postings):
             return receipt
@@ -129,16 +115,8 @@ class ViewBlockStore:
         # catalog count to just the delta, losing the old answers
         if holder.store.count(block.key) != block.count:
             raise ViewIntegrityError(block.key)
-        payload = encoded_size(group)
-        self.net.meter.record(VIEW_TRAFFIC, payload * max(1, hops))
-        receipt.hops += hops
-        receipt.request_bytes += payload * max(1, hops)
-        receipt.duration_s += self.net.cost.transfer_time(payload, hops=max(1, hops))
-        before = holder.store.stats.snapshot()
-        holder.store.append(block.key, group)
-        receipt.duration_s += holder.store.stats.delta_since(before).cost_seconds(
-            self.net.cost
-        )
+        self.net.charge_route(VIEW_TRAFFIC, encoded_size(group), hops, receipt)
+        self.net.timed_store_op(receipt, holder.store, "append", block.key, group)
         self._refresh_block(holder, block, group)
         if holder.store.count(block.key) > self.max_block_entries:
             receipt.merge(self._split_block(src_node, view, block, holder))
@@ -170,14 +148,8 @@ class ViewBlockStore:
         new_key = block_key(view.view_id, seq)
         new_holder, hops = self.net.route(src_node, new_key)
         payload = encoded_size(upper)
-        self.net.meter.record(VIEW_TRAFFIC, payload * max(1, hops))
-        receipt.request_bytes += payload * max(1, hops)
-        receipt.duration_s += self.net.cost.transfer_time(payload, hops=max(1, hops))
-        before = new_holder.store.stats.snapshot()
-        new_holder.store.append(new_key, upper)
-        receipt.duration_s += new_holder.store.stats.delta_since(
-            before
-        ).cost_seconds(self.net.cost)
+        self.net.charge_route(VIEW_TRAFFIC, payload, hops, receipt)
+        self.net.timed_store_op(receipt, new_holder.store, "append", new_key, upper)
         new_block = ViewBlock(
             new_key,
             upper.first.doc_id,

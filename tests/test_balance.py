@@ -254,10 +254,8 @@ class TestConfigValidation:
             {"read_policy": "fastest"},
             {"hot_key_threshold": 0},
             {"hot_key_copies": 0},
-            {"hot_key_decay": 1.0},
             {"rebalance_interval_s": 0.0},
             {"rebalance_overload": 1.0},
-            {"rebalance_max_keys": 0},
         ):
             with pytest.raises(ConfigError):
                 KadopConfig(**bad)

@@ -440,3 +440,49 @@ class TestDppFailureTolerance:
         owner = net.net.owner_of(key)
         assert net.net.owner_of("dpproot:" + key) is owner
         assert net.net.owner_of("dppdata:" + key) is owner
+
+
+class TestPinnedWritePathOddities:
+    """Behaviour the write-path refactor (ISSUE 24) found and kept: each is
+    recorded here so that the PR that fixes it has a test to turn over."""
+
+    def test_one_oversized_append_splits_once(self):
+        """Pinned, see ROADMAP 6.4: ``_split_block`` halves an overfull
+        block once, so a delta of 10x the capacity leaves two blocks of 5x
+        — and later appends land in the last block, so the first stays
+        oversized (a view block under the same delta is cut to capacity,
+        ``test_views.py``)."""
+        net = DhtNetwork.create(12, replication=1)
+        dpp = DppIndex(net, max_block_entries=4)
+        dpp.append(net.nodes[0], "t", [P(i) for i in range(1, 41)])
+        root = net.owner_of("t").objects[DppIndex.ROOT_KEY_PREFIX + "t"][0]
+        assert [entry.zone.count for entry in root.entries] == [20, 20]
+        dpp.append(net.nodes[0], "t", [P(i) for i in range(41, 44)])
+        assert [entry.zone.count for entry in root.entries] == [20, 11, 12]
+
+    def test_dpp_delete_skips_the_replicas_until_repair(self):
+        """Pinned, see ROADMAP 6.4: the flat ``DhtNetwork.delete`` removes
+        a posting on every replica under one stamp; ``DppIndex.delete``
+        removes it at the block's holder only, and the replicas keep it at
+        the old stamp until anti-entropy repair pushes the rewrite."""
+
+        def copies(key):
+            return [
+                (node.store.count(key), node.versions[key])
+                for node in net.replica_nodes(key)
+            ]
+
+        net = DhtNetwork.create(12, replication=2)
+        dpp = DppIndex(net, max_block_entries=10)
+        dpp.append(net.nodes[0], "t", [P(i) for i in range(1, 7)])
+        removed, _ = dpp.delete(net.nodes[0], "t", [P(1), P(2)])
+        assert removed == 2
+        (held, fresh), (backed_up, stale) = copies("dppdata:t")
+        assert (held, backed_up) == (4, 6) and stale < fresh
+        net.anti_entropy_repair()
+        assert copies("dppdata:t") == [(4, fresh), (4, fresh)]
+
+        net.append(net.nodes[0], "flat", [P(i) for i in range(1, 7)])
+        net.delete(net.nodes[0], "flat", P(1))
+        (count, stamp), backup = copies("flat")
+        assert count == 5 and backup == (count, stamp)

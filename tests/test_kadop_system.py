@@ -192,6 +192,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             KadopConfig(chunk_postings=0)
 
+    def test_bad_replication_and_dpp_knobs(self):
+        """Once a bare ValueError from DhtNetwork / DppIndex, inside
+        ``KadopNetwork.create``."""
+        for bad in (
+            {"replication": 0},
+            {"use_dpp": True, "dpp_block_entries": 1},
+            {"use_dpp": True, "dpp_replicate_after": 0},
+        ):
+            with pytest.raises(ConfigError):
+                KadopConfig(**bad)
+
 
 class TestResilience:
     def test_query_survives_replicated_peer_failure(self, dblp_generator):

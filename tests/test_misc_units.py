@@ -6,10 +6,8 @@ from repro.dht.network import DhtNetwork, OpReceipt
 from repro.errors import IndexError_, ReproError, XmlParseError
 from repro.postings.plist import PostingList
 from repro.postings.posting import MAX_POSTING, MIN_POSTING, Posting
-from repro.postings.term_relation import TermRelation
 from repro.sim.cost import CostModel
 from repro.sim.meter import TrafficMeter
-from repro.storage.naive_store import NaiveGzipStore
 
 
 class TestCostModelDetails:
@@ -90,17 +88,6 @@ class TestPostingListEdges:
 
     def test_equality_with_non_plist(self):
         assert PostingList() != 5
-
-
-class TestTermRelationFallback:
-    def test_range_without_store_support(self):
-        """Stores lacking get_range fall back to a full-list range scan."""
-        rel = TermRelation(NaiveGzipStore())
-        rel.add("t", [Posting(0, 0, i, i + 1, 1) for i in range(1, 20, 2)])
-        sub = rel.postings_in_range(
-            "t", Posting(0, 0, 5, 0, 0), Posting(0, 0, 9, 99, 99)
-        )
-        assert [p.start for p in sub] == [5, 7, 9]
 
 
 class TestMeterMessages:

@@ -89,13 +89,22 @@ class TestSaveLoad:
             ({"store": "naive"}, "naive"),  # before store_backend existed
             ({"store": "btree", "store_backend": "lsm"}, "lsm"),  # beside it
             ({}, "btree"),
+            (  # the seven fields that became constants
+                dict(
+                    op_timeout_s=0.25, retry_backoff_s=0.05,
+                    retry_backoff_cap_s=1.0, hot_key_decay=0.5,
+                    rebalance_max_keys=2, leaf_size=8, psi_c=4,
+                ),
+                "btree",
+            ),
         ],
     )
     def test_legacy_store_key_maps_onto_store_backend(
         self, tmp_path, legacy, expected
     ):
         """A hand-written format-1 checkpoint from before ``store_backend``
-        was the only store selector still loads."""
+        was the only store selector, or with config fields since retired,
+        still loads."""
         from repro.storage.naive_store import NaiveGzipStore
 
         state = {

@@ -7,13 +7,11 @@ from repro.postings.encoder import decode_postings, encode_postings, encoded_siz
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting, StructuralId
 from repro.postings.term_relation import (
-    TermRelation,
     is_label_key,
     label_key,
     term_of_key,
     word_key,
 )
-from repro.storage.clustered import ClusteredIndexStore
 
 
 def P(peer, doc, start, end, level=1):
@@ -212,25 +210,3 @@ class TestTermRelationKeys:
     def test_bad_key_rejected(self):
         with pytest.raises(ValueError):
             term_of_key("bogus:a")
-
-
-class TestTermRelation:
-    def test_add_and_get(self):
-        rel = TermRelation(ClusteredIndexStore())
-        rel.add(label_key("a"), [P(0, 0, 1, 2)])
-        rel.add(label_key("a"), [P(0, 0, 3, 4)])
-        assert len(rel.postings(label_key("a"))) == 2
-        assert rel.count(label_key("a")) == 2
-        assert label_key("a") in rel
-
-    def test_range_access(self):
-        rel = TermRelation(ClusteredIndexStore())
-        rel.add("t", [P(0, 0, i, i + 1) for i in range(1, 21, 2)])
-        sub = rel.postings_in_range("t", P(0, 0, 5, 0, 0), P(0, 0, 9, 99, 99))
-        assert [p.start for p in sub] == [5, 7, 9]
-
-    def test_remove(self):
-        rel = TermRelation(ClusteredIndexStore())
-        rel.add("t", [P(0, 0, 1, 2)])
-        assert rel.remove("t", P(0, 0, 1, 2))
-        assert rel.count("t") == 0

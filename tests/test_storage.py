@@ -77,6 +77,13 @@ class TestNaiveGzipStore:
         store.put("a", [P(i) for i in range(1, 100, 2)])
         assert store.stored_bytes() > 0
 
+    def test_get_range_default(self):
+        """A store without a ranged read of its own cuts the full list."""
+        store = NaiveGzipStore()
+        store.append("t", [P(i) for i in range(1, 20, 2)])
+        sub = store.get_range("t", P(5, 0, level=0), P(9, 99, level=99))
+        assert [p.start for p in sub] == [5, 7, 9]
+
 
 class TestBPlusTree:
     def test_insert_get(self):

@@ -172,6 +172,39 @@ class TestMaterializeAndFetch:
             assert holder.store.count(block.key) == block.count
             assert block.count <= net.config.view_block_entries
 
+    def test_oversized_delta_is_cut_to_capacity(self):
+        """The counterpart of ``test_dpp.py``'s pinned single split (see
+        ROADMAP 6.4): a view block splits until every piece fits."""
+        net = build_net(num_docs=4, view_block_entries=4)
+        view, _ = net.views.materialize(pat("//a//b"), net.peers[0])
+        before = view.total_postings
+        delta = [Posting(9, 0, i, i + 1, 1) for i in range(1, 41)]
+        net.views.store.append(net.peers[1].node, view, delta)
+        assert view.total_postings == before + 40
+        assert max(block.count for block in view.blocks) <= 4
+
+    def test_split_charges_no_store_time_for_the_lower_half(self):
+        """Pinned, see ROADMAP 6.4: a view split rewrites the lower half
+        at its holder (a delete and an append, both disk work) and charges
+        the receipt only for the upper half: its routed transfer and its
+        append at the new holder.  The DPP split charges both halves."""
+        net = build_net(num_docs=4, view_block_entries=4)
+        view, _ = net.views.materialize(pat("//a//b"), net.peers[0])
+        block = view.blocks[-1]
+        src, dht = net.peers[1].node, net.net
+        holder = dht.owner_of(block.key)
+        holder.store.append(block.key, [Posting(9, 0, i, i + 1, 1) for i in (1, 3)])
+        new_key = block_key(view.view_id, view.next_seq)
+        new_holder, hops = dht.route(src, new_key)
+        assert new_holder is not holder
+        rewrite = holder.store.stats.snapshot()
+        upper = new_holder.store.stats.snapshot()
+        receipt = net.views.store._split_block(src, view, block, holder)
+        assert holder.store.stats.delta_since(rewrite).cost_seconds(dht.cost) > 0
+        assert receipt.duration_s == dht.cost.transfer_time(
+            view.blocks[-1].nbytes, hops=max(1, hops)
+        ) + new_holder.store.stats.delta_since(upper).cost_seconds(dht.cost)
+
     def test_unpublish_removes_exactly_the_doc(self):
         net = build_net(num_docs=4)
         view, _ = net.views.materialize(pat("//a//b"), net.peers[0])
