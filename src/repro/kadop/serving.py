@@ -194,7 +194,7 @@ def _flight_matcher(flight):
     their own (roots ride the locate latency, view fetches run inside the
     view outcome's time), so they match nothing.
     """
-    if flight.kind in ("get", "pget"):
+    if flight.kind in ("get", "pipelined_get"):
         base = "xfer:%s" % (flight.key,)
         prefix = base + ":"
         return lambda name: name == base or name.startswith(prefix)
