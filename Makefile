@@ -43,7 +43,8 @@ telemetry-smoke:
 # (write_differential.py, one line per configuration: red when a publish
 # receipt, removed count, meter total, stored posting or stamp, DPP root
 # entry, view block or answer moves): they must not depend on the hash seed
-# and must equal the committed benchmarks/differential.digests.
+# and must equal the committed benchmarks/differential.digests (a red run
+# prints the lines that moved).
 # A deliberate behaviour change refreshes that file in the same diff and
 # says in CHANGES.md which line moved and why
 differential:
@@ -54,8 +55,8 @@ differential:
 		  PYTHONHASHSEED=$$seed $(PY) benchmarks/write_differential.py ) \
 			> .bench_out/differential.$$seed || exit 1; \
 	done
-	cmp .bench_out/differential.1 .bench_out/differential.2
-	cmp .bench_out/differential.1 benchmarks/differential.digests
+	diff .bench_out/differential.1 .bench_out/differential.2
+	diff benchmarks/differential.digests .bench_out/differential.1
 
 # everything, including the slow experiment regenerations
 test-all:

@@ -27,7 +27,7 @@ import os
 import pytest
 
 from repro import faults
-from repro.dht.network import CONTROL_BYTES, OpReceipt
+from repro.dht.network import CONTROL_BYTES, DhtNetwork, OpReceipt
 from repro.faults import FaultPlan, OpTimeoutError, RetryPolicy
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -247,10 +247,9 @@ class TestOpFateTable:
     """Every op x every fate, against the same op's clean run.
 
     One rule covers the table.  A *drop* meters and bills the lost copy
-    and adds ``timeout + backoff`` (a dropped ``get``/``block_get``
-    response also charges the disk read that produced it; a dropped
-    ``pipelined_get`` response does not — pinned, not endorsed).  A
-    *delay* adds ``delay_s`` and nothing else.  A *duplicate* meters one
+    and adds ``timeout + backoff`` (a dropped response also charges the
+    disk read that produced it).  A *delay* adds ``delay_s`` and nothing
+    else.  A *duplicate* meters one
     more copy and leaves the receipt alone.  ``append_batch`` draws its
     locate and its direct transfer from the same ``(op, attempt,
     request)`` point, so one forced fate hits both messages.
@@ -301,16 +300,16 @@ class TestOpFateTable:
         new = [Posting(2, 2, 1 + 2 * i, 2 + 2 * i, 1) for i in range(4)]
         block = PostingList(stored[:5])
         calls = {
-            "locate": lambda: net.locate(src, self.KEY)[1],
+            "locate": lambda: net.locate(src, self.KEY),
             "append": lambda: net.append(src, self.KEY, new),
             "put": lambda: net.put(src, self.KEY, new),
             "append_batch": lambda: net.append_batch(src, self.KEY, new),
             "put_object": lambda: net.put_object(src, self.OBJ, "v", 48),
-            "get_object": lambda: net.get_object(src, self.OBJ)[1],
-            "get": lambda: net.get(src, self.KEY)[1],
+            "get_object": lambda: net.get_object(src, self.OBJ),
+            "get": lambda: net.get(src, self.KEY),
             "pipelined_get": lambda: net.pipelined_get(
                 src, self.KEY, chunk_postings=3
-            )[1],
+            ),
             "block_get": lambda: net.block_get(src, self.KEY, block),
         }
         owner = net.owner_of(self.OBJ if op.endswith("_object") else self.KEY)
@@ -318,10 +317,13 @@ class TestOpFateTable:
         plan.script.update({idx: script} if script else {})
         before = net.meter.snapshot()
         draws = {}
+        answer = error = None
         try:
-            receipt, error = calls[op](), None
+            receipt = calls[op]()
         except OpTimeoutError as exc:
             receipt, error = exc.receipt, exc
+        if isinstance(receipt, tuple):  # the reads: (answer, receipt)
+            answer, receipt = receipt
         meter = {
             category: nbytes
             for category, nbytes in net.meter.delta_since(before).items()
@@ -329,7 +331,7 @@ class TestOpFateTable:
         }
         return {
             "net": net, "plan": plan, "idx": idx, "owner": owner,
-            "receipt": receipt, "error": error, "meter": meter,
+            "answer": answer, "receipt": receipt, "error": error, "meter": meter,
             "events": [e for e in plan.events if e[0] >= idx],
             "new_bytes": encoded_size(PostingList(new)),
             "chunk0_bytes": encoded_size(PostingList(stored[:3])),
@@ -355,9 +357,8 @@ class TestOpFateTable:
                          payload, 0, 0.0)
             ]
         payload = receipt.response_bytes
-        wasted = 0.0 if op == "pipelined_get" else cost.disk_read_time(payload)
         return [_Message("response", "postings", payload, "response_bytes",
-                         payload, 0, wasted)]
+                         payload, 0, cost.disk_read_time(payload))]
 
     @pytest.mark.parametrize("fate", ["drop", "delay", "duplicate"])
     @pytest.mark.parametrize("op", OPS + ("get_object",))
@@ -477,22 +478,45 @@ class TestOpFateTable:
     def test_crash_chunk_mid_pipelined_get(self, monkeypatch):
         clean = self._run(monkeypatch, "pipelined_get")
         run = self._run(monkeypatch, "pipelined_get", script="crash-chunk:0")
-        holder = run["owner"]
+        holder, net = run["owner"], run["net"]
         assert run["events"] == [
             (run["idx"], "crash", holder.peer_index),
             (run["idx"], "crash-chunk", 0),
         ]
         assert run["plan"].stats.retries == 1
         # the one chunk already received is wasted wire traffic, billed and
-        # metered; the wait is charged; no disk read for the lost attempt
+        # metered, and so is its disk read; the wait is charged; the retry
+        # probes once for a live holder (one 64 B control round trip)
         wasted = run["chunk0_bytes"]
         got, base = run["receipt"], clean["receipt"]
         assert got.response_bytes == base.response_bytes + wasted
-        assert (got.hops, got.request_bytes) == (base.hops, base.request_bytes)
+        assert got.hops == base.hops
+        assert got.request_bytes == base.request_bytes + CONTROL_BYTES
         assert got.duration_s == pytest.approx(
-            base.duration_s + run["net"]._retry_wait(0)
+            base.duration_s
+            + net.cost.disk_read_time(wasted)
+            + net._retry_wait(0)
+            + net.cost.transfer_time(CONTROL_BYTES, hops=1)
         )
-        assert run["meter"]["postings"] == clean["meter"]["postings"] + wasted
+        assert run["meter"] == {
+            "postings": clean["meter"]["postings"] + wasted,
+            "control": clean["meter"]["control"] + CONTROL_BYTES,
+        }
+
+    def test_retried_stream_is_served_by_a_live_holder(self, monkeypatch):
+        clean = self._run(monkeypatch, "pipelined_get")
+        run = self._run(monkeypatch, "pipelined_get", script="crash-chunk:0")
+        net, dead = run["net"], run["owner"]
+        assert not dead.alive and self.KEY in dead.store  # its disk survives
+        assert net.last_holder.alive and net.last_holder is not dead
+        assert self.KEY in net.last_holder.store
+        assert [c.items() for c in run["answer"]] == [
+            c.items() for c in clean["answer"]
+        ]
+        # the retry found the live holder with one probe
+        assert run["receipt"].request_bytes == (
+            clean["receipt"].request_bytes + CONTROL_BYTES
+        )
 
     @pytest.mark.parametrize("quorum", ["all", "majority"])
     def test_deaf_backup(self, monkeypatch, quorum):
@@ -527,6 +551,62 @@ class TestOpFateTable:
             assert got.duration_s == pytest.approx(
                 base.duration_s - net.cost.transfer_time(payload, hops=1) + waits
             )
+
+
+class TestReadHolder:
+    """The one holder choice of ``get``, ``pipelined_get`` and
+    ``get_object`` after an abrupt crash, with no repair run: the
+    graceful ``remove_node`` handover (``test_dht.py::TestReplication``)
+    re-homes keys first and never probes."""
+
+    KEY = "t"
+
+    def _read(self, op, missed_write):
+        """Crash ``KEY``'s owner and read ``KEY`` under a zero-fault plan.
+        With ``missed_write`` the first backup, the crashed owner's routed
+        successor, lacks the key (a deaf backup under a majority quorum)."""
+        net = DhtNetwork.create(10, replication=3)
+        owner, backup, holder = net.replica_nodes(self.KEY)
+        src = next(n for n in net.nodes if n not in (owner, backup, holder))
+        if op == "get_object":
+            net.put_object(src, self.KEY, "payload", nbytes=40)
+            if missed_write:
+                del backup.objects[self.KEY]
+        else:
+            postings = [Posting(1, 1, 1 + 2 * i, 2 + 2 * i, 1) for i in range(6)]
+            net.append(src, self.KEY, postings)
+            if missed_write:
+                backup.store.delete(self.KEY)
+        net.crash_node(owner)
+        net.faults = FaultPlan.none()
+        assert net.owner_of(self.KEY) is backup
+        before = net.meter.snapshot()
+        if op == "pipelined_get":
+            answer, receipt = net.pipelined_get(src, self.KEY, chunk_postings=4)
+            answer = [chunk.items() for chunk in answer]
+        else:
+            answer, receipt = getattr(net, op)(src, self.KEY)
+        return net, holder, answer, receipt, net.meter.delta_since(before)
+
+    @pytest.mark.parametrize("op", ["get", "pipelined_get", "get_object"])
+    def test_crashed_owner_read_is_served_by_a_live_holder(self, op):
+        net, holder, answer, receipt, meter = self._read(op, missed_write=True)
+        _, _, clean_answer, clean, clean_meter = self._read(op, missed_write=False)
+        assert net.last_holder is holder and holder.alive
+        if op == "get_object":
+            assert self.KEY in holder.objects and answer == "payload"
+        else:
+            assert self.KEY in holder.store and answer == clean_answer
+        # one probe: a 64 B control round trip over one hop, on the
+        # receipt and the meter, and nothing else
+        assert (receipt.hops, receipt.response_bytes) == (
+            clean.hops, clean.response_bytes
+        )
+        assert receipt.request_bytes == clean.request_bytes + CONTROL_BYTES
+        assert receipt.duration_s == pytest.approx(
+            clean.duration_s + net.cost.transfer_time(CONTROL_BYTES, hops=1)
+        )
+        assert meter["control"] == clean_meter["control"] + CONTROL_BYTES
 
 
 class TestRetryPolicy:
