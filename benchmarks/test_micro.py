@@ -11,7 +11,12 @@ import random
 import pytest
 
 from repro.bloom.structural import AncestorBloomFilter, DescendantBloomFilter
-from repro.postings.encoder import decode_postings, encode_postings
+from repro.postings.encoder import (
+    decode_postings,
+    encode_postings,
+    encoded_size,
+    encoded_size_sum,
+)
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.query.twigjoin import twig_join
@@ -240,6 +245,61 @@ def test_kernel_dbf_probe(benchmark, kernel_backend):
     ]
     kept = benchmark(lambda: [dbf.filter_postings(la) for la in probes])
     assert all(0 < len(k) < len(la) // 5 for k, la in zip(kept, probes))
+
+
+def _answers(segments, rows, seed=18):
+    """``segments`` sorted answer posting lists of ``rows // segments`` rows,
+    each inside one document, like a document peer's answers."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(segments):
+        doc, start = rng.randrange(40), rng.randrange(1, 4000)
+        parts.append(sorted(
+            Posting(3, doc, start + 9 * k, start + 9 * k + rng.randrange(1, 8), 2 + k)
+            for k in range(rows // segments)
+        ))
+    return parts
+
+
+def _bench_answer_sizes(benchmark, segments, rows, per_answer):
+    # the document phase's answer metering at the sizes measured on the
+    # repo benchmark: one segmented call per document peer, or the
+    # per-answer loop it replaced
+    # calls of a few microseconds: fixed rounds of 20 calls keep the
+    # recorded sample list (and BENCH_micro.json) small
+    parts = _answers(segments, rows)
+    expected = sum(encoded_size(part) for part in parts)
+    if per_answer:
+        def metered():
+            return sum(encoded_size(part) for part in parts)
+    else:
+        def metered():
+            return encoded_size_sum(parts)
+    assert benchmark.pedantic(metered, rounds=100, iterations=20) == expected
+
+
+def test_kernel_encoded_sizes_1x2(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 1, 2, per_answer=False)
+
+
+def test_kernel_encoded_size_loop_1x2(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 1, 2, per_answer=True)
+
+
+def test_kernel_encoded_sizes_2x8(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 2, 8, per_answer=False)
+
+
+def test_kernel_encoded_size_loop_2x8(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 2, 8, per_answer=True)
+
+
+def test_kernel_encoded_sizes_70x210(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 70, 210, per_answer=False)
+
+
+def test_kernel_encoded_size_loop_70x210(benchmark, kernel_backend):
+    _bench_answer_sizes(benchmark, 70, 210, per_answer=True)
 
 
 def test_columns_bisect_left(benchmark):

@@ -15,14 +15,15 @@ Fields are delta-encoded against the previous posting while the more
 significant fields are unchanged, which is where the compression comes
 from: within one document, consecutive postings differ mostly in ``start``.
 
-Both :func:`encode_postings` and :func:`encoded_size` are derived from the
-single delta kernel in :mod:`repro.postings.columnar`
+:func:`encode_postings`, :func:`encoded_size` and :func:`encoded_size_sum`
+are derived from the single delta kernel in :mod:`repro.postings.columnar`
 (:meth:`~repro.postings.columnar.PostingColumns.wire_values`), so the
 accounted size can never drift from the actual encoding; decoding streams
 the bytes straight into columns without materializing a single
 :class:`Posting`.
 """
 
+from repro.postings import kernels
 from repro.postings.columnar import PostingColumns
 from repro.postings.plist import PostingList
 
@@ -60,3 +61,19 @@ def encoded_size(postings):
     guaranteed structurally, since both walk the same wire-value kernel.
     """
     return _columns_of(postings).encoded_size()
+
+
+def encoded_size_sum(parts):
+    """``sum(encoded_size(part) for part in parts)`` in one kernel call.
+
+    ``parts`` are lists of sorted postings (rows); each is sized as its own
+    list.  This is how a document peer meters all of its answers at once.
+    """
+    rows = []
+    offsets = []
+    for part in parts:
+        rows += part
+        offsets.append(len(rows))
+    # a plain transpose: only each part on its own is sorted
+    cols = PostingColumns._from_sorted_unique(rows)
+    return kernels.active().encoded_sizes(cols.arrays(), offsets)

@@ -252,40 +252,49 @@ def wire_values(cols):
     return vals.tolist()
 
 
-def _delta_values(cols):
+def _delta_values(cols, firsts=0):
     """The wire-value sequence as one int64 array, or None on negatives.
+
+    ``firsts`` (a row index, or an index array holding 0) are the rows
+    that start a segment: there the peer, doc and start deltas begin
+    again from zero.  The leading count is always the total row count.
 
     A negative element means either genuinely invalid input (negative
     delta / span / level, where the pure encoder raises) or an int64
     subtraction overflow; both route the caller to the pure kernel."""
     n = len(cols[0])
-    if n == 0:
-        return np.array([0], dtype=_I64)
-    peer, doc, start, end, level = _views(cols)
-    dpeer = np.empty(n, dtype=_I64)
-    dpeer[0] = peer[0]
-    np.subtract(peer[1:], peer[:-1], out=dpeer[1:])
-    reset_doc = dpeer != 0
-    prev_doc = np.empty(n, dtype=_I64)
-    prev_doc[0] = 0
-    prev_doc[1:] = doc[:-1]
-    ddoc = np.where(reset_doc, doc, doc - prev_doc)
-    reset_start = reset_doc | (ddoc != 0)
-    prev_start = np.empty(n, dtype=_I64)
-    prev_start[0] = 0
-    prev_start[1:] = start[:-1]
-    dstart = np.where(reset_start, start, start - prev_start)
-    span = end - start
     vals = np.empty(5 * n + 1, dtype=_I64)
     vals[0] = n
-    vals[1::5] = dpeer
-    vals[2::5] = ddoc
-    vals[3::5] = dstart
-    vals[4::5] = span
-    vals[5::5] = level
-    if int(vals.min()) < 0:
+    if n == 0:
+        return vals
+    peer, doc, start, end, level = _views(cols)
+    rows = vals[1:].reshape(n, 5)
+    dpeer, ddoc, dstart = rows[:, 0], rows[:, 1], rows[:, 2]
+    np.subtract(peer[1:], peer[:-1], out=dpeer[1:])
+    np.subtract(doc[1:], doc[:-1], out=ddoc[1:])
+    np.subtract(start[1:], start[:-1], out=dstart[1:])
+    dpeer[firsts] = peer[firsts]
+    # doc restarts from zero at a segment start or where the peer moved,
+    # start also where the doc moved
+    reset = dpeer != 0
+    reset[firsts] = True
+    ddoc[reset] = doc[reset]
+    reset |= ddoc != 0
+    dstart[reset] = start[reset]
+    np.subtract(end, start, out=rows[:, 3])
+    rows[:, 4] = level
+    if np.minimum.reduce(vals) < 0:
         return None
     return vals
+
+
+#: a uvarint takes one byte more at each of these values
+_VARINT_STEPS = np.array([1 << (7 * k) for k in range(1, 9)], dtype=_I64)
+
+
+def _varint_widths(vals):
+    """Bytes of each non-negative value's uvarint."""
+    return _VARINT_STEPS.searchsorted(vals, side="right") + 1
 
 
 def encode(cols):
@@ -293,11 +302,7 @@ def encode(cols):
     if vals is None:
         return _pure.encode(cols)
     u = vals.astype(_U64)
-    nbytes = np.ones(len(u), dtype=_I64)
-    rest = u >> _U64(7)
-    while rest.any():
-        nbytes += rest != 0
-        rest >>= _U64(7)
+    nbytes = _varint_widths(vals)
     offsets = np.zeros(len(u), dtype=_I64)
     np.cumsum(nbytes[:-1], out=offsets[1:])
     out = np.zeros(int(offsets[-1] + nbytes[-1]), dtype=np.uint8)
@@ -309,17 +314,36 @@ def encode(cols):
     return out.tobytes()
 
 
-def encoded_size(cols):
-    vals = _delta_values(cols)
+def _total_size(cols, offsets=None):
+    """Wire bytes of ``cols`` as one list, or of its segments ending at
+    ``offsets`` (see ``pure.encoded_sizes``); None on negatives.
+
+    One segment is the one-list case: its count is the row count."""
+    if offsets is None or len(offsets) == 1:
+        vals = _delta_values(cols)
+        return None if vals is None else int(np.add.reduce(_varint_widths(vals)))
+    ends = np.array(offsets, dtype=_I64)
+    counts = ends.copy()
+    counts[1:] -= ends[:-1]
+    starts = ends - counts
+    # a trailing empty segment starts past the last row
+    vals = _delta_values(cols, starts[starts < len(cols[0])])
     if vals is None:
-        return _pure.encoded_size(cols)
-    u = vals.astype(_U64)
-    nbytes = np.ones(len(u), dtype=_I64)
-    rest = u >> _U64(7)
-    while rest.any():
-        nbytes += rest != 0
-        rest >>= _U64(7)
-    return int(nbytes.sum())
+        return None
+    # each segment's own count replaces the one-list count in vals[0]
+    return int(
+        np.add.reduce(_varint_widths(vals[1:])) + np.add.reduce(_varint_widths(counts))
+    )
+
+
+def encoded_size(cols):
+    size = _total_size(cols)
+    return _pure.encoded_size(cols) if size is None else size
+
+
+def encoded_sizes(cols, offsets):
+    size = _total_size(cols, offsets)
+    return _pure.encoded_sizes(cols, offsets) if size is None else size
 
 
 def decode(data, offset=0):

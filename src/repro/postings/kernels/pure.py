@@ -204,6 +204,21 @@ def encoded_size(cols):
     return sum(((v.bit_length() + 6) // 7) or 1 for v in wire_values(cols))
 
 
+def encoded_sizes(cols, offsets):
+    """``sum(encoded_size(segment))`` over the segments of ``cols``.
+
+    Segment ``i`` is rows ``[offsets[i - 1], offsets[i])``, the first one
+    starting at row 0; ``offsets`` is non-decreasing and its last entry is
+    the row count.  Each segment is sized as its own list: its own count,
+    and deltas starting again from zero."""
+    total = 0
+    lo = 0
+    for hi in offsets:
+        total += encoded_size(tuple(col[lo:hi] for col in cols))
+        lo = hi
+    return total
+
+
 def decode(data, offset=0):
     """Parse the wire format into a column 5-tuple.
 

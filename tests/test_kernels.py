@@ -11,9 +11,11 @@ answers and identical metered traffic.
 """
 
 import inspect
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bloom.filter import BloomFilter
 from repro.bloom.structural import DescendantBloomFilter
@@ -187,6 +189,75 @@ class TestCodecEquivalence:
         data = pure.encode(cols)
         assert npk.encode(cols) == data
         assert npk.decode(data) == pure.decode(data)
+
+
+def _row(peer, doc, start, span, level):
+    return (peer, doc, start, start + span, level)
+
+
+#: sorted segments with peer and doc changes inside a segment, and one-
+#: and two-byte starts (a start delta that fails to restart at a segment
+#: boundary changes the size)
+_small_rows = st.builds(
+    _row, st.integers(0, 1), st.integers(0, 2), st.integers(0, 2000),
+    st.integers(0, 40), st.integers(0, 9),
+)
+#: sorted segments of nine-byte varints (no int64 overflow: all >= 0)
+_big_rows = st.builds(
+    _row, st.integers(0, 3), st.integers(BIG - 4, BIG), st.integers(BIG - 2000, BIG - 1000),
+    st.integers(0, 999), st.integers(0, 9),
+)
+#: unsorted segments with negative deltas, spans and levels: the numpy
+#: kernel falls back to pure on these
+_raw_rows = st.tuples(*[st.integers(-50, 300)] * 5)
+
+
+@st.composite
+def _segments(draw):
+    rows, order = draw(st.sampled_from([
+        (_small_rows, "each"), (_small_rows, "all"), (_big_rows, "each"), (_raw_rows, None),
+    ]))
+    # up to 320 rows: counts past 127 take two bytes
+    segments = draw(st.lists(st.lists(rows, max_size=8), max_size=40))
+    if order == "each":
+        return [sorted(seg) for seg in segments]
+    if order == "all":
+        # sorted across segments too: no negative delta sends numpy to pure
+        flat = iter(sorted(row for seg in segments for row in seg))
+        return [[next(flat) for _ in seg] for seg in segments]
+    return segments
+
+
+class TestSegmentedSizeKernel:
+    BACKENDS = [pure] + ([npk] if HAVE_NUMPY else [])
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.NAME)
+    @settings(max_examples=150, deadline=None)
+    @given(segments=_segments())
+    def test_sum_of_segment_sizes(self, backend, segments):
+        rows = [row for seg in segments for row in seg]
+        offsets = list(itertools.accumulate(len(seg) for seg in segments))
+        cols = pure._transpose(rows)
+        each = [backend.encoded_size(pure._transpose(seg)) for seg in segments]
+        got = backend.encoded_sizes(cols, offsets)
+        assert got == sum(each) == pure.encoded_sizes(cols, offsets)
+        # one segment is the one-list case
+        assert backend.encoded_sizes(cols, [len(rows)]) == backend.encoded_size(cols)
+
+    @requires_numpy
+    def test_negative_values_fall_back_to_pure(self, monkeypatch):
+        calls = []
+        reference = pure.encoded_sizes
+
+        def spy(cols, offsets):
+            calls.append(offsets)
+            return reference(cols, offsets)
+
+        monkeypatch.setattr(pure, "encoded_sizes", spy)
+        # the second segment's level is negative
+        cols = pure._transpose([(0, 1, 5, 6, 1), (2, 0, 3, 9, -1)])
+        assert npk.encoded_sizes(cols, [1, 2]) == reference(cols, [1, 2])
+        assert calls == [[1, 2]]
 
 
 class TestSearchKernelEquivalence:
