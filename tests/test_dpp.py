@@ -176,6 +176,19 @@ class TestDppQueryEquivalence:
         _, report = net.query_with_report("//article//author")
         assert report.blocks_fetched >= 1
 
+    def test_forest_query_sums_component_block_counters(self):
+        """A wildcard splits the pattern into an `author` and a `journal`
+        component; the report counts the blocks of both."""
+        config = KadopConfig(use_dpp=True, dpp_block_entries=16)
+        net = KadopNetwork.create(num_peers=8, config=config, seed=0)
+        gen = DblpGenerator(seed=3, target_doc_bytes=4096)
+        for i, doc in enumerate(gen.documents(12)):
+            net.peers[i % 8].publish(doc, uri="d:%d" % i)
+        _, forest = net.query_with_report("//*[//author]//journal")
+        parts = [net.query_with_report(q)[1] for q in ("//*[//author]", "//journal")]
+        assert forest.blocks_fetched == sum(r.blocks_fetched for r in parts) == 18
+        assert forest.blocks_skipped == sum(r.blocks_skipped for r in parts)
+
     def test_min_max_filter_skips_blocks(self):
         """A term confined to few documents prunes the other term's blocks."""
         config = KadopConfig(use_dpp=True, dpp_block_entries=20, replication=1)
