@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-compare step-profile
+.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -99,6 +99,15 @@ bench-refresh:
 bench-e2e:
 	mkdir -p .bench_out
 	python3 bench/run.py --seed 0 --out .bench_out/new.json
+
+# the benchmark as a gate: a fresh bench-e2e against the committed seed-0
+# BENCH_e2e.json; red when a step, sim-time, byte or message metric moves
+# by more than 0.5 % on any workload (the layers that moved most are
+# named) or an op fails.  Steps hold only on the interpreter and numpy the
+# file was measured with (its "meta").  A PR that moves one on purpose
+# commits the refreshed file: cp .bench_out/new.json BENCH_e2e.json
+bench-e2e-check: bench-e2e
+	python3 benchmarks/e2e_gate.py BENCH_e2e.json .bench_out/new.json
 
 # one row per (end-to-end metric, workload) between two bench-e2e results,
 # e.g. make bench-compare BASE=/tmp/parent.json NEW=.bench_out/new.json;
