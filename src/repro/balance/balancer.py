@@ -154,7 +154,7 @@ class LoadBalancer:
                 continue
             getattr(node.store, op)(key, postings)
             node.versions[key] = stamp
-            self.net.meter.record("postings", payload)
+            self.net.ship(key, payload, "postings")
             self.ledger.record_write(key, node.peer_index, payload)
 
     def propagate_delete(self, key, posting, stamp):

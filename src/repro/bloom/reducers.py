@@ -27,7 +27,6 @@ from repro.bloom.structural import AncestorBloomFilter, DescendantBloomFilter
 from repro.errors import ConfigError
 from repro.postings.encoder import encoded_size
 from repro.query.pattern import Axis
-from repro.sim.tasks import Scheduler
 
 STRATEGIES = ("ab", "db", "bloom", "subquery")
 
@@ -40,15 +39,14 @@ class ReducerRun:
         self.component = component
         self.src_peer = src_peer
         self.nodes = component.nodes()
+        self.keys = {}  # node_id -> the DHT key of its term
         self.lists = {}  # node_id -> current (possibly reduced) PostingList
         self.phase_time = 0.0
-        self.filter_bytes = 0
 
-    def charge_filter(self, filter_obj):
-        nbytes = filter_obj.size_bytes
-        self.system.net.meter.record("filters", nbytes)
-        self.filter_bytes += nbytes
-        return self.system.net.cost.transfer_time(nbytes, hops=1)
+    def charge_filter(self, filter_obj, node_id):
+        """Ship the filter built from ``node_id``'s list; returns its
+        seconds."""
+        return self.system.net.ship(self.keys[node_id], filter_obj.size_bytes, "filters")
 
     def cpu(self, npostings):
         return self.system.net.cost.join_time(npostings)
@@ -96,6 +94,7 @@ class BloomReducers:
             key = term_key_of(node)
             owner = self.system.net.owner_of(key)
             plist = owner.store.get(key)
+            run.keys[node.node_id] = key
             run.lists[node.node_id] = plist
             list_max = plist.max_end()
             if list_max > max_end:
@@ -140,7 +139,7 @@ class BloomReducers:
                     continue
                 abf = self._ab_filter(run, node.parent.node_id)
                 build = run.cpu(len(run.lists[node.parent.node_id]))
-                ship = run.charge_filter(abf)
+                ship = run.charge_filter(abf, node.parent.node_id)
                 probe = run.cpu(len(run.lists[node.node_id]))
                 run.lists[node.node_id] = abf.filter_postings(
                     run.lists[node.node_id]
@@ -158,7 +157,7 @@ class BloomReducers:
                 for child in node.children:
                     dbf = self._db_filter(run, child.node_id)
                     build = run.cpu(len(run.lists[child.node_id]))
-                    ship = run.charge_filter(dbf)
+                    ship = run.charge_filter(dbf, child.node_id)
                     probe = run.cpu(len(run.lists[node.node_id]))
                     run.lists[node.node_id] = dbf.filter_postings(
                         run.lists[node.node_id], or_self=self._or_self(child)
@@ -181,7 +180,7 @@ class BloomReducers:
             parent = child.parent
             dbf = self._db_filter(run, child.node_id)
             build = run.cpu(len(run.lists[child.node_id]))
-            ship = run.charge_filter(dbf)
+            ship = run.charge_filter(dbf, child.node_id)
             probe = run.cpu(len(run.lists[parent.node_id]))
             run.lists[parent.node_id] = dbf.filter_postings(
                 run.lists[parent.node_id], or_self=self._or_self(child)
@@ -191,31 +190,20 @@ class BloomReducers:
     # -- phase 2 ---------------------------------------------------------------------
 
     def _ship_to_query_peer(self, run):
-        from repro.kadop.execution import term_key_of
-
         net = self.system.net
-        scheduler = Scheduler()
-        ingress_slots = max(
-            1, int(net.cost.params.ingress_bw / net.cost.params.egress_bw)
-        )
-        ingress = scheduler.add_resource("ingress", ingress_slots)
+        schedule = net.transfers(jitter=False)
+        hops = net.cost.expected_hops(len(net.alive_nodes()))
         ttfa = 0.0
         streams = {}
         for node in run.nodes:
             plist = run.lists[node.node_id]
             streams[node.node_id] = plist
-            nbytes = encoded_size(plist)
-            net.meter.record("postings", nbytes)
-            owner = net.owner_of(term_key_of(node))
-            egress = "egress:%d" % owner.peer_index
-            if not scheduler.has_resource(egress):
-                scheduler.add_resource(egress, 1)
-            scheduler.add_task(
-                "ship:%d" % node.node_id,
-                net.cost.transfer_time(nbytes, hops=1),
-                resources=(egress, ingress),
-            )
-            hops = net.cost.expected_hops(len(net.alive_nodes()))
+            key = run.keys[node.node_id]
+            seconds = net.ship(key, encoded_size(plist), "postings")
+            schedule.transfer("ship:%d" % node.node_id, seconds, net.owner_of(key).peer_index)
+            # a latency estimate, not a message: the first list starts one
+            # routed 64 B request after phase 1, and that request is not
+            # metered
             ttfa = max(ttfa, net.cost.transfer_time(64, hops=hops))
-        makespan = scheduler.run()
+        makespan = schedule.run()
         return streams, makespan, ttfa

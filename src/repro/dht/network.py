@@ -16,7 +16,9 @@ Every operation returns its result together with an :class:`OpReceipt`
 recording the hops taken, the bytes moved (also logged to the global
 :class:`~repro.sim.meter.TrafficMeter`), and the simulated duration.
 Requests are routed multi-hop over the overlay; bulk responses flow over a
-direct connection (one hop), as in the real system.
+direct connection (one hop), as in the real system.  The layers above
+send every other message between peers with :meth:`DhtNetwork.ship` and
+schedule parallel transfers with :meth:`DhtNetwork.transfers`.
 
 Fault tolerance (:mod:`repro.faults`): with a :class:`FaultPlan` on
 :attr:`DhtNetwork.faults` any message can be dropped (retry with backoff,
@@ -42,6 +44,7 @@ from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.sim.cost import CostModel
 from repro.sim.meter import TrafficMeter
+from repro.sim.tasks import Scheduler
 from repro.storage.clustered import ClusteredIndexStore
 
 #: nominal size of a routed control message (key + op header), bytes
@@ -111,6 +114,37 @@ class DhtNode:
 
     def __repr__(self):
         return "DhtNode(peer=%d, id=%s...)" % (self.peer_index, self.node_id.hex()[:8])
+
+
+class Transfers(Scheduler):
+    """One parallel transfer schedule into one receiving peer, made by
+    :meth:`DhtNetwork.transfers`: how a fetch, a push or a block shipment
+    turns the seconds of its messages into a makespan.
+
+    Each transfer holds one slot of its sender's ``egress:<peer>`` link
+    (one slot: a peer sends one thing at a time) and one of the receiver's
+    ``ingress`` slots.  Under the network's FaultPlan every transfer is
+    stretched by the plan's deterministic link jitter."""
+
+    def __init__(self, net, slots, jitter):
+        super().__init__()
+        self._cost = net.cost
+        if jitter and net.faults is not None:
+            self.install_faults(net.faults)
+        self.add_resource("ingress", slots)
+
+    def transfer(self, name, seconds, sender, release=0.0):
+        """Schedule a message of ``seconds`` from peer index ``sender``,
+        not before ``release``."""
+        egress = "egress:%d" % sender
+        if not self.has_resource(egress):
+            self.add_resource(egress, 1)
+        return self.add_task(name, seconds, resources=(egress, "ingress"), release=release)
+
+    def carry(self, name, nbytes, sender):
+        """Schedule the direct transfer of ``nbytes`` that a DHT verb has
+        already metered and billed (a fetched list, or a stripe of one)."""
+        return self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
 
 
 class DhtNetwork:
@@ -901,13 +935,39 @@ class DhtNetwork:
         receipt.request_bytes += wire if applies else nbytes
         return wire
 
-    def charge_route(self, category, nbytes, hops, receipt):
-        """Account for ``nbytes`` shipped along a :meth:`route` of ``hops``
-        that drew no message fates: the wire bytes, the receipt, and the
-        transfer time.  The DPP and the view store send their blocks this
-        way (whether those sends should draw fates is ROADMAP 6.4)."""
-        self._meter_route(category, nbytes, hops, receipt)
-        receipt.duration_s += self.cost.transfer_time(nbytes, hops=max(1, hops))
+    def ship(
+        self, key, nbytes, category, receipt=None, hops=None, fanout=1,
+        billed="request_bytes",
+    ):
+        """Send one message of ``nbytes`` about ``key`` from one peer to
+        another: the one call every layer above the DHT sends with.
+
+        Meters the message under ``category`` and returns its simulated
+        seconds; with ``receipt`` it also bills them there, with its bytes
+        (to the field ``billed``) and hops.  A direct send takes one hop.
+        ``hops`` makes it a send routed over that many overlay hops, which
+        puts ``nbytes × max(1, hops)`` on the wire like a routed request.
+        ``fanout`` sends as many copies at once (a broadcast): one meter
+        record of them all, and the seconds of one copy."""
+        span = 1 if hops is None else max(1, hops)
+        wire = nbytes * (fanout if hops is None else span)
+        if fanout:
+            self.meter.record(category, wire)
+        seconds = self.cost.transfer_time(nbytes, hops=span)
+        if receipt is not None:
+            receipt.hops += hops or 0
+            setattr(receipt, billed, getattr(receipt, billed) + wire)
+            receipt.duration_s += seconds
+        return seconds
+
+    def transfers(self, slots=None, jitter=True):
+        """A :class:`Transfers` schedule into one peer with ``slots``
+        ingress slots; by default as many as the peer's ingress bandwidth
+        absorbs at the egress rate."""
+        if slots is None:
+            params = self.cost.params
+            slots = max(1, int(params.ingress_bw / params.egress_bw))
+        return Transfers(self, slots, jitter)
 
     def _deliver_request(self, op, src, key, category, nbytes, idx, applies=True):
         """Route a request of ``nbytes`` to ``key``'s owner until it arrives.

@@ -176,10 +176,9 @@ class FundexIndex:
         # contacting every candidate peer and shipping whole documents
         ship_time = 0.0
         for peer_idx, doc_idx in sorted(shipped):
-            document = self.system.peers[peer_idx].documents[doc_idx]
-            nbytes = document.source_bytes
-            net.meter.record("documents", nbytes)
-            ship_time = max(ship_time, net.cost.transfer_time(nbytes, hops=1))
+            peer = self.system.peers[peer_idx]
+            nbytes = peer.documents[doc_idx].source_bytes
+            ship_time = max(ship_time, net.ship(peer.node.uri, nbytes, "documents"))
         report.candidate_docs = len(shipped) + exec_report.candidate_docs
         report.response_time_s = exec_report.response_time_s + ship_time
         report.completed_answers = len(answers)
@@ -288,8 +287,7 @@ class FundexIndex:
                 else:
                     complete.append(answer)
                 sent += encoded_size(sorted(postings.values())) + 8
-            net.meter.record("documents", sent)
-            doc_time = max(doc_time, net.cost.transfer_time(sent, hops=1))
+            doc_time = max(doc_time, net.ship(peer.node.uri, sent, "documents"))
         return complete, potential, doc_time
 
     def _needed_subtrees(self, pattern, potential):
@@ -341,6 +339,8 @@ class FundexIndex:
                 if match_document(sub_pattern, doc):
                     matching.add(fdoc.fid)
             sa[nid] = matching
+        # a latency estimate, not a message of its own: the sub-queries
+        # ride one routed 64 B request per peer, which is not metered
         rpc = cost.transfer_time(
             64, hops=cost.expected_hops(len(self.system.net.alive_nodes()))
         )
@@ -358,8 +358,7 @@ class FundexIndex:
         store directly on purpose: the Rev relation is Fundex control
         data written with plain ``net.append`` (never routed through
         ``dpp.append``), so there are no DPP blocks to consult and no
-        ``dpp_fetch_mode`` to honour — the transfer is metered and timed
-        explicitly right here."""
+        ``dpp_fetch_mode`` to honour — the reply is shipped right here."""
         net = self.system.net
         ra = {}
         per_owner_time = {}
@@ -370,15 +369,14 @@ class FundexIndex:
                 owner = net.owner_of(key)
                 plist = owner.store.get(key)
                 occurrences = occurrences.merge(plist)
-                nbytes = REV_ENTRY_BYTES * max(1, len(plist))
-                net.meter.record("control", nbytes)
+                reply_s = net.ship(key, REV_ENTRY_BYTES * max(1, len(plist)), "control")
                 prev = per_owner_time.get(owner.peer_index, None)
                 if prev is None:
+                    # a latency estimate: the owner's batched look-up
+                    # request is one routed 64 B envelope, not metered
                     hops = net.cost.expected_hops(len(net.alive_nodes()))
                     prev = net.cost.transfer_time(64, hops=hops)
-                per_owner_time[owner.peer_index] = prev + net.cost.transfer_time(
-                    nbytes, hops=1
-                )
+                per_owner_time[owner.peer_index] = prev + reply_s
             ra[nid] = occurrences
         rev_time = max(per_owner_time.values()) if per_owner_time else 0.0
         return ra, rev_time

@@ -283,9 +283,7 @@ class DppIndex:
         root = self._root_at(owner, term_key)
         if root is not None:
             nbytes = root.encoded_bytes()
-            self.net.meter.record("control", nbytes)
-            receipt.response_bytes += nbytes
-            receipt.duration_s += self.net.cost.transfer_time(nbytes, hops=1)
+            self.net.ship(term_key, nbytes, "control", receipt, billed="response_bytes")
             if coalescer is not None:
                 coalescer.register(
                     "dpproot", term_key, root, nbytes, receipt.duration_s
@@ -307,7 +305,7 @@ class DppIndex:
             return OpReceipt()
         owner, hops = self.net.route(src, term_key)
         receipt = OpReceipt()
-        self.net.charge_route("postings", encoded_size(postings), hops, receipt)
+        self.net.ship(term_key, encoded_size(postings), "postings", receipt, hops=hops)
         root = self._root_at(owner, term_key, create=True)
 
         # group the batch by target block: by range condition (ordered
@@ -387,20 +385,15 @@ class DppIndex:
             reference = reference.merge(current)
             if len(reference) == len(current):
                 return
+        receipt.duration_s += self.net.ship(store_key, encoded_size(reference), "postings")
         self.net.sync_copy(holder, store_key, reference, version)
-        payload = encoded_size(reference)
-        self.net.meter.record("postings", payload)
-        receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
 
     def _append_to_block(self, owner, root, entry, group):
         receipt = OpReceipt()
         holder, store_key = self._block_location(owner, entry, root.term_key)
         self._freshen_block(holder, store_key, receipt)
         if holder is not owner:
-            payload = encoded_size(group)
-            self.net.meter.record("postings", payload)
-            receipt.request_bytes += payload
-            receipt.duration_s += self.net.cost.transfer_time(payload, hops=1)
+            self.net.ship(store_key, encoded_size(group), "postings", receipt)
         # DPP blocks enjoy the DHT's reliability replication like any other
         # key (Section 4.2: "the DHT does replicate its index for
         # reliability"); the popularity replicas are a separate mechanism
@@ -448,7 +441,7 @@ class DppIndex:
         new_seq = root.new_seq()
         new_key = overflow_key(new_seq, root.term_key)
         new_holder, hops = self.net.route(owner, new_key)
-        self.net.charge_route("postings", encoded_size(upper), hops, receipt)
+        self.net.ship(new_key, encoded_size(upper), "postings", receipt, hops=hops)
         self.net.write_at(new_holder, new_key, upper, receipt)
 
         # the root replaces C with C1, C2
@@ -490,7 +483,8 @@ class DppIndex:
                 # stamp the rewrite so anti-entropy pushes the deletion to
                 # the block's replicas instead of resurrecting from them
                 holder.versions[store_key] = self.net.next_stamp()
-        self.net.meter.record("control", CONDITION_BYTES * max(1, removed))
+        # the conditions' update to the root: metered, not timed
+        self.net.ship(term_key, CONDITION_BYTES * max(1, removed), "control")
         return removed, receipt
 
     def replica_block_key(self, entry, term_key, copy):
@@ -514,7 +508,7 @@ class DppIndex:
             self.net.sync_copy(
                 self.net.owner_of(rep_key), rep_key, postings, self.net.next_stamp()
             )
-            self.net.meter.record("postings", encoded_size(postings))
+            self.net.ship(rep_key, encoded_size(postings), "postings")
             entry.replica_keys.append(rep_key)
 
     def _pick_block_holder(self, owner, entry, term_key):

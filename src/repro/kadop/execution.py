@@ -35,7 +35,6 @@ from repro.query.block_join import (
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis
 from repro.query.twigjoin import TwigPlan, twig_join
-from repro.sim.tasks import Scheduler
 
 #: small fixed cost for emitting one joined answer tuple
 ANSWER_TUPLE_BYTES = 40
@@ -110,17 +109,6 @@ def _root_docs(component, bindings):
     """The ``(peer, doc)`` pairs the root of ``component`` is bound in."""
     root_id = component.root.node_id
     return {(sol[root_id].peer, sol[root_id].doc) for sol in bindings}
-
-
-def add_transfer(scheduler, name, duration, holder_peer_index, ingress, release=0.0):
-    """Charge one transfer to its holder's egress link (declared on first
-    use) and the receiving peer's ``ingress`` capacity."""
-    egress = "egress:%d" % holder_peer_index
-    if not scheduler.has_resource(egress):
-        scheduler.add_resource(egress, 1)
-    return scheduler.add_task(
-        name, duration, resources=(egress, ingress), release=release
-    )
 
 
 @dataclass
@@ -475,20 +463,6 @@ class QueryExecutor:
             return self._fetch_dpp(component, src_peer, state)
         return self._fetch_plain(component, src_peer, state)
 
-    def _scheduler(self, ingress_slots):
-        """A transfer scheduler with the receiving peer's ``ingress``
-        capacity declared, wired to the network's FaultPlan (if any) so
-        bulk transfers see the plan's deterministic link jitter."""
-        scheduler = Scheduler()
-        plan = self.system.net.faults
-        if plan is not None:
-            scheduler.install_faults(plan)
-        return scheduler, scheduler.add_resource("ingress", ingress_slots)
-
-    def _ingress_slots(self):
-        cost = self.system.net.cost.params
-        return max(1, int(cost.ingress_bw / cost.egress_bw))
-
     def _fetch_plain(self, component, src_peer, state):
         """One stream per term, each from the term owner (Section 3)."""
         system = self.system
@@ -520,7 +494,7 @@ class QueryExecutor:
                 continue
             locate_time = max(locate_time, receipt.duration_s)
 
-        scheduler, ingress = self._scheduler(self._ingress_slots())
+        scheduler = net.transfers()
         ttfa = 0.0
         for key, (plist, receipt) in term_lists.items():
             nbytes = encoded_size(plist)
@@ -530,11 +504,9 @@ class QueryExecutor:
                 # from different copies" — one fragment per replica, each
                 # on its own egress link
                 replicas = net.replica_nodes(key)
-                fragment = net.cost.transfer_time(nbytes / len(replicas), hops=1)
                 for i, holder in enumerate(replicas):
-                    add_transfer(
-                        scheduler, "xfer:%s:%d" % (key, i), fragment,
-                        holder.peer_index, ingress,
+                    scheduler.carry(
+                        "xfer:%s:%d" % (key, i), nbytes / len(replicas), holder.peer_index
                     )
             else:
                 # charge the transfer to the node that actually served the
@@ -543,11 +515,7 @@ class QueryExecutor:
                 # at the congested link — coalesced fetches moved no bytes
                 # and keep the owner's link as their nominal egress
                 holder = holders.get(key) or net.owner_of(key)
-                add_transfer(
-                    scheduler, "xfer:%s" % key,
-                    net.cost.transfer_time(nbytes, hops=1),
-                    holder.peer_index, ingress,
-                )
+                scheduler.carry("xfer:%s" % key, nbytes, holder.peer_index)
             # the receipt's duration already covers locate + first chunk
             ttfa = max(ttfa, receipt.duration_s)
         makespan = scheduler.run()
@@ -662,7 +630,7 @@ class QueryExecutor:
         # own clock: they cannot start before the root blocks have arrived.
         # Eager and window schedules start when the roots are in
         release = root_time if lazy else 0.0
-        scheduler, ingress = self._scheduler(system.config.parallelism)
+        scheduler = system.net.transfers(system.config.parallelism)
         term_parts = {key: [] for key in roots}
         first_times = {}  # key -> transfer time of its first fetched block
 
@@ -680,9 +648,9 @@ class QueryExecutor:
                 state.unreachable.add(exc.key)
                 return PostingList()
             first_times.setdefault(key, receipt.duration_s)
-            add_transfer(
-                scheduler, "blk:%s:%d" % (key, entry.seq), receipt.duration_s,
-                holder.peer_index, ingress, release=release,
+            scheduler.transfer(
+                "blk:%s:%d" % (key, entry.seq), receipt.duration_s,
+                holder.peer_index, release=release,
             )
             term_parts[key].append(postings)
             return postings
@@ -841,18 +809,13 @@ class QueryExecutor:
         host_key = max(term_lists, key=lambda k: len(term_lists[k]))
 
         # the other lists travel to the host (parallel, host-ingress bound)
-        scheduler, ingress = self._scheduler(self._ingress_slots())
+        scheduler = net.transfers()
         for key, plist in term_lists.items():
             if key == host_key:
                 continue  # already local to the host
-            nbytes = encoded_size(plist)
-            net.meter.record("postings", nbytes)
+            seconds = net.ship(key, encoded_size(plist), "postings")
             report.postings_fetched += len(plist)
-            add_transfer(
-                scheduler, "push:%s" % key,
-                net.cost.transfer_time(nbytes, hops=1),
-                owners[key].peer_index, ingress,
-            )
+            scheduler.transfer("push:%s" % key, seconds, owners[key].peer_index)
         transfer_time = scheduler.run()
         self._observe_schedule(state, scheduler, rel_extra=locate_time)
 
@@ -867,8 +830,7 @@ class QueryExecutor:
             {posting for sol in bindings for posting in sol.values()}
         )
         result_bytes = encoded_size(result_postings) + ANSWER_TUPLE_BYTES
-        net.meter.record("postings", result_bytes)
-        ship_time = net.cost.transfer_time(result_bytes, hops=1)
+        ship_time = net.ship(host_key, result_bytes, "postings")
 
         docs = _root_docs(component, bindings)
         return docs, locate_time + transfer_time + join_time + ship_time
@@ -898,10 +860,8 @@ class QueryExecutor:
         timed_out = 0
         # one join plan per query, shared by every candidate document; no
         # membership change happens inside the loop, so one hop estimate
-        # and one query-shipping time
         plan = TwigPlan(pattern)
         hops = net.cost.expected_hops(len(net.alive_nodes()))
-        ship_time = net.cost.transfer_time(64, hops=hops)
         for peer_idx, doc_indexes in by_peer.items():
             peer = system.peers[peer_idx]
             if not peer.node.alive:
@@ -912,6 +872,7 @@ class QueryExecutor:
                     timed_out=True, peer=peer_idx, docs=len(doc_indexes),
                 )
                 continue
+            found = []
             sent = []  # each answer's sorted postings, sized in one call
             for doc_idx in doc_indexes:
                 if doc_idx not in peer.documents:
@@ -923,16 +884,18 @@ class QueryExecutor:
                     # keeping answers sound under update-heavy churn
                     continue
                 for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
-                    answers.append(
+                    found.append(
                         Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
                     )
                     sent.append(sorted(postings.values()))
             matched = len(sent)
             sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(sent)
             # query shipping + answer return, one round trip per doc peer
-            net.meter.record("control", 64 * hops)
-            net.meter.record("documents", sent_bytes)
-            peer_time = ship_time + net.cost.transfer_time(sent_bytes, hops=1)
+            uri = peer.node.uri
+            peer_time = net.ship(uri, 64, "control", hops=hops) + net.ship(
+                uri, sent_bytes, "documents"
+            )
+            answers.extend(found)
             doc_peer_times.append((peer_idx, peer_time))
             state.peer_span(
                 "doc:peer%d" % peer_idx,

@@ -92,10 +92,8 @@ class StrategyOptimizer:
                     documents=len(plist.doc_ids()),
                     max_end=plist.max_end() or 1,
                 )
-                net.meter.record("control", CONTROL_BYTES)
                 slowest = max(
-                    slowest,
-                    receipt.duration_s + net.cost.transfer_time(CONTROL_BYTES),
+                    slowest, receipt.duration_s + net.ship(key, CONTROL_BYTES, "control")
                 )
             stats[node.node_id] = per_term[key]
         return stats, slowest

@@ -137,10 +137,9 @@ class ViewManager:
             )
         )
         others = max(0, len(net.alive_nodes()) - 1)
-        if others:
-            net.meter.record("control", view.encoded_bytes() * others)
-        return receipt.duration_s + net.cost.transfer_time(
-            view.encoded_bytes(), hops=1
+        return receipt.duration_s + net.ship(
+            view_record_key(view.view_id), view.encoded_bytes(), "control",
+            fanout=others,
         )
 
     # -- materialization -------------------------------------------------------

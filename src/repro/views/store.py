@@ -14,7 +14,6 @@ experiments can separate cache traffic from base-index traffic.
 from repro.dht.network import OpReceipt
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
-from repro.sim.tasks import Scheduler
 from repro.views.definition import ViewBlock, block_key
 
 #: traffic-meter category for view fetch and maintenance transfers
@@ -52,30 +51,23 @@ class ViewBlockStore:
         """Store ``postings`` as fresh clustered blocks of ``view``.
 
         Used once per materialization; returns an :class:`OpReceipt` whose
-        duration covers routing each block to its holder (blocks ship in
-        parallel: the makespan is scheduled over egress/ingress links)."""
+        duration covers routing each block to its holder (the blocks are
+        scheduled as transfers: the materializing peer's one egress link
+        sends them one after another)."""
         postings = PostingList.of(postings)
         receipt = OpReceipt()
-        scheduler = Scheduler()
-        egress = scheduler.add_resource("egress", 1)  # one materializing peer
+        schedule = self.net.transfers(jitter=False)
         for chunk in postings.chunks(self.max_block_entries):
             seq = view.new_seq()
             key = block_key(view.view_id, seq)
             holder, hops = self.net.route(src_node, key)
             payload = encoded_size(chunk)
             sent = OpReceipt()  # its seconds go on the schedule, not the sum
-            self.net.charge_route(VIEW_TRAFFIC, payload, hops, sent)
+            self.net.ship(key, payload, VIEW_TRAFFIC, sent, hops=hops)
             self.net.timed_store_op(sent, holder.store, "append", key, chunk)
             receipt.hops += sent.hops
             receipt.request_bytes += sent.request_bytes
-            ingress = "ingress:%d" % holder.peer_index
-            if not scheduler.has_resource(ingress):
-                scheduler.add_resource(ingress, 1)
-            scheduler.add_task(
-                "viewblk:%d" % seq,
-                sent.duration_s,
-                resources=(egress, ingress),
-            )
+            schedule.transfer("viewblk:%d" % seq, sent.duration_s, src_node.peer_index)
             view.blocks.append(
                 ViewBlock(
                     key,
@@ -85,7 +77,7 @@ class ViewBlockStore:
                     payload,
                 )
             )
-        receipt.duration_s += scheduler.run()
+        receipt.duration_s += schedule.run()
         return receipt
 
     # -- incremental maintenance ------------------------------------------------
@@ -115,7 +107,7 @@ class ViewBlockStore:
         # catalog count to just the delta, losing the old answers
         if holder.store.count(block.key) != block.count:
             raise ViewIntegrityError(block.key)
-        self.net.charge_route(VIEW_TRAFFIC, encoded_size(group), hops, receipt)
+        self.net.ship(block.key, encoded_size(group), VIEW_TRAFFIC, receipt, hops=hops)
         self.net.timed_store_op(receipt, holder.store, "append", block.key, group)
         self._refresh_block(holder, block, group)
         if holder.store.count(block.key) > self.max_block_entries:
@@ -148,7 +140,7 @@ class ViewBlockStore:
         new_key = block_key(view.view_id, seq)
         new_holder, hops = self.net.route(src_node, new_key)
         payload = encoded_size(upper)
-        self.net.charge_route(VIEW_TRAFFIC, payload, hops, receipt)
+        self.net.ship(new_key, payload, VIEW_TRAFFIC, receipt, hops=hops)
         self.net.timed_store_op(receipt, new_holder.store, "append", new_key, upper)
         new_block = ViewBlock(
             new_key,
@@ -185,8 +177,7 @@ class ViewBlockStore:
             # catalog count describing postings nobody can reach
             if holder.store.count(block.key) != block.count:
                 raise ViewIntegrityError(block.key)
-            self.net.meter.record(VIEW_TRAFFIC, 32 * max(1, hops))
-            receipt.duration_s += self.net.cost.transfer_time(32, hops=max(1, hops))
+            receipt.duration_s += self.net.ship(block.key, 32, VIEW_TRAFFIC, hops=hops)
             changed = 0
             for posting in postings:
                 if holder.store.delete(block.key, posting):
@@ -218,10 +209,7 @@ class ViewBlockStore:
                 # the repeat without putting a second copy on the wire
                 merged, makespan, first = flight.data
                 return merged, makespan, first, 0
-        scheduler = Scheduler()
-        ingress = scheduler.add_resource(
-            "ingress", self.system.config.parallelism
-        )
+        schedule = self.net.transfers(self.system.config.parallelism, jitter=False)
         merged = PostingList()
         first = None
         total_bytes = 0
@@ -229,21 +217,15 @@ class ViewBlockStore:
             holder = self.net.owner_of(block.key)
             postings = holder.store.get(block.key)
             payload = encoded_size(postings)
-            self.net.meter.record(VIEW_TRAFFIC, payload)
+            duration = self.net.cost.disk_read_time(payload) + self.net.ship(
+                block.key, payload, VIEW_TRAFFIC
+            )
             total_bytes += payload
             merged = merged.merge(postings)
-            duration = self.net.cost.disk_read_time(
-                payload
-            ) + self.net.cost.transfer_time(payload, hops=1)
-            egress = "egress:%d" % holder.peer_index
-            if not scheduler.has_resource(egress):
-                scheduler.add_resource(egress, 1)
-            scheduler.add_task(
-                "viewfetch:%s" % block.key, duration, resources=(egress, ingress)
-            )
+            schedule.transfer("viewfetch:%s" % block.key, duration, holder.peer_index)
             if first is None:
                 first = duration
-        makespan = scheduler.run()
+        makespan = schedule.run()
         if coalescer is not None:
             coalescer.register(
                 "view",
