@@ -22,12 +22,13 @@ read-path staleness guarantee.
 
 **Hot-key extra replication**: when a key's decayed read rate crosses
 ``hot_key_threshold``, its list is copied onto the coldest alive peers
-outside the replica set.  Writes propagate synchronously to the extras
-(same stamp, metered as background replication like anti-entropy, not
-charged to the writer's receipt), so extras stay byte-fresh and
-eligible.  When the rate decays below half the threshold the extra
-copies are dropped again — unless one has become the data's sole
-survivor or joined the replica set through churn.
+outside the replica set.  Writes reach the extras through the DHT's
+replica-push path (same stamp, metered as background replication like
+anti-entropy, not charged to the writer's receipt), so extras stay
+byte-fresh and eligible; one whose copy was lost under a fault plan keeps
+its older stamp and is skipped by reads.  When the rate decays below
+half the threshold the extra copies are dropped again — unless one has
+become the data's sole survivor or joined the replica set through churn.
 
 **Rebalance ticks**: :meth:`maybe_tick` advances on the serving
 engine's shared clock; each tick decays the ledger, demotes cooled
@@ -36,7 +37,6 @@ keys, and runs one :class:`~repro.balance.rebalancer.Rebalancer` pass.
 
 from repro.balance.ledger import LoadLedger
 from repro.balance.rebalancer import Rebalancer
-from repro.postings.encoder import encoded_size
 
 #: float-comparison slack for simulated instants
 _EPS = 1e-9
@@ -137,25 +137,11 @@ class LoadBalancer:
         """Ledger one applied write copy (owner apply or replica push)."""
         self.ledger.record_write(key, node.peer_index, nbytes)
 
-    def propagate_write(self, op, key, postings, stamp):
-        """Apply an acked write to the key's hot extra copies.
-
-        Same store primitive, same stamp — an extra copy is the same
-        logical write landed on one more disk, exactly like a replica
-        push.  Metered as wire traffic but, like anti-entropy, not
-        charged to the writer's receipt (extras are maintained in the
-        background)."""
+    def hot_copies(self, key):
+        """The alive extra copies of ``key``, which every write to it
+        reaches too (:meth:`DhtNetwork._apply`); empty unless it is hot."""
         extras = self.extras.get(key)
-        if not extras:
-            return
-        payload = encoded_size(postings)
-        for node in extras:
-            if not node.alive:
-                continue
-            getattr(node.store, op)(key, postings)
-            node.versions[key] = stamp
-            self.net.ship(key, payload, "postings")
-            self.ledger.record_write(key, node.peer_index, payload)
+        return [node for node in extras if node.alive] if extras else ()
 
     def propagate_delete(self, key, posting, stamp):
         """Mirror a delete onto the key's hot extra copies."""

@@ -191,7 +191,7 @@ class BloomReducers:
 
     def _ship_to_query_peer(self, run):
         net = self.system.net
-        schedule = net.transfers(jitter=False)
+        schedule = net.transfers()
         hops = net.cost.expected_hops(len(net.alive_nodes()))
         ttfa = 0.0
         streams = {}

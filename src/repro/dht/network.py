@@ -126,10 +126,10 @@ class Transfers(Scheduler):
     ``ingress`` slots.  Under the network's FaultPlan every transfer is
     stretched by the plan's deterministic link jitter."""
 
-    def __init__(self, net, slots, jitter):
+    def __init__(self, net, slots):
         super().__init__()
         self._cost = net.cost
-        if jitter and net.faults is not None:
+        if net.faults is not None:
             self.install_faults(net.faults)
         self.add_resource("ingress", slots)
 
@@ -477,26 +477,29 @@ class DhtNetwork:
         The rule for a write whose destination is already resolved (a DPP
         block, named by the root), where :meth:`_apply` is the rule for a
         routed one: one fresh stamp on every copy, the holder's store time
-        charged to ``receipt``, and per other member of
-        :meth:`replica_nodes` one direct transfer, metered and timed but
-        (unlike :meth:`_replicate`) neither billed as request bytes nor
-        shown to the balancer.  ``replace`` rewrites the copies (a split's
-        lower half) instead of appending: a replica that merely appended
-        would keep the pre-split block, a copy that is larger (hence "more
-        complete" to anti-entropy repair) yet stale."""
+        charged to ``receipt``, and the copies to the other members of
+        :meth:`replica_nodes` pushed by :meth:`_replicate` under its quorum
+        rule: metered and timed but, unlike a routed write's, neither
+        billed as request bytes nor shown to the balancer.  ``replace``
+        rewrites the copies (a split's lower half) instead of appending: a
+        replica that merely appended would keep the pre-split block, a copy
+        that is larger (hence "more complete" to anti-entropy repair) yet
+        stale."""
+        idx = self.faults.begin_message() if self.faults is not None else None
         stamp = self.next_stamp()
         if replace:
             holder.store.delete(key)
         self.timed_store_op(receipt, holder.store, "append", key, postings)
         holder.versions[key] = stamp
         if self.replication > 1:  # a lone copy has no replica set to look up
-            payload = encoded_size(postings)
-            for backup in self.replica_nodes(key):
-                if backup is holder:
-                    continue
-                self.sync_copy(backup, key, postings, stamp, replace)
-                self.meter.record("postings", payload)
-                receipt.duration_s += self.cost.transfer_time(payload, hops=1)
+            replicas = self.replica_nodes(key)
+            acks = self._replicate(
+                key, idx, holder, replicas, encoded_size(postings),
+                lambda node: self.sync_copy(node, key, postings, stamp, replace),
+                receipt,
+            )
+            if self.faults is not None and self._short(acks, len(replicas)):
+                self._timeout(key, "write_at", receipt)
 
     def alive_nodes(self):
         return [n for n in self.nodes if n.alive]
@@ -774,6 +777,7 @@ class DhtNetwork:
         """The FaultPlan index of a new top-level ``op``; None without a plan."""
         return self.faults.begin_op(self, op, key) if self.faults is not None else None
 
+
     def _retry_wait(self, attempt):
         """Simulated seconds lost to one failed attempt: the sender waits
         out the op timeout, then backs off before resending."""
@@ -821,8 +825,9 @@ class DhtNetwork:
         ``lost``; the loop returns the op's receipt.
 
         Without a FaultPlan the first copy lands.  Under one, each copy
-        draws the fate of ``point``: ``"request"``, ``"response"``, or a
-        backup's index in the replica set.  A lost copy (dropped, or its
+        draws the fate of ``point``: ``"request"``, ``"response"``,
+        ``"batch"``, or a pushed copy's index in the replica set.  A lost
+        copy (dropped, or its
         receiver crashed) costs ``lost`` its disk read plus ``timeout +
         backoff`` and is sent again.  Once retries run out the op raises
         :class:`~repro.faults.OpTimeoutError` with ``lost``, folded into
@@ -838,12 +843,10 @@ class DhtNetwork:
             if crashed:
                 plan.stats.retries += 1
             else:
-                if point == "request":
-                    fate = plan.request_fate(idx, attempt)
-                elif point == "response":
-                    fate = plan.response_fate(idx, attempt)
-                else:
+                if isinstance(point, int):
                     fate = plan.replica_fate(idx, attempt, point)
+                else:
+                    fate = plan.message_fate(idx, attempt, point)
                 if fate == "drop":
                     self._observe_fault("drop", key)
                 elif applier is not None and plan.maybe_crash_owner(
@@ -948,26 +951,47 @@ class DhtNetwork:
         ``hops`` makes it a send routed over that many overlay hops, which
         puts ``nbytes × max(1, hops)`` on the wire like a routed request.
         ``fanout`` sends as many copies at once (a broadcast): one meter
-        record of them all, and the seconds of one copy."""
+        record of them all, and the seconds of one copy.
+
+        Without a FaultPlan the copy arrives.  Under one the message is
+        numbered apart from the ops
+        (:meth:`~repro.faults.FaultPlan.begin_message`) and
+        :meth:`_deliver` draws the fate of each copy at ``"request"``: a
+        lost copy is metered and billed too, costs ``timeout + backoff``
+        and is resent, and when retries run out
+        :class:`~repro.faults.OpTimeoutError` carries ``receipt``."""
         span = 1 if hops is None else max(1, hops)
         wire = nbytes * (fanout if hops is None else span)
-        if fanout:
-            self.meter.record(category, wire)
+
+        def send(attempt):  # one copy on the wire
+            if fanout:
+                self.meter.record(category, wire)
+            if receipt is not None:
+                receipt.hops += hops or 0
+                setattr(receipt, billed, getattr(receipt, billed) + wire)
+            return None, wire, 0, False
+
         seconds = self.cost.transfer_time(nbytes, hops=span)
+        if self.faults is None:
+            send(0)
+        else:  # the copy that arrives is charged below, with what was lost
+            lost = self._deliver(
+                "ship", key, self.faults.begin_message(), "request", send,
+                lambda: None, OpReceipt(), category, located=receipt,
+            )
+            seconds += lost.duration_s
         if receipt is not None:
-            receipt.hops += hops or 0
-            setattr(receipt, billed, getattr(receipt, billed) + wire)
             receipt.duration_s += seconds
         return seconds
 
-    def transfers(self, slots=None, jitter=True):
+    def transfers(self, slots=None):
         """A :class:`Transfers` schedule into one peer with ``slots``
         ingress slots; by default as many as the peer's ingress bandwidth
         absorbs at the egress rate."""
         if slots is None:
             params = self.cost.params
             slots = max(1, int(params.ingress_bw / params.egress_bw))
-        return Transfers(self, slots, jitter)
+        return Transfers(self, slots)
 
     def _deliver_request(self, op, src, key, category, nbytes, idx, applies=True):
         """Route a request of ``nbytes`` to ``key``'s owner until it arrives.
@@ -1082,9 +1106,11 @@ class DhtNetwork:
         identical to :meth:`append` of the same postings — only the wire
         charging and the message count differ.
 
-        Under an active FaultPlan the direct transfer can be dropped (resend
-        after backoff) or the owner can crash before applying it (the retry
-        re-routes to the successor, charging a fresh control round)."""
+        Under an active FaultPlan the direct transfer draws its own fates
+        (point ``"batch"``, apart from the locate's ``"request"``): it can
+        be dropped (resend after backoff), or the owner can crash before
+        applying it (the retry re-routes to the successor, charging a
+        fresh control round)."""
         postings = PostingList.of(postings)
         idx = self._begin("append_batch", key)
         payload = encoded_size(postings)
@@ -1105,71 +1131,89 @@ class DhtNetwork:
         def land():
             receipt.duration_s += self.cost.transfer_time(payload, hops=1)
 
-        self._deliver("append_batch", key, idx, "request", send, land, receipt, src=src)
+        self._deliver("append_batch", key, idx, "batch", send, land, receipt, src=src)
         self._apply("append", owner, key, postings, payload, receipt, idx, replicate)
         self._observe_op("append_batch", src, key, receipt, payload=payload)
         return receipt
 
     def _apply(self, store_op, owner, key, postings, payload, receipt, idx, replicate):
         """Apply a delivered write at ``owner`` under a fresh stamp, charge
-        the store time to ``receipt``, and push it to the backups."""
+        the store time to ``receipt``, and push it under the same stamp to
+        the backups and to any hot extra copies."""
         stamp = self.next_stamp()
         self.timed_store_op(receipt, owner.store, store_op, key, postings)
         owner.versions[key] = stamp
         if self.balancer is not None:
             self.balancer.on_write(key, owner, payload)
         if replicate:
-            receipt.merge(self._replicate(owner, key, postings, idx, stamp, payload))
-        if self.balancer is not None:
-            # keep any hot extra copies byte-fresh (same stamp, so they
-            # stay eligible for fan-out reads)
-            self.balancer.propagate_write(store_op, key, postings, stamp)
+            # billed to the op and shown to the balancer; a quorum short
+            # of write_quorum fails the write
+            def backup(node):
+                node.store.append(key, postings)
+                node.versions[key] = stamp
+                if self.balancer is not None:
+                    self.balancer.on_write(key, node, payload)
 
-    def _replicate(self, owner, key, postings, fault_idx, stamp, payload=None):
-        """Push ``postings`` to the backup replicas under ``stamp``.
+            pushed = OpReceipt()
+            replicas = self.replica_nodes(key)
+            acks = self._replicate(key, idx, owner, replicas, payload, backup, pushed, billed=True)
+            if self.faults is not None and self._short(acks, len(replicas)):
+                self._timeout(key, "replicate", pushed)
+            receipt.merge(pushed)
+        extras = self.balancer.hot_copies(key) if self.balancer is not None else None
+        if extras:
+            # a hot key's extra copies take the write in the background,
+            # like anti-entropy: not on the writer's receipt, and no quorum
+            # (one that misses it keeps an older stamp, so reads skip it)
+            def extra(node):
+                getattr(node.store, store_op)(key, postings)
+                node.versions[key] = stamp
+                self.balancer.on_write(key, node, payload)
 
-        ``payload`` is ``encoded_size(postings)`` when the caller has
-        already computed it (every write op has, to charge the request).
+            self._replicate(
+                key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication
+            )
 
-        Without a FaultPlan every push arrives first time.  Under a plan
-        each backup is retried until it acknowledges or retries run out;
-        the write succeeds once :attr:`write_quorum` acks are in (the
-        owner's local apply counts as the first), leaving any unacked
-        backup under-replicated for :meth:`anti_entropy_repair` to catch
-        up.  Fewer acks than the quorum raise
-        :class:`~repro.faults.OpTimeoutError`."""
-        receipt = OpReceipt()
-        if payload is None:
-            payload = encoded_size(postings)
-        replicas = self.replica_nodes(key)
-        acked = 1  # the owner's own, already-applied copy
+    def _replicate(
+        self, key, idx, holder, nodes, payload, land_copy, receipt, billed=False,
+        category="postings", first=0,
+    ):
+        """The replica-push path of every write: send a copy of
+        ``payload`` bytes from ``holder`` to each other node of ``nodes``
+        and ``land_copy(node)`` where it arrives.  Returns the acks, the
+        holder's own copy counted.
 
-        # one copy to ``node``, the backup of the loop below
+        Each copy is metered under ``category`` and charges ``receipt`` one
+        direct transfer; with ``billed``, its bytes too, as request bytes.
+        Without a FaultPlan every copy arrives first time.  Under a plan the
+        copy to ``nodes[i]`` draws the fate of point ``first + i`` and is
+        resent until it is acknowledged or retries run out.  A node that
+        never acknowledges is given up silently, left under-replicated for
+        :meth:`anti_entropy_repair`, and the caller's quorum
+        (:meth:`_short`) decides."""
+        acks = 1
+
         def send(attempt):
-            self.meter.record("postings", payload)
-            receipt.request_bytes += payload
+            self.meter.record(category, payload)
+            if billed:
+                receipt.request_bytes += payload
             return None, payload, 0, False
 
         def land():
-            node.store.append(key, postings)
-            node.versions[key] = stamp
+            land_copy(node)
             receipt.duration_s += self.cost.transfer_time(payload, hops=1)
 
-        for r_i, node in enumerate(replicas):
-            if node is owner:
+        for point, node in enumerate(nodes, first):
+            if node is holder:
                 continue
-            if self._deliver("replicate", key, fault_idx, r_i, send, land, receipt) is None:
-                continue  # a deaf backup is not an error: the quorum decides
-            if self.balancer is not None:
-                self.balancer.on_write(key, node, payload)
-            acked += 1
-        if self.faults is not None:
-            quorum = len(replicas)
-            if self.write_quorum != "all":
-                quorum = quorum // 2 + 1
-            if acked < quorum:
-                self._timeout(key, "replicate", receipt)
-        return receipt
+            if self._deliver("replicate", key, idx, point, send, land, receipt, category):
+                acks += 1
+        return acks
+
+    def _short(self, acks, copies):
+        """Do ``acks`` of a write's ``copies`` fall short of
+        :attr:`write_quorum` (the holder's own copy counts)?"""
+        return acks < (copies if self.write_quorum == "all" else copies // 2 + 1)
 
     def get(self, src, key):
         """Blocking ``get``: the full posting list, in one response."""
@@ -1255,12 +1299,19 @@ class DhtNetwork:
             "put_object", src, key, "control", nbytes, idx
         )
         stamp = self.next_stamp()
-        for node in self.replica_nodes(key):
+
+        def copy(node):
             node.objects[key] = (obj, nbytes)
             node.versions[key] = stamp
-            if node is not owner:
-                self.meter.record("control", nbytes)
-                receipt.duration_s += self.cost.transfer_time(nbytes, hops=1)
+
+        replicas = self.replica_nodes(key)
+        if owner in replicas:
+            copy(owner)  # the request itself delivered the owner's copy
+        acks = self._replicate(
+            key, idx, owner, replicas, nbytes, copy, receipt, category="control"
+        )
+        if self.faults is not None and self._short(acks, len(replicas)):
+            self._timeout(key, "put_object", receipt)
         self._observe_op("put_object", src, key, receipt, payload=nbytes)
         return receipt
 

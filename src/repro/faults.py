@@ -6,8 +6,9 @@ harness actually exercise that claim.  A :class:`FaultPlan` is a seeded,
 fully deterministic oracle that the network consults at well-defined
 injection points:
 
-* **message fates** — a routed request or a bulk response can be dropped
-  (the op times out and retries with capped exponential backoff, charged
+* **message fates** — any message between peers (a routed request, a
+  bulk response, a pushed copy, a message shipped by the layers above the
+  DHT) can be dropped (the op times out and retries with capped exponential backoff, charged
   in simulated time and metered bytes), delayed (extra latency), or
   duplicated (a second copy arrives; delivery is idempotent and the
   duplicate is metered as real wire traffic but *not* double-counted in
@@ -180,6 +181,7 @@ class FaultPlan:
         self.crashed = []  # nodes currently down, oldest first
         self._restart_at = {}  # node -> op index at which it comes back
         self._op = 0
+        self._message = 0
 
     @classmethod
     def none(cls, seed=0):
@@ -214,6 +216,17 @@ class FaultPlan:
                 self.restart(net, node)
         return idx
 
+    def begin_message(self):
+        """Register one message sent outside any DHT op (a message shipped
+        by a layer above the DHT, or a block write's pushed copies);
+        returns its index, ``("msg", n)``.
+
+        Messages are numbered apart from ops: they do not advance the
+        plan's clock, and adding one renumbers no op that a script or a
+        regression seed pins."""
+        self._message += 1
+        return ("msg", self._message - 1)
+
     def _record(self, idx, event, detail):
         self.events.append((idx, event, detail))
 
@@ -247,16 +260,15 @@ class FaultPlan:
         self._record(idx, fate, point)
         return fate
 
-    def request_fate(self, idx, attempt):
-        """Fate of attempt ``attempt`` of op ``idx``'s routed request."""
-        return self._fate(idx, attempt, ("request",))
-
-    def response_fate(self, idx, attempt):
-        """Fate of the bulk response of attempt ``attempt`` of op ``idx``."""
-        return self._fate(idx, attempt, ("response",))
+    def message_fate(self, idx, attempt, point):
+        """Fate of attempt ``attempt`` of op ``idx``'s message at ``point``:
+        its routed ``"request"`` (a shipped message's only one), its bulk
+        ``"response"``, or ``append_batch``'s direct ``"batch"`` transfer."""
+        return self._fate(idx, attempt, (point,))
 
     def replica_fate(self, idx, attempt, replica_index):
-        """Fate of the replication message to the ``replica_index``-th backup."""
+        """Fate of the pushed copy to the ``replica_index``-th member of the
+        replica set (a hot extra copy's index follows the set's)."""
         return self._fate(idx, attempt, ("replica", replica_index))
 
     # -- crashes and restarts ---------------------------------------------------

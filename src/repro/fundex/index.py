@@ -11,6 +11,7 @@ query executor simply never reports functional documents as answers.
 from dataclasses import dataclass, field
 
 from repro.errors import EntityResolutionError
+from repro.faults import OpTimeoutError
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
@@ -178,7 +179,10 @@ class FundexIndex:
         for peer_idx, doc_idx in sorted(shipped):
             peer = self.system.peers[peer_idx]
             nbytes = peer.documents[doc_idx].source_bytes
-            ship_time = max(ship_time, net.ship(peer.node.uri, nbytes, "documents"))
+            try:
+                ship_time = max(ship_time, net.ship(peer.node.uri, nbytes, "documents"))
+            except OpTimeoutError:
+                report.complete = False  # a document lost for good
         report.candidate_docs = len(shipped) + exec_report.candidate_docs
         report.response_time_s = exec_report.response_time_s + ship_time
         report.completed_answers = len(answers)
@@ -197,7 +201,7 @@ class FundexIndex:
         report.candidate_docs = len(candidates)
         report.index_time_s = index_time
         complete, potential, doc_time = self._potential_answers(
-            pattern, candidates
+            pattern, candidates, report
         )
         report.potential_answers = len(potential)
 
@@ -210,7 +214,7 @@ class FundexIndex:
         report.functional_docs_pruned = pruned
 
         # 4. Rev look-ups: map matching fids to their occurrences
-        ra, rev_time = self._rev_occurrences(sa, src_peer)
+        ra, rev_time = self._rev_occurrences(sa, run)
 
         # 5. θ-join: complete the potential answers
         completed = self._complete(pattern, potential, ra)
@@ -271,23 +275,33 @@ class FundexIndex:
             (p, d) for (p, d) in candidates if d < FUNCTIONAL_DOC_BASE
         }, index_time
 
-    def _potential_answers(self, pattern, candidates):
+    def _potential_answers(self, pattern, candidates, report):
+        """Complete and potential answers of every candidate document; a
+        document whose answers were lost for good leaves ``report``
+        incomplete, as a timed-out document peer does."""
         complete, potential = [], []
         doc_time = 0.0
         net = self.system.net
         for peer_idx, doc_idx in sorted(candidates):
             peer = self.system.peers[peer_idx]
+            found, partial = [], []
             sent = 0
             for postings, incomplete in peer.evaluate(
                 pattern, doc_idx, allow_incomplete=True
             ):
                 answer = Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
                 if incomplete:
-                    potential.append((answer, frozenset(incomplete)))
+                    partial.append((answer, frozenset(incomplete)))
                 else:
-                    complete.append(answer)
+                    found.append(answer)
                 sent += encoded_size(sorted(postings.values())) + 8
-            doc_time = max(doc_time, net.ship(peer.node.uri, sent, "documents"))
+            try:
+                doc_time = max(doc_time, net.ship(peer.node.uri, sent, "documents"))
+            except OpTimeoutError:
+                report.complete = False
+                continue
+            complete += found
+            potential += partial
         return complete, potential, doc_time
 
     def _needed_subtrees(self, pattern, potential):
@@ -347,7 +361,7 @@ class FundexIndex:
         eval_time = (rpc + max(per_peer_time.values())) if per_peer_time else 0.0
         return sa, eval_time, evaluated, pruned
 
-    def _rev_occurrences(self, sa, src_peer):
+    def _rev_occurrences(self, sa, run):
         """``Ra`` per missing sub-pattern: occurrence postings via Rev.
 
         Look-ups for fids owned by the same peer are batched into one
@@ -358,7 +372,8 @@ class FundexIndex:
         store directly on purpose: the Rev relation is Fundex control
         data written with plain ``net.append`` (never routed through
         ``dpp.append``), so there are no DPP blocks to consult and no
-        ``dpp_fetch_mode`` to honour — the reply is shipped right here."""
+        ``dpp_fetch_mode`` to honour — the reply is shipped right here.  A
+        reply lost for good names its key in ``run``'s unreachable keys."""
         net = self.system.net
         ra = {}
         per_owner_time = {}
@@ -368,8 +383,12 @@ class FundexIndex:
                 key = rev_key(*fid)
                 owner = net.owner_of(key)
                 plist = owner.store.get(key)
+                try:
+                    reply_s = net.ship(key, REV_ENTRY_BYTES * max(1, len(plist)), "control")
+                except OpTimeoutError as exc:
+                    run.unreachable.add(exc.key)
+                    continue
                 occurrences = occurrences.merge(plist)
-                reply_s = net.ship(key, REV_ENTRY_BYTES * max(1, len(plist)), "control")
                 prev = per_owner_time.get(owner.peer_index, None)
                 if prev is None:
                     # a latency estimate: the owner's batched look-up

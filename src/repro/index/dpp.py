@@ -21,6 +21,7 @@ query terms, and fetches only useful blocks — in parallel (Section 4.2).
 from dataclasses import dataclass
 
 from repro.dht.network import OpReceipt
+from repro.faults import OpTimeoutError
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
@@ -432,17 +433,26 @@ class DppIndex:
             lower = PostingList(items[0::2], presorted=True)
             upper = PostingList(items[1::2], presorted=True)
 
-        # rewrite the lower half in place, on every reliability replica too
-        self.net.write_at(holder, store_key, lower, receipt, replace=True)
-        # ship the upper half to the peer in charge of a fresh pseudo-key,
-        # where it gets the DHT's reliability replication like any other
-        # key: crashing the new holder right after a split must not lose
-        # the upper half at replication > 1
         new_seq = root.new_seq()
         new_key = overflow_key(new_seq, root.term_key)
-        new_holder, hops = self.net.route(owner, new_key)
-        self.net.ship(new_key, encoded_size(upper), "postings", receipt, hops=hops)
-        self.net.write_at(new_holder, new_key, upper, receipt)
+        try:
+            # rewrite the lower half in place, on every reliability replica
+            # too
+            self.net.write_at(holder, store_key, lower, receipt, replace=True)
+            # ship the upper half to the peer in charge of a fresh
+            # pseudo-key, where it gets the DHT's reliability replication
+            # like any other key: crashing the new holder right after a
+            # split must not lose the upper half at replication > 1
+            new_holder, hops = self.net.route(owner, new_key)
+            self.net.ship(new_key, encoded_size(upper), "postings", receipt, hops=hops)
+            self.net.write_at(new_holder, new_key, upper, receipt)
+        except OpTimeoutError:
+            # a split is not atomic: put the whole block back at its holder
+            # under a fresh stamp, which repair spreads over the copies the
+            # lower half reached.  The root is untouched, so an upper half
+            # that did land is an orphan no query routes to
+            self.net.sync_copy(holder, store_key, block, self.net.next_stamp())
+            raise
 
         # the root replaces C with C1, C2
         idx = root.entries.index(entry)
@@ -505,10 +515,10 @@ class DppIndex:
             # a popularity replica is one more copy of the block under a
             # pseudo-key of its own (never on that key's replica set, never
             # charged store time), so it takes the copy rule
+            self.net.ship(rep_key, encoded_size(postings), "postings")
             self.net.sync_copy(
                 self.net.owner_of(rep_key), rep_key, postings, self.net.next_stamp()
             )
-            self.net.ship(rep_key, encoded_size(postings), "postings")
             entry.replica_keys.append(rep_key)
 
     def _pick_block_holder(self, owner, entry, term_key):

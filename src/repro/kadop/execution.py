@@ -305,8 +305,6 @@ class QueryExecutor:
     def _index_phase(self, plan, src_peer, strategy, view_outcome, report, state):
         """Fetch and join every component of ``plan``: returns the candidate
         ``(peer, doc)`` set and fills the report's index-phase fields."""
-        system = self.system
-        config = system.config
         view_overhead = view_outcome.overhead_s if view_outcome else 0.0
         index_span = state.span("phase:index", "phase", 0.0)
         if view_overhead:
@@ -316,79 +314,22 @@ class QueryExecutor:
             )
         state.enter(index_span, offset=view_overhead)
 
-        overlapped = config.pipelined_get or config.use_dpp
-        strategy = strategy if strategy is not None else config.filter_strategy
+        if strategy is None:
+            strategy = self.system.config.filter_strategy
         candidate_docs = None
         for component in plan.components:
-            component_strategy = strategy
-            if strategy == "auto":
-                choice = system.optimizer.choose(component, src_peer)
-                component_strategy = choice.executor_strategy
-                report.chosen_strategy = choice.strategy
-                report.index_time_s = max(report.index_time_s, choice.stats_time_s)
-                state.span(
-                    "optimize:%s" % choice.strategy, "optimizer",
-                    choice.stats_time_s, index_span, strategy=choice.strategy,
+            try:
+                docs, component_time, component_ttfa = self._index_component(
+                    component, src_peer, strategy, report, state, index_span
                 )
-            if component_strategy == "pushdown" and len(component) == 1:
-                component_strategy = None  # single term: nothing to push
-            # the fetch span is opened before the fetch so the DHT ops and
-            # scheduler tasks inside attach to it; duration patched after.
-            # Bloom-filter exchanges get their own category so the profile
-            # can split reducer traffic from plain fetches.
-            pushdown = component_strategy == "pushdown"
-            label = component_strategy or (
-                self._dpp_label() if config.use_dpp else "plain"
-            )
-            fetch_span = state.span(
-                "fetch[%s]" % label,
-                "bloom" if component_strategy and not pushdown else "fetch",
-                0.0, index_span, terms=len(component),
-            )
-            state.enter(fetch_span)
-            if pushdown:
-                docs, component_time = self._pushdown_join(
-                    component, src_peer, report, state
-                )
-                component_ttfa = component_time
-                state.close(fetch_span, component_time)
-            else:
-                try:
-                    fetched = self.fetch(component, src_peer, component_strategy, state)
-                except OpTimeoutError as exc:
-                    # this component's fetch died beyond its inner recovery
-                    # (e.g. a reducer exchange): skip it — the document
-                    # phase verifies the full pattern on whatever
-                    # candidates remain, so answers stay exact, just
-                    # possibly incomplete
-                    state.unreachable.add(exc.key)
-                    state.enter(index_span)
-                    continue
-                join_inputs = sum(len(s) for s in fetched.streams.values())
-                report.postings_fetched += join_inputs
-                join_cpu = system.net.cost.join_time(join_inputs)
-                state.close(fetch_span, fetched.time_s, postings=join_inputs)
-                state.span(
-                    "twig-join", "join", join_cpu, index_span,
-                    delay=0.0 if overlapped else fetched.time_s,
-                    inputs=join_inputs,
-                )
-                if overlapped:
-                    component_time = max(fetched.time_s, join_cpu)
-                    component_ttfa = fetched.ttfa_s + system.net.cost.join_time(
-                        min(config.chunk_postings, max(join_inputs, 1))
-                    )
-                else:
-                    component_time = fetched.time_s + join_cpu
-                    component_ttfa = component_time
-                if config.index_granularity == "document":
-                    report.precise = False  # see component_docs
-                if fetched.counters is not None:
-                    # a forest query reports the blocks of every component
-                    report.blocks_fetched += fetched.counters[0]
-                    report.blocks_skipped += fetched.counters[1]
-                docs, vectors = self.component_docs(component, fetched)
-                report.block_vectors += vectors
+            except OpTimeoutError as exc:
+                # this component's statistics, exchange or push died beyond
+                # its inner recovery: skip it — the document phase verifies
+                # the full pattern on whatever candidates remain, so answers
+                # stay exact, just possibly incomplete
+                state.unreachable.add(exc.key)
+                state.enter(index_span)
+                continue
             state.enter(index_span)
             report.index_time_s = max(report.index_time_s, component_time)
             report.time_to_first_s = max(report.time_to_first_s, component_ttfa)
@@ -402,6 +343,73 @@ class QueryExecutor:
         report.time_to_first_s += view_overhead
         state.close(index_span, report.index_time_s)
         return candidate_docs or set()
+
+    def _index_component(self, component, src_peer, strategy, report, state, index_span):
+        """Bring one component's lists to the query peer and join them:
+        returns its candidate ``(peer, doc)`` set, time and time to first
+        data, and fills the report's per-component fields."""
+        system = self.system
+        config = system.config
+        component_strategy = strategy
+        if strategy == "auto":
+            choice = system.optimizer.choose(component, src_peer)
+            component_strategy = choice.executor_strategy
+            report.chosen_strategy = choice.strategy
+            report.index_time_s = max(report.index_time_s, choice.stats_time_s)
+            state.span(
+                "optimize:%s" % choice.strategy, "optimizer",
+                choice.stats_time_s, index_span, strategy=choice.strategy,
+            )
+        if component_strategy == "pushdown" and len(component) == 1:
+            component_strategy = None  # single term: nothing to push
+        # the fetch span is opened before the fetch so the DHT ops and
+        # scheduler tasks inside attach to it; duration patched after.
+        # Bloom-filter exchanges get their own category so the profile
+        # can split reducer traffic from plain fetches.
+        pushdown = component_strategy == "pushdown"
+        label = component_strategy or (
+            self._dpp_label() if config.use_dpp else "plain"
+        )
+        fetch_span = state.span(
+            "fetch[%s]" % label,
+            "bloom" if component_strategy and not pushdown else "fetch",
+            0.0, index_span, terms=len(component),
+        )
+        state.enter(fetch_span)
+        if pushdown:
+            docs, component_time = self._pushdown_join(
+                component, src_peer, report, state
+            )
+            state.close(fetch_span, component_time)
+            return docs, component_time, component_time
+        fetched = self.fetch(component, src_peer, component_strategy, state)
+        join_inputs = sum(len(s) for s in fetched.streams.values())
+        report.postings_fetched += join_inputs
+        join_cpu = system.net.cost.join_time(join_inputs)
+        state.close(fetch_span, fetched.time_s, postings=join_inputs)
+        overlapped = config.pipelined_get or config.use_dpp
+        state.span(
+            "twig-join", "join", join_cpu, index_span,
+            delay=0.0 if overlapped else fetched.time_s,
+            inputs=join_inputs,
+        )
+        if overlapped:
+            component_time = max(fetched.time_s, join_cpu)
+            component_ttfa = fetched.ttfa_s + system.net.cost.join_time(
+                min(config.chunk_postings, max(join_inputs, 1))
+            )
+        else:
+            component_time = fetched.time_s + join_cpu
+            component_ttfa = component_time
+        if config.index_granularity == "document":
+            report.precise = False  # see component_docs
+        if fetched.counters is not None:
+            # a forest query reports the blocks of every component
+            report.blocks_fetched += fetched.counters[0]
+            report.blocks_skipped += fetched.counters[1]
+        docs, vectors = self.component_docs(component, fetched)
+        report.block_vectors += vectors
+        return docs, component_time, component_ttfa
 
     def component_docs(self, component, fetched):
         """The one join dispatch: the candidate ``(peer, doc)`` pairs of
@@ -840,9 +848,10 @@ class QueryExecutor:
     def _document_phase(self, pattern, src_peer, candidate_docs, state):
         """Ship the query to document peers, collect exact answers.
 
-        A candidate peer that left the network is detected by timeout
-        (Section 3): its documents' answers are missing and the result is
-        flagged incomplete.  Returns ``(answers, doc_time_s, timed_out)``
+        A candidate peer that left the network, or whose query or answers
+        were lost for good, is detected by timeout (Section 3): its
+        documents' answers are missing and the result is flagged
+        incomplete.  Returns ``(answers, doc_time_s, timed_out)``
         and leaves the per-peer times in ``state.doc_peer_times``.
         """
         system = self.system
@@ -864,7 +873,38 @@ class QueryExecutor:
         hops = net.cost.expected_hops(len(net.alive_nodes()))
         for peer_idx, doc_indexes in by_peer.items():
             peer = system.peers[peer_idx]
-            if not peer.node.alive:
+            peer_time = None
+            if peer.node.alive:
+                found = []
+                sent = []  # each answer's sorted postings, sized in one call
+                for doc_idx in doc_indexes:
+                    if doc_idx not in peer.documents:
+                        # a candidate the peer no longer holds: an
+                        # unpublished document whose postings linger
+                        # somewhere (a stale view block awaiting its delta,
+                        # or a resurrected index copy from a crash-restarted
+                        # replica).  The document peer simply answers "no
+                        # such document", keeping answers sound under
+                        # update-heavy churn
+                        continue
+                    for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
+                        found.append(
+                            Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
+                        )
+                        sent.append(sorted(postings.values()))
+                matched = len(sent)
+                sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(sent)
+                uri = peer.node.uri
+                try:
+                    # query shipping + answer return, one round trip per doc peer
+                    peer_time = net.ship(uri, 64, "control", hops=hops) + net.ship(
+                        uri, sent_bytes, "documents"
+                    )
+                except OpTimeoutError:
+                    pass  # the query or the answers were lost for good
+            if peer_time is None:
+                # a peer that left the network, or whose messages never
+                # got through, is detected by timeout (Section 3)
                 timed_out += 1
                 doc_peer_times.append((peer_idx, timeout_s))
                 state.peer_span(
@@ -872,29 +912,6 @@ class QueryExecutor:
                     timed_out=True, peer=peer_idx, docs=len(doc_indexes),
                 )
                 continue
-            found = []
-            sent = []  # each answer's sorted postings, sized in one call
-            for doc_idx in doc_indexes:
-                if doc_idx not in peer.documents:
-                    # a candidate the peer no longer holds: an unpublished
-                    # document whose postings linger somewhere (a stale
-                    # view block awaiting its delta, or a resurrected
-                    # index copy from a crash-restarted replica).  The
-                    # document peer simply answers "no such document",
-                    # keeping answers sound under update-heavy churn
-                    continue
-                for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
-                    found.append(
-                        Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
-                    )
-                    sent.append(sorted(postings.values()))
-            matched = len(sent)
-            sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(sent)
-            # query shipping + answer return, one round trip per doc peer
-            uri = peer.node.uri
-            peer_time = net.ship(uri, 64, "control", hops=hops) + net.ship(
-                uri, sent_bytes, "documents"
-            )
             answers.extend(found)
             doc_peer_times.append((peer_idx, peer_time))
             state.peer_span(

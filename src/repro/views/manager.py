@@ -30,6 +30,7 @@ added or withdrawn — publication is the rare, local operation — and routes
 exactly the matching root postings into or out of the view's blocks.
 """
 
+from repro.faults import OpTimeoutError
 from repro.postings.plist import PostingList
 from repro.query.index_plan import build_index_plan
 from repro.query.matcher import match_document, match_to_postings
@@ -283,10 +284,10 @@ class ViewManager:
                 continue
             try:
                 self.store.append(peer.node, view, postings)
-            except ViewIntegrityError:
+                self._publish_record(peer.node, view)
+            except (ViewIntegrityError, OpTimeoutError):
                 self._dematerialize(peer.node, view)
                 continue
-            self._publish_record(peer.node, view)
             added += len(postings)
         self.maintenance_added += added
         return added
@@ -310,21 +311,23 @@ class ViewManager:
                 count, _receipt = self.store.delete_doc(
                     peer.node, view, (peer.index, doc_index), postings.items()
                 )
-            except ViewIntegrityError:
+                self._publish_record(peer.node, view)
+            except (ViewIntegrityError, OpTimeoutError):
                 self._dematerialize(peer.node, view)
                 continue
-            self._publish_record(peer.node, view)
             removed += count
         self.maintenance_removed += removed
         return removed
 
     def _dematerialize(self, src_node, view):
         """Drop a view whose single-copy block state can no longer be
-        incrementally maintained (:class:`ViewIntegrityError`): the
+        incrementally maintained: a holder lost its copy
+        (:class:`ViewIntegrityError`), or a maintenance message was lost
+        for good under a FaultPlan, so the delta did not land whole.  The
         catalog entry survives with its popularity, so a later hot query
         re-materializes it from the base index.  Reachable block copies
-        are deleted best-effort; stranded ones are garbage under never
-        -reused block keys."""
+        are deleted best-effort, and so is the change advertised;
+        stranded copies are garbage under never-reused block keys."""
         for block in view.blocks:
             holder, _hops = self.system.net.route(src_node, block.key)
             if block.key in holder.store:
@@ -333,7 +336,10 @@ class ViewManager:
         view.blocks = []
         view.base_bytes = None
         self.dematerializations += 1
-        self._publish_record(src_node, view)
+        try:
+            self._publish_record(src_node, view)
+        except OpTimeoutError:
+            pass  # the drop stands; the next catalog change advertises it
 
     # -- introspection ---------------------------------------------------------
 

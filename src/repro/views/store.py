@@ -56,7 +56,8 @@ class ViewBlockStore:
         sends them one after another)."""
         postings = PostingList.of(postings)
         receipt = OpReceipt()
-        schedule = self.net.transfers(jitter=False)
+        schedule = self.net.transfers()
+        blocks = []  # the catalog learns of them once all have landed
         for chunk in postings.chunks(self.max_block_entries):
             seq = view.new_seq()
             key = block_key(view.view_id, seq)
@@ -68,15 +69,10 @@ class ViewBlockStore:
             receipt.hops += sent.hops
             receipt.request_bytes += sent.request_bytes
             schedule.transfer("viewblk:%d" % seq, sent.duration_s, src_node.peer_index)
-            view.blocks.append(
-                ViewBlock(
-                    key,
-                    chunk.first.doc_id,
-                    chunk.last.doc_id,
-                    len(chunk),
-                    payload,
-                )
+            blocks.append(
+                ViewBlock(key, chunk.first.doc_id, chunk.last.doc_id, len(chunk), payload)
             )
+        view.blocks.extend(blocks)
         receipt.duration_s += schedule.run()
         return receipt
 
@@ -129,18 +125,19 @@ class ViewBlockStore:
         receipt = OpReceipt()
         data = holder.store.get(block.key)
         lower, upper = data.split_at(len(data) // 2)
+        seq = view.new_seq()
+        new_key = block_key(view.view_id, seq)
+        new_holder, hops = self.net.route(src_node, new_key)
+        payload = encoded_size(upper)
+        # the upper half is shipped before the block is cut, so a split
+        # whose message is lost leaves the block whole
+        self.net.ship(new_key, payload, VIEW_TRAFFIC, receipt, hops=hops)
         holder.store.delete(block.key)
         holder.store.append(block.key, lower)
         block.lo_doc = lower.first.doc_id
         block.hi_doc = lower.last.doc_id
         block.count = len(lower)
         block.nbytes = encoded_size(lower)
-
-        seq = view.new_seq()
-        new_key = block_key(view.view_id, seq)
-        new_holder, hops = self.net.route(src_node, new_key)
-        payload = encoded_size(upper)
-        self.net.ship(new_key, payload, VIEW_TRAFFIC, receipt, hops=hops)
         self.net.timed_store_op(receipt, new_holder.store, "append", new_key, upper)
         new_block = ViewBlock(
             new_key,
@@ -209,7 +206,7 @@ class ViewBlockStore:
                 # the repeat without putting a second copy on the wire
                 merged, makespan, first = flight.data
                 return merged, makespan, first, 0
-        schedule = self.net.transfers(self.system.config.parallelism, jitter=False)
+        schedule = self.net.transfers(self.system.config.parallelism)
         merged = PostingList()
         first = None
         total_bytes = 0

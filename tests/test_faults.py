@@ -14,9 +14,10 @@ Three families:
   postings, retries back off exponentially (capped) in simulated time,
   majority quorums tolerate a deaf replica that anti-entropy later
   catches up, and queries degrade to partial answers instead of raising.
-* **op x fate table** — every DHT op under every message fate, owner and
-  stream-holder crashes, a deaf backup and exhausted retries: receipt,
-  meter and ``plan.events`` against the same op's clean run.
+* **op x fate table** — every DHT op and every kind of shipped message
+  under every message fate, owner and stream-holder crashes, a deaf
+  backup and exhausted retries: receipt (or time), meter and
+  ``plan.events`` against the same run without the fate.
 """
 
 import collections
@@ -27,14 +28,20 @@ import os
 import pytest
 
 from repro import faults
+from repro.bloom.reducers import ReducerRun
+from repro.bloom.structural import AncestorBloomFilter
 from repro.dht.network import CONTROL_BYTES, DhtNetwork, OpReceipt
 from repro.faults import FaultPlan, OpTimeoutError, RetryPolicy
+from repro.index.dpp import DppIndex
 from repro.kadop.config import KadopConfig
+from repro.kadop.execution import QueryRun
 from repro.kadop.system import KadopNetwork
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.sim.fuzz import FuzzConfig, FuzzResult, _Iteration, repro_command
+from repro.views.definition import ViewDefinition
+from repro.views.store import ViewBlockStore
 
 #: one message a forced fate hits: where the fate is drawn, what one copy
 #: meters and bills, and what losing it costs beside ``timeout + backoff``
@@ -244,15 +251,18 @@ class TestDuplicateAccounting:
 
 
 class TestOpFateTable:
-    """Every op x every fate, against the same op's clean run.
+    """Every op and every shipped message x every fate, against the same
+    run without the fate.
 
     One rule covers the table.  A *drop* meters and bills the lost copy
     and adds ``timeout + backoff`` (a dropped response also charges the
     disk read that produced it).  A *delay* adds ``delay_s`` and nothing
-    else.  A *duplicate* meters one
-    more copy and leaves the receipt alone.  ``append_batch`` draws its
-    locate and its direct transfer from the same ``(op, attempt,
-    request)`` point, so one forced fate hits both messages.
+    else.  A *duplicate* meters one more copy and leaves the receipt
+    alone.  ``append_batch`` draws its locate and its direct transfer at
+    points of their own, so a fate forced on both hits two messages.
+    The shipped rows (``SHIPPED``) are the messages the layers above the
+    DHT send with ``DhtNetwork.ship``, plus ``write_at``'s pushed copies;
+    a row without a receipt of its own compares the time it reports.
     """
 
     KEY = "elem:t"
@@ -260,6 +270,7 @@ class TestOpFateTable:
     RETRIES = 2
     WRITES = ("append", "put", "append_batch", "put_object")
     OPS = ("locate",) + WRITES + ("get", "pipelined_get", "block_get")
+    SHIPPED = ("doc_answers", "bloom_filter", "view_fetch", "dpp_split", "write_at")
     #: the value ``faults._unit`` must return for each fate under rates
     #: drop = delay = duplicate = 0.3 (crash rate 0: no draw ever crashes)
     DRAW = {"drop": 0.0, "delay": 0.4, "duplicate": 0.7, None: 0.99}
@@ -311,11 +322,14 @@ class TestOpFateTable:
                 src, self.KEY, chunk_postings=3
             ),
             "block_get": lambda: net.block_get(src, self.KEY, block),
+            "write_at": lambda: self._write_at(net, new),
         }
+        if op in self.SHIPPED[:-1]:
+            calls[op] = getattr(self, "_" + op)(system, src, stored)
         owner = net.owner_of(self.OBJ if op.endswith("_object") else self.KEY)
         idx = plan.op_count
         plan.script.update({idx: script} if script else {})
-        before = net.meter.snapshot()
+        before, seen = net.meter.snapshot(), len(plan.events)
         draws = {}
         answer = error = None
         try:
@@ -332,49 +346,116 @@ class TestOpFateTable:
         return {
             "net": net, "plan": plan, "idx": idx, "owner": owner,
             "answer": answer, "receipt": receipt, "error": error, "meter": meter,
-            "events": [e for e in plan.events if e[0] >= idx],
+            "events": plan.events[seen:],
             "new_bytes": encoded_size(PostingList(new)),
             "chunk0_bytes": encoded_size(PostingList(stored[:3])),
+            "upper_bytes": encoded_size(PostingList(stored[2:4])),
         }
+
+    # -- the shipped rows: each a setup returning the call under test ---------
+
+    def _write_at(self, net, new):
+        receipt = OpReceipt()
+        net.write_at(net.owner_of(self.KEY), self.KEY, PostingList(new), receipt)
+        return receipt
+
+    def _doc_answers(self, system, src, stored):
+        """One document peer's round trip: the query ship and the answers."""
+        peer = system.peers[1]
+        peer.publish("<a><b>x</b><b>y</b></a>", uri="u:t")
+        pattern, docs = system.parse("//a//b"), {(1, max(peer.documents))}
+        run = QueryRun()
+
+        def call():
+            answers, doc_time, _ = system.executor._document_phase(
+                pattern, system.peers[src.peer_index], docs, run
+            )
+            return answers, OpReceipt(duration_s=doc_time)
+
+        return call
+
+    def _bloom_filter(self, system, src, stored):
+        reducer = ReducerRun(system, system.parse("//a"), system.peers[src.peer_index])
+        reducer.keys[0] = self.KEY
+        abf = AncestorBloomFilter(PostingList(stored), l=8, fp_rate=0.01, seed=1)
+        return lambda: OpReceipt(duration_s=reducer.charge_filter(abf, 0))
+
+    def _view_fetch(self, system, src, stored):
+        store = ViewBlockStore(system)
+        view = ViewDefinition(system.parse("//a"))
+        store.write_blocks(src, view, PostingList(stored[:3]))
+
+        def call():
+            merged, makespan, _, _ = store.fetch_all(src, view)
+            return merged.items(), OpReceipt(duration_s=makespan)
+
+        return call
+
+    def _dpp_split(self, system, src, stored):
+        dpp, term = DppIndex(system.net, max_block_entries=4), "elem:s"
+        dpp.append(src, term, stored[:4])
+        owner = system.net.owner_of(term)
+        root = dpp._root_at(owner, term)
+        return lambda: dpp._split_block(owner, root, root.entries[0])
 
     def _messages(self, op, clean):
         """The messages one forced fate at attempt 0 hits."""
-        receipt, cost = clean["receipt"], clean["net"].cost
+        receipt, cost, meter = clean["receipt"], clean["net"].cost, clean["meter"]
         hops, span = receipt.hops, max(1, receipt.hops)
+        request, payload = ("request",), clean["new_bytes"]
         if op in ("locate", "get_object"):  # get_object: its locate, no more
             wire = CONTROL_BYTES * span
-            return [_Message("request", "control", wire, "request_bytes",
+            return [_Message(request, "control", wire, "request_bytes",
                              CONTROL_BYTES, hops, 0.0)]
         if op in ("append", "put", "put_object"):
             category = "control" if op == "put_object" else "postings"
-            wire = (48 if op == "put_object" else clean["new_bytes"]) * span
-            return [_Message("request", category, wire, "request_bytes", wire,
+            wire = (48 if op == "put_object" else payload) * span
+            return [_Message(request, category, wire, "request_bytes", wire,
                              hops, 0.0)]
         if op == "append_batch":
-            payload = clean["new_bytes"]
             return self._messages("locate", clean) + [
-                _Message("request", "postings", payload, "request_bytes",
+                _Message(("batch",), "postings", payload, "request_bytes",
                          payload, 0, 0.0)
             ]
+        if op == "write_at":  # a pushed copy per backup, billed no bytes
+            return [
+                _Message(("replica", i), "postings", payload, "request_bytes", 0, 0, 0.0)
+                for i in (1, 2)
+            ]
+        if op == "doc_answers":  # no receipt: only the time is compared
+            return [
+                _Message(request, category, meter[category], "request_bytes", 0, 0, 0.0)
+                for category in ("control", "documents")
+            ]
+        if op in ("bloom_filter", "view_fetch"):
+            category = "filters" if op == "bloom_filter" else "views"
+            return [_Message(request, category, meter[category], "request_bytes",
+                             0, 0, 0.0)]
+        if op == "dpp_split":  # the upper half, routed over the receipt's hops
+            wire = clean["upper_bytes"] * span
+            return [_Message(request, "postings", wire, "request_bytes", wire,
+                             hops, 0.0)]
         payload = receipt.response_bytes
-        return [_Message("response", "postings", payload, "response_bytes",
+        return [_Message(("response",), "postings", payload, "response_bytes",
                          payload, 0, cost.disk_read_time(payload))]
 
     @pytest.mark.parametrize("fate", ["drop", "delay", "duplicate"])
-    @pytest.mark.parametrize("op", OPS + ("get_object",))
+    @pytest.mark.parametrize("op", OPS + ("get_object",) + SHIPPED)
     def test_one_fate_against_the_clean_run(self, monkeypatch, op, fate):
         clean = self._run(monkeypatch, op)
         assert clean["error"] is None and clean["events"] == []
         messages = self._messages(op, clean)
-        point = messages[0].point
+        points = {msg.point for msg in messages}
         run = self._run(
             monkeypatch, op,
             decide=lambda attempt, pt, nth: (
-                fate if attempt == 0 and pt[0] == point else None
+                fate if attempt == 0 and pt in points else None
             ),
         )
         assert run["error"] is None
-        assert run["events"] == [(run["idx"], fate, (point,))] * len(messages)
+        assert [e[1:] for e in run["events"]] == [(fate, m.point) for m in messages]
+        if op not in self.SHIPPED:  # a shipped message is numbered apart
+            assert {e[0] for e in run["events"]} == {run["idx"]}
         net, plan = run["net"], run["plan"]
         expected = dataclasses.replace(clean["receipt"])
         meter = dict(clean["meter"])
@@ -406,20 +487,15 @@ class TestOpFateTable:
     def test_retries_exhausted(self, monkeypatch, op):
         clean = self._run(monkeypatch, op)
         msg = self._messages(op, clean)[-1]
-        # append_batch: let the locate (first request draw) through, so it
-        # is the direct transfer that runs out of retries
-        spare = 1 if op == "append_batch" else 0
         run = self._run(
             monkeypatch, op,
-            decide=lambda attempt, pt, nth: (
-                "drop" if pt[0] == msg.point and nth > spare else None
-            ),
+            decide=lambda attempt, pt, nth: "drop" if pt == msg.point else None,
         )
         error, net, attempts = run["error"], run["net"], self.RETRIES + 1
         assert isinstance(error, OpTimeoutError)
         assert (error.op, error.attempts) == (op, attempts)
         assert error.key == (self.OBJ if op == "put_object" else self.KEY)
-        assert run["events"] == [(run["idx"], "drop", (msg.point,))] * attempts
+        assert run["events"] == [(run["idx"], "drop", msg.point)] * attempts
         assert run["plan"].stats.timeouts == 1
         assert run["plan"].stats.drops == run["plan"].stats.retries == attempts
         # the receipt so far rides on the error: every lost copy billed and

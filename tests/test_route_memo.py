@@ -7,8 +7,7 @@
   leaves, crashes, restarts and placement changes, under tracing and under
   an installed ``FaultPlan``, a memoised network behaves like one whose
   memo is emptied before every call;
-* the memo is bounded, and ``_replicate`` meters the same bytes whether it
-  is handed the payload size or computes it.
+* the memo is bounded.
 """
 
 import random
@@ -22,8 +21,6 @@ from repro.dht.nodeid import DIGITS, ID_SPACE, NodeId
 from repro.dht.routing import RoutingState
 from repro.faults import FaultPlan, OpTimeoutError
 from repro.obs.trace import Tracer
-from repro.postings.encoder import encoded_size
-from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 
 
@@ -233,21 +230,3 @@ def test_memo_never_exceeds_its_cap(monkeypatch):
         owner, _ = net.route(net.nodes[i % 16], key)
         assert owner is net.owner_of(key)
         assert 0 < len(net._hop_memo) <= 8
-
-
-@pytest.mark.parametrize("with_plan", [False, True])
-def test_replicate_meters_the_same_with_or_without_payload(with_plan):
-    postings = PostingList([P(1), P(3), P(5)])
-    results = []
-    for payload in (None, encoded_size(postings)):
-        net = DhtNetwork.create(8, replication=3)
-        if with_plan:
-            net.faults = FaultPlan(seed=2, duplicate_rate=0.5, drop_rate=0.2)
-        owner = net.owner_of("t")
-        idx = net.faults.begin_op(net, "append", "t") if with_plan else None
-        receipt = net._replicate(
-            owner, "t", postings, fault_idx=idx, stamp=1, payload=payload
-        )
-        results.append((receipt, net.meter.snapshot(), net.meter.messages()))
-    assert results[0] == results[1]
-    assert results[0][1]["postings"] >= 2 * encoded_size(postings)
