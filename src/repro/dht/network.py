@@ -1147,7 +1147,7 @@ class DhtNetwork:
             self.balancer.on_write(key, owner, payload)
         if replicate:
             # billed to the op and shown to the balancer; a quorum short
-            # of write_quorum fails the write
+            # of write_quorum fails the write with the op's whole receipt
             def backup(node):
                 node.store.append(key, postings)
                 node.versions[key] = stamp
@@ -1157,9 +1157,9 @@ class DhtNetwork:
             pushed = OpReceipt()
             replicas = self.replica_nodes(key)
             acks = self._replicate(key, idx, owner, replicas, payload, backup, pushed, billed=True)
-            if self.faults is not None and self._short(acks, len(replicas)):
-                self._timeout(key, "replicate", pushed)
             receipt.merge(pushed)
+            if self.faults is not None and self._short(acks, len(replicas)):
+                self._timeout(key, "replicate", receipt)
         extras = self.balancer.hot_copies(key) if self.balancer is not None else None
         if extras:
             # a hot key's extra copies take the write in the background,

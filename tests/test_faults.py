@@ -611,22 +611,21 @@ class TestOpFateTable:
         extra = {"postings": clean["meter"]["postings"] + self.RETRIES * payload}
         assert run["meter"] == extra  # R + 1 copies sent where one would do
         if quorum == "all":
-            # the error carries the *replication* receipt: the deaf
-            # backup's copies and waits, plus the other backup's delivery
+            # the error carries the op's whole receipt: the locate, request
+            # and store time too, not just the replication's
             error = run["error"]
             assert (error.op, error.attempts) == ("replicate", attempts)
-            assert error.receipt.request_bytes == (attempts + 1) * payload
-            assert error.receipt.duration_s == pytest.approx(
-                waits + net.cost.transfer_time(payload, hops=1)
-            )
             assert run["plan"].stats.timeouts == 1
+            got = error.receipt
         else:
             assert run["error"] is None and run["plan"].stats.timeouts == 0
-            got, base = run["receipt"], clean["receipt"]
-            assert got.request_bytes == base.request_bytes + self.RETRIES * payload
-            assert got.duration_s == pytest.approx(
-                base.duration_s - net.cost.transfer_time(payload, hops=1) + waits
-            )
+            got = run["receipt"]
+        base = clean["receipt"]
+        assert got.hops == base.hops
+        assert got.request_bytes == base.request_bytes + self.RETRIES * payload
+        assert got.duration_s == pytest.approx(
+            base.duration_s - net.cost.transfer_time(payload, hops=1) + waits
+        )
 
 
 class TestReadHolder:
