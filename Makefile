@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
+.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -57,6 +57,13 @@ differential:
 	done
 	diff .bench_out/differential.1 .bench_out/differential.2
 	diff benchmarks/differential.digests .bench_out/differential.1
+
+# which executable lines of src/repro no run reaches and which functions
+# no run enters: tier-1, every experiment, the fuzz-smoke sweeps, the three
+# differentials, the telemetry / explain / trace smokes and the four bench
+# workloads under one sys.settrace collector (~10 min; not a CI step)
+line-reach:
+	$(PY) benchmarks/line_reach.py
 
 # everything, including the slow experiment regenerations
 test-all:

@@ -208,10 +208,6 @@ class KadopNetwork:
         self.telemetry = sampler
         return sampler
 
-    def disable_telemetry(self):
-        """Detach the sampler installed by :meth:`enable_telemetry`."""
-        self.telemetry = None
-
     # -- fault injection (repro.faults) -----------------------------------------
 
     def install_faults(self, plan):

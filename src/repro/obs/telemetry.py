@@ -113,21 +113,6 @@ class Series:
             "p99": quantile_exact(ordered, 0.99),
         }
 
-    def windows(self, window_s, until_s=None):
-        """Consecutive :meth:`window_stats` covering the whole series."""
-        items = self.ring.items()
-        if not items:
-            return []
-        end = until_s if until_s is not None else items[-1][0] + _EPS
-        out = []
-        t0 = items[0][0]
-        while t0 < end:
-            stats = self.window_stats(t0, t0 + window_s)
-            if stats is not None:
-                out.append(stats)
-            t0 += window_s
-        return out
-
     def to_dict(self):
         items = self.ring.items()
         return {

@@ -235,10 +235,6 @@ class PostingColumns:
             step <<= 1
         return self.bisect_right(key, lo + (step >> 1) + 1, min(lo + step, n))
 
-    def batch_bisect_left(self, keys):
-        """:meth:`bisect_left` for many 5-tuple keys in one kernel call."""
-        return kernels.active().batch_bisect(self.arrays(), keys, "left")
-
     def batch_bisect_right(self, keys):
         """:meth:`bisect_right` for many 5-tuple keys in one kernel call."""
         return kernels.active().batch_bisect(self.arrays(), keys, "right")

@@ -241,10 +241,6 @@ class Scheduler:
         """Max finish time over ``tasks`` (after :meth:`run`)."""
         return max(t.finish for t in tasks)
 
-    def tasks_tagged(self, tag):
-        """Every registered task carrying ``tag`` (submission order)."""
-        return [t for t in self._tasks if t.tag == tag]
-
     def running_at(self, instant_s, tag=None):
         """Tasks executing at ``instant_s`` (after :meth:`run`).
 
