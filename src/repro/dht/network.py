@@ -117,14 +117,11 @@ class DhtNode:
 
 
 class Transfers(Scheduler):
-    """One parallel transfer schedule into one receiving peer, made by
-    :meth:`DhtNetwork.transfers`: how a fetch, a push or a block shipment
-    turns the seconds of its messages into a makespan.
+    """A parallel transfer schedule into one peer (:meth:`DhtNetwork.transfers`).
 
-    Each transfer holds one slot of its sender's ``egress:<peer>`` link
-    (one slot: a peer sends one thing at a time) and one of the receiver's
-    ``ingress`` slots.  Under the network's FaultPlan every transfer is
-    stretched by the plan's deterministic link jitter."""
+    A transfer holds its sender's ``egress:<peer>`` link (one slot) and one
+    of the receiver's ``ingress`` slots; under the network's FaultPlan it
+    is stretched by the plan's link jitter."""
 
     def __init__(self, net, slots):
         super().__init__()
@@ -134,16 +131,14 @@ class Transfers(Scheduler):
         self.add_resource("ingress", slots)
 
     def transfer(self, name, seconds, sender, release=0.0):
-        """Schedule a message of ``seconds`` from peer index ``sender``,
-        not before ``release``."""
+        """Schedule ``seconds`` from peer index ``sender``, not before ``release``."""
         egress = "egress:%d" % sender
         if not self.has_resource(egress):
             self.add_resource(egress, 1)
         return self.add_task(name, seconds, resources=(egress, "ingress"), release=release)
 
     def carry(self, name, nbytes, sender):
-        """Schedule the direct transfer of ``nbytes`` that a DHT verb has
-        already metered and billed (a fetched list, or a stripe of one)."""
+        """Schedule ``nbytes`` that a DHT verb has already metered."""
         return self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
 
 
@@ -477,14 +472,12 @@ class DhtNetwork:
         The rule for a write whose destination is already resolved (a DPP
         block, named by the root), where :meth:`_apply` is the rule for a
         routed one: one fresh stamp on every copy, the holder's store time
-        charged to ``receipt``, and the copies to the other members of
-        :meth:`replica_nodes` pushed by :meth:`_replicate` under its quorum
-        rule: metered and timed but, unlike a routed write's, neither
-        billed as request bytes nor shown to the balancer.  ``replace``
-        rewrites the copies (a split's lower half) instead of appending: a
-        replica that merely appended would keep the pre-split block, a copy
-        that is larger (hence "more complete" to anti-entropy repair) yet
-        stale."""
+        charged to ``receipt``, and the other copies pushed by
+        :meth:`_replicate`, unbilled and unseen by the balancer.
+        ``replace`` rewrites the copies (a split's lower half) instead of
+        appending: a replica that merely appended would keep the pre-split
+        block, a copy that is larger (hence "more complete" to anti-entropy
+        repair) yet stale."""
         idx = self.faults.begin_message() if self.faults is not None else None
         stamp = self.next_stamp()
         if replace:
@@ -492,14 +485,10 @@ class DhtNetwork:
         self.timed_store_op(receipt, holder.store, "append", key, postings)
         holder.versions[key] = stamp
         if self.replication > 1:  # a lone copy has no replica set to look up
-            replicas = self.replica_nodes(key)
-            acks = self._replicate(
-                key, idx, holder, replicas, encoded_size(postings),
-                lambda node: self.sync_copy(node, key, postings, stamp, replace),
-                receipt,
+            self._replicate(
+                "write_at", key, idx, holder, self.replica_nodes(key), encoded_size(postings),
+                lambda node: self.sync_copy(node, key, postings, stamp, replace), receipt,
             )
-            if self.faults is not None and self._short(acks, len(replicas)):
-                self._timeout(key, "write_at", receipt)
 
     def alive_nodes(self):
         return [n for n in self.nodes if n.alive]
@@ -777,7 +766,6 @@ class DhtNetwork:
         """The FaultPlan index of a new top-level ``op``; None without a plan."""
         return self.faults.begin_op(self, op, key) if self.faults is not None else None
 
-
     def _retry_wait(self, attempt):
         """Simulated seconds lost to one failed attempt: the sender waits
         out the op timeout, then backs off before resending."""
@@ -827,9 +815,8 @@ class DhtNetwork:
         Without a FaultPlan the first copy lands.  Under one, each copy
         draws the fate of ``point``: ``"request"``, ``"response"``,
         ``"batch"``, or a pushed copy's index in the replica set.  A lost
-        copy (dropped, or its
-        receiver crashed) costs ``lost`` its disk read plus ``timeout +
-        backoff`` and is sent again.  Once retries run out the op raises
+        copy (dropped, or its receiver crashed) costs ``lost`` its disk
+        read plus ``timeout + backoff`` and is sent again.  Once retries run out the op raises
         :class:`~repro.faults.OpTimeoutError` with ``lost``, folded into
         ``located`` (the receipt of the op's earlier locate) when given;
         a backup is given up silently instead (None), as the write quorum
@@ -942,24 +929,17 @@ class DhtNetwork:
         self, key, nbytes, category, receipt=None, hops=None, fanout=1,
         billed="request_bytes",
     ):
-        """Send one message of ``nbytes`` about ``key`` from one peer to
-        another: the one call every layer above the DHT sends with.
+        """Send one message of ``nbytes`` about ``key`` between two peers:
+        the one call every layer above the DHT sends with.  Meters it under
+        ``category`` and returns its seconds; with ``receipt``, also bills
+        them there with its bytes (to the field ``billed``) and hops.
 
-        Meters the message under ``category`` and returns its simulated
-        seconds; with ``receipt`` it also bills them there, with its bytes
-        (to the field ``billed``) and hops.  A direct send takes one hop.
-        ``hops`` makes it a send routed over that many overlay hops, which
-        puts ``nbytes × max(1, hops)`` on the wire like a routed request.
-        ``fanout`` sends as many copies at once (a broadcast): one meter
-        record of them all, and the seconds of one copy.
-
-        Without a FaultPlan the copy arrives.  Under one the message is
-        numbered apart from the ops
-        (:meth:`~repro.faults.FaultPlan.begin_message`) and
-        :meth:`_deliver` draws the fate of each copy at ``"request"``: a
-        lost copy is metered and billed too, costs ``timeout + backoff``
-        and is resent, and when retries run out
-        :class:`~repro.faults.OpTimeoutError` carries ``receipt``."""
+        A direct send takes one hop; ``hops`` routes it over that many,
+        ``nbytes × max(1, hops)`` on the wire.  ``fanout`` copies go out at
+        once (a broadcast): one meter record, the seconds of one copy.
+        Under a FaultPlan the message is numbered apart from the ops and
+        :meth:`_deliver` draws each copy's fate: a lost copy is metered and
+        billed too, costs ``timeout + backoff`` and is resent."""
         span = 1 if hops is None else max(1, hops)
         wire = nbytes * (fanout if hops is None else span)
 
@@ -986,8 +966,7 @@ class DhtNetwork:
 
     def transfers(self, slots=None):
         """A :class:`Transfers` schedule into one peer with ``slots``
-        ingress slots; by default as many as the peer's ingress bandwidth
-        absorbs at the egress rate."""
+        ingress slots (default: what its ingress absorbs at egress rate)."""
         if slots is None:
             params = self.cost.params
             slots = max(1, int(params.ingress_bw / params.egress_bw))
@@ -1145,9 +1124,8 @@ class DhtNetwork:
         owner.versions[key] = stamp
         if self.balancer is not None:
             self.balancer.on_write(key, owner, payload)
-        if replicate:
-            # billed to the op and shown to the balancer; a quorum short
-            # of write_quorum fails the write with the op's whole receipt
+        if replicate:  # billed to the op and shown to the balancer
+
             def backup(node):
                 node.store.append(key, postings)
                 node.versions[key] = stamp
@@ -1155,11 +1133,11 @@ class DhtNetwork:
                     self.balancer.on_write(key, node, payload)
 
             pushed = OpReceipt()
-            replicas = self.replica_nodes(key)
-            acks = self._replicate(key, idx, owner, replicas, payload, backup, pushed, billed=True)
+            self._replicate(
+                "replicate", key, idx, owner, self.replica_nodes(key), payload, backup,
+                pushed, billed=True, located=receipt,
+            )
             receipt.merge(pushed)
-            if self.faults is not None and self._short(acks, len(replicas)):
-                self._timeout(key, "replicate", receipt)
         extras = self.balancer.hot_copies(key) if self.balancer is not None else None
         if extras:
             # a hot key's extra copies take the write in the background,
@@ -1171,26 +1149,25 @@ class DhtNetwork:
                 self.balancer.on_write(key, node, payload)
 
             self._replicate(
-                key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication
+                None, key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication
             )
 
     def _replicate(
-        self, key, idx, holder, nodes, payload, land_copy, receipt, billed=False,
-        category="postings", first=0,
+        self, op, key, idx, holder, nodes, payload, land_copy, receipt, billed=False,
+        category="postings", first=0, located=None,
     ):
-        """The replica-push path of every write: send a copy of
-        ``payload`` bytes from ``holder`` to each other node of ``nodes``
-        and ``land_copy(node)`` where it arrives.  Returns the acks, the
-        holder's own copy counted.
+        """The replica-push path of every write: send ``payload`` bytes from
+        ``holder`` to each other node of ``nodes``, ``land_copy(node)`` on
+        arrival, and charge ``receipt`` one direct transfer per copy (with
+        ``billed``, its bytes too, as request bytes).
 
-        Each copy is metered under ``category`` and charges ``receipt`` one
-        direct transfer; with ``billed``, its bytes too, as request bytes.
-        Without a FaultPlan every copy arrives first time.  Under a plan the
-        copy to ``nodes[i]`` draws the fate of point ``first + i`` and is
-        resent until it is acknowledged or retries run out.  A node that
-        never acknowledges is given up silently, left under-replicated for
-        :meth:`anti_entropy_repair`, and the caller's quorum
-        (:meth:`_short`) decides."""
+        Under a FaultPlan the copy to ``nodes[i]`` draws the fate of point
+        ``first + i`` until it is acknowledged or retries run out; a deaf
+        node is left for :meth:`anti_entropy_repair`.  Fewer acks (the
+        holder's own counted) than :attr:`write_quorum` of ``nodes`` raise
+        :class:`~repro.faults.OpTimeoutError` for ``op`` with ``receipt``,
+        folded into the op's ``located`` when given; ``op`` None has no
+        quorum."""
         acks = 1
 
         def send(attempt):
@@ -1208,12 +1185,10 @@ class DhtNetwork:
                 continue
             if self._deliver("replicate", key, idx, point, send, land, receipt, category):
                 acks += 1
-        return acks
-
-    def _short(self, acks, copies):
-        """Do ``acks`` of a write's ``copies`` fall short of
-        :attr:`write_quorum` (the holder's own copy counts)?"""
-        return acks < (copies if self.write_quorum == "all" else copies // 2 + 1)
+        if op is not None and self.faults is not None:
+            copies = len(nodes)
+            if acks < (copies if self.write_quorum == "all" else copies // 2 + 1):
+                self._timeout(key, op, receipt if located is None else located.merge(receipt))
 
     def get(self, src, key):
         """Blocking ``get``: the full posting list, in one response."""
@@ -1307,11 +1282,9 @@ class DhtNetwork:
         replicas = self.replica_nodes(key)
         if owner in replicas:
             copy(owner)  # the request itself delivered the owner's copy
-        acks = self._replicate(
-            key, idx, owner, replicas, nbytes, copy, receipt, category="control"
+        self._replicate(
+            "put_object", key, idx, owner, replicas, nbytes, copy, receipt, category="control"
         )
-        if self.faults is not None and self._short(acks, len(replicas)):
-            self._timeout(key, "put_object", receipt)
         self._observe_op("put_object", src, key, receipt, payload=nbytes)
         return receipt
 

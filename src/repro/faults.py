@@ -7,9 +7,10 @@ fully deterministic oracle that the network consults at well-defined
 injection points:
 
 * **message fates** — any message between peers (a routed request, a
-  bulk response, a pushed copy, a message shipped by the layers above the
-  DHT) can be dropped (the op times out and retries with capped exponential backoff, charged
-  in simulated time and metered bytes), delayed (extra latency), or
+  bulk response, a pushed copy, a message the layers above the DHT ship)
+  can be dropped (the op times out and retries with capped exponential
+  backoff, charged in simulated time and metered bytes), delayed (extra
+  latency), or
   duplicated (a second copy arrives; delivery is idempotent and the
   duplicate is metered as real wire traffic but *not* double-counted in
   the op's :class:`~repro.dht.network.OpReceipt`);
@@ -29,7 +30,7 @@ plan with all rates at zero is byte-identical to running without a plan
 installed (asserted by the differential test in ``tests/test_faults.py``).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from hashlib import blake2b
 
 from repro.errors import DhtError
@@ -91,16 +92,7 @@ class FaultStats:
     timeouts: int = 0
 
     def to_dict(self):
-        return {
-            "ops": self.ops,
-            "drops": self.drops,
-            "delays": self.delays,
-            "duplicates": self.duplicates,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-        }
+        return asdict(self)
 
 
 def _unit(seed, *parts):
@@ -217,13 +209,9 @@ class FaultPlan:
         return idx
 
     def begin_message(self):
-        """Register one message sent outside any DHT op (a message shipped
-        by a layer above the DHT, or a block write's pushed copies);
-        returns its index, ``("msg", n)``.
-
-        Messages are numbered apart from ops: they do not advance the
-        plan's clock, and adding one renumbers no op that a script or a
-        regression seed pins."""
+        """Index ``("msg", n)`` of a message sent outside any DHT op: apart
+        from the ops, so it neither advances the plan's clock nor renumbers
+        an op that a script or a regression seed pins."""
         self._message += 1
         return ("msg", self._message - 1)
 

@@ -276,9 +276,7 @@ class FundexIndex:
         }, index_time
 
     def _potential_answers(self, pattern, candidates, report):
-        """Complete and potential answers of every candidate document; a
-        document whose answers were lost for good leaves ``report``
-        incomplete, as a timed-out document peer does."""
+        """Complete and potential answers; lost ones leave ``report`` incomplete."""
         complete, potential = [], []
         doc_time = 0.0
         net = self.system.net

@@ -436,8 +436,7 @@ class DppIndex:
         new_seq = root.new_seq()
         new_key = overflow_key(new_seq, root.term_key)
         try:
-            # rewrite the lower half in place, on every reliability replica
-            # too
+            # rewrite the lower half in place, on every reliability replica too
             self.net.write_at(holder, store_key, lower, receipt, replace=True)
             # ship the upper half to the peer in charge of a fresh
             # pseudo-key, where it gets the DHT's reliability replication
@@ -447,10 +446,9 @@ class DppIndex:
             self.net.ship(new_key, encoded_size(upper), "postings", receipt, hops=hops)
             self.net.write_at(new_holder, new_key, upper, receipt)
         except OpTimeoutError:
-            # a split is not atomic: put the whole block back at its holder
-            # under a fresh stamp, which repair spreads over the copies the
-            # lower half reached.  The root is untouched, so an upper half
-            # that did land is an orphan no query routes to
+            # not atomic: put the whole block back at its holder under a
+            # fresh stamp, which repair spreads over the copies the lower
+            # half reached; an upper half that landed is an orphan
             self.net.sync_copy(holder, store_key, block, self.net.next_stamp())
             raise
 

@@ -33,7 +33,7 @@ by the one-line command in the :class:`FuzzFailure` it raises::
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import NoSuchPeerError
 from repro.faults import FaultPlan, OpTimeoutError
@@ -116,13 +116,7 @@ class FuzzResult:
     queries_checked: int = 0
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "steps": self.steps,
-            "actions": dict(self.actions),
-            "faults": dict(self.faults),
-            "queries_checked": self.queries_checked,
-        }
+        return asdict(self)
 
 
 def repro_command(seed, cfg):
@@ -362,10 +356,7 @@ class _Iteration:
         try:
             self.system.add_peer("kadop://fuzz%d/j%d" % (self.seed, self.joined))
         except OpTimeoutError:
-            # the node joined the ring, but its catalog row (a replicated
-            # control object) did not reach a write quorum: no answer
-            # reads the catalog, so nothing else is at stake
-            pass
+            pass  # joined, but its catalog row (read by no answer) missed its quorum
 
     def act_crash(self):
         node = self.rng.choice(self.system.net.alive_nodes())

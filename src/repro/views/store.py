@@ -95,14 +95,19 @@ class ViewBlockStore:
             receipt.merge(self._append_to_block(src_node, view, block, group))
         return receipt
 
-    def _append_to_block(self, src_node, view, block, group):
-        receipt = OpReceipt()
+    def _routed(self, src_node, block):
+        """``(holder, hops)`` of ``block``, verified before any in-place
+        mutation: on a holder that lacks the block's postings, an append
+        would shrink the catalog count to just the delta and a delete
+        would leave it describing postings nobody can reach."""
         holder, hops = self.net.route(src_node, block.key)
-        # verify before mutating in place: appending to a holder that
-        # lacks the block's postings would make _refresh_block shrink the
-        # catalog count to just the delta, losing the old answers
         if holder.store.count(block.key) != block.count:
             raise ViewIntegrityError(block.key)
+        return holder, hops
+
+    def _append_to_block(self, src_node, view, block, group):
+        receipt = OpReceipt()
+        holder, hops = self._routed(src_node, block)
         self.net.ship(block.key, encoded_size(group), VIEW_TRAFFIC, receipt, hops=hops)
         self.net.timed_store_op(receipt, holder.store, "append", block.key, group)
         self._refresh_block(holder, block, group)
@@ -139,20 +144,12 @@ class ViewBlockStore:
         block.count = len(lower)
         block.nbytes = encoded_size(lower)
         self.net.timed_store_op(receipt, new_holder.store, "append", new_key, upper)
-        new_block = ViewBlock(
-            new_key,
-            upper.first.doc_id,
-            upper.last.doc_id,
-            len(upper),
-            payload,
-        )
+        new_block = ViewBlock(new_key, upper.first.doc_id, upper.last.doc_id, len(upper), payload)
         view.blocks.insert(view.blocks.index(block) + 1, new_block)
         if len(lower) > self.max_block_entries:
             receipt.merge(self._split_block(src_node, view, block, holder))
         if len(upper) > self.max_block_entries:
-            receipt.merge(
-                self._split_block(src_node, view, new_block, new_holder)
-            )
+            receipt.merge(self._split_block(src_node, view, new_block, new_holder))
         return receipt
 
     def delete_doc(self, src_node, view, doc_id, postings):
@@ -164,21 +161,11 @@ class ViewBlockStore:
         removed = 0
         receipt = OpReceipt()
         for block in view.blocks:
-            if block.lo_doc is not None and (
-                doc_id < block.lo_doc or doc_id > block.hi_doc
-            ):
+            if block.lo_doc is not None and not block.lo_doc <= doc_id <= block.hi_doc:
                 continue
-            holder, hops = self.net.route(src_node, block.key)
-            # same verify-before-mutate guard as _append_to_block: a
-            # delete applied to a stale or empty copy would leave the
-            # catalog count describing postings nobody can reach
-            if holder.store.count(block.key) != block.count:
-                raise ViewIntegrityError(block.key)
+            holder, hops = self._routed(src_node, block)
             receipt.duration_s += self.net.ship(block.key, 32, VIEW_TRAFFIC, hops=hops)
-            changed = 0
-            for posting in postings:
-                if holder.store.delete(block.key, posting):
-                    changed += 1
+            changed = sum(1 for posting in postings if holder.store.delete(block.key, posting))
             if changed:
                 removed += changed
                 block.count = holder.store.count(block.key)
