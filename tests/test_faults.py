@@ -771,6 +771,14 @@ class TestGracefulDegradation:
         assert answers == []  # partial answer, never an exception
         assert plan.stats.timeouts >= 1
 
+    def test_fuzzer_join_survives_a_lost_catalog_row(self):
+        iteration = _Iteration(0, FuzzConfig(), FuzzResult())
+        plan, peers = iteration.plan, len(iteration.system.peers)
+        plan.drop_rate, plan.delay_rate, plan.duplicate_rate = 1.0, 0.0, 0.0
+        iteration.act_join()  # the catalog row's put_object times out
+        assert len(iteration.system.peers) == peers + 1
+        assert plan.stats.timeouts == 1
+
 
 class TestSchedulerJitter:
     def test_task_delay_is_deterministic_and_rate_gated(self):

@@ -303,6 +303,32 @@ class TestUnderFaults:
             "elem:article", "elem:abstract", "word:gem"
         }
 
+    def test_lost_answers_and_rev_replies_are_flagged(self, monkeypatch):
+        """The index look-ups get through but every message shipped above
+        the DHT is lost: the potential answers leave the report incomplete,
+        and a Rev reply names its key."""
+        from repro import faults
+        from repro.fundex.index import rev_key
+        from repro.kadop.execution import QueryRun
+
+        net = self._blackout()
+        net.clear_faults()
+        plan = net.install_faults(faults.FaultPlan(seed=1, drop_rate=0.5))
+        monkeypatch.setattr(  # a message index is a tuple, an op's an int
+            faults, "_unit",
+            lambda seed, *parts: 0.0 if parts and isinstance(parts[0], tuple) else 0.99,
+        )
+        answers, report = net.fundex.query(
+            net.parse(self.QUERY), net.peers[0], mode="fundex"
+        )
+        assert answers == [] and not report.complete
+        assert report.unreachable_keys == ()  # the Term look-ups all arrived
+        fdoc = next(iter(net.fundex._functional.values()))
+        run = QueryRun()
+        ra, _ = net.fundex._rev_occurrences({0: {fdoc.fid}}, run)
+        assert not len(ra[0]) and run.unreachable == {rev_key(*fdoc.fid)}
+        assert plan.stats.timeouts >= 2
+
     def test_lost_keys_do_not_leak_into_the_next_run(self):
         net = self._blackout()
         _, plain = net.query_with_report("//article//title")

@@ -8,6 +8,7 @@ cost-based choice, the stats surface, and the repeated-query workload.
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.kadop.config import KadopConfig
 from repro.kadop.stats import network_stats
 from repro.kadop.system import KadopNetwork
@@ -218,6 +219,20 @@ class TestMaterializeAndFetch:
         assert view.total_postings == before
         assert net.views.maintenance_added == 2
         assert net.views.maintenance_removed == 2
+
+    def test_lost_maintenance_message_dematerializes_the_view(self):
+        net = build_net(num_docs=4, op_max_retries=0)
+        view, _ = net.views.materialize(pat("//a//b"), net.peers[0])
+        net.peers[1].publish("<r><a><b> red </b></a></r>", uri="u:x")
+        doc_index = max(net.peers[1].documents)
+        document = net.peers[1].documents[doc_index]
+        # every message is lost from here: the delete's control message,
+        # then the advertisement of the dematerialized view
+        plan = net.install_faults(FaultPlan(seed=1, drop_rate=1.0))
+        assert net.views.on_unpublish(net.peers[1], doc_index, document) == 0
+        assert not view.materialized and view.blocks == []
+        assert net.views.dematerializations == 1
+        assert plan.stats.timeouts == 2
 
 
 class TestAutoMaterialization:
