@@ -936,23 +936,26 @@ class DhtNetwork:
 
         A direct send takes one hop; ``hops`` routes it over that many,
         ``nbytes × max(1, hops)`` on the wire.  ``fanout`` copies go out at
-        once (a broadcast): one meter record, the seconds of one copy.
+        once (a broadcast): one meter record, the seconds of one copy; a
+        broadcast to nobody puts nothing on the wire.
         Under a FaultPlan the message is numbered apart from the ops and
-        :meth:`_deliver` draws each copy's fate: a lost copy is metered and
-        billed too, costs ``timeout + backoff`` and is resent."""
+        :meth:`_deliver` draws its fate: a lost copy is metered and billed
+        too, costs ``timeout + backoff`` and is resent alone, and a
+        duplicate is one more copy."""
         span = 1 if hops is None else max(1, hops)
-        wire = nbytes * (fanout if hops is None else span)
+        copy = nbytes * span
 
-        def send(attempt):  # one copy on the wire
+        def send(attempt):  # the first send carries every copy, a resend one
+            sent = nbytes * fanout if hops is None and not attempt else copy
             if fanout:
-                self.meter.record(category, wire)
+                self.meter.record(category, sent)
             if receipt is not None:
                 receipt.hops += hops or 0
-                setattr(receipt, billed, getattr(receipt, billed) + wire)
-            return None, wire, 0, False
+                setattr(receipt, billed, getattr(receipt, billed) + sent)
+            return None, copy, 0, False
 
         seconds = self.cost.transfer_time(nbytes, hops=span)
-        if self.faults is None:
+        if self.faults is None or not fanout:  # a broadcast to nobody can't be lost
             send(0)
         else:  # the copy that arrives is charged below, with what was lost
             lost = self._deliver(

@@ -180,9 +180,11 @@ class FundexIndex:
             peer = self.system.peers[peer_idx]
             nbytes = peer.documents[doc_idx].source_bytes
             try:
-                ship_time = max(ship_time, net.ship(peer.node.uri, nbytes, "documents"))
-            except OpTimeoutError:
+                seconds = net.ship(peer.node.uri, nbytes, "documents")
+            except OpTimeoutError as exc:
                 report.complete = False  # a document lost for good
+                seconds = exc.receipt.duration_s  # the retries it cost
+            ship_time = max(ship_time, seconds)
         report.candidate_docs = len(shipped) + exec_report.candidate_docs
         report.response_time_s = exec_report.response_time_s + ship_time
         report.completed_answers = len(answers)
@@ -294,12 +296,13 @@ class FundexIndex:
                     found.append(answer)
                 sent += encoded_size(sorted(postings.values())) + 8
             try:
-                doc_time = max(doc_time, net.ship(peer.node.uri, sent, "documents"))
-            except OpTimeoutError:
+                seconds = net.ship(peer.node.uri, sent, "documents")
+                complete += found
+                potential += partial
+            except OpTimeoutError as exc:
                 report.complete = False
-                continue
-            complete += found
-            potential += partial
+                seconds = exc.receipt.duration_s  # the retries it cost
+            doc_time = max(doc_time, seconds)
         return complete, potential, doc_time
 
     def _needed_subtrees(self, pattern, potential):
@@ -383,10 +386,10 @@ class FundexIndex:
                 plist = owner.store.get(key)
                 try:
                     reply_s = net.ship(key, REV_ENTRY_BYTES * max(1, len(plist)), "control")
+                    occurrences = occurrences.merge(plist)
                 except OpTimeoutError as exc:
                     run.unreachable.add(exc.key)
-                    continue
-                occurrences = occurrences.merge(plist)
+                    reply_s = exc.receipt.duration_s  # the retries it cost
                 prev = per_owner_time.get(owner.peer_index, None)
                 if prev is None:
                     # a latency estimate: the owner's batched look-up

@@ -398,22 +398,25 @@ class DppIndex:
         # DPP blocks enjoy the DHT's reliability replication like any other
         # key (Section 4.2: "the DHT does replicate its index for
         # reliability"); the popularity replicas are a separate mechanism
-        self.net.write_at(holder, store_key, group, receipt)
-        # refresh the condition to cover the new postings
-        if entry.condition is None:
-            entry.condition = Condition(group.first, group.last)
-        else:
-            entry.condition = Condition(
-                min(entry.condition.lo, group.first),
-                max(entry.condition.hi, group.last),
-            )
-        # refresh the zone map alongside (count is the block's exact size;
-        # start/level bounds widen conservatively from the batch)
-        if entry.zone is None:
-            entry.zone = ZoneMap.of_list(group)
-            entry.zone.count = holder.store.count(store_key)
-        else:
-            entry.zone.widen(group, holder.store.count(store_key))
+        try:
+            self.net.write_at(holder, store_key, group, receipt)
+        finally:
+            # refresh the condition to cover the new postings, which the
+            # holder keeps even when the write then misses its quorum
+            if entry.condition is None:
+                entry.condition = Condition(group.first, group.last)
+            else:
+                entry.condition = Condition(
+                    min(entry.condition.lo, group.first),
+                    max(entry.condition.hi, group.last),
+                )
+            # refresh the zone map alongside (count is the block's exact
+            # size; start/level bounds widen conservatively from the batch)
+            if entry.zone is None:
+                entry.zone = ZoneMap.of_list(group)
+                entry.zone.count = holder.store.count(store_key)
+            else:
+                entry.zone.widen(group, holder.store.count(store_key))
 
         if holder.store.count(store_key) > self.max_block_entries:
             receipt.merge(self._split_block(owner, root, entry))

@@ -627,6 +627,52 @@ class TestOpFateTable:
             base.duration_s - net.cost.transfer_time(payload, hops=1) + waits
         )
 
+    def test_dpp_append_that_misses_its_quorum_covers_its_block(self, monkeypatch):
+        """The block's holder keeps a DPP append whose pushed copies are
+        all lost: the root's condition and zone map still cover it."""
+        system = KadopNetwork.create(
+            num_peers=8,
+            config=KadopConfig(
+                replication=3, op_max_retries=self.RETRIES, write_quorum="all"
+            ),
+            seed=5,
+        )
+        net, dpp, term = system.net, DppIndex(system.net, max_block_entries=64), "elem:s"
+        src = net.nodes[0]
+        dpp.append(src, term, [Posting(1, 1, 1 + 2 * i, 2 + 2 * i, 1) for i in range(4)])
+        system.install_faults(FaultPlan(seed=5, drop_rate=0.3))
+
+        def unit(seed, *parts):  # drop every pushed copy, nothing else
+            pushed = isinstance(parts[-1], tuple) and parts[-1][0] == "replica"
+            return self.DRAW["drop" if pushed else None]
+
+        monkeypatch.setattr(faults, "_unit", unit)
+        with pytest.raises(OpTimeoutError):
+            dpp.append(src, term, [Posting(2, 2, 1 + 2 * i, 2 + 2 * i, 1) for i in range(4)])
+        owner = net.owner_of(term)
+        entry = dpp._root_at(owner, term).entries[0]
+        holder, store_key = dpp._block_location(owner, entry, term)
+        block = holder.store.get(store_key)
+        assert len(block) == entry.zone.count == 8
+        assert block.first in entry.condition and block.last in entry.condition
+        assert entry.zone.max_start == max(p.start for p in block)
+
+    def test_a_broadcast_resends_one_copy_and_one_to_nobody_is_never_lost(
+        self, monkeypatch
+    ):
+        net = DhtNetwork.create(4, replication=1)
+        net.faults = FaultPlan(seed=1, drop_rate=0.3)
+        monkeypatch.setattr(  # every first copy is dropped
+            faults, "_unit",
+            lambda seed, *parts: self.DRAW["drop" if parts[-2] == 0 else None],
+        )
+        before = net.meter.snapshot()
+        assert net.ship("k", 100, "control", fanout=0) == net.cost.transfer_time(100)
+        assert net.faults.events == [] and not net.meter.delta_since(before)
+        seconds = net.ship("k", 100, "control", fanout=3)
+        assert net.meter.delta_since(before)["control"] == 3 * 100 + 100
+        assert seconds == pytest.approx(net.cost.transfer_time(100) + net._retry_wait(0))
+
 
 class TestReadHolder:
     """The one holder choice of ``get``, ``pipelined_get`` and

@@ -325,8 +325,12 @@ class TestUnderFaults:
         assert report.unreachable_keys == ()  # the Term look-ups all arrived
         fdoc = next(iter(net.fundex._functional.values()))
         run = QueryRun()
-        ra, _ = net.fundex._rev_occurrences({0: {fdoc.fid}}, run)
+        ra, rev_time = net.fundex._rev_occurrences({0: {fdoc.fid}}, run)
         assert not len(ra[0]) and run.unreachable == {rev_key(*fdoc.fid)}
+        # the lost reply still costs its owner every retry it waited out
+        dht = net.net
+        waits = sum(dht._retry_wait(a) for a in range(dht.retry.max_retries + 1))
+        assert rev_time > waits
         assert plan.stats.timeouts >= 2
 
     def test_lost_keys_do_not_leak_into_the_next_run(self):
