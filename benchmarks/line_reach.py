@@ -10,7 +10,6 @@ It then prints, per file, the executable lines no run reached, the
 functions no run entered, and the unreached count under tier-1 alone.
 
     PYTHONPATH=src python benchmarks/line_reach.py           # = make line-reach
-    PYTHONPATH=src python benchmarks/line_reach.py --only tier1 fuzz
 
 Everything is slower under the tracer (all runs together take about ten
 minutes), so this is a tool to run by hand, not a CI step.  Nothing under
@@ -18,7 +17,6 @@ minutes), so this is a tool to run by hand, not a CI step.  Nothing under
 count as reached when they are imported.
 """
 
-import argparse
 import ast
 import contextlib
 import io
@@ -251,18 +249,13 @@ def report(reached, tier1, entered):
         print("  %s:%d %s (%d)" % (rel, first, qualname, body_lines))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", choices=sorted(RUNS), help="run just these")
-    args = parser.parse_args(argv)
+def main():
     if "repro" in sys.modules:
-        parser.error("repro was imported before the collector started")
+        sys.exit("repro was imported before the collector started")
     collector = LineCollector()
     reached, tier1, status = set(), set(), []
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in RUNS.items():
-            if args.only and name not in args.only:
-                continue
             collector.lines = set()
             with collector.collecting(), contextlib.redirect_stdout(io.StringIO()):
                 code = run(tmp)

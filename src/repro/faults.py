@@ -30,7 +30,7 @@ plan with all rates at zero is byte-identical to running without a plan
 installed (asserted by the differential test in ``tests/test_faults.py``).
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from hashlib import blake2b
 
 from repro.errors import DhtError
@@ -92,7 +92,16 @@ class FaultStats:
     timeouts: int = 0
 
     def to_dict(self):
-        return asdict(self)
+        return {
+            "ops": self.ops,
+            "drops": self.drops,
+            "delays": self.delays,
+            "duplicates": self.duplicates,
+            "crashes": self.crashes,
+            "restarts": self.restarts,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+        }
 
 
 def _unit(seed, *parts):

@@ -879,9 +879,13 @@ class QueryExecutor:
                 sent = []  # each answer's sorted postings, sized in one call
                 for doc_idx in doc_indexes:
                     if doc_idx not in peer.documents:
-                        # unpublished, its postings lingering (a stale view
-                        # block, a resurrected replica): the peer answers
-                        # "no such document", keeping answers sound
+                        # a candidate the peer no longer holds: an
+                        # unpublished document whose postings linger
+                        # somewhere (a stale view block awaiting its delta,
+                        # or a resurrected index copy from a crash-restarted
+                        # replica).  The document peer simply answers "no
+                        # such document", keeping answers sound under
+                        # update-heavy churn
                         continue
                     for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
                         found.append(

@@ -33,7 +33,7 @@ by the one-line command in the :class:`FuzzFailure` it raises::
 """
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import NoSuchPeerError
 from repro.faults import FaultPlan, OpTimeoutError
@@ -116,7 +116,13 @@ class FuzzResult:
     queries_checked: int = 0
 
     def to_dict(self):
-        return asdict(self)
+        return {
+            "iterations": self.iterations,
+            "steps": self.steps,
+            "actions": dict(self.actions),
+            "faults": dict(self.faults),
+            "queries_checked": self.queries_checked,
+        }
 
 
 def repro_command(seed, cfg):

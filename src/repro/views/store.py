@@ -70,7 +70,13 @@ class ViewBlockStore:
             receipt.request_bytes += sent.request_bytes
             schedule.transfer("viewblk:%d" % seq, sent.duration_s, src_node.peer_index)
             blocks.append(
-                ViewBlock(key, chunk.first.doc_id, chunk.last.doc_id, len(chunk), payload)
+                ViewBlock(
+                    key,
+                    chunk.first.doc_id,
+                    chunk.last.doc_id,
+                    len(chunk),
+                    payload,
+                )
             )
         view.blocks.extend(blocks)
         receipt.duration_s += schedule.run()
@@ -144,12 +150,20 @@ class ViewBlockStore:
         block.count = len(lower)
         block.nbytes = encoded_size(lower)
         self.net.timed_store_op(receipt, new_holder.store, "append", new_key, upper)
-        new_block = ViewBlock(new_key, upper.first.doc_id, upper.last.doc_id, len(upper), payload)
+        new_block = ViewBlock(
+            new_key,
+            upper.first.doc_id,
+            upper.last.doc_id,
+            len(upper),
+            payload,
+        )
         view.blocks.insert(view.blocks.index(block) + 1, new_block)
         if len(lower) > self.max_block_entries:
             receipt.merge(self._split_block(src_node, view, block, holder))
         if len(upper) > self.max_block_entries:
-            receipt.merge(self._split_block(src_node, view, new_block, new_holder))
+            receipt.merge(
+                self._split_block(src_node, view, new_block, new_holder)
+            )
         return receipt
 
     def delete_doc(self, src_node, view, doc_id, postings):
@@ -161,11 +175,16 @@ class ViewBlockStore:
         removed = 0
         receipt = OpReceipt()
         for block in view.blocks:
-            if block.lo_doc is not None and not block.lo_doc <= doc_id <= block.hi_doc:
+            if block.lo_doc is not None and (
+                doc_id < block.lo_doc or doc_id > block.hi_doc
+            ):
                 continue
             holder, hops = self._routed(src_node, block)
             receipt.duration_s += self.net.ship(block.key, 32, VIEW_TRAFFIC, hops=hops)
-            changed = sum(1 for posting in postings if holder.store.delete(block.key, posting))
+            changed = 0
+            for posting in postings:
+                if holder.store.delete(block.key, posting):
+                    changed += 1
             if changed:
                 removed += changed
                 block.count = holder.store.count(block.key)
