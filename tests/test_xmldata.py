@@ -101,6 +101,33 @@ class TestParserErrors:
         except XmlParseError as exc:
             assert exc.offset is not None
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "<a>&#xZZ;</a>",
+            '<a b="&#xQ;"/>',
+            "<a>&#99999999999;</a>",
+            "<a>&#x110000;</a>",
+            "<a>&#;</a>",
+            "<a b='x &#-1;'/>",
+        ],
+    )
+    def test_malformed_char_ref_is_a_parse_error_at_the_reference(self, bad):
+        with pytest.raises(XmlParseError) as info:
+            parse_document(bad)
+        assert info.value.offset == bad.index("&#")
+        assert str(info.value).startswith("bad character reference &#")
+
+    @pytest.mark.parametrize(
+        "cut",
+        ["<a b=", "<a b= ", "<!DOCTYPE a [<!ENTITY e ", "<!DOCTYPE a [<!ENTITY e SYSTEM "],
+    )
+    def test_quoted_string_cut_off_by_the_end(self, cut):
+        with pytest.raises(XmlParseError) as info:
+            parse_document(cut)
+        assert str(info.value) == "expected quoted string (at offset %d)" % len(cut)
+        assert info.value.offset == len(cut)
+
 
 class TestIncludes:
     DOC = (
