@@ -15,6 +15,12 @@ The total is then checked against a fresh counted run of the benchmark
 itself (``--no-check`` skips that second run): the two must agree within
 ``TOLERANCE`` (they are the same count), or the profile describes something
 the benchmark does not measure and the script exits non-zero.
+
+On the workloads ``bench.metrics.layer_checks`` fences (``BYPASS_WORKLOADS``:
+a ``--trace 1`` run fails when ``sim`` or ``balance`` exceed their
+``BYPASS_SHARE`` of all steps), the profile ends with each fenced layer's
+share and how many steps/op the workload can still lose, with that layer
+unchanged, before the fence trips.
 """
 
 import argparse
@@ -29,6 +35,7 @@ for _path in (os.path.join(ROOT, "src"), ROOT):
 from bench import child as C  # noqa: E402
 from bench import run as R  # noqa: E402
 from bench.layers import layer_of, repro_relpath  # noqa: E402
+from bench.metrics import BYPASS_SHARE, BYPASS_WORKLOADS  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
 
 #: relative distance allowed between this profile and the benchmark's number
@@ -122,6 +129,26 @@ def profile(workload_name, seed, scale):
     return counter, len(driver.ops)
 
 
+def fence_lines(counter, ops):
+    """One line per layer of ``BYPASS_SHARE``: its steps/op, its share of
+    all steps, and the steps/op the workload can lose before that share
+    crosses the limit (negative: the fence has already tripped)."""
+    total = counter.total()
+    by_layer = {}
+    for steps, layer, _, _ in counter.rows():
+        by_layer[layer] = by_layer.get(layer, 0) + steps
+    lines = []
+    for layer, share in sorted(BYPASS_SHARE.items()):
+        steps = by_layer.get(layer, 0)
+        lines.append(
+            "fence %-8s %8.1f steps/op, %5.2f%% of steps (limit %g%%): "
+            "%.0f steps/op to lose before it trips"
+            % (layer, steps / ops, 100.0 * steps / total, 100.0 * share,
+               (total - steps / share) / ops)
+        )
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -155,6 +182,8 @@ def main(argv=None):
                 qualname,
             )
         )
+    if args.workload in BYPASS_WORKLOADS:
+        print("\n".join(fence_lines(counter, ops)))
     if args.no_check:
         return 0
     counted = R.child("counted", args.workload, args.seed, args.scale)

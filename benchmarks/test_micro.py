@@ -97,6 +97,33 @@ def test_twig_join_throughput(benchmark, posting_list_10k):
     assert solutions  # sanity: the join produces output
 
 
+def test_twig_join_docpeer(benchmark):
+    """One document peer's join at ``query_docphase``'s size: its 8
+    generated DBLP documents of 4 KB, every one a candidate, under one
+    chain and one branching query."""
+    from repro.kadop.peer import KadopPeer
+    from repro.query.twigjoin import TwigPlan
+    from repro.workloads.dblp import DblpGenerator
+    from repro.xmldata.parser import parse_document
+    from repro.xmldata.streams import ElementStreams
+
+    peer = KadopPeer(None, 0, None)
+    generator = DblpGenerator(seed=1, target_doc_bytes=4_000)
+    for doc_index in range(8):
+        document = parse_document(generator.document())
+        document.streams = ElementStreams(document)
+        peer.documents[doc_index] = document
+    docs = sorted(peer.documents)
+    queries = ("//article//author", "//article[//title]//author")
+    plans = [TwigPlan(parse_query(query)) for query in queries]
+
+    def evaluate_peer():
+        return [peer.evaluate(plan.pattern, docs, plan=plan) for plan in plans]
+
+    answers = benchmark(evaluate_peer)
+    assert all(answers)
+
+
 def test_ab_filter_build_and_probe(benchmark, posting_list_10k):
     items = posting_list_10k.items()
     la = PostingList([Posting(p.peer, p.doc, p.start, p.start + 40, 1) for p in items[::5]])

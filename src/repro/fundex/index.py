@@ -287,7 +287,7 @@ class FundexIndex:
             found, partial = [], []
             sent = 0
             for postings, incomplete in peer.evaluate(
-                pattern, doc_idx, allow_incomplete=True
+                pattern, [doc_idx], allow_incomplete=True
             ):
                 answer = Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
                 if incomplete:

@@ -867,8 +867,9 @@ class QueryExecutor:
         answers = []
         doc_peer_times = state.doc_peer_times
         timed_out = 0
-        # one join plan per query, shared by every candidate document; no
-        # membership change happens inside the loop, so one hop estimate
+        # one join plan per query, shared by every document peer, and one
+        # join per peer over its candidates; no membership change happens
+        # inside the loop, so one hop estimate
         plan = TwigPlan(pattern)
         hops = net.cost.expected_hops(len(net.alive_nodes()))
         for peer_idx, doc_indexes in by_peer.items():
@@ -877,21 +878,13 @@ class QueryExecutor:
             if peer.node.alive:
                 found = []
                 sent = []  # each answer's sorted postings, sized in one call
-                for doc_idx in doc_indexes:
-                    if doc_idx not in peer.documents:
-                        # a candidate the peer no longer holds: an
-                        # unpublished document whose postings linger
-                        # somewhere (a stale view block awaiting its delta,
-                        # or a resurrected index copy from a crash-restarted
-                        # replica).  The document peer simply answers "no
-                        # such document", keeping answers sound under
-                        # update-heavy churn
-                        continue
-                    for postings, _incomplete in peer.evaluate(pattern, doc_idx, plan=plan):
-                        found.append(
-                            Answer(peer_idx, doc_idx, tuple(sorted(postings.items())))
-                        )
-                        sent.append(sorted(postings.values()))
+                # a candidate the peer no longer holds answers "no such
+                # document", keeping answers sound under update-heavy churn
+                for postings, _incomplete in peer.evaluate(pattern, doc_indexes, plan=plan):
+                    found.append(
+                        Answer(peer_idx, postings[0].doc, tuple(sorted(postings.items())))
+                    )
+                    sent.append(sorted(postings.values()))
                 matched = len(sent)
                 sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(sent)
                 uri = peer.node.uri

@@ -137,29 +137,61 @@ class KadopPeer:
 
     # -- the document phase of query processing --------------------------------
 
-    def evaluate(self, pattern, doc_index, allow_incomplete=False, plan=None):
-        """Evaluate ``pattern`` on one owned document.
+    def evaluate(self, pattern, doc_indexes, allow_incomplete=False, plan=None):
+        """Evaluate ``pattern`` on the owned documents ``doc_indexes``.
 
         Returns a list of ``(bindings, incomplete_ids)`` pairs with
         bindings as ``node_id → Posting`` (this is what is shipped back to
-        the query peer), in document order of the bound elements.
+        the query peer), by document and then in document order of the
+        bound elements.
 
-        The document's stored element streams are joined by the same
-        holistic twig join that runs the index query; ``plan`` is the
+        The documents' stored element streams are concatenated per pattern
+        node in ascending ``doc`` and joined once, by the same holistic twig
+        join that runs the index query; the join sorts its output by
+        ``(peer, doc, start)`` keys, so the answers come out exactly as
+        one join per document would give them.  A document the peer no
+        longer holds (an unpublished document whose postings linger in a
+        stale view block or a resurrected index copy) and a document in
+        which some node has nothing to bind add no rows.  ``plan`` is the
         pattern's :class:`TwigPlan`, for callers that evaluate one pattern
-        on many documents.  Only ``allow_incomplete`` (Fundex potential
+        at many peers.  Only ``allow_incomplete`` (Fundex potential
         answers, which bind elements *without* a match below them) has no
-        stream form and goes through the tree matcher."""
-        document = self.documents[doc_index]
+        stream form and goes through the tree matcher, document by
+        document."""
         if allow_incomplete:
             return [
                 (match_to_postings(match, self.index, doc_index), match.incomplete)
-                for match in match_document(pattern, document, allow_incomplete=True)
+                for doc_index in doc_indexes
+                for match in match_document(
+                    pattern, self.documents[doc_index], allow_incomplete=True
+                )
             ]
         if plan is None:
             plan = TwigPlan(pattern)
+        streams = None
+        for doc_index in sorted(doc_indexes):
+            cols = self._node_streams(plan, doc_index)
+            if cols is None:
+                continue
+            if streams is None:
+                streams = cols
+            else:
+                for stream, more in zip(streams, cols):
+                    stream.extend_cols(more)
+        if streams is None:
+            return []
+        joined = twig_join(pattern, dict(enumerate(streams)), plan)
+        return [(bindings, _COMPLETE) for bindings in joined]
+
+    def _node_streams(self, plan, doc_index):
+        """One held document's stream per pattern node, in ``node_id``
+        order; None when the peer does not hold the document or some node
+        has nothing to bind in it."""
+        document = self.documents.get(doc_index)
+        if document is None:
+            return None
         local = document.streams
-        streams = {}
+        streams = []
         for node in plan.nodes:
             # a root on the ``/`` axis binds the document root only
             root_only = node.parent is None and node.axis is Axis.CHILD
@@ -170,10 +202,10 @@ class KadopPeer:
                 cols = local.label_columns(
                     self.index, doc_index, label, node.value_equals, root_only
                 )
-            if cols is None:  # nothing to bind the node to: no answers
-                return []
-            streams[node.node_id] = cols
-        return [(bindings, _COMPLETE) for bindings in twig_join(pattern, streams, plan)]
+            if cols is None:
+                return None
+            streams.append(cols)
+        return streams
 
     def __repr__(self):
         return "KadopPeer(%d, %d docs)" % (self.index, len(self.documents))

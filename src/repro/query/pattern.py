@@ -15,6 +15,21 @@ from itertools import count
 from repro.xmldata.words import is_stop_word
 
 
+def _child(anc, desc):
+    return anc.start < desc.start < anc.end and desc.level == anc.level + 1
+
+
+def _descendant(anc, desc):
+    return anc.start < desc.start < anc.end
+
+
+def _descendant_or_self(anc, desc):
+    return anc.start <= desc.start and desc.end <= anc.end
+
+
+_TESTS = {"/": _child, "//": _descendant, ".//": _descendant_or_self}
+
+
 class Axis(enum.Enum):
     """Edge semantics between a pattern node and its parent."""
 
@@ -22,19 +37,12 @@ class Axis(enum.Enum):
     DESCENDANT = "//"
     DESCENDANT_OR_SELF = ".//"
 
-    def admits(self, ancestor, descendant):
-        """Structural test between two postings (same document assumed)."""
-        if self is Axis.CHILD:
-            return (
-                ancestor.start < descendant.start < ancestor.end
-                and descendant.level == ancestor.level + 1
-            )
-        if self is Axis.DESCENDANT:
-            return ancestor.start < descendant.start < ancestor.end
-        return (
-            ancestor.start <= descendant.start
-            and descendant.end <= ancestor.end
-        )
+    @property
+    def admits(self):
+        """Structural test between two postings (same document assumed),
+        ``admits(ancestor, descendant)``: a plain function, which loops
+        over many rows resolve once per edge."""
+        return _TESTS[self.value]
 
 
 WILDCARD = "*"

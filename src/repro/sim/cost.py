@@ -69,7 +69,11 @@ class CostModel:
     """Turns operation descriptions into simulated durations (seconds)."""
 
     def __init__(self, params=None):
-        self.params = params or CostParams()
+        self.params = p = params or CostParams()
+        # what every message between peers is priced with, read once
+        self._hop_s, self._envelope, self._egress_bw = (
+            p.hop_latency_s, p.msg_overhead_bytes, p.egress_bw
+        )
 
     # -- network ---------------------------------------------------------
 
@@ -81,8 +85,7 @@ class CostModel:
         transfers is modelled by the :class:`repro.sim.tasks.Scheduler`, not
         here.)
         """
-        p = self.params
-        return hops * p.hop_latency_s + (nbytes + p.msg_overhead_bytes) / p.egress_bw
+        return hops * self._hop_s + (nbytes + self._envelope) / self._egress_bw
 
     def rpc_time(self, request_bytes, response_bytes, hops=1):
         """A request/response round trip over the overlay."""

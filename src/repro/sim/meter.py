@@ -7,6 +7,8 @@ Every message sent through :mod:`repro.net` records its payload here.
 """
 
 from collections import Counter
+from itertools import repeat
+from operator import sub
 
 
 class TrafficMeter:
@@ -33,9 +35,16 @@ class TrafficMeter:
 
         Purely additive: the meter's own counters (and therefore every
         traffic figure in reports and experiments) are byte-identical with
-        or without a bound registry.
+        or without a bound registry.  ``None`` unbinds.  Every message
+        between peers is recorded, so an unbound meter's :meth:`record`
+        does not test for a registry: binding one shadows it with
+        :meth:`_record_mirrored`.
         """
         self._metrics = registry
+        if registry is None:
+            vars(self).pop("record", None)
+        else:
+            self.record = self._record_mirrored
 
     def record(self, category, nbytes):
         """Record a message of ``nbytes`` payload in ``category``."""
@@ -43,13 +52,12 @@ class TrafficMeter:
             raise ValueError("cannot record negative byte count %r" % (nbytes,))
         self._by_category[category] += nbytes
         self._messages[category] += 1
-        if self._metrics is not None:
-            self._metrics.counter("traffic_bytes_total", category=category).inc(
-                nbytes
-            )
-            self._metrics.counter(
-                "traffic_messages_total", category=category
-            ).inc()
+
+    def _record_mirrored(self, category, nbytes):
+        """:meth:`record`, then the same message into the bound registry."""
+        TrafficMeter.record(self, category, nbytes)
+        self._metrics.counter("traffic_bytes_total", category=category).inc(nbytes)
+        self._metrics.counter("traffic_messages_total", category=category).inc()
 
     def bytes(self, category=None):
         """Total bytes recorded, overall or for one category."""
@@ -76,7 +84,8 @@ class TrafficMeter:
         """Per-category bytes recorded since ``snapshot`` was taken."""
         current = self.snapshot()
         keys = set(current) | set(snapshot)
-        return {k: current.get(k, 0) - snapshot.get(k, 0) for k in keys}
+        now, then = map(current.get, keys, repeat(0)), map(snapshot.get, keys, repeat(0))
+        return dict(zip(keys, map(sub, now, then)))
 
     def __repr__(self):
         parts = ", ".join(

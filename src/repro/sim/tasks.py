@@ -26,6 +26,8 @@ from operator import attrgetter, itemgetter, not_
 _DEPS = attrgetter("deps")
 _FINISH = attrgetter("finish")
 _RANK = attrgetter("priority", "seq")
+_RELEASE = attrgetter("release")
+_SEQ = attrgetter("seq")
 _TASK = itemgetter(2)  # of a (release, seq, task) or (finish, seq, task) entry
 _LAST = float("inf")  # sorts after every seq
 
@@ -160,7 +162,8 @@ class Scheduler:
         # ``(release, seq)``, until simulated time reaches their release
         # (seq is unique, so the task riding along is never compared), then
         # in ``ready`` until every resource they name has a free slot.
-        pending = sorted((t.release, t.seq, t) for t in compress(tasks, map(not_, remaining_deps)))
+        roots = list(compress(tasks, map(not_, remaining_deps)))
+        pending = sorted(zip(map(_RELEASE, roots), map(_SEQ, roots), roots))
         ready = []
         running = []  # heap of (finish_time, seq, task)
         now = 0.0

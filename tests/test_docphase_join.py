@@ -9,8 +9,9 @@ matcher on random inputs.  This file pins what surrounds it:
 * the serving path never enters ``repro.query.matcher`` — the matcher is
   the oracle (``oracle_answers``, the fuzzer), and a benchmark whose answer
   check compares the matcher with itself checks nothing;
-* the stream cursor's precomputed keys behave like the plain "advance
-  while the end key sorts before" loop at every boundary.
+* the stream cursor's precomputed keys and its two skips behave like the
+  plain "advance while the end key (start key) sorts before" loops at
+  every boundary.
 """
 
 import gc
@@ -25,7 +26,6 @@ from repro.kadop.system import KadopNetwork
 from repro.kadop.verify import oracle_answers
 from repro.postings import kernels
 from repro.postings.columnar import PostingColumns
-from repro.postings.posting import Posting
 from repro.query import matcher
 from repro.query.twigjoin import _INF_KEY, _Stream
 from repro.workloads.dblp import DblpGenerator
@@ -202,14 +202,27 @@ class _ReferenceCursor:
             self.pos += 1
         return self.pos - before
 
+    def skip_to(self, key):
+        while self.start_key() < key:
+            self.pos += 1
+
 
 def _same_state(stream, reference):
     assert stream.pos == reference.pos
-    assert stream.eof == (reference.pos >= len(reference.rows))
-    assert stream.cur_start_key() == reference.start_key()
-    assert stream.cur_end_key() == reference.end_key()
-    expected = None if stream.eof else Posting(*reference.rows[reference.pos])
-    assert stream.cur() == expected
+    assert stream.n == len(reference.rows)
+    assert stream.skeys[stream.pos] == reference.start_key()
+    assert stream.ekeys[stream.pos] == reference.end_key()
+    if stream.pos < stream.n:
+        row = tuple(col[stream.pos] for col in (stream.peer, stream.doc, stream.start, stream.end, stream.level))
+        assert row == reference.rows[reference.pos]
+
+
+def _head(key):
+    """A stream whose head row starts at ``key`` (``_Stream.skip_to``'s
+    argument is the parent's stream)."""
+    if key == _INF_KEY:
+        return _Stream(PostingColumns())
+    return _Stream(PostingColumns.from_rows([key + (key[2] + 1, 0)]))
 
 
 def _nested_rows(rng, docs):
@@ -238,10 +251,11 @@ def backend(request):
 class TestStreamCursor:
     def test_empty_stream_reads_inf_and_skips_nothing(self, backend):
         stream = _Stream(PostingColumns())
-        assert stream.eof and stream.cur() is None
-        assert stream.cur_start_key() == stream.cur_end_key() == _INF_KEY
+        assert stream.pos == stream.n == 0
+        assert stream.skeys == stream.ekeys == [_INF_KEY]
         assert stream.skip_end_lt((0, 0, 5)) == 0
         assert stream.skip_end_lt(_INF_KEY) == 0
+        stream.skip_to(_head(_INF_KEY))
         assert stream.pos == 0
 
     def test_first_row_stop_costs_no_kernel_call(self, backend, monkeypatch):
@@ -261,7 +275,20 @@ class TestStreamCursor:
         assert stream.skip_end_lt((3, 0, 0)) == reference.skip_end_lt((3, 0, 0)) == 2
         _same_state(stream, reference)
         assert stream.skip_end_lt((9, 9, 9)) == 0  # already at eof
-        assert stream.eof and stream.cur() is None
+        stream.skip_to(_head((9, 9, 9)))
+        assert stream.pos == stream.n == 3
+
+    def test_skip_to_stops_at_an_equal_start(self, backend):
+        """A row starting where the parent's head starts is the same
+        element in both streams (``//a//a``, ``.//``): it is kept."""
+        rows = [(0, 0, 1, 8, 0), (0, 0, 2, 3, 1), (0, 0, 4, 7, 1), (0, 0, 5, 6, 2)]
+        stream = _Stream(PostingColumns.from_rows(rows))
+        stream.skip_to(_head((0, 0, 4)))
+        assert stream.pos == 2
+        stream.skip_to(_head((0, 0, 4)))
+        assert stream.pos == 2
+        stream.skip_to(_head(_INF_KEY))
+        assert stream.pos == stream.n
 
     def test_random_walk_equals_reference(self, backend):
         rng = random.Random(17)
@@ -270,10 +297,16 @@ class TestStreamCursor:
             stream = _Stream(PostingColumns.from_rows(rows))
             reference = _ReferenceCursor(rows)
             _same_state(stream, reference)
-            while not stream.eof:
-                if rng.random() < 0.5:
-                    stream.advance()
+            while stream.pos < stream.n:
+                step = rng.random()
+                if step < 0.4:
+                    stream.pos += 1
                     reference.pos += 1
+                elif step < 0.7:
+                    peer, doc, start, _, _ = rng.choice(rows)
+                    key = (peer, doc, rng.choice((start, start + 1, 10**6)))
+                    stream.skip_to(_head(key))
+                    reference.skip_to(key)
                 else:
                     peer, doc, start, end, _ = rng.choice(rows)
                     key = (peer, doc, rng.choice((start, end, end + 1, 10**6)))

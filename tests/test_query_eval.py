@@ -336,22 +336,24 @@ def test_twigjoin_differential_random(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_twigjoin_multi_doc_differential(seed):
+    """One join over several documents' merged streams == the per-document
+    matcher answers concatenated in ``(peer, doc)`` order, list order
+    included: what lets a document peer run one join over its candidates."""
     rng = random.Random(seed)
     docs = [random_document(rng, max_nodes=12) for _ in range(3)]
     pattern = random_pattern(rng)
     merged = None
-    expected = set()
     for i, document in enumerate(docs):
         s = streams_for(pattern, document, peer=i % 2, doc=i)
         merged = s if merged is None else {
             nid: merged[nid].merge(s[nid]) for nid in merged
         }
-        expected |= {
-            tuple(sorted(match_to_postings(m, i % 2, i).items()))
-            for m in match_document(pattern, document)
-        }
-    got = {tuple(sorted(sol.items())) for sol in twig_join(pattern, merged)}
-    assert got == expected
+    expected = [
+        match_to_postings(m, i % 2, i)
+        for i in sorted(range(len(docs)), key=lambda i: (i % 2, i))
+        for m in match_document(pattern, docs[i])
+    ]
+    assert twig_join(pattern, merged) == expected
 
 
 # -- the document phase against the matcher -----------------------------------------
@@ -397,12 +399,12 @@ class TestDocumentPhase:
     )
     def test_equals_matcher(self, query, keywords):
         pattern = parse_query(query, keyword_steps=keywords)
-        assert stored(DOC).evaluate(pattern, 5) == matcher_answers(pattern, DOC, 3, 5)
+        assert stored(DOC).evaluate(pattern, [5]) == matcher_answers(pattern, DOC, 3, 5)
 
     def test_stop_words_are_matched_on_the_document(self):
         doc = parse_document("<a><b>the cat</b><b>a dog</b><b>other</b></a>")
         pattern = parse_query('//b[. contains "the"]')
-        answers = stored(doc).evaluate(pattern, 5)
+        answers = stored(doc).evaluate(pattern, [5])
         assert answers == matcher_answers(pattern, doc, 3, 5)
         assert len(answers) == 1  # "other" holds no token "the"
 
@@ -410,7 +412,7 @@ class TestDocumentPhase:
         doc = parse_document("<a>Big<b/>DATA big</a>")
         for word, hits in (("big", 1), ("data", 1), ("bigdata", 0), ("ig", 0)):
             pattern = TreePattern(PatternNode(word=word))
-            answers = stored(doc).evaluate(pattern, 5)
+            answers = stored(doc).evaluate(pattern, [5])
             assert answers == matcher_answers(pattern, doc, 3, 5)
             assert len(answers) == hits
 
@@ -421,7 +423,7 @@ class TestDocumentPhase:
             node = PatternNode(label="b")
             node.value_equals = value
             pattern = TreePattern(node)
-            answers = stored(doc).evaluate(pattern, 5)
+            answers = stored(doc).evaluate(pattern, [5])
             assert answers == matcher_answers(pattern, doc, 3, 5)
             assert len(answers) == hits
 
@@ -433,22 +435,55 @@ class TestDocumentPhase:
         assert doc.is_intensional
         for query in ('//a//b[. contains "x"]', "//b//c", "//a/b"):
             pattern = parse_query(query)
-            assert stored(doc).evaluate(pattern, 5) == matcher_answers(pattern, doc, 3, 5)
+            assert stored(doc).evaluate(pattern, [5]) == matcher_answers(pattern, doc, 3, 5)
 
     def test_allow_incomplete_still_marks_potential_answers(self):
         doc = parse_document(
             '<!DOCTYPE l [ <!ENTITY a SYSTEM "u:a"> ]><l><x>graph</x><x>&a;</x></l>'
         )
         pattern = parse_query('//l//x[. contains "graph"]')
-        answers = stored(doc).evaluate(pattern, 5, allow_incomplete=True)
+        answers = stored(doc).evaluate(pattern, [5], allow_incomplete=True)
         assert [bool(incomplete) for _, incomplete in answers] == [False, True]
-        assert len(stored(doc).evaluate(pattern, 5)) == 1
+        assert len(stored(doc).evaluate(pattern, [5])) == 1
 
     def test_bindings_carry_the_owner_ids(self):
         pattern = parse_query("//article//author")
-        for bindings, incomplete in stored(DOC, peer=4, doc=9).evaluate(pattern, 9):
+        for bindings, incomplete in stored(DOC, peer=4, doc=9).evaluate(pattern, [9]):
             assert not incomplete
             assert all((p.peer, p.doc) == (4, 9) for p in bindings.values())
+
+    @pytest.mark.parametrize(
+        "query,keywords",
+        [
+            ("//lib//article//author", ()),
+            ("//article[//title]//author", ()),
+            ("/lib//title", ()),
+            ('//article[. contains "smith"]', ()),
+            ('//author[. = "smith"]', ()),
+            ("//article//author//smith", ("smith",)),
+        ],
+    )
+    def test_one_join_per_peer(self, query, keywords):
+        """One call over a peer's candidates: the answers of the held
+        documents in ``doc`` order.  Document 6 has no ``article`` (so no
+        stream for that node), 99 is not held (unpublished), and the list
+        comes out of order."""
+        other = parse_document(
+            "<lib><article><author>smith</author><title>xml</title></article></lib>"
+        )
+        bare = parse_document("<lib><book><author>smith</author><title>x</title></book></lib>")
+        holder = KadopPeer(None, 3, None)
+        held = {2: DOC, 4: other, 6: bare}
+        for doc, document in held.items():
+            document.streams = ElementStreams(document)
+            holder.documents[doc] = document
+        pattern = parse_query(query, keyword_steps=keywords)
+        expected = [
+            answer for doc in sorted(held) for answer in matcher_answers(pattern, held[doc], 3, doc)
+        ]
+        assert len({bindings[0].doc for bindings, _ in expected}) >= 2
+        assert holder.evaluate(pattern, [6, 99, 4, 2]) == expected
+        assert holder.evaluate(pattern, [99]) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -459,7 +494,31 @@ def test_document_phase_differential_random(seed):
     rng = random.Random(seed)
     document = random_document(rng, rich=True)
     pattern = random_pattern(rng, rich=True)
-    assert stored(document).evaluate(pattern, 5) == matcher_answers(pattern, document, 3, 5)
+    assert stored(document).evaluate(pattern, [5]) == matcher_answers(pattern, document, 3, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_document_phase_per_peer_differential(seed):
+    """One join over a peer's candidate documents == the matcher on each
+    held one, concatenated in ``doc`` order, on rich random inputs (a root
+    ``/`` axis, ``*``, word nodes on every axis ``.//`` included, value
+    conditions, labels some documents lack); the candidates come out of
+    order and include a document the peer does not hold."""
+    rng = random.Random(seed)
+    holder = KadopPeer(None, 3, None)
+    held = {}
+    for doc in rng.sample(range(10), 4):
+        document = random_document(rng, max_nodes=12, rich=True)
+        document.streams = ElementStreams(document)
+        holder.documents[doc] = held[doc] = document
+    pattern = random_pattern(rng, rich=True)
+    candidates = list(held) + [10]
+    rng.shuffle(candidates)
+    expected = [
+        answer for doc in sorted(held) for answer in matcher_answers(pattern, held[doc], 3, doc)
+    ]
+    assert holder.evaluate(pattern, candidates) == expected
 
 
 @pytest.mark.parametrize(
@@ -485,6 +544,6 @@ def test_document_phase_ignores_index_reductions(knobs):
         doc_index = next(i for i, d in peer.documents.items() if d is document)
         for _ in range(25):
             pattern = random_pattern(rng, rich=True)
-            assert peer.evaluate(pattern, doc_index) == matcher_answers(
+            assert peer.evaluate(pattern, [doc_index]) == matcher_answers(
                 pattern, document, peer.index, doc_index
             )
