@@ -183,7 +183,6 @@ def test_xml_parse_20kb(benchmark):
 
 from repro.bloom.filter import BloomFilter  # noqa: E402
 from repro.postings import kernels  # noqa: E402
-from repro.postings.columnar import PostingColumns  # noqa: E402
 
 KERNEL_BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
 
@@ -208,27 +207,27 @@ def _kernel_rows(n, seed, stride=3):
 
 
 def test_kernel_codec_decode(benchmark, kernel_backend):
-    cols = PostingColumns.from_rows(_kernel_rows(20_000, seed=11))
-    data = cols.encode()
-    decoded, _ = benchmark(lambda: PostingColumns.decode(data))
+    cols = PostingList(_kernel_rows(20_000, seed=11))
+    data = encode_postings(cols)
+    decoded, _ = benchmark(lambda: decode_postings(data))
     assert len(decoded) == len(cols)
 
 
 def test_kernel_merge(benchmark, kernel_backend):
     # interleaved peer/doc keys: forces the general merge kernel, not the
     # disjoint-concatenation fast path
-    a = PostingColumns.from_rows(_kernel_rows(10_000, seed=12, stride=3))
-    b = PostingColumns.from_rows(_kernel_rows(10_000, seed=13, stride=5))
+    a = PostingList(_kernel_rows(10_000, seed=12, stride=3))
+    b = PostingList(_kernel_rows(10_000, seed=13, stride=5))
     merged = benchmark(lambda: a.merge(b))
     assert len(merged) > len(a)
 
 
 def test_kernel_concat_sorted(benchmark, kernel_backend):
     parts = [
-        PostingColumns.from_rows(_kernel_rows(5_000, seed=20 + j, stride=3 + j))
+        PostingList(_kernel_rows(5_000, seed=20 + j, stride=3 + j))
         for j in range(4)
     ]
-    total = benchmark(lambda: PostingColumns.concat_sorted(parts))
+    total = benchmark(lambda: PostingList.concat(parts))
     assert len(total) > len(parts[0])
 
 
@@ -259,7 +258,7 @@ def _probe_traffic(rng, n, widths):
             (rng.randrange(4), rng.randrange(15), start,
              min(512, start + rng.choice(widths)), rng.randrange(1, 9))
         )
-    return PostingList._adopt(PostingColumns.from_rows(rows))
+    return PostingList(rows)
 
 
 def test_kernel_dbf_probe(benchmark, kernel_backend):
@@ -331,7 +330,7 @@ def test_kernel_encoded_size_loop_70x210(benchmark, kernel_backend):
 
 def test_columns_bisect_left(benchmark):
     # the LSM memtable's insert search: 200 probes into 700 rows
-    cols = PostingColumns.from_rows(_kernel_rows(700, seed=16))
+    cols = PostingList(_kernel_rows(700, seed=16))
     keys = [cols.key(i) for i in range(0, 700, 7)] + _kernel_rows(100, seed=17)
     found = benchmark(lambda: [cols.bisect_left(key) for key in keys])
     assert found[:100] == list(range(0, 700, 7))

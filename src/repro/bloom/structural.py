@@ -47,8 +47,7 @@ def _interval_rows(postings):
     Column-backed lists are walked directly; anything else falls back to
     attribute access per element."""
     if isinstance(postings, PostingList):
-        cols = postings.columns()
-        return zip(cols.peer, cols.doc, cols.start, cols.end)
+        return zip(postings.peer, postings.doc, postings.start, postings.end)
     return ((p.peer, p.doc, p.start, p.end) for p in postings)
 
 
@@ -172,7 +171,6 @@ class AncestorBloomFilter:
                 self.may_have_ancestor_point if point_probe else self.may_have_ancestor
             )
             return PostingList([p for p in postings if probe(p)], presorted=True)
-        cols = postings.columns()
         l = self.l
         limit = 1 << l
         dclev = self.dclev
@@ -182,16 +180,16 @@ class AncestorBloomFilter:
         cover_cache = {}
         rows = []
         push_row = rows.append
-        n = len(cols)
+        n = len(postings)
         if point_probe:
             for i, peer, doc, start in zip(
-                range(n), cols.peer, cols.doc, cols.start
+                range(n), postings.peer, postings.doc, postings.start
             ):
                 if start <= limit:
                     push_row((i, peer, doc, ((start, start),)))
         else:
             for i, peer, doc, start, end in zip(
-                range(n), cols.peer, cols.doc, cols.start, cols.end
+                range(n), postings.peer, postings.doc, postings.start, postings.end
             ):
                 if end > limit:
                     continue
@@ -276,7 +274,7 @@ class AncestorBloomFilter:
                     break
             else:
                 push(i)
-        return PostingList._adopt(cols.select(keep))
+        return postings.select(keep)
 
     @property
     def size_bytes(self):
@@ -343,13 +341,12 @@ class DescendantBloomFilter:
                 [p for p in postings if self.may_have_descendant(p, or_self=or_self)],
                 presorted=True,
             )
-        cols = postings.columns()
         f = self.filter
         keep = kernels.active().descendant_probe(
-            cols.arrays(), 0 if or_self else 1, self.l,
+            postings.arrays(), 0 if or_self else 1, self.l,
             f._vector, f.bits, f.hashes, f._salt1, f._salt2,
         )
-        return PostingList._adopt(cols.select(keep))
+        return postings.select(keep)
 
     @property
     def size_bytes(self):

@@ -59,20 +59,18 @@ class ZoneMap:
     @classmethod
     def of_list(cls, plist):
         """Exact zone map of a PostingList, straight off the columns."""
-        cols = plist.columns()
         return cls(
-            len(cols), min(cols.start), max(cols.start),
-            min(cols.level), max(cols.level),
+            len(plist), min(plist.start), max(plist.start),
+            min(plist.level), max(plist.level),
         )
 
     def widen(self, plist, count):
         """Absorb an appended batch; ``count`` is the block's exact size."""
-        cols = plist.columns()
         self.count = count
-        self.min_start = min(self.min_start, min(cols.start))
-        self.max_start = max(self.max_start, max(cols.start))
-        self.min_level = min(self.min_level, min(cols.level))
-        self.max_level = max(self.max_level, max(cols.level))
+        self.min_start = min(self.min_start, min(plist.start))
+        self.max_start = max(self.max_start, max(plist.start))
+        self.min_level = min(self.min_level, min(plist.level))
+        self.max_level = max(self.max_level, max(plist.level))
 
     def __repr__(self):
         return "ZoneMap(n=%d, start=[%d,%d], level=[%d,%d])" % (
@@ -320,7 +318,7 @@ class DppIndex:
             if entries[0].condition is None:
                 cuts = [len(postings)]  # a fresh root: one unbounded block
             else:
-                cuts = postings.columns().batch_bisect_right(
+                cuts = postings.batch_bisect_right(
                     [tuple(entry.condition.hi) for entry in entries]
                 )
                 # the last block absorbs what sorts above every condition

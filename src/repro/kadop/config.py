@@ -84,15 +84,6 @@ class KadopConfig:
                                      and only serve from the view when it
                                      is cheaper (False forces view use)
 
-    Kernel backend (:mod:`repro.postings.kernels`):
-
-    ``kernel_backend``   ``"auto"`` (numpy when importable, else pure),
-                         ``"pure"``, or ``"numpy"`` — which vectorized
-                         kernel implementation the posting/Bloom hot
-                         paths use.  Results are byte-identical either
-                         way; the ``REPRO_KERNELS`` environment variable
-                         overrides this knob
-
     DHT:
 
     ``replication``      copies per key (fixed factor, set at network start)
@@ -167,8 +158,6 @@ class KadopConfig:
 
     striped_replica_fetch: bool = False
 
-    kernel_backend: str = "auto"
-
     use_views: bool = False
     view_block_entries: int = 512
     view_auto_materialize_after: int = None
@@ -215,11 +204,6 @@ class KadopConfig:
             raise ConfigError("dpp_block_entries must be >= 2")
         if self.dpp_replicate_after is not None and self.dpp_replicate_after < 1:
             raise ConfigError("dpp_replicate_after must be >= 1 or None")
-        if self.kernel_backend not in ("auto", "pure", "numpy"):
-            raise ConfigError(
-                "kernel_backend must be 'auto', 'pure', or 'numpy', got %r"
-                % (self.kernel_backend,)
-            )
         if self.dpp_fetch_mode not in ("eager", "window", "lazy"):
             raise ConfigError(
                 "dpp_fetch_mode must be 'eager', 'window', or 'lazy', got %r"

@@ -170,26 +170,28 @@ class KadopPeer:
             plan = TwigPlan(pattern)
         streams = None
         for doc_index in sorted(doc_indexes):
-            cols = self._node_streams(plan, doc_index)
+            document = self.documents.get(doc_index)
+            if document is None:
+                continue
+            cols = self.document_streams(plan, doc_index, document)
             if cols is None:
                 continue
             if streams is None:
                 streams = cols
             else:
                 for stream, more in zip(streams, cols):
-                    stream.extend_cols(more)
+                    stream.extend_unchecked(more)
         if streams is None:
             return []
         joined = twig_join(pattern, dict(enumerate(streams)), plan)
         return [(bindings, _COMPLETE) for bindings in joined]
 
-    def _node_streams(self, plan, doc_index):
-        """One held document's stream per pattern node, in ``node_id``
-        order; None when the peer does not hold the document or some node
-        has nothing to bind in it."""
-        document = self.documents.get(doc_index)
-        if document is None:
-            return None
+    def document_streams(self, plan, doc_index, document):
+        """The stream of each pattern node of ``plan`` in ``document``
+        (this peer's document ``doc_index``, held or just withdrawn), in
+        ``node_id`` order; None when some node has nothing to bind in it.
+        Joining them with :func:`twig_join` evaluates the pattern on the
+        document."""
         local = document.streams
         streams = []
         for node in plan.nodes:

@@ -27,12 +27,13 @@ from repro.storage.lsm import LsmStore
 from repro.storage.naive_store import NaiveGzipStore
 
 
-#: ``KadopConfig`` fields of older checkpoints that are constants now (in
-#: ``RetryPolicy``, ``LoadLedger``, ``Rebalancer``, ``DhtNetwork`` and
-#: ``bloom.structural.PSI_C``)
+#: ``KadopConfig`` fields of older checkpoints that are gone: constants now
+#: (in ``RetryPolicy``, ``LoadLedger``, ``Rebalancer``, ``DhtNetwork`` and
+#: ``bloom.structural.PSI_C``), or a per-process choice (the kernel
+#: backend: ``REPRO_KERNELS``, ``repro.postings.kernels.use_backend``)
 RETIRED_CONFIG_KEYS = (
     "op_timeout_s", "retry_backoff_s", "retry_backoff_cap_s",
-    "hot_key_decay", "rebalance_max_keys", "leaf_size", "psi_c",
+    "hot_key_decay", "rebalance_max_keys", "leaf_size", "psi_c", "kernel_backend",
 )
 
 
@@ -41,9 +42,6 @@ class KadopNetwork:
 
     def __init__(self, config=None):
         self.config = config or KadopConfig()
-        from repro.postings import kernels
-
-        kernels.apply_config(self.config.kernel_backend)
         store_factory = {
             "btree": ClusteredIndexStore,
             "naive": NaiveGzipStore,

@@ -16,33 +16,26 @@ significant fields are unchanged, which is where the compression comes
 from: within one document, consecutive postings differ mostly in ``start``.
 
 :func:`encode_postings`, :func:`encoded_size` and :func:`encoded_size_sum`
-are derived from the single delta kernel in :mod:`repro.postings.columnar`
-(:meth:`~repro.postings.columnar.PostingColumns.wire_values`), so the
-accounted size can never drift from the actual encoding; decoding streams
-the bytes straight into columns without materializing a single
-:class:`Posting`.
+run the active kernel backend straight on the columns of a
+:class:`PostingList`; every backend derives the bytes and the sizes from
+one delta kernel (``wire_values``), so the accounted size can never drift
+from the actual encoding.  Decoding streams the bytes straight into
+columns without materializing a single :class:`Posting`.
+
+Anything else these functions are given is a sequence of postings already
+in wire order (the answers of a document peer, say): it is encoded as it
+is, neither re-sorted nor deduplicated.
 """
 
 from repro.postings import kernels
-from repro.postings.columnar import PostingColumns
 from repro.postings.plist import PostingList
 
 
-def _columns_of(postings):
-    if isinstance(postings, PostingList):
-        return postings.columns()
-    if isinstance(postings, PostingColumns):
-        return postings
-    # raw iterables arrive sorted on this path (wire contract); trust the
-    # order like the previous encoder did rather than re-sorting
-    return PostingColumns._from_sorted_unique(
-        postings if isinstance(postings, list) else list(postings)
-    )
-
-
 def encode_postings(postings):
-    """Encode an iterable of sorted postings to bytes."""
-    return _columns_of(postings).encode()
+    """Encode a posting list, or a sequence of sorted postings, to bytes."""
+    if not isinstance(postings, PostingList):
+        postings = PostingList.from_sorted(postings)
+    return kernels.active().encode(postings.arrays())
 
 
 def decode_postings(data, offset=0):
@@ -50,8 +43,8 @@ def decode_postings(data, offset=0):
 
     Returns ``(PostingList, next_offset)``.
     """
-    cols, pos = PostingColumns.decode(data, offset)
-    return PostingList._adopt(cols), pos
+    cols, pos = kernels.active().decode(data, offset)
+    return PostingList.from_columns(*cols), pos
 
 
 def encoded_size(postings):
@@ -60,7 +53,9 @@ def encoded_size(postings):
     Used on hot accounting paths; must agree exactly with the encoder —
     guaranteed structurally, since both walk the same wire-value kernel.
     """
-    return _columns_of(postings).encoded_size()
+    if not isinstance(postings, PostingList):
+        postings = PostingList.from_sorted(postings)
+    return kernels.active().encoded_size(postings.arrays())
 
 
 def encoded_size_sum(parts):
@@ -75,5 +70,5 @@ def encoded_size_sum(parts):
         rows += part
         offsets.append(len(rows))
     # a plain transpose: only each part on its own is sorted
-    cols = PostingColumns._from_sorted_unique(rows)
+    cols = PostingList.from_sorted(rows)
     return kernels.active().encoded_sizes(cols.arrays(), offsets)

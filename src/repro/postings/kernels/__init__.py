@@ -13,13 +13,14 @@ loops behind one small backend interface with two implementations:
   vector code cannot reproduce exactly falls back to the pure kernel).
 
 Backends operate on raw column tuples and byte strings, never on
-``PostingColumns``/``PostingList`` objects, so the facade classes keep
-their API and exact wire bytes regardless of the backend — the existing
-differential suites double as backend-equivalence oracles.
+``PostingList`` objects, so posting lists keep their API and exact wire
+bytes regardless of the backend — the existing differential suites double
+as backend-equivalence oracles.
 
-Selection: the ``REPRO_KERNELS`` environment variable (``pure`` /
-``numpy`` / ``auto``) wins over :attr:`KadopConfig.kernel_backend`,
-which defaults to ``auto`` (numpy when importable, else pure).
+Selection is per process: the ``REPRO_KERNELS`` environment variable
+(``pure`` / ``numpy`` / ``auto``, the default: numpy when importable, else
+pure) picks the backend on first use, and :func:`use_backend` switches it.
+Building a network never changes it.
 """
 
 import os
@@ -67,12 +68,6 @@ def use_backend(name):
     previous = backend_name()
     _active = resolve(name)
     return previous
-
-
-def apply_config(name):
-    """Activate the configured backend; ``REPRO_KERNELS`` env wins."""
-    env = os.environ.get("REPRO_KERNELS")
-    use_backend(env if env else name)
 
 
 def active():

@@ -3,8 +3,8 @@
 Every function operates on raw data — column 5-tuples of ``array('q')``
 (``peer, doc, start, end, level``), byte strings, plain tuples — and is
 the reference semantics the numpy backend must reproduce byte-for-byte.
-These bodies are the loops that previously lived inline in
-``PostingColumns``/``BloomFilter``; they moved here unchanged so both
+These bodies are the loops that previously lived inline in the posting
+list and ``BloomFilter`` classes; they moved here unchanged so both
 backends sit behind one interface.
 """
 

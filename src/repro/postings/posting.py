@@ -62,21 +62,3 @@ class Posting(NamedTuple):
             and self.doc == other.doc
             and self.start < other.start < self.end
         )
-
-    def is_parent_of(self, other):
-        """Parent-child test: ancestor at exactly one level above."""
-        return self.is_ancestor_of(other) and other.level == self.level + 1
-
-    def validate(self):
-        """Raise ``ValueError`` if the posting is structurally impossible."""
-        if self.peer < 0 or self.doc < 0:
-            raise ValueError("negative peer/doc in %r" % (self,))
-        if not 0 < self.start < self.end:
-            raise ValueError("bad start/end interval in %r" % (self,))
-        if self.level < 0:
-            raise ValueError("negative level in %r" % (self,))
-        return self
-
-
-MIN_POSTING = Posting(0, 0, 0, 0, 0)
-MAX_POSTING = Posting(2**63, 2**63, 2**63, 2**63, 2**63)

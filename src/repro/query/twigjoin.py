@@ -32,7 +32,6 @@ from bisect import bisect_left
 from operator import itemgetter
 
 from repro.postings import kernels
-from repro.postings.columnar import PostingColumns
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.query.pattern import Axis
@@ -55,24 +54,15 @@ class _Stream:
     __slots__ = ("peer", "doc", "start", "end", "level", "n", "pos", "skeys", "ekeys")
 
     def __init__(self, postings):
-        if isinstance(postings, PostingList):
-            cols = postings.columns()
-        elif isinstance(postings, PostingColumns):
-            cols = postings
-        else:
-            # trust the caller's (p, d, sid) stream order, duplicates kept —
-            # same contract as joining over raw posting iterables before
-            cols = PostingColumns._from_sorted_unique(list(postings))
-        self.peer = cols.peer
-        self.doc = cols.doc
-        self.start = cols.start
-        self.end = cols.end
-        self.level = cols.level
-        self.n = len(cols.peer)
+        if not isinstance(postings, PostingList):
+            # trust the caller's (p, d, sid) stream order, duplicates kept
+            postings = PostingList.from_sorted(postings)
+        self.peer, self.doc, self.start, self.end, self.level = postings.arrays()
+        self.n = len(postings.peer)
         self.pos = 0
-        self.skeys = list(zip(cols.peer, cols.doc, cols.start))
+        self.skeys = list(zip(postings.peer, postings.doc, postings.start))
         self.skeys.append(_INF_KEY)
-        self.ekeys = list(zip(cols.peer, cols.doc, cols.end))
+        self.ekeys = list(zip(postings.peer, postings.doc, postings.end))
         self.ekeys.append(_INF_KEY)
 
     def skip_end_lt(self, key):

@@ -28,7 +28,7 @@ other backends return, so query answers are byte-identical across
 backends (the differential suite in ``tests/test_write_path.py``).
 """
 
-from repro.postings.encoder import decode_postings, encode_postings
+from repro.postings.encoder import decode_postings, encode_postings, encoded_size
 from repro.postings.plist import PostingList
 from repro.storage.api import Store
 
@@ -119,7 +119,7 @@ class LsmStore(Store):
             added += 1
             self._mem_entries += 1
         self.stats.num_ops += 1
-        self.stats.bytes_written += encoded_size_of(plist)
+        self.stats.bytes_written += encoded_size(plist)
         if self._mem_entries >= self._memtable_postings:
             self.flush()
         return added
@@ -333,10 +333,3 @@ class LsmStore(Store):
                 " %d live" % (term, len(rebuilt), len(self._keys.get(term, ())))
             )
         assert self._mem_entries == sum(len(m) for m in self._mem.values())
-
-
-def encoded_size_of(plist):
-    """Encoded byte size of a posting list (codec-accurate log charge)."""
-    from repro.postings.encoder import encoded_size
-
-    return encoded_size(plist)

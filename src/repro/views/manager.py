@@ -33,7 +33,7 @@ exactly the matching root postings into or out of the view's blocks.
 from repro.faults import OpTimeoutError
 from repro.postings.plist import PostingList
 from repro.query.index_plan import build_index_plan
-from repro.query.matcher import match_document, match_to_postings
+from repro.query.twigjoin import TwigPlan, twig_join
 from repro.views.definition import ViewDefinition, canonical_pattern
 from repro.views.rewrite import equivalent, pick_view, subsumes, view_beats_base
 from repro.views.store import ViewBlockStore, ViewIntegrityError
@@ -259,13 +259,20 @@ class ViewManager:
     # -- incremental maintenance -----------------------------------------------
 
     def _root_postings(self, pattern, peer, doc_index, document):
-        """The root postings ``document`` contributes to ``pattern``."""
-        postings = PostingList()
+        """The root postings ``document`` contributes to ``pattern``, from
+        the twig join the document phase runs over its element streams.
+
+        A functional document has no streams; it is never an answer, so
+        no view holds its postings."""
+        if document.streams is None:
+            return PostingList()
+        plan = TwigPlan(pattern)
+        streams = peer.document_streams(plan, doc_index, document)
+        if streams is None:
+            return PostingList()
         root_id = pattern.root.node_id
-        for match in match_document(pattern, document):
-            bound = match_to_postings(match, peer.index, doc_index)
-            postings.add(bound[root_id])
-        return postings
+        joined = twig_join(pattern, dict(enumerate(streams)), plan)
+        return PostingList([bindings[root_id] for bindings in joined])
 
     def on_publish(self, peer, doc_index, document):
         """Route a newly published document's deltas into live views."""

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, contains, is_, itemgetter
 
-from repro.postings.columnar import PostingColumns
+from repro.postings.plist import PostingList
 from repro.xmldata.tree import Element, Text
 from repro.xmldata.words import tokenize
 
@@ -83,7 +83,7 @@ class ElementStreams:
 
         Selects the elements named ``label`` (``None``: every element);
         ``value`` keeps those whose direct text equals it and ``root_only``
-        the document root alone.  Returns :class:`PostingColumns` in
+        the document root alone.  Returns a :class:`PostingList` in
         document order, or ``None`` when no element qualifies.
         """
         lo, hi = self.spans.get(label, _NO_ROWS)
@@ -143,6 +143,7 @@ class ElementStreams:
 
 
 def _stamped(peer, doc, start, end, level):
-    """``PostingColumns`` of one document's rows, owner ids stamped on."""
+    """A :class:`PostingList` of one document's rows, owner ids stamped on."""
     n = len(start)
-    return PostingColumns(array("q", (peer,)) * n, array("q", (doc,)) * n, start, end, level)
+    peer, doc = array("q", (peer,)) * n, array("q", (doc,)) * n
+    return PostingList.from_columns(peer, doc, start, end, level)

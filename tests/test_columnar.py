@@ -1,10 +1,12 @@
-"""Tests for the columnar posting kernels (repro.postings.columnar).
+"""Tests for the columnar batch operations of PostingList.
 
-The columnar core is the substrate under PostingList, the wire codec, the
-twig join, and the structural Bloom filters; these tests pin its batch
-kernels against straightforward list-based references:
+The five columns of a PostingList are the substrate under the wire codec,
+the twig join, and the structural Bloom filters; these tests pin its batch
+operations against straightforward list-based references:
 
-* merge / extend_sorted against sorted-set union,
+* merge / extend / concat against sorted-set union,
+* point edits, sublists and derived values after random edit scripts,
+  under every kernel backend, against a sorted set,
 * galloping range extraction against a bisect reference,
 * the streaming codec round-trip (fuzzed, including delta resets), and
 * the ``encoded_size == len(encode())`` accounting identity.
@@ -16,7 +18,7 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.postings.columnar import PostingColumns
+from repro.postings import kernels
 from repro.postings.encoder import decode_postings, encode_postings, encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
@@ -35,7 +37,7 @@ posting_lists = st.lists(posting_strategy, max_size=80)
 
 
 def cols_of(postings):
-    return PostingColumns.from_rows(postings)
+    return PostingList(postings)
 
 
 def as_tuples(cols):
@@ -54,7 +56,7 @@ class TestNormalize:
 
     def test_presorted_validation_rejects_disorder(self):
         with pytest.raises(ValueError):
-            PostingColumns.normalize_rows(
+            PostingList.normalize_rows(
                 [(1, 0, 5, 6, 1), (0, 0, 9, 10, 2)], presorted=True
             )
 
@@ -73,7 +75,7 @@ class TestMergeKernel:
     @given(posting_lists, posting_lists)
     def test_extend_sorted_matches_union(self, a, b):
         cols = cols_of(a)
-        cols.extend_sorted(cols_of(b))
+        cols.extend(cols_of(b))
         assert as_tuples(cols) == reference_union(a, b)
 
     def test_disjoint_concat_fast_path(self):
@@ -83,7 +85,7 @@ class TestMergeKernel:
         assert as_tuples(merged) == reference_union(as_tuples(a), as_tuples(b))
 
     def test_posting_list_extend_is_linear_merge(self):
-        # the PostingList facade routes extend through the same kernel
+        # rows that interleave with the list take the merge kernel
         rng = random.Random(11)
         base = [Posting(0, d, s, s + 1, 1) for d in range(5) for s in range(1, 40, 3)]
         extra = [
@@ -100,10 +102,10 @@ class TestConcatKernel:
     def test_concat_sorted_matches_iterative_merge(self, parts):
         # the kernel replacing the quadratic pairwise fold in _fetch_dpp
         # must be output-identical to it
-        reference = PostingColumns()
+        reference = PostingList()
         for part in parts:
             reference = reference.merge(cols_of(part))
-        concat = PostingColumns.concat_sorted([cols_of(p) for p in parts])
+        concat = PostingList.concat([cols_of(p) for p in parts])
         assert as_tuples(concat) == as_tuples(reference)
 
     def test_disjoint_parts_take_pure_concat_path(self):
@@ -111,25 +113,25 @@ class TestConcatKernel:
             cols_of([(0, d, s, s + 1, 1) for s in range(1, 30)])
             for d in range(4)
         ]
-        concat = PostingColumns.concat_sorted(parts)
+        concat = PostingList.concat(parts)
         expected = [t for part in parts for t in as_tuples(part)]
         assert as_tuples(concat) == expected
 
     def test_overlapping_parts_sort_and_dedup(self):
         a = cols_of([(0, 0, 1, 2, 1), (0, 2, 5, 6, 1)])
         b = cols_of([(0, 1, 3, 4, 1), (0, 2, 5, 6, 1)])
-        concat = PostingColumns.concat_sorted([a, b])
+        concat = PostingList.concat([a, b])
         assert as_tuples(concat) == [
             (0, 0, 1, 2, 1), (0, 1, 3, 4, 1), (0, 2, 5, 6, 1),
         ]
 
     def test_empty_parts_dropped(self):
-        assert len(PostingColumns.concat_sorted([])) == 0
+        assert len(PostingList.concat([])) == 0
         only = cols_of([(0, 0, 1, 2, 1)])
-        concat = PostingColumns.concat_sorted([cols_of([]), only, cols_of([])])
+        concat = PostingList.concat([cols_of([]), only, cols_of([])])
         assert as_tuples(concat) == as_tuples(only)
         # single-part path must copy, not alias, the input columns
-        concat.extend_sorted(cols_of([(9, 9, 9, 10, 1)]))
+        concat.extend(cols_of([(9, 9, 9, 10, 1)]))
         assert len(only) == 1
 
     @given(st.lists(posting_lists, max_size=5))
@@ -225,6 +227,72 @@ class TestColumnBisect:
                     assert cols.bisect_right(key, lo, hi) == loop_bisect(
                         cols, key, "right", lo, hi
                     ), (key, lo, hi)
+
+
+KERNEL_BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "extend", "without"]), posting_lists
+    ),
+    max_size=8,
+)
+
+
+class TestAgainstSortedSet:
+    """Point mutations, sublists and derived values of one list, after
+    every step of a random edit script, against ``sorted(set(tuples))``."""
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @given(initial=posting_lists, script=operations, probes=posting_lists)
+    def test_edit_script_matches_reference(self, backend, initial, script, probes):
+        previous = kernels.use_backend(backend)
+        try:
+            plist = PostingList(initial)
+            model = {tuple(p) for p in initial}
+            for op, rows in script:
+                if op == "add":
+                    for row in rows:
+                        assert plist.add(row) == (tuple(row) not in model)
+                        model.add(tuple(row))
+                elif op == "remove":
+                    for row in rows:
+                        assert plist.remove(row) == (tuple(row) in model)
+                        model.discard(tuple(row))
+                elif op == "extend":
+                    plist.extend(rows)
+                    model.update(tuple(row) for row in rows)
+                else:  # absent rows, and the two smallest present ones
+                    keys = {tuple(row) for row in rows} | set(sorted(model)[:2])
+                    plist = plist.without(keys)
+                    model -= keys
+                self._check(plist, sorted(model), probes)
+        finally:
+            kernels.use_backend(previous)
+
+    def _check(self, plist, reference, probes):
+        assert as_tuples(plist) == reference
+        assert [tuple(p) for p in plist] == reference
+        assert [tuple(plist[i]) for i in range(len(plist))] == reference
+        assert as_tuples(plist[::3]) == reference[::3]
+        assert as_tuples(PostingList(plist)) == reference
+        assert PostingList.from_sorted(reference) == plist
+        assert tuple(plist.first or ()) == (reference[0] if reference else ())
+        assert tuple(plist.last or ()) == (reference[-1] if reference else ())
+        mid = len(reference) // 2
+        lower, upper = plist.split_at(mid)
+        assert (as_tuples(lower), as_tuples(upper)) == (reference[:mid], reference[mid:])
+        assert [as_tuples(c) for c in plist.chunks(3)] == [
+            reference[i : i + 3] for i in range(0, len(reference), 3)
+        ]
+        assert plist.doc_ids() == sorted({row[:2] for row in reference})
+        assert plist.max_end() == max((row[3] for row in reference), default=0)
+        keys = sorted(tuple(p) for p in probes)
+        assert list(plist.batch_bisect_right(keys)) == [
+            bisect_right(reference, key) for key in keys
+        ]
+        for probe in probes:
+            assert (probe in plist) == (tuple(probe) in reference)
 
 
 class TestCodec:

@@ -25,7 +25,7 @@ from repro.kadop.serving import QueryArrival
 from repro.kadop.system import KadopNetwork
 from repro.kadop.verify import oracle_answers
 from repro.postings import kernels
-from repro.postings.columnar import PostingColumns
+from repro.postings.plist import PostingList
 from repro.query import matcher
 from repro.query.twigjoin import _INF_KEY, _Stream
 from repro.workloads.dblp import DblpGenerator
@@ -221,8 +221,8 @@ def _head(key):
     """A stream whose head row starts at ``key`` (``_Stream.skip_to``'s
     argument is the parent's stream)."""
     if key == _INF_KEY:
-        return _Stream(PostingColumns())
-    return _Stream(PostingColumns.from_rows([key + (key[2] + 1, 0)]))
+        return _Stream(PostingList())
+    return _Stream(PostingList([key + (key[2] + 1, 0)]))
 
 
 def _nested_rows(rng, docs):
@@ -250,7 +250,7 @@ def backend(request):
 
 class TestStreamCursor:
     def test_empty_stream_reads_inf_and_skips_nothing(self, backend):
-        stream = _Stream(PostingColumns())
+        stream = _Stream(PostingList())
         assert stream.pos == stream.n == 0
         assert stream.skeys == stream.ekeys == [_INF_KEY]
         assert stream.skip_end_lt((0, 0, 5)) == 0
@@ -260,7 +260,7 @@ class TestStreamCursor:
 
     def test_first_row_stop_costs_no_kernel_call(self, backend, monkeypatch):
         rows = [(0, 0, 1, 10, 0), (0, 0, 2, 3, 1)]
-        stream = _Stream(PostingColumns.from_rows(rows))
+        stream = _Stream(PostingList(rows))
         monkeypatch.setattr(kernels.active(), "seek_end_ge", _no_matcher)
         assert stream.skip_end_lt((0, 0, 10)) == 0  # end == key: not before it
         assert stream.skip_end_lt((0, 0, 4)) == 0
@@ -268,7 +268,7 @@ class TestStreamCursor:
 
     def test_skip_that_runs_off_the_end(self, backend):
         rows = [(0, 0, 1, 2, 1), (0, 0, 3, 4, 1), (0, 1, 1, 2, 0)]
-        stream = _Stream(PostingColumns.from_rows(rows))
+        stream = _Stream(PostingList(rows))
         reference = _ReferenceCursor(rows)
         assert stream.skip_end_lt((0, 0, 4)) == reference.skip_end_lt((0, 0, 4)) == 1
         _same_state(stream, reference)
@@ -282,7 +282,7 @@ class TestStreamCursor:
         """A row starting where the parent's head starts is the same
         element in both streams (``//a//a``, ``.//``): it is kept."""
         rows = [(0, 0, 1, 8, 0), (0, 0, 2, 3, 1), (0, 0, 4, 7, 1), (0, 0, 5, 6, 2)]
-        stream = _Stream(PostingColumns.from_rows(rows))
+        stream = _Stream(PostingList(rows))
         stream.skip_to(_head((0, 0, 4)))
         assert stream.pos == 2
         stream.skip_to(_head((0, 0, 4)))
@@ -294,7 +294,7 @@ class TestStreamCursor:
         rng = random.Random(17)
         for _ in range(150):
             rows = _nested_rows(rng, docs=rng.randint(1, 4))
-            stream = _Stream(PostingColumns.from_rows(rows))
+            stream = _Stream(PostingList(rows))
             reference = _ReferenceCursor(rows)
             _same_state(stream, reference)
             while stream.pos < stream.n:

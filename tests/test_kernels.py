@@ -12,6 +12,8 @@ answers and identical metered traffic.
 
 import inspect
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -19,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bloom.filter import BloomFilter
 from repro.bloom.structural import DescendantBloomFilter
-from repro.errors import ConfigError
 from repro.kadop.config import KadopConfig
 from repro.postings import kernels
-from repro.postings.columnar import PostingColumns
 from repro.postings.kernels import pure
 from repro.postings.plist import PostingList
 
@@ -75,7 +75,7 @@ def big_rows(rng, n):
 
 
 def arrays_of(rows):
-    return PostingColumns.from_rows(rows).arrays()
+    return PostingList(rows).arrays()
 
 
 def case_rows(rng, case):
@@ -118,8 +118,8 @@ class TestMergeConcatEquivalence:
         rng = random.Random(903)
         rows_a = random_rows(rng, 200)
         rows_b = random_rows(rng, 150) + rows_a[::4]
-        a = PostingColumns.from_rows(rows_a)
-        b = PostingColumns.from_rows(rows_b)
+        a = PostingList(rows_a)
+        b = PostingList(rows_b)
         kernels.use_backend("pure")
         merged_pure = a.merge(b)
         kernels.use_backend("numpy")
@@ -266,7 +266,7 @@ class TestSearchKernelEquivalence:
         rng = random.Random(907)
         for case in range(30):
             rows = case_rows(rng, case + 2)
-            cols = PostingColumns.from_rows(rows)
+            cols = PostingList(rows)
             raw = cols.arrays()
             keys = [
                 (
@@ -435,25 +435,50 @@ class TestBackendSelection:
         assert public(npk) == public(pure)
 
     def test_env_override_wins(self, restore_backend, monkeypatch):
+        # the backend is resolved on first use: REPRO_KERNELS, else auto
         monkeypatch.setenv("REPRO_KERNELS", "pure")
-        kernels.apply_config("numpy" if HAVE_NUMPY else "auto")
+        monkeypatch.setattr(kernels, "_active", None)
         assert kernels.backend_name() == "pure"
 
     def test_auto_resolution(self, restore_backend, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        kernels.apply_config("auto")
+        monkeypatch.setattr(kernels, "_active", None)
         expected = "numpy" if HAVE_NUMPY else "pure"
         assert kernels.backend_name() == expected
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             kernels.resolve("polars")
-        with pytest.raises(ConfigError):
-            KadopConfig(kernel_backend="polars")
 
-    def test_config_accepts_valid_names(self):
-        for name in ("auto", "pure", "numpy"):
-            assert KadopConfig(kernel_backend=name).kernel_backend == name
+    @requires_numpy
+    def test_building_a_network_keeps_the_backend(self, restore_backend):
+        """The backend is a per-process choice: a network neither picks
+        nor resets it, whatever ``REPRO_KERNELS`` says."""
+        from repro.kadop.system import KadopNetwork
+
+        default = kernels.resolve(os.environ.get("REPRO_KERNELS") or "auto").NAME
+        chosen = "pure" if default == "numpy" else "numpy"
+        kernels.use_backend(chosen)
+        KadopNetwork.create(num_peers=4, seed=3)
+        assert kernels.backend_name() == chosen
+
+    def test_checkpoint_with_kernel_backend_loads(self, tmp_path):
+        """``kernel_backend`` was a config field: old checkpoints still load,
+        and the key they carry selects nothing."""
+        from repro.kadop.system import KadopNetwork
+
+        net = KadopNetwork.create(num_peers=2, seed=3)
+        net.peers[0].publish("<a><b>x</b></a>", uri="u:1")
+        path = tmp_path / "old.json"
+        net.save(str(path))
+        state = json.loads(path.read_text())
+        state["config"]["kernel_backend"] = "pure"
+        path.write_text(json.dumps(state))
+        active = kernels.backend_name()
+        restored = KadopNetwork.load(str(path))
+        assert kernels.backend_name() == active
+        assert not hasattr(restored.config, "kernel_backend")
+        assert [a.doc_id for a in restored.query("//a//b")] == [(0, 0)]
 
     def test_use_backend_returns_previous(self, restore_backend):
         before = kernels.backend_name()
@@ -465,9 +490,8 @@ class TestBackendSelection:
         from repro.kadop.stats import network_stats
         from repro.kadop.system import KadopNetwork
 
-        net = KadopNetwork.create(
-            num_peers=4, config=KadopConfig(kernel_backend="pure"), seed=3
-        )
+        kernels.use_backend("pure")
+        net = KadopNetwork.create(num_peers=4, seed=3)
         stats = network_stats(net)
         assert stats.kernel_backend == "pure"
         assert "kernel backend: pure" in stats.format()
@@ -521,8 +545,8 @@ class TestBackendDifferentialEndToEnd:
                 use_dpp=True,
                 dpp_block_entries=12,
                 filter_strategy="auto",
-                kernel_backend=backend,
             )
+            kernels.use_backend(backend)
             net = KadopNetwork.create(num_peers=6, config=config, seed=1)
             assert kernels.backend_name() == backend
             for i, text in enumerate(corpus):
@@ -536,10 +560,7 @@ class TestBackendDifferentialEndToEnd:
             kernels.use_backend(previous)
 
     @pytest.mark.parametrize("overlay", ["pastry", "chord"])
-    def test_answers_and_traffic_identical(self, overlay, monkeypatch):
-        # the env override beats the config knob by design; clear it so
-        # kernel_backend= actually selects the backend under test
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    def test_answers_and_traffic_identical(self, overlay):
         answers_pure, meter_pure = self._run(overlay, "pure")
         answers_np, meter_np = self._run(overlay, "numpy")
         assert answers_np == answers_pure

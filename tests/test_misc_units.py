@@ -5,7 +5,7 @@ import pytest
 from repro.dht.network import DhtNetwork, OpReceipt
 from repro.errors import IndexError_, ReproError, XmlParseError
 from repro.postings.plist import PostingList
-from repro.postings.posting import MAX_POSTING, MIN_POSTING, Posting
+from repro.postings.posting import Posting
 from repro.sim.cost import CostModel
 from repro.sim.meter import TrafficMeter
 
@@ -81,10 +81,6 @@ class TestPostingListEdges:
         assert "PostingList" in repr(short)
         long = PostingList([Posting(0, 0, i, i + 1, 1) for i in range(1, 20, 2)])
         assert "postings" in repr(long)
-
-    def test_sentinels_order_everything(self):
-        p = Posting(5, 5, 5, 6, 5)
-        assert MIN_POSTING < p < MAX_POSTING
 
     def test_equality_with_non_plist(self):
         assert PostingList() != 5

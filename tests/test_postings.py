@@ -43,26 +43,12 @@ class TestPosting:
         assert not P(0, 0, 1, 10).is_ancestor_of(P(0, 1, 3, 4))
         assert not P(0, 0, 1, 10).is_ancestor_of(P(1, 0, 3, 4))
 
-    def test_parent_check_uses_level(self):
-        parent = P(0, 0, 1, 10, level=0)
-        child = P(0, 0, 2, 3, level=1)
-        grandchild = P(0, 0, 4, 5, level=2)
-        assert parent.is_parent_of(child)
-        assert not parent.is_parent_of(grandchild)
-
     def test_sid(self):
         assert P(0, 0, 2, 5, level=3).sid == StructuralId(2, 5, 3)
 
     def test_sid_contains(self):
         assert StructuralId(1, 10, 0).contains(StructuralId(2, 3, 1))
         assert not StructuralId(2, 3, 1).contains(StructuralId(2, 3, 1))
-
-    def test_validate(self):
-        with pytest.raises(ValueError):
-            P(0, 0, 5, 5).validate()
-        with pytest.raises(ValueError):
-            P(-1, 0, 1, 2).validate()
-        assert P(0, 0, 1, 2).validate() is not None
 
     def test_doc_id(self):
         assert P(3, 7, 1, 2).doc_id == (3, 7)

@@ -12,6 +12,7 @@ from repro.faults import FaultPlan
 from repro.kadop.config import KadopConfig
 from repro.kadop.stats import network_stats
 from repro.kadop.system import KadopNetwork
+from repro.kadop.verify import oracle_answers
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.query.index_plan import build_index_plan
@@ -233,6 +234,52 @@ class TestMaterializeAndFetch:
         assert not view.materialized and view.blocks == []
         assert net.views.dematerializations == 1
         assert plan.stats.timeouts == 2
+
+
+class TestMaintenanceByTwigJoin:
+    """View maintenance evaluates the view patterns on a published or
+    withdrawn document with the document phase's twig join over its
+    element streams; the tree matcher is only the oracle here."""
+
+    PATTERNS = [
+        ("//a//b", ()),
+        ("//a/b", ()),
+        ("/a//b", ()),
+        ("//a[//c]//b", ()),
+        ("//a//red", ("red",)),
+    ]
+
+    def test_views_follow_publish_and_unpublish_without_the_matcher(self, monkeypatch):
+        from repro.query import matcher
+        from repro.views import manager
+
+        net = build_net(num_docs=4)
+        views = [
+            net.views.materialize(pat(query, keywords), net.peers[0])[0]
+            for query, keywords in self.PATTERNS
+        ]
+        assert all(view is not None for view in views)
+
+        def no_matcher(*args, **kwargs):
+            raise AssertionError("view maintenance ran the tree matcher")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(matcher, "match_document", no_matcher)
+            patched.setattr(manager, "match_document", no_matcher, raising=False)
+            net.peers[1].publish(
+                "<a><b> red </b><c><b> red </b></c><a><b> blue </b></a></a>", uri="u:x"
+            )
+            net.peers[2].publish("<r><a><c/><b> red </b></a></r>", uri="u:y")
+            net.peers[0].unpublish(min(net.peers[0].documents))
+        assert net.views.maintenance_added > 0
+        assert net.views.maintenance_removed > 0
+        for view in views:
+            root_id = view.pattern.root.node_id
+            expected = sorted(
+                {dict(bindings)[root_id] for bindings in oracle_answers(net, view.pattern)}
+            )
+            held, *_ = net.views.store.fetch_all(net.peers[3].node, view)
+            assert list(held) == expected, view.pattern
 
 
 class TestAutoMaterialization:
