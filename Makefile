@@ -125,7 +125,8 @@ bench-compare:
 # where one workload of the repo benchmark spends its interpreter steps,
 # per function (bench/ only attributes per layer): top 40 with shares,
 # self-checked against a counted run of the benchmark itself, e.g.
-# make step-profile WORKLOAD=query_index
+# make step-profile WORKLOAD=query_index SCALE=tiny
 WORKLOAD ?= query_docphase
+SCALE ?= full
 step-profile:
-	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD)
+	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE)

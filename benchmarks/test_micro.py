@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.bloom.structural import AncestorBloomFilter, DescendantBloomFilter
+from repro.dht.network import DhtNetwork
 from repro.postings.encoder import (
     decode_postings,
     encode_postings,
@@ -334,3 +335,29 @@ def test_columns_bisect_left(benchmark):
     keys = [cols.key(i) for i in range(0, 700, 7)] + _kernel_rows(100, seed=17)
     found = benchmark(lambda: [cols.bisect_left(key) for key in keys])
     assert found[:100] == list(range(0, 700, 7))
+
+
+@pytest.mark.parametrize("size", [50, 500, 5000])
+def test_clustered_get_range(benchmark, posting_list_10k, size):
+    # a DPP block fetch: one ordered key range of a 10,000-posting term
+    store = ClusteredIndexStore()
+    for term in ("author", "title"):
+        store.append(term, posting_list_10k)
+    lo, hi = posting_list_10k[2000], posting_list_10k[2000 + size - 1]
+    got = benchmark(lambda: store.get_range("author", lo, hi))
+    assert len(got) == size
+
+
+def test_transfers_run_10(benchmark):
+    # a lazy DPP fetch schedule: 10 block transfers from 6 senders into one
+    # peer with 8 ingress slots, built and run
+    net = DhtNetwork()
+    blocks = [(i, [2, 13, 10, 14, 14, 2, 13, 3, 8, 10][i], 0.0101 + 0.0003 * i) for i in range(10)]
+
+    def schedule():
+        transfers = net.transfers(8)
+        for i, sender, seconds in blocks:
+            transfers.transfer("blk:%d" % i, seconds, sender, release=0.004)
+        return transfers.run()
+
+    assert benchmark(schedule) > 0.004

@@ -133,15 +133,10 @@ class LoadBalancer:
 
     # -- write path --------------------------------------------------------
 
-    def on_write(self, key, node, nbytes):
-        """Ledger one applied write copy (owner apply or replica push)."""
-        self.ledger.record_write(key, node.peer_index, nbytes)
-
     def hot_copies(self, key):
         """The alive extra copies of ``key``, which every write to it
         reaches too (:meth:`DhtNetwork._apply`); empty unless it is hot."""
-        extras = self.extras.get(key)
-        return [node for node in extras if node.alive] if extras else ()
+        return [node for node in self.extras[key] if node.alive] if key in self.extras else ()
 
     def propagate_delete(self, key, posting, stamp):
         """Mirror a delete onto the key's hot extra copies."""

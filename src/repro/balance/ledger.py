@@ -5,9 +5,9 @@ The ledger is fed by the DHT read and write paths (``get`` /
 via the :attr:`DhtNetwork.balancer` hook.  Two views of the same
 traffic:
 
-* **cumulative totals** — every read/write ever recorded, per key and
-  per peer, plus grand totals.  The per-key and per-peer breakdowns are
-  two partitions of one event stream, so each must sum to the grand
+* **cumulative totals** — every read ever recorded, per key and per
+  peer, every written byte per peer, plus grand totals.  The breakdowns
+  are partitions of one event stream, so each must sum to the grand
   totals exactly (:meth:`check_conservation`, a fuzzer invariant).
 * **decayed rates** — recent read bytes per key and read+write bytes
   per peer, halved (by default) at every :meth:`tick`.  Promotion,
@@ -36,11 +36,8 @@ class LoadLedger:
         # cumulative totals (never decayed)
         self.key_reads = Counter()
         self.key_read_bytes = Counter()
-        self.key_writes = Counter()
-        self.key_write_bytes = Counter()
         self.peer_reads = Counter()
         self.peer_read_bytes = Counter()
-        self.peer_writes = Counter()
         self.peer_write_bytes = Counter()
         self.total_reads = 0
         self.total_read_bytes = 0
@@ -70,9 +67,6 @@ class LoadLedger:
         """One write of ``key`` applied at peer ``peer_index`` (the owner
         apply, each replica push, and each hot-copy/migration copy are
         separate events — utilization counts every copy landed)."""
-        self.key_writes[key] += 1
-        self.key_write_bytes[key] += nbytes
-        self.peer_writes[peer_index] += 1
         self.peer_write_bytes[peer_index] += nbytes
         self.total_writes += 1
         self.total_write_bytes += nbytes
@@ -134,19 +128,17 @@ class LoadLedger:
         return ranked if n is None else ranked[:n]
 
     def check_conservation(self):
-        """Per-key and per-peer breakdowns each sum to the grand totals.
+        """The breakdowns each sum to the grand totals.
 
-        Every record touches exactly one key entry, one peer entry, and
-        the totals, so any drift between the three views is an
-        accounting bug; the fuzzer asserts this after balance steps."""
+        A read touches one key entry, one peer entry and the totals, and a
+        write one peer entry and the totals, so any drift between the
+        views is an accounting bug; the fuzzer asserts this after balance
+        steps."""
         return (
             sum(self.key_reads.values()) == self.total_reads
             and sum(self.peer_reads.values()) == self.total_reads
             and sum(self.key_read_bytes.values()) == self.total_read_bytes
             and sum(self.peer_read_bytes.values()) == self.total_read_bytes
-            and sum(self.key_writes.values()) == self.total_writes
-            and sum(self.peer_writes.values()) == self.total_writes
-            and sum(self.key_write_bytes.values()) == self.total_write_bytes
             and sum(self.peer_write_bytes.values()) == self.total_write_bytes
         )
 

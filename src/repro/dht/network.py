@@ -126,16 +126,17 @@ class Transfers(Scheduler):
     def __init__(self, net, slots):
         super().__init__()
         self._cost = net.cost
+        self._links = {}  # sender -> the resources a transfer from it holds
         if net.faults is not None:
             self.install_faults(net.faults)
         self.add_resource("ingress", slots)
 
     def transfer(self, name, seconds, sender, release=0.0):
         """Schedule ``seconds`` from peer index ``sender``, not before ``release``."""
-        egress = "egress:%d" % sender
-        if not self.has_resource(egress):
-            self.add_resource(egress, 1)
-        return self.add_task(name, seconds, resources=(egress, "ingress"), release=release)
+        links = self._links.get(sender)
+        if links is None:
+            links = self._links[sender] = (self.add_resource("egress:%d" % sender, 1), "ingress")
+        return self.add_task(name, seconds, resources=links, release=release)
 
     def carry(self, name, nbytes, sender):
         """Schedule ``nbytes`` that a DHT verb has already metered."""
@@ -1125,15 +1126,16 @@ class DhtNetwork:
         stamp = self.next_stamp()
         self.timed_store_op(receipt, owner.store, store_op, key, postings)
         owner.versions[key] = stamp
-        if self.balancer is not None:
-            self.balancer.on_write(key, owner, payload)
+        ledger = self.balancer.ledger if self.balancer is not None else None
+        if ledger is not None:
+            ledger.record_write(key, owner.peer_index, payload)
         if replicate:  # billed to the op and shown to the balancer
 
             def backup(node):
                 node.store.append(key, postings)
                 node.versions[key] = stamp
-                if self.balancer is not None:
-                    self.balancer.on_write(key, node, payload)
+                if ledger is not None:
+                    ledger.record_write(key, node.peer_index, payload)
 
             pushed = OpReceipt()
             self._replicate(
@@ -1149,7 +1151,7 @@ class DhtNetwork:
             def extra(node):
                 getattr(node.store, store_op)(key, postings)
                 node.versions[key] = stamp
-                self.balancer.on_write(key, node, payload)
+                ledger.record_write(key, node.peer_index, payload)
 
             self._replicate(
                 None, key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication

@@ -9,6 +9,7 @@ held fixed across *all* experiments so that every comparison in the paper
 (DPP vs. no DPP, filter strategies, store ablation, ...) is apples-to-apples.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,15 @@ class CostParams:
                 raise ValueError("%s must be positive" % field)
 
 
+@functools.lru_cache(maxsize=64)
+def _route_length(num_peers, digits_per_hop):
+    """``ceil(log_{2^b} N)`` hops, at least 1 beyond a single peer; a query
+    asks for it once per document phase, for the same few ``N``."""
+    if num_peers <= 1:
+        return 0
+    return max(1, math.ceil(math.log(num_peers, 2**digits_per_hop)))
+
+
 class CostModel:
     """Turns operation descriptions into simulated durations (seconds)."""
 
@@ -95,9 +105,7 @@ class CostModel:
 
     def expected_hops(self, num_peers, digits_per_hop=4):
         """Expected Pastry route length: ``ceil(log_{2^b} N)`` with b=4."""
-        if num_peers <= 1:
-            return 0
-        return max(1, math.ceil(math.log(num_peers, 2**digits_per_hop)))
+        return _route_length(num_peers, digits_per_hop)
 
     # -- local work ------------------------------------------------------
 

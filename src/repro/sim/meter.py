@@ -11,6 +11,12 @@ from itertools import repeat
 from operator import sub
 
 
+def _negative(nbytes):
+    """Reject a negative count: :meth:`TrafficMeter.record` tests the sign
+    on the line that adds, before anything is stored."""
+    raise ValueError("cannot record negative byte count %r" % (nbytes,))
+
+
 class TrafficMeter:
     """Accumulates bytes sent over the (simulated) network, by category.
 
@@ -48,9 +54,7 @@ class TrafficMeter:
 
     def record(self, category, nbytes):
         """Record a message of ``nbytes`` payload in ``category``."""
-        if nbytes < 0:
-            raise ValueError("cannot record negative byte count %r" % (nbytes,))
-        self._by_category[category] += nbytes
+        self._by_category[category] += nbytes if nbytes >= 0 else _negative(nbytes)
         self._messages[category] += 1
 
     def _record_mirrored(self, category, nbytes):
@@ -82,7 +86,7 @@ class TrafficMeter:
 
     def delta_since(self, snapshot):
         """Per-category bytes recorded since ``snapshot`` was taken."""
-        current = self.snapshot()
+        current = dict(self._by_category)
         keys = set(current) | set(snapshot)
         now, then = map(current.get, keys, repeat(0)), map(snapshot.get, keys, repeat(0))
         return dict(zip(keys, map(sub, now, then)))

@@ -16,18 +16,29 @@ if *all* their resources have a free slot.  Every task defaults to priority
 so concurrent queries share contended resources round-robin instead of
 strictly by admission order.  Ties are broken by submission order, so the
 result is fully deterministic either way.
+
+Most schedules are parallel transfers into one peer: no dependencies, one
+release and one priority, each task gated by its sender's link.  Those are
+computed in closed form (:meth:`Scheduler._run_gated`), with a result
+identical to the event loop's; every other graph runs the event loop.
 """
 
 import heapq
 from bisect import bisect_right, insort
-from itertools import compress
-from operator import attrgetter, itemgetter, not_
+from itertools import chain, compress
+from operator import add, attrgetter, itemgetter, not_
 
 _DEPS = attrgetter("deps")
+_DURATION = attrgetter("duration")
 _FINISH = attrgetter("finish")
+_NAME = attrgetter("name")
 _RANK = attrgetter("priority", "seq")
 _RELEASE = attrgetter("release")
+_WHEN = attrgetter("release", "priority")
+_RESOURCES = attrgetter("resources")
 _SEQ = attrgetter("seq")
+_GATE = itemgetter(0)  # of a resource tuple
+_TAIL = itemgetter(slice(1, None))  # of a resource tuple
 _TASK = itemgetter(2)  # of a (release, seq, task) or (finish, seq, task) entry
 _LAST = float("inf")  # sorts after every seq
 
@@ -72,17 +83,16 @@ class Task:
     )
 
     def __init__(
-        self, name, duration, deps=(), resources=(), release=0.0, tag=None, priority=0
+        self, name, duration, deps=(), resources=(), release=0.0, tag=None, priority=0, seq=None
     ):
         if duration < 0 or release < 0:  # one test on the per-task path
             if duration < 0:
                 raise ValueError("task %r has negative duration %r" % (name, duration))
             raise ValueError("task %r has negative release %r" % (name, release))
-        self.name, self.tag, self.priority = name, tag, priority
-        self.duration, self.release = float(duration), float(release)
+        self.name, self.tag, self.priority, self.seq = name, tag, priority, seq
         self.deps, self.resources = list(deps), tuple(resources)
-        # seq is assigned by the scheduler, the rest by Scheduler.run
-        self.seq = self.start = self.finish = self.ready = self.blocked_on = None
+        self.duration, self.release = float(duration), float(release)
+        self.start = self.finish = self.ready = self.blocked_on = None  # set by Scheduler.run
 
     def __repr__(self):
         return "Task(%r, %.6gs)" % (self.name, self.duration)
@@ -92,10 +102,10 @@ class Scheduler:
     """Builds and runs a task graph; see module docstring."""
 
     def __init__(self):
-        self._tasks = []  # in submission order: ``_tasks[t.seq] is t``
-        self._capacity = {}
-        self._faults = None  # optional repro.faults.FaultPlan (link jitter)
-        self._ran = False  # tasks may carry a previous run's schedule
+        # _tasks in submission order (``_tasks[t.seq] is t``); _faults an
+        # optional repro.faults.FaultPlan (link jitter)
+        self._tasks, self._capacity, self._faults = [], {}, None
+        self._known = self._capacity.keys()
 
     def install_faults(self, plan):
         """Attach a :class:`~repro.faults.FaultPlan`; started tasks are
@@ -112,9 +122,6 @@ class Scheduler:
         self._capacity[name] = int(capacity)
         return name
 
-    def has_resource(self, name):
-        return name in self._capacity
-
     def capacities(self):
         """``{resource: capacity}`` of every declared resource."""
         return dict(self._capacity)
@@ -123,12 +130,11 @@ class Scheduler:
         self, name, duration, deps=(), resources=(), release=0.0, tag=None, priority=0
     ):
         """Create, register, and return a :class:`Task`."""
-        task = Task(name, duration, deps, resources, release, tag, priority)
-        if not all(map(self._capacity.__contains__, task.resources)):
+        task = Task(name, duration, deps, resources, release, tag, priority, len(self._tasks))
+        if not self._known >= set(task.resources):
             res = next(r for r in task.resources if r not in self._capacity)
             raise KeyError("unknown resource %r for task %r" % (res, name))
-        task.seq = len(self._tasks)
-        self._tasks.append(task)
+        self._tasks += (task,)
         return task
 
     def run(self):
@@ -139,6 +145,8 @@ class Scheduler:
         tasks = self._tasks
         if not tasks:
             return 0.0
+        if (makespan := self._run_gated(tasks)) is not None:
+            return makespan
 
         remaining_deps = list(map(len, map(_DEPS, tasks)))  # by seq
         dependents = {}  # seq -> tasks waiting on it, in submission order
@@ -151,10 +159,8 @@ class Scheduler:
                     )
                 dependents.setdefault(seq, []).append(task)
 
-        if self._ran:  # a fresh run owes no state to a prior one
-            for task in tasks:
-                task.start = task.finish = task.ready = task.blocked_on = None
-        self._ran = True
+        for task in tasks:  # a fresh run owes no state to a prior one
+            task.start = task.finish = task.ready = task.blocked_on = None
         free = dict(self._capacity)
         slots = free.__getitem__
         faults = self._faults
@@ -235,6 +241,47 @@ class Scheduler:
                 "schedule did not complete; cyclic dependencies among %r" % (stuck,)
             )
         return now
+
+    def _run_gated(self, tasks):
+        """The schedule in closed form when the tasks are gated; None (run
+        the event loop) when they are not.
+
+        Gated means: no dependencies; one release and one priority for all
+        tasks; every task names a resource of capacity 1 first (its *gate*);
+        and every other resource has at least as many slots as there are
+        distinct gates.  Tasks that run at once hold different gates, so
+        such a resource is full only while every gate is held, including
+        the gate of the task waiting for it, which that task names first.
+        It never keeps a task from starting and is never the resource a task
+        is blocked on.  Each gate is then a queue served in submission
+        order: the first task of a gate starts at the release, unblocked,
+        and every later one when the previous task of its gate finishes,
+        blocked on the gate.  That is where the event loop starts them.
+        """
+        resources = list(map(_RESOURCES, tasks))
+        if any(map(_DEPS, tasks)) or len(set(map(_WHEN, tasks))) > 1 or not all(resources):
+            return None
+        gates = list(map(_GATE, resources))
+        capacity = self._capacity.__getitem__
+        others = map(capacity, chain(*map(_TAIL, resources)))
+        if max(map(capacity, gates)) > 1 or min(others, default=1) < len(set(gates)):
+            return None
+        spans = map(_DURATION, tasks) if self._faults is None else self._jittered(tasks)
+        release = tasks[0].release
+        # gate -> (when it is next free, what a task waiting for it is blocked
+        # on, when that task became ready); the second assignment also
+        # stores the first field as the task's finish
+        busy = dict.fromkeys(gates, (release, None, release))
+        for task, gate, span in zip(tasks, gates, spans):
+            task.start, task.blocked_on, task.ready = busy[gate]
+            busy[gate] = (task.finish, _, _) = (task.start + span, gate, release)
+        return max(map(_FINISH, tasks))
+
+    def _jittered(self, tasks):
+        """Each task's duration plus its link jitter, summed as the event
+        loop sums them (``now + (duration + delay)``)."""
+        delays = map(self._faults.task_delay, map(_NAME, tasks), map(_SEQ, tasks))
+        return map(add, map(_DURATION, tasks), delays)
 
     @property
     def tasks(self):

@@ -75,11 +75,13 @@ class Store(abc.ABC):
     @abc.abstractmethod
     def get(self, term):
         """Return the :class:`~repro.postings.PostingList` of ``term``
-        (empty list if absent)."""
+        (empty list if absent): sorted, duplicate-free columns, read off
+        the layout without building a :class:`Posting` per entry."""
 
     def get_range(self, term, lo, hi):
-        """The postings of ``term`` within ``[lo, hi]`` (inclusive).  A
-        store that can read just that range off its layout overrides this."""
+        """The postings of ``term`` within ``[lo, hi]`` (inclusive), under
+        the contract of :meth:`get`.  A store that can read just that
+        range off its layout overrides this."""
         return self.get(term).range(lo, hi)
 
     @abc.abstractmethod

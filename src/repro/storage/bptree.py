@@ -233,10 +233,27 @@ class BPlusTree:
                 self.pages_read += 1
             i = 0
 
-    def scan_prefix(self, prefix):
-        """Yield ``(key, value)`` for all keys starting with ``prefix``."""
-        hi = _prefix_upper_bound(prefix)
-        return self.scan(lo=prefix, hi=hi)
+    def leaf_slices(self, lo, hi=None):
+        """Yield the keys with ``lo <= key < hi`` as one list slice per leaf.
+
+        The range read of the stores: one ``bisect`` per leaf instead of one
+        step per key.  ``pages_read`` is charged exactly as consuming
+        :meth:`scan` charges it — the descent, then one page for every
+        further leaf the chain moves to, including an empty leaf left by
+        deletes and a leaf whose first key is already ``>= hi``.  ``hi``
+        None reads to the last leaf."""
+        leaf = self._find_leaf(lo)
+        keys = leaf.keys
+        i = bisect.bisect_left(keys, lo)
+        while True:
+            j = len(keys) if hi is None else bisect.bisect_left(keys, hi, i)
+            if i < j:
+                yield keys[i:j]
+            if j < len(keys) or leaf.next is None:
+                return
+            leaf = leaf.next
+            keys, i = leaf.keys, 0
+            self.pages_read += 1
 
     def keys(self):
         return (k for k, _ in self.scan())

@@ -5,8 +5,10 @@ search key, with the postings of each term in ``(p, d, sid)`` lexicographic
 order.  We realize this over :class:`~repro.storage.bptree.BPlusTree` with
 order-preserving composite keys ``encode(term) ++ encode(posting)``: a
 term's postings are then exactly a contiguous key range of the tree, read
-back in order by a prefix scan — the same access path a BerkeleyDB BTREE
-database with sorted duplicates provides.
+back in order by one range read — the same access path a BerkeleyDB BTREE
+database with sorted duplicates provides.  A read joins the keys of each
+leaf slice and decodes them in C straight into the five posting columns
+(:meth:`ClusteredIndexStore._read`); no :class:`Posting` is built.
 
 ``append`` inserts each posting with O(log n) page I/O and never reads the
 existing list, which is what makes publishing linear (vs. the quadratic
@@ -14,11 +16,11 @@ existing list, which is what makes publishing linear (vs. the quadratic
 """
 
 import struct
+from itertools import chain
 
 from repro.postings.plist import PostingList
-from repro.postings.posting import Posting
 from repro.storage.api import Store
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import BPlusTree, _prefix_upper_bound
 
 _POSTING_STRUCT = struct.Struct(">QQQQQ")
 _TERMINATOR = b"\x00\x00"
@@ -37,10 +39,6 @@ def _encode_term(term):
 
 def _composite_key(term, posting):
     return _encode_term(term) + _POSTING_STRUCT.pack(*posting)
-
-
-def _decode_posting(key, prefix_len):
-    return Posting(*_POSTING_STRUCT.unpack(key[prefix_len:]))
 
 
 class ClusteredIndexStore(Store):
@@ -76,16 +74,25 @@ class ClusteredIndexStore(Store):
         # duplicate composite keys overwrite in place.
         self.append(term, postings)
 
-    def get(self, term):
-        r, w = self._tree.pages_read, self._tree.pages_written
-        prefix = _encode_term(term)
-        items = [
-            _decode_posting(key, len(prefix))
-            for key, _ in self._tree.scan_prefix(prefix)
-        ]
+    def _read(self, prefix, lo_key, hi_key):
+        """The postings whose composite keys lie in ``[lo_key, hi_key)``.
+
+        The keys of every leaf slice are joined into one buffer and decoded
+        by ``struct.iter_unpack``, skipping the constant-length term prefix,
+        into five columns.  Trusting their order is sound: tree keys are
+        unique and share ``prefix``, and big-endian ``>Q`` fields compare
+        bytewise exactly as the non-negative integers :meth:`append` packs
+        compare numerically."""
+        tree = self._tree
+        reads = tree.pages_read
+        keys = b"".join(chain.from_iterable(tree.leaf_slices(lo_key, hi_key)))
         self.stats.num_ops += 1
-        self._charge(r, w)
-        return PostingList(items, presorted=True)
+        self.stats.bytes_read += (tree.pages_read - reads) * tree.page_size
+        return PostingList.from_sorted(struct.iter_unpack(">%dxQQQQQ" % len(prefix), keys))
+
+    def get(self, term):
+        prefix = _encode_term(term)
+        return self._read(prefix, prefix, _prefix_upper_bound(prefix))
 
     def get_range(self, term, lo, hi):
         """Postings of ``term`` in ``[lo, hi]`` straight off the tree.
@@ -93,17 +100,12 @@ class ClusteredIndexStore(Store):
         This is the access path DPP leaf fetches use: only the requested
         key range is read, so I/O is proportional to the block size.
         """
-        r, w = self._tree.pages_read, self._tree.pages_written
         prefix = _encode_term(term)
-        lo_key = prefix + _POSTING_STRUCT.pack(*lo)
-        hi_key = prefix + _POSTING_STRUCT.pack(*hi) + b"\x00"
-        items = [
-            _decode_posting(key, len(prefix))
-            for key, _ in self._tree.scan(lo=lo_key, hi=hi_key)
-        ]
-        self.stats.num_ops += 1
-        self._charge(r, w)
-        return PostingList(items, presorted=True)
+        return self._read(
+            prefix,
+            prefix + _POSTING_STRUCT.pack(*lo),
+            prefix + _POSTING_STRUCT.pack(*hi) + b"\x00",
+        )
 
     def delete(self, term, posting=None):
         r, w = self._tree.pages_read, self._tree.pages_written
@@ -116,7 +118,11 @@ class ClusteredIndexStore(Store):
                         del self._counts[term]
                 return removed
             prefix = _encode_term(term)
-            keys = [key for key, _ in self._tree.scan_prefix(prefix)]
+            keys = list(
+                chain.from_iterable(
+                    self._tree.leaf_slices(prefix, _prefix_upper_bound(prefix))
+                )
+            )
             for key in keys:
                 self._tree.delete(key)
             self._counts.pop(term, None)

@@ -1,12 +1,14 @@
 """Tests for the local stores: naive gzip store, B+-tree, clustered index."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
 from repro.storage.bptree import BPlusTree, _prefix_upper_bound
-from repro.storage.clustered import ClusteredIndexStore
+from repro.storage.clustered import _POSTING_STRUCT, ClusteredIndexStore, _encode_term
 from repro.storage.naive_store import NaiveGzipStore
 
 
@@ -136,7 +138,8 @@ class TestBPlusTree:
         tree = BPlusTree(order=4)
         for term in (b"aa1", b"aa2", b"ab1", b"b1"):
             tree.insert(term, term)
-        assert [k for k, _ in tree.scan_prefix(b"aa")] == [b"aa1", b"aa2"]
+        slices = tree.leaf_slices(b"aa", _prefix_upper_bound(b"aa"))
+        assert [k for keys in slices for k in keys] == [b"aa1", b"aa2"]
 
     def test_delete(self):
         tree = BPlusTree(order=4)
@@ -280,3 +283,156 @@ class TestClusteredIndexStore:
         for term, expected in model.items():
             assert store.get(term).items() == sorted(expected)
             assert store.count(term) == len(expected)
+
+
+# -- the leaf-slice read path, against the per-key scan it replaced ----------
+
+_KEYS = st.binary(max_size=6).map(lambda k: k.replace(b"\x01", b"\xff"))
+
+
+def _leaves(tree):
+    """The leaves in chain order."""
+    node = tree._root
+    while hasattr(node, "children"):
+        node = node.children[0]
+    leaves = []
+    while node is not None:
+        leaves.append(node)
+        node = node.next
+    return leaves
+
+
+def _scan_read(tree, lo, hi):
+    """The reference: keys and pages of consuming the ``scan`` generator."""
+    before = tree.pages_read
+    keys = [key for key, _ in tree.scan(lo, hi)]
+    return keys, tree.pages_read - before
+
+
+def _slice_read(tree, lo, hi):
+    before = tree.pages_read
+    keys = [key for keys in tree.leaf_slices(lo, hi) for key in keys]
+    return keys, tree.pages_read - before
+
+
+def _no_trailing_charge(self, lo, hi=None):
+    """Mutant of ``BPlusTree.leaf_slices``: a next leaf whose first key is
+    already ``>= hi`` is read for free."""
+    leaf = self._find_leaf(lo)
+    i = bisect.bisect_left(leaf.keys, lo)
+    while True:
+        keys = leaf.keys
+        j = len(keys) if hi is None else bisect.bisect_left(keys, hi, i)
+        if i < j:
+            yield keys[i:j]
+        if j < len(keys) or leaf.next is None:
+            return
+        leaf, i = leaf.next, 0
+        if hi is None or not leaf.keys or leaf.keys[0] < hi:
+            self.pages_read += 1
+
+
+@st.composite
+def _trees(draw):
+    """A tree, with deletes that leave underfull and empty leaves, and the
+    range bounds to read it with: leaf boundaries, present, deleted and
+    arbitrary keys, and None."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=120, unique=True))
+    tree = BPlusTree(order=draw(st.sampled_from([4, 5, 8])))
+    for key in keys:
+        tree.insert(key, None)
+    ordered = sorted(keys)
+    if draw(st.booleans()):  # empty a run of neighbouring leaves
+        start = draw(st.integers(0, len(ordered) - 1))
+        doomed = ordered[start : start + draw(st.integers(1, 24))]
+    else:
+        doomed = draw(st.lists(st.sampled_from(ordered), unique=True))
+    for key in doomed:
+        tree.delete(key)
+    firsts = [leaf.keys[0] for leaf in _leaves(tree) if leaf.keys] or ordered
+    lasts = [leaf.keys[-1] for leaf in _leaves(tree) if leaf.keys] or ordered
+    bound = st.sampled_from(firsts) | st.sampled_from(lasts + ordered) | _KEYS
+    lo = draw(bound)
+    hi = draw(st.none() | bound)
+    return tree, lo, hi
+
+
+class TestLeafSliceReads:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees())
+    def test_same_keys_and_pages_as_scan(self, case):
+        tree, lo, hi = case
+        assert _slice_read(tree, lo, hi) == _scan_read(tree, lo, hi)
+
+    def test_every_leaf_boundary_range(self):
+        """Ranges that start and end exactly on leaf boundaries, some empty
+        leaves among them, and ranges open at the end."""
+        tree = BPlusTree(order=4)
+        for i in range(60):
+            tree.insert(b"\x00\xff%03d" % i, None)
+        for i in range(20, 31):  # at least one leaf left empty
+            tree.delete(b"\x00\xff%03d" % i)
+        assert any(not leaf.keys for leaf in _leaves(tree))
+        firsts = [leaf.keys[0] for leaf in _leaves(tree) if leaf.keys]
+        for lo in firsts:
+            for hi in firsts + [None]:
+                assert _slice_read(tree, lo, hi) == _scan_read(tree, lo, hi)
+
+    def test_mutant_without_trailing_charge_fails(self, monkeypatch):
+        tree = BPlusTree(order=4)
+        for i in range(20):
+            tree.insert(b"k%02d" % i, None)
+        lo, hi = (leaf.keys[0] for leaf in _leaves(tree)[1:3])  # one whole leaf
+        assert _slice_read(tree, lo, hi) == _scan_read(tree, lo, hi)
+        monkeypatch.setattr(BPlusTree, "leaf_slices", _no_trailing_charge)
+        assert _slice_read(tree, lo, hi) != _scan_read(tree, lo, hi)
+
+
+_FIELD = st.sampled_from([0, 1, 2, 255, 256, 2**31, 2**63 - 1]) | st.integers(0, 50)
+_POSTING = st.tuples(*[_FIELD] * 5).map(lambda row: Posting(*row))
+
+
+def _row_built_read(store, term, lo=None, hi=None):
+    """The replaced read: one ``Posting`` per key off the ``scan``
+    generator, then a presorted row-built list; returns it and the bytes
+    read."""
+    tree = store._tree
+    before = tree.pages_read
+    prefix = _encode_term(term)
+    if lo is None:
+        pairs = tree.scan(prefix, _prefix_upper_bound(prefix))
+    else:
+        lo_key = prefix + _POSTING_STRUCT.pack(*lo)
+        pairs = tree.scan(lo_key, prefix + _POSTING_STRUCT.pack(*hi) + b"\x00")
+    rows = [Posting(*_POSTING_STRUCT.unpack(key[len(prefix) :])) for key, _ in pairs]
+    return PostingList(rows, presorted=True), (tree.pages_read - before) * tree.page_size
+
+
+class TestColumnarStoreReads:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a", "a\x00", "\x00", "\xff", "\uffff", "a\x00b"]),
+            st.lists(_POSTING, min_size=1, max_size=60),
+        ),
+        st.data(),
+    )
+    def test_get_and_get_range_equal_the_row_built_read(self, content, data):
+        """Terms with NUL and high bytes, fields up to 2**63 - 1, and deletes
+        that leave underfull and empty leaves."""
+        store = ClusteredIndexStore(order=data.draw(st.sampled_from([4, 6, 64])))
+        for term, postings in content.items():
+            store.append(term, postings)
+            for posting in data.draw(st.lists(st.sampled_from(postings))):
+                store.delete(term, posting)
+        for term in list(content) + ["absent"]:
+            expected, cost = _row_built_read(store, term)
+            before = store.stats.bytes_read
+            got = store.get(term)
+            assert got == expected and got.items() == expected.items()
+            assert store.stats.bytes_read - before == cost
+            lo, hi = sorted(data.draw(st.tuples(_POSTING, _POSTING)))
+            expected, cost = _row_built_read(store, term, lo, hi)
+            before = store.stats.bytes_read
+            assert store.get_range(term, lo, hi) == expected
+            assert store.stats.bytes_read - before == cost
