@@ -4,7 +4,7 @@ Publishes one seeded 24-document corpus (16 DBLP-like documents and 8
 INEX-like records whose abstracts are includes) on 8 peers, once per
 configuration, and runs one fixed query mix from rotating source peers
 with the tracer on.  The configurations cover every fetch path and exit
-of the executor: blocking / pipelined / striped ``get``; DPP eager /
+of the executor: blocking / pipelined ``get``; DPP eager /
 window / lazy and unordered splits; document granularity; the ``ab`` /
 ``db`` / ``bloom`` / ``subquery`` / ``auto`` / ``pushdown`` strategies;
 auto-materialised views (the nested run and the view-hit exit); LSM;
@@ -55,11 +55,6 @@ DPP = dict(use_dpp=True, dpp_block_entries=16)
 CONFIGS = (
     ("get-blocking", dict(pipelined_get=False), "queries", {}),
     ("get-pipelined", dict(chunk_postings=16), "queries", {}),
-    (
-        "get-striped",
-        dict(replication=3, striped_replica_fetch=True, chunk_postings=16),
-        "queries", {},
-    ),
     ("dpp-eager", dict(DPP, dpp_fetch_mode="eager"), "queries", {}),
     ("dpp-window", dict(DPP, dpp_fetch_mode="window"), "queries", {}),
     ("dpp-lazy", dict(DPP, dpp_fetch_mode="lazy"), "queries", {}),

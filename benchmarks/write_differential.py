@@ -2,14 +2,13 @@
 
 Publishes one seeded 16-document DBLP-like corpus on 8 peers, once per
 configuration: 8 serial ``publish`` calls, the 4 queries (so views
-materialise and popular DPP blocks replicate before the later writes hit
-them), one ``publish_batch`` of 8, 3 ``unpublish``, 1 ``republish``,
-``repair()``, the 4 queries again.  The configurations cover every arm of
-the write path: flat ``append``; PAST-style ``put`` on the naive store;
-LSM; DPP ordered / unordered / with popularity replicas; DPP at document
-granularity; selective word indexing; DPP + auto-materialised views at a
-2-posting block size; replication 1 and 3; Chord; a crash, a publish
-while the peer is down and a restart.  One digest line per configuration
+materialise before the later writes hit them), one ``publish_batch`` of 8,
+3 ``unpublish``, 1 ``republish``, ``repair()``, the 4 queries again.  The
+configurations cover every arm of the write path: flat ``append``;
+PAST-style ``put`` on the naive store; LSM; DPP ordered / unordered; DPP
+at document granularity; selective word indexing; DPP + auto-materialised
+views at a 2-posting block size; replication 1 and 3; Chord; a crash, a
+publish while the peer is down and a restart.  One digest line per configuration
 hashes every ``PublishReceipt``, removed count, repair report, meter
 total, per-node store content and stamp, every DPP root (``seq``,
 pseudo-key, condition, zone, types per entry), every view's blocks, and
@@ -57,7 +56,6 @@ CONFIGS = (
     ("lsm", dict(store_backend="lsm"), False),
     ("dpp-ordered", dict(DPP), False),
     ("dpp-unordered", dict(DPP, dpp_ordered_splits=False), False),
-    ("dpp-replicas", dict(DPP, dpp_replicate_after=1), False),
     ("dpp-docgran", dict(DPP, index_granularity="document"), False),
     ("word-labels", dict(word_index_labels=frozenset(("title",))), False),
     (
@@ -127,10 +125,10 @@ def _state(system, log):
         log.append("root %s next_seq=%d" % (key, root.next_seq))
         for entry in root.entries:
             log.append(
-                "  entry %d %s %r %r types=%r replicas=%r"
+                "  entry %d %s %r %r types=%r"
                 % (
                     entry.seq, entry.pseudo_key, entry.condition, entry.zone,
-                    sorted(entry.types), entry.replica_keys,
+                    sorted(entry.types),
                 )
             )
     if system.views is not None:

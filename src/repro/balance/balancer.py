@@ -124,9 +124,9 @@ class LoadBalancer:
         """Ledger a served read; hot-key promotion rides the get path.
 
         ``promote=False`` for object and DPP-block reads: roots are tiny
-        control objects, and blocks have their own popularity replication
-        (``dpp_replicate_after``) — double-replicating them here would
-        fight that mechanism."""
+        control objects, and a block read names its holder (the root's
+        pseudo-key), bypassing the read policy that would route it to a
+        hot extra copy — so an extra copy of a block would never be read."""
         self.ledger.record_read(key, holder.peer_index, nbytes)
         if promote and self.hot_key_threshold is not None:
             self._maybe_promote(key)

@@ -137,15 +137,6 @@ class AncestorBloomFilter:
                 return False
         return True
 
-    def may_have_ancestor_point(self, posting):
-        """The simpler start-point probe (Section 5.1): is
-        ``[start_b, start_b]`` covered by an interval of ``D(L_a)``?"""
-        if posting.start > (1 << self.l):
-            return False
-        return self._covered(
-            posting.peer, posting.doc, (posting.start, posting.start)
-        )
-
     def _covered(self, peer, doc, interval):
         for container in dyadic_containers(interval[0], interval[1], self.l):
             if interval_level(container) > self.dclev:
@@ -154,7 +145,7 @@ class AncestorBloomFilter:
                 return True
         return False
 
-    def filter_postings(self, postings, point_probe=False):
+    def filter_postings(self, postings):
         """The sublist ``F(b, ABF(a))`` of postings that may join.
 
         Column-backed lists run through a staged batch kernel: the probe
@@ -167,10 +158,9 @@ class AncestorBloomFilter:
         economy: deeper containers and later traces are only hashed for
         keys still undecided."""
         if not isinstance(postings, PostingList):
-            probe = (
-                self.may_have_ancestor_point if point_probe else self.may_have_ancestor
+            return PostingList(
+                [p for p in postings if self.may_have_ancestor(p)], presorted=True
             )
-            return PostingList([p for p in postings if probe(p)], presorted=True)
         l = self.l
         limit = 1 << l
         dclev = self.dclev
@@ -181,23 +171,16 @@ class AncestorBloomFilter:
         rows = []
         push_row = rows.append
         n = len(postings)
-        if point_probe:
-            for i, peer, doc, start in zip(
-                range(n), postings.peer, postings.doc, postings.start
-            ):
-                if start <= limit:
-                    push_row((i, peer, doc, ((start, start),)))
-        else:
-            for i, peer, doc, start, end in zip(
-                range(n), postings.peer, postings.doc, postings.start, postings.end
-            ):
-                if end > limit:
-                    continue
-                span = (start, end)
-                cover = cover_cache.get(span)
-                if cover is None:
-                    cover = cover_cache[span] = tuple(dyadic_cover(start, end, l))
-                push_row((i, peer, doc, cover))
+        for i, peer, doc, start, end in zip(
+            range(n), postings.peer, postings.doc, postings.start, postings.end
+        ):
+            if end > limit:
+                continue
+            span = (start, end)
+            cover = cover_cache.get(span)
+            if cover is None:
+                cover = cover_cache[span] = tuple(dyadic_cover(start, end, l))
+            push_row((i, peer, doc, cover))
         # stage 2: decide `covered` for every distinct (peer, doc, interval)
         chain_cache = {}
         covered = {}

@@ -13,7 +13,6 @@ Usage::
     python -m repro profile views            # top spans + utilization
     python -m repro stats --json             # machine-readable load stats
     python -m repro top                      # telemetry view of a serve run
-    python -m repro top --html report.html   # self-contained HTML report
     python -m repro explain "//article//author"   # per-query EXPLAIN ANALYZE
     python -m repro run serve skew --telemetry    # experiments + diagnostics
     python -m repro fuzz --iterations 200    # fault-injection fuzzing
@@ -187,7 +186,7 @@ def cmd_stats(args):
 def cmd_top(args):
     """Serve a skewed open-loop stream with telemetry on; render it."""
     from repro.experiments import skew_balance
-    from repro.obs import render_top, write_html, write_json
+    from repro.obs import render_top, write_json
     from repro.obs.slo import diagnose
     from repro.workloads.profiles import open_loop_workload, skewed_profile
 
@@ -208,12 +207,9 @@ def cmd_top(args):
     if args.out:
         write_json(payload, args.out)
         print("wrote %s" % args.out, file=sys.stderr)
-    if args.html:
-        write_html(payload, args.html, findings=findings)
-        print("wrote %s" % args.html, file=sys.stderr)
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif not (args.out or args.html):
+    elif not args.out:
         print(render_top(payload, findings=findings))
     return 0
 
@@ -458,9 +454,6 @@ def main(argv=None):
     )
     top_parser.add_argument(
         "-o", "--out", help="write the telemetry JSON payload to this file"
-    )
-    top_parser.add_argument(
-        "--html", help="write a self-contained HTML report to this file"
     )
     top_parser.set_defaults(func=cmd_top)
     explain_parser = sub.add_parser(

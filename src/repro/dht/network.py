@@ -1219,8 +1219,9 @@ class DhtNetwork:
         block-fetch accounting consistent with ``get``'s and gives block
         transfers their own op span in traces.  ``holder`` (when the
         caller knows it) attributes the read to the serving peer in the
-        load ledger; blocks are never *promoted* here — the DPP has its
-        own popularity replication (``dpp_replicate_after``).
+        load ledger.  Blocks are never *promoted* here: a DPP read names
+        its holder and so bypasses the read policy, which is what would
+        route a read to a hot extra copy.
         """
         idx = self._begin("block_get", key)
         holder = holder or self.owner_of(key)

@@ -116,15 +116,7 @@ class BlockRef:
     the DPP blocks"), enabling type-based block filtering at query time.
     """
 
-    __slots__ = (
-        "condition",
-        "pseudo_key",
-        "seq",
-        "types",
-        "zone",
-        "access_count",
-        "replica_keys",
-    )
+    __slots__ = ("condition", "pseudo_key", "seq", "types", "zone")
 
     def __init__(self, condition, pseudo_key, seq, types=None, zone=None):
         self.condition = condition
@@ -132,8 +124,6 @@ class BlockRef:
         self.seq = seq
         self.types = set(types or ())
         self.zone = zone  # ZoneMap synopsis; None until the first append
-        self.access_count = 0  # popularity, drives block replication (§4.2)
-        self.replica_keys = []  # pseudo-keys of popularity replicas
 
     @property
     def is_local(self):
@@ -201,35 +191,21 @@ class DppIndex:
 
     ROOT_KEY_PREFIX = "dpproot:"
 
-    def __init__(
-        self,
-        net,
-        max_block_entries=1000,
-        ordered_splits=True,
-        replicate_after=None,
-        replica_copies=1,
-    ):
+    def __init__(self, net, max_block_entries=1000, ordered_splits=True):
         """``ordered_splits=False`` reproduces the alternative the paper
         tested and rejected (Section 4.1): a block's data is scattered
         between the two halves instead of split by range, so conditions
         overlap and can no longer guide the search — transfers stay
         parallel but the ``[min, max]`` filtering loses its teeth.
 
-        ``replicate_after`` enables the Section 4.2 discussion: a block
-        fetched more than that many times is replicated (``replica_copies``
-        extra peers, pseudo-keys of its own), and subsequent fetches
-        round-robin across the copies — the DHT's fixed-factor replication
-        cannot provide this per-block control, which is exactly the
-        paper's complaint about it."""
+        A block's only copies are its key's DHT replica set (Section 4.2:
+        the DHT "does replicate its index for reliability"): every write
+        reaches them, and a fetch reads the block at its holder."""
         if max_block_entries < 2:
             raise ValueError("max_block_entries must be >= 2")
-        if replicate_after is not None and replicate_after < 1:
-            raise ValueError("replicate_after must be >= 1 or None")
         self.net = net
         self.max_block_entries = max_block_entries
         self.ordered_splits = ordered_splits
-        self.replicate_after = replicate_after
-        self.replica_copies = replica_copies
 
     # -- root access -----------------------------------------------------------
 
@@ -395,7 +371,7 @@ class DppIndex:
             self.net.ship(store_key, encoded_size(group), "postings", receipt)
         # DPP blocks enjoy the DHT's reliability replication like any other
         # key (Section 4.2: "the DHT does replicate its index for
-        # reliability"); the popularity replicas are a separate mechanism
+        # reliability"): the write reaches the block's whole replica set
         try:
             self.net.write_at(holder, store_key, group, receipt)
         finally:
@@ -496,58 +472,23 @@ class DppIndex:
         self.net.ship(term_key, CONDITION_BYTES * max(1, removed), "control")
         return removed, receipt
 
-    def replica_block_key(self, entry, term_key, copy):
-        return "blockrep:%d:%d:%s" % (copy, entry.seq, term_key)
-
-    def _maybe_replicate(self, owner, entry, term_key):
-        """Popularity-driven block replication (Section 4.2)."""
-        if (
-            self.replicate_after is None
-            or entry.replica_keys
-            or entry.access_count < self.replicate_after
-        ):
-            return
-        primary_holder, store_key = self._block_location(owner, entry, term_key)
-        postings = primary_holder.store.get(store_key)
-        for copy in range(self.replica_copies):
-            rep_key = self.replica_block_key(entry, term_key, copy)
-            # a popularity replica is one more copy of the block under a
-            # pseudo-key of its own (never on that key's replica set, never
-            # charged store time), so it takes the copy rule
-            self.net.ship(rep_key, encoded_size(postings), "postings")
-            self.net.sync_copy(
-                self.net.owner_of(rep_key), rep_key, postings, self.net.next_stamp()
-            )
-            entry.replica_keys.append(rep_key)
-
-    def _pick_block_holder(self, owner, entry, term_key):
-        """Round-robin between the primary block and its replicas."""
-        choices = [None] + list(entry.replica_keys)
-        pick = choices[entry.access_count % len(choices)]
-        if pick is None:
-            return self._block_location(owner, entry, term_key)
-        return self.net.owner_of(pick), pick
-
     def fetch_block(self, src, term_key, entry, doc_lo=None, doc_hi=None):
         """Fetch one block (or its ``[min,max]`` document intersection).
 
         Returns ``(postings, holder_node, receipt)``; the transfer duration
         reflects only this block — the executor schedules blocks in
-        parallel.  Access counts drive popularity replication, and fetches
-        rotate over the block's copies."""
+        parallel."""
         coalescer = self.net.coalescer
         block_id = (term_key, entry.seq, doc_lo, doc_hi)
         if coalescer is not None:
             flight = coalescer.lookup("dppblk", block_id)
             if flight is not None:
-                # join the in-flight block transfer: no access-count bump
-                # (nothing was fetched), no replication trigger, no bytes
+                # join the in-flight block transfer: no bytes move
                 postings, holder = flight.data
                 return postings, holder, OpReceipt(duration_s=flight.receipt_s)
-        owner = self.net.owner_of(term_key)
-        entry.access_count += 1
-        self._maybe_replicate(owner, entry, term_key)
-        holder, store_key = self._pick_block_holder(owner, entry, term_key)
+        holder, store_key = self._block_location(
+            self.net.owner_of(term_key), entry, term_key
+        )
         if doc_lo is not None and doc_hi is not None:
             lo = Posting(doc_lo[0], doc_lo[1], 0, 1, 0)
             hi = Posting(doc_hi[0], doc_hi[1], 2**62, 2**62, 2**62)

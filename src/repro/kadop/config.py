@@ -44,9 +44,6 @@ class KadopConfig:
     ``parallelism``          K, the maximum degree of parallel block fetches
     ``dpp_ordered_splits``   False scatters split blocks randomly instead of
                              by range (the ablation the paper mentions)
-    ``dpp_replicate_after``  popularity threshold (block fetch count) that
-                             triggers per-block replication; None disables
-    ``dpp_replica_copies``   extra copies per popular block
     ``dpp_fetch_mode``       how the executor retrieves DPP blocks:
                              ``"eager"`` fetches every block of every term;
                              ``"window"`` applies the paper's single global
@@ -60,15 +57,12 @@ class KadopConfig:
     ``filter_strategy``      ``None``/``"ab"``/``"db"``/``"bloom"``/``"subquery"``,
                              ``"auto"`` (cost-based optimizer), or
                              ``"pushdown"`` (ship small lists to the longest
-                             list's peer and join there — Section 4.2)
+                             list's peer and join there — Section 4.2).
+                             The reducers and pushdown need whole
+                             element-granularity lists: a query raises
+                             ConfigError under the DPP or a document index
     ``ab_fp_rate``           target basic false-positive rate of AB filters
     ``db_fp_rate``           target basic false-positive rate of DB filters
-
-    Section 4.2 optimizations:
-
-    ``striped_replica_fetch``  stripe long posting-list transfers across the
-                               DHT's replicas ("transferring fragments from
-                               different copies")
 
     Materialized views (:mod:`repro.views` — the caching layer Section 8
     gestures at with "reusing previously computed results"):
@@ -148,15 +142,11 @@ class KadopConfig:
     dpp_block_entries: int = 1000
     parallelism: int = 8
     dpp_ordered_splits: bool = True
-    dpp_replicate_after: int = None
-    dpp_replica_copies: int = 1
     dpp_fetch_mode: str = "lazy"
 
     filter_strategy: str = None
     ab_fp_rate: float = 0.20
     db_fp_rate: float = 0.01
-
-    striped_replica_fetch: bool = False
 
     use_views: bool = False
     view_block_entries: int = 512
@@ -202,8 +192,6 @@ class KadopConfig:
             raise ConfigError("replication must be >= 1")
         if self.dpp_block_entries < 2:
             raise ConfigError("dpp_block_entries must be >= 2")
-        if self.dpp_replicate_after is not None and self.dpp_replicate_after < 1:
-            raise ConfigError("dpp_replicate_after must be >= 1 or None")
         if self.dpp_fetch_mode not in ("eager", "window", "lazy"):
             raise ConfigError(
                 "dpp_fetch_mode must be 'eager', 'window', or 'lazy', got %r"

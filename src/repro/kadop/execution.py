@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
+from repro.errors import ConfigError
 from repro.faults import OpTimeoutError
 from repro.obs.trace import observe_schedule
 from repro.postings.encoder import encoded_size, encoded_size_sum
@@ -505,25 +506,13 @@ class QueryExecutor:
         scheduler = net.transfers()
         ttfa = 0.0
         for key, (plist, receipt) in term_lists.items():
-            nbytes = encoded_size(plist)
-            if config.striped_replica_fetch and net.replication > 1:
-                # Section 4.2: "the transfer of a posting list can be
-                # optimized by replicating it and transferring fragments
-                # from different copies" — one fragment per replica, each
-                # on its own egress link
-                replicas = net.replica_nodes(key)
-                for i, holder in enumerate(replicas):
-                    scheduler.carry(
-                        "xfer:%s:%d" % (key, i), nbytes / len(replicas), holder.peer_index
-                    )
-            else:
-                # charge the transfer to the node that actually served the
-                # fetch (a fanned-out replica or hot extra copy under the
-                # balancer; the owner otherwise), so queue-wait spans point
-                # at the congested link — coalesced fetches moved no bytes
-                # and keep the owner's link as their nominal egress
-                holder = holders.get(key) or net.owner_of(key)
-                scheduler.carry("xfer:%s" % key, nbytes, holder.peer_index)
+            # charge the transfer to the node that actually served the
+            # fetch (a fanned-out replica or hot extra copy under the
+            # balancer; the owner otherwise), so queue-wait spans point at
+            # the congested link — coalesced fetches moved no bytes and
+            # keep the owner's link as their nominal egress
+            holder = holders.get(key) or net.owner_of(key)
+            scheduler.carry("xfer:%s" % key, encoded_size(plist), holder.peer_index)
             # the receipt's duration already covers locate + first chunk
             ttfa = max(ttfa, receipt.duration_s)
         makespan = scheduler.run()
@@ -614,8 +603,10 @@ class QueryExecutor:
                 empty = {node.node_id: PostingList() for node in nodes}
                 return Fetched(empty, root_time, root_time)
             total_blocks += len(entries)
-            lo_docs.append(entries[0].condition.lo_doc)
-            hi_docs.append(entries[-1].condition.hi_doc)
+            # unordered splits leave overlapping conditions in split order,
+            # so the term's span is the extremes over every block
+            lo_docs.append(min(e.condition.lo_doc for e in entries))
+            hi_docs.append(max(e.condition.hi_doc for e in entries))
         doc_lo = max(lo_docs)
         doc_hi = min(hi_docs)
 
@@ -795,6 +786,12 @@ class QueryExecutor:
         longest posting list involved in the query, thus reducing data
         transfers" (Section 4.2).  Returns ``(candidate_docs, time_s)``.
         """
+        config = self.system.config
+        if config.use_dpp or config.index_granularity == "document":
+            raise ConfigError(
+                "join pushdown joins whole element-granularity term lists at "
+                "their owners; enable neither the DPP nor a document index"
+            )
         net = self.system.net
         nodes = component.nodes()
         term_lists = {}

@@ -188,16 +188,14 @@ class _Flight:
 def _flight_matcher(flight):
     """Predicate over *unprefixed* executor task names owned by ``flight``.
 
-    Plain/pipelined fetches schedule ``xfer:<key>`` (or ``xfer:<key>:<i>``
-    when striped over replicas); DPP block fetches schedule
-    ``blk:<key>:<seq>``.  Root and view flights have no transfer task of
+    Plain/pipelined fetches schedule ``xfer:<key>``; DPP block fetches
+    schedule ``blk:<key>:<seq>``.  Root and view flights have no transfer task of
     their own (roots ride the locate latency, view fetches run inside the
     view outcome's time), so they match nothing.
     """
     if flight.kind in ("get", "pipelined_get"):
-        base = "xfer:%s" % (flight.key,)
-        prefix = base + ":"
-        return lambda name: name == base or name.startswith(prefix)
+        target = "xfer:%s" % (flight.key,)
+        return lambda name: name == target
     if flight.kind == "dppblk":
         target = "blk:%s:%d" % (flight.key[0], flight.key[1])
         return lambda name: name == target

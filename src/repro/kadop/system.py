@@ -29,11 +29,13 @@ from repro.storage.naive_store import NaiveGzipStore
 
 #: ``KadopConfig`` fields of older checkpoints that are gone: constants now
 #: (in ``RetryPolicy``, ``LoadLedger``, ``Rebalancer``, ``DhtNetwork`` and
-#: ``bloom.structural.PSI_C``), or a per-process choice (the kernel
-#: backend: ``REPRO_KERNELS``, ``repro.postings.kernels.use_backend``)
+#: ``bloom.structural.PSI_C``), a per-process choice (the kernel backend:
+#: ``REPRO_KERNELS``, ``repro.postings.kernels.use_backend``), or deleted
+#: mechanisms (DPP popularity replicas, striped replica fetch)
 RETIRED_CONFIG_KEYS = (
     "op_timeout_s", "retry_backoff_s", "retry_backoff_cap_s",
     "hot_key_decay", "rebalance_max_keys", "leaf_size", "psi_c", "kernel_backend",
+    "dpp_replicate_after", "dpp_replica_copies", "striped_replica_fetch",
 )
 
 
@@ -72,8 +74,6 @@ class KadopNetwork:
                 self.net,
                 max_block_entries=self.config.dpp_block_entries,
                 ordered_splits=self.config.dpp_ordered_splits,
-                replicate_after=self.config.dpp_replicate_after,
-                replica_copies=self.config.dpp_replica_copies,
             )
             if self.config.use_dpp
             else None

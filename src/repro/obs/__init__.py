@@ -83,9 +83,7 @@ from repro.obs.report import (
     check_schema_version,
     render_top,
     sparkline,
-    to_html,
     validate_telemetry,
-    write_html,
     write_json,
 )
 
@@ -124,12 +122,10 @@ __all__ = [
     "render_top",
     "sparkline",
     "to_chrome_trace",
-    "to_html",
     "top_spans",
     "validate_telemetry",
     "validate_trace",
     "validate_trace_file",
     "write_chrome_trace",
-    "write_html",
     "write_json",
 ]

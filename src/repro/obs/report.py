@@ -1,9 +1,9 @@
-"""Telemetry report surfacing: schema versions, validation, text/HTML.
+"""Telemetry report surfacing: schema versions, validation, text.
 
 Telemetry payloads outlive the process that produced them — they are
-written to JSON, diffed in CI, and opened in a browser.  Everything
-crossing that boundary carries a ``schema_version`` so a reader can
-refuse payloads it does not understand instead of misrendering them:
+written to JSON and diffed in CI.  Everything crossing that boundary
+carries a ``schema_version`` so a reader can refuse payloads it does not
+understand instead of misrendering them:
 
 * :data:`TELEMETRY_SCHEMA_VERSION` — ``TelemetrySampler.to_dict``
   payloads (series + SLO + findings);
@@ -12,9 +12,7 @@ refuse payloads it does not understand instead of misrendering them:
 
 :func:`check_schema_version` / :func:`validate_telemetry` are the
 gatekeepers; :func:`render_top` is the terminal view behind ``repro
-top`` (unicode sparklines, SLO status, findings); :func:`to_html` emits
-a self-contained single-file report (inline SVG sparklines, no external
-assets) for sharing a run.
+top`` (unicode sparklines, SLO status, findings).
 """
 
 import json
@@ -212,149 +210,3 @@ def render_top(payload, findings=None, width=32):
             lines.append("findings: none")
     return "\n".join(lines)
 
-
-# -- self-contained HTML export --------------------------------------------
-
-
-def _svg_sparkline(values, width=240, height=36):
-    if not values:
-        return "<svg width='%d' height='%d'></svg>" % (width, height)
-    lo, hi = min(values), max(values)
-    span = hi - lo or 1.0
-    step = width / max(1, len(values) - 1) if len(values) > 1 else 0
-    points = " ".join(
-        "%.1f,%.1f"
-        % (
-            i * step if len(values) > 1 else width / 2,
-            height - 2 - (v - lo) / span * (height - 4),
-        )
-        for i, v in enumerate(values)
-    )
-    return (
-        "<svg width='%d' height='%d' viewBox='0 0 %d %d'>"
-        "<polyline fill='none' stroke='#2563eb' stroke-width='1.5' "
-        "points='%s'/></svg>" % (width, height, width, height, points)
-    )
-
-
-def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )
-
-
-def to_html(payload, findings=None, title="repro telemetry"):
-    """One self-contained HTML page: no scripts, no external assets."""
-    validate_telemetry(payload)
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        "<title>%s</title><style>" % _escape(title),
-        "body{font:14px/1.5 system-ui,sans-serif;margin:2em;color:#111}",
-        "table{border-collapse:collapse}",
-        "td,th{padding:4px 12px;border-bottom:1px solid #ddd;"
-        "text-align:right;font-variant-numeric:tabular-nums}",
-        "td:first-child,th:first-child{text-align:left}",
-        ".breach{color:#b91c1c;font-weight:600}",
-        ".ok{color:#15803d;font-weight:600}",
-        ".finding{margin:.25em 0;padding:.4em .8em;"
-        "border-left:4px solid #d97706;background:#fffbeb}",
-        ".finding.critical{border-color:#b91c1c;background:#fef2f2}",
-        "</style></head><body>",
-        "<h1>%s</h1>" % _escape(title),
-        "<p>%d samples @ %.3fs interval over %.3fs simulated "
-        "(schema v%d)</p>"
-        % (
-            payload["samples_taken"],
-            payload["interval_s"],
-            payload["makespan_s"],
-            payload["schema_version"],
-        ),
-        "<h2>Series</h2><table>",
-        "<tr><th>series</th><th></th><th>last</th><th>mean</th>"
-        "<th>max</th></tr>",
-    ]
-    series = payload["series"]
-    for name in sorted(series):
-        values = [v for _, v in series[name]["samples"]]
-        if values:
-            stats = (
-                "<td>%.1f</td><td>%.1f</td><td>%.1f</td>"
-                % (values[-1], sum(values) / len(values), max(values))
-            )
-        else:
-            stats = "<td colspan='3'>(no samples)</td>"
-        parts.append(
-            "<tr><td>%s</td><td>%s</td>%s</tr>"
-            % (_escape(name), _svg_sparkline(values), stats)
-        )
-    parts.append("</table>")
-    slo = payload.get("slo")
-    if slo is not None:
-        breached = slo["breaches"] > 0
-        parts.append("<h2>SLO</h2>")
-        parts.append(
-            "<p class='%s'>%s — p%d &le; %.3fs, %d/%d breaches, "
-            "compliance %.4f, budget spent %.2fx</p>"
-            % (
-                "breach" if breached else "ok",
-                "BREACHED" if breached else "OK",
-                round(slo["target"] * 100),
-                slo["objective_s"],
-                slo["breaches"],
-                slo["total"],
-                slo["compliance"],
-                slo["budget_spent"],
-            )
-        )
-        parts.append(
-            "<table><tr><th>window</th><th>queries</th><th>p99 (s)</th>"
-            "<th>burn</th></tr>"
-        )
-        for window in slo["windows"]:
-            parts.append(
-                "<tr><td>[%.2f, %.2f)</td><td>%d</td><td>%.4f</td>"
-                "<td%s>%.2fx</td></tr>"
-                % (
-                    window["t0_s"],
-                    window["t1_s"],
-                    window["total"],
-                    window["p99_s"],
-                    " class='breach'" if window["burn_rate"] > 1 else "",
-                    window["burn_rate"],
-                )
-            )
-        parts.append("</table>")
-    if findings is not None:
-        parts.append("<h2>Findings</h2>")
-        if findings:
-            for finding in findings:
-                payload_f = (
-                    finding.to_dict()
-                    if hasattr(finding, "to_dict")
-                    else dict(finding)
-                )
-                parts.append(
-                    "<div class='finding %s'><b>%s</b> "
-                    "[%.2f&ndash;%.2fs]: %s</div>"
-                    % (
-                        _escape(payload_f["severity"]),
-                        _escape(payload_f["kind"]),
-                        payload_f["t0_s"],
-                        payload_f["t1_s"],
-                        _escape(payload_f["detail"]),
-                    )
-                )
-        else:
-            parts.append("<p>none</p>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def write_html(payload, path, findings=None, title="repro telemetry"):
-    with open(path, "w") as fh:
-        fh.write(to_html(payload, findings=findings, title=title))
-        fh.write("\n")
-    return path

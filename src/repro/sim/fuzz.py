@@ -673,8 +673,7 @@ class _Iteration:
         gone — counting its stale replica copies as "alive holders" would
         turn their later crashes into false durability alarms.  The check
         covers the physical keys derived from the doc's term keys too
-        (``dppdata:<term>``, ``overflow:<seq>:<term>``,
-        ``blockrep:<copy>:<seq>:<term>``)."""
+        (``dppdata:<term>``, ``overflow:<seq>:<term>``)."""
         net = self.system.net
 
         def derived(key, term):

@@ -244,15 +244,6 @@ class TestStructuralFilters:
         assert d_b, "fixture must contain a non-matching b"
         assert all(b not in kept for b in d_b) or len(kept) < len(lb)
 
-    def test_abf_point_probe_agrees_on_matches(self):
-        _, la, lb = _doc_filters_fixture()
-        abf = AncestorBloomFilter(la, fp_rate=0.05)
-        full = abf.filter_postings(lb)
-        point = abf.filter_postings(lb, point_probe=True)
-        for b in lb:
-            if any(a.is_ancestor_of(b) for a in la):
-                assert b in full and b in point
-
     def test_dbf_keeps_all_true_ancestors(self):
         _, la, lb = _doc_filters_fixture()
         dbf = DescendantBloomFilter(lb, fp_rate=0.05)

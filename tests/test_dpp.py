@@ -330,67 +330,6 @@ class TestTypeFiltering:
         assert root.entries[0].types == {"custom"}
 
 
-class TestBlockReplication:
-    """Section 4.2: per-block replication driven by popularity."""
-
-    def _hot_network(self):
-        config = KadopConfig(
-            use_dpp=True,
-            dpp_block_entries=20,
-            dpp_replicate_after=2,
-            dpp_replica_copies=2,
-            replication=1,
-        )
-        net = KadopNetwork.create(num_peers=10, config=config, seed=4)
-        for d in range(3):
-            body = "".join("<x>w%d</x>" % i for i in range(30))
-            net.peers[0].publish("<r>%s</r>" % body, uri="u:%d" % d)
-        return net
-
-    def test_popular_block_gets_replicated(self):
-        net = self._hot_network()
-        for _ in range(4):
-            net.query("//r//x")
-        from repro.postings.term_relation import label_key
-
-        owner = net.net.owner_of(label_key("x"))
-        root = owner.objects[DppIndex.ROOT_KEY_PREFIX + label_key("x")][0]
-        replicated = [e for e in root.entries if e.replica_keys]
-        assert replicated
-        for entry in replicated:
-            assert len(entry.replica_keys) == 2
-            for rep_key in entry.replica_keys:
-                holder = net.net.owner_of(rep_key)
-                assert rep_key in holder.store
-
-    def test_answers_stable_across_replicated_fetches(self):
-        net = self._hot_network()
-        first = net.query("//r//x")
-        for _ in range(5):
-            again = net.query("//r//x")
-            assert [a.bindings for a in again] == [a.bindings for a in first]
-
-    def test_replication_disabled_by_default(self):
-        config = KadopConfig(use_dpp=True, dpp_block_entries=20, replication=1)
-        net = KadopNetwork.create(num_peers=6, config=config, seed=4)
-        net.peers[0].publish(
-            "<r>%s</r>" % "".join("<x>w%d</x>" % i for i in range(30)), uri="u"
-        )
-        for _ in range(5):
-            net.query("//r//x")
-        from repro.postings.term_relation import label_key
-
-        owner = net.net.owner_of(label_key("x"))
-        root = owner.objects[DppIndex.ROOT_KEY_PREFIX + label_key("x")][0]
-        assert all(not e.replica_keys for e in root.entries)
-
-    def test_threshold_validation(self):
-        from repro.dht.network import DhtNetwork
-
-        with pytest.raises(ValueError):
-            DppIndex(DhtNetwork.create(2, replication=1), replicate_after=0)
-
-
 class TestDppFailureTolerance:
     """DPP data enjoys the DHT's reliability replication (Section 4.2)."""
 

@@ -198,7 +198,6 @@ class TestConfigValidation:
         for bad in (
             {"replication": 0},
             {"use_dpp": True, "dpp_block_entries": 1},
-            {"use_dpp": True, "dpp_replicate_after": 0},
         ):
             with pytest.raises(ConfigError):
                 KadopConfig(**bad)

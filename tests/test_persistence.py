@@ -97,6 +97,13 @@ class TestSaveLoad:
                 ),
                 "btree",
             ),
+            (  # the three fields of deleted mechanisms
+                dict(
+                    use_dpp=True, dpp_replicate_after=3, dpp_replica_copies=2,
+                    striped_replica_fetch=True,
+                ),
+                "btree",
+            ),
         ],
     )
     def test_legacy_store_key_maps_onto_store_backend(

@@ -37,7 +37,6 @@ from repro.obs import (
     quantile_rank,
     render_top,
     to_chrome_trace,
-    to_html,
     validate_telemetry,
     validate_trace,
 )
@@ -373,8 +372,6 @@ class TestTelemetryIsFree:
         assert payload["slo"]["objective_s"] == 0.5
         text = render_top(payload, findings=[])
         assert "series:" in text and "slo:" in text
-        html = to_html(payload, findings=[])
-        assert html.startswith("<!DOCTYPE html>") and "SLO" in html
 
 
 class TestExplainReconciliation:
