@@ -348,6 +348,25 @@ def test_clustered_get_range(benchmark, posting_list_10k, size):
     assert len(got) == size
 
 
+@pytest.mark.parametrize("size", [1, 3, 300])
+def test_clustered_sorted_append(benchmark, posting_list_10k, size):
+    # one publish's sorted batch for a term into a populated store: each
+    # round appends a new document's postings (the parent's 63 % of
+    # ingest appends carry one posting, 14 % two)
+    store = ClusteredIndexStore()
+    for term in ("author", "title"):
+        store.append(term, posting_list_10k)
+    docs = iter(range(100, 10**9))
+
+    def fresh_batch():
+        doc = next(docs)
+        batch = PostingList([Posting(0, doc, 2 * s + 1, 2 * s + 2, 1) for s in range(size)])
+        return ("author", batch), {}
+
+    benchmark.pedantic(store.append, setup=fresh_batch, rounds=max(200, 3000 // size))
+    assert store.count("author") == len(posting_list_10k) + size * max(200, 3000 // size)
+
+
 def test_transfers_run_10(benchmark):
     # a lazy DPP fetch schedule: 10 block transfers from 6 senders into one
     # peer with 8 ingress slots, built and run

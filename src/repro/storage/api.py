@@ -64,8 +64,10 @@ class Store(abc.ABC):
 
     @abc.abstractmethod
     def put(self, term, postings):
-        """Replace the full posting list of ``term`` (old DHT semantics:
-        read existing value, reconcile with ``postings``, write back)."""
+        """Make ``term``'s list the union of its postings and ``postings``
+        (old DHT semantics: read the existing value, reconcile, write
+        back).  A store with ``append`` reconciles in place, so there the
+        two are the same write."""
 
     @abc.abstractmethod
     def append(self, term, postings):

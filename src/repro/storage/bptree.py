@@ -16,17 +16,20 @@ paper reports.
 """
 
 import bisect
+from itertools import islice
+from operator import lt
 
 PAGE_SIZE = 4096
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next")
+    __slots__ = ("keys", "values", "next", "fence")
 
     def __init__(self):
         self.keys = []
         self.values = []
         self.next = None
+        self.fence = None  # the tightest separator above, None for the last leaf
 
 
 class _Inner:
@@ -73,23 +76,62 @@ class BPlusTree:
         else:
             self._dirty.add(id(node))
 
-    def insert_many(self, pairs):
-        """Bulk insert; dirty pages are charged once for the whole batch.
-        Returns the number of new keys."""
+    def insert_many(self, keys, values):
+        """Insert the run ``keys[i] -> values[i]``; dirty pages are charged
+        once for the whole batch.  Returns the number of new keys.
+
+        A strictly increasing run descends once per leaf it lands in.  The
+        key found there and every following key below both the leaf's
+        fence (its tightest separator above) and its next existing key go
+        in by one slice assignment, or one ``list.insert`` for a single
+        key, up to the leaf's free room.  A key that would overflow a full
+        leaf or overwrite an existing one goes through :meth:`insert`, the
+        only split routine, and so does every key of a run that is not
+        strictly increasing.  Tree shape, size and page counts are exactly
+        those of inserting the keys one at a time."""
         if self._dirty is not None:
             raise RuntimeError("insert_many cannot nest")
-        self._dirty = set()
-        added = 0
+        self._dirty = dirty = set()
+        size = self._size
+        n = len(keys)
+        i = 0
         try:
-            for key, value in pairs:
-                if self.insert(key, value):
-                    added += 1
+            if n > 1 and not all(map(lt, keys, islice(keys, 1, None))):
+                for key, value in zip(keys, values):
+                    self.insert(key, value)
+                return self._size - size
+            while i < n:
+                key = keys[i]
+                node = self._root
+                while node.__class__ is _Inner:
+                    node = node.children[bisect.bisect_right(node.keys, key)]
+                leaf_keys = node.keys
+                pos = bisect.bisect_left(leaf_keys, key)
+                bound = leaf_keys[pos] if pos < len(leaf_keys) else node.fence
+                room = self.order - len(leaf_keys)
+                if room <= 0 or bound == key:
+                    self.insert(key, values[i])
+                    i += 1
+                    continue
+                j = i + 1
+                if j < n:  # how many of the rest fit below the bound and in the room
+                    end = min(n, i + room)
+                    j = end if bound is None else bisect.bisect_left(keys, bound, j, end)
+                if j == i + 1:
+                    leaf_keys.insert(pos, key)
+                    node.values.insert(pos, values[i])
+                else:
+                    leaf_keys[pos:pos] = keys[i:j]
+                    node.values[pos:pos] = values[i:j]
+                dirty.add(id(node))
+                self._size += j - i
+                i = j
         finally:
             # each dirty page is read-modified-written once per batch
-            self.pages_read += len(self._dirty)
-            self.pages_written += len(self._dirty)
+            self.pages_read += len(dirty)
+            self.pages_written += len(dirty)
             self._dirty = None
-        return added
+        return self._size - size
 
     @property
     def bytes_read(self):
@@ -171,9 +213,11 @@ class BPlusTree:
         right.keys = leaf.keys[mid:]
         right.values = leaf.values[mid:]
         right.next = leaf.next
+        right.fence = leaf.fence
         leaf.keys = leaf.keys[:mid]
         leaf.values = leaf.values[:mid]
         leaf.next = right
+        leaf.fence = right.keys[0]
         self._mark_dirty(leaf)
         self._mark_dirty(right)
         return right.keys[0], right
@@ -203,6 +247,35 @@ class BPlusTree:
             self._mark_dirty(leaf)
             return True
         return False
+
+    def delete_range(self, lo, hi=None):
+        """Remove every key with ``lo <= key < hi``; returns how many.
+
+        Each leaf's slice goes with one ``del``.  The charge is that of
+        reading the range by :meth:`leaf_slices` and then deleting each key
+        by :meth:`delete` — one descent of ``depth`` page reads and one
+        page write per key — in closed form, since deletes never reshape
+        the tree."""
+        reads = self.pages_read
+        leaf = self._find_leaf(lo)
+        depth = self.pages_read - reads
+        keys = leaf.keys
+        i = bisect.bisect_left(keys, lo)
+        removed = 0
+        while True:
+            j = len(keys) if hi is None else bisect.bisect_left(keys, hi, i)
+            last = j < len(keys) or leaf.next is None
+            del keys[i:j], leaf.values[i:j]
+            removed += j - i
+            if last:
+                break
+            leaf = leaf.next
+            keys, i = leaf.keys, 0
+            self.pages_read += 1
+        self._size -= removed
+        self.pages_read += removed * depth
+        self.pages_written += removed
+        return removed
 
     # -- scans ---------------------------------------------------------------
 
@@ -261,7 +334,7 @@ class BPlusTree:
     # -- invariants (used by tests) -----------------------------------------
 
     def check_invariants(self):
-        """Verify ordering, separator, and leaf-chain invariants."""
+        """Verify node size, ordering, separator, and leaf-chain invariants."""
         leaves = []
         self._check_node(self._root, None, None, leaves, is_root=True)
         # leaf chain must enumerate exactly the in-order leaves
@@ -279,7 +352,9 @@ class BPlusTree:
         assert len(flat) == self._size, "size counter drift"
 
     def _check_node(self, node, lo, hi, leaves, is_root=False):
+        assert len(node.keys) <= self.order, "node holds more than order keys"
         if isinstance(node, _Leaf):
+            assert node.fence == hi, "leaf fence is not its upper separator"
             for k in node.keys:
                 assert lo is None or k >= lo, "leaf key below separator"
                 assert hi is None or k < hi, "leaf key above separator"

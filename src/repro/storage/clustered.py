@@ -10,9 +10,12 @@ database with sorted duplicates provides.  A read joins the keys of each
 leaf slice and decodes them in C straight into the five posting columns
 (:meth:`ClusteredIndexStore._read`); no :class:`Posting` is built.
 
-``append`` inserts each posting with O(log n) page I/O and never reads the
-existing list, which is what makes publishing linear (vs. the quadratic
-:class:`~repro.storage.naive_store.NaiveGzipStore`).
+``append`` packs the composite keys of a batch in C from the posting
+columns and hands the tree one sorted run, which lands with one descent per
+leaf it touches (:meth:`~repro.storage.bptree.BPlusTree.insert_many`).  It
+never reads the existing list, and its page I/O grows with the pages the
+run touches, not with the stored list: that is what makes publishing linear
+(vs. the quadratic :class:`~repro.storage.naive_store.NaiveGzipStore`).
 """
 
 import struct
@@ -50,19 +53,21 @@ class ClusteredIndexStore(Store):
         self._counts = {}
 
     def _charge(self, reads_before, writes_before):
-        self.stats.bytes_read += (
-            self._tree.pages_read - reads_before
-        ) * self._tree.page_size
-        self.stats.bytes_written += (
-            self._tree.pages_written - writes_before
-        ) * self._tree.page_size
+        tree, stats = self._tree, self.stats
+        stats.bytes_read += (tree.pages_read - reads_before) * tree.page_size
+        stats.bytes_written += (tree.pages_written - writes_before) * tree.page_size
 
     def append(self, term, postings):
-        r, w = self._tree.pages_read, self._tree.pages_written
+        tree = self._tree
+        r, w = tree.pages_read, tree.pages_written
         prefix = _encode_term(term)
-        added = self._tree.insert_many(
-            (prefix + _POSTING_STRUCT.pack(*posting), b"") for posting in postings
-        )
+        plist = PostingList.of(postings)
+        if len(plist.peer) == 1:  # most appends: cheaper than building five column iterators
+            keys = [prefix + _POSTING_STRUCT.pack(*plist.key(0))]
+        else:  # one sorted run, packed in C straight off the columns
+            rows = map(_POSTING_STRUCT.pack, plist.peer, plist.doc, plist.start, plist.end, plist.level)
+            keys = list(map(prefix.__add__, rows))
+        added = tree.insert_many(keys, [b""] * len(keys))
         if added:
             self._counts[term] = self._counts.get(term, 0) + added
         self.stats.num_ops += 1
@@ -118,15 +123,9 @@ class ClusteredIndexStore(Store):
                         del self._counts[term]
                 return removed
             prefix = _encode_term(term)
-            keys = list(
-                chain.from_iterable(
-                    self._tree.leaf_slices(prefix, _prefix_upper_bound(prefix))
-                )
-            )
-            for key in keys:
-                self._tree.delete(key)
+            removed = self._tree.delete_range(prefix, _prefix_upper_bound(prefix))
             self._counts.pop(term, None)
-            return bool(keys)
+            return bool(removed)
         finally:
             self.stats.num_ops += 1
             self._charge(r, w)

@@ -1,14 +1,19 @@
 """Tests for the local stores: naive gzip store, B+-tree, clustered index."""
 
 import bisect
+import inspect
+import textwrap
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
+from repro.storage import bptree
 from repro.storage.bptree import BPlusTree, _prefix_upper_bound
 from repro.storage.clustered import _POSTING_STRUCT, ClusteredIndexStore, _encode_term
+from repro.storage.lsm import LsmStore
 from repro.storage.naive_store import NaiveGzipStore
 
 
@@ -436,3 +441,200 @@ class TestColumnarStoreReads:
             before = store.stats.bytes_read
             assert store.get_range(term, lo, hi) == expected
             assert store.stats.bytes_read - before == cost
+
+
+# -- the sorted-run write path, against the per-key loop it replaced ---------
+
+
+def _per_key_insert_many(self, pairs):
+    """The replaced ``BPlusTree.insert_many``, verbatim: one ``insert``
+    per pair."""
+    if self._dirty is not None:
+        raise RuntimeError("insert_many cannot nest")
+    self._dirty = set()
+    added = 0
+    try:
+        for key, value in pairs:
+            if self.insert(key, value):
+                added += 1
+    finally:
+        # each dirty page is read-modified-written once per batch
+        self.pages_read += len(self._dirty)
+        self.pages_written += len(self._dirty)
+        self._dirty = None
+    return added
+
+
+def _shape(node):
+    """Every key, value and separator of the subtree, nested as stored."""
+    if hasattr(node, "children"):
+        return list(node.keys), [_shape(child) for child in node.children]
+    return list(node.keys), list(node.values)
+
+
+def _state(tree):
+    return _shape(tree._root), len(tree), tree.pages_read, tree.pages_written
+
+
+def _mutant(method, *edits):
+    """``method`` recompiled from its source with each ``(old, new)``
+    edit applied."""
+    source = textwrap.dedent(inspect.getsource(method))
+    for old, new in edits:
+        assert old in source, old
+        source = source.replace(old, new)
+    namespace = dict(vars(bptree))
+    exec(source, namespace)
+    return namespace[method.__name__]
+
+
+#: skips the full-leaf fallback: a run fills a leaf past ``order``
+_NO_FULL_LEAF_FALLBACK = (("room <= 0 or ", ""), ("min(n, i + room)", "n"))
+
+
+def _key(number):
+    """Variable-length keys, so bytewise order is not numeric order."""
+    return b"%d" % (3 * number)
+
+
+@st.composite
+def _insert_runs(draw):
+    """An order, a key universe, and a script of runs and deletes: runs
+    that interleave existing keys, cross many fences or fill whole leaves,
+    overwrites, unsorted and repeated keys, empty runs, and deletes that
+    leave empty leaves."""
+    order = draw(st.sampled_from([4, 5, 64]))
+    rng = draw(st.randoms(use_true_random=False))
+    universe = draw(st.sampled_from([30, 300, 3000]))
+    script = []
+    for batch in range(draw(st.integers(1, 6))):
+        if script and rng.random() < 0.3:
+            start = rng.randrange(universe)
+            script.append(("delete", range(start, start + rng.randint(1, 3 * order))))
+        size = rng.choice([0, 1, 2, 3, rng.randint(4, universe // 2)])
+        if rng.random() < 0.4:  # dense: fills leaves, overwrites what is there
+            start = rng.randrange(universe)
+            numbers = list(range(start, start + size))
+        else:
+            numbers = sorted(rng.sample(range(universe), min(size, universe)))
+        if numbers and rng.random() < 0.15:
+            numbers.insert(rng.randrange(len(numbers)), rng.choice(numbers))
+        if rng.random() < 0.15:
+            rng.shuffle(numbers)
+        keys = [_key(k) for k in numbers]
+        script.append(("insert", keys, [(batch, k) for k in keys]))
+    return order, script
+
+
+def _run_script(order, script, insert_many):
+    """Trees after each step, and each run's return value."""
+    tree = BPlusTree(order=order)
+    seen = []
+    for step in script:
+        if step[0] == "delete":
+            for k in step[1]:
+                tree.delete(_key(k))
+            seen.append(_state(tree))
+        else:
+            seen.append((insert_many(tree, step[1], step[2]), _state(tree)))
+            tree.check_invariants()
+    return seen
+
+
+def _reference(tree, keys, values):
+    return _per_key_insert_many(tree, zip(keys, values))
+
+
+class TestSortedRunInserts:
+    @settings(max_examples=300, deadline=None)
+    @given(_insert_runs())
+    def test_equals_the_per_key_loop(self, case):
+        order, script = case
+        assert _run_script(order, script, BPlusTree.insert_many) == _run_script(
+            order, script, _reference
+        )
+
+    def test_runs_that_cross_fences_fill_leaves_and_overwrite(self):
+        for order in (4, 5, 64):
+            script = [
+                ("insert", sorted(_key(k) for k in range(0, 900, 3)), [0] * 300),
+                ("delete", range(100, 460)),
+                ("insert", sorted(_key(k) for k in range(1, 900, 2)), [1] * 450),
+                ("insert", sorted(_key(k) for k in range(0, 900, 5)), [2] * 180),
+                ("insert", [], []),
+            ]
+            assert _run_script(order, script, BPlusTree.insert_many) == _run_script(
+                order, script, _reference
+            )
+
+    def test_mutant_without_full_leaf_fallback_fails(self, monkeypatch):
+        script = [("insert", [b"%03d" % k for k in range(20)], [None] * 20)]
+        reference = _run_script(4, script, _reference)
+        assert _run_script(4, script, BPlusTree.insert_many) == reference
+        mutant = _mutant(BPlusTree.insert_many, *_NO_FULL_LEAF_FALLBACK)
+        monkeypatch.setattr(BPlusTree, "check_invariants", lambda tree: None)
+        assert _run_script(4, script, mutant) != reference
+
+    def test_node_size_invariant_catches_an_overfilled_leaf(self):
+        tree = BPlusTree(order=4)
+        mutant = _mutant(BPlusTree.insert_many, *_NO_FULL_LEAF_FALLBACK)
+        mutant(tree, [b"%03d" % k for k in range(10)], [None] * 10)
+        assert len(tree._root.keys) == 10  # every other invariant holds
+        with pytest.raises(AssertionError, match="more than order keys"):
+            tree.check_invariants()
+
+
+def _per_key_term_delete(store, term):
+    """The replaced whole-term ``ClusteredIndexStore.delete``: read the
+    term's keys, then delete them one at a time."""
+    tree = store._tree
+    r, w = tree.pages_read, tree.pages_written
+    try:
+        prefix = _encode_term(term)
+        keys = list(chain.from_iterable(tree.leaf_slices(prefix, _prefix_upper_bound(prefix))))
+        for key in keys:
+            tree.delete(key)
+        store._counts.pop(term, None)
+        return bool(keys)
+    finally:
+        store.stats.num_ops += 1
+        store._charge(r, w)
+
+
+class TestWholeTermDelete:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a", "a\x00", "ab", "b", "\xff"]),
+            st.lists(_POSTING, max_size=80),
+            min_size=1,
+        ),
+        st.sampled_from([4, 5, 64]),
+        st.data(),
+    )
+    def test_equals_the_per_key_loop(self, content, order, data):
+        stores = [ClusteredIndexStore(order=order) for _ in range(2)]
+        for store in stores:
+            for term, postings in content.items():
+                store.append(term, postings)
+        doomed = data.draw(st.lists(st.sampled_from(list(content) + ["absent"])))
+        for term in doomed:
+            assert stores[0].delete(term) == _per_key_term_delete(stores[1], term)
+            got, expected = (
+                (_shape(s._tree._root), len(s._tree), s._tree.pages_read,
+                 s._tree.pages_written, s.stats.snapshot(), s._counts)
+                for s in stores
+            )
+            assert got == expected
+            stores[0].check_invariants()
+
+
+class TestPutIsAUnion:
+    @pytest.mark.parametrize("make", [ClusteredIndexStore, LsmStore, NaiveGzipStore])
+    def test_put_over_an_existing_term(self, make):
+        store = make()
+        store.put("t", [P(1), P(3), P(5)])
+        store.put("t", [P(3), P(4)])
+        union = [P(1), P(3), P(4), P(5)]
+        assert store.get("t").items() == union
+        assert store.count("t") == len(union)
