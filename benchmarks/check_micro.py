@@ -4,8 +4,8 @@
 that the numpy kernel backend beats the pure backend by at least the
 ratio ``GATED`` names for each gated kernel bench (codec decode, posting
 merge, sorted concatenation, the Bloom filter batch, the
-Descendant-filter probe, and one document peer's 70 answers sized in
-one call).  Run it with
+Descendant-filter build and probe, and one document peer's 70 answers
+sized in one call).  Run it with
 ``make check-micro`` or ``python benchmarks/check_micro.py [path]``.
 
 When the JSON carries no ``[numpy]`` rows (a pure-only environment) the
@@ -23,6 +23,7 @@ GATED = {
     "test_kernel_concat_sorted": 2.0,
     "test_kernel_bloom_batch": 2.0,
     "test_kernel_dbf_probe": 1.5,
+    "test_kernel_dbf_build": 2.0,
     "test_kernel_encoded_sizes_70x210": 2.0,
 }
 

@@ -24,6 +24,7 @@ from repro.query.twigjoin import twig_join
 from repro.query.xpath import parse_query
 from repro.storage.bptree import BPlusTree
 from repro.storage.clustered import ClusteredIndexStore
+from repro.storage.lsm import LsmStore
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +275,14 @@ def test_kernel_dbf_probe(benchmark, kernel_backend):
     assert all(0 < len(k) < len(la) // 5 for k, la in zip(kept, probes))
 
 
+def test_kernel_dbf_build(benchmark, kernel_backend):
+    # serve_churn's Descendant filters: a 28-posting source (the median of
+    # the 104 its timed window builds), l = 9
+    source = _probe_traffic(random.Random(15), 28, (1, 2))
+    dbf = benchmark(lambda: DescendantBloomFilter(source, l=9))
+    assert dbf.filter.inserted == 28 * 10
+
+
 def _answers(segments, rows, seed=18):
     """``segments`` sorted answer posting lists of ``rows // segments`` rows,
     each inside one document, like a document peer's answers."""
@@ -330,7 +339,7 @@ def test_kernel_encoded_size_loop_70x210(benchmark, kernel_backend):
 
 
 def test_columns_bisect_left(benchmark):
-    # the LSM memtable's insert search: 200 probes into 700 rows
+    # PostingList.add's insert search: 200 probes into 700 rows
     cols = PostingList(_kernel_rows(700, seed=16))
     keys = [cols.key(i) for i in range(0, 700, 7)] + _kernel_rows(100, seed=17)
     found = benchmark(lambda: [cols.bisect_left(key) for key in keys])
@@ -365,6 +374,25 @@ def test_clustered_sorted_append(benchmark, posting_list_10k, size):
 
     benchmark.pedantic(store.append, setup=fresh_batch, rounds=max(200, 3000 // size))
     assert store.count("author") == len(posting_list_10k) + size * max(200, 3000 // size)
+
+
+@pytest.mark.parametrize("size", [1, 6])
+def test_lsm_append(benchmark, size):
+    # one append into an LSM memtable that already buffers 700 postings of
+    # the term, at serve_churn's median and mean batch sizes (1 and 5.9
+    # postings); the memtable never flushes here
+    store = LsmStore(memtable_postings=10**6)
+    store.append("author", PostingList(_kernel_rows(700, seed=16)))
+    docs = iter(range(1000, 10**9))
+
+    def fresh_batch():
+        doc = next(docs)
+        batch = PostingList([Posting(0, doc, 2 * s + 1, 2 * s + 2, 1) for s in range(size)])
+        return ("author", batch), {}
+
+    rounds = max(200, 3000 // size)
+    benchmark.pedantic(store.append, setup=fresh_batch, rounds=rounds)
+    assert store.count("author") == store.memtable_entries == 700 + size * rounds
 
 
 def test_transfers_run_10(benchmark):

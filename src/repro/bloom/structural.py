@@ -34,7 +34,6 @@ from repro.bloom.dyadic import (
     dyadic_cover,
     interval_level,
     level_for,
-    point_chain,
 )
 from repro.bloom.filter import BloomFilter
 from repro.postings import kernels
@@ -268,34 +267,14 @@ class DescendantBloomFilter:
     """``DBF(b)``: lets another peer select postings with a ``b`` descendant."""
 
     def __init__(self, postings, l=None, fp_rate=0.01, seed=0):
+        postings = PostingList.of(postings)
         self.l = l if l is not None else _level_of_postings(postings)
-        limit = 1 << self.l
-        chains = {}  # start point -> its container chain (shared across docs)
-        # Same batch-build shape as the AB filter: chain items shared
-        # between start points (wide high-level containers) are hashed
-        # once; the bit vector is unchanged and ``inserted`` keeps the
-        # true per-posting load.
-        total = 0
-        seen = set()
-        add_seen = seen.add
-        unique = []
-        push = unique.append
-        for peer, doc, start, _end in _interval_rows(postings):
-            if start > limit:
-                start = limit
-            chain = chains.get(start)
-            if chain is None:
-                chain = point_chain(start, self.l)
-                chains[start] = chain
-            total += len(chain)
-            for lo, hi in chain:
-                item = (peer, doc, lo, hi)
-                if item not in seen:
-                    add_seen(item)
-                    push(b"(i%d,i%d,i%d,i%d)" % item)
-        self.filter = BloomFilter.for_items(total, fp_rate, seed=seed)
-        self.filter.insert_serialized_batch(unique)
-        self.filter.inserted = total
+        # the container chains of the start points: l + 1 keys per
+        # posting, inserted by the active kernel backend
+        f = self.filter = BloomFilter.for_items(len(postings) * (self.l + 1), fp_rate, seed=seed)
+        f.inserted = kernels.active().descendant_build(
+            postings.arrays(), self.l, f._vector, f.bits, f.hashes, f._salt1, f._salt2
+        )
         self.source_size = len(postings)
 
     def may_have_descendant(self, posting, or_self=False):

@@ -27,8 +27,8 @@ same decompositions live, per query, instead of as end-of-run aggregates:
     phase → peer → key from the span tree, reconciled exactly against
     the traffic meter and the query report;
 :mod:`repro.obs.report`
-    schema-versioned JSON export/validation plus terminal (``repro
-    top``) and self-contained HTML renderings of a telemetry payload.
+    schema-versioned JSON export/validation plus the terminal
+    rendering (``repro top``) of a telemetry payload.
 
 Tracing and telemetry are strictly observational: enabling either must
 not change a single answer, simulated second, or metered byte (asserted

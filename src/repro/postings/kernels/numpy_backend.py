@@ -473,6 +473,39 @@ def bloom_test_batch(vector, bits, hashes, salt1, salt2, datas):
     return bitarr[positions].all(axis=1).tolist()
 
 
+def descendant_build(cols, l, vector, bits, hashes, salt1, salt2):
+    n = len(cols[0])
+    peer, doc, start, _end, _level = _views(cols)
+    # the (document, level, node) encoding of descendant_probe
+    node_bits = max(1, l)
+    level_bits = (l + 1).bit_length()
+    if (
+        not n
+        or n.bit_length() + level_bits + node_bits > 62
+        or int(start.min()) < 1  # the pure kernel's ValueError
+    ):
+        return _pure.descendant_build(cols, l, vector, bits, hashes, salt1, salt2)
+    base = np.zeros(n, dtype=_I64)
+    np.cumsum((peer[1:] != peer[:-1]) | (doc[1:] != doc[:-1]), out=base[1:])
+    base <<= level_bits + node_bits
+    # a start point's level-j container is node (start - 1) >> j; one row
+    # of l + 1 keys per posting, of which only the distinct are formatted
+    levels = np.arange(l + 1, dtype=_I64)
+    node = np.minimum(start, 1 << l) - 1
+    keys = (base[:, None] | (levels << node_bits)) | (node[:, None] >> levels)
+    distinct, first = np.unique(keys.reshape(-1), return_index=True)
+    owner = first // (l + 1)
+    level = (distinct >> node_bits) & ((1 << level_bits) - 1)
+    lo = ((distinct & ((1 << node_bits) - 1)) << level) + 1
+    intervals = zip(
+        peer[owner].tolist(), doc[owner].tolist(), lo.tolist(), (lo + (1 << level) - 1).tolist()
+    )
+    bloom_set_batch(
+        vector, bits, hashes, salt1, salt2, list(map(b"(i%d,i%d,i%d,i%d)".__mod__, intervals))
+    )
+    return n * (l + 1)
+
+
 def descendant_probe(cols, interior, l, vector, bits, hashes, salt1, salt2):
     n = len(cols[0])
     peer, doc, start, end, _level = _views(cols)

@@ -373,6 +373,39 @@ def bloom_test_batch(vector, bits, hashes, salt1, salt2, datas):
     return out
 
 
+def descendant_build(cols, l, vector, bits, hashes, salt1, salt2):
+    """Insert a Descendant Bloom Filter's keys; returns its load.
+
+    Row ``i`` inserts the key ``(peer, doc, lo, hi)`` of each of the
+    ``l + 1`` dyadic intervals that contain its start point, clamped to
+    ``2**l``.  Keys shared between rows (the wide containers) are hashed
+    once, which leaves the bit vector unchanged; the returned load counts
+    ``l + 1`` keys per row all the same."""
+    # imported here: repro.bloom's package import needs this package first
+    from repro.bloom.dyadic import point_chain
+
+    peer, doc, start, _end, _level = cols
+    limit = 1 << l
+    chains = {}  # start point -> its container chain (shared across docs)
+    seen = set()
+    add_seen = seen.add
+    unique = []
+    push = unique.append
+    for p, d, s in zip(peer, doc, start):
+        if s > limit:
+            s = limit
+        chain = chains.get(s)
+        if chain is None:
+            chain = chains[s] = point_chain(s, l)
+        for lo, hi in chain:
+            item = (p, d, lo, hi)
+            if item not in seen:
+                add_seen(item)
+                push(b"(i%d,i%d,i%d,i%d)" % item)
+    bloom_set_batch(vector, bits, hashes, salt1, salt2, unique)
+    return len(peer) * (l + 1)
+
+
 def descendant_probe(cols, interior, l, vector, bits, hashes, salt1, salt2):
     """Row indexes, increasing, that pass a Descendant Bloom Filter.
 

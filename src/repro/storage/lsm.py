@@ -12,6 +12,12 @@ fragments across the memtable and every run, newest layer winning —
 which is the classic LSM trade: the cheapest possible ingest against
 read amplification proportional to the number of runs.
 
+The memtable keeps each term's buffered postings as a ``set`` of
+``(peer, doc, start, end, level)`` tuples, like the live key sets: an
+append is a handful of C set operations over the batch, a point delete is
+a ``discard``, and a term's rows are sorted when a flush freezes them or
+a read merges them, the sorted list kept until the term's next write.
+
 Deletes are *tombstones*: a point delete records the posting key, a
 whole-term delete records a drop marker; both are cheap blind writes.
 Background *compaction* folds adjacent runs together (oldest first),
@@ -85,7 +91,8 @@ class LsmStore(Store):
         self._memtable_postings = memtable_postings
         self._max_runs = max_runs
         self._compact_interval_s = compact_interval_s
-        self._mem = {}  # term -> PostingList (this epoch's additions)
+        self._mem = {}  # term -> set of posting tuples (this epoch's additions)
+        self._mem_sorted = {}  # term -> _mem[term] as a list, until its next write
         self._mem_dead = {}  # term -> set of posting keys deleted this epoch
         self._mem_dropped = set()  # whole-term deletes this epoch
         self._mem_entries = 0  # buffered postings (flush trigger)
@@ -100,29 +107,29 @@ class LsmStore(Store):
     # -- write path ------------------------------------------------------------
 
     def append(self, term, postings):
-        """Memtable insert: one sequential log write of the batch."""
+        """Memtable insert: one sequential log write of the batch.
+
+        Set algebra on the batch's rows: a re-added key cancels this
+        epoch's tombstone, and only keys not already live enter the
+        memtable.  An empty batch registers no term."""
         plist = PostingList.of(postings)
-        live = self._keys.setdefault(term, set())
-        mem = self._mem.get(term)
+        rows = set(zip(*plist.arrays()))
         dead = self._mem_dead.get(term)
-        added = 0
-        for posting in plist:
-            key = tuple(posting)
-            if dead is not None:
-                dead.discard(key)
-            if key in live:
-                continue
-            live.add(key)
-            if mem is None:
-                mem = self._mem.setdefault(term, PostingList())
-            mem.add(posting)
-            added += 1
-            self._mem_entries += 1
+        if dead:
+            dead -= rows
+        live = self._keys.get(term)
+        if live:
+            rows -= live
+        if rows:
+            self._keys.setdefault(term, set()).update(rows)
+            self._mem.setdefault(term, set()).update(rows)
+            self._mem_sorted.pop(term, None)
+            self._mem_entries += len(rows)
         self.stats.num_ops += 1
         self.stats.bytes_written += encoded_size(plist)
         if self._mem_entries >= self._memtable_postings:
             self.flush()
-        return added
+        return len(rows)
 
     def put(self, term, postings):
         # the memtable absorbs and deduplicates, so a reconciling put is
@@ -137,6 +144,7 @@ class LsmStore(Store):
                 return False
             self._keys.pop(term, None)
             buffered = self._mem.pop(term, None)
+            self._mem_sorted.pop(term, None)
             if buffered is not None:
                 self._mem_entries -= len(buffered)
             self._mem_dead.pop(term, None)
@@ -151,9 +159,11 @@ class LsmStore(Store):
         if not live:
             del self._keys[term]
         mem = self._mem.get(term)
-        if mem is not None and mem.remove(posting):
+        if mem is not None and key in mem:
+            mem.discard(key)
+            self._mem_sorted.pop(term, None)
             self._mem_entries -= 1
-            if not len(mem):
+            if not mem:
                 del self._mem[term]
         self._mem_dead.setdefault(term, set()).add(key)
         self.stats.num_ops += 1
@@ -166,7 +176,8 @@ class LsmStore(Store):
             return False
         data = {}
         counts = {}
-        for term, plist in self._mem.items():
+        for term in self._mem:
+            plist = self._mem_list(term)
             blob = encode_postings(plist)
             data[term] = blob
             counts[term] = len(plist)
@@ -181,12 +192,21 @@ class LsmStore(Store):
         self.stats.num_ops += 1
         self._runs.append(_Run(data, counts, dead, dropped))
         self._mem = {}
+        self._mem_sorted = {}
         self._mem_dead = {}
         self._mem_dropped = set()
         self._mem_entries = 0
         while len(self._runs) > self._max_runs:
             self._compact_once()
         return True
+
+    def _mem_list(self, term):
+        """A term's memtable rows as a :class:`PostingList`: sorted once,
+        then kept until the term's next write."""
+        plist = self._mem_sorted.get(term)
+        if plist is None:
+            plist = self._mem_sorted[term] = PostingList.from_sorted(sorted(self._mem[term]))
+        return plist
 
     # -- compaction ------------------------------------------------------------
 
@@ -283,9 +303,8 @@ class LsmStore(Store):
         kill = self._mem_dead.get(term)
         if kill:
             acc = acc.without(kill)
-        mem = self._mem.get(term)
-        if mem is not None:
-            acc = acc.merge(mem)
+        if term in self._mem:
+            acc = acc.merge(self._mem_list(term))
         if charge:
             self.stats.num_ops += 1 + probed
         return acc
@@ -332,4 +351,17 @@ class LsmStore(Store):
                 "LSM layers disagree with live keys for %r: %d rebuilt vs"
                 " %d live" % (term, len(rebuilt), len(self._keys.get(term, ())))
             )
+        for term, rows in self._mem.items():
+            assert rows, "empty memtable entry for %r" % (term,)
+            assert rows <= self._keys.get(term, set()), (
+                "memtable rows of %r are not live keys" % (term,)
+            )
+            assert not rows & self._mem_dead.get(term, set()), (
+                "memtable rows of %r are tombstoned this epoch" % (term,)
+            )
+        for term, plist in self._mem_sorted.items():
+            assert list(zip(*plist.arrays())) == sorted(self._mem[term]), (
+                "stale sorted memtable of %r" % (term,)
+            )
+        assert all(self._keys.values()), "a term is listed with no postings"
         assert self._mem_entries == sum(len(m) for m in self._mem.values())

@@ -56,7 +56,8 @@ class NaiveGzipStore(Store):
     def put(self, term, postings):
         existing = self._read(term)
         existing.extend(postings)
-        self._write(term, existing)
+        if len(existing) or term in self._blobs:  # an empty write stores nothing
+            self._write(term, existing)
 
     def append(self, term, postings):
         # PAST has no append: it degenerates to the read-modify-write put.

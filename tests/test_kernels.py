@@ -406,6 +406,53 @@ class TestBloomKernelEquivalence:
             npk.descendant_probe(*args)
         assert str(err_np.value) == str(err_pure.value)
 
+    @staticmethod
+    def _build(backend, rows, l):
+        """``descendant_build`` into a fresh filter: its bits and load."""
+        f = BloomFilter.for_items(max(1, len(rows)) * (l + 1), 0.05, seed=5)
+        inserted = backend.descendant_build(
+            arrays_of(rows), l, f._vector, f.bits, f.hashes, f._salt1, f._salt2
+        )
+        return bytes(f._vector), inserted
+
+    @requires_numpy
+    def test_descendant_build_matches_pure(self, monkeypatch):
+        rng = random.Random(914)
+        one_doc = [(0, 3, s, s + 1, 1) for s in rng.sample(range(1, 600), 40)]
+        cases = []
+        for l in (0, 1, 9, 20):
+            cases.append((one_doc, l))
+            for n in (1, 2, 28, 300):
+                # many peers and documents; starts past 2**l are clamped
+                # for every l below 9
+                cases.append((self._interval_rows(rng, n), l))
+        want = [self._build(pure, rows, l) for rows, l in cases]
+        assert [inserted for _bits, inserted in want] == [
+            len(rows) * (l + 1) for rows, l in cases
+        ]
+
+        def no_fallback(*args):
+            raise AssertionError("vector path expected")
+
+        monkeypatch.setattr(pure, "descendant_build", no_fallback)
+        for case, ((rows, l), expected) in enumerate(zip(cases, want)):
+            assert self._build(npk, rows, l) == expected, case
+
+    @requires_numpy
+    def test_descendant_build_fallbacks(self):
+        rng = random.Random(915)
+        rows = self._interval_rows(rng, 50)
+        # empty input, and a level count past what one int64 key can hold
+        for rows_l in (([], 9), ([], 0), (rows, 61)):
+            assert self._build(npk, *rows_l) == self._build(pure, *rows_l)
+        assert self._build(pure, [], 9)[1] == 0
+        # a start at position 0 is outside the dyadic domain in both
+        with pytest.raises(ValueError) as err_pure:
+            self._build(pure, [(0, 0, 0, 5, 1)] + rows, 9)
+        with pytest.raises(ValueError) as err_np:
+            self._build(npk, [(0, 0, 0, 5, 1)] + rows, 9)
+        assert str(err_np.value) == str(err_pure.value)
+
     def test_fill_ratio_matches_per_byte_popcount(self):
         rng = random.Random(911)
         f = BloomFilter(997, 3, seed=1)
@@ -433,6 +480,9 @@ class TestBackendSelection:
             }
 
         assert public(npk) == public(pure)
+        # the Descendant-filter kernels, build and probe, take the columns first
+        for name in ("descendant_build", "descendant_probe"):
+            assert public(pure)[name].startswith("(cols, ")
 
     def test_env_override_wins(self, restore_backend, monkeypatch):
         # the backend is resolved on first use: REPRO_KERNELS, else auto

@@ -1,7 +1,9 @@
-"""Tests for the local stores: naive gzip store, B+-tree, clustered index."""
+"""Tests for the local stores: naive gzip store, B+-tree, clustered index,
+LSM store."""
 
 import bisect
 import inspect
+import random
 import textwrap
 from itertools import chain
 
@@ -10,10 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
-from repro.storage import bptree
+from repro.postings.encoder import decode_postings, encode_postings, encoded_size
+from repro.storage import bptree, lsm
+from repro.storage.api import Store
 from repro.storage.bptree import BPlusTree, _prefix_upper_bound
 from repro.storage.clustered import _POSTING_STRUCT, ClusteredIndexStore, _encode_term
-from repro.storage.lsm import LsmStore
+from repro.storage.lsm import (
+    DEFAULT_COMPACT_INTERVAL_S,
+    DEFAULT_MAX_RUNS,
+    DEFAULT_MEMTABLE_POSTINGS,
+    TOMBSTONE_BYTES,
+    LsmStore,
+    _Run,
+)
 from repro.storage.naive_store import NaiveGzipStore
 
 
@@ -476,14 +487,14 @@ def _state(tree):
     return _shape(tree._root), len(tree), tree.pages_read, tree.pages_written
 
 
-def _mutant(method, *edits):
-    """``method`` recompiled from its source with each ``(old, new)``
-    edit applied."""
+def _mutant(method, *edits, module=bptree):
+    """``method`` recompiled from its source, in ``module``'s namespace,
+    with each ``(old, new)`` edit applied."""
     source = textwrap.dedent(inspect.getsource(method))
     for old, new in edits:
         assert old in source, old
         source = source.replace(old, new)
-    namespace = dict(vars(bptree))
+    namespace = dict(vars(module))
     exec(source, namespace)
     return namespace[method.__name__]
 
@@ -638,3 +649,422 @@ class TestPutIsAUnion:
         union = [P(1), P(3), P(4), P(5)]
         assert store.get("t").items() == union
         assert store.count("t") == len(union)
+
+
+class TestEmptyWrites:
+    """An empty write registers no term, on every backend: ``terms()`` is
+    what the DHT walks to re-home keys."""
+
+    @pytest.mark.parametrize("make", [ClusteredIndexStore, LsmStore, NaiveGzipStore])
+    def test_empty_write_lists_no_term(self, make):
+        store = make()
+        store.append("t", [])
+        store.put("u", [])
+        store.append("v", PostingList())
+        assert list(store.terms()) == []
+        assert store.count("t") == store.count("u") == 0
+        store.append("t", [P(1)])
+        store.append("t", [])
+        store.put("t", [])
+        assert list(store.terms()) == ["t"]
+        assert store.get("t").items() == [P(1)]
+        assert store.delete("t") and list(store.terms()) == []
+
+
+# -- the set memtable, against the PostingList memtable it replaced ---------
+
+# The replaced LsmStore, verbatim but for its name: each term's memtable is
+# a PostingList that takes one bisect and five column inserts per posting.
+
+
+class _ReferenceLsmStore(Store):
+    """Log-structured term → posting-list store (memtable + runs)."""
+
+    def __init__(
+        self,
+        memtable_postings=DEFAULT_MEMTABLE_POSTINGS,
+        max_runs=DEFAULT_MAX_RUNS,
+        compact_interval_s=DEFAULT_COMPACT_INTERVAL_S,
+    ):
+        super().__init__()
+        if memtable_postings < 1:
+            raise ValueError("memtable_postings must be >= 1")
+        if max_runs < 1:
+            raise ValueError("max_runs must be >= 1")
+        self._memtable_postings = memtable_postings
+        self._max_runs = max_runs
+        self._compact_interval_s = compact_interval_s
+        self._mem = {}  # term -> PostingList (this epoch's additions)
+        self._mem_dead = {}  # term -> set of posting keys deleted this epoch
+        self._mem_dropped = set()  # whole-term deletes this epoch
+        self._mem_entries = 0  # buffered postings (flush trigger)
+        self._runs = []  # _Run, oldest first
+        # authoritative live key set / counts (simulation metadata, like
+        # the other backends' _counts; the physical layers must reconstruct
+        # exactly this — check_invariants and the property suite assert it)
+        self._keys = {}  # term -> set of posting tuples
+        self._last_compact_s = None
+        self.compactions = 0  # folds performed (stats surface)
+
+    # -- write path ------------------------------------------------------------
+
+    def append(self, term, postings):
+        """Memtable insert: one sequential log write of the batch."""
+        plist = PostingList.of(postings)
+        live = self._keys.setdefault(term, set())
+        mem = self._mem.get(term)
+        dead = self._mem_dead.get(term)
+        added = 0
+        for posting in plist:
+            key = tuple(posting)
+            if dead is not None:
+                dead.discard(key)
+            if key in live:
+                continue
+            live.add(key)
+            if mem is None:
+                mem = self._mem.setdefault(term, PostingList())
+            mem.add(posting)
+            added += 1
+            self._mem_entries += 1
+        self.stats.num_ops += 1
+        self.stats.bytes_written += encoded_size(plist)
+        if self._mem_entries >= self._memtable_postings:
+            self.flush()
+        return added
+
+    def put(self, term, postings):
+        # the memtable absorbs and deduplicates, so a reconciling put is
+        # just an append — like the clustered store's
+        self.append(term, postings)
+
+    def delete(self, term, posting=None):
+        """Blind tombstone write (plus the metadata presence check)."""
+        live = self._keys.get(term)
+        if posting is None:
+            if not live:
+                return False
+            self._keys.pop(term, None)
+            buffered = self._mem.pop(term, None)
+            if buffered is not None:
+                self._mem_entries -= len(buffered)
+            self._mem_dead.pop(term, None)
+            self._mem_dropped.add(term)
+            self.stats.num_ops += 1
+            self.stats.bytes_written += TOMBSTONE_BYTES
+            return True
+        key = tuple(posting)
+        if not live or key not in live:
+            return False
+        live.discard(key)
+        if not live:
+            del self._keys[term]
+        mem = self._mem.get(term)
+        if mem is not None and mem.remove(posting):
+            self._mem_entries -= 1
+            if not len(mem):
+                del self._mem[term]
+        self._mem_dead.setdefault(term, set()).add(key)
+        self.stats.num_ops += 1
+        self.stats.bytes_written += TOMBSTONE_BYTES
+        return True
+
+    def flush(self):
+        """Freeze the memtable into a new immutable run."""
+        if not self._mem and not self._mem_dead and not self._mem_dropped:
+            return False
+        data = {}
+        counts = {}
+        for term, plist in self._mem.items():
+            blob = encode_postings(plist)
+            data[term] = blob
+            counts[term] = len(plist)
+            self.stats.bytes_written += len(blob)
+        dead = {
+            term: set(keys) for term, keys in self._mem_dead.items() if keys
+        }
+        dropped = set(self._mem_dropped)
+        self.stats.bytes_written += TOMBSTONE_BYTES * (
+            sum(len(keys) for keys in dead.values()) + len(dropped)
+        )
+        self.stats.num_ops += 1
+        self._runs.append(_Run(data, counts, dead, dropped))
+        self._mem = {}
+        self._mem_dead = {}
+        self._mem_dropped = set()
+        self._mem_entries = 0
+        while len(self._runs) > self._max_runs:
+            self._compact_once()
+        return True
+
+    # -- compaction ------------------------------------------------------------
+
+    def _compact_once(self):
+        """Fold the two oldest runs into one (tombstones GC at the bottom)."""
+        if len(self._runs) < 2:
+            return False
+        older, newer = self._runs[0], self._runs[1]
+        self.stats.bytes_read += older.nbytes + newer.nbytes
+        merged_data = {}
+        merged_counts = {}
+        merged_dead = {}
+        merged_dropped = set()
+        for term in older.terms() | newer.terms():
+            base = PostingList()
+            if term in older.data:
+                base, _ = decode_postings(older.data[term])
+            if term in newer.dropped:
+                base = PostingList()
+            else:
+                kill = newer.dead.get(term)
+                if kill:
+                    base = base.without(kill)
+            if term in newer.data:
+                addition, _ = decode_postings(newer.data[term])
+                base = base.merge(addition)
+            if len(base):
+                merged_data[term] = encode_postings(base)
+                merged_counts[term] = len(base)
+            # tombstones survive the fold only while older runs remain
+            # below them; at the bottom of the tree they are garbage
+            if term in older.dropped or term in newer.dropped:
+                merged_dropped.add(term)
+            keep_dead = older.dead.get(term, set()) | newer.dead.get(
+                term, set()
+            )
+            if keep_dead:
+                merged_dead[term] = set(keep_dead)
+        bottom = self._runs[0] is older and len(self._runs) >= 2
+        if bottom:
+            merged_dead = {}
+            merged_dropped = set()
+        run = _Run(merged_data, merged_counts, merged_dead, merged_dropped)
+        self.stats.bytes_written += run.nbytes
+        self.stats.num_ops += 1
+        self._runs[0:2] = [run]
+        self.compactions += 1
+        return True
+
+    def compact_tick(self):
+        """One background compaction step; returns True if a fold ran."""
+        if len(self._runs) < 2:
+            return False
+        return self._compact_once()
+
+    def maybe_compact(self, now_s):
+        """Serving-clock hook: fold at most one pair per interval."""
+        if self._compact_interval_s is None:
+            return False
+        if (
+            self._last_compact_s is not None
+            and now_s - self._last_compact_s < self._compact_interval_s
+        ):
+            return False
+        self._last_compact_s = now_s
+        return self.compact_tick()
+
+    # -- read path -------------------------------------------------------------
+
+    def _reconstruct(self, term, charge=True):
+        """Merge a term's fragments across runs + memtable, oldest first."""
+        acc = PostingList()
+        probed = 0
+        for run in self._runs:
+            touched = False
+            if term in run.dropped:
+                acc = PostingList()
+                touched = True
+            else:
+                kill = run.dead.get(term)
+                if kill:
+                    acc = acc.without(kill)
+                    touched = True
+            blob = run.data.get(term)
+            if blob is not None:
+                fragment, _ = decode_postings(blob)
+                acc = acc.merge(fragment)
+                if charge:
+                    self.stats.bytes_read += len(blob)
+                touched = True
+            probed += touched
+        if term in self._mem_dropped:
+            acc = PostingList()
+        kill = self._mem_dead.get(term)
+        if kill:
+            acc = acc.without(kill)
+        mem = self._mem.get(term)
+        if mem is not None:
+            acc = acc.merge(mem)
+        if charge:
+            self.stats.num_ops += 1 + probed
+        return acc
+
+    def get(self, term):
+        return self._reconstruct(term)
+
+    def get_range(self, term, lo, hi):
+        """Range read: the runs hold whole-term blobs, so the fragments are
+        read in full and the range is cut after the merge (the honest LSM
+        read-amplification story, vs. the B+-tree's page-ranged scan)."""
+        return self._reconstruct(term).range(lo, hi)
+
+    def terms(self):
+        return iter(sorted(self._keys))
+
+    def count(self, term):
+        return len(self._keys.get(term, ()))
+
+    def total_postings(self):
+        return sum(len(keys) for keys in self._keys.values())
+
+    # -- introspection ---------------------------------------------------------
+
+    @property
+    def num_runs(self):
+        return len(self._runs)
+
+    @property
+    def memtable_entries(self):
+        return self._mem_entries
+
+    def stored_bytes(self):
+        """Encoded bytes currently frozen in runs (store footprint)."""
+        return sum(run.nbytes for run in self._runs)
+
+    def check_invariants(self):
+        """Physical layers must reconstruct the authoritative key sets."""
+        for term in set(self._keys) | set(self._mem) | {
+            t for run in self._runs for t in run.terms()
+        }:
+            rebuilt = {tuple(p) for p in self._reconstruct(term, charge=False)}
+            assert rebuilt == self._keys.get(term, set()), (
+                "LSM layers disagree with live keys for %r: %d rebuilt vs"
+                " %d live" % (term, len(rebuilt), len(self._keys.get(term, ())))
+            )
+        assert self._mem_entries == sum(len(m) for m in self._mem.values())
+
+
+_LSM_TERMS = ("a", "b", "c")
+
+
+def _lsm_row(rng):
+    start = rng.randint(1, 6)
+    return (rng.randrange(2), rng.randrange(3), start, start + rng.randrange(2), 1)
+
+
+def _lsm_script(rng, steps):
+    """Appends (empty, repeated, overlapping live or deleted keys), point
+    and whole-term deletes, re-adds, flushes, compaction ticks and reads
+    over a small key universe, so every step meets keys seen before."""
+    script = []
+    for _ in range(steps):
+        term = rng.choice(_LSM_TERMS)
+        action = rng.random()
+        if action < 0.4:
+            rows = [_lsm_row(rng) for _ in range(rng.choice([0, 1, 1, 2, 6, 20]))]
+            if rows and rng.random() < 0.3:
+                rows.append(rng.choice(rows))
+            script.append(("append", term, rows, rng.random() < 0.3))
+        elif action < 0.65:
+            script.append(("delete", term, _lsm_row(rng)))
+        elif action < 0.72:
+            script.append(("drop", term))
+        elif action < 0.8:
+            script.append(("flush",))
+        elif action < 0.88:
+            script.append(("compact",))
+        else:
+            lo, hi = sorted((_lsm_row(rng), _lsm_row(rng)))
+            script.append(("range", term, lo, hi))
+    return script
+
+
+def _lsm_step(store, step):
+    op = step[0]
+    if op == "append":
+        _, term, rows, as_list = step
+        batch = [Posting(*row) for row in rows]
+        return store.append(term, PostingList(batch) if as_list else batch)
+    if op == "delete":
+        return store.delete(step[1], Posting(*step[2]))
+    if op == "drop":
+        return store.delete(step[1])
+    if op == "flush":
+        return store.flush()
+    if op == "compact":
+        return store.compact_tick()
+    return store.get_range(step[1], step[2], step[3]).items()
+
+
+def _lsm_observe(store):
+    """Reads of every term, then the store's counters, runs and memtable
+    size (the reads are charged alike on both sides)."""
+    reads = [store.get(term).items() for term in _LSM_TERMS]
+    runs = [(r.data, r.counts, r.dead, r.dropped, r.nbytes) for r in store._runs]
+    listed = [term for term in store.terms() if store.count(term)]
+    return reads, store.stats.snapshot(), runs, store.memtable_entries, listed
+
+
+def _lsm_trace(store, script, check=True):
+    trace = []
+    for step in script:
+        trace.append((_lsm_step(store, step), _lsm_observe(store)))
+        if check:
+            store.check_invariants()
+    return trace
+
+
+class TestSetMemtable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([2, 5, 40]),
+        st.sampled_from([1, 2, 8]),
+    )
+    def test_equals_the_posting_list_memtable(self, rng, memtable, max_runs):
+        script = _lsm_script(rng, 60)
+        new = LsmStore(memtable_postings=memtable, max_runs=max_runs)
+        old = _ReferenceLsmStore(memtable_postings=memtable, max_runs=max_runs)
+        assert _lsm_trace(new, script) == _lsm_trace(old, script, check=False)
+        # the replaced store listed a term after an empty write
+        assert list(new.terms()) == [t for t in old.terms() if old.count(t)]
+
+    def test_mutant_that_keeps_cancelled_tombstones_fails(self, monkeypatch):
+        """Without ``dead -= rows`` a re-added key keeps its tombstone, which
+        the next flush writes: the reads agree, the written bytes do not,
+        and the invariant names the cause."""
+        row = (0, 0, 1, 2, 1)
+        script = [
+            ("append", "a", [row], False),
+            ("flush",),
+            ("delete", "a", row),
+            ("append", "a", [row], False),
+            ("flush",),
+        ]
+        reference = _lsm_trace(_ReferenceLsmStore(), script, check=False)
+        assert _lsm_trace(LsmStore(), script) == reference
+        mutant = _mutant(LsmStore.append, ("dead -= rows", "pass"), module=lsm)
+        monkeypatch.setattr(LsmStore, "append", mutant)
+        got = _lsm_trace(LsmStore(), script, check=False)
+        assert [obs[0] for _, obs in got] == [obs[0] for _, obs in reference]
+        assert got != reference
+        store = LsmStore()
+        for step in script[:4]:
+            _lsm_step(store, step)
+        with pytest.raises(AssertionError, match="tombstoned this epoch"):
+            store.check_invariants()
+
+    def test_random_scripts_reach_every_case(self):
+        """The script generator exercises what the equality test relies on:
+        cancelled tombstones, empty appends, automatic flushes, folds."""
+        rng = random.Random(0)
+        store = _ReferenceLsmStore(memtable_postings=5, max_runs=2)
+        cancelled = empty = 0
+        for step in _lsm_script(rng, 400):
+            if step[0] == "append":
+                empty += not step[2]
+                dead = store._mem_dead.get(step[1], set())
+                cancelled += any(row in dead for row in step[2])
+            _lsm_step(store, step)
+        assert cancelled and empty
+        assert store.compactions and store.num_runs
