@@ -77,8 +77,11 @@ class NaiveGzipStore(Store):
             return True
         existing = self._read(term)
         removed = existing.remove(posting)
-        if removed:
+        if removed and len(existing):
             self._write(term, existing)
+        elif removed:  # the last posting: drop the term, like the other stores
+            del self._blobs[term], self._counts[term]
+            self.stats.num_ops += 1
         return removed
 
     def terms(self):

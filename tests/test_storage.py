@@ -670,6 +670,17 @@ class TestEmptyWrites:
         assert store.get("t").items() == [P(1)]
         assert store.delete("t") and list(store.terms()) == []
 
+    @pytest.mark.parametrize("make", [ClusteredIndexStore, LsmStore, NaiveGzipStore])
+    def test_point_delete_of_the_last_posting_drops_the_term(self, make):
+        store = make()
+        store.append("t", [P(1), P(3)])
+        assert store.delete("t", P(1))
+        assert list(store.terms()) == ["t"]
+        assert store.delete("t", P(3))
+        assert list(store.terms()) == [] and "t" not in store
+        assert store.count("t") == 0 and store.get("t").items() == []
+        assert not store.delete("t", P(3))
+
 
 # -- the set memtable, against the PostingList memtable it replaced ---------
 
