@@ -18,6 +18,7 @@ the substitution documented in DESIGN.md.
 """
 
 from repro.dht.nodeid import NodeId, key_id
-from repro.dht.network import DhtNetwork, DhtNode, OpReceipt
+from repro.dht.network import DhtNetwork, OpReceipt
+from repro.dht.replicas import DhtNode
 
 __all__ = ["NodeId", "key_id", "DhtNetwork", "DhtNode", "OpReceipt"]

@@ -27,8 +27,10 @@ peers can crash mid-operation.  One loop delivers every message
 (:meth:`DhtNetwork._deliver`) and one choice names the node that serves a
 read (:meth:`DhtNetwork._read_holder`); DESIGN.md "Fault model"
 tabulates, op by op, what each fate meters, bills and charges.  Writes acknowledge on a
-replica quorum (:attr:`DhtNetwork.write_quorum`); divergent copies are
-reconciled by highest write stamp (:meth:`DhtNetwork.freshest_holder`).
+replica quorum (:attr:`DhtNetwork.write_quorum`).  Membership, replica
+sets and every hand-over of a copy between peers are the other half of
+the class, :class:`repro.dht.replicas.Membership`, and divergent copies
+are reconciled by its one rule (:func:`repro.dht.replicas.reconcile`).
 With no plan installed — or a plan whose rates are all zero — every byte,
 hop, and simulated second is identical to the fault-free code path (the
 differential test in ``tests/test_faults.py``).
@@ -36,10 +38,10 @@ differential test in ``tests/test_faults.py``).
 
 from dataclasses import dataclass, field
 
-from repro.dht.nodeid import NodeId, key_id
-from repro.dht.routing import RoutingState
+from repro.dht.nodeid import key_id
+from repro.dht.replicas import Membership
 from repro.errors import DhtError, NoSuchPeerError
-from repro.faults import OpTimeoutError, RepairReport, RetryPolicy
+from repro.faults import OpTimeoutError, RetryPolicy
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.sim.cost import CostModel
@@ -57,21 +59,6 @@ HOP_MEMO_CAP = 1 << 16
 
 _MISS = object()  # "not memoised": None is a real next_hop result (deliver)
 
-#: store-key prefixes that must live wherever their *term* lives: the DPP
-#: keeps a term's root block and first data block at the term owner, so
-#: ownership (and failure re-homing) must follow the term key, not the
-#: literal storage key
-_ALIAS_PREFIXES = ("dpproot:", "dppdata:")
-
-
-def routing_alias(key):
-    """The key whose hash decides placement of ``key``."""
-    for prefix in _ALIAS_PREFIXES:
-        if key.startswith(prefix):
-            return key[len(prefix):]
-    return key
-
-
 @dataclass
 class OpReceipt:
     """Cost accounting for one DHT operation."""
@@ -88,32 +75,6 @@ class OpReceipt:
         self.response_bytes += other.response_bytes
         self.duration_s += other.duration_s
         return self
-
-
-class DhtNode:
-    """One peer's DHT presence: id, routing state, and local stores."""
-
-    def __init__(self, peer_index, uri, store, leaf_size=8, overlay="pastry"):
-        self.peer_index = peer_index
-        self.uri = uri
-        self.node_id = NodeId.from_uri(uri)
-        if overlay == "pastry":
-            self.routing = RoutingState(self.node_id, leaf_size=leaf_size)
-        elif overlay == "chord":
-            from repro.dht.chord import ChordState
-
-            self.routing = ChordState(self.node_id, successors=leaf_size)
-        else:
-            raise ValueError("unknown overlay %r" % (overlay,))
-        self.store = store
-        self.objects = {}  # key -> (object, nbytes): DPP roots, catalog rows
-        # key -> stamp of the last logical write applied to this copy (see
-        # DhtNetwork.next_stamp); pure metadata, never metered
-        self.versions = {}
-        self.alive = True
-
-    def __repr__(self):
-        return "DhtNode(peer=%d, id=%s...)" % (self.peer_index, self.node_id.hex()[:8])
 
 
 class Transfers(Scheduler):
@@ -143,7 +104,7 @@ class Transfers(Scheduler):
         return self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
 
 
-class DhtNetwork:
+class DhtNetwork(Membership):
     """The full ring.  All peers of a KadoP deployment share one instance."""
 
     def __init__(
@@ -206,7 +167,7 @@ class DhtNetwork:
         self._write_stamp += 1
         return self._write_stamp
 
-    # -- membership ------------------------------------------------------------
+    # -- construction and writes at a known holder --------------------------------
 
     @classmethod
     def create(cls, num_peers, store_factory=ClusteredIndexStore, **kwargs):
@@ -216,247 +177,6 @@ class DhtNetwork:
             net.add_node("peer://%d" % i, store_factory(), rebuild=False)
         net._rebuild_routing()
         return net
-
-    def add_node(self, uri, store, rebuild=True):
-        """Add one node.  Pass ``rebuild=False`` during bulk construction
-        and call :meth:`_rebuild_routing` once at the end — rebuilding the
-        whole ring per join is O(N^2) and only the final state matters.
-
-        When a node joins an already-populated ring, keys for which it
-        becomes the owner (or a replica) are handed over from their
-        previous holders, exactly as Pastry's join protocol transfers the
-        key space; without this, index queries would miss data published
-        before the join."""
-        node = DhtNode(
-            len(self.nodes), uri, store, leaf_size=self.leaf_size,
-            overlay=self.overlay,
-        )
-        if int(node.node_id) in self._by_id:
-            raise DhtError("node id collision for uri %r" % uri)
-        existing_keys = sorted(self._all_keys()) if rebuild and self.nodes else ()
-        self.nodes.append(node)
-        self._by_id[int(node.node_id)] = node
-        if rebuild:
-            self._rebuild_routing()
-            for key in existing_keys:
-                if node in self.replica_nodes(key):
-                    source = self.freshest_holder(key, exclude=node)
-                    if source is not None:
-                        self.copy_key(source, node, key)
-        return node
-
-    def remove_node(self, node, rehome=True):
-        """Fail/stop ``node``.  With ``rehome``, surviving replicas copy the
-        keys it owned to their new owners (the DHT replication of Section 2
-        'protects the index entries against some peer failure')."""
-        if not node.alive:
-            raise NoSuchPeerError("node already removed: %r" % (node,))
-        owned = [
-            key
-            for key in sorted(self._all_keys())
-            if self.owner_of(key) is node
-        ]
-        node.alive = False
-        del self._by_id[int(node.node_id)]
-        self._rebuild_routing()
-        if rehome:
-            for key in owned:
-                source = self.freshest_holder(key)
-                new_owner = self.owner_of(key)
-                # no source: data lost, replication factor exceeded
-                if source is not None and source is not new_owner:
-                    self.copy_key(source, new_owner, key)
-
-    def crash_node(self, node):
-        """Fail ``node`` abruptly: its disk state survives, nothing is
-        handed over, and keys it held become under-replicated until
-        :meth:`anti_entropy_repair` or :meth:`restart_node` runs.  This is
-        the mid-operation failure mode of :mod:`repro.faults` — contrast
-        :meth:`remove_node`, the graceful leave that re-homes keys."""
-        if not node.alive:
-            raise NoSuchPeerError("node already down: %r" % (node,))
-        node.alive = False
-        del self._by_id[int(node.node_id)]
-        self._rebuild_routing()
-        self._observe_fault("crash", node.uri)
-
-    def restart_node(self, node):
-        """Rejoin a crashed node, reconciling its (possibly stale) state.
-
-        For every key the node now serves as owner or replica, its copy is
-        replaced with the current list from a surviving holder, so appends
-        acknowledged while it was down are not shadowed by its stale disk.
-        Keys only this node holds are kept as-is — that copy is the data's
-        sole survivor.  (Deletes issued during the outage are not
-        tombstoned: a fully-deleted key can resurrect from the restarted
-        disk, the classic anti-entropy limitation.)"""
-        if node.alive:
-            raise DhtError("node is not down: %r" % (node,))
-        node.alive = True
-        self._by_id[int(node.node_id)] = node
-        self._rebuild_routing()
-        for key in sorted(self._all_keys()):
-            source = self.freshest_holder(key, exclude=node)
-            if source is None:
-                continue
-            if node in self.replica_nodes(key):
-                self.copy_key(source, node, key)
-            else:
-                # the ring moved on while the node was down: the data
-                # lives elsewhere, so its local copy is an orphan that a
-                # later failover read or ownership shift would serve
-                # stale — drop it (kept only as a sole survivor)
-                if key in node.store:
-                    node.store.delete(key)
-                node.objects.pop(key, None)
-                node.versions.pop(key, None)
-        self._observe_fault("restart", node.uri)
-
-    def freshest_holder(self, key, exclude=None):
-        """The alive node, other than ``exclude``, with the freshest copy
-        of ``key`` (posting list or control object); None if nobody has one.
-
-        The one ranking every hand-over uses — join, restart, graceful
-        leave, rebalancer migration, hot-key promotion: highest write stamp
-        (see :meth:`next_stamp`), then most postings, then lowest peer."""
-        holders = [
-            n
-            for n in self.alive_nodes()
-            if n is not exclude and (key in n.store or key in n.objects)
-        ]
-        return max(
-            holders,
-            key=lambda n: (
-                n.versions.get(key, 0),
-                n.store.count(key) if key in n.store else 0,
-                -n.peer_index,
-            ),
-            default=None,
-        )
-
-    def copy_key(self, source, target, key):
-        """Replace ``target``'s copy of ``key`` with ``source``'s — posting
-        list and control object, whichever exist — at the source's stamp
-        (a moved copy is the same logical write), metered as wire traffic.
-        Returns the bytes moved."""
-        version = source.versions.get(key, 0)
-        moved = 0
-        if key in source.store:
-            postings = source.store.get(key)
-            self.sync_copy(target, key, postings, version)
-            moved = encoded_size(postings)
-            self.meter.record("postings", moved)
-        if key in source.objects:
-            obj, nbytes = source.objects[key]
-            target.objects[key] = (obj, nbytes)
-            target.versions[key] = version
-            self.meter.record("control", nbytes)
-            moved += nbytes
-        return moved
-
-    def freshest_postings(self, key, exclude=None, floor=0):
-        """``(version, postings)``: the highest stamp at which an alive
-        node other than ``exclude`` stores ``key``, and the union of the
-        copies at that stamp.  None when nobody stores the key, or when
-        that stamp is below ``floor`` (the caller's own copy is fresher;
-        no list is read).
-
-        The freshest *version* wins — size is no proxy, a stale
-        pre-rewrite (pre-split) copy can be the largest.  Copies at the
-        same top version can still differ: under a majority quorum each
-        may have missed a different earlier append, so the reference is
-        their union.  (Safe because rewrites — splits, deletes — always
-        bump the version on every copy they touch; equal-version copies
-        only ever diverge by missed appends.)"""
-        holders = [
-            n for n in self.alive_nodes() if n is not exclude and key in n.store
-        ]
-        if not holders:
-            return None
-        version = max(n.versions.get(key, 0) for n in holders)
-        if version < floor:
-            return None
-        tops = sorted(
-            (n for n in holders if n.versions.get(key, 0) == version),
-            key=lambda n: (-n.store.count(key), n.peer_index),
-        )
-        postings = tops[0].store.get(key)
-        for other in tops[1:]:
-            postings = postings.merge(other.store.get(key))
-        return version, postings
-
-    def anti_entropy_repair(self):
-        """One background anti-entropy pass over every visible key.
-
-        Each key's most complete surviving copy is re-replicated to any
-        replica-set member that is missing it or holds a stale shorter
-        list; copies are metered and their transfer time accumulated into
-        the returned :class:`~repro.faults.RepairReport`.  Keys no alive
-        node holds are reported as lost (replication factor exceeded).
-        """
-        report = RepairReport()
-        lost = []
-        for key in sorted(self._all_keys()):
-            report.keys_checked += 1
-            replicas = self.replica_nodes(key)
-            fresh = self.freshest_postings(key)
-            object_holders = [n for n in self.alive_nodes() if key in n.objects]
-            if fresh is None and not object_holders:
-                lost.append(key)
-                continue
-            if fresh is not None:
-                version, reference = fresh
-                nbytes = encoded_size(reference)
-                for node in replicas:
-                    if (
-                        node.versions.get(key, 0) >= version
-                        and node.store.count(key) >= len(reference)
-                    ):
-                        continue
-                    self.sync_copy(node, key, reference, version)
-                    self.meter.record("postings", nbytes)
-                    report.copies_made += 1
-                    report.bytes_copied += nbytes
-                    report.duration_s += self.cost.transfer_time(nbytes, hops=1)
-            if object_holders:
-                source = max(
-                    object_holders,
-                    key=lambda n: (n.versions.get(key, 0), -n.peer_index),
-                )
-                version = source.versions.get(key, 0)
-                obj, nbytes = source.objects[key]
-                for node in replicas:
-                    if node is source:
-                        continue
-                    if key in node.objects and node.versions.get(key, 0) >= version:
-                        continue
-                    node.objects[key] = (obj, nbytes)
-                    node.versions[key] = version
-                    self.meter.record("control", nbytes)
-                    report.copies_made += 1
-                    report.bytes_copied += nbytes
-                    report.duration_s += self.cost.transfer_time(nbytes, hops=1)
-        report.lost_keys = tuple(lost)
-        if self.metrics is not None:
-            self.metrics.counter("dht_repair_copies_total").inc(
-                report.copies_made
-            )
-        return report
-
-    @staticmethod
-    def sync_copy(target, key, postings, version, replace=True):
-        """Make ``postings`` ``target``'s copy of ``key`` at ``version``;
-        ``replace=False`` appends to the copy instead.
-
-        Delete-then-append rather than ``put``: the naive store's put has
-        read-reconcile-*extend* semantics, which would duplicate postings
-        when reconciling a stale copy.  ``version`` is the stamp of the
-        copy being propagated — the target copy inherits it, not a fresh
-        one (a repair copy is the *same* logical write, moved)."""
-        if replace and key in target.store:
-            target.store.delete(key)
-        target.store.append(key, postings)
-        target.versions[key] = version
 
     def timed_store_op(self, receipt, store, op, *args):
         """Run ``store.<op>(*args)`` and charge ``receipt`` the simulated
@@ -490,116 +210,6 @@ class DhtNetwork:
                 "write_at", key, idx, holder, self.replica_nodes(key), encoded_size(postings),
                 lambda node: self.sync_copy(node, key, postings, stamp, replace), receipt,
             )
-
-    def alive_nodes(self):
-        return [n for n in self.nodes if n.alive]
-
-    def _rebuild_routing(self):
-        ids = [n.node_id for n in self.alive_nodes()]
-        for node in self.alive_nodes():
-            node.routing.rebuild(ids)
-        self._invalidate_caches()
-
-    def _invalidate_caches(self):
-        """Forget everything derived from membership or placement.
-
-        The one place that knows the full list of caches: every join,
-        leave, crash and restart comes through :meth:`_rebuild_routing`,
-        every placement change through :meth:`set_placement`."""
-        self._owner_cache.clear()
-        self._replica_cache.clear()
-        self._hop_memo.clear()
-
-    # -- ownership -----------------------------------------------------------------
-
-    def _placed(self, key):
-        """The placement-override owner for ``key``'s alias, if alive.
-
-        While the placed node is down, ownership silently reverts to pure
-        hashing (the hash owner still holds its backup copy); a restart
-        rebuilds routing, which re-activates the placement."""
-        if not self.placement:
-            return None
-        node = self.placement.get(routing_alias(key))
-        if node is not None and node.alive:
-            return node
-        return None
-
-    def set_placement(self, alias, node):
-        """Re-home ``alias``'s group onto ``node`` (the rebalancer's move).
-
-        Only redirects ownership — the caller must have landed the data on
-        ``node`` first (:meth:`copy_key`), or reads would route to a
-        copy-less owner."""
-        self.placement[alias] = node
-        self._invalidate_caches()
-
-    def owner_of(self, key):
-        """The node in charge of ``key``: numerically closest id."""
-        cached = self._owner_cache.get(key)
-        if cached is not None and cached.alive:
-            return cached
-        placed = self._placed(key)
-        if placed is not None:
-            self._owner_cache[key] = placed
-            return placed
-        kid = key_id(routing_alias(key))
-        alive = self.alive_nodes()
-        if not alive:
-            raise DhtError("empty network")
-        if self.overlay == "chord":
-            # Chord ownership: the key's successor on the ring
-            from repro.dht.chord import chord_owner
-
-            ring = sorted(alive, key=lambda n: int(n.node_id))
-            owner_id = chord_owner(kid, [n.node_id for n in ring])
-            owner = next(n for n in ring if int(n.node_id) == int(owner_id))
-        else:
-            owner = min(
-                alive, key=lambda n: (n.node_id.distance(kid), int(n.node_id))
-            )
-        self._owner_cache[key] = owner
-        return owner
-
-    def replica_nodes(self, key):
-        """The ``replication`` closest nodes: owner first, then backups."""
-        cache = self._replica_cache
-        cached = cache.get(key)
-        if cached is not None and all(n.alive for n in cached):
-            return list(cached)
-        kid = key_id(routing_alias(key))
-        if self.overlay == "chord":
-            # Chord replicates on the owner's successors
-            ring = sorted(self.alive_nodes(), key=lambda n: int(n.node_id))
-            owner = self.owner_of(key)
-            start = ring.index(owner)
-            replicas = [
-                ring[(start + k) % len(ring)]
-                for k in range(min(self.replication, len(ring)))
-            ]
-        else:
-            ranked = sorted(
-                self.alive_nodes(),
-                key=lambda n: (n.node_id.distance(kid), int(n.node_id)),
-            )
-            replicas = ranked[: self.replication]
-        placed = self._placed(key)
-        if placed is not None and (not replicas or replicas[0] is not placed):
-            # the placed node leads; the hash owner stays on as a backup
-            replicas = ([placed] + [n for n in replicas if n is not placed])[
-                : self.replication
-            ]
-        cache[key] = list(replicas)
-        return replicas
-
-    def _all_keys(self):
-        """Every key an alive node holds.  A ``set``: walk it ``sorted``,
-        or ``PYTHONHASHSEED`` decides in which order stores fill."""
-        keys = set()
-        for node in self.alive_nodes():
-            keys.update(node.store.terms())
-            keys.update(node.objects)
-        return keys
 
     # -- routing ------------------------------------------------------------------
 

@@ -491,7 +491,7 @@ class TestRebalancer:
         owner, key = self._heat_owner(net)
         report = net.balance.tick()
         assert report.migrations >= 1
-        from repro.dht.network import routing_alias
+        from repro.dht.replicas import routing_alias
 
         alias = routing_alias(key)
         new_owner = net.net.owner_of(key)

@@ -375,7 +375,7 @@ class TestDppFailureTolerance:
         assert [a.bindings for a in after] == [a.bindings for a in baseline]
 
     def test_routing_alias(self):
-        from repro.dht.network import routing_alias
+        from repro.dht.replicas import routing_alias
 
         assert routing_alias("dpproot:elem:a") == "elem:a"
         assert routing_alias("dppdata:elem:a") == "elem:a"
