@@ -275,6 +275,45 @@ def test_kernel_dbf_probe(benchmark, kernel_backend):
     assert all(0 < len(k) < len(la) // 5 for k, la in zip(kept, probes))
 
 
+def _index_phase_edges():
+    """The ``semijoin_below`` calls of ``query_docphase``'s index phase: its
+    10 query templates over the merged label streams of 16 generated 4 KB
+    DBLP documents, 8 per peer.  Streams hold 16 to 593 rows (241 on
+    average, 578.7 per query); the 14 calls take 16-140 outer rows (87.7 on
+    average) and 80-593 inner rows (357.1), all on ``//`` edges."""
+    from repro.index.publisher import extract_postings
+    from repro.kadop.execution import term_key_of
+    from repro.workloads.dblp import DblpGenerator
+    from repro.workloads.queries import traffic_workload
+    from repro.xmldata.parser import parse_document
+
+    generator = DblpGenerator(seed=1, target_doc_bytes=4_000)
+    rows = {}
+    for i in range(16):
+        extracted = extract_postings(parse_document(generator.document()), i // 8, i % 8)
+        for key, postings in extracted.items():
+            rows.setdefault(key, []).extend(postings)
+    streams = {key: PostingList(postings).arrays() for key, postings in rows.items()}
+    edges = []
+    for text, _ in traffic_workload(10, with_keywords=False):
+        nodes = parse_query(text).nodes()
+        kept = {}
+        for node in reversed(nodes):  # bottom-up, as twig_docs walks
+            cols = streams[term_key_of(node)]
+            for child in node.children:
+                edges.append((cols, kept[child.node_id], child.axis.value))
+                cols = kernels.resolve("pure").semijoin_below(*edges[-1])
+            kept[node.node_id] = cols
+    return edges
+
+
+def test_kernel_semijoin_below(benchmark, kernel_backend):
+    edges = _index_phase_edges()
+    semijoin_below = kernels.active().semijoin_below
+    kept = benchmark(lambda: [semijoin_below(*edge) for edge in edges])
+    assert len(edges) == 14 and all(len(cols[0]) for cols in kept)
+
+
 def test_kernel_dbf_build(benchmark, kernel_backend):
     # serve_churn's Descendant filters: a 28-posting source (the median of
     # the 104 its timed window builds), l = 9

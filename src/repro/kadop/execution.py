@@ -4,10 +4,12 @@ KadoP processes a query in two phases (Section 2):
 
 1. the **index query**: posting lists (or DPP blocks, or Bloom-reduced
    lists) of the query's terms are brought to the query peer and combined
-   by the holistic twig join, yielding the candidate documents;
+   by a structural semi-join (:func:`twig_docs`; the block-based twig join
+   under the DPP), yielding the candidate documents;
 2. the **document phase**: the query is sent to the peers holding those
-   documents, which run the same join over each document's own element
-   streams (:meth:`KadopPeer.evaluate`) and ship back exact answers.
+   documents, which run the holistic twig join over each document's own
+   element streams (:meth:`KadopPeer.evaluate`) and ship back exact
+   answers.
 
 This module really executes both phases (answers are exact) and, in
 parallel, accounts the simulated response time with the task scheduler:
@@ -35,7 +37,7 @@ from repro.query.block_join import (
 )
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis
-from repro.query.twigjoin import TwigPlan, twig_join
+from repro.query.twigjoin import TwigPlan, twig_docs, twig_join
 
 #: small fixed cost for emitting one joined answer tuple
 ANSWER_TUPLE_BYTES = 40
@@ -120,7 +122,10 @@ class Fetched:
     fields.  DPP eager / window adds ``counters`` and, when ordered splits
     make block vectors meaningful, ``blocks``.  DPP lazy adds ``counters``
     and ``solutions``: it ran the demand-driven block join while fetching,
-    because the solutions decide which blocks are pulled.
+    because blocks are pulled vector by vector.  Which ones is decided by
+    the meaningful vectors and the realized blocks' document spans; each
+    vector's blocks are realized before its join runs, so no solution
+    decides a fetch.
     """
 
     streams: dict  # component node_id -> PostingList
@@ -415,7 +420,9 @@ class QueryExecutor:
     def component_docs(self, component, fetched):
         """The one join dispatch: the candidate ``(peer, doc)`` pairs of
         ``component`` given what :meth:`fetch` brought, plus the number of
-        meaningful block vectors joined (Section 4.2)."""
+        meaningful block vectors joined (Section 4.2).  Merged streams are
+        asked only which documents hold a match (:func:`twig_docs`); the
+        block joins still enumerate their matches."""
         if self.system.config.index_granularity == "document":
             # coarse index (Section 8): only (p, d) is recorded, so the
             # index query degenerates to a document-id intersection —
@@ -424,7 +431,7 @@ class QueryExecutor:
             return set.intersection(*doc_sets), 0
         if fetched.solutions is not None:
             # lazy mode already ran the demand-driven block join while
-            # fetching — the solutions drove which blocks were pulled
+            # fetching, one meaningful vector at a time
             bindings, vectors = fetched.solutions
         elif fetched.blocks is not None:
             # the block-based parallel twig join of Section 4.2: join
@@ -432,7 +439,9 @@ class QueryExecutor:
             result = parallel_block_join(component, fetched.blocks)
             bindings, vectors = result.solutions, result.vectors_considered
         else:
-            bindings, vectors = twig_join(component, fetched.streams), 0
+            # plain and pipelined get, the Bloom reducers, Fundex: the
+            # documents are all the index query asks for
+            return twig_docs(component, fetched.streams), 0
         return _root_docs(component, bindings), vectors
 
     def _finish_observation(self, state, doc_span, report, answers):

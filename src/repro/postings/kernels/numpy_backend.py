@@ -225,6 +225,40 @@ def seek_end_ge(peer, doc, end, pos, n, key):
     return n
 
 
+def semijoin_below(cols, inner_cols, axis):
+    if not len(cols[0]) or not len(inner_cols[0]):
+        return _pure.semijoin_below(cols, inner_cols, axis)
+    views = _views(cols)
+    peer, doc, start, end, level = views
+    ipeer, idoc, istart, _iend, ilevel = _views(inner_cols)
+    # one uint64 key per row, fields most significant first: the outer
+    # columns, the inner column, and what the outer side adds; the outer
+    # start and end share the last field as the bounds of the search
+    fields = [((peer,), ipeer, 0), ((doc,), idoc, 0)]
+    if axis == "/":
+        fields.append(((level,), ilevel, 1))  # one level deeper
+    fields.append(((start, end), istart, 0))
+    low, high = np.minimum.reduce, np.maximum.reduce  # no _methods frames
+    shift = 64
+    keys = prefix = 0
+    for outer, inner, add in fields:
+        lo = min(int(low(inner)), *[int(low(col)) + add for col in outer])
+        hi = max(int(high(inner)), *[int(high(col)) + add for col in outer])
+        shift -= max(1, (hi - lo).bit_length())
+        if shift < 0:
+            return _pure.semijoin_below(cols, inner_cols, axis)
+        at = _U64(shift)
+        # uint64 wrap-around is exact mod 2**64, as in _pack
+        keys = keys | (inner.astype(_U64) - _U64(lo & _MASK64)) << at
+        bounds = [prefix | (col.astype(_U64) + _U64((add - lo) & _MASK64)) << at for col in outer]
+        prefix = bounds[0]
+    if axis == "/":
+        keys.sort()  # by (peer, doc, level, start)
+    lo_side, hi_side = ("left", "right") if axis == ".//" else ("right", "left")
+    keep = keys.searchsorted(bounds[0], lo_side) < keys.searchsorted(bounds[1], hi_side)
+    return _to_arrays([v[keep] for v in views])
+
+
 # -- derived views -----------------------------------------------------------
 
 

@@ -9,7 +9,10 @@ backends sit behind one interface.
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from hashlib import blake2b
+from itertools import compress
+from operator import le, lt
 
 NAME = "pure"
 
@@ -140,6 +143,36 @@ def seek_end_ge(peer, doc, end, pos, n, key):
                 break
         pos += 1
     return pos
+
+
+def semijoin_below(cols, inner_cols, axis):
+    """The rows of ``cols`` with an ``inner_cols`` row below them.
+
+    A row qualifies when some inner row of its ``(peer, doc)`` starts
+    strictly inside ``(start, end)`` (``axis`` ``"//"``), inside
+    ``[start, end]`` (``".//"``), or strictly inside and one level deeper
+    (``"/"``).  Each row is one bisect into the inner rows keyed by
+    ``(peer, doc, start)``, or ``(peer, doc, level, start)`` for ``/``:
+    the first key past the row's lower bound qualifies iff it sorts before
+    its upper bound, which shares the key's prefix."""
+    ipeer, idoc, istart, _iend, ilevel = inner_cols
+    if axis == "/":
+        keys = sorted(zip(ipeer, idoc, ilevel, istart))
+        bounds = [((p, d, l + 1, s), (p, d, l + 1, e)) for p, d, s, e, l in zip(*cols)]
+    else:
+        keys = list(zip(ipeer, idoc, istart))
+        bounds = [((p, d, s), (p, d, e)) for p, d, s, e, _l in zip(*cols)]
+    n = len(keys)
+    if axis == ".//":
+        seek, before = bisect_left, le
+    else:
+        seek, before = bisect_right, lt
+    mask = []
+    push = mask.append
+    for lo, hi in bounds:
+        j = seek(keys, lo)
+        push(j < n and before(keys[j], hi))
+    return tuple(array("q", compress(col, mask)) for col in cols)
 
 
 # -- derived views -----------------------------------------------------------

@@ -6,8 +6,9 @@
 * :mod:`repro.query.matcher` — direct recursive evaluation over a parsed
   document (the test oracle);
 * :mod:`repro.query.twigjoin` — the holistic twig join over sorted posting
-  streams (the index query, and the document phase over one document's
-  element streams; after [Bruno et al. 2002]);
+  streams (the document phase over one document's element streams; after
+  [Bruno et al. 2002]), and the structural semi-join that finds the index
+  query's candidate documents without enumerating matches;
 * :mod:`repro.query.index_plan` — turning a user pattern into the index
   query: dropping wildcards/stop words and tracking completeness/precision.
 """

@@ -26,6 +26,12 @@ stack is cleaned by popping entries whose end key sorts before the
 cursor's ``(peer, doc, start)`` key: every entry on a stack starts at or
 before the cursor row, so that one tuple comparison is "another document,
 or ends before the row starts".
+
+When only the documents matter — the index query, whose document peers
+evaluate the query exactly afterwards — :func:`twig_docs` answers with a
+bottom-up structural semi-join (one ``semijoin_below`` kernel call per
+pattern edge) and enumerates nothing; :func:`twig_join` stays the only
+enumerator.
 """
 
 from bisect import bisect_left
@@ -339,3 +345,35 @@ def twig_join(pattern, streams, plan=None):
     pattern-shape setup.
     """
     return TwigJoin(pattern, streams, plan=plan).run()
+
+
+def twig_docs(pattern, streams, plan=None):
+    """The ``(peer, doc)`` pairs in which ``pattern`` has at least one match.
+
+    The existence question of the index query, answered by a structural
+    semi-join instead of enumerating matches: bottom-up over the plan, a
+    row of node ``q`` is kept only when every child has a kept row that
+    the child's edge admits below it, in the same document.  The root's
+    kept rows name the documents; its own axis is ignored, as in
+    :func:`twig_join`, and the streams are read the same way.
+    """
+    if plan is None:
+        plan = TwigPlan(pattern)
+    missing = [n for n in plan.nodes if n.node_id not in streams]
+    if missing:
+        raise ValueError("no stream for pattern nodes %r" % (missing,))
+    kernel = kernels.active()
+    kept = [None] * len(plan.nodes)
+    for node in reversed(plan.nodes):
+        postings = streams[node.node_id]
+        if not isinstance(postings, PostingList):
+            postings = PostingList.from_sorted(postings)  # as _Stream reads it
+        cols = postings.arrays()
+        for c in plan.children[node.node_id]:
+            if not len(cols[0]):
+                break
+            cols = kernel.semijoin_below(cols, kept[c], plan.nodes[c].axis.value)
+        if not len(cols[0]):
+            return set()
+        kept[node.node_id] = cols
+    return set(kernel.doc_ids(kept[0][0], kept[0][1]))

@@ -308,6 +308,44 @@ class TestSearchKernelEquivalence:
             assert npk.seek_end_ge(peer, doc, end, 0, n, inf) == n
 
     @requires_numpy
+    @pytest.mark.parametrize("axis", ["/", "//", ".//"])
+    def test_semijoin_below_matches_pure(self, axis, monkeypatch):
+        rng = random.Random(910)
+        fallbacks = []
+        fallback = pure.semijoin_below
+        monkeypatch.setattr(
+            pure, "semijoin_below",
+            lambda *args: fallbacks.append(args) or fallback(*args),
+        )
+        for case in range(40):
+            # every 7th case: few documents, so rows often nest; big rows
+            # need more than 64 key bits (the pure fallback), and empty
+            # inputs come on either side
+            outer = case_rows(rng, case)
+            inner = case_rows(rng, case + 1 + case // 5)
+            if case % 7 == 3:
+                outer = random_rows(rng, 80, peer_max=2, doc_max=3, pos_max=60)
+                inner = random_rows(rng, 80, peer_max=2, doc_max=3, pos_max=60)
+            cols, inner_cols = arrays_of(outer), arrays_of(inner)
+            want = fallback(cols, inner_cols, axis)
+            assert npk.semijoin_below(cols, inner_cols, axis) == want, case
+            # the reference: an inner row of the same document admitted below
+            low = (lambda s, t: s <= t) if axis == ".//" else (lambda s, t: s < t)
+            expected = [
+                row for row in sorted(set(outer))
+                if any(
+                    (i[0], i[1]) == (row[0], row[1]) and low(row[2], i[2])
+                    and (i[2] <= row[3] if axis == ".//" else i[2] < row[3])
+                    and (axis != "/" or i[4] == row[4] + 1)
+                    for i in inner
+                )
+            ]
+            assert list(zip(*want)) == expected, case
+        kinds = {(len(a[0][0]) > 0, len(a[1][0]) > 0) for a in fallbacks}
+        assert {(True, False), (False, True)} <= kinds
+        assert any(a[0][2] and max(a[0][2]) > 2**62 for a in fallbacks)
+
+    @requires_numpy
     def test_doc_ids_matches_pure(self):
         rng = random.Random(909)
         for case in range(10):

@@ -16,10 +16,11 @@ from repro.index.publisher import extract_postings
 from repro.kadop.config import KadopConfig
 from repro.kadop.peer import KadopPeer
 from repro.kadop.system import KadopNetwork
+from repro.postings import kernels
 from repro.postings.plist import PostingList
 from repro.query.matcher import Match, match_document, match_to_postings
 from repro.query.pattern import Axis, PatternNode, TreePattern
-from repro.query.twigjoin import twig_join
+from repro.query.twigjoin import twig_docs, twig_join
 from repro.query.xpath import parse_query
 from repro.xmldata.parser import parse_document
 from repro.xmldata.streams import ElementStreams
@@ -229,6 +230,18 @@ class TestTwigJoinBasics:
         assert join_results(pattern, doc) == matcher_results(pattern, doc)
         assert len(join_results(pattern, doc)) == 3
 
+    def test_twig_docs_contract(self):
+        """The semi-join reads streams as the join does: a missing stream
+        raises, an empty one finds nothing, the root's axis is ignored."""
+        pattern = parse_query("//article//author")
+        with pytest.raises(ValueError):
+            twig_docs(pattern, {0: PostingList()})
+        assert twig_docs(pattern, {0: PostingList(), 1: PostingList()}) == set()
+        nothing = parse_query("//article//nothing")
+        assert twig_docs(nothing, streams_for(nothing, DOC)) == set()
+        pattern.root.axis = Axis.CHILD
+        assert twig_docs(pattern, streams_for(pattern, DOC)) == {(0, 0)}
+
     def test_output_deterministic_order(self):
         pattern = parse_query("//lib//author")
         sols = twig_join(pattern, streams_for(pattern, DOC))
@@ -342,18 +355,49 @@ def test_twigjoin_multi_doc_differential(seed):
     rng = random.Random(seed)
     docs = [random_document(rng, max_nodes=12) for _ in range(3)]
     pattern = random_pattern(rng)
+    expected = [
+        match_to_postings(m, i % 2, i)
+        for i in sorted(range(len(docs)), key=lambda i: (i % 2, i))
+        for m in match_document(pattern, docs[i])
+    ]
+    assert twig_join(pattern, merged_streams(pattern, docs)) == expected
+
+
+def merged_streams(pattern, docs):
+    """One stream per pattern node over ``docs``, document ``i`` on peer
+    ``i % 2``."""
     merged = None
     for i, document in enumerate(docs):
         s = streams_for(pattern, document, peer=i % 2, doc=i)
         merged = s if merged is None else {
             nid: merged[nid].merge(s[nid]) for nid in merged
         }
-    expected = [
-        match_to_postings(m, i % 2, i)
-        for i in sorted(range(len(docs)), key=lambda i: (i % 2, i))
-        for m in match_document(pattern, docs[i])
-    ]
-    assert twig_join(pattern, merged) == expected
+    return merged
+
+
+BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_twig_docs_differential(seed):
+    """The index phase's semi-join finds exactly the documents the
+    enumerating join binds its root in, under every kernel backend:
+    ``/``, ``//`` and ``.//`` word edges, labels nested in themselves,
+    three documents on two peers."""
+    rng = random.Random(seed)
+    docs = [random_document(rng, max_nodes=12) for _ in range(3)]
+    pattern = random_pattern(rng)
+    streams = merged_streams(pattern, docs)
+    root = pattern.root.node_id
+    expected = {(b[root].peer, b[root].doc) for b in twig_join(pattern, streams)}
+    previous = kernels.backend_name()
+    try:
+        for backend in BACKENDS:
+            kernels.use_backend(backend)
+            assert twig_docs(pattern, streams) == expected, backend
+    finally:
+        kernels.use_backend(previous)
 
 
 # -- the document phase against the matcher -----------------------------------------
