@@ -20,15 +20,16 @@ position, and rebuild the document/start deltas with a cumulative-sum +
 segment-base trick (valid because the cumulative sums are monotone for
 any correctly delta-encoded sorted list).
 
-The Bloom kernels batch all BLAKE2 digests through one prototype-copy
-loop, reduce ``h1``/``h2`` modulo ``bits`` *before* the double-hashing
-expansion (exact by modular arithmetic, and keeps every intermediate in
-``uint64``), and apply the positions through one
-``unpackbits``/``packbits`` round trip.
+The Bloom kernels memoise each key's BLAKE2 digests per salt pair, hash
+a batch's misses through one prototype-copy loop, reduce ``h1``/``h2``
+modulo ``bits`` *before* the double-hashing expansion (exact by modular
+arithmetic, and keeps every intermediate in ``uint64``), and apply the
+positions through one ``unpackbits``/``packbits`` round trip.
 """
 
 from array import array
 from hashlib import blake2b
+from itertools import filterfalse
 
 import numpy as np
 
@@ -455,25 +456,47 @@ def decode(data, offset=0):
 # -- Bloom filter bit kernels ------------------------------------------------
 
 
+#: the most key digests the memos below hold together; serve_churn's
+#: seed-0 window hashes 16,368 distinct (salt pair, key) pairs
+_MEMO_CEILING = 1 << 15
+#: (salt1, salt2) -> {key bytes: its two 8-byte digests}
+_MEMOS = {}
+
+
 def _positions(bits, hashes, salt1, salt2, datas):
     """The (len(datas), hashes) matrix of bit positions.
 
-    The two 64-bit digests per item are computed through prototype
-    ``copy()`` (cheaper than re-running the blake2b constructor) and
-    reduced mod ``bits`` before the ``h1 + i*h2`` expansion — exact by
+    A key's two 64-bit digests are a pure function of its bytes and the
+    salt pair, and the reducers hash the same keys query after query, so
+    they are memoised per salt pair: only a batch's misses are hashed,
+    through prototype ``copy()`` (cheaper than re-running the blake2b
+    constructor).  When the misses would take the memos past
+    ``_MEMO_CEILING`` entries, every memo is dropped first and the whole
+    batch is hashed into a fresh one, kept only if it fits.  The digests
+    are reduced mod ``bits`` before the ``h1 + i*h2`` expansion — exact by
     modular arithmetic, and every intermediate stays below 2**64."""
-    copy1 = blake2b(digest_size=8, salt=salt1).copy
-    copy2 = blake2b(digest_size=8, salt=salt2).copy
-    parts = []
-    push = parts.append
-    for data in datas:
-        h = copy1()
-        h.update(data)
-        push(h.digest())
-        h = copy2()
-        h.update(data)
-        push(h.digest())
-    digests = np.frombuffer(b"".join(parts), dtype="<u8").reshape(-1, 2)
+    memo = _MEMOS.get((salt1, salt2))
+    if memo is None:
+        memo = _MEMOS[salt1, salt2] = {}
+    misses = list(filterfalse(memo.__contains__, datas))
+    if misses:
+        if sum(map(len, _MEMOS.values())) + len(misses) > _MEMO_CEILING:
+            _MEMOS.clear()
+            memo = {}
+            if len(datas) <= _MEMO_CEILING:
+                _MEMOS[salt1, salt2] = memo
+            misses = datas
+        copy1 = blake2b(digest_size=8, salt=salt1).copy
+        copy2 = blake2b(digest_size=8, salt=salt2).copy
+        for data in misses:
+            h = copy1()
+            h.update(data)
+            g = copy2()
+            g.update(data)
+            memo[data] = h.digest() + g.digest()
+    digests = np.frombuffer(
+        b"".join(map(memo.__getitem__, datas)), dtype="<u8"
+    ).reshape(-1, 2)
     nbits = _U64(bits)
     h1 = digests[:, 0] % nbits
     h2 = (digests[:, 1] | _U64(1)) % nbits

@@ -491,6 +491,72 @@ class TestBloomKernelEquivalence:
             self._build(npk, [(0, 0, 0, 5, 1)] + rows, 9)
         assert str(err_np.value) == str(err_pure.value)
 
+    def _memo_calls(self):
+        """A sequence of numpy Bloom kernel calls whose keys repeat: within
+        one batch, across calls, and as the same bytes under two salt
+        pairs.  Each call is ``run(backend) -> result`` on fresh vectors."""
+        rng = random.Random(916)
+        keys = [
+            b"(i%d,i%d,i%d,i%d)"
+            % (rng.randrange(3), rng.randrange(6), rng.randrange(1, 80), rng.randrange(1, 80))
+            for _ in range(120)
+        ]
+        calls = []
+
+        def batch(seed, datas, probes):
+            def run(backend):
+                f = BloomFilter(4099, 4, seed=seed)
+                args = (f.bits, f.hashes, f._salt1, f._salt2)
+                backend.bloom_set_batch(f._vector, *args, datas)
+                return bytes(f._vector), backend.bloom_test_batch(f._vector, *args, probes)
+
+            return run
+
+        # duplicate keys in one batch; then the same bytes under seeds 7 and 8
+        calls.append(batch(7, keys[:60] + keys[10:30], keys[::2] + keys[:5]))
+        calls.append(batch(8, keys[:60], keys[40:] + keys[40:50]))
+        calls.append(batch(7, keys[30:], keys))
+        rows = self._interval_rows(rng, 40)
+        for l in (9, 12):
+            calls.append(lambda backend, l=l: self._build(backend, rows, l))
+            calls.append(lambda backend, l=l: self._build(backend, rows[:25], l))
+        for case in range(6):
+            args = self._probe_args(rng, rows, l=(9, 12)[case % 2], interior=case % 3 // 2)
+            calls.append(lambda backend, args=args: backend.descendant_probe(*args))
+        calls.append(batch(8, keys[::3], keys[:60]))
+        return calls
+
+    @requires_numpy
+    @pytest.mark.parametrize("state", ["cold", "warm", "ceiling"])
+    def test_digest_memo_matches_pure(self, state, monkeypatch):
+        """The numpy kernels memoise key digests per salt pair; bits and
+        results equal ``pure``'s with the memo empty before every call,
+        filled by an earlier pass, or cleared by its ceiling mid-sequence."""
+
+        class CountingMemos(dict):
+            clears = 0
+
+            def clear(self):
+                CountingMemos.clears += 1
+                super().clear()
+
+        monkeypatch.setattr(npk, "_MEMOS", CountingMemos())
+        if state == "ceiling":
+            monkeypatch.setattr(npk, "_MEMO_CEILING", 150)
+        calls = self._memo_calls()
+        want = [run(pure) for run in calls]
+        for _pass in range(2):
+            for i, (run, expected) in enumerate(zip(calls, want)):
+                if state == "cold":
+                    npk._MEMOS.clear()
+                assert run(npk) == expected, (state, i)
+                if state == "ceiling":
+                    assert sum(map(len, npk._MEMOS.values())) <= 150
+        if state == "warm":
+            assert CountingMemos.clears == 0
+        elif state == "ceiling":
+            assert CountingMemos.clears >= 4
+
     def test_fill_ratio_matches_per_byte_popcount(self):
         rng = random.Random(911)
         f = BloomFilter(997, 3, seed=1)
