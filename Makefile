@@ -125,8 +125,10 @@ bench-compare:
 # where one workload of the repo benchmark spends its interpreter steps,
 # per function (bench/ only attributes per layer): top 40 with shares,
 # self-checked against a counted run of the benchmark itself, e.g.
-# make step-profile WORKLOAD=query_index SCALE=tiny
+# make step-profile WORKLOAD=query_index SCALE=tiny; SEED picks the
+# workload seed, e.g. make step-profile WORKLOAD=serve_churn SEED=7
 WORKLOAD ?= query_docphase
 SCALE ?= full
+SEED ?= 0
 step-profile:
-	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE)
+	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED)
