@@ -3,11 +3,16 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
+.PHONY: test test-pure test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
 
 # tier-1 gate: unit + integration-differential suites
 test:
 	$(PY) -m pytest -x -q
+
+# tier-1 as CI's numpy-less test-pure-kernels leg runs it, offline: the pure
+# backend, with every numpy import refused by a sys.meta_path finder
+test-pure:
+	REPRO_KERNELS=pure $(PY) benchmarks/without_numpy.py -x -q
 
 # critical-error lint (rule set in pyproject.toml); CI installs ruff itself
 lint:

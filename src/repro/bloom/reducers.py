@@ -125,6 +125,17 @@ class BloomReducers:
             seed=node_id + 101,
         )
 
+    def _reduce(self, run, make_filter, source, target, **probe):
+        """Reduce ``target``'s list by the filter of ``source``'s list,
+        built at the source's owner and shipped to the target's; returns
+        the step's seconds: build + ship + probe."""
+        bloom = make_filter(run, source.node_id)
+        build = run.cpu(len(run.lists[source.node_id]))
+        ship = run.charge_filter(bloom, source.node_id)
+        probe_s = run.cpu(len(run.lists[target.node_id]))
+        run.lists[target.node_id] = bloom.filter_postings(run.lists[target.node_id], **probe)
+        return build + ship + probe_s
+
     # -- the strategies ----------------------------------------------------------
 
     def _levels_top_down(self, run):
@@ -142,14 +153,7 @@ class BloomReducers:
             for node in level_nodes:
                 if node.parent is None:
                     continue
-                abf = self._ab_filter(run, node.parent.node_id)
-                build = run.cpu(len(run.lists[node.parent.node_id]))
-                ship = run.charge_filter(abf, node.parent.node_id)
-                probe = run.cpu(len(run.lists[node.node_id]))
-                run.lists[node.node_id] = abf.filter_postings(
-                    run.lists[node.node_id]
-                )
-                level_time = max(level_time, build + ship + probe)
+                level_time = max(level_time, self._reduce(run, self._ab_filter, node.parent, node))
             run.phase_time += level_time
 
     def _db_phase(self, run):
@@ -160,14 +164,9 @@ class BloomReducers:
             for node in level_nodes:
                 node_time = 0.0
                 for child in node.children:
-                    dbf = self._db_filter(run, child.node_id)
-                    build = run.cpu(len(run.lists[child.node_id]))
-                    ship = run.charge_filter(dbf, child.node_id)
-                    probe = run.cpu(len(run.lists[node.node_id]))
-                    run.lists[node.node_id] = dbf.filter_postings(
-                        run.lists[node.node_id], or_self=self._or_self(child)
+                    node_time += self._reduce(
+                        run, self._db_filter, child, node, or_self=self._or_self(child)
                     )
-                    node_time += build + ship + probe
                 level_time = max(level_time, node_time)
             run.phase_time += level_time
 
@@ -182,15 +181,9 @@ class BloomReducers:
             node = node.parent
         # bottom-up along the chosen path only
         for child in path[:-1]:
-            parent = child.parent
-            dbf = self._db_filter(run, child.node_id)
-            build = run.cpu(len(run.lists[child.node_id]))
-            ship = run.charge_filter(dbf, child.node_id)
-            probe = run.cpu(len(run.lists[parent.node_id]))
-            run.lists[parent.node_id] = dbf.filter_postings(
-                run.lists[parent.node_id], or_self=self._or_self(child)
+            run.phase_time += self._reduce(
+                run, self._db_filter, child, child.parent, or_self=self._or_self(child)
             )
-            run.phase_time += build + ship + probe
 
     # -- phase 2 ---------------------------------------------------------------------
 

@@ -37,17 +37,6 @@ from repro.bloom.dyadic import (
 )
 from repro.bloom.filter import BloomFilter
 from repro.postings import kernels
-from repro.postings.plist import PostingList
-
-
-def _interval_rows(postings):
-    """Iterate ``(peer, doc, start, end)`` rows without building Postings.
-
-    Column-backed lists are walked directly; anything else falls back to
-    attribute access per element."""
-    if isinstance(postings, PostingList):
-        return zip(postings.peer, postings.doc, postings.start, postings.end)
-    return ((p.peer, p.doc, p.start, p.end) for p in postings)
 
 
 #: the c of ψ(j) = ceil(1 + j/c) the deployed filters use (Section 5.1)
@@ -67,21 +56,19 @@ def psi(level, c):
 class AncestorBloomFilter:
     """``ABF(a)``: lets another peer select postings with an ``a`` ancestor.
 
-    Sizing: by default the underlying Bloom filter is sized for the target
-    ``fp_rate``; passing ``bits`` instead fixes the wire size (the paper's
-    "filter of the same size" comparisons), with the hash count re-derived
-    from the actual load."""
+    Built from the ``PostingList`` of ``a``.  Sizing: by default the
+    underlying Bloom filter is sized for the target ``fp_rate``; passing
+    ``bits`` instead fixes the wire size (the paper's "filter of the same
+    size" comparisons), with the hash count re-derived from the actual
+    load."""
 
     def __init__(self, postings, l=None, fp_rate=0.20, psi_c=PSI_C, seed=0, bits=None):
-        self.psi_c = psi_c
         self.l = l if l is not None else _level_of_postings(postings)
         self._psi = [psi(level, psi_c) for level in range(self.l + 1)]
-        # Build kernel: one pass over the raw columns, serializing each
-        # trace item once.  Replica items shared between postings (common
-        # cover intervals) are deduped before hashing — the resulting bit
-        # vector is identical (insertion is idempotent) and the true load
-        # is restored on ``inserted`` afterwards so sizing and fp-rate
-        # accounting see the same numbers as the per-item path.
+        # One pass over the raw columns, serializing each trace key once.
+        # Keys shared between postings (common cover intervals) are
+        # deduped before hashing — the bit vector is the same (insertion
+        # is idempotent) — and ``inserted`` counts every trace insertion.
         l = self.l
         psi_table = self._psi
         dclev = 0
@@ -90,7 +77,9 @@ class AncestorBloomFilter:
         add_seen = seen.add
         unique = []
         push = unique.append
-        for peer, doc, start, end in _interval_rows(postings):
+        for peer, doc, start, end in zip(
+            postings.peer, postings.doc, postings.start, postings.end
+        ):
             for lo, hi in dyadic_cover(start, end, l):
                 level = (hi - lo + 1).bit_length() - 1
                 if level > dclev:
@@ -110,14 +99,16 @@ class AncestorBloomFilter:
         self.dclev = dclev  # highest level present in D(L_a)
         self.filter.insert_serialized_batch(unique)
         self.filter.inserted = total
-        self.source_size = len(postings)
 
     def _interval_present(self, peer, doc, interval):
-        level = interval_level(interval)
-        contains = self.filter.contains_serialized
+        lo, hi = interval
         return all(
-            contains(b"(i%d,i%d,i%d,i%d,i%d)" % (peer, doc, interval[0], interval[1], trace))
-            for trace in range(self._psi[level])
+            self.filter.contains_serialized_batch(
+                [
+                    b"(i%d,i%d,i%d,i%d,i%d)" % (peer, doc, lo, hi, trace)
+                    for trace in range(self._psi[interval_level(interval)])
+                ]
+            )
         )
 
     def may_have_ancestor(self, posting):
@@ -147,19 +138,15 @@ class AncestorBloomFilter:
     def filter_postings(self, postings):
         """The sublist ``F(b, ABF(a))`` of postings that may join.
 
-        Column-backed lists run through a staged batch kernel: the probe
-        walks the raw columns (no Posting objects), memoizes interval
-        decisions per call — distinct postings overwhelmingly share cover
-        intervals and dyadic containers — and stages the remaining
-        membership tests in rounds (container-chain position × trace
-        index) so each round is one batched Bloom probe through the
-        active kernel backend, preserving the scalar path's early-exit
-        economy: deeper containers and later traces are only hashed for
-        keys still undecided."""
-        if not isinstance(postings, PostingList):
-            return PostingList(
-                [p for p in postings if self.may_have_ancestor(p)], presorted=True
-            )
+        A staged batch probe that keeps exactly the postings
+        :meth:`may_have_ancestor` keeps: it walks the raw columns (no
+        Posting objects), memoizes interval decisions per call — distinct
+        postings overwhelmingly share cover intervals and dyadic
+        containers — and stages the remaining membership tests in rounds
+        (container-chain position × trace index) so each round is one
+        batched Bloom probe through the active kernel backend, preserving
+        the scalar probe's early-exit economy: deeper containers and later
+        traces are only hashed for keys still undecided."""
         l = self.l
         limit = 1 << l
         dclev = self.dclev
@@ -264,10 +251,11 @@ class AncestorBloomFilter:
 
 
 class DescendantBloomFilter:
-    """``DBF(b)``: lets another peer select postings with a ``b`` descendant."""
+    """``DBF(b)``: lets another peer select postings with a ``b`` descendant.
+
+    Built from the ``PostingList`` of ``b``."""
 
     def __init__(self, postings, l=None, fp_rate=0.01, seed=0):
-        postings = PostingList.of(postings)
         self.l = l if l is not None else _level_of_postings(postings)
         # the container chains of the start points: l + 1 keys per
         # posting, inserted by the active kernel backend
@@ -275,7 +263,6 @@ class DescendantBloomFilter:
         f.inserted = kernels.active().descendant_build(
             postings.arrays(), self.l, f._vector, f.bits, f.hashes, f._salt1, f._salt2
         )
-        self.source_size = len(postings)
 
     def may_have_descendant(self, posting, or_self=False):
         """Does some ``b`` posting start inside ``posting``'s interval?
@@ -286,23 +273,21 @@ class DescendantBloomFilter:
         hi = min(posting.end - (0 if or_self else 1), 1 << self.l)
         if lo > hi:
             return False
-        for interval in dyadic_cover(lo, hi, self.l):
-            if (posting.peer, posting.doc, interval[0], interval[1]) in self.filter:
-                return True
-        return False
+        return any(
+            self.filter.contains_serialized_batch(
+                [
+                    b"(i%d,i%d,i%d,i%d)" % (posting.peer, posting.doc, ilo, ihi)
+                    for ilo, ihi in dyadic_cover(lo, hi, self.l)
+                ]
+            )
+        )
 
     def filter_postings(self, postings, or_self=False):
         """The sublist ``F(a, DBF(b))`` of postings that may join.
 
-        Column-backed lists go through the active kernel backend's
-        ``descendant_probe``; anything else is probed posting by posting
-        with :meth:`may_have_descendant`, the definition both kernels are
-        tested against."""
-        if not isinstance(postings, PostingList):
-            return PostingList(
-                [p for p in postings if self.may_have_descendant(p, or_self=or_self)],
-                presorted=True,
-            )
+        The active kernel backend's ``descendant_probe`` keeps exactly the
+        postings :meth:`may_have_descendant` keeps, the definition both
+        kernels are tested against."""
         f = self.filter
         keep = kernels.active().descendant_probe(
             postings.arrays(), 0 if or_self else 1, self.l,
@@ -317,10 +302,4 @@ class DescendantBloomFilter:
 
 def _level_of_postings(postings):
     """Domain size: enough levels to cover the largest end tag seen."""
-    if isinstance(postings, PostingList):
-        return level_for(max(1, postings.max_end()))
-    max_end = 1
-    for p in postings:
-        if p.end > max_end:
-            max_end = p.end
-    return level_for(max_end)
+    return level_for(max(1, postings.max_end()))

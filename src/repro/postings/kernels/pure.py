@@ -371,15 +371,21 @@ def decode(data, offset=0):
 # -- Bloom filter bit kernels ------------------------------------------------
 
 
+def _digest_pairs(datas, salt1, salt2):
+    """``(h1, h2)`` per key: its two salted 8-byte BLAKE2 digests, ``h2``
+    made odd.  A key's ``k`` bit positions are ``(h1 + i * h2) % bits``
+    for ``i < k`` (double hashing)."""
+    h1s = [int.from_bytes(blake2b(d, digest_size=8, salt=salt1).digest(), "little") for d in datas]
+    h2s = [
+        int.from_bytes(blake2b(d, digest_size=8, salt=salt2).digest(), "little") | 1
+        for d in datas
+    ]
+    return zip(h1s, h2s)
+
+
 def bloom_set_batch(vector, bits, hashes, salt1, salt2, datas):
     """Set the bit positions of every serialized item in ``datas``."""
-    for data in datas:
-        h1 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=salt1).digest(), "little"
-        )
-        h2 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=salt2).digest(), "little"
-        ) | 1
+    for h1, h2 in _digest_pairs(datas, salt1, salt2):
         for i in range(hashes):
             pos = (h1 + i * h2) % bits
             vector[pos >> 3] |= 1 << (pos & 7)
@@ -389,13 +395,7 @@ def bloom_test_batch(vector, bits, hashes, salt1, salt2, datas):
     """Membership test for every serialized item; one bool per item."""
     out = []
     push = out.append
-    for data in datas:
-        h1 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=salt1).digest(), "little"
-        )
-        h2 = int.from_bytes(
-            blake2b(data, digest_size=8, salt=salt2).digest(), "little"
-        ) | 1
+    for h1, h2 in _digest_pairs(datas, salt1, salt2):
         ok = True
         for i in range(hashes):
             pos = (h1 + i * h2) % bits

@@ -1,5 +1,6 @@
 """Tests for dyadic decomposition, Bloom filters, and structural filters."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.bloom.dyadic import (
 )
 from repro.bloom.filter import BloomFilter, optimal_params
 from repro.bloom.structural import (
+    PSI_C,
     AncestorBloomFilter,
     DescendantBloomFilter,
     psi,
@@ -125,35 +127,86 @@ class TestDyadic:
         assert covered == (a <= x and y <= b)
 
 
+BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    previous = kernels.use_backend(request.param)
+    yield request.param
+    kernels.use_backend(previous)
+
+
+@pytest.fixture
+def each_backend():
+    """An iterator over the backend names that activates each in turn; the
+    test's backend is restored afterwards, also when the test fails."""
+
+    def activate():
+        for name in BACKENDS:
+            kernels.use_backend(name)
+            yield name
+
+    previous = kernels.backend_name()
+    yield activate()
+    kernels.use_backend(previous)
+
+
+def _keys(tag, n):
+    return [b"(i%d,i%d,i%d)" % (tag, i, i * 2) for i in range(n)]
+
+
 class TestBloomFilter:
-    def test_no_false_negatives(self):
-        f = BloomFilter.for_items(100, 0.01)
-        items = [("k", i, i * 2) for i in range(100)]
-        for item in items:
-            f.insert(item)
-        assert all(item in f for item in items)
+    def test_no_false_negatives(self, each_backend):
+        for name in each_backend:
+            f = BloomFilter.for_items(100, 0.01)
+            keys = _keys(0, 100)
+            f.insert_serialized_batch(keys)
+            assert all(f.contains_serialized_batch(keys)), name
 
-    def test_fp_rate_approximates_target(self):
-        rng = random.Random(1)
-        f = BloomFilter.for_items(2000, 0.05)
-        inserted = {("in", rng.randrange(10**9)) for _ in range(2000)}
-        for item in inserted:
-            f.insert(item)
-        probes = [("out", rng.randrange(10**9)) for _ in range(4000)]
-        fp = sum(1 for p in probes if p in f) / len(probes)
-        assert fp < 0.12  # 5% target with slack
+    #: the (bits, hashes, fill) grid; ``fill`` is the expected share of
+    #: set bits, ``1 - e^(-kn/m)``, so the load is n = -m ln(1 - fill) / k
+    FP_GRID = [
+        (bits, hashes, fill)
+        for bits in (512, 4099, 20000)
+        for hashes in (1, 4, 7)
+        for fill in (0.2, 0.5)
+    ]
 
-    def test_deterministic(self):
-        a, b = BloomFilter(256, 3, seed=9), BloomFilter(256, 3, seed=9)
-        a.insert(("x", 1))
-        b.insert(("x", 1))
-        assert a._vector == b._vector
+    def test_fp_rate_approximates_target(self, each_backend):
+        """At every grid point the false-positive count of fresh keys lies
+        in a binomial bound around ``N * basic_fp_rate(m, k, n)``: five
+        standard deviations plus a floor of three counts, for the sparse
+        points where the expected count is below one."""
+        probes = 2000
+        for name in each_backend:
+            for bits, hashes, fill in self.FP_GRID:
+                n = round(-bits * math.log(1 - fill) / hashes)
+                f = BloomFilter(bits, hashes, seed=bits + hashes)
+                f.insert_serialized_batch(_keys(0, n))
+                false_positives = sum(f.contains_serialized_batch(_keys(1, probes)))
+                p = basic_fp_rate(bits, hashes, n)
+                bound = 5 * math.sqrt(probes * p * (1 - p)) + 3
+                assert abs(false_positives - probes * p) <= bound, (
+                    name, bits, hashes, fill, false_positives, probes * p,
+                )
 
-    def test_seed_independence(self):
-        a, b = BloomFilter(256, 3, seed=1), BloomFilter(256, 3, seed=2)
-        a.insert(("x", 1))
-        b.insert(("x", 1))
-        assert a._vector != b._vector
+    def test_deterministic(self, each_backend):
+        vectors = set()
+        for _name in each_backend:
+            a, b = BloomFilter(256, 3, seed=9), BloomFilter(256, 3, seed=9)
+            a.insert_serialized_batch([b"(i1,i2)"])
+            b.insert_serialized_batch([b"(i1,i2)"])
+            assert a._vector == b._vector
+            vectors.add(bytes(a._vector))
+        assert len(vectors) == 1  # and the same bits under every backend
+
+    def test_seed_independence(self, each_backend):
+        for name in each_backend:
+            a, b = BloomFilter(256, 3, seed=1), BloomFilter(256, 3, seed=2)
+            a.insert_serialized_batch([b"(i1,i2)"])
+            b.insert_serialized_batch([b"(i1,i2)"])
+            assert a._vector != b._vector, name
 
     def test_optimal_params(self):
         m, k = optimal_params(1000, 0.01)
@@ -169,18 +222,6 @@ class TestBloomFilter:
     def test_size_bytes(self):
         f = BloomFilter(1024, 3)
         assert f.size_bytes == 1024 // 8 + 16
-
-    def test_unhashable_type_rejected(self):
-        f = BloomFilter(64, 2)
-        with pytest.raises(TypeError):
-            f.insert((1.5,))
-
-    def test_expected_fp_rate(self):
-        f = BloomFilter(1024, 4)
-        assert f.expected_fp_rate() == 0.0
-        for i in range(100):
-            f.insert(("i", i))
-        assert 0 < f.expected_fp_rate() < 1
 
 
 class TestPsiAnalysis:
@@ -343,14 +384,6 @@ class TestDescendantProbeExactness:
     """``filter_postings``' kernel path keeps exactly the postings the
     scalar ``may_have_descendant`` keeps, under every backend."""
 
-    @pytest.fixture(
-        params=["pure"] + (["numpy"] if kernels.numpy_available() else [])
-    )
-    def backend(self, request):
-        previous = kernels.use_backend(request.param)
-        yield request.param
-        kernels.use_backend(previous)
-
     @pytest.mark.parametrize("fp_rate", [0.01, 0.2, 0.5])
     def test_batch_path_equals_scalar_oracle(self, backend, fp_rate):
         kept_some = dropped_some = False
@@ -371,4 +404,30 @@ class TestDescendantProbeExactness:
                         assert got.items() == want, (seed, size, l, or_self)
                         kept_some |= bool(want)
                         dropped_some |= len(want) < len(la)
+        assert kept_some and dropped_some
+
+
+class TestAncestorProbeExactness:
+    """``filter_postings``' staged batch probe keeps exactly the postings
+    the scalar ``may_have_ancestor`` keeps, under every backend."""
+
+    @pytest.mark.parametrize("fp_rate", [0.01, 0.2, 0.5])
+    def test_batch_path_equals_scalar_oracle(self, backend, fp_rate):
+        kept_some = dropped_some = False
+        for seed in range(12):
+            rng = random.Random(seed)
+            la = _random_intervals(rng, rng.randrange(1, 30), 200)
+            # probe positions run past the source's: end > 2**l is dropped
+            for size in (0, 1, 9, 60):
+                lb = _random_intervals(rng, size, 300)
+                for l in (None, level_for(la.max_end()) + 2):
+                    for psi_c, bits in ((PSI_C, None), (None, None), (PSI_C, 256)):
+                        abf = AncestorBloomFilter(
+                            la, l=l, fp_rate=fp_rate, psi_c=psi_c, seed=seed, bits=bits
+                        )
+                        want = [p for p in lb if abf.may_have_ancestor(p)]
+                        got = abf.filter_postings(lb)
+                        assert got.items() == want, (seed, size, l, psi_c, bits)
+                        kept_some |= bool(want)
+                        dropped_some |= len(want) < len(lb)
         assert kept_some and dropped_some
