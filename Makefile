@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-pure test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile
+.PHONY: test test-pure test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile fence-margins
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -137,3 +137,18 @@ SCALE ?= full
 SEED ?= 0
 step-profile:
 	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED)
+
+# the margins of the 2 % fences (bench/metrics.py: layer_checks): for each
+# fenced workload at full and tiny scale and each seed of SEEDS, the share
+# of steps of sim and balance and the steps/op the workload can still lose
+# before each trips, e.g. make fence-margins SEEDS="0 7"
+SEEDS ?= 0 1 2 3 7
+fence-margins:
+	@for workload in ingest query_index query_docphase; do \
+		for scale in full tiny; do \
+			for seed in $(SEEDS); do \
+				PYTHONHASHSEED=0 python benchmarks/step_profile.py $$workload \
+					--scale $$scale --seed $$seed --fences || exit 1; \
+			done; \
+		done; \
+	done

@@ -20,7 +20,9 @@ On the workloads ``bench.metrics.layer_checks`` fences (``BYPASS_WORKLOADS``:
 a ``--trace 1`` run fails when ``sim`` or ``balance`` exceed their
 ``BYPASS_SHARE`` of all steps), the profile ends with each fenced layer's
 share and how many steps/op the workload can still lose, with that layer
-unchanged, before the fence trips.
+unchanged, before the fence trips.  ``--fences`` prints only those lines;
+``make fence-margins`` prints them for every fenced workload, both scales
+and several seeds.
 """
 
 import argparse
@@ -156,11 +158,19 @@ def main(argv=None):
     parser.add_argument("--scale", default="full", choices=("full", "tiny"))
     parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--no-check", action="store_true")
+    parser.add_argument(
+        "--fences", action="store_true",
+        help="print only the fence lines, each naming its run; no check",
+    )
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("note: set PYTHONHASHSEED=0 to repeat the benchmark's counts exactly")
 
     counter, ops = profile(args.workload, args.seed, args.scale)
+    if args.fences:
+        run = "%-14s %-4s seed %-3d" % (args.workload, args.scale, args.seed)
+        print("\n".join("%s %s" % (run, line) for line in fence_lines(counter, ops)))
+        return 0
     total = counter.total()
     per_op = total / ops
     print(

@@ -99,12 +99,10 @@ def test_twig_join_throughput(benchmark, posting_list_10k):
     assert solutions  # sanity: the join produces output
 
 
-def test_twig_join_docpeer(benchmark):
-    """One document peer's join at ``query_docphase``'s size: its 8
-    generated DBLP documents of 4 KB, every one a candidate, under one
-    chain and one branching query."""
+def _docpeer():
+    """A document peer holding 8 generated DBLP documents of 4 KB, the
+    candidates of one ``query_docphase`` peer; with their indexes."""
     from repro.kadop.peer import KadopPeer
-    from repro.query.twigjoin import TwigPlan
     from repro.workloads.dblp import DblpGenerator
     from repro.xmldata.parser import parse_document
     from repro.xmldata.streams import ElementStreams
@@ -115,7 +113,16 @@ def test_twig_join_docpeer(benchmark):
         document = parse_document(generator.document())
         document.streams = ElementStreams(document)
         peer.documents[doc_index] = document
-    docs = sorted(peer.documents)
+    return peer, sorted(peer.documents)
+
+
+def test_twig_join_docpeer(benchmark):
+    """One document peer's join at ``query_docphase``'s size: its 8
+    generated DBLP documents of 4 KB, every one a candidate, under one
+    chain and one branching query."""
+    from repro.query.twigjoin import TwigPlan
+
+    peer, docs = _docpeer()
     queries = ("//article//author", "//article[//title]//author")
     plans = [TwigPlan(parse_query(query)) for query in queries]
 
@@ -337,6 +344,39 @@ def test_kernel_semijoin_below(benchmark, kernel_backend):
     semijoin_below = kernels.active().semijoin_below
     kept = benchmark(lambda: [semijoin_below(*edge) for edge in edges])
     assert len(edges) == 14 and all(len(cols[0]) for cols in kept)
+
+
+def _docpeer_expansions(monkeypatch):
+    """The ``expand_below`` calls of one ``query_docphase`` document peer:
+    its 10 query templates over the 8 documents of :func:`_docpeer`, as
+    the pure backend receives them.  The 14 calls are all on ``//``
+    edges: 8-71 outer rows asked about (median 37, mean 42.9; the
+    workload's median is 43, 11 of them at or above the numpy backend's
+    cut-over) against 37-300 inner rows (180.5 on average)."""
+    from repro.workloads.queries import traffic_workload
+
+    peer, docs = _docpeer()
+    pure = kernels.resolve("pure")
+    calls = []
+    expand_below = pure.expand_below
+    monkeypatch.setattr(
+        pure, "expand_below", lambda *args: calls.append(args) or expand_below(*args)
+    )
+    previous = kernels.use_backend("pure")
+    try:
+        for text, _ in traffic_workload(10, with_keywords=False):
+            peer.evaluate(parse_query(text), docs)
+    finally:
+        kernels.use_backend(previous)
+        monkeypatch.undo()
+    return calls
+
+
+def test_kernel_expand_below(benchmark, kernel_backend, monkeypatch):
+    calls = _docpeer_expansions(monkeypatch)
+    expand_below = kernels.active().expand_below
+    found = benchmark(lambda: [expand_below(*call) for call in calls])
+    assert len(calls) == 14 and all(owner for owner, _ in found)
 
 
 def test_kernel_dbf_build(benchmark, kernel_backend):

@@ -37,6 +37,7 @@ differential test in ``tests/test_faults.py``).
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.dht.nodeid import key_id
 from repro.dht.replicas import Membership
@@ -82,26 +83,34 @@ class Transfers(Scheduler):
 
     A transfer holds its sender's ``egress:<peer>`` link (one slot) and one
     of the receiver's ``ingress`` slots; under the network's FaultPlan it
-    is stretched by the plan's link jitter."""
+    is stretched by the plan's link jitter.  Transfers wait in a queue as
+    they are asked for, and become tasks, in that order, when the schedule
+    runs: the links and tasks are then registered in one call each."""
 
     def __init__(self, net, slots):
         super().__init__()
         self._cost = net.cost
-        self._links = {}  # sender -> the resources a transfer from it holds
+        self._queued = []  # (name, seconds, sender, release) of each transfer
         if net.faults is not None:
             self.install_faults(net.faults)
         self.add_resource("ingress", slots)
 
     def transfer(self, name, seconds, sender, release=0.0):
         """Schedule ``seconds`` from peer index ``sender``, not before ``release``."""
-        links = self._links.get(sender)
-        if links is None:
-            links = self._links[sender] = (self.add_resource("egress:%d" % sender, 1), "ingress")
-        return self.add_task(name, seconds, resources=links, release=release)
+        self._queued.append((name, seconds, sender, release))
 
     def carry(self, name, nbytes, sender):
         """Schedule ``nbytes`` that a DHT verb has already metered."""
-        return self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
+        self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
+
+    def run(self):
+        if self._queued:
+            names, seconds, senders, releases = zip(*self._queued)
+            self._queued = []
+            gates = list(map("egress:%d".__mod__, senders))
+            self.add_resources(dict.fromkeys(gates), 1)
+            self.add_tasks(names, seconds, zip(gates, repeat("ingress")), releases)
+        return super().run()
 
 
 class DhtNetwork(Membership):

@@ -174,18 +174,24 @@ class FundexIndex:
         report.complete = exec_report.complete
         report.unreachable_keys = exec_report.unreachable_keys
         net = self.system.net
-        # contacting every candidate peer and shipping whole documents
+        # contacting every candidate peer and shipping whole documents; a
+        # withdrawn document is no longer held, so nothing ships for it
         ship_time = 0.0
+        held = 0
         for peer_idx, doc_idx in sorted(shipped):
             peer = self.system.peers[peer_idx]
-            nbytes = peer.documents[doc_idx].source_bytes
+            document = peer.documents.get(doc_idx)
+            if document is None:
+                continue
+            held += 1
+            nbytes = document.source_bytes
             try:
                 seconds = net.ship(peer.node.uri, nbytes, "documents")
             except OpTimeoutError as exc:
                 report.complete = False  # a document lost for good
                 seconds = exc.receipt.duration_s  # the retries it cost
             ship_time = max(ship_time, seconds)
-        report.candidate_docs = len(shipped) + exec_report.candidate_docs
+        report.candidate_docs = held + exec_report.candidate_docs
         report.response_time_s = exec_report.response_time_s + ship_time
         report.completed_answers = len(answers)
         report.traffic = net.meter.delta_since(snapshot)

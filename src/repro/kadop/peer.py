@@ -146,10 +146,10 @@ class KadopPeer:
         bound elements.
 
         The documents' stored element streams are concatenated per pattern
-        node in ascending ``doc`` and joined once, by the same holistic twig
-        join that runs the index query; the join sorts its output by
-        ``(peer, doc, start)`` keys, so the answers come out exactly as
-        one join per document would give them.  A document the peer no
+        node in ascending ``doc`` and joined once, by the same twig join
+        that runs the index query; the join's output follows the order of
+        its rows, so the answers come out exactly as one join per document
+        would give them.  A document the peer no
         longer holds (an unpublished document whose postings linger in a
         stale view block or a resurrected index copy) and a document in
         which some node has nothing to bind add no rows.  ``plan`` is the

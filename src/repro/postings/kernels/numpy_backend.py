@@ -29,7 +29,8 @@ positions through one ``unpackbits``/``packbits`` round trip.
 
 from array import array
 from hashlib import blake2b
-from itertools import filterfalse
+from itertools import accumulate, compress, filterfalse
+from operator import add
 
 import numpy as np
 
@@ -188,76 +189,96 @@ def batch_bisect(cols, keys, side):
     return lo.tolist()
 
 
-def seek_end_ge(peer, doc, end, pos, n, key):
-    tp, td, te = key
-    # short scalar prefix: typical twig skips are a handful of rows, and
-    # the vector setup would dominate them
-    limit = pos + 4 if pos + 4 < n else n
-    while pos < limit:
-        p = peer[pos]
-        if p > tp:
-            return pos
-        if p == tp:
-            d = doc[pos]
-            if d > td:
-                return pos
-            if d == td and end[pos] >= te:
-                return pos
-        pos += 1
-    if pos >= n:
-        return n
-    pv = np.frombuffer(peer, dtype=_I64)
-    dv = np.frombuffer(doc, dtype=_I64)
-    ev = np.frombuffer(end, dtype=_I64)
-    chunk = 32
-    i = pos
-    while i < n:
-        j = i + chunk if i + chunk < n else n
-        p = pv[i:j]
-        d = dv[i:j]
-        e = ev[i:j]
-        stop = (p > tp) | ((p == tp) & ((d > td) | ((d == td) & (e >= te))))
-        k = int(stop.argmax())
-        if stop[k]:
-            return i + k
-        i = j
-        if chunk < 4096:
-            chunk <<= 1
-    return n
+def _search_keys(inner, outer, adds):
+    """Pack range-search keys into one ``uint64`` per row, or None past 64
+    bits.
+
+    ``inner`` holds the inner rows' fields, one array row per field, most
+    significant first; ``outer`` the outer rows' same fields plus one more:
+    its last two rows are the low and the high end of the range in the last
+    field.  ``adds`` (one per outer row) is added to the outer values,
+    exactly.  Each field is shifted to non-negative and packed high to low,
+    so unsigned order is the fields' lexicographic order.  Returns ``(inner
+    keys, low bounds, high bounds)``."""
+    low, high = np.minimum.reduce, np.maximum.reduce  # no _methods frames
+    omin = list(map(add, low(outer, axis=1).tolist(), adds))
+    omax = list(map(add, high(outer, axis=1).tolist(), adds))
+    omin[-2:] = [min(omin[-2:])]  # the range's two ends are one field
+    omax[-2:] = [max(omax[-2:])]
+    lows = list(map(min, low(inner, axis=1).tolist(), omin))
+    highs = map(max, high(inner, axis=1).tolist(), omax)
+    widths = [max(1, (hi - lo).bit_length()) for lo, hi in zip(lows, highs)]
+    shifts = [64 - used for used in accumulate(widths)]
+    if shifts[-1] < 0:
+        return None
+    at = np.array(shifts + shifts[-1:], dtype=_U64)[:, None]
+    # uint64 wrap-around is exact mod 2**64, as in _pack
+    base = np.array([lo & _MASK64 for lo in lows], dtype=_U64)[:, None]
+    keys = np.bitwise_or.reduce((inner.astype(_U64) - base) << at[:-1], axis=0)
+    lows.append(lows[-1])
+    base = np.array([(lo - a) & _MASK64 for lo, a in zip(lows, adds)], dtype=_U64)[:, None]
+    bounds = (outer.astype(_U64) - base) << at
+    prefix = np.bitwise_or.reduce(bounds[:-2], axis=0)
+    return keys, prefix | bounds[-2], prefix | bounds[-1]
+
+
+#: below this many outer rows the pure loops of semijoin_below and
+#: expand_below cost less host time than the vector setup (see
+#: BENCH_micro.json's test_kernel_expand_below and
+#: test_kernel_semijoin_below rows)
+_SEARCH_MIN_ROWS = 32
 
 
 def semijoin_below(cols, inner_cols, axis):
-    if not len(cols[0]) or not len(inner_cols[0]):
+    if len(cols[0]) < _SEARCH_MIN_ROWS or not len(inner_cols[0]):
         return _pure.semijoin_below(cols, inner_cols, axis)
-    views = _views(cols)
-    peer, doc, start, end, level = views
-    ipeer, idoc, istart, _iend, ilevel = _views(inner_cols)
-    # one uint64 key per row, fields most significant first: the outer
-    # columns, the inner column, and what the outer side adds; the outer
-    # start and end share the last field as the bounds of the search
-    fields = [((peer,), ipeer, 0), ((doc,), idoc, 0)]
+    peer, doc, start, end, level = cols
+    ipeer, idoc, istart, _iend, ilevel = inner_cols
+    if axis == "/":  # by (peer, doc, level, start), one level deeper
+        inner = np.array((ipeer, idoc, ilevel, istart))
+        packed = _search_keys(inner, np.array((peer, doc, level, start, end)), (0, 0, 1, 0, 0))
+    else:
+        inner = np.array((ipeer, idoc, istart))
+        packed = _search_keys(inner, np.array((peer, doc, start, end)), (0, 0, 0, 0))
+    if packed is None:
+        return _pure.semijoin_below(cols, inner_cols, axis)
+    keys, lo_keys, hi_keys = packed
     if axis == "/":
-        fields.append(((level,), ilevel, 1))  # one level deeper
-    fields.append(((start, end), istart, 0))
-    low, high = np.minimum.reduce, np.maximum.reduce  # no _methods frames
-    shift = 64
-    keys = prefix = 0
-    for outer, inner, add in fields:
-        lo = min(int(low(inner)), *[int(low(col)) + add for col in outer])
-        hi = max(int(high(inner)), *[int(high(col)) + add for col in outer])
-        shift -= max(1, (hi - lo).bit_length())
-        if shift < 0:
-            return _pure.semijoin_below(cols, inner_cols, axis)
-        at = _U64(shift)
-        # uint64 wrap-around is exact mod 2**64, as in _pack
-        keys = keys | (inner.astype(_U64) - _U64(lo & _MASK64)) << at
-        bounds = [prefix | (col.astype(_U64) + _U64((add - lo) & _MASK64)) << at for col in outer]
-        prefix = bounds[0]
-    if axis == "/":
-        keys.sort()  # by (peer, doc, level, start)
+        keys.sort()
     lo_side, hi_side = ("left", "right") if axis == ".//" else ("right", "left")
-    keep = keys.searchsorted(bounds[0], lo_side) < keys.searchsorted(bounds[1], hi_side)
-    return _to_arrays([v[keep] for v in views])
+    keep = (keys.searchsorted(lo_keys, lo_side) < keys.searchsorted(hi_keys, hi_side)).tolist()
+    return tuple(array("q", compress(col, keep)) for col in cols)
+
+
+def expand_below(cols, inner_cols, axis, rows):
+    m = len(rows)
+    if m < _SEARCH_MIN_ROWS or not len(inner_cols[0]):
+        return _pure.expand_below(cols, inner_cols, axis, rows)
+    peer, doc, start, end, level = cols
+    ipeer, idoc, istart, iend, ilevel = inner_cols
+    packed = _search_keys(
+        np.array((ipeer, idoc, istart)), np.array((peer, doc, start, end)), (0, 0, 0, 0)
+    )
+    if packed is None:
+        return _pure.expand_below(cols, inner_cols, axis, rows)
+    keys, lo_keys, hi_keys = packed
+    lo_side, hi_side = ("left", "right") if axis == ".//" else ("right", "left")
+    at = np.array(rows, dtype=_I64)
+    lo = keys.searchsorted(lo_keys, lo_side)[at]
+    counts = keys.searchsorted(hi_keys, hi_side)[at] - lo
+    np.maximum(counts, 0, out=counts)
+    # row k's inner rows are lo[k], lo[k] + 1, ...: one run per row
+    owner = np.arange(m, dtype=_I64).repeat(counts)
+    inner = np.arange(len(owner), dtype=_I64) + (lo - (counts.cumsum() - counts)).repeat(counts)
+    if axis == "/":
+        below = np.frombuffer(level, dtype=_I64)[at] + 1
+        keep = np.frombuffer(ilevel, dtype=_I64)[inner] == below.repeat(counts)
+    elif axis == ".//":
+        ends = np.frombuffer(end, dtype=_I64)[at]
+        keep = np.frombuffer(iend, dtype=_I64)[inner] <= ends.repeat(counts)
+    else:
+        return owner.tolist(), inner.tolist()
+    return owner[keep].tolist(), inner[keep].tolist()
 
 
 # -- derived views -----------------------------------------------------------

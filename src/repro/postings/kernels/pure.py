@@ -11,7 +11,7 @@ backends sit behind one interface.
 from array import array
 from bisect import bisect_left, bisect_right
 from hashlib import blake2b
-from itertools import compress
+from itertools import compress, repeat
 from operator import le, lt
 
 NAME = "pure"
@@ -123,28 +123,6 @@ def batch_bisect(cols, keys, side):
     return out
 
 
-def seek_end_ge(peer, doc, end, pos, n, key):
-    """First index ``>= pos`` whose ``(peer, doc, end)`` sorts ``>= key``.
-
-    The twig-join skip: scan forward from ``pos`` (``end`` is not
-    monotonic within a document, so this is a first-fail scan, not a
-    bisect) and return the stop position, or ``n`` when every remaining
-    row sorts before ``key``."""
-    tp, td, te = key
-    while pos < n:
-        p = peer[pos]
-        if p > tp:
-            break
-        if p == tp:
-            d = doc[pos]
-            if d > td:
-                break
-            if d == td and end[pos] >= te:
-                break
-        pos += 1
-    return pos
-
-
 def semijoin_below(cols, inner_cols, axis):
     """The rows of ``cols`` with an ``inner_cols`` row below them.
 
@@ -173,6 +151,42 @@ def semijoin_below(cols, inner_cols, axis):
         j = seek(keys, lo)
         push(j < n and before(keys[j], hi))
     return tuple(array("q", compress(col, mask)) for col in cols)
+
+
+def expand_below(cols, inner_cols, axis, rows):
+    """The ``inner_cols`` rows below each of ``rows``, as two lists.
+
+    ``rows`` are row indexes into ``cols``, repeats allowed.  For the
+    ``k``-th of them, every inner row of its ``(peer, doc)`` that ``axis``
+    admits below it adds ``k`` to the first list and the inner row's index
+    to the second, ``k`` and then the inner index increasing.  The test is
+    ``Axis.admits`` exactly: a start strictly inside ``(start, end)``
+    (``"//"``), that and one level deeper (``"/"``), or a start inside
+    ``[start, end]`` and an end at most ``end`` (``".//"``).  Each row is
+    two bisects into the inner rows keyed by ``(peer, doc, start)``."""
+    peer, doc, start, end, level = cols
+    ipeer, idoc, istart, iend, ilevel = inner_cols
+    keys = list(zip(ipeer, idoc, istart))
+    if axis == ".//":
+        seek_lo, seek_hi = bisect_left, bisect_right
+    else:
+        seek_lo, seek_hi = bisect_right, bisect_left
+    owner = []
+    inner = []
+    for k, r in enumerate(rows):
+        p, d, e = peer[r], doc[r], end[r]
+        lo = seek_lo(keys, (p, d, start[r]))
+        hi = seek_hi(keys, (p, d, e), lo)
+        if axis == "/":
+            below = level[r] + 1
+            found = [j for j in range(lo, hi) if ilevel[j] == below]
+        elif axis == ".//":
+            found = [j for j in range(lo, hi) if iend[j] <= e]
+        else:
+            found = range(lo, hi)
+        owner.extend(repeat(k, len(found)))
+        inner.extend(found)
+    return owner, inner
 
 
 # -- derived views -----------------------------------------------------------

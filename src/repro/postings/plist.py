@@ -28,6 +28,7 @@ stays cheap while the hot paths never pay for per-posting objects.
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 
 from repro.postings import kernels
 from repro.postings.posting import Posting
@@ -156,9 +157,9 @@ class PostingList:
     def items(self):
         """The postings as a (cached, immutable by convention) sorted list."""
         if self._cache is None:
-            self._cache = list(
-                map(Posting._make, zip(self.peer, self.doc, self.start, self.end, self.level))
-            )
+            rows = zip(self.peer, self.doc, self.start, self.end, self.level)
+            # tuple.__new__ is C; Posting._make would open a frame per row
+            self._cache = list(map(tuple.__new__, repeat(Posting), rows))
         return self._cache
 
     # -- mutation ----------------------------------------------------------

@@ -25,7 +25,7 @@ identical to the event loop's; every other graph runs the event loop.
 
 import heapq
 from bisect import bisect_right, insort
-from itertools import chain, compress
+from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, itemgetter, not_
 
 _DEPS = attrgetter("deps")
@@ -136,6 +136,27 @@ class Scheduler:
             raise KeyError("unknown resource %r for task %r" % (res, name))
         self._tasks += (task,)
         return task
+
+    def add_resources(self, names, capacity):
+        """:meth:`add_resource` for each of ``names``, one ``capacity``."""
+        if capacity < 1:
+            raise ValueError("resources %r need capacity >= 1" % (list(names),))
+        self._capacity.update(dict.fromkeys(names, int(capacity)))
+
+    def add_tasks(self, names, durations, resources, releases):
+        """:meth:`add_task` for many tasks with no dependencies, tag or
+        priority, in submission order; returns them.  No task is
+        registered unless every one names only declared resources."""
+        tasks = list(
+            map(Task, names, durations, repeat(()), resources, releases, repeat(None),
+                repeat(0), count(len(self._tasks)))
+        )
+        if not self._known >= set(chain(*map(_RESOURCES, tasks))):
+            task = next(t for t in tasks if not self._known >= set(t.resources))
+            res = next(r for r in task.resources if r not in self._capacity)
+            raise KeyError("unknown resource %r for task %r" % (res, task.name))
+        self._tasks += tasks
+        return tasks
 
     def run(self):
         """Execute the graph; returns the makespan in simulated seconds.

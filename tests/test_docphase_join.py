@@ -8,14 +8,10 @@ matcher on random inputs.  This file pins what surrounds it:
   streams behind;
 * the serving path never enters ``repro.query.matcher`` — the matcher is
   the oracle (``oracle_answers``, the fuzzer), and a benchmark whose answer
-  check compares the matcher with itself checks nothing;
-* the stream cursor's precomputed keys and its two skips behave like the
-  plain "advance while the end key (start key) sorts before" loops at
-  every boundary.
+  check compares the matcher with itself checks nothing.
 """
 
 import gc
-import random
 import weakref
 
 import pytest
@@ -24,10 +20,7 @@ from repro.kadop.config import KadopConfig
 from repro.kadop.serving import QueryArrival
 from repro.kadop.system import KadopNetwork
 from repro.kadop.verify import oracle_answers
-from repro.postings import kernels
-from repro.postings.plist import PostingList
 from repro.query import matcher
-from repro.query.twigjoin import _INF_KEY, _Stream
 from repro.workloads.dblp import DblpGenerator
 from repro.xmldata.streams import ElementStreams
 
@@ -172,143 +165,3 @@ def test_serving_engine_never_enters_the_matcher(monkeypatch):
     for served in result.queries:
         assert served.report.complete
         assert {a.bindings for a in served.answers} == expected[served.query_text]
-
-
-# -- the stream cursor ---------------------------------------------------------------
-
-
-class _ReferenceCursor:
-    """What ``_Stream`` must behave like: keys built on demand, skips one
-    row at a time."""
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.pos = 0
-
-    def start_key(self):
-        if self.pos >= len(self.rows):
-            return _INF_KEY
-        return self.rows[self.pos][:3]
-
-    def end_key(self):
-        if self.pos >= len(self.rows):
-            return _INF_KEY
-        peer, doc, _, end, _ = self.rows[self.pos]
-        return (peer, doc, end)
-
-    def skip_end_lt(self, key):
-        before = self.pos
-        while self.end_key() < key:
-            self.pos += 1
-        return self.pos - before
-
-    def skip_to(self, key):
-        while self.start_key() < key:
-            self.pos += 1
-
-
-def _same_state(stream, reference):
-    assert stream.pos == reference.pos
-    assert stream.n == len(reference.rows)
-    assert stream.skeys[stream.pos] == reference.start_key()
-    assert stream.ekeys[stream.pos] == reference.end_key()
-    if stream.pos < stream.n:
-        row = tuple(col[stream.pos] for col in (stream.peer, stream.doc, stream.start, stream.end, stream.level))
-        assert row == reference.rows[reference.pos]
-
-
-def _head(key):
-    """A stream whose head row starts at ``key`` (``_Stream.skip_to``'s
-    argument is the parent's stream)."""
-    if key == _INF_KEY:
-        return _Stream(PostingList())
-    return _Stream(PostingList([key + (key[2] + 1, 0)]))
-
-
-def _nested_rows(rng, docs):
-    """Sorted postings of a few documents with nested, non-monotonic ends."""
-    rows = []
-    for doc in range(docs):
-        tag = 1
-        for _ in range(rng.randint(1, 6)):
-            width = rng.randint(1, 12)
-            rows.append((doc % 2, doc, tag, tag + 2 * width + 1, 1))
-            for inner in range(rng.randint(0, width)):
-                rows.append((doc % 2, doc, tag + 1 + 2 * inner, tag + 2 + 2 * inner, 2))
-            tag += 2 * width + 2
-    return sorted(rows)
-
-
-@pytest.fixture(params=["pure", "numpy"])
-def backend(request):
-    if request.param == "numpy" and not kernels.numpy_available():
-        pytest.skip("numpy not importable")
-    previous = kernels.use_backend(request.param)
-    yield request.param
-    kernels.use_backend(previous)
-
-
-class TestStreamCursor:
-    def test_empty_stream_reads_inf_and_skips_nothing(self, backend):
-        stream = _Stream(PostingList())
-        assert stream.pos == stream.n == 0
-        assert stream.skeys == stream.ekeys == [_INF_KEY]
-        assert stream.skip_end_lt((0, 0, 5)) == 0
-        assert stream.skip_end_lt(_INF_KEY) == 0
-        stream.skip_to(_head(_INF_KEY))
-        assert stream.pos == 0
-
-    def test_first_row_stop_costs_no_kernel_call(self, backend, monkeypatch):
-        rows = [(0, 0, 1, 10, 0), (0, 0, 2, 3, 1)]
-        stream = _Stream(PostingList(rows))
-        monkeypatch.setattr(kernels.active(), "seek_end_ge", _no_matcher)
-        assert stream.skip_end_lt((0, 0, 10)) == 0  # end == key: not before it
-        assert stream.skip_end_lt((0, 0, 4)) == 0
-        assert stream.pos == 0
-
-    def test_skip_that_runs_off_the_end(self, backend):
-        rows = [(0, 0, 1, 2, 1), (0, 0, 3, 4, 1), (0, 1, 1, 2, 0)]
-        stream = _Stream(PostingList(rows))
-        reference = _ReferenceCursor(rows)
-        assert stream.skip_end_lt((0, 0, 4)) == reference.skip_end_lt((0, 0, 4)) == 1
-        _same_state(stream, reference)
-        assert stream.skip_end_lt((3, 0, 0)) == reference.skip_end_lt((3, 0, 0)) == 2
-        _same_state(stream, reference)
-        assert stream.skip_end_lt((9, 9, 9)) == 0  # already at eof
-        stream.skip_to(_head((9, 9, 9)))
-        assert stream.pos == stream.n == 3
-
-    def test_skip_to_stops_at_an_equal_start(self, backend):
-        """A row starting where the parent's head starts is the same
-        element in both streams (``//a//a``, ``.//``): it is kept."""
-        rows = [(0, 0, 1, 8, 0), (0, 0, 2, 3, 1), (0, 0, 4, 7, 1), (0, 0, 5, 6, 2)]
-        stream = _Stream(PostingList(rows))
-        stream.skip_to(_head((0, 0, 4)))
-        assert stream.pos == 2
-        stream.skip_to(_head((0, 0, 4)))
-        assert stream.pos == 2
-        stream.skip_to(_head(_INF_KEY))
-        assert stream.pos == stream.n
-
-    def test_random_walk_equals_reference(self, backend):
-        rng = random.Random(17)
-        for _ in range(150):
-            rows = _nested_rows(rng, docs=rng.randint(1, 4))
-            stream = _Stream(PostingList(rows))
-            reference = _ReferenceCursor(rows)
-            _same_state(stream, reference)
-            while stream.pos < stream.n:
-                step = rng.random()
-                if step < 0.4:
-                    stream.pos += 1
-                    reference.pos += 1
-                elif step < 0.7:
-                    peer, doc, start, _, _ = rng.choice(rows)
-                    key = (peer, doc, rng.choice((start, start + 1, 10**6)))
-                    stream.skip_to(_head(key))
-                    reference.skip_to(key)
-                else:
-                    peer, doc, start, end, _ = rng.choice(rows)
-                    key = (peer, doc, rng.choice((start, end, end + 1, 10**6)))
-                    assert stream.skip_end_lt(key) == reference.skip_end_lt(key)
-                _same_state(stream, reference)

@@ -109,6 +109,28 @@ class TestQueryModes:
         # brutal contacts every intensional document
         assert brutal.candidate_docs >= 24
 
+    def test_every_mode_answers_after_an_unpublish(self):
+        """An intensional answer document withdrawn with ``unpublish``
+        leaves every mode answering: brutal ships the documents their peers
+        still hold and counts only those, where it raised ``KeyError``."""
+        net, gen = build_net()
+        pattern = net.parse(gen.query())
+        fundex, _ = net.fundex.query(pattern, net.peers[0], mode="fundex")
+        assert (0, 3) in {a.doc_id for a in fundex}
+        net.peers[0].unpublish(3)
+        results = {
+            mode: net.fundex.query(pattern, net.peers[0], mode=mode)
+            for mode in ("naive", "brutal", "fundex", "representative")
+        }
+        docs = {mode: {a.doc_id for a in answers} for mode, (answers, _) in results.items()}
+        assert docs["fundex"] == docs["representative"] == {a.doc_id for a in fundex} - {(0, 3)}
+        assert docs["brutal"] == docs["naive"]
+        held = sum(
+            doc in net.peers[peer].documents for peer, doc in net.fundex.intensional_docs()
+        )
+        assert held == 23
+        assert results["brutal"][1].candidate_docs == held + results["naive"][1].candidate_docs
+
     def test_unknown_mode_rejected(self, fundex_net):
         net, gen = fundex_net
         with pytest.raises(ValueError):

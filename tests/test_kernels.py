@@ -2,7 +2,7 @@
 
 The numpy backend must be byte-identical to the pure backend on every
 kernel — merge, concat, the delta-varint codec, batch bisect, the
-twig-join seek, and the Bloom bit kernels — including the adversarial
+twig join's semi-join and expansion, and the Bloom bit kernels — including the adversarial
 edges: empty and single-row inputs, duplicate keys across inputs,
 negative levels, and values at the 2**63 - 1 boundary (which exercise
 the fallback paths).  A final end-to-end section runs the same query
@@ -25,6 +25,8 @@ from repro.kadop.config import KadopConfig
 from repro.postings import kernels
 from repro.postings.kernels import pure
 from repro.postings.plist import PostingList
+from repro.postings.posting import Posting
+from repro.query.pattern import Axis
 
 HAVE_NUMPY = kernels.numpy_available()
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -90,6 +92,62 @@ def case_rows(rng, case):
     if kind == 3:
         return random_rows(rng, rng.randrange(2, 60), neg_levels=True)
     return big_rows(rng, rng.randrange(1, 20))
+
+
+#: hand-made expansion inputs: outer rows, inner rows, the outer row
+#: indexes asked about
+_EXPAND_EDGES = (
+    # empty outer rows, empty inner rows, an empty row list
+    ([], [(0, 0, 2, 3, 2)], []),
+    ([(0, 0, 1, 10, 1)], [], [0]),
+    ([(0, 0, 1, 10, 1)], [(0, 0, 2, 3, 2)], []),
+    # peer and document boundaries: inner rows whose starts fall inside the
+    # outer interval, in the document before, the one after, and on the
+    # next peer
+    (
+        [(0, 1, 1, 10, 1), (1, 0, 1, 10, 1)],
+        [(0, 0, 2, 3, 2), (0, 1, 2, 3, 2), (0, 2, 2, 3, 2), (1, 0, 5, 6, 2), (1, 1, 5, 6, 2)],
+        [0, 1],
+    ),
+    # equal starts: the element itself (``.//`` binds it, ``//`` and ``/``
+    # do not), and its right neighbour starting at its end
+    ([(0, 0, 4, 7, 1)], [(0, 0, 4, 7, 1), (0, 0, 5, 6, 2), (0, 0, 7, 8, 1)], [0]),
+    # ``/`` at the wrong level: a grandchild, and a child two levels down
+    ([(0, 0, 1, 12, 1)], [(0, 0, 2, 9, 2), (0, 0, 3, 4, 3), (0, 0, 10, 11, 3)], [0]),
+    # ``.//``'s end test: a start inside [start, end] but an end past it
+    ([(0, 0, 4, 7, 1)], [(0, 0, 5, 9, 2), (0, 0, 7, 7, 2), (0, 0, 7, 9, 2)], [0]),
+    # duplicate outer rows, out of order, and an outer row with nothing below
+    (
+        [(0, 0, 1, 10, 1), (0, 0, 2, 5, 2), (0, 0, 20, 21, 1)],
+        [(0, 0, 2, 5, 2), (0, 0, 3, 4, 3), (0, 0, 6, 7, 2)],
+        [0, 0, 2, 1, 1, 0],
+    ),
+)
+
+
+def _expand_cases(rng):
+    """The hand-made edges, then random ones: few documents so that rows
+    nest, some rows repeated."""
+    yield from _EXPAND_EDGES
+    for _ in range(60):
+        outer = random_rows(rng, rng.randrange(1, 50), peer_max=2, doc_max=3, pos_max=60)
+        inner = random_rows(rng, rng.randrange(1, 50), peer_max=2, doc_max=3, pos_max=60)
+        n = len(set(outer))
+        yield outer, inner, sorted(rng.choices(range(n), k=rng.randrange(2 * n)))
+
+
+def _expand_reference(cols, inner_cols, axis, rows):
+    """``expand_below`` by brute force over ``Axis.admits``."""
+    admits = Axis(axis).admits
+    outer = [Posting(*row) for row in zip(*cols)]
+    inner = [Posting(*row) for row in zip(*inner_cols)]
+    owner, found = [], []
+    for k, r in enumerate(rows):
+        for j, row in enumerate(inner):
+            if row.doc_id == outer[r].doc_id and admits(outer[r], row):
+                owner.append(k)
+                found.append(j)
+    return owner, found
 
 
 class TestMergeConcatEquivalence:
@@ -291,26 +349,60 @@ class TestSearchKernelEquivalence:
                 )
                 assert want == [scalar(k) for k in keys]
 
+    @pytest.mark.parametrize("axis", ["/", "//", ".//"])
+    def test_expand_below_admits_exactly(self, axis, monkeypatch):
+        """Each backend lists, for every outer row asked about, exactly the
+        inner rows ``Axis.admits`` below it in the same document, in order;
+        the numpy one with its cut-over lowered to one row, so that the
+        vector code, not the pure loop it hands small inputs to, answers."""
+        backends = [pure]
+        if HAVE_NUMPY:
+            monkeypatch.setattr(npk, "_SEARCH_MIN_ROWS", 1)
+            backends.append(npk)
+        for case, (outer, inner, rows) in enumerate(_expand_cases(random.Random(911))):
+            cols, inner_cols = arrays_of(outer), arrays_of(inner)
+            want = _expand_reference(cols, inner_cols, axis, rows)
+            for backend in backends:
+                got = backend.expand_below(cols, inner_cols, axis, rows)
+                assert got == want, (backend.NAME, case)
+
     @requires_numpy
-    def test_seek_end_ge_matches_pure(self):
-        rng = random.Random(908)
-        for case in range(25):
-            rows = random_rows(rng, rng.randrange(1, 300))
-            peer, doc, start, end, level = arrays_of(rows)
-            n = len(peer)
-            for _ in range(20):
-                pos = rng.randrange(n + 1)
-                key = (rng.randrange(4), rng.randrange(40), rng.randrange(500))
-                assert npk.seek_end_ge(peer, doc, end, pos, n, key) == (
-                    pure.seek_end_ge(peer, doc, end, pos, n, key)
-                ), (case, pos, key)
-            inf = (float("inf"),) * 3
-            assert npk.seek_end_ge(peer, doc, end, 0, n, inf) == n
+    @pytest.mark.parametrize("axis", ["/", "//", ".//"])
+    def test_expand_below_matches_pure(self, axis, monkeypatch):
+        """Both sides of the cut-over and the fallback past 64 key bits
+        give the pure kernel's lists."""
+        fallbacks = []
+        fallback = pure.expand_below
+        monkeypatch.setattr(
+            pure, "expand_below", lambda *args: fallbacks.append(args) or fallback(*args)
+        )
+        rng = random.Random(912)
+        for case in range(40):
+            outer = case_rows(rng, case)
+            inner = case_rows(rng, case + 1 + case // 5)
+            cols, inner_cols = arrays_of(outer), arrays_of(inner)
+            n = len(cols[0])
+            rows = sorted(rng.choices(range(n), k=rng.randrange(2 * n + 1))) if n else []
+            want = fallback(cols, inner_cols, axis, rows)
+            assert npk.expand_below(cols, inner_cols, axis, rows) == want, case
+        # every big case (case % 5 == 4) packs too wide; small ones sit
+        # below the cut-over
+        assert any(args[0][2] and max(args[0][2]) > 2**62 for args in fallbacks)
+        assert any(0 < len(args[3]) < npk._SEARCH_MIN_ROWS for args in fallbacks)
+        monkeypatch.setattr(npk, "_SEARCH_MIN_ROWS", 1)
+        fallbacks.clear()
+        # documents spanning the whole int64 range on two peers: 65 key bits
+        cols = arrays_of([(0, 0, 0, BIG, 0), (1, 0, 0, BIG, 0)])
+        inner_cols = arrays_of([(0, 0, 5, 6, 1), (0, 0, BIG - 3, BIG - 2, 1), (1, 0, 7, 8, 1)])
+        want = fallback(cols, inner_cols, axis, [0, 1])
+        assert npk.expand_below(cols, inner_cols, axis, [0, 1]) == want
+        assert want[0] and len(fallbacks) == 1  # the packing refused, not the cut-over
 
     @requires_numpy
     @pytest.mark.parametrize("axis", ["/", "//", ".//"])
     def test_semijoin_below_matches_pure(self, axis, monkeypatch):
         rng = random.Random(910)
+        monkeypatch.setattr(npk, "_SEARCH_MIN_ROWS", 1)  # the vector code answers
         fallbacks = []
         fallback = pure.semijoin_below
         monkeypatch.setattr(

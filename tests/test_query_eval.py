@@ -242,6 +242,17 @@ class TestTwigJoinBasics:
         pattern.root.axis = Axis.CHILD
         assert twig_docs(pattern, streams_for(pattern, DOC)) == {(0, 0)}
 
+    def test_duplicate_stream_rows_give_each_match_once(self):
+        """Streams given as postings are read as they come, duplicates kept
+        (``PostingList.from_sorted``): a row that comes twice gives its
+        matches once, in the same order."""
+        pattern = parse_query("//lib[//book]//article[//author]//title")
+        streams = streams_for(pattern, DOC)
+        doubled = {nid: [p for p in s for _ in range(2)] for nid, s in streams.items()}
+        assert twig_join(pattern, doubled) == twig_join(pattern, streams)
+        assert len(twig_join(pattern, streams)) == 2
+        assert twig_docs(pattern, doubled) == {(0, 0)}
+
     def test_output_deterministic_order(self):
         pattern = parse_query("//lib//author")
         sols = twig_join(pattern, streams_for(pattern, DOC))

@@ -121,6 +121,34 @@ class TestScheduler:
         with pytest.raises(KeyError):
             s.add_task("a", 1.0, resources=("nope",))
 
+    def test_bulk_adds_equal_one_at_a_time(self):
+        """``add_resources`` and ``add_tasks`` register what the single
+        calls would, seq numbers included; a bulk add naming an unknown
+        resource, or a bad capacity, registers nothing."""
+        one, bulk = Scheduler(), Scheduler()
+        for s in (one, bulk):
+            s.add_resource("ingress", 2)
+            s.add_task("first", 0.5)
+        for i in (0, 1, 0):
+            one.add_resource("eg%d" % i, 1)
+        bulk.add_resources(dict.fromkeys(["eg0", "eg1", "eg0"]), 1)
+        links = [("eg0", "ingress"), ("eg1", "ingress"), ("eg0", "ingress")]
+        for i, link in enumerate(links):
+            one.add_task("t%d" % i, 1.0 + i, resources=link, release=0.25)
+        added = bulk.add_tasks(["t0", "t1", "t2"], [1.0, 2.0, 3.0], links, [0.25] * 3)
+        assert [t.seq for t in added] == [1, 2, 3]
+        assert one.capacities() == bulk.capacities()
+        assert one.run() == bulk.run()
+        fields = "name duration release resources seq start finish ready blocked_on".split()
+        assert [[getattr(t, f) for f in fields] for t in one.tasks] == [
+            [getattr(t, f) for f in fields] for t in bulk.tasks
+        ]
+        with pytest.raises(KeyError, match="'nope' for task 'b'"):
+            bulk.add_tasks(["a", "b"], [1.0, 1.0], [("eg0",), ("nope",)], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            bulk.add_resources(["x", "y"], 0)
+        assert len(bulk.tasks) == 4 and "x" not in bulk.capacities()
+
     def test_negative_duration_rejected(self):
         s = Scheduler()
         with pytest.raises(ValueError):
