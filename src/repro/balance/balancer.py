@@ -140,11 +140,12 @@ class LoadBalancer:
         reaches too (:meth:`DhtNetwork._apply`); empty unless it is hot."""
         return [node for node in self.extras[key] if node.alive] if key in self.extras else ()
 
-    def propagate_delete(self, key, posting, stamp):
-        """Mirror a delete onto the key's hot extra copies."""
+    def propagate_delete(self, key, postings, stamp):
+        """Mirror a delete of the run ``postings`` (None: the whole key)
+        onto the key's hot extra copies."""
         for node in self.extras.get(key, []):
             if node.alive and key in node.store:
-                node.store.delete(key, posting)
+                node.store.delete(key, postings)
                 node.versions[key] = stamp
 
     # -- hot-key promotion / demotion -------------------------------------

@@ -87,9 +87,17 @@ class Store(abc.ABC):
         return self.get(term).range(lo, hi)
 
     @abc.abstractmethod
-    def delete(self, term, posting=None):
-        """Remove one posting of ``term``, or the whole term if ``posting``
-        is None.  Returns True if something was removed."""
+    def delete(self, term, postings=None):
+        """Remove the run ``postings`` from ``term``, or the whole term if
+        ``postings`` is None.
+
+        The run is anything :meth:`PostingList.of
+        <repro.postings.plist.PostingList.of>` takes, so one posting is a
+        one-element run.  Postings the term does not hold are skipped, and
+        a term left empty leaves :meth:`terms`.  Returns the number of
+        postings removed (for a whole term: whether it was there).  The
+        :class:`StoreStats` charge is exactly that of deleting the run's
+        postings one at a time, in order."""
 
     @abc.abstractmethod
     def terms(self):

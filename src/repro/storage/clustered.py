@@ -40,10 +40,6 @@ def _encode_term(term):
     return raw + _TERMINATOR
 
 
-def _composite_key(term, posting):
-    return _encode_term(term) + _POSTING_STRUCT.pack(*posting)
-
-
 class ClusteredIndexStore(Store):
     """Clustered (term → ordered postings) store over a B+-tree."""
 
@@ -60,19 +56,22 @@ class ClusteredIndexStore(Store):
     def append(self, term, postings):
         tree = self._tree
         r, w = tree.pages_read, tree.pages_written
-        prefix = _encode_term(term)
-        plist = PostingList.of(postings)
-        if len(plist.peer) == 1:  # most appends: cheaper than building five column iterators
-            keys = [prefix + _POSTING_STRUCT.pack(*plist.key(0))]
-        else:  # one sorted run, packed in C straight off the columns
-            rows = map(_POSTING_STRUCT.pack, plist.peer, plist.doc, plist.start, plist.end, plist.level)
-            keys = list(map(prefix.__add__, rows))
+        keys = self._keys(_encode_term(term), PostingList.of(postings))
         added = tree.insert_many(keys, [b""] * len(keys))
         if added:
             self._counts[term] = self._counts.get(term, 0) + added
         self.stats.num_ops += 1
         self._charge(r, w)
         return added
+
+    @staticmethod
+    def _keys(prefix, plist):
+        """The composite keys of ``plist`` under ``prefix``, a sorted run."""
+        if len(plist.peer) == 1:  # cheaper than building five column iterators
+            return [prefix + _POSTING_STRUCT.pack(*plist.key(0))]
+        # packed in C straight off the columns
+        rows = map(_POSTING_STRUCT.pack, plist.peer, plist.doc, plist.start, plist.end, plist.level)
+        return list(map(prefix.__add__, rows))
 
     def put(self, term, postings):
         # With a clustered index, "reconciling" a put is just an append:
@@ -112,23 +111,29 @@ class ClusteredIndexStore(Store):
             prefix + _POSTING_STRUCT.pack(*hi) + b"\x00",
         )
 
-    def delete(self, term, posting=None):
-        r, w = self._tree.pages_read, self._tree.pages_written
-        try:
-            if posting is not None:
-                removed = self._tree.delete(_composite_key(term, posting))
-                if removed:
-                    self._counts[term] -= 1
-                    if not self._counts[term]:
-                        del self._counts[term]
-                return removed
-            prefix = _encode_term(term)
-            removed = self._tree.delete_range(prefix, _prefix_upper_bound(prefix))
+    def delete(self, term, postings=None):
+        """The run's composite keys go to the tree as one sorted run
+        (:meth:`~repro.storage.bptree.BPlusTree.delete_many`); the whole
+        term as one key range."""
+        tree = self._tree
+        r, w = tree.pages_read, tree.pages_written
+        prefix = _encode_term(term)
+        if postings is None:
+            removed = bool(tree.delete_range(prefix, _prefix_upper_bound(prefix)))
             self._counts.pop(term, None)
-            return bool(removed)
-        finally:
             self.stats.num_ops += 1
-            self._charge(r, w)
+        else:
+            keys = self._keys(prefix, PostingList.of(postings))
+            removed = tree.delete_many(keys)
+            if removed:
+                left = self._counts[term] - removed
+                if left:
+                    self._counts[term] = left
+                else:
+                    del self._counts[term]
+            self.stats.num_ops += len(keys)  # one op per posting, like a point delete
+        self._charge(r, w)
+        return removed
 
     def terms(self):
         return iter(sorted(self._counts))

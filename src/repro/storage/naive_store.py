@@ -66,22 +66,30 @@ class NaiveGzipStore(Store):
     def get(self, term):
         return self._read(term)
 
-    def delete(self, term, posting=None):
+    def delete(self, term, postings=None):
+        """PAST has no batched delete either: each posting of the run is
+        one read-modify-write of the whole value."""
         if term not in self._blobs:
-            return False
-        if posting is None:
+            return False if postings is None else 0
+        if postings is None:
             self._blobs.pop(term)
             count = self._counts.pop(term)
             self.stats.num_ops += 1
             self.stats.bytes_read += XML_ENTRY_BYTES * count
             return True
-        existing = self._read(term)
-        removed = existing.remove(posting)
-        if removed and len(existing):
-            self._write(term, existing)
-        elif removed:  # the last posting: drop the term, like the other stores
-            del self._blobs[term], self._counts[term]
-            self.stats.num_ops += 1
+        removed = 0
+        for posting in PostingList.of(postings):
+            if term not in self._blobs:
+                break
+            existing = self._read(term)
+            if not existing.remove(posting):
+                continue
+            removed += 1
+            if len(existing):
+                self._write(term, existing)
+            else:  # the last posting: drop the term, like the other stores
+                del self._blobs[term], self._counts[term]
+                self.stats.num_ops += 1
         return removed
 
     def terms(self):

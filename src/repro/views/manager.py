@@ -316,7 +316,7 @@ class ViewManager:
                 continue
             try:
                 count, _receipt = self.store.delete_doc(
-                    peer.node, view, (peer.index, doc_index), postings.items()
+                    peer.node, view, (peer.index, doc_index), postings
                 )
                 self._publish_record(peer.node, view)
             except (ViewIntegrityError, OpTimeoutError):

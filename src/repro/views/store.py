@@ -170,8 +170,9 @@ class ViewBlockStore:
         """Remove an unpublished document's postings from the view.
 
         ``postings`` are the exact root postings the document contributed
-        (recomputed locally by the withdrawing peer).  Returns the number
-        removed."""
+        (recomputed locally by the withdrawing peer), one sorted run: each
+        block whose document range may hold them takes it in one store
+        delete.  Returns the number removed."""
         removed = 0
         receipt = OpReceipt()
         for block in view.blocks:
@@ -181,10 +182,7 @@ class ViewBlockStore:
                 continue
             holder, hops = self._routed(src_node, block)
             receipt.duration_s += self.net.ship(block.key, 32, VIEW_TRAFFIC, hops=hops)
-            changed = 0
-            for posting in postings:
-                if holder.store.delete(block.key, posting):
-                    changed += 1
+            changed = holder.store.delete(block.key, postings)
             if changed:
                 removed += changed
                 block.count = holder.store.count(block.key)

@@ -134,7 +134,7 @@ class TestChurnEdges:
         keep = Posting(0, 0, 1, 2, 0)
         gone = Posting(0, 1, 1, 2, 0)
         net.net.append(net.peers[0].node, key, [keep, gone])
-        removed, _ = net.net.delete(net.peers[1].node, key, posting=gone)
+        removed, _ = net.net.delete(net.peers[1].node, key, postings=[gone])
         assert removed
         holders = [n for n in net.net.alive_nodes() if key in n.store]
         assert len(holders) == 3

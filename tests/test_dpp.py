@@ -435,6 +435,6 @@ class TestPinnedWritePathOddities:
         assert copies("dppdata:t") == [(4, fresh), (4, fresh)]
 
         net.append(net.nodes[0], "flat", [P(i) for i in range(1, 7)])
-        net.delete(net.nodes[0], "flat", P(1))
+        net.delete(net.nodes[0], "flat", [P(1)])
         (count, stamp), backup = copies("flat")
         assert count == 5 and backup == (count, stamp)
