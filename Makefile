@@ -131,12 +131,16 @@ bench-compare:
 # per function (bench/ only attributes per layer): top 40 with shares,
 # self-checked against a counted run of the benchmark itself, e.g.
 # make step-profile WORKLOAD=query_index SCALE=tiny; SEED picks the
-# workload seed, e.g. make step-profile WORKLOAD=serve_churn SEED=7
+# workload seed, e.g. make step-profile WORKLOAD=serve_churn SEED=7; KIND
+# (publish, unpublish or query) profiles only that kind of op, per op of
+# the kind and without the whole-run check, e.g.
+# make step-profile WORKLOAD=ingest KIND=unpublish
 WORKLOAD ?= query_docphase
 SCALE ?= full
 SEED ?= 0
+KIND ?=
 step-profile:
-	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED)
+	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED) $(if $(KIND),--kind $(KIND))
 
 # the margins of the 2 % fences (bench/metrics.py: layer_checks): for each
 # fenced workload at full and tiny scale and each seed of SEEDS, the share

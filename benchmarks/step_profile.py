@@ -16,6 +16,12 @@ itself (``--no-check`` skips that second run): the two must agree within
 ``TOLERANCE`` (they are the same count), or the profile describes something
 the benchmark does not measure and the script exits non-zero.
 
+``--kind publish|unpublish|query`` counts the steps of that kind of op only
+(a ``serve`` call's steps are its queries') and divides by that kind's op
+count; the whole-run check and the fence lines are then skipped::
+
+    make step-profile WORKLOAD=ingest KIND=unpublish
+
 On the workloads ``bench.metrics.layer_checks`` fences (``BYPASS_WORKLOADS``:
 a ``--trace 1`` run fails when ``sim`` or ``balance`` exceed their
 ``BYPASS_SHARE`` of all steps), the profile ends with each fenced layer's
@@ -42,6 +48,11 @@ from bench.workloads import WORKLOADS  # noqa: E402
 
 #: relative distance allowed between this profile and the benchmark's number
 TOLERANCE = 1e-6
+
+#: the driver calls whose steps each ``--kind`` counts, by the kind the
+#: driver records their ops under
+KINDS = {"publish": ("publish",), "unpublish": ("unpublish",), "query": ("query", "serve")}
+
 _THIS_FILE = os.path.abspath(__file__)
 
 
@@ -52,6 +63,7 @@ class FunctionStepCounter:
         self._package_dir = package_dir
         self.steps = {}  # code -> [steps]; absent for the benchmark's frames
         self._entries = {}  # code -> (local trace function, cell) or (None, None)
+        self.enabled = True  # False: the driver's next op goes uncounted
 
     def _classify(self, code):
         entry = (None, None)
@@ -88,8 +100,9 @@ class FunctionStepCounter:
                 entry[1][0] += 1
 
     def start(self):
-        sys.setprofile(self._on_profile)
-        sys.settrace(self._on_call)
+        if self.enabled:
+            sys.setprofile(self._on_profile)
+            sys.settrace(self._on_call)
 
     def stop(self):
         sys.settrace(None)
@@ -115,12 +128,21 @@ class FunctionStepCounter:
         return out
 
 
-def profile(workload_name, seed, scale):
-    """Run the op stream once; returns ``(counter, ops)``."""
+def profile(workload_name, seed, scale, kind=None):
+    """Run the op stream once; returns ``(counter, ops)``, counting only
+    the ops of ``kind`` when given."""
     workload = WORKLOADS[workload_name](seed, scale)
     counter = FunctionStepCounter(C.PACKAGE_DIR)
     driver = C.Driver(counter=counter)
     driver.install_boundaries()
+    if kind is not None:
+        begin = driver._begin
+
+        def begin_counted_kind(call):
+            counter.enabled = call in KINDS[kind]
+            begin(call)
+
+        driver._begin = begin_counted_kind
     workload.setup()
     driver.system = workload.net
     driver.start()
@@ -128,7 +150,12 @@ def profile(workload_name, seed, scale):
     driver.stop()
     if driver.failed:
         raise SystemExit("%d of %d ops failed" % (driver.failed, driver.attempted))
-    return counter, len(driver.ops)
+    if kind is None:
+        return counter, len(driver.ops)
+    ops = sum(op["kind"] == kind for op in driver.ops)
+    if not ops:
+        raise SystemExit("%s runs no %s op" % (workload_name, kind))
+    return counter, ops
 
 
 def fence_lines(counter, ops):
@@ -159,14 +186,20 @@ def main(argv=None):
     parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--no-check", action="store_true")
     parser.add_argument(
+        "--kind", choices=sorted(KINDS),
+        help="count only this kind of op, per op of the kind; no check, no fences",
+    )
+    parser.add_argument(
         "--fences", action="store_true",
         help="print only the fence lines, each naming its run; no check",
     )
     args = parser.parse_args(argv)
+    if args.kind and args.fences:
+        parser.error("--fences takes the whole run's shares; drop --kind")
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("note: set PYTHONHASHSEED=0 to repeat the benchmark's counts exactly")
 
-    counter, ops = profile(args.workload, args.seed, args.scale)
+    counter, ops = profile(args.workload, args.seed, args.scale, args.kind)
     if args.fences:
         run = "%-14s %-4s seed %-3d" % (args.workload, args.scale, args.seed)
         print("\n".join("%s %s" % (run, line) for line in fence_lines(counter, ops)))
@@ -174,8 +207,9 @@ def main(argv=None):
     total = counter.total()
     per_op = total / ops
     print(
-        "%s seed %d scale %s: %d ops, %.2f steps/op"
-        % (args.workload, args.seed, args.scale, ops, per_op)
+        "%s seed %d scale %s: %d %sops, %.2f steps/op"
+        % (args.workload, args.seed, args.scale, ops,
+           args.kind + " " if args.kind else "", per_op)
     )
     print("%12s %7s %7s  %-16s %s" % ("steps/op", "share", "cum", "layer", "function"))
     cumulative = 0
@@ -192,6 +226,8 @@ def main(argv=None):
                 qualname,
             )
         )
+    if args.kind is not None:
+        return 0  # one kind's steps: neither the whole run's total nor its shares
     if args.workload in BYPASS_WORKLOADS:
         print("\n".join(fence_lines(counter, ops)))
     if args.no_check:

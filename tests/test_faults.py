@@ -268,7 +268,7 @@ class TestOpFateTable:
     KEY = "elem:t"
     OBJ = "obj:t"
     RETRIES = 2
-    WRITES = ("append", "put", "append_batch", "put_object")
+    WRITES = ("append", "put", "append_batch", "put_object", "delete")
     OPS = ("locate",) + WRITES + ("get", "pipelined_get", "block_get")
     SHIPPED = ("doc_answers", "bloom_filter", "view_fetch", "dpp_split", "write_at")
     #: the value ``faults._unit`` must return for each fate under rates
@@ -310,6 +310,7 @@ class TestOpFateTable:
         net.put_object(src, self.OBJ, "old", 48)
         new = [Posting(2, 2, 1 + 2 * i, 2 + 2 * i, 1) for i in range(4)]
         block = PostingList(stored[:5])
+        withdrawn = stored[::2]
         calls = {
             "locate": lambda: net.locate(src, self.KEY),
             "append": lambda: net.append(src, self.KEY, new),
@@ -322,6 +323,7 @@ class TestOpFateTable:
                 src, self.KEY, chunk_postings=3
             ),
             "block_get": lambda: net.block_get(src, self.KEY, block),
+            "delete": lambda: net.delete(src, self.KEY, withdrawn),
             "write_at": lambda: self._write_at(net, new),
         }
         if op in self.SHIPPED[:-1]:
@@ -348,6 +350,7 @@ class TestOpFateTable:
             "answer": answer, "receipt": receipt, "error": error, "meter": meter,
             "events": plan.events[seen:],
             "new_bytes": encoded_size(PostingList(new)),
+            "withdrawn_bytes": encoded_size(PostingList(withdrawn)),
             "chunk0_bytes": encoded_size(PostingList(stored[:3])),
             "upper_bytes": encoded_size(PostingList(stored[2:4])),
         }
@@ -407,8 +410,10 @@ class TestOpFateTable:
             wire = CONTROL_BYTES * span
             return [_Message(request, "control", wire, "request_bytes",
                              CONTROL_BYTES, hops, 0.0)]
-        if op in ("append", "put", "put_object"):
+        if op in ("append", "put", "put_object", "delete"):
             category = "control" if op == "put_object" else "postings"
+            if op == "delete":
+                payload = clean["withdrawn_bytes"]
             wire = (48 if op == "put_object" else payload) * span
             return [_Message(request, category, wire, "request_bytes", wire,
                              hops, 0.0)]
@@ -544,10 +549,13 @@ class TestOpFateTable:
         if op == "put_object":
             assert new_owner.objects[key][0] == "v"
             assert old_owner.objects[key][0] == "old"
+        elif op == "delete":
+            assert old_owner.store.count(key) == 8
+            assert new_owner.store.count(key) == 4
         else:
             assert old_owner.store.count(key) == 8
             assert new_owner.store.count(key) == 12
-        if op in ("append", "put"):
+        if op in ("append", "put", "delete"):
             # routed writes bill exactly what they put on the wire
             assert run["meter"] == {"postings": got.request_bytes}
 
