@@ -115,8 +115,9 @@ bench-e2e:
 # the benchmark as a gate: a fresh bench-e2e against the committed seed-0
 # BENCH_e2e.json; red when a step, sim-time, byte or message metric moves
 # by more than 0.5 % on any workload (the layers that moved most are
-# named) or an op fails.  Steps hold only on the interpreter and numpy the
-# file was measured with (its "meta").  A PR that moves one on purpose
+# named), when the tracer's share of steps on query_docphase rises by more
+# than 0.5 %, or when an op fails.  Steps hold only on the interpreter and
+# numpy the file was measured with (its "meta").  A PR that moves one on purpose
 # commits the refreshed file: cp .bench_out/new.json BENCH_e2e.json
 bench-e2e-check: bench-e2e
 	python3 benchmarks/e2e_gate.py BENCH_e2e.json .bench_out/new.json

@@ -10,10 +10,13 @@ compares a fresh run of the same command with it::
 It exits non-zero when, on any workload, a metric of
 ``bench.metrics.EXACT_METRICS`` (interpreter steps, simulated seconds, wire
 bytes, DHT messages: all repeat bit for bit under one seed) moves by more
-than ``EXACT_BOUND`` in either direction, or when an op failed.  For every
-failing workload it prints the ``<layer>.pysteps_per_op`` rows that moved
-most, so a red run names the layer.  Host-time fields are printed and never
-gated.
+than ``EXACT_BOUND`` in either direction, or when an op failed.  It also
+exits non-zero when ``obs.tracer_on_pysteps_share`` of ``query_docphase``
+(the extra steps ``enable_tracing()`` costs on its first 20 queries) rises
+by more than ``EXACT_BOUND`` relative to the baseline: the tracer's cost may
+fall freely, but not creep back up.  For every failing workload it prints
+the ``<layer>.pysteps_per_op`` rows that moved most, so a red run names the
+layer.  Host-time fields are printed and never gated.
 
 Interpreter steps include numpy's own Python frames, so the baseline holds
 only on the Python and numpy versions it was measured with (its ``meta``);
@@ -34,6 +37,11 @@ from bench.layers import LAYERS  # noqa: E402
 
 #: layer rows printed for a failing workload
 TOP_LAYERS = 5
+
+#: the tracer's share of steps, gated one way (a rise is red) on the
+#: workload it is measured on
+TRACER_SHARE = "obs.tracer_on_pysteps_share"
+TRACER_WORKLOAD = "query_docphase"
 
 
 def change(base, new):
@@ -74,6 +82,16 @@ def gate_workload(workload, base, new):
         print(
             "%-16s %-34s %-4s %+8.2f%%  %r / %r"
             % (workload, name, "RED" if red else "ok", 100.0 * moved, b, a)
+        )
+    if workload == TRACER_WORKLOAD:
+        a, b = base["per_layer"][TRACER_SHARE], new["per_layer"][TRACER_SHARE]
+        moved = change(a, b)
+        red = moved > M.EXACT_BOUND
+        if red:
+            failures.append("%s rose %+.2f%%" % (TRACER_SHARE, 100.0 * moved))
+        print(
+            "%-16s %-34s %-4s %+8.2f%%  %r / %r"
+            % (workload, TRACER_SHARE, "RED" if red else "ok", 100.0 * moved, b, a)
         )
     if new["failed"]:
         failures.append("%d of %d ops failed" % (new["failed"], new["attempted"]))

@@ -237,7 +237,7 @@ class LoadBalancer:
         return sum(len(nodes) for nodes in self.extras.values())
 
     def summary(self):
-        """Flat counters for ``repro stats`` / metrics."""
+        """Flat counters for ``repro stats``."""
         return {
             "read_policy": self.read_policy,
             "fanout_reads": self.fanout_reads,
@@ -251,10 +251,8 @@ class LoadBalancer:
         }
 
     def _observe(self, kind, key):
-        """Counter bump + instant span, like the fault layer's observer."""
-        metrics = self.net.metrics
-        if metrics is not None:
-            metrics.counter("balance_events_total", kind=kind).inc()
+        """An instant span, like the fault layer's observer; the run's
+        totals per kind are :meth:`summary`."""
         tracer = self.net.tracer
         if tracer is not None and tracer.active:
             ctx = tracer.context

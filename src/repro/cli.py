@@ -168,14 +168,11 @@ def cmd_stats(args):
         net.query("//article//author", peer=net.peers[i % 12])
     stats = network_stats(net)
     if getattr(args, "json", False):
-        from repro.obs import MetricsRegistry, STATS_SCHEMA_VERSION
+        from repro.obs import STATS_SCHEMA_VERSION
 
-        registry = MetricsRegistry()
-        stats.to_registry(registry)
         payload = {
             "schema_version": STATS_SCHEMA_VERSION,
             "network": stats.to_dict(),
-            "metrics": registry.snapshot(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -239,34 +236,33 @@ def cmd_explain(args):
 
 
 def _traced_run(target):
-    """Run ``target`` with tracing on; returns ``(tracer, metrics)``.
+    """Run ``target`` with tracing on; returns the tracer.
 
     ``target`` is ``"demo"`` (the shared demo corpus and query mix), an
     experiment whose ``run`` takes a tracer, or an XPath query string (run
     once against the demo corpus)."""
     from repro.experiments import EXPERIMENTS
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import Tracer
 
     tracer = Tracer()
-    metrics = MetricsRegistry()
     experiment = EXPERIMENTS.get(target)
     if experiment is not None and "tracer" in experiment.run_options:
-        experiment.run(tracer=tracer, metrics=metrics)
-        return tracer, metrics
+        experiment.run(tracer=tracer)
+        return tracer
     net = _demo_system()
-    net.enable_tracing(tracer, metrics)
+    net.enable_tracing(tracer)
     if target == "demo":
         _demo_queries(net)
     else:
         net.query(target, peer=net.peers[0])
-    return tracer, metrics
+    return tracer
 
 
 def cmd_trace(args):
     """Record a Perfetto-compatible trace of a query or experiment."""
     from repro.obs import validate_trace_file, write_chrome_trace
 
-    tracer, _metrics = _traced_run(args.target)
+    tracer = _traced_run(args.target)
     events = write_chrome_trace(tracer, args.out)
     validate_trace_file(args.out)  # what CI asserts, asserted here too
     print(
@@ -280,8 +276,8 @@ def cmd_profile(args):
     """Print top spans by simulated self-time and resource utilization."""
     from repro.obs import format_profile
 
-    tracer, metrics = _traced_run(args.target)
-    print(format_profile(tracer, metrics, top=args.top))
+    tracer = _traced_run(args.target)
+    print(format_profile(tracer, top=args.top))
     return 0
 
 

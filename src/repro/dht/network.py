@@ -137,7 +137,6 @@ class DhtNetwork(Membership):
         # observability hooks (repro.obs): strictly read-only observers —
         # None by default, attached by KadopNetwork.enable_tracing
         self.tracer = None
-        self.metrics = None
         self._last_path = None  # hop path of the most recent traced route
         # fault injection (repro.faults): a FaultPlan consulted by every
         # op when installed (KadopNetwork.install_faults); None = no faults
@@ -299,29 +298,19 @@ class DhtNetwork(Membership):
                 raise DhtError("routing loop for key %r" % (key,))
 
     def _observe_op(self, op, src, key, receipt, payload=0, served_by=None):
-        """Record one completed DHT operation with the tracer/metrics.
+        """Record one completed DHT operation with the tracer.
 
-        Called after the receipt is final; emits the op span, one child
-        span per overlay hop (from the path :meth:`route` captured), and
-        the hop-count / fetch-size histogram samples.  ``served_by`` is
-        the peer index whose copy answered a read — EXPLAIN ANALYZE
-        attributes the response payload to it.  Pure observation — no
-        meter, cost, or store interaction.
+        Called after the receipt is final; emits the op span (carrying the
+        hop count and payload) and one child span per overlay hop (from
+        the path :meth:`route` captured).  ``served_by`` is the peer index
+        whose copy answered a read — EXPLAIN ANALYZE attributes the
+        response payload to it.  Pure observation — no meter, cost, or
+        store interaction.
         """
-        if self.metrics is None and self.tracer is None:
+        if self.tracer is None:
             return
-        if self.metrics is not None:
-            from repro.obs.metrics import BYTES_BUCKETS, HOP_BUCKETS
-
-            self.metrics.histogram("dht_hops", HOP_BUCKETS, op=op).observe(
-                receipt.hops
-            )
-            if payload:
-                self.metrics.histogram(
-                    "dht_fetch_bytes", BYTES_BUCKETS, op=op
-                ).observe(payload)
         tracer = self.tracer
-        if tracer is None or not tracer.active:
+        if not tracer.active:
             self._last_path = None
             return
         ctx = tracer.context
@@ -364,13 +353,13 @@ class DhtNetwork(Membership):
     def _observe_fault(self, kind, key):
         """Record one injected fault (or recovery step) with the observers.
 
-        A labelled counter bump plus an instant span on the ``faults``
-        track, so traces show *where* in a query the drops and crashes
-        landed.  Pure observation, like :meth:`_observe_op`."""
-        if self.metrics is not None:
-            self.metrics.counter("dht_faults_total", kind=kind).inc()
+        An instant span on the ``faults`` track, so traces show *where* in
+        a query the drops and crashes landed; the run's totals per kind are
+        ``FaultPlan.stats``.  Pure observation, like :meth:`_observe_op`."""
+        if self.tracer is None:
+            return
         tracer = self.tracer
-        if tracer is not None and tracer.active:
+        if tracer.active:
             ctx = tracer.context
             tracer.add(
                 "fault:%s %s" % (kind, key),

@@ -259,10 +259,6 @@ class Membership:
                 report.bytes_copied += nbytes
                 report.duration_s += self.cost.transfer_time(nbytes, hops=1)
         report.lost_keys = tuple(lost)
-        if self.metrics is not None:
-            self.metrics.counter("dht_repair_copies_total").inc(
-                report.copies_made
-            )
         return report
 
     @staticmethod

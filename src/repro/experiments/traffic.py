@@ -27,7 +27,6 @@ def run(
     doc_bytes=20_000,
     seed=0,
     tracer=None,
-    metrics=None,
 ):
     """Returns ``[(indexed_bytes, traffic_bytes)]``.
 
@@ -35,17 +34,17 @@ def run(
     query workload is submitted from 50 distinct nodes and the index-query
     traffic (postings + control) is measured.
 
-    Pass a :class:`repro.obs.Tracer` (and optionally a registry) to record
-    every workload query as simulated-time spans — ``repro trace traffic``
-    uses this to break the reported traffic totals down by phase.  Tracing
-    is observational only; the measured points are identical either way.
+    Pass a :class:`repro.obs.Tracer` to record every workload query as
+    simulated-time spans — ``repro trace traffic`` uses this to break the
+    reported traffic totals down by phase.  Tracing is observational only;
+    the measured points are identical either way.
     """
     if sizes_bytes is None:
         sizes_bytes = [int(mb * 1_000_000 * scale) for mb in PAPER_SIZES_MB]
     config = KadopConfig(replication=1)
     net = KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
     if tracer is not None:
-        net.enable_tracing(tracer, metrics)
+        net.enable_tracing(tracer)
     corpus = DblpCorpus(net, publishers, doc_bytes, seed)
     workload = traffic_workload(num_queries, seed=seed)
     points = []

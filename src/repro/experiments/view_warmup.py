@@ -39,7 +39,6 @@ def run(
     materialize_after=2,
     seed=0,
     tracer=None,
-    metrics=None,
 ):
     """Run the stream on views-off and views-on twins; returns a result dict.
 
@@ -47,11 +46,11 @@ def run(
     traffic_on_bytes)`` per stream position; phase aggregates split at the
     profile's warmup boundary.
 
-    Pass a :class:`repro.obs.Tracer` (and optionally a registry) to record
-    the views network's queries as simulated-time spans; the result then
-    gains a ``span_breakdown`` (self-time per span category) so the
-    crossover can be attributed phase by phase.  Tracing never changes the
-    measured numbers — the in-run answer assertion doubles as the proof."""
+    Pass a :class:`repro.obs.Tracer` to record the views network's queries
+    as simulated-time spans; the result then gains a ``span_breakdown``
+    (self-time per span category) so the crossover can be attributed phase
+    by phase.  Tracing never changes the measured numbers — the in-run
+    answer assertion doubles as the proof."""
     profile = REPEATED_QUERY_PROFILES[profile]
     workload = zipfian_query_workload(profile, seed=seed)
 
@@ -64,7 +63,7 @@ def run(
     base_net = dblp_network(base_config, num_peers, num_docs, doc_bytes, publishers, seed)
     view_net = dblp_network(view_config, num_peers, num_docs, doc_bytes, publishers, seed)
     if tracer is not None:
-        view_net.enable_tracing(tracer, metrics)
+        view_net.enable_tracing(tracer)
 
     per_query = []
     hits = 0

@@ -218,12 +218,10 @@ class QueryExecutor:
         """The serving engine's hand-off: yields a :class:`QueryRun`.
 
         Every ``run`` started inside the block appends its finished
-        transfer schedules to its ``captured`` instead of feeding the
-        metrics registry — the engine replays the tasks into its shared
-        timeline and feeds metrics once from there, so resource counters
-        are not double-counted — and leaves its per-peer document times in
-        ``doc_peer_times`` (a nested run finishes first, so the query's own
-        document phase is what remains)."""
+        transfer schedules to its ``captured`` — the engine replays the
+        tasks into its shared timeline — and leaves its per-peer document
+        times in ``doc_peer_times`` (a nested run finishes first, so the
+        query's own document phase is what remains)."""
         self._outer = outer = QueryRun(captured=[])
         try:
             yield outer
@@ -445,16 +443,7 @@ class QueryExecutor:
         return _root_docs(component, bindings), vectors
 
     def _finish_observation(self, state, doc_span, report, answers):
-        """Close the query's trace context and bump per-query counters."""
-        metrics = self.system.metrics
-        if metrics is not None:
-            metrics.counter("queries_total").inc()
-            metrics.counter("answers_total").inc(len(answers))
-            if report.view_hit:
-                metrics.counter("view_hits_total").inc()
-            if report.blocks_fetched or report.blocks_skipped:
-                metrics.counter("blocks_fetched_total").inc(report.blocks_fetched)
-                metrics.counter("blocks_pruned_total").inc(report.blocks_skipped)
+        """Close the query's trace context."""
         if state.ctx is None:
             return
         state.close(doc_span, report.doc_time_s)
@@ -530,22 +519,20 @@ class QueryExecutor:
         return Fetched(streams, locate_time + makespan, ttfa)
 
     def _observe_schedule(self, state, scheduler, rel_extra=0.0):
-        """Hand a finished transfer schedule to the tracer/metrics.
+        """Hand a finished transfer schedule to the tracer.
 
         ``rel_extra`` is the simulated time between the current phase
         offset and the schedule's t=0 (locate/root-block latency)."""
-        system = self.system
-        tracer, metrics = system.tracer, system.metrics
         if state.captured is not None:
             # serving capture: the engine replays these tasks into the
-            # shared timeline and feeds the metrics registry from there
+            # shared timeline; the tracer still gets the private schedule
             state.captured.append((scheduler, rel_extra))
-            metrics = None
-        if tracer is None and metrics is None:
+        if self.system.tracer is None:
             return
-        ctx = tracer.context if tracer is not None else None
+        tracer = self.system.tracer
+        ctx = tracer.context
         rel_base = (ctx.offset if ctx is not None else 0.0) + rel_extra
-        observe_schedule(tracer, metrics, scheduler, rel_base=rel_base)
+        observe_schedule(tracer, scheduler, rel_base=rel_base)
 
     def _dpp_label(self):
         """The effective DPP fetch mode (for span labels and reports)."""

@@ -42,7 +42,6 @@ throughput and p50/p95/p99 latency from the span tracer.
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import quantile_exact
-from repro.obs.trace import observe_schedule
 from repro.sim.tasks import Scheduler
 
 #: float-comparison slack for simulated instants
@@ -403,7 +402,7 @@ class ServingEngine:
         finally:
             system.net.coalescer = None
         records = self._records
-        self._finish_observation(records, shared)
+        self._finish_observation(records)
         result = ServingResult(
             queries=records,
             max_inflight=self.max_inflight,
@@ -631,11 +630,10 @@ class ServingEngine:
 
     # -- observation ------------------------------------------------------------
 
-    def _finish_observation(self, records, shared):
-        """Patch traced query roots to their served extents, emit
-        admission-wait spans, and feed the shared schedule to metrics."""
-        system = self.system
-        tracer, metrics = system.tracer, system.metrics
+    def _finish_observation(self, records):
+        """Patch traced query roots to their served extents and emit
+        admission-wait spans."""
+        tracer = self.system.tracer
         if tracer is not None:
             for rec in records:
                 if rec.root_id is None:
@@ -660,15 +658,3 @@ class ServingEngine:
                         rec.queue_wait_s,
                         parent=rec.root_id,
                     )
-        if metrics is not None:
-            observe_schedule(None, metrics, shared)
-            from repro.obs.metrics import QUEUE_WAIT_BUCKETS_S
-
-            waits = metrics.histogram("admission_wait_s", QUEUE_WAIT_BUCKETS_S)
-            for rec in records:
-                waits.observe(rec.queue_wait_s)
-            metrics.counter("serving_queries_total").inc(len(records))
-            if self._coalescer is not None:
-                metrics.counter("coalesced_fetches_total").inc(
-                    self._coalescer.hits
-                )

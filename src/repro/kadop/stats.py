@@ -152,45 +152,6 @@ class NetworkStats:
         data["max_over_mean"] = self.max_over_mean
         return data
 
-    def to_registry(self, registry):
-        """Feed these statistics into a :class:`repro.obs.MetricsRegistry`.
-
-        Aggregates become gauges; per-peer loads become labelled gauges so
-        ``registry.to_json()`` carries the full load-balance picture."""
-        registry.gauge("network_peers").set(len(self.peers))
-        registry.gauge("network_postings_total").set(self.total_postings)
-        registry.gauge("network_terms_total").set(self.total_terms)
-        registry.gauge("network_load_gini").set(self.gini)
-        registry.gauge("network_load_max_over_mean").set(self.max_over_mean)
-        registry.gauge("views_materialized").set(self.views)
-        registry.gauge("views_hits").set(self.view_hits)
-        registry.gauge("views_misses").set(self.view_misses)
-        registry.gauge("views_bytes").set(self.view_bytes)
-        if self.balance:
-            registry.gauge("balance_fanout_reads").set(
-                self.balance.get("fanout_reads", 0)
-            )
-            registry.gauge("balance_hot_keys").set(
-                self.balance.get("hot_keys", 0)
-            )
-            registry.gauge("balance_extra_copies").set(
-                self.balance.get("extra_copies", 0)
-            )
-            registry.gauge("balance_migrations").set(
-                self.balance.get("migrations", 0)
-            )
-        for nbytes, peer in self.hot_peers:
-            registry.gauge("peer_read_bytes", peer=peer).set(nbytes)
-        for load in self.peers:
-            registry.gauge("peer_postings", peer=load.peer_index).set(
-                load.postings
-            )
-            registry.gauge("peer_terms", peer=load.peer_index).set(load.terms)
-            registry.gauge("peer_documents", peer=load.peer_index).set(
-                load.documents
-            )
-        return registry
-
 
 def serving_summary(result, slo=None):
     """Operator-style text summary of a

@@ -97,7 +97,6 @@ class KadopNetwork:
         self.peers = []
         self._resources = {}  # uri -> xml text (the "web" of includable data)
         self.tracer = None  # repro.obs.Tracer, via enable_tracing
-        self.metrics = None  # repro.obs.MetricsRegistry, via enable_tracing
         self.telemetry = None  # repro.obs.TelemetrySampler, via enable_telemetry
 
     # -- construction ----------------------------------------------------------
@@ -142,30 +141,24 @@ class KadopNetwork:
 
     # -- observability (repro.obs) ---------------------------------------------
 
-    def enable_tracing(self, tracer=None, metrics=None):
-        """Attach a span tracer + metrics registry to this network.
+    def enable_tracing(self, tracer=None):
+        """Attach a span tracer to this network.
 
         Tracing is strictly observational: every answer, simulated second,
         and metered byte is identical with it on or off (the differential
         test in ``tests/test_obs.py`` asserts this on Pastry and Chord).
         Returns the tracer.
         """
-        from repro.obs import MetricsRegistry, Tracer
+        from repro.obs import Tracer
 
         self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.net.tracer = self.tracer
-        self.net.metrics = self.metrics
-        self.net.meter.bind_metrics(self.metrics)
         return self.tracer
 
     def disable_tracing(self):
-        """Detach the observers installed by :meth:`enable_tracing`."""
+        """Detach the tracer installed by :meth:`enable_tracing`."""
         self.tracer = None
-        self.metrics = None
         self.net.tracer = None
-        self.net.metrics = None
-        self.net.meter.bind_metrics(None)
 
     def enable_telemetry(
         self,

@@ -1,21 +1,24 @@
-"""Observability for the KadoP stack: tracing, metrics, and telemetry.
+"""Observability for the KadoP stack: tracing, profiles, and telemetry.
 
 The paper's results are *decompositions* of query cost — index phase vs.
 document phase, hops, per-strategy data volume.  This package records the
-same decompositions live, per query, instead of as end-of-run aggregates:
+same decompositions live, per query, instead of as end-of-run aggregates.
+Two primary sources hold every run-time count: the span tree of a
+:class:`Tracer` (simulated seconds, hops, queue waits, per-resource busy
+time) and the :class:`~repro.sim.meter.TrafficMeter` (bytes and messages
+per category).  The profile, EXPLAIN and utilization reports are views
+computed from them:
 
 :mod:`repro.obs.trace`
-    a :class:`Tracer` of simulated-time spans (no wall clock anywhere) and
-    an exporter to Chrome trace-event JSON, openable in Perfetto or
-    ``chrome://tracing``;
+    a :class:`Tracer` of simulated-time spans (no wall clock anywhere),
+    the per-run scheduler records behind utilization, and an exporter to
+    Chrome trace-event JSON, openable in Perfetto or ``chrome://tracing``;
 :mod:`repro.obs.metrics`
-    a :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
-    histograms with a ``snapshot()``/``to_json()`` API, plus the exact
-    sample-rank quantile helpers every percentile in the repo goes
-    through;
+    the exact sample-rank quantile helpers every percentile in the repo
+    goes through;
 :mod:`repro.obs.profile`
-    text reports: top spans by simulated self-time and per-resource
-    utilization;
+    text reports: top spans by simulated self-time, per-resource
+    utilization and queue wait, all derived from the tracer;
 :mod:`repro.obs.telemetry`
     ring-buffered time-series of a serving run sampled on the serving
     clock (queue depth, in-flight queries, per-peer byte rates, ...);
@@ -36,17 +39,7 @@ by the differential tests in ``tests/test_obs.py`` and
 ``tests/test_telemetry.py``).
 """
 
-from repro.obs.metrics import (
-    BYTES_BUCKETS,
-    HOP_BUCKETS,
-    QUEUE_WAIT_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    quantile_exact,
-    quantile_rank,
-)
+from repro.obs.metrics import quantile_exact, quantile_rank
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -61,6 +54,7 @@ from repro.obs.profile import (
     format_profile,
     phase_totals,
     top_spans,
+    utilization,
 )
 from repro.obs.telemetry import (
     DEFAULT_CAPACITY,
@@ -88,18 +82,11 @@ from repro.obs.report import (
 )
 
 __all__ = [
-    "BYTES_BUCKETS",
     "DEFAULT_CAPACITY",
     "DEFAULT_INTERVAL_S",
     "EXPLAIN_SCHEMA_VERSION",
     "ExplainReport",
     "Finding",
-    "HOP_BUCKETS",
-    "QUEUE_WAIT_BUCKETS_S",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RingBuffer",
     "SLOTracker",
     "STATS_SCHEMA_VERSION",
@@ -123,6 +110,7 @@ __all__ = [
     "sparkline",
     "to_chrome_trace",
     "top_spans",
+    "utilization",
     "validate_telemetry",
     "validate_trace",
     "validate_trace_file",

@@ -1,28 +1,10 @@
-"""A small metrics registry: counters, gauges, fixed-bucket histograms.
+"""Exact sample-rank quantiles: the one definition every percentile uses.
 
-The registry is the aggregate sibling of the span tracer: spans answer
-"where did *this* query's simulated time go", the registry answers "how is
-the whole run distributed" — hop counts, fetch sizes, queue waits,
-per-resource utilization.  :class:`~repro.sim.meter.TrafficMeter` and
-:func:`repro.kadop.stats.network_stats` both feed it (see
-``TrafficMeter.bind_metrics`` and ``NetworkStats.to_registry``).
-
-Everything here is simulated-time / simulated-byte accounting; there is no
-wall clock, so snapshots are fully deterministic and safe to diff in tests.
+Run-time counts live in the span tree (:mod:`repro.obs.trace`) and the
+:class:`~repro.sim.meter.TrafficMeter`; this module only ranks samples.
 """
 
-import json
 import math
-from bisect import bisect_left
-
-#: DHT route lengths (hops); ceil(log16 N) stays tiny even for huge rings
-HOP_BUCKETS = (0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16)
-
-#: payload sizes of individual fetches (posting lists, DPP/view blocks)
-BYTES_BUCKETS = (0, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
-
-#: scheduler queue-wait (seconds between a task becoming ready and starting)
-QUEUE_WAIT_BUCKETS_S = (0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 
 def quantile_rank(q, count):
@@ -30,8 +12,8 @@ def quantile_rank(q, count):
 
     ``rank = max(1, ceil(q * count))``, clamped to ``count`` — the single
     definition every exact-sample quantile in the codebase derives from,
-    so ``ServingResult.percentile`` and :meth:`Histogram.quantile` can
-    never disagree on which sample a quantile names.
+    so ``ServingResult.percentile`` and the telemetry and SLO summaries
+    can never disagree on which sample a quantile names.
     """
     if count < 1:
         raise ValueError("quantile of an empty sample set")
@@ -49,172 +31,3 @@ def quantile_exact(samples, q):
     if not samples:
         return None
     return samples[quantile_rank(q, len(samples)) - 1]
-
-
-class Counter:
-    """A monotonically increasing value (int or float)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        if amount < 0:
-            raise ValueError("counters only go up; got %r" % (amount,))
-        self.value += amount
-
-    def to_dict(self):
-        return {"value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down (e.g. per-peer load)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def to_dict(self):
-        return {"value": self.value}
-
-
-class Histogram:
-    """A fixed-bucket histogram: counts per upper bound, plus sum/count.
-
-    ``buckets`` are inclusive upper bounds in increasing order; one
-    overflow bucket catches everything above the last bound.
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets):
-        if not buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        bounds = tuple(buckets)
-        if list(bounds) != sorted(bounds):
-            raise ValueError("bucket bounds must be increasing: %r" % (bounds,))
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last slot = overflow
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value):
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def quantile(self, q):
-        """Bucket upper bound holding quantile ``q`` (0..1); None if empty.
-
-        Nearest-rank, via the shared :func:`quantile_rank` — the same rank
-        arithmetic ``ServingResult.percentile`` applies to raw samples, so
-        the histogram answers with the (bucket-resolution) bound of the
-        identical sample a raw-sample quantile would name."""
-        if not self.count:
-            return None
-        rank = quantile_rank(q, self.count)
-        seen = 0
-        for bound, count in zip(self.buckets, self.counts):
-            seen += count
-            if seen >= rank:
-                return bound
-        return float("inf")
-
-    def to_dict(self):
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-
-def _key(name, labels):
-    if not labels:
-        return name
-    rendered = ",".join("%s=%s" % (k, labels[k]) for k in sorted(labels))
-    return "%s{%s}" % (name, rendered)
-
-
-class MetricsRegistry:
-    """Named metrics with optional labels; one instance per run.
-
-    >>> reg = MetricsRegistry()
-    >>> reg.counter("queries_total").inc()
-    >>> reg.histogram("dht_hops", HOP_BUCKETS).observe(3)
-    >>> sorted(reg.snapshot()["counters"])
-    ['queries_total']
-    """
-
-    def __init__(self):
-        self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
-
-    def counter(self, name, **labels):
-        key = _key(name, labels)
-        metric = self._counters.get(key)
-        if metric is None:
-            metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge(self, name, **labels):
-        key = _key(name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
-        return metric
-
-    def histogram(self, name, buckets=None, **labels):
-        key = _key(name, labels)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram(
-                buckets if buckets is not None else BYTES_BUCKETS
-            )
-        return metric
-
-    # -- export ----------------------------------------------------------------
-
-    def snapshot(self):
-        """A plain-dict copy of every metric, ready for JSON."""
-        return {
-            "counters": {
-                k: self._counters[k].value for k in sorted(self._counters)
-            },
-            "gauges": {k: self._gauges[k].value for k in sorted(self._gauges)},
-            "histograms": {
-                k: self._histograms[k].to_dict() for k in sorted(self._histograms)
-            },
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    # -- derived views ---------------------------------------------------------
-
-    def utilization(self):
-        """Per-resource utilization from the schedule observations.
-
-        Returns ``{resource: (busy_s, capacity_s, busy_s / capacity_s)}``
-        over every scheduler run observed so far (see
-        :func:`repro.obs.trace.observe_schedule`).
-        """
-        prefix_busy = "resource_busy_s{resource="
-        table = {}
-        for key, counter in self._counters.items():
-            if not key.startswith(prefix_busy):
-                continue
-            resource = key[len(prefix_busy):-1]
-            cap_key = _key("resource_capacity_s", {"resource": resource})
-            cap = self._counters.get(cap_key)
-            capacity_s = cap.value if cap is not None else 0.0
-            busy_s = counter.value
-            ratio = busy_s / capacity_s if capacity_s else 0.0
-            table[resource] = (busy_s, capacity_s, ratio)
-        return table

@@ -8,7 +8,10 @@
   themselves rank;
 * **per-resource utilization** — busy seconds over capacity-seconds for
   every scheduler resource (egress links, the consumer's ingress), from
-  the counters :func:`repro.obs.trace.observe_schedule` maintains.
+  the runs :func:`repro.obs.trace.observe_schedule` appends to
+  ``tracer.schedules``.
+
+Both are views of the span tree; nothing here keeps a counter of its own.
 """
 
 
@@ -74,7 +77,29 @@ def phase_totals(tracer):
     return dict(sorted(totals.items()))
 
 
-def format_profile(tracer, metrics=None, top=12):
+def utilization(tracer):
+    """``{resource: (busy_s, capacity_s, busy_s / capacity_s)}`` over every
+    scheduler run in ``tracer.schedules``.
+
+    Each run's busy time is already summed per resource; the runs are added
+    in run order, so the totals do not depend on how the task spans of one
+    run happen to be ordered."""
+    busy_s, capacity_s = {}, {}
+    for capacities, makespan, busy in tracer.schedules:
+        for resource, capacity in capacities.items():
+            busy_s[resource] = busy_s.get(resource, 0.0) + busy.get(resource, 0.0)
+            capacity_s[resource] = capacity_s.get(resource, 0.0) + capacity * makespan
+    return {
+        resource: (
+            busy_s[resource],
+            capacity_s[resource],
+            busy_s[resource] / capacity_s[resource] if capacity_s[resource] else 0.0,
+        )
+        for resource in busy_s
+    }
+
+
+def format_profile(tracer, top=12):
     """The ``repro profile`` report as text."""
     lines = []
     lines.append(
@@ -109,30 +134,29 @@ def format_profile(tracer, metrics=None, top=12):
         lines.append("self-time by category:")
         for cat, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
             lines.append("%10.3f ms  %s" % (seconds * 1e3, cat))
-    if metrics is not None:
-        table = metrics.utilization()
-        if table:
-            lines.append("")
-            lines.append("per-resource utilization (scheduler runs):")
+    table = utilization(tracer)
+    if table:
+        lines.append("")
+        lines.append("per-resource utilization (scheduler runs):")
+        lines.append(
+            "%10s %12s %12s  %s" % ("busy (ms)", "capacity (ms)", "util", "resource")
+        )
+        for resource in sorted(table):
+            busy_s, capacity_s, ratio = table[resource]
             lines.append(
-                "%10s %12s %12s  %s" % ("busy (ms)", "capacity (ms)", "util", "resource")
+                "%10.3f %12.3f %11.1f%%  %s"
+                % (busy_s * 1e3, capacity_s * 1e3, 100.0 * ratio, resource)
             )
-            for resource in sorted(table):
-                busy_s, capacity_s, ratio = table[resource]
-                lines.append(
-                    "%10.3f %12.3f %11.1f%%  %s"
-                    % (busy_s * 1e3, capacity_s * 1e3, 100.0 * ratio, resource)
-                )
-        snap = metrics.snapshot()
-        wait = snap["histograms"].get("scheduler_queue_wait_s")
-        if wait and wait["count"]:
-            lines.append("")
-            lines.append(
-                "queue wait: %d tasks, %.3f ms total, mean %.3f ms"
-                % (
-                    wait["count"],
-                    wait["sum"] * 1e3,
-                    wait["sum"] / wait["count"] * 1e3,
-                )
-            )
+    waits = [span.args["queue_wait_s"] for span in tracer.spans if span.cat == "task"]
+    if waits:
+        # left to right, as the waits were recorded: ``sum`` of floats is
+        # compensated from Python 3.12 on and could print another digit
+        wait_s = 0.0
+        for wait in waits:
+            wait_s += wait
+        lines.append("")
+        lines.append(
+            "queue wait: %d tasks, %.3f ms total, mean %.3f ms"
+            % (len(waits), wait_s * 1e3, wait_s / len(waits) * 1e3)
+        )
     return "\n".join(lines)

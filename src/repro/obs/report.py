@@ -20,8 +20,8 @@ import json
 #: version of the TelemetrySampler.to_dict payload
 TELEMETRY_SCHEMA_VERSION = 1
 
-#: version of the ``repro stats --json`` payload
-STATS_SCHEMA_VERSION = 1
+#: version of the ``repro stats --json`` payload (2: no ``metrics`` key)
+STATS_SCHEMA_VERSION = 2
 
 #: version of the ExplainReport.to_dict payload
 EXPLAIN_SCHEMA_VERSION = 1

@@ -1,7 +1,7 @@
 """Serving-clock time-series: ring-buffered samples of a live run.
 
-One-shot snapshots (``repro stats``) and end-of-run aggregates (the
-metrics registry) cannot show a p99 spike forming or a hot-key promotion
+One-shot snapshots (``repro stats``) and end-of-run aggregates (``repro
+profile``) cannot show a p99 spike forming or a hot-key promotion
 landing — behaviour of the serving loop and the load balancer only makes
 sense *over time*.  This module samples that state onto the serving
 engine's own simulated clock:

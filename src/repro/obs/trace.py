@@ -19,7 +19,6 @@ query-phase lane.  The result loads in ``chrome://tracing`` and Perfetto.
 """
 
 import json
-from itertools import count
 
 #: trailing idle gap inserted between consecutive queries on the timeline,
 #: in simulated seconds — purely cosmetic, keeps query roots visually apart
@@ -95,8 +94,11 @@ class Tracer:
     """Collects spans; strictly observational (never changes results)."""
 
     def __init__(self):
+        # a span's id is its 1-based position here: spans are only appended
         self.spans = []
-        self._ids = count(1)
+        # (capacities, makespan, busy-by-resource) per observed scheduler
+        # run, in run order; :func:`repro.obs.profile.utilization` reads it
+        self.schedules = []
         self._cursor = 0.0
         self._ctx = None
         self.queries = 0
@@ -114,7 +116,7 @@ class Tracer:
 
     def add(self, name, cat, track, start_s, duration_s, args=None, parent=None):
         """Record one span; returns its id (usable as ``parent``)."""
-        span_id = next(self._ids)
+        span_id = len(self.spans) + 1
         self.spans.append(
             Span(span_id, parent, name, cat, track, start_s, duration_s, args or {})
         )
@@ -126,13 +128,12 @@ class Tracer:
         Phase roots are opened before their children so the children can
         attach to them; the duration only exists after the phase closes.
         """
-        for span in reversed(self.spans):
-            if span.span_id == span_id:
-                span.duration_s = duration_s
-                if args:
-                    span.args.update(args)
-                return
-        raise KeyError("no span with id %r" % (span_id,))
+        if not 0 < span_id <= len(self.spans):
+            raise KeyError("no span with id %r" % (span_id,))
+        span = self.spans[span_id - 1]
+        span.duration_s = duration_s
+        if args:
+            span.args.update(args)
 
     def seek(self, instant_s):
         """Move the timeline cursor to an absolute simulated instant.
@@ -158,12 +159,7 @@ class Tracer:
         serving engine seeks backward to admit a query at an earlier
         instant), a short query ending inside a longer one's window must
         not rewind the timeline for whoever begins next."""
-        for span in reversed(self.spans):
-            if span.span_id == ctx.root_id:
-                span.duration_s = duration_s
-                if args:
-                    span.args.update(args)
-                break
+        self.set_duration(ctx.root_id, duration_s, args)
         self._cursor = max(self._cursor, ctx.base + duration_s + QUERY_GAP_S)
         self.queries += 1
         if self._ctx is ctx:
@@ -181,14 +177,15 @@ class Tracer:
         return len(self.spans)
 
 
-def observe_schedule(tracer, metrics, scheduler, rel_base=0.0, parent=None):
+def observe_schedule(tracer, scheduler, rel_base=0.0, parent=None):
     """Record one finished :class:`~repro.sim.tasks.Scheduler` run.
 
     Emits a span per task (on the task's egress-link track, or "ingress")
     plus a ``wait`` span for any queue time — the gap between a task
     becoming ready and actually starting, attributed to the resource that
-    had no free slot.  Feeds the queue-wait histogram and per-resource
-    busy/capacity counters (utilization = busy / (capacity * makespan)).
+    had no free slot.  Appends ``(capacities, makespan, busy)`` of the run
+    to ``tracer.schedules``, the source of per-resource utilization
+    (busy / (capacity * makespan)).
 
     Reads task ``start``/``finish``/``ready``/``blocked_on`` left behind by
     ``Scheduler.run``; it never mutates the scheduler, so calling it (or
@@ -198,21 +195,15 @@ def observe_schedule(tracer, metrics, scheduler, rel_base=0.0, parent=None):
     if not tasks:
         return
     makespan = max((t.finish for t in tasks if t.finish is not None), default=0.0)
-    ctx = tracer.context if tracer is not None else None
+    ctx = tracer.context
     busy = {}
     for task in tasks:
         if task.start is None or task.finish is None:
             continue  # failed run: nothing trustworthy to record
-        wait = (task.start - task.ready) if task.ready is not None else 0.0
         for resource in task.resources:
             busy[resource] = busy.get(resource, 0.0) + task.duration
-        if metrics is not None:
-            from repro.obs.metrics import QUEUE_WAIT_BUCKETS_S
-
-            metrics.histogram(
-                "scheduler_queue_wait_s", QUEUE_WAIT_BUCKETS_S
-            ).observe(wait)
         if ctx is not None:
+            wait = (task.start - task.ready) if task.ready is not None else 0.0
             track = next(
                 (r for r in task.resources if r.startswith("egress")),
                 task.resources[0] if task.resources else "scheduler",
@@ -245,14 +236,7 @@ def observe_schedule(tracer, metrics, scheduler, rel_base=0.0, parent=None):
                 },
                 parent=attach,
             )
-    if metrics is not None:
-        for resource, capacity in scheduler.capacities().items():
-            metrics.counter("resource_busy_s", resource=resource).inc(
-                busy.get(resource, 0.0)
-            )
-            metrics.counter("resource_capacity_s", resource=resource).inc(
-                capacity * makespan
-            )
+    tracer.schedules.append((scheduler.capacities(), makespan, busy))
 
 
 # -- Chrome trace-event export ------------------------------------------------

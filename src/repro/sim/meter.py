@@ -4,6 +4,11 @@ Section 4.3 of the paper reports total traffic for a query workload and
 Section 5.4 reports per-strategy *normalized data volume*; both require the
 system to know exactly how many bytes every operation put on the wire.
 Every message sent through :mod:`repro.net` records its payload here.
+
+The meter is one of the two primary run-time sources (the other is the
+span tree of :class:`repro.obs.Tracer`): traffic figures in reports,
+experiments and EXPLAIN are read from it or from deltas of its snapshots,
+never from a mirrored copy.
 """
 
 from collections import Counter
@@ -34,34 +39,11 @@ class TrafficMeter:
     def __init__(self):
         self._by_category = Counter()
         self._messages = Counter()
-        self._metrics = None
-
-    def bind_metrics(self, registry):
-        """Mirror every record into a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Purely additive: the meter's own counters (and therefore every
-        traffic figure in reports and experiments) are byte-identical with
-        or without a bound registry.  ``None`` unbinds.  Every message
-        between peers is recorded, so an unbound meter's :meth:`record`
-        does not test for a registry: binding one shadows it with
-        :meth:`_record_mirrored`.
-        """
-        self._metrics = registry
-        if registry is None:
-            vars(self).pop("record", None)
-        else:
-            self.record = self._record_mirrored
 
     def record(self, category, nbytes):
         """Record a message of ``nbytes`` payload in ``category``."""
         self._by_category[category] += nbytes if nbytes >= 0 else _negative(nbytes)
         self._messages[category] += 1
-
-    def _record_mirrored(self, category, nbytes):
-        """:meth:`record`, then the same message into the bound registry."""
-        TrafficMeter.record(self, category, nbytes)
-        self._metrics.counter("traffic_bytes_total", category=category).inc(nbytes)
-        self._metrics.counter("traffic_messages_total", category=category).inc()
 
     def bytes(self, category=None):
         """Total bytes recorded, overall or for one category."""

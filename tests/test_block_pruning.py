@@ -84,9 +84,6 @@ class TestLazyObservability:
         _, report = net.query_with_report(SELECTIVE)
         names = {span.name for span in net.tracer.spans}
         assert "fetch[lazy]" in names
-        counters = net.metrics.snapshot()["counters"]
-        assert counters["blocks_fetched_total"] == report.blocks_fetched
-        assert counters["blocks_pruned_total"] == report.blocks_skipped
         assert report.blocks_skipped > 0
 
 

@@ -114,15 +114,13 @@ class TestJsonOutput:
         assert rec["shape_error"] is None
         assert rec["result"]  # the raw rows survived the conversion
 
-    def test_stats_json_carries_network_and_metrics(self, capsys):
+    def test_stats_json_carries_network(self, capsys):
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"schema_version", "network", "metrics"}
-        assert payload["schema_version"] == 1
+        assert set(payload) == {"schema_version", "network"}
+        assert payload["schema_version"] == 2
         assert payload["network"]["total_postings"] > 0
         assert 0.0 <= payload["network"]["gini"] <= 1.0
-        gauges = payload["metrics"]["gauges"]
-        assert gauges["network_peers"] == len(payload["network"]["peers"])
 
 
 class TestTraceAndProfile:

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracer, metrics, profiles, export.
+"""Tests for the observability layer: tracer, profiles, export.
 
 The load-bearing guarantee is at the bottom: tracing is *free* — answers,
 simulated times, and metered bytes are byte-identical with observation on
@@ -6,7 +6,6 @@ or off, on both overlay substrates.
 """
 
 import dataclasses
-import json
 import random
 
 import pytest
@@ -14,13 +13,6 @@ import pytest
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.obs import (
-    BYTES_BUCKETS,
-    HOP_BUCKETS,
-    QUEUE_WAIT_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     Tracer,
     observe_schedule,
     phase_totals,
@@ -30,82 +22,8 @@ from repro.obs import (
     validate_trace_file,
     write_chrome_trace,
 )
-from repro.obs.profile import format_profile, self_times
+from repro.obs.profile import format_profile, self_times, utilization
 from repro.sim.tasks import Scheduler
-
-
-class TestCountersAndGauges:
-    def test_counter_accumulates(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1)
-
-    def test_gauge_goes_both_ways(self):
-        g = Gauge()
-        g.set(7)
-        g.set(3)
-        assert g.value == 3
-
-
-class TestHistogram:
-    def test_bucketing_inclusive_upper_bounds(self):
-        h = Histogram((1, 2, 4))
-        for v in (0, 1, 2, 3, 4, 100):
-            h.observe(v)
-        # 0,1 <= 1; 2 <= 2; 3,4 <= 4; 100 overflows
-        assert h.counts == [2, 1, 2, 1]
-        assert h.count == 6
-        assert h.sum == 110
-
-    def test_quantile(self):
-        h = Histogram((1, 2, 4))
-        for v in (1, 1, 1, 4):
-            h.observe(v)
-        assert h.quantile(0.5) == 1
-        assert h.quantile(1.0) == 4
-        assert Histogram((1,)).quantile(0.5) is None
-
-    def test_quantile_overflow(self):
-        h = Histogram((1,))
-        h.observe(50)
-        assert h.quantile(0.9) == float("inf")
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(())
-        with pytest.raises(ValueError):
-            Histogram((3, 1))
-
-    def test_shared_bucket_constants_are_increasing(self):
-        for bounds in (HOP_BUCKETS, BYTES_BUCKETS, QUEUE_WAIT_BUCKETS_S):
-            assert list(bounds) == sorted(bounds)
-
-
-class TestMetricsRegistry:
-    def test_same_name_same_labels_same_metric(self):
-        reg = MetricsRegistry()
-        reg.counter("hits", peer=3).inc()
-        reg.counter("hits", peer=3).inc()
-        reg.counter("hits", peer=4).inc()
-        snap = reg.snapshot()["counters"]
-        assert snap == {"hits{peer=3}": 2, "hits{peer=4}": 1}
-
-    def test_snapshot_round_trips_through_json(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", (1, 2)).observe(1)
-        assert json.loads(reg.to_json()) == reg.snapshot()
-
-    def test_utilization_table(self):
-        reg = MetricsRegistry()
-        reg.counter("resource_busy_s", resource="egress:0").inc(2.0)
-        reg.counter("resource_capacity_s", resource="egress:0").inc(4.0)
-        assert reg.utilization() == {"egress:0": (2.0, 4.0, 0.5)}
 
 
 class TestTracer:
@@ -140,6 +58,26 @@ class TestTracer:
         assert span.args == {"a": 1, "b": 2}
         with pytest.raises(KeyError):
             t.set_duration(999, 1.0)
+
+    def test_set_duration_reaches_the_first_of_many_spans(self):
+        t = Tracer()
+        first = t.add("root", "phase", "query", 0.0, 0.0)
+        for i in range(999):
+            t.add("s%d" % i, "dht", "peer:0", 0.0, 0.1)
+        assert len(t.spans) == 1000
+        t.set_duration(first, 2.5, args={"done": True})
+        assert t.spans[0].span_id == first
+        assert t.spans[0].duration_s == 2.5
+        assert t.spans[0].args == {"done": True}
+        assert all(sp.duration_s == 0.1 for sp in t.spans[1:])
+
+    @pytest.mark.parametrize("missing", [0, -1, 4])
+    def test_set_duration_of_a_missing_id_raises_key_error(self, missing):
+        t = Tracer()
+        for i in range(3):
+            t.add("s%d" % i, "dht", "peer:0", 0.0, 0.1)
+        with pytest.raises(KeyError, match="no span with id"):
+            t.set_duration(missing, 1.0)
 
     def test_seek_places_next_query(self):
         t = Tracer()
@@ -249,55 +187,62 @@ class TestProfile:
         assert totals == {"dht": pytest.approx(0.2), "doc": pytest.approx(0.3)}
 
     def test_format_profile_renders_tables(self):
+        s = Scheduler()
+        s.add_resource("ingress", 2)
+        s.add_task("x", 1.0, resources=("ingress",))
+        s.run()
         t = Tracer()
         ctx = t.begin_query("q")
         t.add("fetch", "dht", "peer:0", 0.0, 0.2, parent=ctx.root_id)
-        t.end_query(ctx, 0.2)
-        reg = MetricsRegistry()
-        reg.counter("resource_busy_s", resource="ingress").inc(1.0)
-        reg.counter("resource_capacity_s", resource="ingress").inc(2.0)
-        reg.histogram("scheduler_queue_wait_s", QUEUE_WAIT_BUCKETS_S).observe(0.5)
-        text = format_profile(t, reg)
+        observe_schedule(t, s)
+        t.end_query(ctx, 1.0)
+        text = format_profile(t)
         assert "top spans" in text
         assert "ingress" in text and "50.0%" in text
-        assert "queue wait" in text
+        assert "queue wait: 1 tasks" in text
 
     def test_format_profile_truncation_tail(self):
         t = Tracer()
         for i in range(6):
             t.add("span%d" % i, "dht", "x", i * 0.1, 0.1)
-        reg = MetricsRegistry()
-        text = format_profile(t, reg, top=2)
+        text = format_profile(t, top=2)
         # omitted groups are summarized, never silently dropped
         assert "... 4 more span groups (4 spans)" in text
         assert "% of self-time" in text
         # no tail line when everything fits
-        assert "more span groups" not in format_profile(t, reg, top=10)
+        assert "more span groups" not in format_profile(t, top=10)
+        # no scheduler run, no task span: no utilization or wait lines
+        assert "utilization" not in text and "queue wait" not in text
+
+
+def _queue_waits(tracer):
+    return [sp.args["queue_wait_s"] for sp in tracer.spans_by_cat("task")]
 
 
 class TestObserveSchedule:
     def test_queue_wait_matches_makespan_accounting(self):
         """On a capacity-1 resource the waits are forced: task i queues
         exactly i * duration seconds, and total busy time equals the
-        makespan — the histogram and counters must reproduce both."""
+        makespan — the task spans and the schedule record must reproduce
+        both."""
         s = Scheduler()
         s.add_resource("link", 1)
         tasks = [s.add_task("t%d" % i, 1.0, resources=("link",)) for i in range(3)]
         makespan = s.run()
         assert makespan == pytest.approx(3.0)
 
-        reg = MetricsRegistry()
-        observe_schedule(None, reg, s)
+        t = Tracer()
+        ctx = t.begin_query("q")
+        observe_schedule(t, s)
+        t.end_query(ctx, makespan)
 
-        hist = reg.histogram("scheduler_queue_wait_s", QUEUE_WAIT_BUCKETS_S)
-        assert hist.count == 3
+        waits = _queue_waits(t)
+        assert len(waits) == 3
         # waits 0 + 1 + 2, and independently: sum over tasks of start-ready
-        assert hist.sum == pytest.approx(3.0)
-        assert hist.sum == pytest.approx(
-            sum(t.start - t.ready for t in tasks)
-        )
+        assert sum(waits) == pytest.approx(3.0)
+        assert sum(waits) == pytest.approx(sum(t.start - t.ready for t in tasks))
         # busy == makespan on a saturated capacity-1 resource
-        busy, capacity, util = reg.utilization()["link"]
+        busy, capacity, util = utilization(t)["link"]
         assert busy == pytest.approx(makespan)
         assert capacity == pytest.approx(1 * makespan)
         assert util == pytest.approx(1.0)
@@ -308,11 +253,12 @@ class TestObserveSchedule:
         [s.add_task("t%d" % i, 1.0, resources=("link",)) for i in range(4)]
         makespan = s.run()
         assert makespan == pytest.approx(2.0)
-        reg = MetricsRegistry()
-        observe_schedule(None, reg, s)
-        hist = reg.histogram("scheduler_queue_wait_s", QUEUE_WAIT_BUCKETS_S)
-        assert hist.sum == pytest.approx(2.0)  # two tasks wait one second
-        busy, capacity, util = reg.utilization()["link"]
+        t = Tracer()
+        ctx = t.begin_query("q")
+        observe_schedule(t, s)
+        t.end_query(ctx, makespan)
+        assert sum(_queue_waits(t)) == pytest.approx(2.0)  # two tasks wait 1 s
+        busy, capacity, util = utilization(t)["link"]
         assert (busy, capacity, util) == (
             pytest.approx(4.0),
             pytest.approx(4.0),
@@ -327,7 +273,7 @@ class TestObserveSchedule:
         s.run()
         t = Tracer()
         ctx = t.begin_query("q")
-        observe_schedule(t, None, s)
+        observe_schedule(t, s)
         t.end_query(ctx, 2.0)
         task_spans = t.spans_by_cat("task")
         wait_spans = t.spans_by_cat("wait")
@@ -335,6 +281,46 @@ class TestObserveSchedule:
         assert {sp.track for sp in task_spans} == {"egress:5"}
         assert len(wait_spans) == 1
         assert wait_spans[0].args["blocked_on"] == "egress:5"
+
+    def test_runs_add_up_in_run_order(self):
+        t = Tracer()
+        ctx = t.begin_query("q")
+        for capacity in (1, 2):
+            s = Scheduler()
+            s.add_resource("link", capacity)
+            s.add_task("a", 1.0, resources=("link",))
+            s.run()
+            observe_schedule(t, s)
+        t.end_query(ctx, 2.0)
+        assert len(t.schedules) == 2
+        # 1 s busy per run, over 1 * 1 s and then 2 * 1 s of capacity
+        assert utilization(t) == {"link": (2.0, 3.0, pytest.approx(2.0 / 3.0))}
+
+    def test_utilization_is_the_sum_of_task_spans_on_a_contended_run(self):
+        """Two peers own every term, so several transfers queue for one
+        egress link: for every resource the busy time in
+        ``tracer.schedules`` equals the summed durations of its task spans,
+        and never exceeds the capacity-seconds."""
+        rng = random.Random(2008)
+        net = KadopNetwork.create(
+            num_peers=2, config=KadopConfig(replication=1), seed=1
+        )
+        for i in range(8):
+            net.peers[i % 2].publish(_random_doc(rng), uri="u:%d" % i)
+        tracer = net.enable_tracing()
+        for query in ("//a//b//c//d", "//a[//b]//c//d", "//a//b"):
+            net.query(query)
+        assert tracer.spans_by_cat("wait"), "no task queued: not contended"
+        from_spans = {}
+        for span in tracer.spans_by_cat("task"):
+            for resource in span.args["resources"]:
+                from_spans[resource] = from_spans.get(resource, 0.0) + span.duration_s
+        table = utilization(tracer)
+        assert set(table) >= set(from_spans)
+        for resource, (busy, capacity, ratio) in table.items():
+            assert busy == pytest.approx(from_spans.get(resource, 0.0))
+            assert busy <= capacity * (1 + 1e-9)
+            assert 0.0 <= ratio <= 1.0 + 1e-9
 
 
 LABELS = ["a", "b", "c", "d"]

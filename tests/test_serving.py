@@ -348,17 +348,6 @@ class TestServingObservability:
         net.serve(burst(n=4), max_inflight=2, coalesce=True)
         validate_trace(to_chrome_trace(tracer))
 
-    def test_metrics_cover_serving(self):
-        net = build_net()
-        net.enable_tracing()
-        result = net.serve(burst(n=6), max_inflight=2, coalesce=True)
-        snap = net.metrics.snapshot()
-        assert snap["counters"]["serving_queries_total"] == len(result.queries)
-        assert snap["histograms"]["admission_wait_s"]["count"] == len(
-            result.queries
-        )
-        assert snap["counters"]["coalesced_fetches_total"] == result.coalesced_hits
-
     def test_serving_summary_renders(self):
         net = build_net()
         result = net.serve(burst(n=6), max_inflight=2, coalesce=True)

@@ -93,17 +93,6 @@ class TestNetworkStatsEdgeCases:
         assert all("postings" in p for p in data["peers"])
         assert data["total_postings"] == sum(p["postings"] for p in data["peers"])
 
-    def test_to_registry(self, net):
-        from repro.obs import MetricsRegistry
-
-        stats = network_stats(net)
-        reg = stats.to_registry(MetricsRegistry())
-        gauges = reg.snapshot()["gauges"]
-        assert gauges["network_postings_total"] == stats.total_postings
-        assert gauges["network_peers"] == len(stats.peers)
-        per_peer = [k for k in gauges if k.startswith("peer_postings{")]
-        assert len(per_peer) == len(stats.peers)
-
 
 class TestTrafficMeterAccounting:
     """Satellite coverage for the meter paths the experiments lean on."""
@@ -146,20 +135,3 @@ class TestTrafficMeterAccounting:
         m.reset()
         assert m.bytes() == 0
         assert m.messages() == 0
-
-    def test_bind_metrics_mirrors_without_changing_meter(self):
-        from repro.obs import MetricsRegistry
-        from repro.sim.meter import TrafficMeter
-
-        plain, mirrored = TrafficMeter(), TrafficMeter()
-        reg = MetricsRegistry()
-        mirrored.bind_metrics(reg)
-        for m in (plain, mirrored):
-            m.record("postings", 100)
-            m.record("postings", 50)
-            m.record("control", 7)
-        assert plain.snapshot() == mirrored.snapshot()
-        counters = reg.snapshot()["counters"]
-        assert counters["traffic_bytes_total{category=postings}"] == 150
-        assert counters["traffic_messages_total{category=postings}"] == 2
-        assert counters["traffic_bytes_total{category=control}"] == 7

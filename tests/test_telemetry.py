@@ -26,6 +26,7 @@ from repro.balance.ledger import LoadLedger
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.obs import (
+    STATS_SCHEMA_VERSION,
     RingBuffer,
     Series,
     SLOTracker,
@@ -547,5 +548,14 @@ class TestSchemaVersions:
 
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == STATS_SCHEMA_VERSION == 2
         check_schema_version(payload, "stats")
+
+    def test_version_1_stats_payload_rejected(self):
+        payload_v1 = {"schema_version": 1, "network": {}, "metrics": {}}
+        with pytest.raises(
+            ValueError,
+            match="unsupported stats schema_version 1; this build reads "
+            "version\\(s\\) 2 — regenerate the report with a matching build",
+        ):
+            check_schema_version(payload_v1, "stats")
