@@ -32,15 +32,16 @@ fuzz-smoke:
 		--drop-rate 0.45 --delay-rate 0.1 --duplicate-rate 0.1
 	$(PY) -m repro fuzz --seed 3000 --iterations 60 --store-backend lsm
 
-# serving-clock telemetry smoke: a short skewed serve with the sampler +
-# SLO tracker on, schema-validated JSON export, and one EXPLAIN ANALYZE
-# whose time/byte attribution must reconcile exactly against the meter
+# serving telemetry smoke: the telemetry view of a short traced skewed
+# serve, schema-validated JSON export (its wire bytes plus the moved bytes
+# must equal the metered total exactly), and one EXPLAIN ANALYZE whose
+# time/byte attribution must reconcile exactly against the meter
 # (repro explain exits non-zero when any reconciliation check fails)
 telemetry-smoke:
 	$(PY) -m repro top --queries 24 --out telemetry.json
 	$(PY) -c "import json; from repro.obs import validate_telemetry; \
 	p = validate_telemetry(json.load(open('telemetry.json'))); \
-	print('telemetry.json: %d series, %d samples OK' % (len(p['series']), p['samples_taken']))"
+	print('telemetry.json: %d series, %d wire + %d moved = %d bytes reconciled OK' % (len(p['series']), sum(p['series']['wire_bytes']), p['balance']['bytes_moved'], p['total_bytes']))"
 	$(PY) -m repro explain "//article//author" > /dev/null && echo "explain: reconciled OK"
 
 # behaviour digests of QueryExecutor (one line per configuration), of

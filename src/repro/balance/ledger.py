@@ -142,36 +142,6 @@ class LoadLedger:
             and sum(self.peer_write_bytes.values()) == self.total_write_bytes
         )
 
-    def read_snapshot(self):
-        """Copies of the cumulative read-byte partitions, for deltas.
-
-        EXPLAIN and the telemetry tests bracket a query (or a serving
-        window) with ``read_snapshot`` / :meth:`read_delta` to see which
-        keys and peers the interval's served reads landed on."""
-        return {
-            "key": dict(self.key_read_bytes),
-            "peer": dict(self.peer_read_bytes),
-        }
-
-    def read_delta(self, snapshot):
-        """Read bytes per key and per peer since ``snapshot``.
-
-        The two views partition the same event stream, so each sums to
-        the same interval total (the conservation property, restricted
-        to the interval).  Zero-delta entries are dropped."""
-        out = {}
-        for part, current in (
-            ("key", self.key_read_bytes),
-            ("peer", self.peer_read_bytes),
-        ):
-            before = snapshot[part]
-            out[part] = {
-                ident: nbytes - before.get(ident, 0)
-                for ident, nbytes in current.items()
-                if nbytes != before.get(ident, 0)
-            }
-        return out
-
     def to_dict(self, top=8):
         """JSON-ready summary used by ``repro stats --json``."""
         return {

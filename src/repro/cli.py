@@ -181,10 +181,9 @@ def cmd_stats(args):
 
 
 def cmd_top(args):
-    """Serve a skewed open-loop stream with telemetry on; render it."""
+    """Serve a skewed open-loop stream traced; render its telemetry view."""
     from repro.experiments import skew_balance
-    from repro.obs import render_top, write_json
-    from repro.obs.slo import diagnose
+    from repro.obs import render_top, serving_view, write_json
     from repro.workloads.profiles import open_loop_workload, skewed_profile
 
     net = skew_balance.network(args.peers, args.docs, args.seed, {})
@@ -192,22 +191,16 @@ def cmd_top(args):
     arrivals = open_loop_workload(
         profile, args.rate, seed=args.seed, num_sources=3
     )
-    sampler = net.enable_telemetry(
-        interval_s=args.interval, slo_objective_s=args.slo
-    )
-    net.serve(arrivals, policy="fifo", coalesce=False)
-    findings = diagnose(
-        sampler, sampler.slo, ledger=net.balance.ledger
-    )
-    payload = sampler.to_dict()
-    payload["findings"] = [f.to_dict() for f in findings]
+    net.enable_tracing()
+    result = net.serve(arrivals, policy="fifo", coalesce=False)
+    payload = serving_view(net, result, args.interval, objective_s=args.slo)
     if args.out:
         write_json(payload, args.out)
         print("wrote %s" % args.out, file=sys.stderr)
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif not args.out:
-        print(render_top(payload, findings=findings))
+        print(render_top(payload))
     return 0
 
 
@@ -399,8 +392,8 @@ def main(argv=None):
     run_parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="attach the telemetry sampler + SLO diagnostics to the "
-        "serving experiments (%s)" % ", ".join(_taking("telemetry")),
+        help="add the SLO block and diagnostics of each serve's telemetry "
+        "view to the serving experiments (%s)" % ", ".join(_taking("telemetry")),
     )
     run_parser.add_argument(
         "--check",

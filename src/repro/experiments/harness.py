@@ -8,9 +8,10 @@ serial answer reference and the ``--telemetry`` row fields.
 """
 
 from repro.kadop.system import KadopNetwork
+from repro.obs import format_finding, serving_view
 from repro.workloads.dblp import DblpGenerator
 
-#: latency objective handed to the SLO tracker under ``--telemetry``;
+#: latency objective of the telemetry view under ``--telemetry``;
 #: calibrated between ``BENCH_skew.json``'s balanced (max p99 0.51s) and
 #: unbalanced (min p99 1.25s at Zipf >= 1.0) cells, so diagnostics flag
 #: exactly the unbalanced skewed cells
@@ -87,25 +88,21 @@ def serve_row(net, arrivals, serial_sigs, telemetry, **serve_knobs):
     """Serve ``arrivals`` FIFO on ``net``; returns ``(result, row)``.
 
     The row is ``result.to_dict()`` plus ``answers_match_serial``.
-    ``telemetry`` attaches the serving-clock sampler + SLO tracker and
-    embeds ``slo`` / ``findings``; it is strictly observational, so every
-    other number of the row is identical either way."""
-    sampler = (
-        net.enable_telemetry(slo_objective_s=SLO_OBJECTIVE_S)
-        if telemetry
-        else None
-    )
+    ``telemetry`` traces the serve (unless a tracer is attached already)
+    and embeds the ``slo`` / ``findings`` of its telemetry view; tracing
+    is strictly observational, so every other number of the row is
+    identical either way."""
+    if telemetry and net.tracer is None:
+        net.enable_tracing()
     result = net.serve(arrivals, policy="fifo", **serve_knobs)
     row = result.to_dict()
     row["answers_match_serial"] = serial_sigs == {
         q.seq: answer_sigs(q.answers) for q in result.queries
     }
-    if sampler is not None:
-        from repro.obs.slo import diagnose
-
-        findings = diagnose(sampler, sampler.slo, ledger=net.balance.ledger)
-        row["slo"] = sampler.slo.to_dict()
-        row["findings"] = [f.to_dict() for f in findings]
+    if telemetry:
+        view = serving_view(net, result, objective_s=SLO_OBJECTIVE_S)
+        row["slo"] = view["slo"]
+        row["findings"] = view["findings"]
     return result, row
 
 
@@ -115,16 +112,5 @@ def diagnostics_lines(results, axis_keys, variants):
     for axis in axis_keys:
         for name, _ in variants:
             for f in results[axis][name].get("findings", ()):
-                lines.append(
-                    "  %s/%s [%s] %s %.2f-%.2fs: %s"
-                    % (
-                        axis,
-                        name,
-                        f["severity"],
-                        f["kind"],
-                        f["t0_s"],
-                        f["t1_s"],
-                        f["detail"],
-                    )
-                )
+                lines.append("  %s/%s %s" % (axis, name, format_finding(f)))
     return ["", "diagnostics (--telemetry):"] + lines if lines else []

@@ -74,10 +74,9 @@ def _arrivals(rate, queries, seed):
 def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
     """``{rate: {variant: row}}`` plus the serial answer reference.
 
-    ``telemetry=True`` attaches the serving-clock sampler + SLO tracker
-    to every variant run and embeds ``slo`` / ``findings`` in its row.
-    Telemetry is strictly observational, so every other number is
-    byte-identical either way."""
+    ``telemetry=True`` embeds the ``slo`` / ``findings`` of each variant
+    run's telemetry view in its row; every other number is byte-identical
+    either way."""
     from repro.obs import Tracer
 
     results = {}

@@ -87,10 +87,9 @@ def _arrivals(skew, seed):
 def run(num_peers=10, docs=12, seed=0, telemetry=False):
     """``{skew: {variant: row}}``; every row carries the answer check.
 
-    ``telemetry=True`` attaches the serving-clock sampler + SLO tracker
-    to every variant run and embeds ``slo`` / ``findings`` in its row —
-    strictly observational, so every other number is byte-identical
-    either way."""
+    ``telemetry=True`` traces every variant run and embeds the ``slo`` /
+    ``findings`` of its telemetry view in its row; every other number is
+    byte-identical either way."""
     results = {}
     for skew in SKEWS:
         arrivals = _arrivals(skew, seed)

@@ -290,29 +290,6 @@ class ServingEngine:
         self._caps = None
         self._coalescer = None
         self._records = None
-        self._queued = None
-        self._admitted = 0
-        self._dropped = 0
-
-    # -- telemetry probes (read-only; see repro.obs.telemetry) ------------------
-
-    def queue_depth(self):
-        """Queries waiting in the admission queue right now."""
-        return len(self._queued) if self._queued is not None else 0
-
-    def admitted_count(self):
-        """Cumulative queries admitted so far this run."""
-        return self._admitted
-
-    def dropped_count(self):
-        """Cumulative admission drops (the queue is currently unbounded,
-        so this stays 0 — sampled anyway so the series exists the day a
-        bound lands)."""
-        return self._dropped
-
-    def coalescer_hits(self):
-        """Cumulative single-flight coalescer hits so far this run."""
-        return self._coalescer.hits if self._coalescer is not None else 0
 
     # -- the serving loop -------------------------------------------------------
 
@@ -333,18 +310,8 @@ class ServingEngine:
         coalescer = FetchCoalescer() if self.coalesce else None
         self._coalescer = coalescer
         system.net.coalescer = coalescer
-        telemetry = getattr(system, "telemetry", None)
-        if telemetry is not None:
-            # (re-)install the stock probe set now so rate baselines are
-            # the run start, not whenever the sampler was constructed
-            from repro.obs.telemetry import install_standard_probes
-
-            install_standard_probes(telemetry, system, engine=self)
         meter_start = system.net.meter.snapshot()
         queued = []  # (seq, QueryArrival), arrival order
-        self._queued = queued
-        self._admitted = 0
-        self._dropped = 0
         admitted_per_src = {}
         clock = 0.0
         i = 0
@@ -374,11 +341,6 @@ class ServingEngine:
                         ):
                             queued.append((i, ordered[i]))
                             i += 1
-                if telemetry is not None:
-                    # sample every interval boundary the serving clock
-                    # crossed, before this admission mutates the queue —
-                    # strictly read-only, like the rebalance tick below
-                    telemetry.advance_to(clock)
                 seq, arrival = self._pick(queued, admitted_per_src)
                 balance = getattr(system, "balance", None)
                 if balance is not None:
@@ -395,7 +357,6 @@ class ServingEngine:
                     if compact is not None and node.alive:
                         compact(clock)
                 self._process(seq, arrival, clock)
-                self._admitted += 1
                 admitted_per_src[arrival.src] = (
                     admitted_per_src.get(arrival.src, 0) + 1
                 )
@@ -412,16 +373,10 @@ class ServingEngine:
             coalesced_hits=coalescer.hits if coalescer else 0,
             coalesced_bytes_saved=coalescer.bytes_saved if coalescer else 0,
         )
-        if telemetry is not None:
-            # closing samples at the makespan + the completion-fed series
-            # (exact in-flight counts, SLO feed) from the *final* shared
-            # schedule — per-query finishes are provisional until here
-            telemetry.finish(result, tracer=system.tracer, scheduler=shared)
         self._shared = None
         self._caps = None
         self._coalescer = None
         self._records = None
-        self._queued = None
         return result
 
     @staticmethod

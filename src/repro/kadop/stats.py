@@ -153,61 +153,6 @@ class NetworkStats:
         return data
 
 
-def serving_summary(result, slo=None):
-    """Operator-style text summary of a
-    :class:`~repro.kadop.serving.ServingResult`.
-
-    One block with throughput, the latency percentiles, admission queue
-    behaviour, single-flight coalescing savings, and the per-source-peer
-    admission split (the number the ``fair`` policy equalizes).  Passing
-    the run's :class:`~repro.obs.slo.SLOTracker` appends its compliance
-    and error-budget line."""
-    lines = [
-        "served %d queries in %.3fs simulated  (%.2f q/s)"
-        % (len(result.queries), result.makespan_s, result.throughput_qps),
-        "latency: p50=%.4fs  p95=%.4fs  p99=%.4fs"
-        % (result.percentile(50), result.percentile(95), result.percentile(99)),
-        "admission: max_inflight=%s policy=%s  mean queue wait %.4fs"
-        % (
-            "unbounded" if result.max_inflight is None else result.max_inflight,
-            result.policy,
-            result.mean_queue_wait_s,
-        ),
-        "traffic: %d bytes"
-        % (result.total_bytes,)
-        + (
-            "  (coalescing: %d joined flights, %d bytes not re-fetched)"
-            % (result.coalesced_hits, result.coalesced_bytes_saved)
-            if result.coalesce
-            else "  (coalescing off)"
-        ),
-    ]
-    per_src = {}
-    for query in result.queries:
-        per_src[query.src] = per_src.get(query.src, 0) + 1
-    lines.append(
-        "sources: "
-        + "  ".join(
-            "peer %d: %d" % (src, count) for src, count in sorted(per_src.items())
-        )
-    )
-    if slo is not None:
-        lines.append(
-            "slo: %s  p%d<=%.3fs  %d/%d breaches  compliance %.4f  "
-            "budget spent %.2fx"
-            % (
-                "OK" if slo.breaches == 0 else "BREACHED",
-                round(slo.target * 100),
-                slo.objective_s,
-                slo.breaches,
-                slo.total,
-                slo.compliance,
-                slo.budget_spent,
-            )
-        )
-    return "\n".join(lines)
-
-
 def network_stats(system, top_terms=8):
     """Collect :class:`NetworkStats` for a live network."""
     from repro.postings import kernels

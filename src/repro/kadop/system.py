@@ -97,7 +97,6 @@ class KadopNetwork:
         self.peers = []
         self._resources = {}  # uri -> xml text (the "web" of includable data)
         self.tracer = None  # repro.obs.Tracer, via enable_tracing
-        self.telemetry = None  # repro.obs.TelemetrySampler, via enable_telemetry
 
     # -- construction ----------------------------------------------------------
 
@@ -159,45 +158,6 @@ class KadopNetwork:
         """Detach the tracer installed by :meth:`enable_tracing`."""
         self.tracer = None
         self.net.tracer = None
-
-    def enable_telemetry(
-        self,
-        sampler=None,
-        interval_s=None,
-        slo_objective_s=None,
-        slo_target=0.99,
-        slo_window_s=0.5,
-    ):
-        """Attach a serving-clock telemetry sampler to this network.
-
-        The next :meth:`serve` run installs the stock probe set on it
-        (queue depth, per-peer ledger rates, wire bytes, ...), samples on
-        the serving clock, and closes it out at the makespan.  Passing
-        ``slo_objective_s`` also attaches an
-        :class:`~repro.obs.slo.SLOTracker` fed from query completions.
-        Like tracing, telemetry is strictly observational: every answer,
-        simulated second, and metered byte is identical with it on or
-        off (asserted in ``tests/test_telemetry.py``).  Returns the
-        sampler.
-        """
-        from repro.obs.telemetry import DEFAULT_INTERVAL_S, TelemetrySampler
-
-        if sampler is None:
-            slo = None
-            if slo_objective_s is not None:
-                from repro.obs.slo import SLOTracker
-
-                slo = SLOTracker(
-                    slo_objective_s, target=slo_target, window_s=slo_window_s
-                )
-            sampler = TelemetrySampler(
-                interval_s=(
-                    DEFAULT_INTERVAL_S if interval_s is None else interval_s
-                ),
-                slo=slo,
-            )
-        self.telemetry = sampler
-        return sampler
 
     # -- fault injection (repro.faults) -----------------------------------------
 

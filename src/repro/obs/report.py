@@ -5,8 +5,8 @@ written to JSON and diffed in CI.  Everything crossing that boundary
 carries a ``schema_version`` so a reader can refuse payloads it does not
 understand instead of misrendering them:
 
-* :data:`TELEMETRY_SCHEMA_VERSION` — ``TelemetrySampler.to_dict``
-  payloads (series + SLO + findings);
+* :data:`TELEMETRY_SCHEMA_VERSION` — ``serving_view`` payloads (series,
+  SLO block and findings);
 * :data:`STATS_SCHEMA_VERSION` — ``repro stats --json`` payloads;
 * :data:`EXPLAIN_SCHEMA_VERSION` — ``ExplainReport.to_dict`` payloads.
 
@@ -17,8 +17,11 @@ top`` (unicode sparklines, SLO status, findings).
 
 import json
 
-#: version of the TelemetrySampler.to_dict payload
-TELEMETRY_SCHEMA_VERSION = 1
+from repro.obs.metrics import quantile_exact
+
+#: version of the serving_view payload (2: computed after the run, one
+#: shared ``instants`` list, integer ``wire_bytes`` per interval)
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: version of the ``repro stats --json`` payload (2: no ``metrics`` key)
 STATS_SCHEMA_VERSION = 2
@@ -66,36 +69,33 @@ def check_schema_version(payload, kind):
 def validate_telemetry(payload):
     """Schema-validate one telemetry JSON payload; returns it unchanged.
 
-    Checks the version gate plus the structural invariants every reader
-    leans on: a series table whose samples are ``[t, value]`` pairs with
-    non-decreasing timestamps, and (when present) an SLO block with
-    windows inside the run."""
+    Checks the version gate plus the invariants every reader leans on:
+    non-decreasing instants, one value per instant in every series, an
+    SLO block, and the exact byte reconciliation (wire bytes per interval
+    plus the rebalancer's moved bytes equal the run's metered total)."""
     check_schema_version(payload, "telemetry")
+    instants = payload.get("instants")
     series = payload.get("series")
-    if not isinstance(series, dict):
-        raise ValueError("telemetry payload has no series table")
-    for name, body in series.items():
-        samples = body.get("samples")
-        if not isinstance(samples, list):
-            raise ValueError("series %r has no samples list" % (name,))
-        prev = None
-        for sample in samples:
-            if not (isinstance(sample, list) and len(sample) == 2):
-                raise ValueError(
-                    "series %r sample %r is not a [t, value] pair"
-                    % (name, sample)
-                )
-            t = sample[0]
-            if prev is not None and t < prev:
-                raise ValueError(
-                    "series %r timestamps go backwards at t=%r" % (name, t)
-                )
-            prev = t
+    if not isinstance(instants, list) or not isinstance(series, dict):
+        raise ValueError("telemetry payload has no instants list or series table")
+    if any(b < a for a, b in zip(instants, instants[1:])):
+        raise ValueError("telemetry instants go backwards")
+    for name, values in series.items():
+        if not isinstance(values, list) or len(values) != len(instants):
+            raise ValueError(
+                "series %r does not hold one value per instant" % (name,)
+            )
     slo = payload.get("slo")
-    if slo is not None:
-        for field in ("objective_s", "target", "windows"):
-            if field not in slo:
-                raise ValueError("slo block is missing %r" % (field,))
+    for field in ("objective_s", "target", "windows"):
+        if not isinstance(slo, dict) or field not in slo:
+            raise ValueError("slo block is missing %r" % (field,))
+    wire = sum(series.get("wire_bytes", ()))
+    moved = payload.get("balance", {}).get("bytes_moved", 0)
+    if wire + moved != payload.get("total_bytes"):
+        raise ValueError(
+            "wire bytes %d + moved %d do not reconcile with total_bytes %r"
+            % (wire, moved, payload.get("total_bytes"))
+        )
     return payload
 
 
@@ -132,30 +132,34 @@ def sparkline(values, width=32):
     )
 
 
-def _series_row(name, body, width):
-    values = [v for _, v in body["samples"]]
-    if not values:
-        return "  %-34s (no samples)" % (name,)
-    ordered = sorted(values)
-    rank = max(1, -(-99 * len(ordered) // 100))  # ceil without math import
-    tail = " (+%d evicted)" % body["dropped"] if body.get("dropped") else ""
-    return "  %-34s %s  last %10.1f  mean %10.1f  p99 %10.1f%s" % (
+def _series_row(name, values, width):
+    return "  %-28s %s  last %10.1f  mean %10.1f  p99 %10.1f" % (
         name,
         sparkline(values, width),
         values[-1],
         sum(values) / len(values),
-        ordered[min(rank, len(ordered)) - 1],
-        tail,
+        quantile_exact(sorted(values), 0.99),
     )
 
 
-def render_top(payload, findings=None, width=32):
+def format_finding(finding):
+    """One finding of a telemetry payload as a line of text."""
+    return "[%s] %s %.2f-%.2fs: %s" % (
+        finding["severity"],
+        finding["kind"],
+        finding["t0_s"],
+        finding["t1_s"],
+        finding["detail"],
+    )
+
+
+def render_top(payload, width=32):
     """The ``repro top`` terminal view of one telemetry payload."""
     validate_telemetry(payload)
     lines = [
-        "telemetry: %d samples @ %.3fs interval over %.3fs (simulated)"
+        "telemetry: %d instants @ %.3fs interval over %.3fs (simulated)"
         % (
-            payload["samples_taken"],
+            len(payload["instants"]),
             payload["interval_s"],
             payload["makespan_s"],
         ),
@@ -165,48 +169,37 @@ def render_top(payload, findings=None, width=32):
     series = payload["series"]
     for name in sorted(series):
         lines.append(_series_row(name, series[name], width))
-    slo = payload.get("slo")
-    if slo is not None:
-        lines.append("")
-        status = "OK" if slo["breaches"] == 0 else "BREACHED"
+    slo = payload["slo"]
+    lines.append("")
+    status = "OK" if slo["breaches"] == 0 else "BREACHED"
+    lines.append(
+        "slo: %s — p%d <= %.3fs, %d/%d breaches, "
+        "compliance %.4f, budget spent %.2fx"
+        % (
+            status,
+            round(slo["target"] * 100),
+            slo["objective_s"],
+            slo["breaches"],
+            slo["total"],
+            slo["compliance"],
+            slo["budget_spent"],
+        )
+    )
+    for window in slo["windows"]:
+        marker = "!" if window["burn_rate"] > 1.0 else " "
         lines.append(
-            "slo: %s — p%d <= %.3fs, %d/%d breaches, "
-            "compliance %.4f, budget spent %.2fx"
+            "  %s [%6.2f, %6.2f)s  n=%-4d p99 %7.4fs  burn %6.2fx"
             % (
-                status,
-                round(slo["target"] * 100),
-                slo["objective_s"],
-                slo["breaches"],
-                slo["total"],
-                slo["compliance"],
-                slo["budget_spent"],
+                marker,
+                window["t0_s"],
+                window["t1_s"],
+                window["total"],
+                window["p99_s"],
+                window["burn_rate"],
             )
         )
-        for window in slo["windows"]:
-            marker = "!" if window["burn_rate"] > 1.0 else " "
-            lines.append(
-                "  %s [%6.2f, %6.2f)s  n=%-4d p99 %7.4fs  burn %6.2fx"
-                % (
-                    marker,
-                    window["t0_s"],
-                    window["t1_s"],
-                    window["total"],
-                    window["p99_s"],
-                    window["burn_rate"],
-                )
-            )
-    if findings is not None:
-        lines.append("")
-        if findings:
-            lines.append("findings:")
-            for finding in findings:
-                rendered = (
-                    finding.format()
-                    if hasattr(finding, "format")
-                    else str(finding)
-                )
-                lines.append("  %s" % (rendered,))
-        else:
-            lines.append("findings: none")
+    lines.append("")
+    findings = payload.get("findings", ())
+    lines.append("findings:" if findings else "findings: none")
+    lines.extend("  " + format_finding(f) for f in findings)
     return "\n".join(lines)
-

@@ -1,28 +1,37 @@
-"""Serving-clock time-series: ring-buffered samples of a live run.
+"""The serving telemetry view: one payload computed from a finished run.
 
-One-shot snapshots (``repro stats``) and end-of-run aggregates (``repro
-profile``) cannot show a p99 spike forming or a hot-key promotion
-landing — behaviour of the serving loop and the load balancer only makes
-sense *over time*.  This module samples that state onto the serving
-engine's own simulated clock:
+Nothing samples while a serve runs.  :func:`serving_view` reads what the
+run left behind: the :class:`~repro.kadop.serving.ServingResult` (each
+query's arrival, admission and finish instants, its metered traffic and
+its coalesced fetches) and the span tree of the network's tracer (the peer
+that served each read).  At every instant ``t = k * interval_s``, up to the
+first one at or past the makespan, it derives:
 
-* :class:`RingBuffer` / :class:`Series` — fixed-capacity ``(t, value)``
-  rings with windowed min/mean/max/p99 aggregation;
-* :class:`TelemetrySampler` — registered probes (gauges read directly,
-  rates as deltas of cumulative counters per interval) sampled at every
-  multiple of ``interval_s`` the serving clock crosses.
+``admitted_queries``         queries with ``admit_s <= t``
+``queue_depth``              queries with ``arrival_s <= t < admit_s``
+``inflight_queries``         queries with ``admit_s <= t < finish_s``
+``coalescer_hits``           coalesced fetches of the admitted queries
+``wire_bytes``               metered bytes of the queries admitted in
+                             ``(t - interval_s, t]``
+``peer_read_bytes{peer=i}``  read bytes peer ``i`` served to those queries
 
-There is **zero wall clock** here.  The sampler is driven by
-:meth:`advance_to` from the serving engine's admission loop (next to the
-rebalance tick) and by :meth:`finish` once the run's makespan is known,
-so every sample instant, and therefore every series, is a deterministic
-function of the workload and seed.  Probes only *read* state — enabling
-telemetry changes no answer, simulated second, or metered byte (the
-differential test in ``tests/test_telemetry.py`` asserts byte-identical
-reports and meter snapshots on Pastry and Chord).
+Every admitted query's bytes land in one sample, so the wire bytes plus
+the rebalancer's ``bytes_moved`` (tick-time migrations run outside any
+query) equal the run's metered total exactly.  The SLO block scores each
+query's latency against an objective per :data:`SLO_WINDOW_S` window of
+completions, with Google SRE error-budget burn rates on simulated time.
+The findings are rules over the same records: windows whose p99 breaches
+the objective, the peer serving a hot share of the reads of the queries
+that completed in such a window, and a growing admission queue.
 """
 
+import math
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
+
 from repro.obs.metrics import quantile_exact
+from repro.obs.report import TELEMETRY_SCHEMA_VERSION
 
 #: float-comparison slack for simulated instants
 _EPS = 1e-9
@@ -30,287 +39,208 @@ _EPS = 1e-9
 #: default sampling interval (simulated seconds)
 DEFAULT_INTERVAL_S = 0.1
 
-#: default per-series capacity; at the default interval this covers runs
-#: two orders of magnitude longer than the committed serving benchmarks
-DEFAULT_CAPACITY = 512
+#: the SLO's target quantile and window width (simulated seconds)
+SLO_TARGET = 0.99
+SLO_WINDOW_S = 0.5
+
+#: a peer serving this multiple of the mean read bytes of the active peers
+#: in a breach window is reported as hot
+HOT_PEER_FACTOR = 2.0
+
+#: queue depth is "growing" when the mean of the last half of the run
+#: exceeds this multiple of the first half's (and is at least
+#: MIN_QUEUE_DEPTH)
+QUEUE_GROWTH_FACTOR = 2.0
+MIN_QUEUE_DEPTH = 2.0
 
 
-class RingBuffer:
-    """Fixed-capacity ring of ``(t_s, value)`` samples, oldest evicted."""
-
-    __slots__ = ("capacity", "_items", "_head", "dropped")
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1, got %r" % (capacity,))
-        self.capacity = int(capacity)
-        self._items = []
-        self._head = 0  # index of the oldest sample once full
-        self.dropped = 0  # samples evicted by capacity (honesty counter)
-
-    def append(self, t_s, value):
-        if len(self._items) < self.capacity:
-            self._items.append((t_s, value))
-        else:
-            self._items[self._head] = (t_s, value)
-            self._head = (self._head + 1) % self.capacity
-            self.dropped += 1
-
-    def items(self):
-        """Samples in time order (oldest first)."""
-        return self._items[self._head:] + self._items[: self._head]
-
-    def __len__(self):
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self.items())
+def _served_reads(tracer, queries):
+    """``{seq: Counter{(peer, key): bytes}}``: the reads each query's DHT
+    ops were served, from the ``served_by`` of the ``dht`` spans under its
+    root (a span is always recorded after its parent)."""
+    reads = {q.seq: Counter() for q in queries}
+    seq_of = {q.root_id: q.seq for q in queries if q.root_id is not None}
+    for span in tracer.spans if tracer is not None else ():
+        seq = seq_of.get(span.parent_id)
+        if seq is None:
+            continue
+        seq_of[span.span_id] = seq
+        peer = span.args.get("served_by") if span.cat == "dht" else None
+        if peer is not None:
+            reads[seq][peer, span.args["key"]] += span.args["response_bytes"]
+    return reads
 
 
-class Series:
-    """One named time-series over a :class:`RingBuffer`."""
+def serving_view(net, result, interval_s=DEFAULT_INTERVAL_S, *, objective_s):
+    """The telemetry payload of one finished ``net.serve`` run; see the
+    module docstring.  ``objective_s`` is the latency objective."""
+    if interval_s <= 0:
+        raise ValueError("interval_s must be positive")
+    if objective_s <= 0:
+        raise ValueError("objective_s must be positive")
+    queries = result.queries
+    last = math.ceil(result.makespan_s / interval_s - _EPS)
+    instants = [k * interval_s for k in range(max(0, last) + 1)]
+    reads = _served_reads(net.tracer, queries)
+    # each query lands in the sample of the first instant at or past its
+    # admission, so the per-instant amounts partition the run
+    edges = [t + _EPS for t in instants]
+    admits = [0] * len(instants)
+    hits = [0] * len(instants)
+    wire = [0] * len(instants)
+    peer_bytes = {}
+    for q in queries:
+        k = bisect_left(edges, q.admit_s)
+        admits[k] += 1
+        hits[k] += q.coalesced_fetches
+        wire[k] += sum(q.traffic.values())
+        for (peer, _key), nbytes in reads[q.seq].items():
+            peer_bytes.setdefault(peer, [0] * len(instants))[k] += nbytes
+    series = {
+        "admitted_queries": list(accumulate(admits)),
+        "coalescer_hits": list(accumulate(hits)),
+        "wire_bytes": wire,
+        "queue_depth": [
+            sum(1 for q in queries if q.arrival_s <= t + _EPS < q.admit_s)
+            for t in instants
+        ],
+        "inflight_queries": [
+            sum(1 for q in queries if q.admit_s <= t + _EPS < q.finish_s)
+            for t in instants
+        ],
+    }
+    for peer in sorted(peer_bytes):
+        series["peer_read_bytes{peer=%d}" % peer] = peer_bytes[peer]
+    slo = _slo_block(queries, objective_s)
+    return {
+        "schema_version": TELEMETRY_SCHEMA_VERSION,
+        "interval_s": interval_s,
+        "makespan_s": result.makespan_s,
+        "total_bytes": result.total_bytes,
+        "balance": net.balance.summary(),
+        "instants": instants,
+        "series": series,
+        "slo": slo,
+        "findings": _findings(queries, reads, slo, instants, series),
+    }
 
-    __slots__ = ("name", "ring")
 
-    def __init__(self, name, capacity=DEFAULT_CAPACITY):
-        self.name = name
-        self.ring = RingBuffer(capacity)
-
-    def sample(self, t_s, value):
-        self.ring.append(t_s, value)
-
-    def items(self):
-        return self.ring.items()
-
-    def values(self):
-        return [v for _, v in self.ring.items()]
-
-    def last(self):
-        items = self.ring.items()
-        return items[-1] if items else None
-
-    def window(self, t0_s, t1_s):
-        """Samples with ``t0_s <= t < t1_s`` (end-exclusive)."""
-        return [
-            (t, v)
-            for t, v in self.ring.items()
-            if t0_s - _EPS <= t < t1_s - _EPS
-        ]
-
-    def window_stats(self, t0_s, t1_s):
-        """min/mean/max/p99 over the window, or None when it is empty."""
-        values = [v for _, v in self.window(t0_s, t1_s)]
-        if not values:
-            return None
-        ordered = sorted(values)
-        return {
-            "t0_s": t0_s,
-            "t1_s": t1_s,
-            "count": len(ordered),
-            "min": ordered[0],
-            "mean": sum(ordered) / len(ordered),
-            "max": ordered[-1],
-            "p99": quantile_exact(ordered, 0.99),
-        }
-
-    def to_dict(self):
-        items = self.ring.items()
-        return {
-            "name": self.name,
-            "samples": [[t, v] for t, v in items],
-            "dropped": self.ring.dropped,
-        }
-
-
-class TelemetrySampler:
-    """Probes sampled at fixed serving-clock intervals; see module doc.
-
-    Two probe kinds:
-
-    * ``add_gauge(name, fn)`` — ``fn()`` read directly at each instant
-      (queue depth, hot-key count, in-flight queries);
-    * ``add_rate(name, fn)`` — ``fn()`` must be a cumulative counter; the
-      series records ``(current - previous) / interval_s`` per instant
-      (bytes on the wire, per-peer served read/write bytes from the
-      :class:`~repro.balance.ledger.LoadLedger`).
-
-    The serving engine calls :meth:`advance_to` at each admission instant
-    and :meth:`finish` after the final shared-schedule run, which takes
-    the closing sample at the makespan, back-fills the exact
-    ``inflight_queries`` series from the finished records, and (when a
-    tracer is attached) emits one instant span per sample so Perfetto
-    traces show the sampling timeline alongside the queries.
-    """
-
-    def __init__(
-        self,
-        interval_s=DEFAULT_INTERVAL_S,
-        capacity=DEFAULT_CAPACITY,
-        slo=None,
-    ):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.interval_s = float(interval_s)
-        self.capacity = int(capacity)
-        self.slo = slo  # optional repro.obs.slo.SLOTracker
-        self.series = {}
-        self._gauges = {}  # name -> fn
-        self._rates = {}  # name -> (fn, last_value)
-        self._next_t = 0.0
-        self._instants = []  # every boundary sampled so far, in order
-        self.samples_taken = 0
-        self.finished = False
-        self.makespan_s = 0.0
-
-    # -- probe registration ------------------------------------------------
-
-    def _series(self, name):
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = Series(name, self.capacity)
-        return series
-
-    def add_gauge(self, name, fn):
-        self._gauges[name] = fn
-        self._series(name)
-        return self
-
-    def add_rate(self, name, fn):
-        self._rates[name] = (fn, fn())
-        self._series(name)
-        return self
-
-    # -- sampling clock ----------------------------------------------------
-
-    def _take_sample(self, t_s):
-        for name, fn in self._gauges.items():
-            self._series(name).sample(t_s, fn())
-        for name, (fn, last) in self._rates.items():
-            current = fn()
-            self._series(name).sample(
-                t_s, (current - last) / self.interval_s
-            )
-            self._rates[name] = (fn, current)
-        self._instants.append(t_s)
-        self.samples_taken += 1
-
-    def advance_to(self, now_s):
-        """Sample every interval boundary the clock has crossed.
-
-        Probes read the state visible *at the call* (sample-and-hold, the
-        same contract a real scraper has); boundaries are stamped at their
-        exact simulated instants so series align across runs."""
-        while self._next_t <= now_s + _EPS:
-            self._take_sample(self._next_t)
-            self._next_t += self.interval_s
-
-    def finish(self, result, tracer=None, scheduler=None):
-        """Close out a serving run: final samples, SLO feed, trace events.
-
-        ``result`` is the engine's :class:`ServingResult`.  Per-query
-        finish times are provisional while the run is live (later
-        admissions re-contend the shared timeline), so the completion-fed
-        series — exact in-flight counts, shared-schedule concurrency, and
-        the SLO error budget — are derived here, from the *final*
-        schedule."""
-        self.makespan_s = result.makespan_s
-        self.advance_to(self.makespan_s)
-        # exact in-flight profile from the final records: per-query finish
-        # times are provisional mid-run, so this series is only derivable
-        # once the final shared schedule exists
-        inflight = self.series["inflight_queries"] = Series(
-            "inflight_queries", self.capacity
+def _slo_block(queries, objective_s):
+    """Latency-objective accounting over :data:`SLO_WINDOW_S` windows of
+    completion instants; burn rate is breach fraction over ``1 -
+    SLO_TARGET``."""
+    budget = 1.0 - SLO_TARGET
+    breaches = sum(1 for q in queries if q.latency_s > objective_s + _EPS)
+    windows = []
+    end = max((q.finish_s for q in queries), default=-1.0) + _EPS
+    t0 = 0.0
+    while t0 < end:
+        t1 = t0 + SLO_WINDOW_S
+        lats = sorted(
+            q.latency_s for q in queries if t0 - _EPS <= q.finish_s < t1 - _EPS
         )
-        instants = self._instants[-self.capacity:] or [0.0]
-        for t in instants:
-            count = sum(
-                1
-                for q in result.queries
-                if q.admit_s <= t + _EPS and q.finish_s > t + _EPS
+        if lats:
+            over = sum(1 for lat in lats if lat > objective_s + _EPS)
+            windows.append(
+                {
+                    "t0_s": t0,
+                    "t1_s": t1,
+                    "total": len(lats),
+                    "breaches": over,
+                    "p99_s": quantile_exact(lats, 0.99),
+                    "burn_rate": (over / len(lats)) / budget,
+                }
             )
-            inflight.sample(t, count)
-        if scheduler is not None:
-            running = self.series["running_tasks"] = Series(
-                "running_tasks", self.capacity
+        t0 = t1
+    return {
+        "objective_s": float(objective_s),
+        "target": SLO_TARGET,
+        "window_s": SLO_WINDOW_S,
+        "total": len(queries),
+        "breaches": breaches,
+        "compliance": 1.0 - breaches / len(queries) if queries else 1.0,
+        "budget_spent": breaches / (budget * len(queries)) if queries else 0.0,
+        "windows": windows,
+    }
+
+
+def _finding(kind, t0_s, t1_s, detail, data, subject=None):
+    return {
+        "kind": kind,
+        "severity": "critical" if kind == "latency-breach" else "warning",
+        "t0_s": t0_s,
+        "t1_s": t1_s,
+        "subject": subject,
+        "detail": detail,
+        "data": data,
+    }
+
+
+def _findings(queries, reads, slo, instants, series):
+    """The diagnostics rules, worst first:
+
+    * **latency-breach** (critical): every SLO window whose p99 exceeds
+      the objective;
+    * **hot-peer** (warning): in a breach window, over the reads of the
+      queries that completed in it (the queries that set its p99), the
+      peer serving :data:`HOT_PEER_FACTOR` times the mean of the active
+      peers, once per peer, with the window's hottest key;
+    * **queue-growth** (warning): admission queue depth whose last-half
+      mean is :data:`QUEUE_GROWTH_FACTOR` times the first half's.
+    """
+    objective = slo["objective_s"]
+    findings = []
+    hot_seen = set()
+    for w in slo["windows"]:
+        if w["p99_s"] <= objective + _EPS:
+            continue
+        t0, t1 = w["t0_s"], w["t1_s"]
+        findings.append(
+            _finding(
+                "latency-breach", t0, t1,
+                "p99 %.4fs over objective %.4fs "
+                "(%d/%d queries breached, burn rate %.1fx)"
+                % (w["p99_s"], objective, w["breaches"], w["total"], w["burn_rate"]),
+                dict(w),
             )
-            for t in instants:
-                running.sample(t, len(scheduler.running_at(t)))
-        if self.slo is not None:
-            for q in sorted(result.queries, key=lambda q: (q.finish_s, q.seq)):
-                self.slo.observe(q.finish_s, q.latency_s)
-        self.finished = True
-        if tracer is not None:
-            for t in instants:
-                tracer.add(
-                    "telemetry:sample",
-                    "telemetry",
-                    "telemetry",
-                    t,
-                    0.0,
-                    args={
-                        name: self._value_at(name, t)
-                        for name in sorted(self.series)
-                    },
+        )
+        done = [q for q in queries if t0 - _EPS <= q.finish_s < t1 - _EPS]
+        by_peer, by_key = Counter(), Counter()
+        for q in done:
+            for (peer, key), nbytes in reads[q.seq].items():
+                by_peer[peer] += nbytes
+                by_key[key] += nbytes
+        active = {p: n for p, n in by_peer.items() if n > 0}
+        if not active:
+            continue
+        mean = sum(active.values()) / len(active)
+        peer, nbytes = max(active.items(), key=lambda kv: (kv[1], -kv[0]))
+        if nbytes < HOT_PEER_FACTOR * mean or peer in hot_seen:
+            continue
+        hot_seen.add(peer)
+        top_key = min(by_key.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        findings.append(
+            _finding(
+                "hot-peer", t0, t1,
+                "peer %d at %.1fx mean served-read load, top key %r"
+                % (peer, nbytes / mean, top_key),
+                {"read_bytes": nbytes, "mean_read_bytes": mean, "top_key": top_key},
+                subject=peer,
+            )
+        )
+    queue = series["queue_depth"]
+    if len(queue) >= 4:
+        half = len(queue) // 2
+        first = sum(queue[:half]) / half
+        last = sum(queue[half:]) / (len(queue) - half)
+        if last >= MIN_QUEUE_DEPTH and last > QUEUE_GROWTH_FACTOR * max(first, 0.5):
+            findings.append(
+                _finding(
+                    "queue-growth", instants[0], instants[-1],
+                    "admission queue depth grew %.1f -> %.1f "
+                    "(mean, first vs last half of the run)" % (first, last),
+                    {"first_mean": first, "last_mean": last},
                 )
-
-    def _value_at(self, name, t_s):
-        for t, v in self.series[name].items():
-            if abs(t - t_s) <= _EPS:
-                return v
-        return None
-
-    # -- export ------------------------------------------------------------
-
-    def to_dict(self):
-        from repro.obs.report import TELEMETRY_SCHEMA_VERSION
-
-        payload = {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "interval_s": self.interval_s,
-            "makespan_s": self.makespan_s,
-            "samples_taken": self.samples_taken,
-            "finished": self.finished,
-            "series": {
-                name: self.series[name].to_dict()
-                for name in sorted(self.series)
-            },
-        }
-        if self.slo is not None:
-            payload["slo"] = self.slo.to_dict()
-        return payload
-
-
-def install_standard_probes(sampler, system, engine=None):
-    """Wire the stock probe set for one ``KadopNetwork`` deployment.
-
-    Global gauges: admission queue depth and drops, coalescer hits,
-    hot-key extra copies, rebalancer migrations.  Global rates: total
-    bytes on the wire.  Per-peer rates: served read and applied write
-    bytes from the load ledger.  All read-only.
-    """
-    meter = system.net.meter
-    sampler.add_rate("wire_bytes_per_s", lambda: meter.bytes())
-    balance = getattr(system, "balance", None)
-    if balance is not None:
-        ledger = balance.ledger
-        sampler.add_gauge("hot_keys", lambda: len(balance.extras))
-        sampler.add_gauge("extra_copies", lambda: balance.extra_copies)
-        sampler.add_gauge(
-            "rebalancer_migrations", lambda: balance.rebalancer.migrations
-        )
-        for peer in system.peers:
-            idx = peer.index
-            sampler.add_rate(
-                "peer_read_bytes_per_s{peer=%d}" % idx,
-                lambda i=idx: ledger.peer_read_bytes.get(i, 0),
             )
-            sampler.add_rate(
-                "peer_write_bytes_per_s{peer=%d}" % idx,
-                lambda i=idx: ledger.peer_write_bytes.get(i, 0),
-            )
-    if engine is not None:
-        sampler.add_gauge("queue_depth", engine.queue_depth)
-        sampler.add_gauge("admitted_queries", engine.admitted_count)
-        sampler.add_gauge("admission_drops", engine.dropped_count)
-        sampler.add_gauge("coalescer_hits", engine.coalescer_hits)
-    return sampler
+    findings.sort(key=lambda f: (f["severity"] != "critical", f["t0_s"], f["kind"]))
+    return findings

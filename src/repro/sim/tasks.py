@@ -312,25 +312,6 @@ class Scheduler:
         """Max finish time over ``tasks`` (after :meth:`run`)."""
         return max(t.finish for t in tasks)
 
-    def running_at(self, instant_s, tag=None):
-        """Tasks executing at ``instant_s`` (after :meth:`run`).
-
-        A task runs over ``[start, finish)`` — half-open, so a task
-        counts at its start instant but not at its finish, and abutting
-        tasks never double-count.  ``tag`` restricts to one submitter's
-        tasks (e.g. a serving query's seq).  Read-only: telemetry
-        samples shared-timeline concurrency through this without being
-        able to perturb the schedule.
-        """
-        return [
-            t
-            for t in self._tasks
-            if t.start is not None
-            and t.finish is not None
-            and t.start <= instant_s < t.finish
-            and (tag is None or t.tag == tag)
-        ]
-
 
 def serial_time(durations):
     """Helper: total time of strictly sequential work."""

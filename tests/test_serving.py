@@ -18,7 +18,6 @@ import pytest
 
 from repro.kadop.config import ConfigError, KadopConfig
 from repro.kadop.serving import FetchCoalescer, QueryArrival, ServingEngine
-from repro.kadop.stats import serving_summary
 from repro.kadop.system import KadopNetwork
 from repro.obs import Tracer, validate_trace, to_chrome_trace
 from repro.sim.cost import CostParams
@@ -347,11 +346,3 @@ class TestServingObservability:
         tracer = net.enable_tracing(Tracer())
         net.serve(burst(n=4), max_inflight=2, coalesce=True)
         validate_trace(to_chrome_trace(tracer))
-
-    def test_serving_summary_renders(self):
-        net = build_net()
-        result = net.serve(burst(n=6), max_inflight=2, coalesce=True)
-        text = serving_summary(result)
-        assert "served 6 queries" in text
-        assert "max_inflight=2" in text
-        assert "joined flights" in text

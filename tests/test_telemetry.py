@@ -1,49 +1,52 @@
-"""Tests for continuous telemetry, SLO tracking, diagnostics, EXPLAIN.
+"""Tests for the serving telemetry view, its SLO block and findings, EXPLAIN.
 
 The load-bearing guarantees:
 
-* **Telemetry is free** — answers, per-query reports, serving results,
-  and metered bytes are byte-identical with the sampler on or off, on
-  Pastry and Chord.  Probes only read state.
-* **EXPLAIN reconciles** — per-query phase times sum exactly to the
+* **Observation is free**: answers, per-query reports, serving results,
+  and metered bytes are byte-identical with tracing on or off, on Pastry
+  and Chord, and the telemetry view only reads the finished run.
+* **The view is exact**: every series is a count or a sum over the
+  ``ServingResult`` records and the span tree; the wire bytes plus the
+  rebalancer's moved bytes equal the run's metered total, and the
+  per-peer read bytes equal the load ledger's.
+* **EXPLAIN reconciles**: per-query phase times sum exactly to the
   simulated response time, and per meter category the attributed
   peer/key rows plus the explicit residual sum exactly to the meter
   delta, residual non-negative.
-* **Diagnostics localize real skew** — the unbalanced skewed serve draws
+* **Diagnostics localize real skew**: the unbalanced skewed serve draws
   breach + hot-peer findings naming the ledger's hottest peer; the
   balanced serve of the same stream draws no breach findings.
-* **Schema versioning** — payloads crossing a file boundary carry
+* **Schema versioning**: payloads crossing a file boundary carry
   ``schema_version`` and readers reject unknown versions loudly.
 """
 
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro.balance.ledger import LoadLedger
+from repro.cli import main
+from repro.experiments import skew_balance
+from repro.experiments.harness import serial_answer_sigs, serve_row
 from repro.kadop.config import KadopConfig
+from repro.kadop.serving import ServedQuery, ServingResult
 from repro.kadop.system import KadopNetwork
 from repro.obs import (
     STATS_SCHEMA_VERSION,
-    RingBuffer,
-    Series,
-    SLOTracker,
-    TelemetrySampler,
     Tracer,
     check_schema_version,
-    diagnose,
     quantile_exact,
     quantile_rank,
     render_top,
+    serving_view,
     to_chrome_trace,
     validate_telemetry,
     validate_trace,
 )
 from repro.obs.explain import UNATTRIBUTED, explain_query
 from repro.sim.cost import CostParams
-from repro.sim.tasks import Scheduler
 from repro.workloads.dblp import DblpGenerator
 from repro.workloads.profiles import open_loop_workload, skewed_profile
 
@@ -81,6 +84,38 @@ BURST = [
 ]
 
 
+def record(seq, arrival_s, admit_s, finish_s, traffic=None, hits=0, root_id=None):
+    return ServedQuery(
+        seq=seq,
+        arrival_s=arrival_s,
+        admit_s=admit_s,
+        src=0,
+        query_text="//a",
+        keyword_steps=(),
+        finish_s=finish_s,
+        traffic=traffic or {},
+        coalesced_fetches=hits,
+        root_id=root_id,
+    )
+
+
+def view_of(queries, tracer=None, interval_s=0.1, objective_s=1.0):
+    """The telemetry view of hand-made records: a stand-in network with
+    only what the view reads (its tracer and its balancer summary)."""
+    traffic = {}
+    for q in queries:
+        for category, nbytes in q.traffic.items():
+            traffic[category] = traffic.get(category, 0) + nbytes
+    result = ServingResult(
+        queries=queries, max_inflight=None, policy="fifo", coalesce=False,
+        traffic=traffic,
+    )
+    net = SimpleNamespace(
+        tracer=tracer, balance=SimpleNamespace(summary=lambda: {"bytes_moved": 0})
+    )
+    return serving_view(net, result, interval_s, objective_s=objective_s)
+
+
 class TestQuantileHelpers:
     def test_rank_matches_ceil_formula(self):
         for count in (1, 2, 3, 10, 99, 100, 101):
@@ -105,274 +140,284 @@ class TestQuantileHelpers:
         assert quantile_exact([], 0.99) is None
 
 
-class TestRingBuffer:
-    def test_eviction_keeps_newest_and_counts(self):
-        ring = RingBuffer(3)
-        for i in range(5):
-            ring.append(float(i), i * 10)
-        assert ring.items() == [(2.0, 20), (3.0, 30), (4.0, 40)]
-        assert ring.dropped == 2
-        assert len(ring) == 3
-        assert list(ring) == ring.items()
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-
 class TestSeries:
     def test_window_is_end_exclusive(self):
-        s = Series("x", capacity=8)
-        for t in (0.0, 0.1, 0.2, 0.3):
-            s.sample(t, t)
-        assert [t for t, _ in s.window(0.1, 0.3)] == [0.1, 0.2]
+        # a query is in flight over [admit_s, finish_s): counted at its
+        # admission instant, not at its finish instant
+        view = view_of([record(0, 0.1, 0.1, 0.2), record(1, 0.2, 0.2, 0.4)])
+        assert view["series"]["inflight_queries"] == [0, 1, 1, 1, 0]
 
     def test_window_stats(self):
-        s = Series("x", capacity=8)
-        for t, v in ((0.0, 4), (0.1, 1), (0.2, 7)):
-            s.sample(t, v)
-        stats = s.window_stats(0.0, 0.5)
-        assert stats["count"] == 3
-        assert stats["min"] == 1 and stats["max"] == 7
-        assert stats["mean"] == pytest.approx(4.0)
-        assert stats["p99"] == 7
-        assert s.window_stats(5.0, 6.0) is None
+        from repro.obs.report import _series_row
 
-    def test_to_dict_reports_evictions(self):
-        s = Series("x", capacity=2)
-        for t in (0.0, 0.1, 0.2):
-            s.sample(t, 1)
-        body = s.to_dict()
-        assert body["name"] == "x"
-        assert body["dropped"] == 1
-        assert body["samples"] == [[0.1, 1], [0.2, 1]]
+        row = _series_row("x", [4, 1, 7], width=8)
+        assert "last        7.0" in row
+        assert "mean        4.0" in row
+        assert "p99        7.0" in row
+        # p99 is quantile_exact's nearest rank, not the max
+        values = list(range(1, 201))
+        assert "p99      198.0" in _series_row("y", values, width=8)
 
 
 class TestSampler:
+    """The view's instants and the series it derives at each of them."""
+
     def test_gauge_and_rate_sampling(self):
-        state = {"g": 0, "c": 0}
-        sampler = TelemetrySampler(interval_s=0.1)
-        sampler.add_gauge("gauge", lambda: state["g"])
-        sampler.add_rate("rate", lambda: state["c"])
-        state["g"], state["c"] = 3, 50
-        sampler.advance_to(0.1)  # samples t=0.0 and t=0.1
-        state["g"], state["c"] = 5, 80
-        sampler.advance_to(0.2)
-        gauge = [v for _, v in sampler.series["gauge"].items()]
-        rate = [v for _, v in sampler.series["rate"].items()]
-        assert gauge == [3, 3, 5]
-        # rate = delta of the cumulative counter per interval
-        assert rate == pytest.approx([500.0, 0.0, 300.0])
-        assert sampler.samples_taken == 3
+        queries = [
+            record(0, 0.0, 0.0, 0.15, {"postings": 100}),
+            record(1, 0.05, 0.12, 0.3, {"postings": 50, "documents": 30}, hits=1),
+            record(2, 0.2, 0.2, 0.25, {"control": 7}),
+        ]
+        view = view_of(queries)
+        assert view["instants"] == [k * 0.1 for k in range(4)]
+        series = view["series"]
+        assert series["admitted_queries"] == [1, 1, 3, 3]
+        assert series["queue_depth"] == [0, 1, 0, 0]
+        assert series["inflight_queries"] == [1, 1, 2, 0]
+        assert series["coalescer_hits"] == [0, 0, 1, 1]
+        # integer bytes of the queries admitted in (t - interval, t]
+        assert series["wire_bytes"] == [100, 0, 87, 0]
+        assert sum(series["wire_bytes"]) == view["total_bytes"] == 187
 
     def test_advance_is_idempotent_per_boundary(self):
-        sampler = TelemetrySampler(interval_s=0.1)
-        sampler.add_gauge("g", lambda: 1)
-        sampler.advance_to(0.25)
-        sampler.advance_to(0.25)
-        assert sampler.samples_taken == 3  # t = 0.0, 0.1, 0.2
+        # one sample per boundary, up to the first at or past the makespan;
+        # the view only reads the records, so computing it twice agrees
+        queries = [record(0, 0.0, 0.0, 0.25, {"postings": 9})]
+        view = view_of(queries)
+        assert view["instants"] == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert view_of(queries) == view
+        assert view_of([])["instants"] == [0.0]
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
-            TelemetrySampler(interval_s=0.0)
+            view_of([], interval_s=0.0)
 
     def test_to_dict_carries_schema_version(self):
-        payload = TelemetrySampler().to_dict()
-        assert payload["schema_version"] == 1
+        payload = view_of([])
+        assert payload["schema_version"] == 2
         validate_telemetry(payload)
+        json.dumps(payload)  # JSON-safe
 
 
 class TestSLOTracker:
+    """The SLO block: objective accounting per 0.5 s completion window."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            SLOTracker(0.0)
-        with pytest.raises(ValueError):
-            SLOTracker(1.0, target=1.0)
-        with pytest.raises(ValueError):
-            SLOTracker(1.0, window_s=0.0)
+            view_of([], objective_s=0.0)
 
     def test_breach_accounting(self):
-        slo = SLOTracker(1.0, target=0.9, window_s=1.0)
-        for finish, lat in ((0.5, 0.5), (0.6, 2.0), (1.5, 0.4), (1.6, 0.2)):
-            slo.observe(finish, lat)
-        assert slo.total == 4 and slo.breaches == 1
-        assert slo.compliance == pytest.approx(0.75)
-        # budget = (1 - 0.9) * 4 = 0.4 allowed breaches; one happened
-        assert slo.budget_spent == pytest.approx(2.5)
+        queries = [
+            record(i, finish - lat, finish - lat, finish)
+            for i, (finish, lat) in enumerate(
+                ((0.5, 0.5), (0.6, 2.0), (1.5, 0.4), (1.6, 0.2))
+            )
+        ]
+        slo = view_of(queries)["slo"]
+        assert slo["total"] == 4 and slo["breaches"] == 1
+        assert slo["compliance"] == pytest.approx(0.75)
+        # budget = (1 - 0.99) * 4 = 0.04 allowed breaches; one happened
+        assert slo["budget_spent"] == pytest.approx(25.0)
+        assert (slo["target"], slo["window_s"]) == (0.99, 0.5)
 
     def test_windows_and_burn_rate(self):
-        slo = SLOTracker(1.0, target=0.9, window_s=1.0)
-        for finish, lat in ((0.5, 0.5), (0.6, 2.0), (1.5, 0.4)):
-            slo.observe(finish, lat)
-        windows = slo.windows()
+        queries = [
+            record(i, finish - lat, finish - lat, finish)
+            for i, (finish, lat) in enumerate(((0.3, 0.3), (0.4, 2.0), (0.7, 0.4)))
+        ]
+        windows = view_of(queries)["slo"]["windows"]
         assert len(windows) == 2
         first = windows[0]
+        assert (first["t0_s"], first["t1_s"]) == (0.0, 0.5)
         assert first["total"] == 2 and first["breaches"] == 1
-        # breach fraction 0.5 over budget 0.1 -> 5x burn
-        assert first["burn_rate"] == pytest.approx(5.0)
+        # breach fraction 0.5 over budget 0.01 -> 50x burn
+        assert first["burn_rate"] == pytest.approx(50.0)
         assert first["p99_s"] == 2.0
-        assert slo.breach_windows() == [first]
         assert windows[1]["breaches"] == 0
 
     def test_idle_tracker(self):
-        slo = SLOTracker(1.0)
-        assert slo.compliance == 1.0
-        assert slo.budget_spent == 0.0
-        assert slo.windows() == []
+        slo = view_of([])["slo"]
+        assert slo["compliance"] == 1.0
+        assert slo["budget_spent"] == 0.0
+        assert slo["windows"] == []
+
+
+def _traced_reads(reads_per_query):
+    """A tracer holding one query root per entry, each with one ``dht``
+    span per ``(peer, key, bytes)`` read it was served."""
+    tracer = Tracer()
+    roots = []
+    for reads in reads_per_query:
+        root = tracer.add("query", "query", "query", 0.0, 0.0)
+        phase = tracer.add("phase", "phase", "query", 0.0, 0.0, parent=root)
+        for peer, key, nbytes in reads:
+            tracer.add(
+                "dht:get %s" % key, "dht", "peer:0", 0.0, 0.0,
+                args={"served_by": peer, "key": key, "response_bytes": nbytes},
+                parent=phase,
+            )
+        roots.append(root)
+    return tracer, roots
 
 
 class TestDiagnose:
-    def _sampler_with_hot_peer(self):
-        sampler = TelemetrySampler(interval_s=0.1)
-        for t10 in range(6):  # samples at 0.0 .. 0.5
-            t = t10 / 10.0
-            for peer, rate in ((0, 100.0), (1, 120.0), (2, 900.0)):
-                sampler._series(
-                    "peer_read_bytes_per_s{peer=%d}" % peer
-                ).sample(t, rate)
-            sampler._series("wire_bytes_per_s").sample(t, 1200.0)
-        return sampler
+    def _hot_peer_run(self):
+        tracer, roots = _traced_reads(
+            [
+                [(0, "elem:title", 100), (2, "elem:author", 500)],
+                [(1, "elem:title", 120), (2, "elem:author", 400)],
+                [(2, "elem:author", 999)],  # completes after the window
+            ]
+        )
+        queries = [
+            record(0, 0.0, 0.0, 0.3, {"postings": 1200}, root_id=roots[0]),
+            record(1, 0.1, 0.1, 0.4, {"postings": 800}, root_id=roots[1]),
+            record(2, 0.6, 0.6, 0.7, {"postings": 999}, root_id=roots[2]),
+        ]
+        return tracer, queries
 
     def test_breach_and_hot_peer(self):
-        sampler = self._sampler_with_hot_peer()
-        slo = SLOTracker(0.5, target=0.99, window_s=0.5)
-        slo.observe(0.3, 2.0)  # breach in [0, 0.5)
-        ledger = LoadLedger()
-        ledger.record_read("elem:author", 2, 5_000)
-        findings = diagnose(sampler, slo, ledger=ledger)
-        kinds = [f.kind for f in findings]
-        assert kinds == ["latency-breach", "hot-peer"]
-        assert findings[0].severity == "critical"
+        tracer, queries = self._hot_peer_run()
+        findings = view_of(queries, tracer=tracer, objective_s=0.25)["findings"]
+        assert [f["kind"] for f in findings] == ["latency-breach", "hot-peer"]
+        assert findings[0]["severity"] == "critical"
         hot = findings[1]
-        assert hot.subject == 2
-        assert hot.data["top_key"] == "elem:author"
-        assert "peer 2" in hot.detail
-        # findings render and serialize
-        assert "hot-peer" in hot.format()
-        assert hot.to_dict()["kind"] == "hot-peer"
+        # the reads of the two queries that completed in [0, 0.5): peer 2
+        # served 900 bytes against a mean of (100 + 120 + 900) / 3
+        assert hot["subject"] == 2
+        assert hot["data"]["read_bytes"] == 900
+        assert hot["data"]["top_key"] == "elem:author"
+        assert "peer 2 at 2.4x" in hot["detail"]
 
     def test_no_breach_no_findings(self):
-        sampler = self._sampler_with_hot_peer()
-        slo = SLOTracker(10.0)
-        slo.observe(0.3, 0.1)
-        assert diagnose(sampler, slo) == []
+        tracer, queries = self._hot_peer_run()
+        assert view_of(queries, tracer=tracer, objective_s=10.0)["findings"] == []
 
     def test_queue_growth(self):
-        sampler = TelemetrySampler(interval_s=0.1)
-        for i, depth in enumerate((0, 0, 0, 1, 4, 5, 6, 6)):
-            sampler._series("queue_depth").sample(i / 10.0, depth)
-        slo = SLOTracker(10.0)
-        findings = diagnose(sampler, slo)
-        assert [f.kind for f in findings] == ["queue-growth"]
-        assert findings[0].severity == "warning"
+        queries = [record(i, 0.35, 0.7, 0.7) for i in range(6)]
+        view = view_of(queries, objective_s=10.0)
+        assert view["series"]["queue_depth"] == [0, 0, 0, 0, 6, 6, 6, 0]
+        findings = view["findings"]
+        assert [f["kind"] for f in findings] == ["queue-growth"]
+        assert findings[0]["severity"] == "warning"
 
 
-class TestSchedulerRunningAt:
-    def test_half_open_membership_and_tags(self):
-        sched = Scheduler()
-        sched.add_resource("r", 1)
-        a = sched.add_task("a", 1.0, resources=("r",), tag="q0")
-        b = sched.add_task("b", 1.0, resources=("r",), tag="q1")
-        sched.run()  # serial: a [0,1), b [1,2)
-        assert sched.running_at(0.0) == [a]
-        assert sched.running_at(0.5) == [a]
-        assert sched.running_at(1.0) == [b]  # a excluded at its finish
-        assert sched.running_at(2.0) == []
-        assert sched.running_at(0.5, tag="q1") == []
-        assert sched.running_at(1.5, tag="q1") == [b]
-
-    def test_before_run_is_empty(self):
-        sched = Scheduler()
-        sched.add_resource("r", 1)
-        sched.add_task("a", 1.0, resources=("r",))
-        assert sched.running_at(0.0) == []
-
-
-class TestLedgerSnapshots:
-    def test_read_delta_partitions_agree(self):
-        ledger = LoadLedger()
-        ledger.record_read("k1", 0, 100)
-        snap = ledger.read_snapshot()
-        ledger.record_read("k1", 0, 50)
-        ledger.record_read("k2", 1, 70)
-        delta = ledger.read_delta(snap)
-        assert delta["key"] == {"k1": 50, "k2": 70}
-        assert delta["peer"] == {0: 50, 1: 70}
-        # conservation, restricted to the interval
-        assert sum(delta["key"].values()) == sum(delta["peer"].values())
-
-    def test_snapshot_is_a_copy(self):
-        ledger = LoadLedger()
-        snap = ledger.read_snapshot()
-        ledger.record_read("k", 0, 10)
-        assert snap["key"] == {} and snap["peer"] == {}
-
-
-def _serve(overlay, telemetry, arrivals=None, **overrides):
+def _serve(overlay, traced, arrivals=None, **overrides):
     net = build_net(overlay=overlay, **overrides)
-    if telemetry:
-        net.enable_telemetry(slo_objective_s=0.5)
+    if traced:
+        net.enable_tracing(Tracer())
     result = net.serve(arrivals or BURST, policy="fifo", coalesce=True)
     return net, result
 
 
+def _ledger_peer_reads(net):
+    return {p: n for p, n in net.balance.ledger.peer_read_bytes.items() if n}
+
+
+def _view_peer_reads(view):
+    prefix = "peer_read_bytes{peer="
+    return {
+        int(name[len(prefix):-1]): sum(values)
+        for name, values in view["series"].items()
+        if name.startswith(prefix)
+    }
+
+
 class TestTelemetryIsFree:
-    """The zero-cost invariant: byte-identical serving with the sampler
-    on vs off — answers, reports, result payload, and metered bytes."""
+    """The zero-cost invariant: serving is byte-identical with tracing on
+    vs off (answers, reports, instants, result payload, metered bytes),
+    and the view computed from the traced run reads, never writes."""
 
     @pytest.mark.parametrize("overlay", ["pastry", "chord"])
     def test_differential(self, overlay):
-        plain_net, plain = _serve(overlay, telemetry=False)
-        teled_net, teled = _serve(overlay, telemetry=True)
-        assert len(plain.queries) == len(teled.queries)
-        for q_plain, q_teled in zip(plain.queries, teled.queries):
+        plain_net, plain = _serve(overlay, traced=False)
+        traced_net, traced = _serve(overlay, traced=True)
+        assert len(plain.queries) == len(traced.queries)
+        for q_plain, q_traced in zip(plain.queries, traced.queries):
             assert [(a.peer, a.doc, repr(a.bindings)) for a in q_plain.answers] == [
-                (a.peer, a.doc, repr(a.bindings)) for a in q_teled.answers
+                (a.peer, a.doc, repr(a.bindings)) for a in q_traced.answers
             ]
             assert dataclasses.asdict(q_plain.report) == dataclasses.asdict(
-                q_teled.report
+                q_traced.report
             )
-            assert q_plain.admit_s == q_teled.admit_s
-            assert q_plain.finish_s == q_teled.finish_s
-        assert plain.to_dict() == teled.to_dict()
-        assert (
-            plain_net.net.meter.snapshot() == teled_net.net.meter.snapshot()
-        )
-        assert (
-            plain_net.net.meter.messages() == teled_net.net.meter.messages()
-        )
-        # and the sampler really ran
-        sampler = teled_net.telemetry
-        assert sampler.finished
-        assert sampler.samples_taken > 0
-        assert sampler.slo.total == len(teled.queries)
+            assert q_plain.admit_s == q_traced.admit_s
+            assert q_plain.finish_s == q_traced.finish_s
+        assert plain.to_dict() == traced.to_dict()
+        assert plain_net.net.meter.snapshot() == traced_net.net.meter.snapshot()
+        assert plain_net.net.meter.messages() == traced_net.net.meter.messages()
+        spans = len(traced_net.tracer.spans)
+        view = serving_view(traced_net, traced, objective_s=0.5)
+        assert view["slo"]["total"] == len(traced.queries)
+        assert len(traced_net.tracer.spans) == spans
+        assert traced.to_dict() == plain.to_dict()
 
     def test_standard_probe_series_present(self):
-        net, result = _serve("pastry", telemetry=True)
-        names = set(net.telemetry.series)
+        net, result = _serve("pastry", traced=True)
+        view = serving_view(net, result, objective_s=0.5)
+        series = view["series"]
         assert {
-            "wire_bytes_per_s",
-            "queue_depth",
             "admitted_queries",
+            "coalescer_hits",
             "inflight_queries",
-            "running_tasks",
-            "hot_keys",
-        } <= names
-        # the admitted-queries gauge ends at the full admission count
-        assert net.telemetry.series["admitted_queries"].last()[1] == len(
-            result.queries
-        )
-        # the exact in-flight series is derived from the final records
-        inflight = net.telemetry.series["inflight_queries"].values()
-        assert max(inflight) >= 1
+            "queue_depth",
+            "wire_bytes",
+        } <= set(series)
+        assert series["admitted_queries"][-1] == len(result.queries)
+        assert series["coalescer_hits"][-1] == result.coalesced_hits > 0
+        assert max(series["inflight_queries"]) >= 1
+        assert _view_peer_reads(view) == _ledger_peer_reads(net)
 
     def test_payload_validates_and_renders(self, tmp_path):
-        net, _ = _serve("pastry", telemetry=True)
-        payload = net.telemetry.to_dict()
-        validate_telemetry(payload)
+        net, result = _serve("pastry", traced=True)
+        payload = serving_view(net, result, objective_s=0.5)
+        validate_telemetry(json.loads(json.dumps(payload)))
         assert payload["slo"]["objective_s"] == 0.5
-        text = render_top(payload, findings=[])
-        assert "series:" in text and "slo:" in text
+        text = render_top(payload)
+        assert "series:" in text and "slo:" in text and "findings" in text
+
+    def test_serve_row_differs_only_by_slo_and_findings(self):
+        arrivals = skewed_arrivals(queries=16)
+        net = skew_balance.network(10, 12, 0, {})
+        sigs = serial_answer_sigs(net, arrivals)
+        _, plain = serve_row(
+            skew_balance.network(10, 12, 0, {}), arrivals, sigs, False,
+            coalesce=False,
+        )
+        _, observed = serve_row(
+            skew_balance.network(10, 12, 0, {}), arrivals, sigs, True,
+            coalesce=False,
+        )
+        assert set(observed) - set(plain) == {"slo", "findings"}
+        assert {k: observed[k] for k in plain} == plain
+        assert plain["answers_match_serial"]
+        assert observed["slo"]["total"] == 16
+
+
+class TestQueueDepth:
+    """``queue_depth`` counts queries that arrived and wait for admission."""
+
+    def test_no_query_waits_when_admission_is_unbounded(self, capsys):
+        assert main(["top", "--queries", "24", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["instants"]) == 15
+        assert payload["series"]["queue_depth"] == [0] * 15
+
+    def test_counts_arrived_but_unadmitted_queries(self):
+        net = skew_balance.network(10, 12, 0, {})
+        net.enable_tracing()
+        arrivals = skewed_arrivals(queries=24)
+        result = net.serve(arrivals, max_inflight=1, policy="fifo", coalesce=False)
+        view = serving_view(net, result, objective_s=0.8)
+        arrived = [
+            sum(1 for q in result.queries if q.arrival_s <= t + 1e-9)
+            for t in view["instants"]
+        ]
+        queue = view["series"]["queue_depth"]
+        assert queue == [
+            n - admitted
+            for n, admitted in zip(arrived, view["series"]["admitted_queries"])
+        ]
+        assert max(queue) > 1
 
 
 class TestExplainReconciliation:
@@ -469,51 +514,53 @@ def _skew_net(knobs):
     return net
 
 
+def _skew_view(knobs, queries=48):
+    net = _skew_net(knobs)
+    net.enable_tracing(Tracer())
+    result = net.serve(skewed_arrivals(queries=queries), policy="fifo", coalesce=False)
+    return net, result, serving_view(net, result, objective_s=0.8)
+
+
 class TestSkewDiagnostics:
     """The acceptance scenario: diagnostics localize the hot peer of an
     unbalanced skewed serve; the balanced serve draws no breach."""
 
     def test_unbalanced_skew_flags_hot_peer(self):
-        net = _skew_net({})
-        sampler = net.enable_telemetry(slo_objective_s=0.8)
-        net.serve(skewed_arrivals(), policy="fifo", coalesce=False)
-        findings = diagnose(sampler, sampler.slo, ledger=net.balance.ledger)
-        kinds = {f.kind for f in findings}
-        assert "latency-breach" in kinds
-        hot = [f for f in findings if f.kind == "hot-peer"]
+        net, _, view = _skew_view({})
+        findings = view["findings"]
+        assert "latency-breach" in {f["kind"] for f in findings}
+        hot = [f for f in findings if f["kind"] == "hot-peer"]
         assert hot, "no hot-peer finding on the skewed unbalanced serve"
         # the flagged peer is the ledger's hottest by served read bytes
         hottest_peer = net.balance.ledger.hottest_peers(1)[0][1]
-        assert hot[0].subject == hottest_peer
-        assert hot[0].data.get("top_key")
+        assert hot[0]["subject"] == hottest_peer
+        assert hot[0]["data"]["top_key"]
+        assert _view_peer_reads(view) == _ledger_peer_reads(net)
 
     def test_balanced_skew_has_no_breach(self):
-        net = _skew_net(_BALANCE_KNOBS)
-        sampler = net.enable_telemetry(slo_objective_s=0.8)
-        net.serve(skewed_arrivals(), policy="fifo", coalesce=False)
-        findings = diagnose(sampler, sampler.slo, ledger=net.balance.ledger)
-        assert not [f for f in findings if f.kind == "latency-breach"]
-        assert sampler.slo.breach_windows() == []
+        net, result, view = _skew_view(_BALANCE_KNOBS)
+        assert not [f for f in view["findings"] if f["kind"] == "latency-breach"]
+        assert all(w["p99_s"] <= 0.8 for w in view["slo"]["windows"])
+        # tick-time migrations run outside every query: their bytes are
+        # the balance block's, and the two sum to the metered total
+        moved = view["balance"]["bytes_moved"]
+        assert moved > 0
+        assert sum(view["series"]["wire_bytes"]) + moved == result.total_bytes
+        assert _view_peer_reads(view) == _ledger_peer_reads(net)
 
 
 class TestServeTracePerfetto:
-    """Interleaved serve traces — queries, balancer events, telemetry
-    sample instants — pass the trace-event schema validator."""
+    """Interleaved serve traces (queries, balancer events) pass the
+    trace-event schema validator, and the telemetry view reads them."""
 
     def test_serve_trace_validates_with_telemetry(self, tmp_path):
-        net = _skew_net(_BALANCE_KNOBS)
-        net.enable_tracing(Tracer())
-        net.enable_telemetry(slo_objective_s=0.8)
-        net.serve(skewed_arrivals(queries=24), policy="fifo", coalesce=False)
+        net, _, view = _skew_view(_BALANCE_KNOBS, queries=24)
         cats = {s.cat for s in net.tracer.spans}
-        assert {"query", "phase", "dht", "task", "telemetry"} <= cats
+        assert {"query", "phase", "dht", "task"} <= cats
         assert "balance" in cats, "balancer emitted no spans"
         events = to_chrome_trace(net.tracer)
         assert validate_trace(events) > 0
-        # telemetry samples land as zero-duration instants on their track
-        samples = [s for s in net.tracer.spans if s.cat == "telemetry"]
-        assert samples and all(s.duration_s == 0.0 for s in samples)
-        assert len(samples) == net.telemetry.samples_taken
+        validate_telemetry(view)
 
 
 class TestSchemaVersions:
@@ -522,7 +569,7 @@ class TestSchemaVersions:
             check_schema_version({"series": {}}, "telemetry")
 
     def test_unknown_version_rejected_with_supported_list(self):
-        with pytest.raises(ValueError, match="version\\(s\\) 1"):
+        with pytest.raises(ValueError, match="version\\(s\\) 2"):
             check_schema_version({"schema_version": 99}, "telemetry")
 
     def test_unknown_kind_rejected(self):
@@ -534,18 +581,30 @@ class TestSchemaVersions:
             check_schema_version([1, 2], "stats")
 
     def test_validate_telemetry_structural_checks(self):
-        with pytest.raises(ValueError, match="no series table"):
-            validate_telemetry({"schema_version": 1})
-        bad = {
-            "schema_version": 1,
-            "series": {"x": {"samples": [[1.0, 2], [0.5, 3]]}},
-        }
+        good = view_of([record(0, 0.0, 0.0, 0.15, {"postings": 10})])
+        validate_telemetry(good)
+        with pytest.raises(ValueError, match="no instants list or series"):
+            validate_telemetry({"schema_version": 2})
         with pytest.raises(ValueError, match="backwards"):
-            validate_telemetry(bad)
+            validate_telemetry(dict(good, instants=[0.1, 0.0]))
+        short = dict(good, series=dict(good["series"], wire_bytes=[10]))
+        with pytest.raises(ValueError, match="one value per instant"):
+            validate_telemetry(short)
+        with pytest.raises(ValueError, match="slo block is missing"):
+            validate_telemetry(dict(good, slo={}))
+        with pytest.raises(ValueError, match="do not reconcile"):
+            validate_telemetry(dict(good, total_bytes=11))
+
+    def test_version_1_telemetry_payload_rejected(self):
+        payload_v1 = {"schema_version": 1, "samples_taken": 3, "series": {}}
+        with pytest.raises(
+            ValueError,
+            match="unsupported telemetry schema_version 1; this build reads "
+            "version\\(s\\) 2 — regenerate the report with a matching build",
+        ):
+            validate_telemetry(payload_v1)
 
     def test_stats_json_carries_schema_version(self, capsys):
-        from repro.cli import main
-
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == STATS_SCHEMA_VERSION == 2
