@@ -5,7 +5,7 @@ INEX-like records whose abstracts are includes) on 8 peers, once per
 configuration, and runs one fixed query mix from rotating source peers
 with the tracer on.  The configurations cover every fetch path and exit
 of the executor: blocking / pipelined ``get``; DPP eager /
-window / lazy and unordered splits; document granularity; the ``ab`` /
+window / lazy and unordered splits; the ``ab`` /
 ``db`` / ``bloom`` / ``subquery`` / ``auto`` / ``pushdown`` strategies;
 auto-materialised views (the nested run and the view-hit exit); LSM;
 Chord; a dead document peer; a drop-rate ``FaultPlan``; a coalescing
@@ -68,8 +68,6 @@ CONFIGS = (
         dict(DPP, dpp_fetch_mode="eager", dpp_ordered_splits=False),
         "queries", {},
     ),
-    ("docgran", dict(index_granularity="document"), "queries", {}),
-    ("docgran-dpp", dict(DPP, index_granularity="document"), "queries", {}),
     ("filter-ab", dict(filter_strategy="ab"), "queries", {}),
     ("filter-db", dict(filter_strategy="db"), "queries", {}),
     ("filter-bloom", dict(filter_strategy="bloom"), "queries", {}),
@@ -114,14 +112,13 @@ CONFIGS = (
     ("serve-coalesce", dict(max_inflight=3), "serve", {}),
     (
         "serve-views-dpp",
-        dict(DPP, use_views=True, view_auto_materialize_after=2, admission_policy="fair"),
+        dict(DPP, use_views=True, view_auto_materialize_after=2),
         "serve", {},
     ),
     ("serve-drops", dict(op_max_retries=1), "serve", {"faults": DROPS}),
     ("fundex-plain", {}, "fundex", {}),
     ("fundex-dpp-lazy", dict(DPP), "fundex", {}),
     ("fundex-dpp-window", dict(DPP, dpp_fetch_mode="window"), "fundex", {}),
-    ("fundex-docgran", dict(index_granularity="document"), "fundex", {}),
     (
         "fundex-blackout-fresh",
         dict(op_max_retries=0),

@@ -5,9 +5,8 @@ configuration: 8 serial ``publish`` calls, the 4 queries (so views
 materialise before the later writes hit them), one ``publish_batch`` of 8,
 3 ``unpublish``, 1 ``republish``, ``repair()``, the 4 queries again.  The
 configurations cover every arm of the write path: flat ``append``;
-PAST-style ``put`` on the naive store; LSM; DPP ordered / unordered; DPP
-at document granularity; selective word indexing; DPP + auto-materialised
-views at a 2-posting block size; replication 1 and 3; Chord; a crash, a
+PAST-style ``put`` on the naive store; LSM; DPP ordered / unordered; DPP +
+auto-materialised views at a 2-posting block size; replication 1 and 3; Chord; a crash, a
 publish while the peer is down and a restart.  One digest line per configuration
 hashes every ``PublishReceipt``, removed count, repair report, meter
 total, per-node store content and stamp, every DPP root (``seq``,
@@ -56,8 +55,6 @@ CONFIGS = (
     ("lsm", dict(store_backend="lsm"), False),
     ("dpp-ordered", dict(DPP), False),
     ("dpp-unordered", dict(DPP, dpp_ordered_splits=False), False),
-    ("dpp-docgran", dict(DPP, index_granularity="document"), False),
-    ("word-labels", dict(word_index_labels=frozenset(("title",))), False),
     (
         "dpp-views",
         dict(

@@ -11,7 +11,7 @@ This package is the adaptive-redistribution layer:
 * :class:`~repro.balance.balancer.LoadBalancer` — the
   :attr:`DhtNetwork.balancer <repro.dht.network.DhtNetwork>` hook:
   read-policy holder selection over the replica set (``owner`` |
-  ``round_robin`` | ``least_loaded``), popularity-driven extra
+  ``least_loaded``), popularity-driven extra
   replication of hot keys onto cold peers with decay-based demotion,
   and synchronous write propagation that keeps every extra copy fresh;
 * :class:`~repro.balance.rebalancer.Rebalancer` — the background pass

@@ -43,8 +43,6 @@ from repro.dht.replicas import reconcile, redundant
 #: float-comparison slack for simulated instants
 _EPS = 1e-9
 
-READ_POLICIES = ("owner", "round_robin", "least_loaded")
-
 
 class LoadBalancer:
     """Per-network balancing state; see the module docstring."""
@@ -58,8 +56,6 @@ class LoadBalancer:
         rebalance_interval_s=None,
         rebalance_overload=2.0,
     ):
-        if read_policy not in READ_POLICIES:
-            raise ValueError("unknown read policy %r" % (read_policy,))
         self.net = net
         self.read_policy = read_policy
         self.hot_key_threshold = hot_key_threshold
@@ -68,7 +64,6 @@ class LoadBalancer:
         self.ledger = LoadLedger()
         self.rebalancer = Rebalancer(net, self.ledger, overload=rebalance_overload)
         self.extras = {}  # store key -> [nodes] holding extra hot copies
-        self._rr = {}  # store key -> round-robin cursor
         self.promotions = 0
         self.demotions = 0
         self.fanout_reads = 0  # reads served by a non-owner copy
@@ -108,15 +103,10 @@ class LoadBalancer:
         candidates = self._eligible(key, owner)
         if len(candidates) == 1:
             return owner
-        if self.read_policy == "round_robin":
-            cursor = self._rr.get(key, 0)
-            self._rr[key] = cursor + 1
-            pick = candidates[cursor % len(candidates)]
-        else:  # least_loaded
-            pick = min(
-                candidates,
-                key=lambda n: (self.ledger.peer_load(n.peer_index), n.peer_index),
-            )
+        pick = min(
+            candidates,
+            key=lambda n: (self.ledger.peer_load(n.peer_index), n.peer_index),
+        )
         if pick is not owner:
             self.fanout_reads += 1
             self._observe("fanout", key)

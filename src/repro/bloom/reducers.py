@@ -69,11 +69,6 @@ class BloomReducers:
                 "Bloom reducers and the DPP are separate techniques in the "
                 "paper; enable one at a time"
             )
-        if self.system.config.index_granularity == "document":
-            raise ConfigError(
-                "Structural Bloom filters probe element intervals; a "
-                "document-granularity index keeps one posting per document"
-            )
         run = ReducerRun(self.system, component, src_peer)
         self._load_lists(run)
         if strategy == "ab":

@@ -192,7 +192,7 @@ def cmd_top(args):
         profile, args.rate, seed=args.seed, num_sources=3
     )
     net.enable_tracing()
-    result = net.serve(arrivals, policy="fifo", coalesce=False)
+    result = net.serve(arrivals)
     payload = serving_view(net, result, args.interval, objective_s=args.slo)
     if args.out:
         write_json(payload, args.out)

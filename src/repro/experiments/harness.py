@@ -84,8 +84,8 @@ def serial_answer_sigs(net, arrivals):
     return sigs
 
 
-def serve_row(net, arrivals, serial_sigs, telemetry, **serve_knobs):
-    """Serve ``arrivals`` FIFO on ``net``; returns ``(result, row)``.
+def serve_row(net, arrivals, serial_sigs, telemetry):
+    """Serve ``arrivals`` on ``net``; returns ``(result, row)``.
 
     The row is ``result.to_dict()`` plus ``answers_match_serial``.
     ``telemetry`` traces the serve (unless a tracer is attached already)
@@ -94,7 +94,7 @@ def serve_row(net, arrivals, serial_sigs, telemetry, **serve_knobs):
     identical either way."""
     if telemetry and net.tracer is None:
         net.enable_tracing()
-    result = net.serve(arrivals, policy="fifo", **serve_knobs)
+    result = net.serve(arrivals)
     row = result.to_dict()
     row["answers_match_serial"] = serial_sigs == {
         q.seq: answer_sigs(q.answers) for q in result.queries

@@ -40,23 +40,25 @@ BASELINE = "BENCH_serve.json"
 #: queries/second of simulated time: light load, near-saturation, saturation
 RATES = (4.0, 16.0, 64.0)
 
+#: variant -> the serving knobs of its network's config
 VARIANTS = (
-    ("base", {"coalesce": False, "max_inflight": None}),
-    ("coalesce", {"coalesce": True, "max_inflight": None}),
-    ("admit", {"coalesce": False, "max_inflight": 4}),
-    ("both", {"coalesce": True, "max_inflight": 4}),
+    ("base", {"coalesce_fetches": False, "max_inflight": None}),
+    ("coalesce", {"coalesce_fetches": True, "max_inflight": None}),
+    ("admit", {"coalesce_fetches": False, "max_inflight": 4}),
+    ("both", {"coalesce_fetches": True, "max_inflight": 4}),
 )
 
 #: sources the stream originates from — few, so ingress/CPU contention bites
 NUM_SOURCES = 3
 
 
-def _network(num_peers, docs, seed):
+def _network(num_peers, docs, seed, knobs):
     # slow links (as in experiments.block_pruning) so per-query service
     # times are long enough for arrivals to genuinely overlap
     config = KadopConfig(
         replication=1,
         cost=CostParams(egress_bw=100_000.0, ingress_bw=600_000.0),
+        **knobs,
     )
     return dblp_network(
         config, num_peers, docs, 6_000, publishers=num_peers, seed=seed,
@@ -85,15 +87,13 @@ def run(num_peers=10, docs=12, queries=60, seed=0, telemetry=False):
         # serial reference: the same queries, one at a time, on an
         # identical fresh network — the answers every variant must match
         serial_sigs = serial_answer_sigs(
-            _network(num_peers, docs, seed), arrivals
+            _network(num_peers, docs, seed, {}), arrivals
         )
         rows = {}
         for name, knobs in VARIANTS:
-            net = _network(num_peers, docs, seed)
+            net = _network(num_peers, docs, seed, knobs)
             tracer = net.enable_tracing(Tracer())
-            result, row = serve_row(
-                net, arrivals, serial_sigs, telemetry, **knobs
-            )
+            result, row = serve_row(net, arrivals, serial_sigs, telemetry)
             # the tracer's patched query roots carry the served latency;
             # percentiles quoted below come from those spans
             span_latencies = sorted(

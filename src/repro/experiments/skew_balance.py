@@ -101,9 +101,7 @@ def run(num_peers=10, docs=12, seed=0, telemetry=False):
         rows = {}
         for name, knobs in VARIANTS:
             net = network(num_peers, docs, seed, knobs)
-            _, row = serve_row(
-                net, arrivals, serial_sigs, telemetry, coalesce=False
-            )
+            _, row = serve_row(net, arrivals, serial_sigs, telemetry)
             row["balance"] = net.balance.summary()
             rows[name] = row
         results["%g" % skew] = rows

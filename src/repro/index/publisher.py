@@ -12,58 +12,30 @@ The publisher supports the three index-insertion paths the paper compares:
 * DPP         — ``append`` through the partitioned structure of Section 4.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.postings.posting import Posting
 from repro.postings.term_relation import label_key, word_key
-from repro.xmldata.tree import Element
 from repro.xmldata.words import extract_words
 
 
-def extract_postings(
-    document, peer_index, doc_index, granularity="element", word_labels=None
-):
+def extract_postings(document, peer_index, doc_index):
     """One-pass extraction of the document's ``Term`` tuples.
 
     Returns ``{term_key: [Posting, ...]}`` with each list in document
-    order (which is ``(p, d, sid)`` order within one document).
-
-    Two Section 8 index-reduction knobs are supported:
-
-    * ``granularity="document"`` records only one posting per (term, doc) —
-      the root element's — strongly reducing the index at the price of
-      imprecise (but still complete) index queries;
-    * ``word_labels`` restricts word indexing to text directly under the
-      given element labels (e.g. index words in abstracts but not bodies);
-      queries for words elsewhere lose completeness, a trade-off the
-      conclusion calls out explicitly.
+    order (which is ``(p, d, sid)`` order within one document): what a
+    publish inserts and an unpublish must delete.
     """
-    if granularity not in ("element", "document"):
-        raise ValueError("granularity must be 'element' or 'document'")
     postings = {}
-    root_sid = document.root.sid
-    root_posting = Posting(
-        peer_index, doc_index, root_sid.start, root_sid.end, root_sid.level
-    )
     for element in document.iter_elements():
         sid = element.sid
-        posting = (
-            root_posting
-            if granularity == "document"
-            else Posting(peer_index, doc_index, sid.start, sid.end, sid.level)
-        )
-        label_list = postings.setdefault(label_key(element.label), [])
-        if not label_list or label_list[-1] != posting:
-            label_list.append(posting)
-        if word_labels is not None and element.label not in word_labels:
-            continue
+        posting = Posting(peer_index, doc_index, sid.start, sid.end, sid.level)
+        postings.setdefault(label_key(element.label), []).append(posting)
         words = set()
         for text in element.iter_text():
             words |= extract_words(text)
         for word in sorted(words):
-            word_list = postings.setdefault(word_key(word), [])
-            if not word_list or word_list[-1] != posting:
-                word_list.append(posting)
+            postings.setdefault(word_key(word), []).append(posting)
     return postings
 
 
@@ -97,15 +69,11 @@ class Publisher:
         dpp=None,
         use_append=True,
         batch_size=4096,
-        granularity="element",
-        word_labels=None,
     ):
         self.net = net
         self.dpp = dpp
         self.use_append = use_append
         self.batch_size = batch_size
-        self.granularity = granularity
-        self.word_labels = word_labels
 
     def publish(self, src_node, document, peer_index, doc_index):
         """Index ``document`` (already parsed); returns a receipt.
@@ -148,22 +116,11 @@ class Publisher:
         ]
         return self._send(src_node, groups, self.net.append_batch, receipt)
 
-    def postings_of(self, document, peer_index, doc_index):
-        """The ``{term_key: postings}`` this index holds for ``document``
-        (what a publish inserts and an unpublish must delete)."""
-        return extract_postings(
-            document,
-            peer_index,
-            doc_index,
-            granularity=self.granularity,
-            word_labels=self.word_labels,
-        )
-
     def _extract(self, receipt, document, peer_index, doc_index):
-        """:meth:`postings_of` with the document's parse time, terms and
-        postings folded into ``receipt``."""
+        """:func:`extract_postings` with the document's parse time, terms
+        and postings folded into ``receipt``."""
         receipt.duration_s += self.net.cost.parse_time(document.source_bytes)
-        extracted = self.postings_of(document, peer_index, doc_index)
+        extracted = extract_postings(document, peer_index, doc_index)
         receipt.terms += len(extracted)
         receipt.postings += sum(map(len, extracted.values()))
         return extracted

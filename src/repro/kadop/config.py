@@ -28,15 +28,6 @@ class KadopConfig:
     ``pipelined_get``    stream posting lists instead of blocking ``get``
     ``chunk_postings``   pipeline chunk size, in postings
 
-    Section 8 (index-size reductions; both trade query quality for space):
-
-    ``index_granularity``  ``"element"`` (default) or ``"document"`` —
-                           coarse indexing records only (p, d) per term,
-                           making index queries imprecise but complete
-    ``word_index_labels``  if set, words are indexed only under elements
-                           with these labels (selective word indexing;
-                           queries for words elsewhere lose completeness)
-
     Section 4 (DPP):
 
     ``use_dpp``              partition long posting lists across peers
@@ -58,9 +49,9 @@ class KadopConfig:
                              ``"auto"`` (cost-based optimizer), or
                              ``"pushdown"`` (ship small lists to the longest
                              list's peer and join there — Section 4.2).
-                             The reducers and pushdown need whole
-                             element-granularity lists: a query raises
-                             ConfigError under the DPP or a document index
+                             The reducers and pushdown need whole term
+                             lists: a query raises ConfigError under the
+                             DPP
     ``ab_fp_rate``           target basic false-positive rate of AB filters
     ``db_fp_rate``           target basic false-positive rate of DB filters
 
@@ -91,10 +82,8 @@ class KadopConfig:
 
     ``max_inflight``        admission-control bound on concurrently
                             executing queries; None admits every query the
-                            instant it arrives (no queue)
-    ``admission_policy``    ``"fifo"`` (arrival order) or ``"fair"``
-                            (fair share per source peer: the source with
-                            the fewest admitted queries goes first)
+                            instant it arrives (no queue); queued queries
+                            are admitted in arrival order
     ``coalesce_fetches``    single-flight coalescing — concurrent queries
                             demanding the same term key / DPP block / view
                             block share one in-flight fetch
@@ -105,10 +94,9 @@ class KadopConfig:
 
     ``read_policy``            how gets pick their serving replica:
                                ``"owner"`` (always the routed owner, the
-                               original behaviour), ``"round_robin"``
-                               (rotate over provably-fresh copies), or
-                               ``"least_loaded"`` (coldest fresh copy by
-                               the ledger's decayed byte rate)
+                               original behaviour) or ``"least_loaded"``
+                               (coldest provably-fresh copy by the
+                               ledger's decayed byte rate)
     ``hot_key_threshold``      decayed read-byte rate above which a key
                                gets extra copies on cold peers beyond
                                ``replication``; None disables promotion
@@ -135,8 +123,6 @@ class KadopConfig:
     use_append: bool = True
     pipelined_get: bool = True
     chunk_postings: int = 2048
-    index_granularity: str = "element"
-    word_index_labels: frozenset = None
 
     use_dpp: bool = False
     dpp_block_entries: int = 1000
@@ -158,7 +144,6 @@ class KadopConfig:
     cost: CostParams = field(default_factory=CostParams)
 
     max_inflight: int = None
-    admission_policy: str = "fifo"
     coalesce_fetches: bool = True
 
     read_policy: str = "owner"
@@ -173,10 +158,6 @@ class KadopConfig:
     def __post_init__(self):
         if self.overlay not in ("pastry", "chord"):
             raise ConfigError("overlay must be 'pastry' or 'chord'")
-        if self.index_granularity not in ("element", "document"):
-            raise ConfigError(
-                "index_granularity must be 'element' or 'document'"
-            )
         if self.store_backend not in ("btree", "naive", "lsm"):
             raise ConfigError(
                 "store_backend must be 'btree', 'naive', or 'lsm', got %r"
@@ -215,15 +196,10 @@ class KadopConfig:
             )
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1 or None")
-        if self.admission_policy not in ("fifo", "fair"):
+        if self.read_policy not in ("owner", "least_loaded"):
             raise ConfigError(
-                "admission_policy must be 'fifo' or 'fair', got %r"
-                % (self.admission_policy,)
-            )
-        if self.read_policy not in ("owner", "round_robin", "least_loaded"):
-            raise ConfigError(
-                "read_policy must be 'owner', 'round_robin', or "
-                "'least_loaded', got %r" % (self.read_policy,)
+                "read_policy must be 'owner' or 'least_loaded', got %r"
+                % (self.read_policy,)
             )
         if self.hot_key_threshold is not None and self.hot_key_threshold < 1:
             raise ConfigError("hot_key_threshold must be >= 1 or None")

@@ -405,8 +405,6 @@ class QueryExecutor:
         else:
             component_time = fetched.time_s + join_cpu
             component_ttfa = component_time
-        if config.index_granularity == "document":
-            report.precise = False  # see component_docs
         if fetched.counters is not None:
             # a forest query reports the blocks of every component
             report.blocks_fetched += fetched.counters[0]
@@ -421,12 +419,6 @@ class QueryExecutor:
         meaningful block vectors joined (Section 4.2).  Merged streams are
         asked only which documents hold a match (:func:`twig_docs`); the
         block joins still enumerate their matches."""
-        if self.system.config.index_granularity == "document":
-            # coarse index (Section 8): only (p, d) is recorded, so the
-            # index query degenerates to a document-id intersection —
-            # complete but imprecise
-            doc_sets = [set(s.doc_ids()) for s in fetched.streams.values()]
-            return set.intersection(*doc_sets), 0
         if fetched.solutions is not None:
             # lazy mode already ran the demand-driven block join while
             # fetching, one meaningful vector at a time
@@ -537,11 +529,7 @@ class QueryExecutor:
     def _dpp_label(self):
         """The effective DPP fetch mode (for span labels and reports)."""
         config = self.system.config
-        if (
-            config.dpp_fetch_mode == "lazy"
-            and self.system.dpp.ordered_splits
-            and config.index_granularity == "element"
-        ):
+        if config.dpp_fetch_mode == "lazy" and self.system.dpp.ordered_splits:
             return "lazy"
         return "dpp" if config.dpp_fetch_mode != "eager" else "eager"
 
@@ -566,11 +554,10 @@ class QueryExecutor:
         ``KadopConfig.dpp_fetch_mode``: eager, window, or lazy.
 
         Lazy mode needs ordered splits (random scattering overlaps every
-        condition, so block bounds cannot guide the join) and element
-        granularity (document-granularity postings carry no usable
-        structure); otherwise it degrades to window behaviour.  In every
-        mode ``blocks_fetched + blocks_skipped == total blocks``: a block
-        that was filtered out, never demanded, or unreachable is skipped.
+        condition, so block bounds cannot guide the join); otherwise it
+        degrades to window behaviour.  In every mode ``blocks_fetched +
+        blocks_skipped == total blocks``: a block that was filtered out,
+        never demanded, or unreachable is skipped.
         """
         system = self.system
         dpp = system.dpp
@@ -783,10 +770,10 @@ class QueryExecutor:
         transfers" (Section 4.2).  Returns ``(candidate_docs, time_s)``.
         """
         config = self.system.config
-        if config.use_dpp or config.index_granularity == "document":
+        if config.use_dpp:
             raise ConfigError(
-                "join pushdown joins whole element-granularity term lists at "
-                "their owners; enable neither the DPP nor a document index"
+                "join pushdown joins whole term lists at their owners; "
+                "it does not run over the DPP"
             )
         net = self.system.net
         nodes = component.nodes()

@@ -232,12 +232,8 @@ class StrategyOptimizer:
         if len(component) == 1:
             return Choice("baseline", {"baseline": 0.0})
         stats, stats_time = self.gather_stats(component, src_peer)
-        if (
-            any(s.postings == 0 for s in stats.values())
-            or self.system.config.index_granularity == "document"
-        ):
-            # some list is empty: the join is empty, nothing to optimize;
-            # or the index has no element intervals for a reducer to probe
+        if any(s.postings == 0 for s in stats.values()):
+            # some list is empty: the join is empty, nothing to optimize
             return Choice("baseline", {"baseline": 0.0}, stats_time)
         estimates = self.estimate_all(component, stats)
         strategy = min(estimates, key=lambda k: (estimates[k], k))

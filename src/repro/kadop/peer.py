@@ -8,6 +8,7 @@ on it, so withdrawing the document drops both), and (b) whatever slice of
 the distributed index the DHT assigns to its node.
 """
 
+from repro.index.publisher import extract_postings
 from repro.query.matcher import match_document, match_to_postings
 from repro.query.pattern import Axis
 from repro.query.twigjoin import TwigPlan, twig_join
@@ -114,7 +115,7 @@ class KadopPeer:
             raise KeyError("peer %d has no document %d" % (self.index, doc_index))
         if self.system.views is not None:
             self.system.views.on_unpublish(self, doc_index, document)
-        extracted = self.system.publisher.postings_of(document, self.index, doc_index)
+        extracted = extract_postings(document, self.index, doc_index)
         removed = 0
         dpp = self.system.dpp
         withdraw = dpp.delete if dpp is not None else self.system.net.delete

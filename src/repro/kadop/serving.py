@@ -29,9 +29,9 @@ transfer has completed before the waiter was admitted is expired, and the
 waiter fetches for real.
 
 **Admission control**: at most ``max_inflight`` queries execute
-concurrently; excess arrivals wait in a bounded admission queue drained
-FIFO or fair-share-per-source-peer, so saturation degrades into queueing
-delay instead of unbounded contention.
+concurrently; excess arrivals wait in an admission queue drained in
+arrival order, so saturation degrades into queueing delay instead of
+unbounded contention.
 
 **Open-loop arrivals**: :func:`repro.workloads.profiles.open_loop_workload`
 generates seeded Poisson arrival traces at a target rate; the
@@ -46,9 +46,6 @@ from repro.sim.tasks import Scheduler
 
 #: float-comparison slack for simulated instants
 _EPS = 1e-9
-
-#: "argument not given" sentinel (None is a meaningful max_inflight value)
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,6 @@ class ServingResult:
 
     queries: list
     max_inflight: object
-    policy: str
     coalesce: bool
     traffic: dict = field(default_factory=dict)
     coalesced_hits: int = 0
@@ -143,7 +139,6 @@ class ServingResult:
         return {
             "queries": len(self.queries),
             "max_inflight": self.max_inflight,
-            "policy": self.policy,
             "coalesce": self.coalesce,
             "throughput_qps": self.throughput_qps,
             "p50_s": self.percentile(50),
@@ -272,20 +267,10 @@ class FetchCoalescer:
 class ServingEngine:
     """Admits, executes, and schedules one open-loop query stream."""
 
-    def __init__(self, system, max_inflight=_UNSET, policy=None, coalesce=None):
-        config = system.config
+    def __init__(self, system):
         self.system = system
-        self.max_inflight = (
-            config.max_inflight if max_inflight is _UNSET else max_inflight
-        )
-        self.policy = policy if policy is not None else config.admission_policy
-        self.coalesce = (
-            coalesce if coalesce is not None else config.coalesce_fetches
-        )
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1 or None")
-        if self.policy not in ("fifo", "fair"):
-            raise ValueError("admission policy must be 'fifo' or 'fair'")
+        self.max_inflight = system.config.max_inflight
+        self.coalesce = system.config.coalesce_fetches
         self._shared = None
         self._caps = None
         self._coalescer = None
@@ -312,7 +297,6 @@ class ServingEngine:
         system.net.coalescer = coalescer
         meter_start = system.net.meter.snapshot()
         queued = []  # (seq, QueryArrival), arrival order
-        admitted_per_src = {}
         clock = 0.0
         i = 0
         try:
@@ -341,7 +325,7 @@ class ServingEngine:
                         ):
                             queued.append((i, ordered[i]))
                             i += 1
-                seq, arrival = self._pick(queued, admitted_per_src)
+                seq, arrival = queued.pop(0)
                 balance = getattr(system, "balance", None)
                 if balance is not None:
                     # advance the rebalance clock to the admission instant:
@@ -357,9 +341,6 @@ class ServingEngine:
                     if compact is not None and node.alive:
                         compact(clock)
                 self._process(seq, arrival, clock)
-                admitted_per_src[arrival.src] = (
-                    admitted_per_src.get(arrival.src, 0) + 1
-                )
         finally:
             system.net.coalescer = None
         records = self._records
@@ -367,7 +348,6 @@ class ServingEngine:
         result = ServingResult(
             queries=records,
             max_inflight=self.max_inflight,
-            policy=self.policy,
             coalesce=self.coalesce,
             traffic=system.net.meter.delta_since(meter_start),
             coalesced_hits=coalescer.hits if coalescer else 0,
@@ -391,20 +371,6 @@ class ServingEngine:
                 int(item[3]) if len(item) > 3 else 0,
             )
         raise TypeError("not an arrival: %r" % (item,))
-
-    def _pick(self, queued, admitted_per_src):
-        """Pop the next query to admit, per the configured policy."""
-        if self.policy == "fair":
-            best = min(
-                range(len(queued)),
-                key=lambda j: (
-                    admitted_per_src.get(queued[j][1].src, 0),
-                    queued[j][1].arrival_s,
-                    queued[j][0],
-                ),
-            )
-            return queued.pop(best)
-        return queued.pop(0)
 
     # -- per-query execution ----------------------------------------------------
 

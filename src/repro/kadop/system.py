@@ -10,8 +10,11 @@ Wires the substrates together according to a
 [(0, 0)]
 """
 
+import dataclasses
+
 from repro.bloom.reducers import BloomReducers
 from repro.dht.network import DhtNetwork
+from repro.errors import ConfigError
 from repro.faults import RetryPolicy
 from repro.fundex.index import FundexIndex
 from repro.index.catalog import Catalog
@@ -37,6 +40,16 @@ RETIRED_CONFIG_KEYS = (
     "hot_key_decay", "rebalance_max_keys", "leaf_size", "psi_c", "kernel_backend",
     "dpp_replicate_after", "dpp_replica_copies", "striped_replica_fetch",
 )
+
+#: ``KadopConfig`` fields of removed modes, each with the one value the code
+#: still implements: a checkpoint holding that value loads as before, any
+#: other value raises ConfigError (a document-granularity index must not
+#: reload as an element index)
+REMOVED_CONFIG_DEFAULTS = {
+    "index_granularity": "element",
+    "word_index_labels": None,
+    "admission_policy": "fifo",
+}
 
 
 class KadopNetwork:
@@ -82,8 +95,6 @@ class KadopNetwork:
             self.net,
             dpp=self.dpp,
             use_append=self.config.use_append,
-            granularity=self.config.index_granularity,
-            word_labels=self.config.word_index_labels,
         )
         self.reducers = BloomReducers(self)
         from repro.kadop.optimizer import StrategyOptimizer
@@ -213,29 +224,20 @@ class KadopNetwork:
         src = peer or self.peers[0]
         return self.executor.run(pattern, src, strategy=strategy)
 
-    def serve(self, arrivals, max_inflight=None, policy=None, coalesce=None):
+    def serve(self, arrivals):
         """Serve an open-loop query stream concurrently.
 
         ``arrivals`` is an iterable of
         :class:`~repro.kadop.serving.QueryArrival` (or ``(arrival_s,
         query_text[, keyword_steps[, src_peer_index]])`` tuples).  Queries
         run against one shared scheduler timeline — overlapping queries
-        contend for per-peer links and CPU.  ``max_inflight`` / ``policy``
-        / ``coalesce`` default to the config knobs when left at ``None``
-        (``max_inflight=None`` therefore means "use the config bound";
-        construct a :class:`~repro.kadop.serving.ServingEngine` directly
-        to force unbounded admission over a bounded config).  Returns a
+        contend for per-peer links and CPU — under the config's
+        ``max_inflight`` and ``coalesce_fetches``.  Returns a
         :class:`~repro.kadop.serving.ServingResult`.
         """
-        from repro.kadop.serving import _UNSET, ServingEngine
+        from repro.kadop.serving import ServingEngine
 
-        engine = ServingEngine(
-            self,
-            max_inflight=_UNSET if max_inflight is None else max_inflight,
-            policy=policy,
-            coalesce=coalesce,
-        )
-        return engine.run(arrivals)
+        return ServingEngine(self).run(arrivals)
 
     def xquery(self, text, keyword_steps=(), peer=None, strategy=None):
         """Run a FLWOR query (the XQuery subset of Section 2).
@@ -262,15 +264,12 @@ class KadopNetwork:
         in publish order).  :meth:`load` replays it deterministically —
         replay-based persistence keeps the on-disk format independent of
         every internal data structure."""
-        import dataclasses
         import json
 
         from repro.xmldata.serializer import document_to_xml
 
         config = dataclasses.asdict(self.config)
         config["cost"] = dataclasses.asdict(self.config.cost)
-        if config.get("word_index_labels") is not None:
-            config["word_index_labels"] = sorted(config["word_index_labels"])
         docs = []
         for peer in self.peers:
             for doc_index in sorted(peer.documents):
@@ -306,7 +305,9 @@ class KadopNetwork:
         with open(path) as handle:
             state = json.load(handle)
         if state.get("format") != 1:
-            raise ValueError("unknown checkpoint format %r" % state.get("format"))
+            raise ConfigError(
+                "unknown checkpoint format %r" % (state.get("format"),)
+            )
         config_dict = dict(state["config"])
         # a checkpoint from before ``store_backend`` was the only selector
         # carries the legacy ``store`` key, beside it or instead of it
@@ -315,12 +316,17 @@ class KadopNetwork:
             config_dict.setdefault("store_backend", legacy_store)
         for retired in RETIRED_CONFIG_KEYS:  # fields that became constants
             config_dict.pop(retired, None)
-        config_dict["cost"] = CostParams(**config_dict["cost"])
-        if config_dict.get("word_index_labels") is not None:
-            config_dict["word_index_labels"] = frozenset(
-                config_dict["word_index_labels"]
-            )
-        system = cls(KadopConfig(**config_dict))
+        for removed, default in REMOVED_CONFIG_DEFAULTS.items():
+            value = config_dict.pop(removed, default)
+            if value != default:
+                raise ConfigError(
+                    "checkpoint config %s=%r: that mode was removed"
+                    % (removed, value)
+                )
+        config_dict["cost"] = CostParams(
+            **_known_keys(CostParams, config_dict.get("cost", {}))
+        )
+        system = cls(KadopConfig(**_known_keys(KadopConfig, config_dict)))
         system._start_peers(state["peer_uris"])
         for uri, text in state["resources"].items():
             system.register_resource(uri, text)
@@ -344,3 +350,15 @@ class KadopNetwork:
             len(self.peers),
             self.document_count(),
         )
+
+
+def _known_keys(config_class, values):
+    """``values`` if every key is a field of ``config_class``, else a
+    ConfigError naming the unknown keys."""
+    unknown = set(values) - {f.name for f in dataclasses.fields(config_class)}
+    if unknown:
+        raise ConfigError(
+            "checkpoint %s has unknown key(s) %s"
+            % (config_class.__name__, ", ".join(sorted(unknown)))
+        )
+    return values

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import NoSuchPeerError
 from repro.faults import FaultPlan, OpTimeoutError
+from repro.index.publisher import extract_postings
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.postings.term_relation import label_key, word_key
@@ -239,8 +240,10 @@ class _Iteration:
             # gated draws: with both balance weights at 0 the rng stream
             # is untouched, so pre-balance corpus seeds replay exactly
             balance_knobs = dict(
+                # a three-entry draw, so every later draw and the pinned
+                # corpus seeds see the random stream they were found with
                 read_policy=self.rng.choice(
-                    ("owner", "round_robin", "least_loaded")
+                    ("owner", "least_loaded", "least_loaded")
                 ),
                 # tiny threshold: a couple of reads of any real posting
                 # list promote it, so extra copies exist at fuzz scale
@@ -280,6 +283,7 @@ class _Iteration:
             # crash-mid-pipelined_get is actually reachable
             chunk_postings=self.rng.choice((2, 4, 2048)),
             store_backend=cfg.store_backend,
+            max_inflight=2,  # act_serve's bursts queue and interleave
             **balance_knobs,
             **view_knobs,
         )
@@ -462,9 +466,7 @@ class _Iteration:
         crash_rate = self.plan.crash_rate
         self.plan.crash_rate = 0.0
         try:
-            result = self.system.serve(
-                arrivals, max_inflight=2, policy="fifo", coalesce=True
-            )
+            result = self.system.serve(arrivals)
         finally:
             self.plan.crash_rate = crash_rate
         self.served_coalesced += result.coalesced_hits
@@ -647,9 +649,7 @@ class _Iteration:
         peer = self.rng.choice(candidates)
         doc_index = self.rng.choice(sorted(peer.documents))
         doc_keys = set(
-            self.system.publisher.postings_of(
-                peer.documents[doc_index], peer.index, doc_index
-            )
+            extract_postings(peer.documents[doc_index], peer.index, doc_index)
         )
         try:
             peer.unpublish(doc_index)

@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.balance import LoadBalancer, LoadLedger
+from repro.balance import LoadLedger
 from repro.kadop.config import ConfigError, KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.postings.posting import Posting
@@ -51,6 +51,13 @@ def build_net(seed=3, num_peers=8, docs=8, **overrides):
 
 def sig(answers):
     return [(a.peer, a.doc, repr(a.bindings)) for a in answers]
+
+
+def load_up(net, *nodes):
+    """Ledger more read load on ``nodes`` than any test's reads add, so a
+    least-loaded read picks another fresh copy whenever one exists."""
+    for node in nodes:
+        net.balance.ledger.record_read("load", node.peer_index, 10**9)
 
 
 def replicated_key(net, min_holders=2):
@@ -290,25 +297,6 @@ class TestReadPolicy:
             assert net.net.last_holder is owner
         assert net.balance.fanout_reads == 0
 
-    def test_round_robin_cycles_deterministically(self):
-        seq = []
-        for _ in range(2):
-            net = build_net(read_policy="round_robin")
-            key = replicated_key(net)
-            src = net.peers[0].node
-            holders = []
-            for _ in range(6):
-                net.net.get(src, key)
-                holders.append(net.net.last_holder.peer_index)
-            seq.append(holders)
-        # same build, same cycle: round-robin is seed-deterministic
-        assert seq[0] == seq[1]
-        # the cursor actually cycles over >1 distinct eligible holder
-        assert len(set(seq[0])) > 1
-        period = len(set(seq[0]))
-        assert seq[0][:period] * (6 // period) == seq[0][: period * (6 // period)]
-        assert net.balance.fanout_reads > 0
-
     def test_least_loaded_prefers_cold_then_low_index(self):
         net = build_net(read_policy="least_loaded")
         key = replicated_key(net)
@@ -324,14 +312,25 @@ class TestReadPolicy:
         assert other is not pick
 
     def test_fanned_out_answers_equal_owner_copy(self):
-        net = build_net(read_policy="round_robin")
+        net = build_net(read_policy="least_loaded")
         key = replicated_key(net)
         src = net.peers[0].node
         owner = net.net.owner_of(key)
+        load_up(net, owner)  # so that a replica is picked
         reference = owner.store.get(key)
         for _ in range(6):
             plist, _ = net.net.get(src, key)
             assert plist == reference
+            assert net.net.last_holder is not owner
+        # writes only the owner applied, of the same posting count: now
+        # its stamp alone tells the stale replica copies apart
+        owner.store.delete(key)
+        owner.store.put(key, reference[1:])
+        owner.store.append(key, [Posting(0, 99, 1, 2, 0)])
+        owner.versions[key] = owner.versions.get(key, 0) + 1
+        assert owner.store.count(key) == len(reference)
+        plist, _ = net.net.get(src, key)
+        assert plist == owner.store.get(key) != reference
 
 
 class TestReadStaleness:
@@ -355,7 +354,7 @@ class TestReadStaleness:
         victim.versions[key] = owner.versions.get(key, 0)
         return owner, victim
 
-    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
+    @pytest.mark.parametrize("policy", ["least_loaded"])
     def test_short_copy_at_owner_stamp_is_never_served(self, policy):
         net = build_net(read_policy=policy, write_quorum="majority")
         key = replicated_key(net)
@@ -367,7 +366,7 @@ class TestReadStaleness:
             assert net.net.last_holder is not victim
 
     def test_old_stamp_is_never_served(self):
-        net = build_net(read_policy="round_robin")
+        net = build_net(read_policy="least_loaded")
         key = replicated_key(net)
         dht = net.net
         owner = dht.owner_of(key)
@@ -376,6 +375,7 @@ class TestReadStaleness:
             for n in dht.replica_nodes(key)
             if n is not owner and key in n.store
         )
+        load_up(net, owner)  # the victim is the coldest holder
         victim.versions[key] = owner.versions.get(key, 0) - 1
         src = net.peers[0].node
         for _ in range(8):
@@ -417,17 +417,23 @@ class TestHotKeys:
 
     def test_extras_are_read_eligible(self):
         net = build_net(
-            read_policy="round_robin", hot_key_threshold=100, hot_key_copies=1
+            read_policy="least_loaded", hot_key_threshold=100, hot_key_copies=1
         )
         key = replicated_key(net)
         self._hammer(net, key, reads=12)
         (extra,) = net.balance.extras[key]
+        load_up(net, *net.net.replica_nodes(key))  # so that the extra is picked
         served = set()
         src = net.peers[0].node
         for _ in range(8):
             net.net.get(src, key)
             served.add(net.net.last_holder.peer_index)
         assert extra.peer_index in served
+        # an extra that missed a write keeps its old stamp and is skipped
+        extra.versions[key] -= 1
+        for _ in range(8):
+            net.net.get(src, key)
+            assert net.net.last_holder is not extra
 
     def test_decay_demotes_extra_copies(self):
         net = build_net(hot_key_threshold=100, hot_key_copies=1)
@@ -526,13 +532,15 @@ class TestRebalancer:
     def test_serving_clock_drives_ticks(self):
         from repro.kadop.serving import QueryArrival
 
-        net = build_net(rebalance_interval_s=0.05, rebalance_overload=1.2)
+        net = build_net(
+            rebalance_interval_s=0.05, rebalance_overload=1.2, coalesce_fetches=False
+        )
         self._heat_owner(net)
         arrivals = [
             QueryArrival(arrival_s=0.2 + 0.2 * i, query_text=QUERIES[i % 3], src=0)
             for i in range(3)
         ]
-        net.serve(arrivals, policy="fifo", coalesce=False)
+        net.serve(arrivals)
         assert net.balance.ledger.ticks >= 1
         assert net.balance.rebalancer.migrations >= 1
 
@@ -560,11 +568,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize(
         "knobs",
-        [
-            {"read_policy": "round_robin"},
-            {"read_policy": "least_loaded", "hot_key_threshold": 200},
-        ],
-        ids=["round-robin", "least-loaded-hot"],
+        [{"read_policy": "least_loaded", "hot_key_threshold": 200}],
+        ids=["least-loaded-hot"],
     )
     def test_balanced_answers_equal_unbalanced(self, knobs):
         plain = build_net()
@@ -583,8 +588,8 @@ class TestDifferential:
         plain = build_net()
         plain.net.balancer = None
         hooked = build_net()  # fan-out=owner: the default
-        res_a = plain.serve(arrivals, policy="fifo", coalesce=True)
-        res_b = hooked.serve(arrivals, policy="fifo", coalesce=True)
+        res_a = plain.serve(arrivals)
+        res_b = hooked.serve(arrivals)
         assert res_a.to_dict() == res_b.to_dict()
         for qa, qb in zip(res_a.queries, res_b.queries):
             assert sig(qa.answers) == sig(qb.answers)
@@ -592,16 +597,11 @@ class TestDifferential:
 
 
 class TestBalancerUnits:
-    def test_unknown_policy_rejected(self):
-        net = build_net(docs=2)
-        with pytest.raises(ValueError):
-            LoadBalancer(net.net, read_policy="fastest")
-
     def test_summary_and_stats_surface(self):
         from repro.kadop.stats import network_stats
 
         net = build_net(
-            read_policy="round_robin", hot_key_threshold=100, hot_key_copies=1
+            read_policy="least_loaded", hot_key_threshold=100, hot_key_copies=1
         )
         key = replicated_key(net)
         src = net.peers[0].node
@@ -610,7 +610,7 @@ class TestBalancerUnits:
         stats = network_stats(net)
         assert stats.hot_peers, "ledger traffic must surface peer heat"
         assert stats.hot_keys
-        assert stats.balance["read_policy"] == "round_robin"
+        assert stats.balance["read_policy"] == "least_loaded"
         payload = stats.to_dict()
         assert payload["balance"]["fanout_reads"] == net.balance.fanout_reads
         hottest = payload["hot_keys"][0]

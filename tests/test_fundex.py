@@ -262,15 +262,13 @@ class TestFundexDepth:
         assert report.potential_answers == 1
 
     @pytest.mark.parametrize("use_dpp", [False, True])
-    @pytest.mark.parametrize("granularity", ["element", "document"])
-    def test_mixed_extensional_and_intensional_matches(self, granularity, use_dpp):
+    def test_mixed_extensional_and_intensional_matches(self, use_dpp):
         """Fundex joins what it fetched through the executor's own
-        dispatch, so a coarse index keeps the extensional match too."""
+        dispatch, so the extensional match is kept beside the intensional
+        one."""
         net = KadopNetwork.create(
             num_peers=6,
-            config=KadopConfig(
-                replication=1, index_granularity=granularity, use_dpp=use_dpp
-            ),
+            config=KadopConfig(replication=1, use_dpp=use_dpp),
         )
         net.register_resource("u:abs", "<abstract>hidden gem</abstract>")
         net.peers[0].publish(

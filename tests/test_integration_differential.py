@@ -82,7 +82,6 @@ DIMENSIONS = {
         "dpp-lazy": DPP,
         "dpp-unordered": dict(DPP, dpp_ordered_splits=False),
     },
-    "granularity": {"element": {}, "document": dict(index_granularity="document")},
     "strategy": {
         name: dict(filter_strategy=None if name == "none" else name)
         for name in ("none", "ab", "db", "bloom", "subquery", "auto", "pushdown")
@@ -90,7 +89,7 @@ DIMENSIONS = {
     "views": {"off": {}, "on": VIEWS},
     "read": {
         name: dict(read_policy=name)
-        for name in ("owner", "round_robin", "least_loaded")
+        for name in ("owner", "least_loaded")
     },
     "hot": {"off": {}, "on": dict(hot_key_threshold=1)},
     "replication": {str(r): dict(replication=r) for r in (1, 2, 3)},
@@ -122,12 +121,6 @@ def _rejected():
                     if pushdown
                     else "the Bloom reducers and the DPP are separate techniques"
                 )
-        reasons[_pair("granularity", "document", "strategy", strategy)] = (
-            "join pushdown runs a structural join over element postings"
-            if pushdown
-            else "structural Bloom filters probe element intervals, which a "
-            "document-granularity index does not keep"
-        )
     return reasons
 
 

@@ -4,9 +4,29 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.workloads.inex import InexGenerator
+
+
+def write_checkpoint(tmp_path, config):
+    """A hand-written format-1 checkpoint of one two-peer network holding
+    ``<a><b>x</b></a>``, whose config is ``config`` over ``replication=1``
+    and default costs; returns its path."""
+    state = {
+        "format": 1,
+        "num_peers": 2,
+        "peer_uris": ["kadop://s0/p0", "kadop://s0/p1"],
+        "config": dict({"replication": 1, "cost": {}}, **config),
+        "resources": {},
+        "documents": [
+            {"peer": 0, "uri": "u:0", "doc_type": None, "xml": "<a><b>x</b></a>"}
+        ],
+    }
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(state))
+    return path
 
 
 class TestSaveLoad:
@@ -73,16 +93,6 @@ class TestSaveLoad:
         a2, _ = restored.fundex.query(pattern2, restored.peers[0], mode="fundex")
         assert {a.doc_id for a in a1} == {a.doc_id for a in a2}
 
-    def test_word_label_config_roundtrip(self, tmp_path):
-        config = KadopConfig(
-            replication=1, word_index_labels=frozenset({"abstract"})
-        )
-        net = KadopNetwork.create(num_peers=3, config=config, seed=1)
-        path = tmp_path / "c.json"
-        net.save(path)
-        restored = KadopNetwork.load(path)
-        assert restored.config.word_index_labels == frozenset({"abstract"})
-
     @pytest.mark.parametrize(
         "legacy, expected",
         [
@@ -114,19 +124,7 @@ class TestSaveLoad:
         still loads."""
         from repro.storage.naive_store import NaiveGzipStore
 
-        state = {
-            "format": 1,
-            "num_peers": 2,
-            "peer_uris": ["kadop://s0/p0", "kadop://s0/p1"],
-            "config": dict(legacy, replication=1, cost={}),
-            "resources": {},
-            "documents": [
-                {"peer": 0, "uri": "u:0", "doc_type": None, "xml": "<a><b>x</b></a>"}
-            ],
-        }
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(state))
-        restored = KadopNetwork.load(path)
+        restored = KadopNetwork.load(write_checkpoint(tmp_path, legacy))
         assert restored.config.store_backend == expected
         assert not hasattr(restored.config, "store")
         is_naive = isinstance(restored.net.nodes[0].store, NaiveGzipStore)
@@ -136,8 +134,48 @@ class TestSaveLoad:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": 99}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="format 99"):
             KadopNetwork.load(path)
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"no_such_knob": 1}, "no_such_knob"),
+            ({"cost": {"no_such_cost": 1.0}}, "no_such_cost"),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, config, key):
+        with pytest.raises(ConfigError, match=key):
+            KadopNetwork.load(write_checkpoint(tmp_path, config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"index_granularity": "element"},
+            {"word_index_labels": None},
+            {"admission_policy": "fifo"},
+            {"read_policy": "owner"},
+        ],
+    )
+    def test_removed_mode_at_its_default_loads(self, tmp_path, config):
+        restored = KadopNetwork.load(write_checkpoint(tmp_path, config))
+        assert [a.doc_id for a in restored.query("//a//b")] == [(0, 0)]
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"index_granularity": "document"}, "index_granularity"),
+            ({"word_index_labels": ["abstract"]}, "word_index_labels"),
+            ({"word_index_labels": []}, "word_index_labels"),
+            ({"admission_policy": "fair"}, "admission_policy"),
+            ({"read_policy": "round_robin"}, "read_policy"),
+        ],
+    )
+    def test_removed_mode_rejected(self, tmp_path, config, key):
+        """A network saved under a mode this code no longer has must not
+        reload silently as a different index or policy."""
+        with pytest.raises(ConfigError, match=key):
+            KadopNetwork.load(write_checkpoint(tmp_path, config))
 
     def test_checkpoint_is_plain_json(self, tmp_path):
         net = self._network()

@@ -576,20 +576,10 @@ def test_document_phase_per_peer_differential(seed):
     assert holder.evaluate(pattern, candidates) == expected
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        {},
-        {"index_granularity": "document"},
-        {"word_index_labels": frozenset({"a"})},
-        {"index_granularity": "document", "word_index_labels": frozenset({"b"})},
-    ],
-    ids=["default", "doc-granularity", "word-labels", "both"],
-)
-def test_document_phase_ignores_index_reductions(knobs):
-    """The Section 8 knobs thin the *index*; the streams a peer keeps for
-    its own documents must hold every element and every word regardless."""
-    net = KadopNetwork.create(3, config=KadopConfig(replication=1, **knobs), seed=5)
+def test_document_phase_of_published_documents():
+    """The streams a peer keeps for the documents it publishes hold every
+    element and every word: the document phase equals the matcher."""
+    net = KadopNetwork.create(3, config=KadopConfig(replication=1), seed=5)
     net.register_resource("u:inc", "<a><b>x</b></a>")  # what &inc; stands for
     rng = random.Random(11)
     for i in range(6):
@@ -602,3 +592,44 @@ def test_document_phase_ignores_index_reductions(knobs):
             assert peer.evaluate(pattern, [doc_index]) == matcher_answers(
                 pattern, document, peer.index, doc_index
             )
+
+
+class TestValueEquality:
+    """``[. = "s"]`` value equality beside the ``contains`` word predicate."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        net = KadopNetwork.create(num_peers=4, config=KadopConfig(replication=1))
+        net.peers[0].publish(
+            "<bib>"
+            "<article><year>1994</year></article>"
+            "<article><year>1994 revised</year></article>"
+            "<article><year>2001</year></article>"
+            "</bib>",
+            uri="u:1",
+        )
+        return net
+
+    def test_equality_is_exact(self, net):
+        assert len(net.query('//article//year[. = "1994"]')) == 1
+
+    def test_contains_is_substring_word(self, net):
+        assert len(net.query('//article//year[. contains "1994"]')) == 2
+
+    def test_equality_with_branch(self, net):
+        answers = net.query('//article[//year[. = "2001"]]')
+        assert len(answers) == 1
+
+    def test_no_match(self, net):
+        assert net.query('//article//year[. = "1999"]') == []
+
+    def test_conflicting_equalities_rejected(self, net):
+        from repro.errors import QueryParseError
+
+        with pytest.raises(QueryParseError):
+            net.parse('//a[. = "x"][. = "y"]')
+
+    def test_equality_renumbers_consistently(self, net):
+        pattern = net.parse('//year[. = "1994"]')
+        assert pattern.root.value_equals == "1994"
+        assert pattern.root.children[0].word == "1994"

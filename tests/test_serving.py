@@ -17,7 +17,7 @@ The load-bearing guarantees:
 import pytest
 
 from repro.kadop.config import ConfigError, KadopConfig
-from repro.kadop.serving import FetchCoalescer, QueryArrival, ServingEngine
+from repro.kadop.serving import FetchCoalescer, QueryArrival
 from repro.kadop.system import KadopNetwork
 from repro.obs import Tracer, validate_trace, to_chrome_trace
 from repro.sim.cost import CostParams
@@ -88,17 +88,8 @@ class TestConfig:
     def test_serving_knobs_validated(self):
         with pytest.raises(ConfigError):
             KadopConfig(max_inflight=0)
-        with pytest.raises(ConfigError):
-            KadopConfig(admission_policy="lifo")
-        cfg = KadopConfig(max_inflight=4, admission_policy="fair")
+        cfg = KadopConfig(max_inflight=4)
         assert cfg.max_inflight == 4
-
-    def test_engine_validates_too(self):
-        net = build_net(docs=2, num_peers=4)
-        with pytest.raises(ValueError):
-            ServingEngine(net, max_inflight=0)
-        with pytest.raises(ValueError):
-            ServingEngine(net, policy="random")
 
 
 class TestAnswerFidelity:
@@ -112,8 +103,8 @@ class TestAnswerFidelity:
             sig(serial.query(a.query_text, peer=serial.peers[a.src]))
             for a in burst()
         ]
-        served = build_net(overlay=overlay)
-        result = served.serve(burst(), coalesce=coalesce)
+        served = build_net(overlay=overlay, coalesce_fetches=coalesce)
+        result = served.serve(burst())
         assert [sig(q.answers) for q in result.queries] == expected
         assert any(expected)  # the workload isn't vacuous
 
@@ -124,10 +115,8 @@ class TestAnswerFidelity:
             sig(serial.query(a.query_text, peer=serial.peers[a.src]))
             for a in burst()
         ]
-        served = build_net()
-        result = served.serve(
-            burst(), max_inflight=2, policy="fifo", coalesce=coalesce
-        )
+        served = build_net(max_inflight=2, coalesce_fetches=coalesce)
+        result = served.serve(burst())
         assert [sig(q.answers) for q in result.queries] == expected
 
     def test_dpp_lazy_batch_matches_serial(self):
@@ -137,7 +126,7 @@ class TestAnswerFidelity:
             for a in burst(n=6)
         ]
         served = build_net(use_dpp=True, dpp_fetch_mode="lazy")
-        result = served.serve(burst(n=6), coalesce=True)
+        result = served.serve(burst(n=6))
         assert [sig(q.answers) for q in result.queries] == expected
 
 
@@ -150,13 +139,13 @@ class TestUncontendedInvariant:
                 a.query_text, peer=serial.peers[a.src]
             )
             responses.append(report.response_time_s)
-        served = build_net()
+        served = build_net(coalesce_fetches=False)
         # arrivals 50s apart: nothing ever overlaps
         spaced = [
             QueryArrival(i * 50.0, a.query_text, src=a.src)
             for i, a in enumerate(burst(n=4))
         ]
-        result = served.serve(spaced, coalesce=False)
+        result = served.serve(spaced)
         for query, response_s in zip(result.queries, responses):
             assert query.queue_wait_s == 0.0
             assert abs(query.finish_s - (query.admit_s + response_s)) < 1e-9
@@ -165,11 +154,11 @@ class TestUncontendedInvariant:
 class TestDeterminism:
     def test_same_trace_same_everything(self):
         def one_run():
-            net = build_net()
+            net = build_net(max_inflight=3)
             arrivals = open_loop_workload(
                 REPEATED_QUERY_PROFILES["zipf-hot"], 40.0, seed=2
             )[:10]
-            result = net.serve(arrivals, max_inflight=3, coalesce=True)
+            result = net.serve(arrivals)
             return (
                 [
                     (
@@ -190,14 +179,14 @@ class TestDeterminism:
 
 class TestAdmission:
     def test_unbounded_admits_at_arrival(self):
-        net = build_net()
-        result = net.serve(burst(), coalesce=False)
+        net = build_net(coalesce_fetches=False)
+        result = net.serve(burst())
         assert all(q.queue_wait_s == 0.0 for q in result.queries)
         assert result.max_inflight is None
 
     def test_bound_is_respected(self):
-        net = build_net()
-        result = net.serve(burst(n=10), max_inflight=2, coalesce=False)
+        net = build_net(max_inflight=2, coalesce_fetches=False)
+        result = net.serve(burst(n=10))
         assert any(q.queue_wait_s > 0 for q in result.queries)
         # event sweep: at no simulated instant are more than 2 in flight
         events = []
@@ -211,47 +200,22 @@ class TestAdmission:
         assert peak <= 2
 
     def test_fifo_admits_in_arrival_order(self):
-        net = build_net()
-        result = net.serve(burst(n=8), max_inflight=1, coalesce=False)
+        net = build_net(max_inflight=1, coalesce_fetches=False)
+        result = net.serve(burst(n=8))
         admits = [q.admit_s for q in sorted(result.queries, key=lambda q: q.seq)]
         assert admits == sorted(admits)
 
-    def test_fair_policy_balances_sources(self):
-        # source 0 floods; sources 1 and 2 each send one straggler that
-        # arrives just after the flood — fair-share admits them ahead of
-        # the flood's backlog, FIFO makes them wait behind it
-        flood = [
-            QueryArrival(i * 0.001, QUERIES[i % len(QUERIES)], src=0)
-            for i in range(6)
-        ]
-        tail = [
-            QueryArrival(0.0061, QUERIES[0], src=1),
-            QueryArrival(0.0062, QUERIES[1], src=2),
-        ]
-
-        def admit_rank_of_tail(policy):
-            net = build_net()
-            result = net.serve(
-                flood + tail, max_inflight=1, policy=policy, coalesce=False
-            )
-            order = sorted(result.queries, key=lambda q: q.admit_s)
-            return [
-                i for i, q in enumerate(order) if q.src in (1, 2)
-            ]
-
-        assert sum(admit_rank_of_tail("fair")) < sum(admit_rank_of_tail("fifo"))
-
     def test_config_bound_applies_by_default(self):
-        net = build_net(max_inflight=1)
-        result = net.serve(burst(n=6), coalesce=False)
+        net = build_net(max_inflight=1, coalesce_fetches=False)
+        result = net.serve(burst(n=6))
         assert result.max_inflight == 1
         assert any(q.queue_wait_s > 0 for q in result.queries)
 
 
 class TestCoalescing:
     def test_saves_bytes_on_hot_repeats(self):
-        base = build_net().serve(burst(n=10), coalesce=False)
-        shared = build_net().serve(burst(n=10), coalesce=True)
+        base = build_net(coalesce_fetches=False).serve(burst(n=10))
+        shared = build_net().serve(burst(n=10))
         assert shared.coalesced_hits > 0
         assert shared.coalesced_bytes_saved > 0
         assert shared.total_bytes < base.total_bytes
@@ -265,7 +229,7 @@ class TestCoalescing:
         spaced = [
             QueryArrival(i * 50.0, QUERIES[0], src=0) for i in range(3)
         ]
-        result = net.serve(spaced, coalesce=True)
+        result = net.serve(spaced)
         # flights expire once landed: far-apart repeats each pay in full
         assert result.coalesced_hits == 0
         assert result.coalesced_bytes_saved == 0
@@ -291,7 +255,7 @@ class TestCoalescing:
 
     def test_coalescer_detached_after_run(self):
         net = build_net()
-        net.serve(burst(n=4), coalesce=True)
+        net.serve(burst(n=4))
         assert net.net.coalescer is None
 
 
@@ -310,9 +274,9 @@ class TestServingObservability:
         return seen
 
     def test_interleaved_queries_do_not_leak_spans(self):
-        net = build_net()
+        net = build_net(coalesce_fetches=False)
         tracer = net.enable_tracing(Tracer())
-        result = net.serve(burst(n=2, rate=1000.0), coalesce=False)
+        result = net.serve(burst(n=2, rate=1000.0))
         first, second = result.queries
         # the two served windows genuinely overlap ...
         assert first.finish_s > second.admit_s
@@ -326,9 +290,9 @@ class TestServingObservability:
         assert len(roots) == 2
 
     def test_roots_patched_to_served_extents(self):
-        net = build_net()
+        net = build_net(max_inflight=2)
         tracer = net.enable_tracing(Tracer())
-        result = net.serve(burst(n=6), max_inflight=2, coalesce=True)
+        result = net.serve(burst(n=6))
         by_id = {s.span_id: s for s in tracer.spans}
         for q in result.queries:
             root = by_id[q.root_id]
@@ -342,7 +306,7 @@ class TestServingObservability:
         assert len(admission_spans) == len(waited)
 
     def test_trace_exports_and_validates(self, tmp_path):
-        net = build_net()
+        net = build_net(max_inflight=2)
         tracer = net.enable_tracing(Tracer())
-        net.serve(burst(n=4), max_inflight=2, coalesce=True)
+        net.serve(burst(n=4))
         validate_trace(to_chrome_trace(tracer))

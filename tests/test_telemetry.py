@@ -107,7 +107,7 @@ def view_of(queries, tracer=None, interval_s=0.1, objective_s=1.0):
         for category, nbytes in q.traffic.items():
             traffic[category] = traffic.get(category, 0) + nbytes
     result = ServingResult(
-        queries=queries, max_inflight=None, policy="fifo", coalesce=False,
+        queries=queries, max_inflight=None, coalesce=False,
         traffic=traffic,
     )
     net = SimpleNamespace(
@@ -306,7 +306,7 @@ def _serve(overlay, traced, arrivals=None, **overrides):
     net = build_net(overlay=overlay, **overrides)
     if traced:
         net.enable_tracing(Tracer())
-    result = net.serve(arrivals or BURST, policy="fifo", coalesce=True)
+    result = net.serve(arrivals or BURST)
     return net, result
 
 
@@ -380,12 +380,10 @@ class TestTelemetryIsFree:
         net = skew_balance.network(10, 12, 0, {})
         sigs = serial_answer_sigs(net, arrivals)
         _, plain = serve_row(
-            skew_balance.network(10, 12, 0, {}), arrivals, sigs, False,
-            coalesce=False,
+            skew_balance.network(10, 12, 0, {}), arrivals, sigs, False
         )
         _, observed = serve_row(
-            skew_balance.network(10, 12, 0, {}), arrivals, sigs, True,
-            coalesce=False,
+            skew_balance.network(10, 12, 0, {}), arrivals, sigs, True
         )
         assert set(observed) - set(plain) == {"slo", "findings"}
         assert {k: observed[k] for k in plain} == plain
@@ -403,10 +401,10 @@ class TestQueueDepth:
         assert payload["series"]["queue_depth"] == [0] * 15
 
     def test_counts_arrived_but_unadmitted_queries(self):
-        net = skew_balance.network(10, 12, 0, {})
+        net = skew_balance.network(10, 12, 0, {"max_inflight": 1})
         net.enable_tracing()
         arrivals = skewed_arrivals(queries=24)
-        result = net.serve(arrivals, max_inflight=1, policy="fifo", coalesce=False)
+        result = net.serve(arrivals)
         view = serving_view(net, result, objective_s=0.8)
         arrived = [
             sum(1 for q in result.queries if q.arrival_s <= t + 1e-9)
@@ -517,7 +515,7 @@ def _skew_net(knobs):
 def _skew_view(knobs, queries=48):
     net = _skew_net(knobs)
     net.enable_tracing(Tracer())
-    result = net.serve(skewed_arrivals(queries=queries), policy="fifo", coalesce=False)
+    result = net.serve(skewed_arrivals(queries=queries))
     return net, result, serving_view(net, result, objective_s=0.8)
 
 

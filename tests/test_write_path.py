@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.index.publisher import extract_postings
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.postings.encoder import encoded_size
@@ -177,7 +178,7 @@ class TestCrossBackendDifferential:
         system = _build(backend, overlay, bulk=False)
         net, peer = system.net, system.peers[1]
         doc_index = min(peer.documents)
-        runs = system.publisher.postings_of(peer.documents[doc_index], peer.index, doc_index)
+        runs = extract_postings(peer.documents[doc_index], peer.index, doc_index)
         wire = sum(
             encoded_size(PostingList(run)) * max(1, net.route(peer.node, key)[1])
             for key, run in runs.items()
