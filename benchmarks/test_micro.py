@@ -185,6 +185,30 @@ def test_xml_parse_20kb(benchmark):
     assert document.element_count > 100
 
 
+def test_publish_extract_4kb(benchmark):
+    """What a publish does to a document before the DHT sees it: parse,
+    lay out its element streams, cut its postings per term.  The inputs
+    are the 88 timed publishes of the ``ingest`` workload at seed 0: 4 KB
+    DBLP documents of ``DblpGenerator(seed=1)``, after the 16 it preloads."""
+    from repro.index.publisher import extract_postings
+    from repro.workloads.dblp import DblpGenerator
+    from repro.xmldata.parser import parse_document
+    from repro.xmldata.streams import ElementStreams
+
+    generator = DblpGenerator(seed=1, target_doc_bytes=4_000)
+    texts = [generator.document() for _ in range(16 + 88)][16:]
+
+    def publish_side():
+        postings = 0
+        for i, text in enumerate(texts):
+            document = parse_document(text)
+            document.streams = ElementStreams(document)
+            postings += sum(map(len, extract_postings(document, 0, i).values()))
+        return postings
+
+    assert benchmark(publish_side) > 300 * len(texts)
+
+
 # --- kernel backend benches ------------------------------------------------
 # Parameterized over the pluggable kernel backends so the committed
 # BENCH_micro.json carries the pure-vs-numpy trajectory; check_micro.py

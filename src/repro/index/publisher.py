@@ -12,31 +12,65 @@ The publisher supports the three index-insertion paths the paper compares:
 * DPP         — ``append`` through the partitioned structure of Section 4.
 """
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, not_
 
-from repro.postings.posting import Posting
-from repro.postings.term_relation import label_key, word_key
-from repro.xmldata.words import extract_words
+from repro.postings.plist import PostingList
+from repro.postings.term_relation import LABEL_PREFIX, WORD_PREFIX
+from repro.xmldata.streams import ElementStreams
+from repro.xmldata.words import STOP_WORDS, tokenize
 
 
 def extract_postings(document, peer_index, doc_index):
     """One-pass extraction of the document's ``Term`` tuples.
 
-    Returns ``{term_key: [Posting, ...]}`` with each list in document
-    order (which is ``(p, d, sid)`` order within one document): what a
-    publish inserts and an unpublish must delete.
+    Returns ``{term_key: PostingList}``: what a publish inserts and an
+    unpublish must delete.  The lists are cut from the columns of the
+    document's :class:`~repro.xmldata.streams.ElementStreams` (laid out
+    here when the document has none), each in document order, which is
+    ``(p, d, sid)`` order within one document:
+
+    * a label's list is its span of the streams' label-grouped rows;
+    * a word's list holds the elements whose direct text has the word
+      (stop words are not indexed).  Each text node is tokenized once,
+      and one sort of the distinct ``(word, owner)`` pairs by word groups
+      them, every group in document order.
+
+    No row is built, sorted or de-duplicated per posting.
     """
-    postings = {}
-    for element in document.iter_elements():
-        sid = element.sid
-        posting = Posting(peer_index, doc_index, sid.start, sid.end, sid.level)
-        postings.setdefault(label_key(element.label), []).append(posting)
-        words = set()
-        for text in element.iter_text():
-            words |= extract_words(text)
-        for word in sorted(words):
-            postings.setdefault(word_key(word), []).append(posting)
-    return postings
+    streams = document.streams
+    if streams is None:
+        streams = ElementStreams(document)
+    spans, start, end, level = streams.spans, streams.start, streams.end, streams.level
+    n = spans[None][1]
+    # (word, owner row) once per word and element, stop words left out;
+    # the texts come grouped by owner in document order, and the stable
+    # sort by word keeps that order inside each word's run
+    row_of = dict(zip(start, range(n)))
+    tokens = list(map(tokenize, streams.texts))
+    flat = list(chain.from_iterable(tokens))
+    owners = map(repeat, map(row_of.__getitem__, streams.text_starts), map(len, tokens))
+    kept = map(not_, map(STOP_WORDS.__contains__, flat))
+    pairs = dict.fromkeys(compress(zip(flat, chain.from_iterable(owners)), kept))
+    words, rows = zip(*sorted(pairs, key=itemgetter(0))) if pairs else ((), ())
+    counts = Counter(words)  # in sorted order, as the words come
+    # every list back to back: the label-grouped rows [n, 2n) of the
+    # streams (``spans`` opens with None, the "*" stream over [0, n)), then
+    # the word rows; term i holds rows [bounds[i], bounds[i + 1])
+    keys = list(map(LABEL_PREFIX.__add__, islice(spans, 1, None)))
+    keys += map(WORD_PREFIX.__add__, counts)
+    bounds = [lo - n for lo, _ in islice(spans.values(), 1, None)]
+    bounds += accumulate(counts.values(), initial=n)
+    start = start[n:] + array("q", map(start.__getitem__, rows))
+    end = end[n:] + array("q", map(end.__getitem__, rows))
+    level = level[n:] + array("q", map(level.__getitem__, rows))
+    peers, docs = array("q", (peer_index,)) * len(start), array("q", (doc_index,)) * len(start)
+    runs = list(map(slice, bounds, bounds[1:]))
+    cuts = [map(column.__getitem__, runs) for column in (peers, docs, start, end, level)]
+    return dict(zip(keys, map(PostingList.from_columns, *cuts)))
 
 
 @dataclass
@@ -107,9 +141,9 @@ class Publisher:
         for document, peer_index, doc_index in docs:
             extracted = self._extract(receipt, document, peer_index, doc_index)
             for term_key, plist in extracted.items():
-                buffered.setdefault((term_key, document.doc_type), []).extend(plist)
+                buffered.setdefault((term_key, document.doc_type), []).append(plist)
         groups = [
-            (term_key, doc_type, buffered[term_key, doc_type])
+            (term_key, doc_type, _joined(buffered[term_key, doc_type]))
             for term_key, doc_type in sorted(
                 buffered, key=lambda k: (k[0], k[1] or "")
             )
@@ -133,10 +167,11 @@ class Publisher:
         index's send arm: the routed ``append``, or the locate-once
         ``append_batch``.  DPP appends take the same arm either way (one
         directory round per term per chunk already amortizes the batch),
-        and so does the PAST-style ``put``."""
+        and so does the PAST-style ``put``.  A list that fits in one batch
+        is handed on as it is, not copied."""
+        size = self.batch_size
         for term_key, doc_type, plist in groups:
-            for start in range(0, len(plist), self.batch_size):
-                batch = plist[start : start + self.batch_size]
+            for batch in plist.chunks(size) if len(plist) > size else (plist,):
                 if self.dpp is not None:
                     op = self.dpp.append(src_node, term_key, batch, doc_type=doc_type)
                 elif self.use_append:
@@ -147,3 +182,10 @@ class Publisher:
                 receipt.duration_s += op.duration_s
                 receipt.bytes_sent += op.request_bytes + op.response_bytes
         return receipt
+
+
+def _joined(parts):
+    """One key's lists from a batch of documents as one list: the only
+    list itself, or their ordered union (a plain concatenation when the
+    documents come in ``(p, d)`` order, as a batch's do)."""
+    return parts[0] if len(parts) == 1 else PostingList.concat(parts)

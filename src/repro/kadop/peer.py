@@ -67,16 +67,28 @@ class KadopPeer:
         per key per round instead of one routed append per document.  The
         resulting index state (and therefore every query answer) is
         identical to publishing the documents one at a time; returns the
-        merged :class:`~repro.index.publisher.PublishReceipt`.
+        merged :class:`~repro.index.publisher.PublishReceipt`.  Raises
+        ``ValueError`` when ``uris`` is given for a different number of
+        documents, and a parse error as the parser raises it; either way
+        before any document of the batch is admitted.
         """
+        xml_texts = list(xml_texts)
+        if uris is None:
+            uris = [None] * len(xml_texts)
+        elif len(uris) != len(xml_texts):
+            raise ValueError(
+                "publish_batch got %d uris for %d documents" % (len(uris), len(xml_texts))
+            )
         resolver = resolver or self.system.resolver
-        parsed = []
-        for i, xml_text in enumerate(xml_texts):
-            uri = uris[i] if uris is not None else None
-            document = parse_document(
+        # every document is parsed before any is admitted: a batch that
+        # fails to parse leaves the peer as it was
+        documents = [
+            parse_document(
                 xml_text, uri=uri, resolver=resolver, inline=inline, doc_type=doc_type
             )
-            parsed.append((document, self.index, self._admit(document)))
+            for xml_text, uri in zip(xml_texts, uris)
+        ]
+        parsed = [(document, self.index, self._admit(document)) for document in documents]
         receipt = self.system.publisher.publish_many(self.node, parsed)
         for document, _, doc_index in parsed:
             self._after_index_write(doc_index, document)
@@ -97,7 +109,7 @@ class KadopPeer:
         self.system.catalog.register_doc(
             self.node, self.index, doc_index, document.uri or ""
         )
-        if document.is_intensional:
+        if document.streams.intensional:
             self.system.fundex_register(self, doc_index, document)
         if self.system.views is not None:
             self.system.views.on_publish(self, doc_index, document)

@@ -18,7 +18,7 @@ candidate; the Fundex later completes or refutes these answers.
 
 from repro.query.pattern import Axis
 from repro.xmldata.tree import Element
-from repro.xmldata.words import extract_words
+from repro.xmldata.words import tokenize
 
 
 class Match:
@@ -61,7 +61,7 @@ class Match:
 def _direct_words(element):
     words = set()
     for text in element.iter_text():
-        words |= extract_words(text, drop_stop_words=False)
+        words.update(tokenize(text))
     return words
 
 

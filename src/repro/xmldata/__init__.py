@@ -10,7 +10,6 @@ paper's *intensional data* (includes) enters the system (Section 6).
 from repro.xmldata.tree import Document, Element, IntensionalRef, Text
 from repro.xmldata.parser import parse_document
 from repro.xmldata.serializer import serialize
-from repro.xmldata.words import extract_words
 
 __all__ = [
     "Document",
@@ -19,5 +18,4 @@ __all__ = [
     "IntensionalRef",
     "parse_document",
     "serialize",
-    "extract_words",
 ]

@@ -16,6 +16,11 @@ Entity handling is the hook for Section 6 (intensional data):
 Attributes are folded into child elements placed before the element's
 content, consistent with the paper's merged element/attribute model.
 
+Structural ids are given out as the tags are read: one counter numbers
+opening and closing tags alike, and an in-lined document continues its
+includer's count, so the ids are those
+:func:`~repro.xmldata.tree.assign_sids` would give the finished tree.
+
 Scanning is done by compiled regular expressions, one match per token: a
 start tag up to its attributes, one attribute, a run of character data, or
 a markup opener.  When a token does not match, the plain readers
@@ -23,9 +28,11 @@ a markup opener.  When a token does not match, the plain readers
 """
 
 import re
+from functools import partial
 
 from repro.errors import EntityResolutionError, XmlParseError
-from repro.xmldata.tree import Document, Element, IntensionalRef, Text, assign_sids
+from repro.postings.posting import StructuralId
+from repro.xmldata.tree import Document, Element, IntensionalRef, Text
 
 _PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -46,12 +53,15 @@ _CONTENT = re.compile(
 )
 # an entity or character reference inside an attribute value
 _VALUE_REF = re.compile(r"&([^;]*);")
+# StructuralId((start, end, level)) without the namedtuple's Python __new__
+_sid = partial(tuple.__new__, StructuralId)
 
 
 class _Parser:
-    def __init__(self, text, uri, resolver, inline, depth=0):
+    def __init__(self, text, uri, resolver, inline, depth=0, tag=0):
         self.text = text
         self.pos = 0
+        self.tag = tag  # the last tag number given out
         self.uri = uri
         self.resolver = resolver
         self.inline = inline
@@ -87,9 +97,9 @@ class _Parser:
 
     # -- top level -----------------------------------------------------------
 
-    def parse(self):
+    def parse(self, level=0):
         self._skip_misc()
-        root = self._parse_element()
+        root = self._parse_element(level)
         self._skip_misc()
         if self.pos < len(self.text):
             raise XmlParseError("content after document element", offset=self.pos)
@@ -162,31 +172,38 @@ class _Parser:
 
     # -- elements --------------------------------------------------------------
 
-    def _parse_element(self):
+    def _parse_element(self, level):
         m = _START_TAG.match(self.text, self.pos)
         if m is None:  # no '<', or no name after it: the readers raise
             self._expect("<")
             self._read_name()
         element = Element(m.group(1))
         self.pos = m.end()
-        close = m.group(2) or self._parse_attributes(element)
+        self.tag = start = self.tag + 1
+        close = m.group(2) or self._parse_attributes(element, level + 1)
         if close == ">":
-            self._parse_content(element)
+            self._parse_content(element, level)
+        self.tag += 1
+        element.sid = _sid((start, self.tag, level))
         return element
 
-    def _parse_attributes(self, element):
-        """Read a start tag's attributes and return its "/>" or ">"."""
+    def _parse_attributes(self, element, level):
+        """Read a start tag's attributes, each an element at ``level``,
+        and return its "/>" or ">"."""
         text = self.text
         pos = self.pos
+        tag = self.tag
         while True:
             m = _ATTRIBUTE.match(text, pos)
             if m is None:
                 break
-            attr = Element(m.group(1))
+            attr = Element(m.group(1), _sid((tag + 1, tag + 2, level)))
+            tag += 2
             attr.add_child(Text(_expand_charrefs(m.group(3), m.start(3))))
             element.add_child(attr)
             pos = m.end()
         self.pos = pos
+        self.tag = tag
         m = _TAG_CLOSE.match(text, pos)
         if m is None:  # a malformed attribute, or '/' without '>': the readers raise
             if text[pos : pos + 1] not in ("", "/"):
@@ -199,8 +216,8 @@ class _Parser:
         self.pos = m.end()
         return m.group()
 
-    def _parse_content(self, element):
-        """Read ``element``'s children and its end tag."""
+    def _parse_content(self, element, level):
+        """Read the children of ``element`` (at ``level``) and its end tag."""
         text = self.text
         buffer = []
         while True:
@@ -210,7 +227,7 @@ class _Parser:
             kind = m.lastgroup
             if kind == "start":
                 self._flush(element, buffer)
-                element.add_child(self._parse_element())
+                element.add_child(self._parse_element(level + 1))
                 continue
             self.pos = m.end()
             if kind == "text":
@@ -221,7 +238,7 @@ class _Parser:
                     raise _mismatch(m.group(kind), element.label, m.end(kind))
                 return
             elif kind == "ref":
-                self._parse_entity_ref(element, buffer)
+                self._parse_entity_ref(element, buffer, level)
             elif kind == "cdata":
                 buffer.append(self._read_until("]]>"))
             elif kind == "comment":
@@ -243,7 +260,7 @@ class _Parser:
                 element.add_child(Text(content))
             del buffer[:]
 
-    def _parse_entity_ref(self, element, buffer):
+    def _parse_entity_ref(self, element, buffer, level):
         # self.pos is just past the '&'
         if self.text.startswith("#", self.pos):
             offset = self.pos - 1
@@ -260,11 +277,11 @@ class _Parser:
             buffer.append(value)
             return
         if kind == "external":
-            self._handle_include(element, buffer, name, value)
+            self._handle_include(element, buffer, name, value, level)
             return
         raise XmlParseError("undeclared entity &%s;" % name, offset=self.pos)
 
-    def _handle_include(self, element, buffer, name, sysid):
+    def _handle_include(self, element, buffer, name, sysid, level):
         if self.inline:
             if self.resolver is None:
                 raise EntityResolutionError(
@@ -273,9 +290,12 @@ class _Parser:
             resolved = self.resolver(sysid)
             if resolved is None:
                 raise EntityResolutionError("cannot resolve include %r" % sysid)
-            sub = _Parser(resolved, sysid, self.resolver, inline=True, depth=self.depth + 1)
+            sub = _Parser(
+                resolved, sysid, self.resolver, inline=True, depth=self.depth + 1, tag=self.tag
+            )
             self._flush(element, buffer)
-            element.add_child(sub.parse())
+            element.add_child(sub.parse(level + 1))
+            self.tag = sub.tag
         else:
             element.add_child(IntensionalRef(name, sysid))
 
@@ -317,9 +337,7 @@ def parse_document(text, uri=None, resolver=None, inline=False, doc_type=None):
     in-lining), otherwise they become intensional-reference nodes.
     ``doc_type`` overrides the inferred document type (the root label).
     """
-    parser = _Parser(text, uri, resolver, inline)
-    root = parser.parse()
-    assign_sids(root)
+    root = _Parser(text, uri, resolver, inline).parse()
     return Document(
         root,
         uri=uri,

@@ -17,6 +17,12 @@ every element is kept beside them as references to the tree's own strings
 call and never cached — a cache filled at query time would make the same
 query cost less the second time it runs.
 
+The same pass notes whether the document holds an include
+(``intensional``, the tree walk of :attr:`Document.is_intensional
+<repro.xmldata.tree.Document.is_intensional>` done on the way), and the
+index postings are cut from these columns
+(:func:`~repro.index.publisher.extract_postings`).
+
 The columns know neither peer nor document number; they are stamped on
 when a stream is handed out, so a document costs 48 bytes per element plus
 16 per text node (about 11 KB for a 4 KB bibliography document of 150
@@ -29,7 +35,7 @@ from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, contains, is_, itemgetter
 
 from repro.postings.plist import PostingList
-from repro.xmldata.tree import Element, Text
+from repro.xmldata.tree import Element, IntensionalRef, Text
 from repro.xmldata.words import tokenize
 
 _NO_ROWS = (0, 0)
@@ -43,17 +49,19 @@ _CONTENT = attrgetter("content")
 class ElementStreams:
     """The element streams of one document; see the module docstring."""
 
-    __slots__ = ("start", "end", "level", "spans", "text_starts", "texts")
+    __slots__ = ("start", "end", "level", "spans", "text_starts", "texts", "intensional")
 
     def __init__(self, document):
         # flatten the tree level by level; every pass over a level's
         # children runs inside map/compress, not in a Python loop
         elements, text_nodes = [], []
+        intensional = False
         level_nodes = [document.root]
         while level_nodes:
             elements += level_nodes
             children = list(chain.from_iterable(map(_CHILDREN, level_nodes)))
             kinds = list(map(type, children))
+            intensional = intensional or IntensionalRef in kinds
             text_nodes += compress(children, map(is_, kinds, repeat(Text)))
             level_nodes = list(compress(children, map(is_, kinds, repeat(Element))))
         # (sid, label) rows: starts are unique, so sorting restores document
@@ -77,6 +85,7 @@ class ElementStreams:
         )
         self.text_starts = array("q", map(itemgetter(0), texts))
         self.texts = list(map(itemgetter(1), texts))
+        self.intensional = intensional
 
     def label_columns(self, peer, doc, label, value=None, root_only=False):
         """The stream of a label node as ``(peer, doc)`` postings.

@@ -173,6 +173,8 @@ def assign_sids(root):
     Opening and closing tags share one counter starting at 1, exactly as in
     the paper's ``(start, end, lev)`` scheme.  Intensional references do not
     consume tag numbers (they stand for tags of *another* virtual document).
+    The parser gives out the same ids as it reads the tags; this walk is
+    for trees built by hand.
     """
     counter = [0]
 

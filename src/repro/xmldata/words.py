@@ -2,9 +2,10 @@
 
 Words are indexed in the ``Term`` relation under their directly containing
 element (``Term(p, d, sid, w)``: "w is a word under element (p, d, sid)").
-Tokenization is deliberately simple — alphanumeric runs, case-folded — and a
-small stop-word list keeps pathological posting lists (``the``, ``of`` ...)
-out of the index, as any real deployment would.
+Tokenization is deliberately simple — ASCII alphanumeric runs, case-folded —
+and a small stop-word list keeps pathological posting lists (``the``,
+``of`` ...) out of the index, as any real deployment would.  The matcher
+and the document streams keep stop words: they are a matter of the index.
 """
 
 import re
@@ -18,16 +19,12 @@ STOP_WORDS = frozenset(
 
 
 def tokenize(text):
-    """All alphanumeric word tokens of ``text``, case-folded, in order."""
-    return [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+    """All alphanumeric word tokens of ``text``, case-folded, in order.
 
-
-def extract_words(text, drop_stop_words=True):
-    """The *set* of indexable words of a text fragment."""
-    words = set(tokenize(text))
-    if drop_stop_words:
-        words -= STOP_WORDS
-    return words
+    Tokens are found in ``text`` as written and lowercased one by one: a
+    letter outside ASCII never joins a token, even one whose lowercase form
+    is ASCII (the Kelvin sign, or the ``i`` of ``İ``)."""
+    return list(map(str.lower, _WORD_RE.findall(text)))
 
 
 def is_stop_word(word):

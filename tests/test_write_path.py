@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.errors import XmlParseError
 from repro.index.publisher import extract_postings
 from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
@@ -393,3 +394,29 @@ class TestLsmProperties:
         assert not store.maybe_compact(0.2)  # within the interval: no fold
         assert store.maybe_compact(0.7)
         assert store.num_runs == 2
+
+
+class TestFailedBatchAdmitsNothing:
+    """A batch that fails before its index write leaves the peer as it
+    was: no document, no allotted number, nothing in any store."""
+
+    @pytest.mark.parametrize(
+        "docs, uris, error, message",
+        [
+            (["<a>x</a>", "<a>x</b>"], None, XmlParseError, "mismatched end tag"),
+            (["<a>x</a>", "<a>y</a>"], ["u:0"], ValueError, "got 1 uris for 2 documents"),
+            (["<a>x</a>"], ["u:0", "u:1"], ValueError, "got 2 uris for 1 documents"),
+        ],
+    )
+    def test_nothing_admitted(self, docs, uris, error, message):
+        net = KadopNetwork.create(num_peers=3, seed=11)
+        peer = net.peers[0]
+        peer.publish("<seed>kept</seed>", uri="u:seed")
+        documents, next_doc, keys = dict(peer.documents), peer._next_doc, net.net._all_keys()
+        with pytest.raises(error, match=message):
+            peer.publish_batch(docs, uris=uris)
+        assert peer.documents == documents
+        assert peer._next_doc == next_doc
+        assert net.net._all_keys() == keys
+        peer.publish_batch(["<a>x</a>"], uris=["u:a"])
+        assert sorted(peer.documents) == [0, next_doc]

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EntityResolutionError, XmlParseError
+from repro.index.publisher import extract_postings
 from repro.xmldata.parser import parse_document
 from repro.xmldata.serializer import document_to_xml, serialize
+from repro.xmldata.streams import ElementStreams
 from repro.xmldata.tree import Document, Element, IntensionalRef, Text, assign_sids
-from repro.xmldata.words import extract_words, is_stop_word, tokenize
+from repro.xmldata.words import _WORD_RE, is_stop_word, tokenize
 
 
 class TestParserBasics:
@@ -249,11 +251,35 @@ class TestWords:
         assert tokenize("Hello, World-2!") == ["hello", "world", "2"]
 
     def test_stop_words_dropped(self):
-        words = extract_words("the quick fox")
-        assert "the" not in words and "quick" in words
+        """The index leaves stop words out."""
+        keys = set(extract_postings(parse_document("<a>the quick fox</a>"), 0, 0))
+        assert "word:the" not in keys and "word:quick" in keys
 
     def test_keep_stop_words_option(self):
-        assert "the" in extract_words("the fox", drop_stop_words=False)
+        """The document's own word streams keep them."""
+        streams = ElementStreams(parse_document("<a>the fox</a>"))
+        assert streams.word_columns(0, 0, "the") is not None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Hello, World-2!",
+            "İstanbul İzmir",  # lowercases to "i" + a combining dot
+            "\u212aelvin",  # the Kelvin sign lowercases to "k"
+            "Stra\u00dfe ß ǅ Ⅻ ½",
+            "café naïve x\u0130y",
+            "",
+        ],
+    )
+    def test_tokenize_is_the_per_match_rule(self, text):
+        """``tokenize`` lowercases what the pattern matched in the text
+        as written: a non-ASCII letter whose lowercase form is ASCII
+        joins no token."""
+        assert tokenize(text) == [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+        assert all(token.isascii() and token == token.lower() for token in tokenize(text))
+
+    def test_non_ascii_letters_split_tokens(self):
+        assert tokenize("\u212aelvin İstanbul Straße") == ["elvin", "stanbul", "stra", "e"]
 
     def test_is_stop_word(self):
         assert is_stop_word("The")
