@@ -259,11 +259,11 @@ def test_kernel_codec_decode(benchmark, kernel_backend):
 
 
 def test_kernel_merge(benchmark, kernel_backend):
-    # interleaved peer/doc keys: forces the general merge kernel, not the
-    # disjoint-concatenation fast path
+    # the ordered union of two lists: interleaved peer/doc keys force the
+    # union kernel, not the disjoint-concatenation fast path
     a = PostingList(_kernel_rows(10_000, seed=12, stride=3))
     b = PostingList(_kernel_rows(10_000, seed=13, stride=5))
-    merged = benchmark(lambda: a.merge(b))
+    merged = benchmark(lambda: PostingList.concat((a, b)))
     assert len(merged) > len(a)
 
 

@@ -32,6 +32,7 @@ from repro.dht.routing import RoutingState
 from repro.errors import DhtError, NoSuchPeerError
 from repro.faults import RepairReport
 from repro.postings.encoder import encoded_size
+from repro.postings.plist import PostingList
 
 #: store-key prefixes that must live wherever their *term* lives: the DPP
 #: keeps a term's root block and first data block at the term owner, so
@@ -130,7 +131,7 @@ def redundant(net, key, node):
     if not tops or mine != stamp:
         return bool(tops) and mine < stamp
     reference = _union(key, tops)
-    return len(reference.merge(node.store.get(key))) == len(reference)
+    return len(PostingList.concat((reference, node.store.get(key)))) == len(reference)
 
 
 def _top_lists(nodes, key):
@@ -143,10 +144,7 @@ def _top_lists(nodes, key):
 
 def _union(key, nodes):
     """The union of ``nodes``' lists of ``key``."""
-    reference = nodes[0].store.get(key)
-    for other in nodes[1:]:
-        reference = reference.merge(other.store.get(key))
-    return reference
+    return PostingList.concat([node.store.get(key) for node in nodes])
 
 
 class Membership:

@@ -385,14 +385,14 @@ class FundexIndex:
         ra = {}
         per_owner_time = {}
         for nid, fids in sa.items():
-            occurrences = PostingList()
+            parts = []
             for fid in sorted(fids):
                 key = rev_key(*fid)
                 owner = net.owner_of(key)
                 plist = owner.store.get(key)
                 try:
                     reply_s = net.ship(key, REV_ENTRY_BYTES * max(1, len(plist)), "control")
-                    occurrences = occurrences.merge(plist)
+                    parts.append(plist)
                 except OpTimeoutError as exc:
                     run.unreachable.add(exc.key)
                     reply_s = exc.receipt.duration_s  # the retries it cost
@@ -403,7 +403,7 @@ class FundexIndex:
                     hops = net.cost.expected_hops(len(net.alive_nodes()))
                     prev = net.cost.transfer_time(64, hops=hops)
                 per_owner_time[owner.peer_index] = prev + reply_s
-            ra[nid] = occurrences
+            ra[nid] = PostingList.concat(parts)
         rev_time = max(per_owner_time.values()) if per_owner_time else 0.0
         return ra, rev_time
 

@@ -501,11 +501,9 @@ class DppIndex:
         root, _ = self.root(src, term_key)
         if root is None:
             return PostingList()
-        merged = PostingList()
-        for entry in root.entries:
-            postings, _, _ = self.fetch_block(src, term_key, entry)
-            merged = merged.merge(postings)
-        return merged
+        return PostingList.concat(
+            [self.fetch_block(src, term_key, entry)[0] for entry in root.entries]
+        )
 
     def block_count(self, term_key):
         owner = self.net.owner_of(term_key)

@@ -29,12 +29,7 @@ from repro.obs.trace import observe_schedule
 from repro.postings.encoder import encoded_size, encoded_size_sum
 from repro.postings.plist import PostingList
 from repro.postings.term_relation import label_key, word_key
-from repro.query.block_join import (
-    Block,
-    LazyBlock,
-    demand_driven_block_join,
-    parallel_block_join,
-)
+from repro.query.block_join import LazyBlock, demand_driven_block_join
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis
 from repro.query.twigjoin import TwigPlan, twig_docs, twig_join
@@ -119,19 +114,17 @@ class Fetched:
     """What bringing one component's lists to the query peer produced.
 
     Plain / pipelined ``get`` and the Bloom reducers fill the first three
-    fields.  DPP eager / window adds ``counters`` and, when ordered splits
-    make block vectors meaningful, ``blocks``.  DPP lazy adds ``counters``
-    and ``solutions``: it ran the demand-driven block join while fetching,
-    because blocks are pulled vector by vector.  Which ones is decided by
-    the meaningful vectors and the realized blocks' document spans; each
-    vector's blocks are realized before its join runs, so no solution
-    decides a fetch.
+    fields.  The DPP adds ``counters`` and, when ordered splits make block
+    vectors meaningful, ``solutions``: the block join ran over the fetched
+    blocks' cursors, and in lazy mode it pulled the blocks vector by
+    vector.  Which ones is decided by the meaningful vectors and the
+    realized blocks' document spans; each vector's blocks are realized
+    before its join runs, so no solution decides a fetch.
     """
 
     streams: dict  # component node_id -> PostingList
     time_s: float
     ttfa_s: float  # time to first data
-    blocks: dict = None  # node_id -> [Block], for the block-vector join
     solutions: tuple = None  # (bindings, block vectors considered)
     counters: tuple = None  # (blocks fetched, blocks skipped)
 
@@ -418,20 +411,15 @@ class QueryExecutor:
         ``component`` given what :meth:`fetch` brought, plus the number of
         meaningful block vectors joined (Section 4.2).  Merged streams are
         asked only which documents hold a match (:func:`twig_docs`); the
-        block joins still enumerate their matches."""
-        if fetched.solutions is not None:
-            # lazy mode already ran the demand-driven block join while
-            # fetching, one meaningful vector at a time
-            bindings, vectors = fetched.solutions
-        elif fetched.blocks is not None:
-            # the block-based parallel twig join of Section 4.2: join
-            # meaningful block vectors instead of merged lists
-            result = parallel_block_join(component, fetched.blocks)
-            bindings, vectors = result.solutions, result.vectors_considered
-        else:
-            # plain and pipelined get, the Bloom reducers, Fundex: the
-            # documents are all the index query asks for
+        block join still enumerates its matches."""
+        if fetched.solutions is None:
+            # plain and pipelined get, the Bloom reducers, Fundex, DPP
+            # blocks split out of order: the documents are all the index
+            # query asks for
             return twig_docs(component, fetched.streams), 0
+        # the DPP fetch already ran the block-based twig join of Section
+        # 4.2, one meaningful block vector at a time
+        bindings, vectors = fetched.solutions
         return _root_docs(component, bindings), vectors
 
     def _finish_observation(self, state, doc_span, report, answers):
@@ -477,9 +465,7 @@ class QueryExecutor:
                     chunks, receipt = net.pipelined_get(
                         src_peer.node, key, config.chunk_postings
                     )
-                    plist = PostingList()
-                    for chunk in chunks:
-                        plist = plist.merge(chunk)
+                    plist = PostingList.concat(chunks)
                 else:
                     plist, receipt = net.get(src_peer.node, key)
                 term_lists[key] = (plist, receipt)
@@ -637,26 +623,46 @@ class QueryExecutor:
             term_parts[key].append(postings)
             return postings
 
-        blocks = solutions = None
+        # eager mode fetches every block, window mode the ones that survive
+        # the document window and the type filter, lazy mode those that
+        # also survive the zone-map level filters
+        candidates = {
+            key: self._window_candidates(root, doc_lo, doc_hi, viable_types)
+            if windowed
+            else [e for e in root.entries if e.condition is not None]
+            for key, root in roots.items()
+        }
+        keep = _by_node(nodes, candidates)
         if lazy:
-            solutions = self._demand_driven_join(
-                component, roots, doc_lo, doc_hi, viable_types, fetch_block
-            )
-        else:
-            for key, root in roots.items():
-                entries = (
-                    self._window_candidates(root, doc_lo, doc_hi, viable_types)
-                    if windowed
-                    else [e for e in root.entries if e.condition is not None]
-                )
-                for entry in entries:
-                    fetch_block(key, entry)
-            term_blocks = {
-                key: [Block(part) for part in parts if len(part)]
-                for key, parts in term_parts.items()
-            }
-            if dpp.ordered_splits and all(term_blocks.values()):
-                blocks = _by_node(nodes, term_blocks)
+            self._zone_level_prune(keep, nodes)
+        # one LazyBlock per candidate (term, block), bounded by its
+        # condition clamped to the window: nodes sharing a term share the
+        # cursor, so a block is transferred at most once
+        cursors = {}
+        per_node = {}
+        for node in nodes:
+            key = term_key_of(node)
+            lazies = per_node[node.node_id] = []
+            for entry in keep[node.node_id]:
+                cursor = cursors.get((key, entry.seq))
+                if cursor is None:
+                    cond = entry.condition
+                    cursor = cursors[(key, entry.seq)] = LazyBlock(
+                        max(cond.lo_doc, doc_lo),
+                        min(cond.hi_doc, doc_hi),
+                        partial(fetch_block, key, entry),
+                        count=entry.zone.count if entry.zone else 0,
+                    )
+                lazies.append(cursor)
+        if not lazy:
+            # eager and window mode transfer every candidate up front, in
+            # root order and entry order; lazy mode leaves it to the join
+            for cursor in cursors.values():
+                cursor.realize()
+        solutions = None
+        if dpp.ordered_splits:
+            result = demand_driven_block_join(component, per_node)
+            solutions = (result.solutions, result.vectors_considered)
         makespan = scheduler.run()
         firsts = list(first_times.values())
         if lazy:
@@ -671,49 +677,8 @@ class QueryExecutor:
         fetched = sum(len(parts) for parts in term_parts.values())
         return Fetched(
             _by_node(nodes, term_lists), time_s, ttfa,
-            blocks, solutions, (fetched, total_blocks - fetched),
+            solutions, (fetched, total_blocks - fetched),
         )
-
-    def _demand_driven_join(
-        self, component, roots, doc_lo, doc_hi, viable_types, fetch_block
-    ):
-        """The lazy mode's join: candidate blocks survive the document
-        window, type, and zone-map level filters; the survivors become
-        :class:`LazyBlock` cursors and :func:`demand_driven_block_join`
-        calls ``fetch_block(key, entry)`` only for the ones a meaningful
-        vector actually reaches.  Returns ``(solutions, vectors)``."""
-        nodes = component.nodes()
-        # window + type pre-filter, once per unique term
-        candidates = {
-            key: self._window_candidates(root, doc_lo, doc_hi, viable_types)
-            for key, root in roots.items()
-        }
-        # zone-map level pruning, per pattern edge
-        keep = _by_node(nodes, candidates)
-        self._zone_level_prune(keep, nodes)
-
-        # one LazyBlock per surviving (term, block): nodes sharing a term
-        # share the cursor, so a block is transferred at most once
-        lazy_by_entry = {}
-        lazy_per_node = {}
-        for node in nodes:
-            key = term_key_of(node)
-            lazies = []
-            for entry in keep[node.node_id]:
-                cursor = lazy_by_entry.get((key, entry.seq))
-                if cursor is None:
-                    cond = entry.condition
-                    cursor = LazyBlock(
-                        max(cond.lo_doc, doc_lo),
-                        min(cond.hi_doc, doc_hi),
-                        partial(fetch_block, key, entry),
-                        count=entry.zone.count if entry.zone else 0,
-                    )
-                    lazy_by_entry[(key, entry.seq)] = cursor
-                lazies.append(cursor)
-            lazy_per_node[node.node_id] = lazies
-        result = demand_driven_block_join(component, lazy_per_node)
-        return result.solutions, result.vectors_considered
 
     @staticmethod
     def _zone_level_bounds(entries):

@@ -1,7 +1,7 @@
 """Pluggable kernel backends for the columnar posting hot paths.
 
-The struct-of-arrays rewrite (PR 1) left every hot kernel — merge,
-concat, the delta-varint codec, batch bisect probes, the twig join's
+The struct-of-arrays rewrite (PR 1) left every hot kernel — the
+ordered union, the delta-varint codec, batch bisect probes, the twig join's
 semi-join and expansion, and the Structural Bloom Filter bit operations —
 as a Python-level loop over ``array('q')`` columns.  This package moves those
 loops behind one small backend interface with two implementations:

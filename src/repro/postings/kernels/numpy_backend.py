@@ -6,13 +6,12 @@ reproduce exactly (value ranges past the packing or accumulator bounds,
 negative wire values, malformed varint streams) falls back to the pure
 kernel so error messages and edge behaviour match too.
 
-The merge/concat kernels hinge on *adaptive bit-packing*: the five
-columns' value ranges are measured, shifted to non-negative, and packed
+The union kernel hinges on *adaptive bit-packing*: the five columns'
+value ranges are measured, shifted to non-negative, and packed
 high-to-low into one ``uint64`` key per row, which preserves the
-lexicographic ``(p, d, start, end, level)`` order.  Merging two sorted
-key arrays is then two ``searchsorted`` rank computations plus a
-scatter; concatenation is one stable (radix) sort.  Dedup is an
-adjacent-difference mask in both cases.
+lexicographic ``(p, d, start, end, level)`` order.  The ordered union of
+any number of lists is then one stable (radix) sort of the concatenated
+keys, and dedup an adjacent-difference mask.
 
 The codec kernels split each varint stream on its terminator bytes
 (``< 0x80``) with ``flatnonzero``, accumulate the payload bits per byte
@@ -105,26 +104,7 @@ def _dedup_sorted(keys):
     return keys[keep]
 
 
-# -- merge kernels -----------------------------------------------------------
-
-
-def merge(a, b):
-    if not len(a[0]):
-        return tuple(col[:] for col in b)
-    if not len(b[0]):
-        return tuple(col[:] for col in a)
-    packed = _pack([_views(a), _views(b)])
-    if packed is None:
-        return _pure.merge(a, b)
-    (pa, pb), mins, shifts, widths = packed
-    # rank-based merge scatter: 'left' vs 'right' breaks ties so equal
-    # keys land adjacent (a first) and never collide on a slot
-    pos_a = np.arange(len(pa), dtype=_I64) + np.searchsorted(pb, pa, side="left")
-    pos_b = np.arange(len(pb), dtype=_I64) + np.searchsorted(pa, pb, side="right")
-    out = np.empty(len(pa) + len(pb), dtype=_U64)
-    out[pos_a] = pa
-    out[pos_b] = pb
-    return _to_arrays(_unpack(_dedup_sorted(out), mins, shifts, widths))
+# -- union kernel ------------------------------------------------------------
 
 
 def concat_sorted(chunks):

@@ -35,44 +35,7 @@ def _transpose(rows):
     )
 
 
-# -- merge kernels -----------------------------------------------------------
-
-
-def merge(a, b):
-    """O(n+m) two-pointer ordered union with dedup over column tuples."""
-    if not len(a[0]):
-        return tuple(col[:] for col in b)
-    if not len(b[0]):
-        return tuple(col[:] for col in a)
-    rows = []
-    push = rows.append
-    ita = zip(*a)
-    itb = zip(*b)
-    row_a = next(ita)
-    row_b = next(itb)
-    prev = None
-    while True:
-        if row_a <= row_b:
-            if row_a != prev:
-                push(row_a)
-                prev = row_a
-            row_a = next(ita, None)
-            if row_a is None:
-                if row_b != prev:
-                    push(row_b)
-                rows.extend(itb)
-                break
-        else:
-            if row_b != prev:
-                push(row_b)
-                prev = row_b
-            row_b = next(itb, None)
-            if row_b is None:
-                if row_a != prev:
-                    push(row_a)
-                rows.extend(ita)
-                break
-    return _transpose(rows)
+# -- union kernel ------------------------------------------------------------
 
 
 def concat_sorted(chunks):

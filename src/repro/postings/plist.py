@@ -5,24 +5,24 @@ of postings of one term, maintained in the lexicographic ``(p, d, sid)``
 order the paper prescribes, duplicate-free.  It supports the operations
 the rest of the system needs: ordered insertion (publishing), range
 extraction (DPP block splits and ``[min, max]`` document filtering),
-merging, and iteration in stream order (twig join inputs).
+ordered unions, and iteration in stream order (twig join inputs).
 
 Storage is columnar: a list *is* five parallel ``array('q')`` columns
 (``peer, doc, start, end, level``).  The batch work runs on the raw column
 5-tuple (:meth:`PostingList.arrays`) through the active backend of
 :mod:`repro.postings.kernels`:
 
-* O(n+m) two-pointer merge + dedup (:meth:`PostingList.merge`), and an
-  ordered union of many lists in one pass (:meth:`PostingList.concat`);
-  both concatenate without comparing rows when the inputs are
-  range-disjoint, the common publishing and DPP block-fetch case;
-* galloping (exponential-search) bounds for ``range``/``doc_range``
-  extraction (:meth:`PostingList.gallop_left`/``gallop_right``);
+* the ordered union of any number of lists in one pass
+  (:meth:`PostingList.concat`), which concatenates without comparing rows
+  when the inputs are range-disjoint, the common publishing and DPP
+  block-fetch case;
+* galloping (exponential-search) bounds for ``range`` extraction
+  (:meth:`PostingList.gallop_left`/``gallop_right``);
 * the streaming codec of :mod:`repro.postings.encoder`, which reads and
   writes the columns directly.
 
 :class:`Posting` objects are materialized lazily — only when callers
-iterate, index, or filter by predicate — and cached, so repeated iteration
+iterate or index — and cached, so repeated iteration
 stays cheap while the hot paths never pay for per-posting objects.
 """
 
@@ -164,23 +164,8 @@ class PostingList:
 
     # -- mutation ----------------------------------------------------------
 
-    def add(self, posting):
-        """Insert ``posting`` keeping order; ignores exact duplicates."""
-        key = tuple(posting)
-        i = self.bisect_left(key)
-        if i < len(self.peer) and self.key(i) == key:
-            return False
-        p, d, s, e, l = key
-        self.peer.insert(i, p)
-        self.doc.insert(i, d)
-        self.start.insert(i, s)
-        self.end.insert(i, e)
-        self.level.insert(i, l)
-        self._cache = None
-        return True
-
     def extend(self, postings):
-        """Bulk insert; one O(n+m) merge pass (or O(m) append when the
+        """Bulk insert; one ordered union (or O(m) append when the
         incoming batch sorts after the existing data)."""
         other = postings if isinstance(postings, PostingList) else PostingList(postings)
         n = len(self.peer)
@@ -189,13 +174,13 @@ class PostingList:
         if not n or other.key(0) > self.key(n - 1):
             self.extend_unchecked(other)
             return
-        merged = self.merge(other)
+        merged = PostingList.concat((self, other))
         self.peer, self.doc, self.start, self.end, self.level = merged.arrays()
         self._cache = None
 
     def extend_unchecked(self, other):
         """Append ``other``'s rows, which the caller guarantees all sort
-        after this list's: no comparison, no merge."""
+        after this list's: no comparison."""
         self.peer.extend(other.peer)
         self.doc.extend(other.doc)
         self.start.extend(other.start)
@@ -310,12 +295,6 @@ class PostingList:
         j = self.gallop_right(tuple(hi), i)
         return self._slice(i, j)
 
-    def doc_range(self, lo_doc, hi_doc):
-        """Postings whose ``(peer, doc)`` lies in ``[lo_doc, hi_doc]``."""
-        i = self.gallop_left((lo_doc[0], lo_doc[1], -1, -1, -1))
-        j = self.gallop_right((hi_doc[0], hi_doc[1], 2**63, 2**63, 2**63), i)
-        return self._slice(i, j)
-
     def split_at(self, index):
         """Split into two lists at ``index`` (for DPP block splits)."""
         return self._slice(0, index), self._slice(index, len(self.peer))
@@ -327,10 +306,6 @@ class PostingList:
         for i in range(0, len(self.peer), size):
             yield self._slice(i, i + size)
 
-    def filter(self, predicate):
-        """New list with only postings satisfying ``predicate``."""
-        return PostingList.from_sorted([p for p in self.items() if predicate(p)])
-
     def without(self, keys):
         """This list minus the 5-field rows in ``keys``; builds no Posting objects."""
         rows = zip(self.peer, self.doc, self.start, self.end, self.level)
@@ -338,31 +313,11 @@ class PostingList:
 
     # -- unions ------------------------------------------------------------
 
-    def merge(self, other):
-        """Ordered union of two posting lists (does not mutate either)."""
-        if not isinstance(other, PostingList):
-            other = PostingList(other)
-        if not len(other.peer):
-            return PostingList(self)
-        if not len(self.peer):
-            return PostingList(other)
-        # disjoint fast path: pure concatenation
-        if other.key(0) > self.key(len(self.peer) - 1):
-            out = PostingList(self)
-            out.extend_unchecked(other)
-            return out
-        if self.key(0) > other.key(len(other.peer) - 1):
-            out = PostingList(other)
-            out.extend_unchecked(self)
-            return out
-        return PostingList.from_columns(*kernels.active().merge(self.arrays(), other.arrays()))
-
     @classmethod
     def concat(cls, parts):
         """Ordered union of many lists in one pass; returns a new list.
 
-        Equivalent to folding :meth:`merge` over ``parts``.  When
-        consecutive non-empty parts are pairwise disjoint in sort order
+        When consecutive non-empty parts are pairwise disjoint in sort order
         (each part's first key after the previous part's last key — the
         DPP block-fetch case, where ordered splits yield disjoint ranges)
         this is a pure O(total) column concatenation with no key

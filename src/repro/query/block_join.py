@@ -51,7 +51,7 @@ class Block:
 
 
 class LazyBlock:
-    """An unfetched DPP block cursor: bounds from the root, data on demand.
+    """A DPP block cursor: bounds from the root, data on demand.
 
     ``doc_lo``/``doc_hi`` come from the block's root condition (clamped to
     the query's document window), so meaningful-vector enumeration can run
@@ -59,8 +59,10 @@ class LazyBlock:
     :meth:`realize` call invokes ``loader`` — which performs the simulated
     fetch, charges the scheduler, and returns the (possibly
     window-restricted) postings — and caches the resulting :class:`Block`
-    (or None when the restricted fetch comes back empty).  Blocks that no
-    join vector ever touches cost neither simulated bytes nor decode CPU.
+    (or None when the restricted fetch comes back empty).  The eager and
+    window fetch modes realize every cursor before the join; in lazy mode,
+    blocks that no join vector ever touches cost neither simulated bytes
+    nor decode CPU.
     """
 
     __slots__ = ("doc_lo", "doc_hi", "count", "loader", "fetched", "_block")
@@ -134,29 +136,6 @@ class BlockJoinResult:
         self.vectors_bound = vectors_bound
 
 
-def parallel_block_join(pattern, blocks_per_node):
-    """Join per-node block sequences vector by vector.
-
-    ``blocks_per_node`` maps node_id → ordered list of :class:`Block`.
-    Returns a :class:`BlockJoinResult` whose ``solutions`` equal
-    ``twig_join`` over the merged lists, in the same order.
-    """
-    nodes = pattern.nodes()
-    block_lists = [blocks_per_node[node.node_id] for node in nodes]
-    bound = sum(len(blocks) for blocks in block_lists)
-    plan = TwigPlan(pattern)
-    solutions = []
-    considered = 0
-    for vector in meaningful_vectors(block_lists):
-        considered += 1
-        streams = {
-            node.node_id: block_lists[i][vector[i]].postings
-            for i, node in enumerate(nodes)
-        }
-        solutions.extend(twig_join(pattern, streams, plan=plan))
-    return BlockJoinResult(_finish_solutions(solutions), considered, bound)
-
-
 def _finish_solutions(solutions):
     """Deduplicate per-vector join outputs and restore global order."""
     unique = {}
@@ -168,20 +147,27 @@ def _finish_solutions(solutions):
 
 
 def demand_driven_block_join(pattern, lazy_blocks_per_node):
-    """The lazy variant: fetch blocks only when a join vector demands them.
+    """Join per-node block cursors one meaningful vector at a time.
 
     ``lazy_blocks_per_node`` maps node_id → ordered list of
-    :class:`LazyBlock` whose bounds come from root-block conditions.
-    Vector enumeration is seeded from the rarest term (fewest synopsis
-    postings), so its narrow document intervals drive the window and the
-    other terms' blocks are only ever touched where they overlap.  Each
-    vector realizes its blocks in that order, abandoning the vector — and
-    skipping the remaining fetches — as soon as a realized block is empty
-    or the realized document spans stop intersecting (realized bounds can
-    only tighten the condition bounds, never widen them, so dropping such
-    vectors loses no solutions).  ``vectors_considered`` counts the vectors
-    that actually reached a per-vector join, mirroring the eager
-    semantics where only non-empty fetched blocks enter the enumeration.
+    :class:`LazyBlock` whose bounds come from root-block conditions.  The
+    eager and window fetch modes realize every cursor before the join;
+    lazy mode leaves them unfetched, so a block is fetched only when a
+    vector demands it.  Vector enumeration is seeded from the rarest term
+    (fewest synopsis postings), so its narrow document intervals drive the
+    window and the other terms' blocks are only ever touched where they
+    overlap.  Each vector realizes its blocks in that order, abandoning the
+    vector — and skipping the remaining fetches — as soon as a realized
+    block is empty or the realized document spans stop intersecting.  A
+    match's document lies in a realized block of every node, so inside
+    each block's condition and inside the query's document window: every
+    vector holding a match is enumerated, and dropping the others loses no
+    solutions.
+    ``vectors_considered`` counts the vectors that reached a per-vector
+    join: the vectors of non-empty realized blocks whose document spans
+    intersect, however many cursors were realized before the join.
+    Returns a :class:`BlockJoinResult` whose ``solutions`` equal
+    ``twig_join`` over the merged lists, in the same order.
     """
     nodes = pattern.nodes()
     block_lists = [lazy_blocks_per_node[node.node_id] for node in nodes]

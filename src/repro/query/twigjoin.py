@@ -24,9 +24,10 @@ order, the matches come out in ``node_id``-major order of their postings:
 the lexicographic output order, with no sort.  Equal rows in an input
 stream give equal matches, which are kept once.
 
-When only the documents matter — the index query, whose document peers
-evaluate the query exactly afterwards — :func:`twig_docs` runs the reducer
-alone and enumerates nothing.
+When only the root rows or the documents matter — view maintenance, and
+the index query, whose document peers evaluate the query exactly
+afterwards — :func:`twig_roots` and :func:`twig_docs` run the reducer
+alone and enumerate nothing.
 """
 
 from itertools import repeat
@@ -115,16 +116,24 @@ def twig_join(pattern, streams, plan=None):
     return list(map(dict, map(zip, repeat(range(len(kept))), matches)))
 
 
-def twig_docs(pattern, streams, plan=None):
-    """The ``(peer, doc)`` pairs in which ``pattern`` has at least one match.
+def twig_roots(pattern, streams, plan=None):
+    """The root rows that have at least one match of ``pattern`` below.
 
-    The existence question of the index query, answered by the reducer of
-    :func:`twig_join` alone: the root's kept rows name the documents.
-    Streams are read as :func:`twig_join` reads them.
+    The reducer of :func:`twig_join` alone, enumerating nothing: its kept
+    root rows are exactly the root bindings of the matches, returned as a
+    :class:`PostingList` in stream order (duplicate-free when the root's
+    stream is).  Streams are read as :func:`twig_join` reads them.
     """
     if plan is None:
         plan = TwigPlan(pattern)
     kept = _reduce(plan, streams)
     if kept is None:
-        return set()
-    return set(kernels.active().doc_ids(kept[0][0], kept[0][1]))
+        return PostingList()
+    return PostingList.from_columns(*kept[0])
+
+
+def twig_docs(pattern, streams, plan=None):
+    """The ``(peer, doc)`` pairs in which ``pattern`` has at least one match:
+    the documents of :func:`twig_roots`, the index query's existence
+    question."""
+    return set(twig_roots(pattern, streams, plan).doc_ids())

@@ -39,10 +39,10 @@ from repro.errors import NoSuchPeerError
 from repro.faults import FaultPlan, OpTimeoutError
 from repro.index.publisher import extract_postings
 from repro.kadop.config import KadopConfig
+from repro.kadop.execution import term_key_of
 from repro.kadop.system import KadopNetwork
-from repro.postings.term_relation import label_key, word_key
+from repro.kadop.verify import oracle_answers
 from repro.query.index_plan import build_index_plan
-from repro.query.matcher import match_document, match_to_postings
 
 #: small vocabularies keep term collisions (and therefore joins, splits,
 #: and multi-holder keys) frequent at fuzzing scale
@@ -175,36 +175,6 @@ def _random_query(rng):
     )
 
 
-def _oracle(system, pattern, alive_only):
-    """Ground-truth bindings from the in-memory documents themselves."""
-    expected = set()
-    for peer in system.peers:
-        if alive_only and not peer.node.alive:
-            continue
-        for doc_index, document in peer.documents.items():
-            for match in match_document(pattern, document):
-                expected.add(
-                    tuple(
-                        sorted(
-                            match_to_postings(
-                                match, peer.index, doc_index
-                            ).items()
-                        )
-                    )
-                )
-    return expected
-
-
-def _term_keys(pattern):
-    keys = []
-    for component in build_index_plan(pattern).components:
-        for kind, value in component.terms():
-            key = label_key(value) if kind == "label" else word_key(value)
-            if key not in keys:
-                keys.append(key)
-    return keys
-
-
 def _expected_blocks(system, pattern):
     """Data blocks the executor must account for, or None to skip.
 
@@ -212,7 +182,12 @@ def _expected_blocks(system, pattern):
     condition-carrying entry makes the executor early-return with (0, 0).
     """
     total = 0
-    for key in _term_keys(pattern):
+    keys = dict.fromkeys(
+        term_key_of(node)
+        for component in build_index_plan(pattern).components
+        for node in component.nodes()
+    )
+    for key in keys:
         root = system.dpp._root_at(system.net.owner_of(key), key)
         entries = (
             []
@@ -402,7 +377,7 @@ class _Iteration:
         finally:
             self.plan.crash_rate = crash_rate
         got = {a.bindings for a in answers}
-        oracle = _oracle(self.system, pattern, alive_only=True)
+        oracle = oracle_answers(self.system, pattern)
         phantom = got - oracle
         if phantom:
             self.fail(
@@ -474,7 +449,7 @@ class _Iteration:
             query_text = served.query_text
             pattern = self.system.parse(query_text)
             got = {a.bindings for a in served.answers}
-            oracle = _oracle(self.system, pattern, alive_only=True)
+            oracle = oracle_answers(self.system, pattern)
             phantom = got - oracle
             if phantom:
                 self.fail(
@@ -730,7 +705,7 @@ class _Iteration:
                         % (view.canonical, peer_index, doc_index),
                     )
                 got = {answer.bindings for answer in answers}
-                oracle = _oracle(self.system, view.pattern, alive_only=True)
+                oracle = oracle_answers(self.system, view.pattern)
                 phantom = got - oracle
                 if phantom:
                     self.fail(

@@ -237,7 +237,7 @@ class LsmStore(Store):
                     base = base.without(kill)
             if term in newer.data:
                 addition, _ = decode_postings(newer.data[term])
-                base = base.merge(addition)
+                base = PostingList.concat((base, addition))
             if len(base):
                 merged_data[term] = encode_postings(base)
                 merged_counts[term] = len(base)
@@ -298,7 +298,7 @@ class LsmStore(Store):
             blob = run.data.get(term)
             if blob is not None:
                 fragment, _ = decode_postings(blob)
-                acc = acc.merge(fragment)
+                acc = PostingList.concat((acc, fragment))
                 if charge:
                     self.stats.bytes_read += len(blob)
                 touched = True
@@ -309,7 +309,7 @@ class LsmStore(Store):
         if kill:
             acc = acc.without(kill)
         if term in self._mem:
-            acc = acc.merge(self._mem_list(term))
+            acc = PostingList.concat((acc, self._mem_list(term)))
         if charge:
             self.stats.num_ops += 1 + probed
         return acc

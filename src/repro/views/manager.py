@@ -33,7 +33,7 @@ exactly the matching root postings into or out of the view's blocks.
 from repro.faults import OpTimeoutError
 from repro.postings.plist import PostingList
 from repro.query.index_plan import build_index_plan
-from repro.query.twigjoin import TwigPlan, twig_join
+from repro.query.twigjoin import TwigPlan, twig_roots
 from repro.views.definition import ViewDefinition, canonical_pattern
 from repro.views.rewrite import equivalent, pick_view, subsumes, view_beats_base
 from repro.views.store import ViewBlockStore, ViewIntegrityError
@@ -171,9 +171,7 @@ class ViewManager:
             view = ViewDefinition(pattern, canonical)
             self._catalog[canonical] = view
         root_id = pattern.root.node_id
-        postings = PostingList()
-        for answer in answers:
-            postings.add(answer.binding_of(root_id))
+        postings = PostingList([answer.binding_of(root_id) for answer in answers])
         write_receipt = self.store.write_blocks(src_peer.node, view, postings)
         view.materialized = True
         # the statistic the cost-based choice uses: what the index phase of
@@ -259,8 +257,8 @@ class ViewManager:
     # -- incremental maintenance -----------------------------------------------
 
     def _root_postings(self, pattern, peer, doc_index, document):
-        """The root postings ``document`` contributes to ``pattern``, from
-        the twig join the document phase runs over its element streams.
+        """The root postings ``document`` contributes to ``pattern``: the
+        root rows the twig join's reducer keeps over its element streams.
 
         A functional document has no streams; it is never an answer, so
         no view holds its postings."""
@@ -270,9 +268,7 @@ class ViewManager:
         streams = peer.document_streams(plan, doc_index, document)
         if streams is None:
             return PostingList()
-        root_id = pattern.root.node_id
-        joined = twig_join(pattern, dict(enumerate(streams)), plan)
-        return PostingList([bindings[root_id] for bindings in joined])
+        return twig_roots(pattern, dict(enumerate(streams)), plan)
 
     def on_publish(self, peer, doc_index, document):
         """Route a newly published document's deltas into live views."""

@@ -211,7 +211,7 @@ class ViewBlockStore:
                 merged, makespan, first = flight.data
                 return merged, makespan, first, 0
         schedule = self.net.transfers(self.system.config.parallelism)
-        merged = PostingList()
+        parts = []
         first = None
         total_bytes = 0
         for block in view.blocks:
@@ -222,11 +222,12 @@ class ViewBlockStore:
                 block.key, payload, VIEW_TRAFFIC
             )
             total_bytes += payload
-            merged = merged.merge(postings)
+            parts.append(postings)
             schedule.transfer("viewfetch:%s" % block.key, duration, holder.peer_index)
             if first is None:
                 first = duration
         makespan = schedule.run()
+        merged = PostingList.concat(parts)
         if coalescer is not None:
             coalescer.register(
                 "view",

@@ -15,9 +15,8 @@ from repro.query.block_join import (
     LazyBlock,
     demand_driven_block_join,
     meaningful_vectors,
-    parallel_block_join,
 )
-from repro.query.twigjoin import twig_join
+from repro.query.twigjoin import twig_join, twig_roots
 from repro.query.xpath import parse_query
 from repro.xmldata.parser import parse_document
 
@@ -108,12 +107,9 @@ def _blocks_from_stream(stream, cuts, rng):
     return blocks
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_block_join_equals_merged_join(seed):
-    """Differential: per-vector joins == the join of the merged lists,
-    under random multi-document corpora and random block cuts (including
-    cuts inside documents)."""
+def _random_corpus(seed):
+    """A random multi-document corpus, a pattern over it and its streams
+    (one merged list per pattern node), or None when a stream is empty."""
     rng = random.Random(seed)
     docs = []
     for d in range(rng.randint(1, 4)):
@@ -133,28 +129,90 @@ def test_block_join_equals_merged_join(seed):
         docs.append(parse_document("".join(parts)))
 
     pattern = parse_query(rng.choice(["//a//b", "//a/b", "//a//a", "//b//a//b"]))
-    streams = {node.node_id: PostingList() for node in pattern.nodes()}
+    parts = {node.node_id: [] for node in pattern.nodes()}
     for d, doc in enumerate(docs):
         extracted = extract_postings(doc, 0, d)
         for node in pattern.nodes():
-            key = term_key_of(node)
-            streams[node.node_id] = streams[node.node_id].merge(
-                PostingList(extracted.get(key, []))
-            )
+            parts[node.node_id].append(PostingList(extracted.get(term_key_of(node), [])))
+    streams = {nid: PostingList.concat(lists) for nid, lists in parts.items()}
     if any(not len(s) for s in streams.values()):
-        return
+        return None
+    return rng, pattern, streams
 
+
+def _block_cursors(blocks_per_node, calls):
+    """Cursors over random blocks as ``_fetch_dpp`` builds them: each bound
+    is the block's condition, clamped to the query's document window.
+
+    A block's condition reaches back to the last document of the block
+    before it and on to the first document of the block after it, as
+    consecutive DPP conditions touch, so it is wider than the block's own
+    documents; the window is ``[max first lo, min last hi]`` over the
+    nodes.  Loaders log into ``calls``."""
+    doc_lo = max(blocks[0].doc_lo for blocks in blocks_per_node.values())
+    doc_hi = min(blocks[-1].doc_hi for blocks in blocks_per_node.values())
+    cursors = {}
+    for nid, blocks in blocks_per_node.items():
+        cursors[nid] = []
+        for i, block in enumerate(blocks):
+            def loader(plist=block.postings, tag=(nid, i)):
+                calls.append(tag)
+                return plist
+
+            lo = blocks[i - 1].doc_hi if i else block.doc_lo
+            hi = blocks[i + 1].doc_lo if i + 1 < len(blocks) else block.doc_hi
+            cursors[nid].append(
+                LazyBlock(
+                    max(lo, doc_lo), min(hi, doc_hi), loader,
+                    count=len(block.postings),
+                )
+            )
+    return cursors
+
+
+def _realized(cursors):
+    """``cursors`` after realizing every one, as eager and window mode do
+    before the join."""
+    for lazies in cursors.values():
+        for cursor in lazies:
+            cursor.realize()
+    return cursors
+
+
+def _random_blocks(seed):
+    """``(pattern, streams, blocks)`` for a random corpus cut into random
+    blocks (cuts inside documents included), or None."""
+    corpus = _random_corpus(seed)
+    if corpus is None:
+        return None
+    rng, pattern, streams = corpus
     blocks = {
         nid: _blocks_from_stream(stream, rng.randint(0, 4), rng)
         for nid, stream in streams.items()
     }
-    result = parallel_block_join(pattern, blocks)
+    return pattern, streams, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_block_join_equals_merged_join(seed):
+    """Differential: the block join over cursors realized before it runs
+    (the eager and window fetch modes) == the join of the merged lists,
+    and it joins exactly the meaningful vectors of the realized blocks'
+    own document spans."""
+    case = _random_blocks(seed)
+    if case is None:
+        return
+    pattern, streams, blocks = case
+    result = demand_driven_block_join(pattern, _realized(_block_cursors(blocks, [])))
     merged = twig_join(pattern, streams)
     assert [tuple(sorted(s.items())) for s in result.solutions] == [
         tuple(sorted(s.items())) for s in merged
     ]
     assert isinstance(result, BlockJoinResult)
     assert result.vectors_bound == sum(len(b) for b in blocks.values())
+    realized = [blocks[node.node_id] for node in pattern.nodes()]
+    assert result.vectors_considered == len(list(meaningful_vectors(realized)))
 
 
 def _lazy_wrap(blocks_per_node, calls):
@@ -229,50 +287,36 @@ class TestLazyBlocks:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_demand_join_matches_eager_block_join(seed):
-    """Differential: the demand-driven lazy join returns exactly the eager
-    parallel join's solutions, fetches each block at most once, and shares
+    """Differential: over unfetched cursors (lazy mode) the block join
+    returns exactly the solutions and the vector count it returns over
+    cursors realized up front, fetches each block at most once, and shares
     the same vector bound."""
-    rng = random.Random(seed)
-    docs = []
-    for d in range(rng.randint(1, 4)):
-        parts = []
-
-        def build(depth, budget):
-            label = rng.choice("ab")
-            parts.append("<%s>" % label)
-            for _ in range(0 if depth > 3 else rng.randint(0, 3)):
-                if budget[0] <= 0:
-                    break
-                budget[0] -= 1
-                build(depth + 1, budget)
-            parts.append("</%s>" % label)
-
-        build(0, [12])
-        docs.append(parse_document("".join(parts)))
-
-    pattern = parse_query(rng.choice(["//a//b", "//a/b", "//a//a", "//b//a//b"]))
-    streams = {node.node_id: PostingList() for node in pattern.nodes()}
-    for d, doc in enumerate(docs):
-        extracted = extract_postings(doc, 0, d)
-        for node in pattern.nodes():
-            key = term_key_of(node)
-            streams[node.node_id] = streams[node.node_id].merge(
-                PostingList(extracted.get(key, []))
-            )
-    if any(not len(s) for s in streams.values()):
+    case = _random_blocks(seed)
+    if case is None:
         return
-
-    blocks = {
-        nid: _blocks_from_stream(stream, rng.randint(0, 4), rng)
-        for nid, stream in streams.items()
-    }
-    eager = parallel_block_join(pattern, blocks)
+    pattern, _streams, blocks = case
+    eager = demand_driven_block_join(pattern, _realized(_block_cursors(blocks, [])))
     calls = []
-    lazy = demand_driven_block_join(pattern, _lazy_wrap(blocks, calls))
+    lazy = demand_driven_block_join(pattern, _block_cursors(blocks, calls))
     assert lazy.solutions == eager.solutions
+    assert lazy.vectors_considered == eager.vectors_considered
     assert lazy.vectors_bound == eager.vectors_bound
     assert len(calls) == len(set(calls))  # at most one fetch per block
     assert len(calls) <= sum(len(b) for b in blocks.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_twig_roots_equals_root_bindings(seed):
+    """Differential: the reducer's kept root rows == the sorted, distinct
+    root bindings of the full join."""
+    corpus = _random_corpus(seed)
+    if corpus is None:
+        return
+    _rng, pattern, streams = corpus
+    root_id = pattern.root.node_id
+    bindings = sorted({tuple(sol[root_id]) for sol in twig_join(pattern, streams)})
+    assert [tuple(p) for p in twig_roots(pattern, streams)] == bindings
 
 
 class TestExecutorIntegration:

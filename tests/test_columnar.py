@@ -4,7 +4,7 @@ The five columns of a PostingList are the substrate under the wire codec,
 the twig join, and the structural Bloom filters; these tests pin its batch
 operations against straightforward list-based references:
 
-* merge / extend / concat against sorted-set union,
+* the ordered union (``concat``, ``extend``) against sorted-set union,
 * point edits, sublists and derived values after random edit scripts,
   under every kernel backend, against a sorted set,
 * galloping range extraction against a bisect reference,
@@ -69,7 +69,7 @@ class TestNormalize:
 class TestMergeKernel:
     @given(posting_lists, posting_lists)
     def test_merge_matches_sorted_set_union(self, a, b):
-        merged = cols_of(a).merge(cols_of(b))
+        merged = PostingList.concat((cols_of(a), cols_of(b)))
         assert as_tuples(merged) == reference_union(a, b)
 
     @given(posting_lists, posting_lists)
@@ -81,11 +81,11 @@ class TestMergeKernel:
     def test_disjoint_concat_fast_path(self):
         a = cols_of([(0, 0, i, i + 1, 1) for i in range(1, 50)])
         b = cols_of([(5, 0, i, i + 1, 1) for i in range(1, 50)])
-        merged = a.merge(b)
+        merged = PostingList.concat((a, b))
         assert as_tuples(merged) == reference_union(as_tuples(a), as_tuples(b))
 
     def test_posting_list_extend_is_linear_merge(self):
-        # rows that interleave with the list take the merge kernel
+        # rows that interleave with the list take the union kernel
         rng = random.Random(11)
         base = [Posting(0, d, s, s + 1, 1) for d in range(5) for s in range(1, 40, 3)]
         extra = [
@@ -100,13 +100,14 @@ class TestMergeKernel:
 class TestConcatKernel:
     @given(st.lists(posting_lists, max_size=6))
     def test_concat_sorted_matches_iterative_merge(self, parts):
-        # the kernel replacing the quadratic pairwise fold in _fetch_dpp
-        # must be output-identical to it
+        # one union over every part must be output-identical to folding
+        # the two-list union over them, and to the sorted-set union
         reference = PostingList()
         for part in parts:
-            reference = reference.merge(cols_of(part))
+            reference = PostingList.concat((reference, cols_of(part)))
         concat = PostingList.concat([cols_of(p) for p in parts])
         assert as_tuples(concat) == as_tuples(reference)
+        assert as_tuples(concat) == sorted({tuple(p) for part in parts for p in part})
 
     def test_disjoint_parts_take_pure_concat_path(self):
         parts = [
@@ -139,29 +140,12 @@ class TestConcatKernel:
         plists = [PostingList(p) for p in parts]
         folded = PostingList()
         for pl in plists:
-            folded = folded.merge(pl)
+            folded.extend(pl)
         concat = PostingList.concat(plists)
         assert concat.items() == folded.items()
 
 
 class TestGallopingRanges:
-    @given(
-        posting_lists,
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=30),
-    )
-    def test_doc_range_matches_bisect_reference(self, postings, d_lo, d_hi):
-        if d_hi < d_lo:
-            d_lo, d_hi = d_hi, d_lo
-        pl = PostingList(postings)
-        rows = [tuple(p) for p in pl.items()]
-        keys = [(r[0], r[1]) for r in rows]
-        for peer in {r[0] for r in rows} | {0}:
-            got = [tuple(p) for p in pl.doc_range((peer, d_lo), (peer, d_hi))]
-            lo = bisect_left(keys, (peer, d_lo))
-            hi = bisect_right(keys, (peer, d_hi))
-            assert got == rows[lo:hi]
-
     @given(posting_lists, posting_strategy, posting_strategy)
     def test_range_matches_slice_reference(self, postings, a, b):
         lo, hi = (a, b) if tuple(a) <= tuple(b) else (b, a)
@@ -216,7 +200,7 @@ class TestColumnBisect:
             ]
             for i in range(0, n, 7):
                 keys += [cols.key(i)[:width] for width in range(1, 6)]
-            # doc_range's sentinels: below and above every real field
+            # document-bound sentinels: below and above every real field
             keys += [(1, 2, -1, -1, -1), (1, 2, 2**63, 2**63, 2**63)]
             for key in keys:
                 windows = [(0, None), (rng.randrange(n + 1), rng.randrange(n + 1))]
@@ -233,7 +217,7 @@ KERNEL_BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove", "extend", "without"]), posting_lists
+        st.sampled_from(["remove", "extend", "without"]), posting_lists
     ),
     max_size=8,
 )
@@ -251,11 +235,7 @@ class TestAgainstSortedSet:
             plist = PostingList(initial)
             model = {tuple(p) for p in initial}
             for op, rows in script:
-                if op == "add":
-                    for row in rows:
-                        assert plist.add(row) == (tuple(row) not in model)
-                        model.add(tuple(row))
-                elif op == "remove":
+                if op == "remove":
                     for row in rows:
                         assert plist.remove(row) == (tuple(row) in model)
                         model.discard(tuple(row))

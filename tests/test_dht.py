@@ -129,9 +129,7 @@ class TestDhtApi:
         net.append(src, "t", [P(i) for i in range(1, 101, 2)])
         chunks, receipt = net.pipelined_get(src, "t", chunk_postings=16)
         assert [len(c) for c in chunks] == [16, 16, 16, 2]
-        merged = PostingList()
-        for c in chunks:
-            merged = merged.merge(c)
+        merged = PostingList.concat(chunks)
         full, _ = net.get(src, "t")
         assert merged.items() == full.items()
         assert receipt.response_bytes > 0

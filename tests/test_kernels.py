@@ -1,7 +1,7 @@
 """Differential tests for the pluggable kernel backends.
 
 The numpy backend must be byte-identical to the pure backend on every
-kernel — merge, concat, the delta-varint codec, batch bisect, the
+kernel — the ordered union, the delta-varint codec, batch bisect, the
 twig join's semi-join and expansion, and the Bloom bit kernels — including the adversarial
 edges: empty and single-row inputs, duplicate keys across inputs,
 negative levels, and values at the 2**63 - 1 boundary (which exercise
@@ -152,16 +152,6 @@ def _expand_reference(cols, inner_cols, axis, rows):
 
 class TestMergeConcatEquivalence:
     @requires_numpy
-    def test_merge_matches_pure(self):
-        rng = random.Random(901)
-        for case in range(60):
-            rows_a = case_rows(rng, case)
-            # force overlaps and duplicate keys between the two inputs
-            rows_b = case_rows(rng, case + 2) + rows_a[::3]
-            a, b = arrays_of(rows_a), arrays_of(rows_b)
-            assert npk.merge(a, b) == pure.merge(a, b), case
-
-    @requires_numpy
     def test_concat_matches_pure(self):
         rng = random.Random(902)
         for case in range(40):
@@ -169,6 +159,13 @@ class TestMergeConcatEquivalence:
                 arrays_of(case_rows(rng, case + j))
                 for j in range(rng.randrange(2, 6))
             ]
+            assert npk.concat_sorted(chunks) == pure.concat_sorted(chunks), case
+        # two chunks that overlap, with duplicate keys between them
+        rng = random.Random(901)
+        for case in range(60):
+            rows_a = case_rows(rng, case)
+            rows_b = case_rows(rng, case + 2) + rows_a[::3]
+            chunks = [arrays_of(rows_a), arrays_of(rows_b)]
             assert npk.concat_sorted(chunks) == pure.concat_sorted(chunks), case
 
     @requires_numpy
@@ -179,9 +176,9 @@ class TestMergeConcatEquivalence:
         a = PostingList(rows_a)
         b = PostingList(rows_b)
         kernels.use_backend("pure")
-        merged_pure = a.merge(b)
+        merged_pure = PostingList.concat((a, b))
         kernels.use_backend("numpy")
-        assert a.merge(b) == merged_pure
+        assert PostingList.concat((a, b)) == merged_pure
 
 
 def codec_rows(rng, case):

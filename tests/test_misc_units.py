@@ -74,7 +74,7 @@ class TestPostingListEdges:
 
     def test_merge_with_empty(self):
         pl = PostingList([Posting(0, 0, 1, 2, 1)])
-        assert pl.merge(PostingList()).items() == pl.items()
+        assert PostingList.concat((pl, PostingList())).items() == pl.items()
 
     def test_repr_forms(self):
         short = PostingList([Posting(0, 0, 1, 2, 1)])

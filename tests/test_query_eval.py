@@ -200,7 +200,7 @@ class TestTwigJoinBasics:
         s1 = streams_for(pattern, DOC, peer=0, doc=0)
         s2 = streams_for(pattern, doc2, peer=1, doc=0)
         streams = {
-            nid: s1[nid].merge(s2[nid]) for nid in s1
+            nid: PostingList.concat((s1[nid], s2[nid])) for nid in s1
         }
         solutions = twig_join(pattern, streams)
         docs = {(sol[0].peer, sol[0].doc) for sol in solutions}
@@ -381,7 +381,7 @@ def merged_streams(pattern, docs):
     for i, document in enumerate(docs):
         s = streams_for(pattern, document, peer=i % 2, doc=i)
         merged = s if merged is None else {
-            nid: merged[nid].merge(s[nid]) for nid in merged
+            nid: PostingList.concat((merged[nid], s[nid])) for nid in merged
         }
     return merged
 

@@ -98,10 +98,7 @@ def freshest_postings(self, key, exclude=None, floor=0):
         (n for n in holders if n.versions.get(key, 0) == version),
         key=lambda n: (-n.store.count(key), n.peer_index),
     )
-    postings = tops[0].store.get(key)
-    for other in tops[1:]:
-        postings = postings.merge(other.store.get(key))
-    return version, postings
+    return version, PostingList.concat([n.store.get(key) for n in tops])
 
 
 def single_winner(net, key, targets):

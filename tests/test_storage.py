@@ -895,9 +895,11 @@ class TestEmptyWrites:
 
 # -- the set memtable, against the PostingList memtable it replaced ---------
 
-# The replaced LsmStore, verbatim but for its name and for ``delete`` taking
-# its one posting as a one-element run: each term's memtable is a
-# PostingList that takes one bisect and five column inserts per posting.
+# The replaced LsmStore, verbatim but for its name, for ``delete`` taking
+# its one posting as a one-element run, and for its unions: each term's
+# memtable is a PostingList that takes one ordered insert per posting
+# (``extend`` of one row, where the store called the since-deleted ``add``),
+# and its reads and folds union two lists with ``PostingList.concat``.
 
 
 class _ReferenceLsmStore(Store):
@@ -947,7 +949,7 @@ class _ReferenceLsmStore(Store):
             live.add(key)
             if mem is None:
                 mem = self._mem.setdefault(term, PostingList())
-            mem.add(posting)
+            mem.extend((posting,))
             added += 1
             self._mem_entries += 1
         self.stats.num_ops += 1
@@ -1045,7 +1047,7 @@ class _ReferenceLsmStore(Store):
                     base = base.without(kill)
             if term in newer.data:
                 addition, _ = decode_postings(newer.data[term])
-                base = base.merge(addition)
+                base = PostingList.concat((base, addition))
             if len(base):
                 merged_data[term] = encode_postings(base)
                 merged_counts[term] = len(base)
@@ -1106,7 +1108,7 @@ class _ReferenceLsmStore(Store):
             blob = run.data.get(term)
             if blob is not None:
                 fragment, _ = decode_postings(blob)
-                acc = acc.merge(fragment)
+                acc = PostingList.concat((acc, fragment))
                 if charge:
                     self.stats.bytes_read += len(blob)
                 touched = True
@@ -1118,7 +1120,7 @@ class _ReferenceLsmStore(Store):
             acc = acc.without(kill)
         mem = self._mem.get(term)
         if mem is not None:
-            acc = acc.merge(mem)
+            acc = PostingList.concat((acc, mem))
         if charge:
             self.stats.num_ops += 1 + probed
         return acc
