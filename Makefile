@@ -147,7 +147,8 @@ step-profile:
 # the margins of the 2 % fences (bench/metrics.py: layer_checks): for each
 # fenced workload at full and tiny scale and each seed of SEEDS, the share
 # of steps of sim and balance and the steps/op the workload can still lose
-# before each trips, e.g. make fence-margins SEEDS="0 7"
+# before each trips, e.g. make fence-margins SEEDS="0 7"; red on the first
+# fence that has tripped
 SEEDS ?= 0 1 2 3 7
 fence-margins:
 	@for workload in ingest query_index query_docphase; do \

@@ -26,9 +26,10 @@ On the workloads ``bench.metrics.layer_checks`` fences (``BYPASS_WORKLOADS``:
 a ``--trace 1`` run fails when ``sim`` or ``balance`` exceed their
 ``BYPASS_SHARE`` of all steps), the profile ends with each fenced layer's
 share and how many steps/op the workload can still lose, with that layer
-unchanged, before the fence trips.  ``--fences`` prints only those lines;
-``make fence-margins`` prints them for every fenced workload, both scales
-and several seeds.
+unchanged, before the fence trips.  ``--fences`` prints only those lines,
+and exits 1 when a fence has tripped; ``make fence-margins`` prints them
+for every fenced workload, both scales and several seeds, and fails on
+the first tripped fence.
 """
 
 import argparse
@@ -159,9 +160,10 @@ def profile(workload_name, seed, scale, kind=None):
 
 
 def fence_lines(counter, ops):
-    """One line per layer of ``BYPASS_SHARE``: its steps/op, its share of
-    all steps, and the steps/op the workload can lose before that share
-    crosses the limit (negative: the fence has already tripped)."""
+    """One ``(line, tripped)`` pair per layer of ``BYPASS_SHARE``: the line
+    gives its steps/op, its share of all steps, and the steps/op the
+    workload can lose before that share crosses the limit (negative: the
+    fence has already tripped, and ``tripped`` is true)."""
     total = counter.total()
     by_layer = {}
     for steps, layer, _, _ in counter.rows():
@@ -169,12 +171,13 @@ def fence_lines(counter, ops):
     lines = []
     for layer, share in sorted(BYPASS_SHARE.items()):
         steps = by_layer.get(layer, 0)
-        lines.append(
+        lines.append((
             "fence %-8s %8.1f steps/op, %5.2f%% of steps (limit %g%%): "
             "%.0f steps/op to lose before it trips"
             % (layer, steps / ops, 100.0 * steps / total, 100.0 * share,
-               (total - steps / share) / ops)
-        )
+               (total - steps / share) / ops),
+            steps > share * total,
+        ))
     return lines
 
 
@@ -202,8 +205,10 @@ def main(argv=None):
     counter, ops = profile(args.workload, args.seed, args.scale, args.kind)
     if args.fences:
         run = "%-14s %-4s seed %-3d" % (args.workload, args.scale, args.seed)
-        print("\n".join("%s %s" % (run, line) for line in fence_lines(counter, ops)))
-        return 0
+        fences = fence_lines(counter, ops)
+        print("\n".join("%s %s" % (run, line) for line, _ in fences))
+        tripped = args.workload in BYPASS_WORKLOADS and any(t for _, t in fences)
+        return 1 if tripped else 0
     total = counter.total()
     per_op = total / ops
     print(
@@ -229,7 +234,7 @@ def main(argv=None):
     if args.kind is not None:
         return 0  # one kind's steps: neither the whole run's total nor its shares
     if args.workload in BYPASS_WORKLOADS:
-        print("\n".join(fence_lines(counter, ops)))
+        print("\n".join(line for line, _ in fence_lines(counter, ops)))
     if args.no_check:
         return 0
     counted = R.child("counted", args.workload, args.seed, args.scale)

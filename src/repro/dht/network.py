@@ -37,7 +37,7 @@ differential test in ``tests/test_faults.py``).
 """
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 
 from repro.dht.nodeid import key_id
 from repro.dht.replicas import Membership
@@ -47,7 +47,7 @@ from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.sim.cost import CostModel
 from repro.sim.meter import TrafficMeter
-from repro.sim.tasks import Scheduler
+from repro.sim.tasks import Scheduler, Task
 from repro.storage.clustered import ClusteredIndexStore
 
 #: nominal size of a routed control message (key + op header), bytes
@@ -85,7 +85,10 @@ class Transfers(Scheduler):
     of the receiver's ``ingress`` slots; under the network's FaultPlan it
     is stretched by the plan's link jitter.  Transfers wait in a queue as
     they are asked for, and become tasks, in that order, when the schedule
-    runs: the links and tasks are then registered in one call each."""
+    runs.  Every resource a transfer names is declared here, so the links
+    and tasks are registered directly, without the scheduler's resource
+    check; and a schedule this class knows to be gated reaches the closed
+    form without the scheduler's eligibility scan."""
 
     def __init__(self, net, slots):
         super().__init__()
@@ -104,12 +107,24 @@ class Transfers(Scheduler):
         self.transfer(name, self._cost.transfer_time(nbytes, hops=1), sender)
 
     def run(self):
+        self._gates = None
         if self._queued:
             names, seconds, senders, releases = zip(*self._queued)
             self._queued = []
             gates = list(map("egress:%d".__mod__, senders))
-            self.add_resources(dict.fromkeys(gates), 1)
-            self.add_tasks(names, seconds, zip(gates, repeat("ingress")), releases)
+            self._capacity.update(dict.fromkeys(gates, 1))
+            # built in full before any is registered: a bad duration
+            # registers none of them
+            self._tasks += list(map(
+                Task, names, seconds, repeat(()), zip(gates, repeat("ingress")), releases,
+                repeat(None), repeat(0), count(len(self._tasks)),
+            ))
+            # no dependencies and priority 0: when they are all the tasks,
+            # with one release and an ingress slot per distinct sender, the
+            # transfers are gated (a re-run checks them again)
+            gated = len(gates) == len(self._tasks) and len(set(releases)) == 1
+            if gated and len(set(gates)) <= self._capacity["ingress"]:
+                self._gates = gates
         return super().run()
 
 

@@ -15,7 +15,7 @@ from repro.faults import OpTimeoutError
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
-from repro.query.matcher import match_document, match_to_postings
+from repro.query.matcher import match_document
 from repro.query.pattern import PatternNode, TreePattern
 from repro.fundex.representative import skeleton_labels, skeleton_matches
 from repro.kadop.execution import Answer, QueryRun

@@ -8,7 +8,7 @@ KadoP processes a query in two phases (Section 2):
    under the DPP), yielding the candidate documents;
 2. the **document phase**: the query is sent to the peers holding those
    documents, which run the holistic twig join over each document's own
-   element streams (:meth:`KadopPeer.evaluate`) and ship back exact
+   element streams (:meth:`KadopPeer.matches`) and ship back exact
    answers.
 
 This module really executes both phases (answers are exact) and, in
@@ -21,7 +21,9 @@ degree-K parallel block fetches (Section 4.2) earn their speedups.
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 from repro.faults import OpTimeoutError
@@ -37,9 +39,11 @@ from repro.query.twigjoin import TwigPlan, twig_docs, twig_join
 #: small fixed cost for emitting one joined answer tuple
 ANSWER_TUPLE_BYTES = 40
 
+_ROOT = itemgetter(0)  # of a match: the root's posting
+_DOC = attrgetter("doc")
 
-@dataclass(frozen=True)
-class Answer:
+
+class Answer(NamedTuple):
     """One query answer: ``(p, d, e1 ... en)`` as in the paper."""
 
     peer: int
@@ -797,7 +801,10 @@ class QueryExecutor:
         were lost for good, is detected by timeout (Section 3): its
         documents' answers are missing and the result is flagged
         incomplete.  Returns ``(answers, doc_time_s, timed_out)``
-        and leaves the per-peer times in ``state.doc_peer_times``.
+        and leaves the per-peer times in ``state.doc_peer_times``.  The
+        answers need no sort: the peers are visited in ascending order, and
+        each peer's join gives its matches in ``(doc, postings)`` order,
+        which is the ``(peer, doc, bindings)`` order of the answers.
         """
         system = self.system
         net = system.net
@@ -816,22 +823,20 @@ class QueryExecutor:
         # join per peer over its candidates; no membership change happens
         # inside the loop, so one hop estimate
         plan = TwigPlan(pattern)
+        node_ids = range(len(plan.nodes))
         hops = net.cost.expected_hops(len(net.alive_nodes()))
         for peer_idx, doc_indexes in by_peer.items():
             peer = system.peers[peer_idx]
             peer_time = None
             if peer.node.alive:
-                found = []
-                sent = []  # each answer's sorted postings, sized in one call
                 # a candidate the peer no longer holds answers "no such
                 # document", keeping answers sound under update-heavy churn
-                for postings, _incomplete in peer.evaluate(pattern, doc_indexes, plan=plan):
-                    found.append(
-                        Answer(peer_idx, postings[0].doc, tuple(sorted(postings.items())))
-                    )
-                    sent.append(sorted(postings.values()))
-                matched = len(sent)
-                sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(sent)
+                matches = peer.matches(plan, doc_indexes)
+                matched = len(matches)
+                # each answer's postings sorted, all sized in one call
+                sent_bytes = ANSWER_TUPLE_BYTES * matched + encoded_size_sum(
+                    map(sorted, matches)
+                )
                 uri = peer.node.uri
                 try:
                     # query shipping + answer return, one round trip per doc peer
@@ -850,7 +855,14 @@ class QueryExecutor:
                     timed_out=True, peer=peer_idx, docs=len(doc_indexes),
                 )
                 continue
-            answers.extend(found)
+            # a match is in node_id order, so zipping it with the ids gives
+            # the sorted bindings; its root posting names the document
+            answers += map(
+                Answer,
+                repeat(peer_idx),
+                map(_DOC, map(_ROOT, matches)),
+                map(tuple, map(zip, repeat(node_ids), matches)),
+            )
             doc_peer_times.append((peer_idx, peer_time))
             state.peer_span(
                 "doc:peer%d" % peer_idx,
@@ -865,5 +877,4 @@ class QueryExecutor:
                 control_bytes=64 * hops,
             )
         doc_time = max((time_s for _, time_s in doc_peer_times), default=0.0)
-        answers.sort(key=attrgetter("peer", "doc", "bindings"))
         return answers, doc_time, timed_out

@@ -11,7 +11,7 @@ the distributed index the DHT assigns to its node.
 from repro.index.publisher import extract_postings
 from repro.query.matcher import match_document, match_to_postings
 from repro.query.pattern import Axis
-from repro.query.twigjoin import TwigPlan, twig_join
+from repro.query.twigjoin import TwigPlan, twig_matches
 from repro.xmldata.parser import parse_document
 from repro.xmldata.streams import ElementStreams
 
@@ -152,21 +152,12 @@ class KadopPeer:
         Returns a list of ``(bindings, incomplete_ids)`` pairs with
         bindings as ``node_id → Posting`` (this is what is shipped back to
         the query peer), by document and then in document order of the
-        bound elements.
-
-        The documents' stored element streams are concatenated per pattern
-        node in ascending ``doc`` and joined once, by the same twig join
-        that runs the index query; the join's output follows the order of
-        its rows, so the answers come out exactly as one join per document
-        would give them.  A document the peer no
-        longer holds (an unpublished document whose postings linger in a
-        stale view block or a resurrected index copy) and a document in
-        which some node has nothing to bind add no rows.  ``plan`` is the
-        pattern's :class:`TwigPlan`, for callers that evaluate one pattern
-        at many peers.  Only ``allow_incomplete`` (Fundex potential
-        answers, which bind elements *without* a match below them) has no
-        stream form and goes through the tree matcher, document by
-        document."""
+        bound elements: :meth:`matches` with each match as a dict.
+        ``plan`` is the pattern's :class:`TwigPlan`, for callers that
+        evaluate one pattern at many peers.  Only ``allow_incomplete``
+        (Fundex potential answers, which bind elements *without* a match
+        below them) has no stream form and goes through the tree matcher,
+        document by document."""
         if allow_incomplete:
             return [
                 (match_to_postings(match, self.index, doc_index), match.incomplete)
@@ -177,6 +168,22 @@ class KadopPeer:
             ]
         if plan is None:
             plan = TwigPlan(pattern)
+        ids = range(len(plan.nodes))
+        return [(dict(zip(ids, match)), _COMPLETE) for match in self.matches(plan, doc_indexes)]
+
+    def matches(self, plan, doc_indexes):
+        """The matches of ``plan``'s pattern in the owned documents
+        ``doc_indexes``, each a tuple of postings in ``node_id`` order, by
+        document and then in document order of the bound elements.
+
+        The documents' stored element streams are concatenated per pattern
+        node in ascending ``doc`` and joined once, by the same twig join
+        that runs the index query; the join's output follows the order of
+        its rows, so the matches come out exactly as one join per document
+        would give them.  A document the peer no longer holds (an
+        unpublished document whose postings linger in a stale view block or
+        a resurrected index copy) and a document in which some node has
+        nothing to bind add no rows."""
         streams = None
         for doc_index in sorted(doc_indexes):
             document = self.documents.get(doc_index)
@@ -192,8 +199,7 @@ class KadopPeer:
                     stream.extend_unchecked(more)
         if streams is None:
             return []
-        joined = twig_join(pattern, dict(enumerate(streams)), plan)
-        return [(bindings, _COMPLETE) for bindings in joined]
+        return twig_matches(plan.pattern, dict(enumerate(streams)), plan)
 
     def document_streams(self, plan, doc_index, document):
         """The stream of each pattern node of ``plan`` in ``document``

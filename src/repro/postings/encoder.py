@@ -27,6 +27,8 @@ in wire order (the answers of a document peer, say): it is encoded as it
 is, neither re-sorted nor deduplicated.
 """
 
+from itertools import accumulate, chain
+
 from repro.postings import kernels
 from repro.postings.plist import PostingList
 
@@ -61,14 +63,12 @@ def encoded_size(postings):
 def encoded_size_sum(parts):
     """``sum(encoded_size(part) for part in parts)`` in one kernel call.
 
-    ``parts`` are lists of sorted postings (rows); each is sized as its own
-    list.  This is how a document peer meters all of its answers at once.
+    ``parts`` (any iterable) are lists of sorted postings (rows); each is
+    sized as its own list.  This is how a document peer meters all of its
+    answers at once.
     """
-    rows = []
-    offsets = []
-    for part in parts:
-        rows += part
-        offsets.append(len(rows))
+    parts = list(parts)
+    offsets = list(accumulate(map(len, parts)))
     # a plain transpose: only each part on its own is sorted
-    cols = PostingList.from_sorted(rows)
+    cols = PostingList.from_sorted(chain.from_iterable(parts))
     return kernels.active().encoded_sizes(cols.arrays(), offsets)

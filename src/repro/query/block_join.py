@@ -39,9 +39,6 @@ class Block:
         self.doc_lo = doc_lo
         self.doc_hi = doc_hi
 
-    def intersects(self, other):
-        return not (self.doc_hi < other.doc_lo or other.doc_hi < self.doc_lo)
-
     def __repr__(self):
         return "Block(%d postings, docs %s..%s)" % (
             len(self.postings),

@@ -3,7 +3,7 @@
 A recursive matcher over element trees, kept deliberately plain and
 independent of the twig join.  It is what ``kadop.verify.oracle_answers``,
 the fuzzer and every differential test compare the system against — both
-the index query and the document phase (``KadopPeer.evaluate``) run the
+the index query and the document phase (``KadopPeer.matches``) run the
 holistic twig join, so a fast path and its oracle share no code.  Outside
 the oracle it serves only where a join over element streams does not
 apply: potential answers (below), Fundex sub-pattern checks on functional

@@ -16,8 +16,10 @@ node (``(p, d, start)`` order, exactly how posting lists are stored):
   of row indexes per bound node.  Each edge is one ``expand_below`` kernel
   call, which lists for every bound parent row the child rows the edge's
   axis admits (the exact :attr:`Axis.admits` test), and the table's
-  columns are gathered by index.  Binding dicts are built at the end, with
-  ``map``/``zip`` and no per-row Python loop.
+  columns are gathered by index.  Each match is then a tuple of postings
+  in ``node_id`` order (:func:`twig_matches`); :func:`twig_join` zips the
+  tuples into binding dicts, with ``map``/``zip`` and no per-row Python
+  loop.
 
 Because the table grows in preorder, parent rows in order and child rows in
 order, the matches come out in ``node_id``-major order of their postings:
@@ -83,15 +85,15 @@ def _reduce(plan, streams):
     return kept
 
 
-def twig_join(pattern, streams, plan=None):
-    """Run the twig join.
+def twig_matches(pattern, streams, plan=None):
+    """Run the twig join; each match as a tuple of postings in ``node_id``
+    order.
 
     ``streams`` maps ``node_id`` to an iterable of postings in
-    ``(p, d, sid)`` order.  Returns the list of binding dicts
-    (``node_id → Posting``), duplicate-free, in lexicographic output order.
-    Callers that join many stream sets over one pattern (the per-vector
-    block joins, the document peers) pass a shared :class:`TwigPlan` to
-    skip the pattern-shape setup.
+    ``(p, d, sid)`` order.  Returns the list of matches, duplicate-free, in
+    lexicographic output order.  Callers that join many stream sets over
+    one pattern (the per-vector block joins, the document peers) pass a
+    shared :class:`TwigPlan` to skip the pattern-shape setup.
     """
     if plan is None:
         plan = TwigPlan(pattern)
@@ -112,8 +114,16 @@ def twig_join(pattern, streams, plan=None):
         for cols, rows in zip(kept, table)
     ]
     # rows repeated in a stream give equal matches: each is kept once, first
-    matches = dict.fromkeys(zip(*bound))
-    return list(map(dict, map(zip, repeat(range(len(kept))), matches)))
+    return list(dict.fromkeys(zip(*bound)))
+
+
+def twig_join(pattern, streams, plan=None):
+    """:func:`twig_matches` with each match as a binding dict
+    (``node_id → Posting``)."""
+    if plan is None:
+        plan = TwigPlan(pattern)
+    matches = twig_matches(pattern, streams, plan)
+    return list(map(dict, map(zip, repeat(range(len(plan.nodes))), matches)))
 
 
 def twig_roots(pattern, streams, plan=None):

@@ -25,7 +25,7 @@ identical to the event loop's; every other graph runs the event loop.
 
 import heapq
 from bisect import bisect_right, insort
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress
 from operator import add, attrgetter, itemgetter, not_
 
 _DEPS = attrgetter("deps")
@@ -103,8 +103,9 @@ class Scheduler:
 
     def __init__(self):
         # _tasks in submission order (``_tasks[t.seq] is t``); _faults an
-        # optional repro.faults.FaultPlan (link jitter)
-        self._tasks, self._capacity, self._faults = [], {}, None
+        # optional repro.faults.FaultPlan (link jitter); _gates each task's
+        # gate, set by a subclass that knows its tasks gated (_run_gated)
+        self._tasks, self._capacity, self._faults, self._gates = [], {}, None, None
         self._known = self._capacity.keys()
 
     def install_faults(self, plan):
@@ -137,27 +138,6 @@ class Scheduler:
         self._tasks += (task,)
         return task
 
-    def add_resources(self, names, capacity):
-        """:meth:`add_resource` for each of ``names``, one ``capacity``."""
-        if capacity < 1:
-            raise ValueError("resources %r need capacity >= 1" % (list(names),))
-        self._capacity.update(dict.fromkeys(names, int(capacity)))
-
-    def add_tasks(self, names, durations, resources, releases):
-        """:meth:`add_task` for many tasks with no dependencies, tag or
-        priority, in submission order; returns them.  No task is
-        registered unless every one names only declared resources."""
-        tasks = list(
-            map(Task, names, durations, repeat(()), resources, releases, repeat(None),
-                repeat(0), count(len(self._tasks)))
-        )
-        if not self._known >= set(chain(*map(_RESOURCES, tasks))):
-            task = next(t for t in tasks if not self._known >= set(t.resources))
-            res = next(r for r in task.resources if r not in self._capacity)
-            raise KeyError("unknown resource %r for task %r" % (res, task.name))
-        self._tasks += tasks
-        return tasks
-
     def run(self):
         """Execute the graph; returns the makespan in simulated seconds.
 
@@ -166,7 +146,7 @@ class Scheduler:
         tasks = self._tasks
         if not tasks:
             return 0.0
-        if (makespan := self._run_gated(tasks)) is not None:
+        if (makespan := self._run_gated(tasks, self._gates)) is not None:
             return makespan
 
         remaining_deps = list(map(len, map(_DEPS, tasks)))  # by seq
@@ -263,7 +243,7 @@ class Scheduler:
             )
         return now
 
-    def _run_gated(self, tasks):
+    def _run_gated(self, tasks, gates=None):
         """The schedule in closed form when the tasks are gated; None (run
         the event loop) when they are not.
 
@@ -278,15 +258,20 @@ class Scheduler:
         order: the first task of a gate starts at the release, unblocked,
         and every later one when the previous task of its gate finishes,
         blocked on the gate.  That is where the event loop starts them.
+
+        ``gates``, each task's gate, comes from a subclass that knows its
+        tasks gated (:class:`~repro.dht.network.Transfers` sets
+        ``_gates``); the conditions are then not checked again.
         """
-        resources = list(map(_RESOURCES, tasks))
-        if any(map(_DEPS, tasks)) or len(set(map(_WHEN, tasks))) > 1 or not all(resources):
-            return None
-        gates = list(map(_GATE, resources))
-        capacity = self._capacity.__getitem__
-        others = map(capacity, chain(*map(_TAIL, resources)))
-        if max(map(capacity, gates)) > 1 or min(others, default=1) < len(set(gates)):
-            return None
+        if gates is None:
+            resources = list(map(_RESOURCES, tasks))
+            if any(map(_DEPS, tasks)) or len(set(map(_WHEN, tasks))) > 1 or not all(resources):
+                return None
+            gates = list(map(_GATE, resources))
+            capacity = self._capacity.__getitem__
+            others = map(capacity, chain(*map(_TAIL, resources)))
+            if max(map(capacity, gates)) > 1 or min(others, default=1) < len(set(gates)):
+                return None
         spans = map(_DURATION, tasks) if self._faults is None else self._jittered(tasks)
         release = tasks[0].release
         # gate -> (when it is next free, what a task waiting for it is blocked

@@ -86,10 +86,6 @@ class TestMeaningfulVectors:
         with pytest.raises(ValueError):
             Block(PostingList())
 
-    def test_intersects(self):
-        assert B(0, 5).intersects(B(5, 9))
-        assert not B(0, 4).intersects(B(5, 9))
-
 
 def _blocks_from_stream(stream, cuts, rng):
     """Partition a posting list into blocks at random positions."""

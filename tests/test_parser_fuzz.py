@@ -205,10 +205,14 @@ def test_mutated_documents_parse_like_the_reference(text):
 
 
 def test_grammar_documents_mostly_parse():
-    """The grammar is not so broken that every document is an error."""
+    """The grammar is not so broken that every document is an error.
+
+    The sample is fixed (``derandomize``): drawn afresh, the ok share of 50
+    documents spread from 0.58 to 0.96 over 40 runs and once fell below
+    the bar, which says nothing about the grammar."""
     found = []
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
     @given(documents())
     def collect(text):
         found.append(outcome(parse_document, text)[0])

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.postings.encoder import decode_postings, encode_postings, encoded_size
+from repro.postings import kernels
+from repro.postings.encoder import (
+    decode_postings,
+    encode_postings,
+    encoded_size,
+    encoded_size_sum,
+)
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting, StructuralId
 from repro.postings.term_relation import (
@@ -158,6 +164,45 @@ class TestEncoder:
         assert decoded.items() == pl.items()
         assert offset == len(data)
         assert encoded_size(pl) == len(data)
+
+
+class TestEncodedSizeSum:
+    """``encoded_size_sum`` against per-part ``encoded_size``, under every
+    kernel backend."""
+
+    BACKENDS = ["pure"] + (["numpy"] if kernels.numpy_available() else [])
+
+    def check(self, parts):
+        """Each part sorted, as the document phase hands its answers over;
+        given as a list and as a generator."""
+        parts = [sorted(part) for part in parts]
+        previous = kernels.backend_name()
+        try:
+            for backend in self.BACKENDS:
+                kernels.use_backend(backend)
+                expected = sum(encoded_size(part) for part in parts)
+                assert encoded_size_sum(parts) == expected, backend
+                assert encoded_size_sum(part for part in parts) == expected, backend
+        finally:
+            kernels.use_backend(previous)
+
+    @given(st.lists(st.lists(posting_strategy, max_size=6), max_size=12))
+    def test_sum_of_part_sizes(self, parts):
+        self.check(parts)
+
+    def test_no_parts(self):
+        self.check([])
+        assert encoded_size_sum(iter([])) == 0
+
+    def test_empty_parts(self):
+        self.check([[], []])
+        self.check([[], [P(0, 1, 2, 3)], [], [P(0, 1, 5, 9), P(0, 1, 6, 7)], []])
+
+    def test_one_row_parts(self):
+        self.check([[P(0, 1, 2, 3)]])
+        self.check([[P(0, 1, 2, 3)], [P(0, 1, 2, 3)], [P(3, 400, 1, 200_000, 9)]])
+        # a later part may start below an earlier one: only each is sorted
+        self.check([[P(5, 9, 300, 400)], [P(0, 0, 1, 2)]])
 
 
 class TestTermRelationKeys:

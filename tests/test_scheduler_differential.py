@@ -6,7 +6,9 @@ Random graphs (dependencies with duplicates, releases, priorities,
 zero-length tasks, equal finish times, link jitter, re-runs after adding
 tasks, cycles, and every error) and transfer-shaped graphs (a sender link
 and a shared ingress per task, no dependencies, one lazy release) must give
-identical task fields, makespans and errors.
+identical task fields, makespans and errors.  So must the schedules
+:class:`Transfers` builds, which register their tasks without the
+scheduler's checks and hand it the gated shape they know.
 """
 
 import heapq
@@ -16,6 +18,7 @@ from operator import attrgetter, itemgetter, not_
 
 from hypothesis import given, settings, strategies as st
 
+from repro.dht.network import DhtNetwork
 from repro.faults import FaultPlan
 from repro.sim.tasks import Scheduler
 
@@ -414,3 +417,76 @@ class TestAgainstTheEventLoop:
         assert sched._run_gated(sched.tasks) == sched.run() == 2.5
         sched.add_task("t", 1.0, resources=("ingress",), release=0.0)
         assert sched._run_gated(sched.tasks) is None  # two releases: the event loop
+
+
+def _transfer_batches():
+    """One or two batches of ``(sender, seconds, release)`` transfers:
+    one release for all or mixed ones, up to six senders."""
+    seconds = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 2)
+    batch = st.lists(
+        st.tuples(st.integers(0, 5), seconds, st.sampled_from([0.0, 0.0, 0.25, 0.75])),
+        min_size=1,
+        max_size=12,
+    )
+    return st.tuples(st.booleans(), batch, st.lists(batch, max_size=1))
+
+
+class TestTransfersAgainstTheEventLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), _transfer_batches(), _PLANS)
+    def test_transfers_equal_the_event_loop(self, slots, batches, plan):
+        """Every task field and the makespan, with ``ingress`` often
+        narrower than the distinct senders, one or mixed releases, a jitter
+        plan, a second ``run`` with nothing new, and a third after a second
+        batch of transfers."""
+        one_release, first, more = batches
+        net = DhtNetwork()
+        net.faults = plan
+        built = net.transfers(slots)
+        ref = ReferenceScheduler()
+        ref.add_resource("ingress", slots)
+        if plan is not None:
+            ref.install_faults(plan)
+        seq = lambda task: task.seq  # noqa: E731
+        for batch in [first] + more:
+            for sender, seconds, release in batch:
+                name = "blk:%d" % len(ref._tasks)
+                release = first[0][2] if one_release else release
+                built.transfer(name, seconds, sender, release)
+                ref.add_resource("egress:%d" % sender, 1)
+                ref.add_task(name, seconds, [], ("egress:%d" % sender, "ingress"), release)
+            for _ in range(2):  # and a re-run with nothing new
+                assert _outcome(built.run) == _outcome(ref.run)
+                assert built.capacities() == ref.capacities()
+                assert [_fields(t, seq) for t in built.tasks] == [
+                    _fields(t, seq) for t in ref._tasks
+                ]
+
+    def test_transfers_hand_over_only_a_gated_shape(self):
+        net = DhtNetwork()
+        one = net.transfers(2)
+        for sender in (1, 2, 1):
+            one.transfer("t", 1.0, sender, release=0.5)
+        assert one.run() == 2.5
+        assert one._gates == ["egress:1", "egress:2", "egress:1"]
+        assert one.run() == 2.5 and one._gates is None  # a re-run checks again
+        narrow = net.transfers(1)
+        for sender in (1, 2):
+            narrow.transfer("t", 1.0, sender)
+        assert narrow.run() == 2.0 and narrow._gates is None
+        mixed = net.transfers(2)
+        mixed.transfer("t", 1.0, 1)
+        mixed.transfer("t", 1.0, 2, release=0.5)
+        assert mixed.run() == 1.5 and mixed._gates is None
+
+    def test_a_bad_duration_registers_no_transfer(self):
+        built = DhtNetwork().transfers(2)
+        built.transfer("ok", 1.0, 1)
+        built.transfer("bad", -1.0, 2)
+        try:
+            built.run()
+        except ValueError as exc:
+            assert "negative duration" in str(exc)
+        else:
+            raise AssertionError("a negative duration was scheduled")
+        assert built.tasks == [] and built.run() == 0.0
