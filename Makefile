@@ -36,13 +36,16 @@ fuzz-smoke:
 # serve, schema-validated JSON export (its wire bytes plus the moved bytes
 # must equal the metered total exactly), and one EXPLAIN ANALYZE whose
 # time/byte attribution must reconcile exactly against the meter
-# (repro explain exits non-zero when any reconciliation check fails)
+# (repro explain exits non-zero when any reconciliation check fails), and
+# repro stats --json through the module entry point, diffed against its
+# pinned output (pure kernels, as the golden file was written)
 telemetry-smoke:
 	$(PY) -m repro top --queries 24 --out telemetry.json
 	$(PY) -c "import json; from repro.obs import validate_telemetry; \
 	p = validate_telemetry(json.load(open('telemetry.json'))); \
 	print('telemetry.json: %d series, %d wire + %d moved = %d bytes reconciled OK' % (len(p['series']), sum(p['series']['wire_bytes']), p['balance']['bytes_moved'], p['total_bytes']))"
 	$(PY) -m repro explain "//article//author" > /dev/null && echo "explain: reconciled OK"
+	REPRO_KERNELS=pure $(PY) -m repro stats --json | diff - tests/golden/stats.json && echo "stats: golden OK"
 
 # behaviour digests of QueryExecutor (one line per configuration), of
 # DhtNetwork (one line per seeded fault script) and of the index write path

@@ -6,8 +6,8 @@ peers owning the hottest posting lists saturate first (the queue-wait
 spans of the concurrent serving engine pile up on their egress links).
 This package is the adaptive-redistribution layer:
 
-* :class:`~repro.balance.ledger.LoadLedger` — per-key and per-peer
-  read/write traffic accounting in simulated time, with decayed rates;
+* :class:`~repro.balance.ledger.LoadLedger` — decayed per-key read and
+  per-peer read/write byte rates in simulated time;
 * :class:`~repro.balance.balancer.LoadBalancer` — the
   :attr:`DhtNetwork.balancer <repro.dht.network.DhtNetwork>` hook:
   read-policy holder selection over the replica set (``owner`` |

@@ -166,7 +166,7 @@ class LoadBalancer:
             if not copies:
                 return  # no alive node holds the list
             for _, _, nbytes in copies:
-                self.ledger.record_write(key, node.peer_index, nbytes)
+                self.ledger.record_write(node.peer_index, nbytes)
             existing.append(node)
             self.promotions += 1
             self._observe("promote", key)

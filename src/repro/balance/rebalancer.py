@@ -149,7 +149,7 @@ class Rebalancer:
         for key in group:
             for _, category, nbytes in reconcile(net, key, [target]):
                 if category == "postings":
-                    self.ledger.record_write(key, target.peer_index, nbytes)
+                    self.ledger.record_write(target.peer_index, nbytes)
                 moved_bytes += nbytes
         net.set_placement(alias, target)
         return moved_bytes

@@ -159,9 +159,11 @@ def _demo_queries(net):
 
 def cmd_stats(args):
     """Publish a small corpus, run a repeated query, print load stats."""
-    from repro.kadop.stats import network_stats
+    from repro.kadop.stats import format_stats, network_stats
 
     net = _demo_system()
+    # the span tree is where the served reads are read back from
+    net.enable_tracing()
     # a hot query: the repeats cross the threshold, materialize a view, and
     # the remaining runs hit it — so the view counters below are non-zero
     for i in range(4):
@@ -170,13 +172,10 @@ def cmd_stats(args):
     if getattr(args, "json", False):
         from repro.obs import STATS_SCHEMA_VERSION
 
-        payload = {
-            "schema_version": STATS_SCHEMA_VERSION,
-            "network": stats.to_dict(),
-        }
+        payload = {"schema_version": STATS_SCHEMA_VERSION, "network": stats}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(stats.format())
+        print(format_stats(stats))
     return 0
 
 

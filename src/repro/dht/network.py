@@ -751,14 +751,14 @@ class DhtNetwork(Membership):
         owner.versions[key] = stamp
         ledger = self.balancer.ledger if self.balancer is not None else None
         if ledger is not None:
-            ledger.record_write(key, owner.peer_index, payload)
+            ledger.record_write(owner.peer_index, payload)
         if replicate:  # billed to the op and shown to the balancer
 
             def backup(node):
                 node.store.append(key, postings)
                 node.versions[key] = stamp
                 if ledger is not None:
-                    ledger.record_write(key, node.peer_index, payload)
+                    ledger.record_write(node.peer_index, payload)
 
             pushed = OpReceipt()
             self._replicate(
@@ -774,7 +774,7 @@ class DhtNetwork(Membership):
             def extra(node):
                 getattr(node.store, store_op)(key, postings)
                 node.versions[key] = stamp
-                ledger.record_write(key, node.peer_index, payload)
+                ledger.record_write(node.peer_index, payload)
 
             self._replicate(
                 None, key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication

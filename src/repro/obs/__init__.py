@@ -6,12 +6,15 @@ every run-time count: the span tree of a :class:`Tracer` (simulated
 seconds, hops, queue waits, busy time, the peer that served each read)
 and the :class:`~repro.sim.meter.TrafficMeter` (bytes and messages per
 category).  Every report here is a view computed from them, and from a
-serve's own records, after the run:
+serve's own records, after the run; so is ``repro stats``
+(:mod:`repro.kadop.stats`), which reads the hot peers and keys off the
+span tree and the index sizes off the peers' stores:
 
 * :mod:`~repro.obs.trace`: the tracer, its per-run scheduler records, and
   Chrome trace-event export (Perfetto, ``chrome://tracing``);
 * :mod:`~repro.obs.metrics`: the exact sample-rank quantiles;
-* :mod:`~repro.obs.profile`: top spans by self-time, utilization, waits;
+* :mod:`~repro.obs.profile`: top spans by self-time, utilization, waits,
+  and :func:`served_reads`, the bytes each peer served per key;
 * :mod:`~repro.obs.explain`: per-query EXPLAIN ANALYZE, reconciled
   exactly against the traffic meter and the query report;
 * :mod:`~repro.obs.telemetry`: :func:`serving_view`, the time-series, SLO
@@ -38,6 +41,7 @@ from repro.obs.profile import (
     aggregate_spans,
     format_profile,
     phase_totals,
+    served_reads,
     top_spans,
     utilization,
 )
@@ -77,6 +81,7 @@ __all__ = [
     "quantile_exact",
     "quantile_rank",
     "render_top",
+    "served_reads",
     "serving_view",
     "sparkline",
     "to_chrome_trace",

@@ -11,7 +11,10 @@
   the runs :func:`repro.obs.trace.observe_schedule` appends to
   ``tracer.schedules``.
 
-Both are views of the span tree; nothing here keeps a counter of its own.
+:func:`served_reads` lists which peer served which read bytes: the hot
+peers and keys of ``repro stats`` and the telemetry view's per-peer read
+series.  All are views of the span tree; nothing here keeps a counter of
+its own.
 """
 
 
@@ -75,6 +78,18 @@ def phase_totals(tracer):
     for span in tracer.spans:
         totals[span.cat] = totals.get(span.cat, 0.0) + selfs[span.span_id]
     return dict(sorted(totals.items()))
+
+
+def served_reads(spans):
+    """``(span, peer, key, nbytes)`` for every read a peer served: each
+    ``dht`` span whose ``served_by`` names the holder whose copy answered,
+    with its ``response_bytes``.  A read of zero bytes is listed too."""
+    for span in spans:
+        if span.cat == "dht":
+            args = span.args
+            peer = args.get("served_by")
+            if peer is not None:
+                yield span, peer, args["key"], args["response_bytes"]
 
 
 def utilization(tracer):

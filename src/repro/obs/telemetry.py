@@ -31,6 +31,7 @@ from collections import Counter
 from itertools import accumulate
 
 from repro.obs.metrics import quantile_exact
+from repro.obs.profile import served_reads
 from repro.obs.report import TELEMETRY_SCHEMA_VERSION
 
 #: float-comparison slack for simulated instants
@@ -56,18 +57,19 @@ MIN_QUEUE_DEPTH = 2.0
 
 def _served_reads(tracer, queries):
     """``{seq: Counter{(peer, key): bytes}}``: the reads each query's DHT
-    ops were served, from the ``served_by`` of the ``dht`` spans under its
+    ops were served (:func:`~repro.obs.profile.served_reads`) under its
     root (a span is always recorded after its parent)."""
     reads = {q.seq: Counter() for q in queries}
     seq_of = {q.root_id: q.seq for q in queries if q.root_id is not None}
-    for span in tracer.spans if tracer is not None else ():
+    spans = tracer.spans if tracer is not None else ()
+    for span in spans:
         seq = seq_of.get(span.parent_id)
-        if seq is None:
-            continue
-        seq_of[span.span_id] = seq
-        peer = span.args.get("served_by") if span.cat == "dht" else None
-        if peer is not None:
-            reads[seq][peer, span.args["key"]] += span.args["response_bytes"]
+        if seq is not None:
+            seq_of[span.span_id] = seq
+    for span, peer, key, nbytes in served_reads(spans):
+        seq = seq_of.get(span.span_id)
+        if seq is not None:
+            reads[seq][peer, key] += nbytes
     return reads
 
 

@@ -106,7 +106,6 @@ class Scheduler:
         # optional repro.faults.FaultPlan (link jitter); _gates each task's
         # gate, set by a subclass that knows its tasks gated (_run_gated)
         self._tasks, self._capacity, self._faults, self._gates = [], {}, None, None
-        self._known = self._capacity.keys()
 
     def install_faults(self, plan):
         """Attach a :class:`~repro.faults.FaultPlan`; started tasks are
@@ -132,7 +131,7 @@ class Scheduler:
     ):
         """Create, register, and return a :class:`Task`."""
         task = Task(name, duration, deps, resources, release, tag, priority, len(self._tasks))
-        if not self._known >= set(task.resources):
+        if not self._capacity.keys() >= set(task.resources):
             res = next(r for r in task.resources if r not in self._capacity)
             raise KeyError("unknown resource %r for task %r" % (res, name))
         self._tasks += (task,)

@@ -2,8 +2,6 @@
 
 The load-bearing guarantees:
 
-* **Ledger conservation** — per-key and per-peer read/write breakdowns
-  each sum to the grand totals, always.
 * **Read-path staleness** — a fanned-out get never serves a replica
   whose copy differs from the routed owner's: same write-version stamp
   *and* same posting count, or the owner serves.  In particular a
@@ -29,7 +27,6 @@ from repro.balance import LoadLedger
 from repro.kadop.config import ConfigError, KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.postings.posting import Posting
-from repro.sim.fuzz import FuzzConfig, FuzzFailure, run_fuzz
 from repro.workloads.dblp import DblpGenerator
 
 QUERIES = (
@@ -72,22 +69,6 @@ def replicated_key(net, min_holders=2):
 
 
 class TestLoadLedger:
-    def test_records_sum_to_totals(self):
-        ledger = LoadLedger()
-        ledger.record_read("a", 0, 100)
-        ledger.record_read("a", 1, 50)
-        ledger.record_read("b", 0, 25)
-        ledger.record_write("a", 2, 70)
-        assert ledger.total_reads == 3
-        assert ledger.total_read_bytes == 175
-        assert ledger.total_writes == 1
-        assert ledger.total_write_bytes == 70
-        assert ledger.key_reads["a"] == 2
-        assert ledger.key_read_bytes["a"] == 150
-        assert ledger.peer_read_bytes[1] == 50
-        assert ledger.peer_write_bytes[2] == 70
-        assert ledger.check_conservation()
-
     def test_rates_decay_and_prune(self):
         ledger = LoadLedger(decay=0.5)
         ledger.record_read("a", 0, 100)
@@ -106,19 +87,9 @@ class TestLoadLedger:
     def test_peer_load_counts_reads_and_writes(self):
         ledger = LoadLedger()
         ledger.record_read("a", 3, 100)
-        ledger.record_write("b", 3, 40)
+        ledger.record_write(3, 40)
         assert ledger.peer_load(3) == pytest.approx(140.0)
         assert ledger.peer_load(4) == 0.0
-
-    def test_hottest_ordering_and_truncation(self):
-        ledger = LoadLedger()
-        ledger.record_read("cold", 0, 10)
-        ledger.record_read("hot", 1, 300)
-        ledger.record_read("warm", 2, 100)
-        ledger.record_read("warm2", 3, 100)  # tie: lexicographic ident
-        keys = ledger.hottest_keys(3)
-        assert keys == [(300, "hot"), (100, "warm"), (100, "warm2")]
-        assert ledger.hottest_peers(1) == [(300, 1)]
 
     def test_decay_validation(self):
         with pytest.raises(ValueError):
@@ -126,32 +97,12 @@ class TestLoadLedger:
         with pytest.raises(ValueError):
             LoadLedger(decay=-0.1)
 
-    def test_to_dict_shape(self):
-        ledger = LoadLedger()
-        ledger.record_read("a", 0, 100)
-        ledger.record_write("a", 1, 10)
-        payload = ledger.to_dict(top=4)
-        assert payload["total_read_bytes"] == 100
-        assert payload["total_write_bytes"] == 10
-        assert payload["hottest_keys"] == [{"key": "a", "read_bytes": 100}]
-        assert payload["hottest_peers"] == [{"peer": 0, "read_bytes": 100}]
-
     def test_equals_dict_based_reference_on_a_seeded_stream(self):
-        """The Counter tallies are the plain-dict tallies they replaced."""
+        """The Counter windows and decayed rates equal plain-dict ones."""
         rng = random.Random(29)
         ledger = LoadLedger(decay=0.5)
-        # the reference: one plain dict per partition, ``.get(k, 0) + n``
-        ref = {
-            part: {}
-            for part in ("key_reads", "key_read_bytes", "peer_reads",
-                         "peer_read_bytes", "peer_write_bytes")
-        }
-        totals = dict.fromkeys(
-            ("total_reads", "total_read_bytes", "total_writes",
-             "total_write_bytes"), 0
-        )
+        # the reference: one plain dict per table, ``.get(k, 0) + n``
         key_rate, peer_rate, key_window, peer_window = {}, {}, {}, {}
-        ticks = 0
 
         def bump(table, ident, amount):
             table[ident] = table.get(ident, 0) + amount
@@ -162,7 +113,6 @@ class TestLoadLedger:
             nbytes = rng.choice([0, 1, 64, 5_000])
             if kind == "tick":
                 ledger.tick()
-                ticks += 1
                 for rate, window in ((key_rate, key_window), (peer_rate, peer_window)):
                     for ident in list(rate):
                         decayed = rate[ident] * 0.5
@@ -175,43 +125,12 @@ class TestLoadLedger:
                     window.clear()
             elif kind == "read":
                 ledger.record_read(key, peer, nbytes)
-                bump(ref["key_reads"], key, 1)
-                bump(ref["key_read_bytes"], key, nbytes)
-                bump(ref["peer_reads"], peer, 1)
-                bump(ref["peer_read_bytes"], peer, nbytes)
-                totals["total_reads"] += 1
-                totals["total_read_bytes"] += nbytes
                 bump(key_window, key, nbytes)
                 bump(peer_window, peer, nbytes)
             else:
-                ledger.record_write(key, peer, nbytes)
-                bump(ref["peer_write_bytes"], peer, nbytes)
-                totals["total_writes"] += 1
-                totals["total_write_bytes"] += nbytes
+                ledger.record_write(peer, nbytes)
                 bump(peer_window, peer, nbytes)
 
-        assert ledger.check_conservation()
-        for part, table in ref.items():
-            assert dict(getattr(ledger, part)) == table, part
-        ranked_keys = sorted(
-            ((n, k) for k, n in ref["key_read_bytes"].items()),
-            key=lambda item: (-item[0], item[1]),
-        )
-        ranked_peers = sorted(
-            ((n, p) for p, n in ref["peer_read_bytes"].items()),
-            key=lambda item: (-item[0], item[1]),
-        )
-        assert ledger.hottest_keys() == ranked_keys
-        assert ledger.hottest_keys(3) == ranked_keys[:3]
-        assert ledger.hottest_peers() == ranked_peers
-        assert ledger.to_dict(top=4) == dict(
-            totals,
-            ticks=ticks,
-            hottest_keys=[{"read_bytes": n, "key": k} for n, k in ranked_keys[:4]],
-            hottest_peers=[
-                {"read_bytes": n, "peer": p} for n, p in ranked_peers[:4]
-            ],
-        )
         for key in ["k%d" % i for i in range(12)]:
             assert ledger.key_rate(key) == key_rate.get(key, 0.0) + key_window.get(key, 0)
         for peer in range(6):
@@ -219,43 +138,18 @@ class TestLoadLedger:
                 peer_rate.get(peer, 0.0) + peer_window.get(peer, 0)
             )
 
-    @pytest.mark.parametrize("axis", ["total", "peer"])
-    def test_fuzzer_catches_a_write_counted_on_one_axis(self, monkeypatch, axis):
-        """Mutants of ``record_write`` that count a write in the grand total
-        only, or on its peer only, fail the fuzzer's ledger-conservation
-        invariant at the first balance tick (seed 0 publishes through the
-        flat index, whose writes are ledgered)."""
-
-        def one_axis(self, key, peer_index, nbytes):
-            self.total_writes += 1
-            if axis == "total":
-                self.total_write_bytes += nbytes
-            else:
-                self.peer_write_bytes[peer_index] += nbytes
-            self._peer_window[peer_index] += nbytes
-
-        config = FuzzConfig(iterations=1, steps=3, rebalance_weight=100, serve_weight=0)
-        run_fuzz(seed=0, config=config)  # sound as written
-        monkeypatch.setattr(LoadLedger, "record_write", one_axis)
-        with pytest.raises(FuzzFailure) as failure:
-            run_fuzz(seed=0, config=config)
-        assert failure.value.invariant == "ledger-conservation"
-
     def test_looking_up_the_unseen_creates_no_entry(self):
         ledger = LoadLedger()
         ledger.record_read("a", 0, 100)
-        before = (ledger.to_dict(), ledger.hottest_keys(), ledger.hottest_peers())
-        assert ledger.key_read_bytes["never"] == 0
-        assert ledger.peer_read_bytes[99] == 0
-        assert ledger.peer_write_bytes[99] == 0
         assert ledger.key_rate("never") == 0.0
         assert ledger.peer_load(99) == 0.0
+        assert "never" not in ledger._key_window
+        assert 99 not in ledger._peer_window
         ledger.tick()
-        after = (ledger.to_dict(), ledger.hottest_keys(), ledger.hottest_peers())
-        assert dict(before[0], ticks=1) == after[0] and before[1:] == after[1:]
-        assert "never" not in ledger.key_read_bytes
-        assert 99 not in ledger.peer_read_bytes
-        assert ledger.check_conservation()
+        assert ledger.key_rate("never") == 0.0
+        assert ledger.peer_load(99) == 0.0
+        assert ledger._key_rate == {"a": 100.0}
+        assert ledger._peer_rate == {0: 100.0}
 
 
 class TestConfigValidation:
@@ -541,7 +435,6 @@ class TestRebalancer:
             for i in range(3)
         ]
         net.serve(arrivals)
-        assert net.balance.ledger.ticks >= 1
         assert net.balance.rebalancer.migrations >= 1
 
 
@@ -598,23 +491,20 @@ class TestDifferential:
 
 class TestBalancerUnits:
     def test_summary_and_stats_surface(self):
-        from repro.kadop.stats import network_stats
+        from repro.kadop.stats import format_stats, network_stats
 
         net = build_net(
             read_policy="least_loaded", hot_key_threshold=100, hot_key_copies=1
         )
-        key = replicated_key(net)
-        src = net.peers[0].node
+        # the hot peers and keys are read off the span tree of the queries
+        net.enable_tracing()
         for _ in range(8):
-            net.net.get(src, key)
+            net.query(QUERIES[0], peer=net.peers[0])
         stats = network_stats(net)
-        assert stats.hot_peers, "ledger traffic must surface peer heat"
-        assert stats.hot_keys
-        assert stats.balance["read_policy"] == "least_loaded"
-        payload = stats.to_dict()
-        assert payload["balance"]["fanout_reads"] == net.balance.fanout_reads
-        hottest = payload["hot_keys"][0]
-        assert set(hottest) == {"key", "read_bytes"}
-        text = stats.format()
+        assert stats["hot_peers"], "served reads must surface peer heat"
+        assert stats["balance"]["read_policy"] == "least_loaded"
+        assert stats["balance"]["fanout_reads"] == net.balance.fanout_reads
+        assert set(stats["hot_keys"][0]) == {"key", "read_bytes"}
+        text = format_stats(stats)
         assert "hottest peers" in text
         assert "balancing:" in text

@@ -23,10 +23,12 @@ The load-bearing guarantees:
 import dataclasses
 import json
 import math
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
 
+from repro.balance import LoadBalancer
 from repro.cli import main
 from repro.experiments import skew_balance
 from repro.experiments.harness import serial_answer_sigs, serve_row
@@ -40,6 +42,7 @@ from repro.obs import (
     quantile_exact,
     quantile_rank,
     render_top,
+    served_reads,
     serving_view,
     to_chrome_trace,
     validate_telemetry,
@@ -310,8 +313,41 @@ def _serve(overlay, traced, arrivals=None, **overrides):
     return net, result
 
 
-def _ledger_peer_reads(net):
-    return {p: n for p, n in net.balance.ledger.peer_read_bytes.items() if n}
+@pytest.fixture
+def read_tally(monkeypatch):
+    """The reference the span tree's reads are checked against:
+    ``tally[balancer]`` counts every ``(peer, key, bytes)`` read that
+    :meth:`LoadBalancer.on_read` was shown."""
+    tally = defaultdict(Counter)
+    on_read = LoadBalancer.on_read
+
+    def counted(self, key, holder, nbytes, promote=True):
+        tally[self][holder.peer_index, key, nbytes] += 1
+        return on_read(self, key, holder, nbytes, promote)
+
+    monkeypatch.setattr(LoadBalancer, "on_read", counted)
+    return tally
+
+
+def _peer_bytes(reads):
+    """Read bytes per peer, zero-byte ones dropped, of a
+    ``Counter{(peer, key, bytes): reads}``."""
+    totals = Counter()
+    for (peer, _key, nbytes), count in reads.items():
+        totals[peer] += nbytes * count
+    return {peer: n for peer, n in totals.items() if n}
+
+
+def assert_spans_equal_tally(net, tally):
+    """The ``dht`` spans with a ``served_by`` are the reads the balancer
+    was shown: the same count, and the same ``(peer, key, bytes)`` reads,
+    so the same bytes per peer and per key."""
+    spans = Counter(
+        (peer, key, nbytes) for _, peer, key, nbytes in served_reads(net.tracer.spans)
+    )
+    shown = tally[net.balance]
+    assert sum(spans.values()) == sum(shown.values()) > 0
+    assert spans == shown
 
 
 def _view_peer_reads(view):
@@ -351,7 +387,7 @@ class TestTelemetryIsFree:
         assert len(traced_net.tracer.spans) == spans
         assert traced.to_dict() == plain.to_dict()
 
-    def test_standard_probe_series_present(self):
+    def test_standard_probe_series_present(self, read_tally):
         net, result = _serve("pastry", traced=True)
         view = serving_view(net, result, objective_s=0.5)
         series = view["series"]
@@ -365,7 +401,7 @@ class TestTelemetryIsFree:
         assert series["admitted_queries"][-1] == len(result.queries)
         assert series["coalescer_hits"][-1] == result.coalesced_hits > 0
         assert max(series["inflight_queries"]) >= 1
-        assert _view_peer_reads(view) == _ledger_peer_reads(net)
+        assert _view_peer_reads(view) == _peer_bytes(read_tally[net.balance])
 
     def test_payload_validates_and_renders(self, tmp_path):
         net, result = _serve("pastry", traced=True)
@@ -523,19 +559,21 @@ class TestSkewDiagnostics:
     """The acceptance scenario: diagnostics localize the hot peer of an
     unbalanced skewed serve; the balanced serve draws no breach."""
 
-    def test_unbalanced_skew_flags_hot_peer(self):
+    def test_unbalanced_skew_flags_hot_peer(self, read_tally):
         net, _, view = _skew_view({})
         findings = view["findings"]
         assert "latency-breach" in {f["kind"] for f in findings}
         hot = [f for f in findings if f["kind"] == "hot-peer"]
         assert hot, "no hot-peer finding on the skewed unbalanced serve"
-        # the flagged peer is the ledger's hottest by served read bytes
-        hottest_peer = net.balance.ledger.hottest_peers(1)[0][1]
+        # the flagged peer is the hottest by served read bytes
+        peer_bytes = _peer_bytes(read_tally[net.balance])
+        hottest_peer = min(peer_bytes, key=lambda p: (-peer_bytes[p], p))
         assert hot[0]["subject"] == hottest_peer
         assert hot[0]["data"]["top_key"]
-        assert _view_peer_reads(view) == _ledger_peer_reads(net)
+        assert _view_peer_reads(view) == peer_bytes
+        assert_spans_equal_tally(net, read_tally)
 
-    def test_balanced_skew_has_no_breach(self):
+    def test_balanced_skew_has_no_breach(self, read_tally):
         net, result, view = _skew_view(_BALANCE_KNOBS)
         assert not [f for f in view["findings"] if f["kind"] == "latency-breach"]
         assert all(w["p99_s"] <= 0.8 for w in view["slo"]["windows"])
@@ -544,7 +582,32 @@ class TestSkewDiagnostics:
         moved = view["balance"]["bytes_moved"]
         assert moved > 0
         assert sum(view["series"]["wire_bytes"]) + moved == result.total_bytes
-        assert _view_peer_reads(view) == _ledger_peer_reads(net)
+        assert _view_peer_reads(view) == _peer_bytes(read_tally[net.balance])
+        assert_spans_equal_tally(net, read_tally)
+
+    def test_lazy_dpp_reads_equal_the_tally(self, read_tally):
+        """Lazy DPP fetches are the path with the most reads (roots, then
+        block by block); traced from creation, every one is a span."""
+        config = KadopConfig(
+            replication=1, use_dpp=True, dpp_block_entries=16, dpp_fetch_mode="lazy"
+        )
+        net = KadopNetwork.create(num_peers=8, config=config, seed=3)
+        net.enable_tracing(Tracer())
+        gen = DblpGenerator(seed=7, target_doc_bytes=5_000)
+        for i in range(8):
+            net.peers[i % 8].publish(gen.document(), uri="d:%d" % i)
+        for i, query in enumerate(["//article//author", "//inproceedings//title"]):
+            net.query(query, peer=net.peers[i])
+        net.query(
+            '//article[. contains "data"]//title',
+            keyword_steps=("data",),
+            peer=net.peers[3],
+        )
+        ops = Counter(
+            span.args["op"] for span, *_ in served_reads(net.tracer.spans)
+        )
+        assert ops["block_get"] > 0
+        assert_spans_equal_tally(net, read_tally)
 
 
 class TestServeTracePerfetto:

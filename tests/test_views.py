@@ -10,7 +10,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.kadop.config import KadopConfig
-from repro.kadop.stats import network_stats
+from repro.kadop.stats import format_stats, network_stats
 from repro.kadop.system import KadopNetwork
 from repro.kadop.verify import oracle_answers
 from repro.postings.plist import PostingList
@@ -417,25 +417,25 @@ class TestStatsSurface:
         net.query("//a//b")
         net.query("//a//b")
         stats = network_stats(net)
-        assert stats.views == 1
-        assert stats.view_hits == 2 and stats.view_misses == 0
-        assert stats.view_bytes > 0
-        assert stats.view_bytes == sum(
+        assert stats["views"] == 1
+        assert stats["view_hits"] == 2 and stats["view_misses"] == 0
+        assert stats["view_bytes"] > 0
+        assert stats["view_bytes"] == sum(
             nbytes for _, nbytes in net.views.storage_by_peer().values()
         )
         # view blocks are cache, not index: excluded from term/posting tallies
         assert not any(
-            term.startswith("viewblk:") for _, term in stats.hottest_terms
+            row["term"].startswith("viewblk:") for row in stats["hottest_terms"]
         )
-        assert "views: 1 materialized" in stats.format()
-        assert "hit rate" in stats.format()
+        assert "views: 1 materialized" in format_stats(stats)
+        assert "hit rate" in format_stats(stats)
 
     def test_viewless_network_prints_no_view_line(self):
         net = KadopNetwork.create(
             num_peers=4, config=KadopConfig(replication=1)
         )
         net.peers[0].publish("<a><b> red </b></a>", uri="u:0")
-        assert "views:" not in network_stats(net).format()
+        assert "views:" not in format_stats(network_stats(net))
 
 
 class TestRepeatedQueryWorkload:
