@@ -247,10 +247,8 @@ class FundexIndex:
         ``dpp_fetch_mode`` decides how those blocks arrive, and a coarse
         index joins by document id.  Both steps are the executor's own;
         ``run`` collects the keys that timed out under a FaultPlan."""
-        executor = self.system.executor
-        fetched = executor.fetch(component, src_peer, None, run)
-        docs, _ = executor.component_docs(component, fetched)
-        return docs, fetched.time_s
+        fetched = self.system.executor.fetch(component, src_peer, None, run)
+        return fetched.docs, fetched.time_s
 
     def _candidate_docs(self, pattern, src_peer, run):
         """Complete candidate set: extensional index candidates plus the

@@ -21,7 +21,7 @@ degree-K parallel block fetches (Section 4.2) earn their speedups.
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from repro.postings.term_relation import label_key, word_key
 from repro.query.block_join import LazyBlock, demand_driven_block_join
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis
-from repro.query.twigjoin import TwigPlan, twig_docs, twig_join
+from repro.query.twigjoin import TwigPlan, twig_docs, twig_matches
 
 #: small fixed cost for emitting one joined answer tuple
 ANSWER_TUPLE_BYTES = 40
@@ -107,30 +107,27 @@ def _by_node(nodes, per_key):
     return {node.node_id: per_key[term_key_of(node)] for node in nodes}
 
 
-def _root_docs(component, bindings):
-    """The ``(peer, doc)`` pairs the root of ``component`` is bound in."""
-    root_id = component.root.node_id
-    return {(sol[root_id].peer, sol[root_id].doc) for sol in bindings}
-
-
 @dataclass
 class Fetched:
     """What bringing one component's lists to the query peer produced.
 
-    Plain / pipelined ``get`` and the Bloom reducers fill the first three
-    fields.  The DPP adds ``counters`` and, when ordered splits make block
-    vectors meaningful, ``solutions``: the block join ran over the fetched
-    blocks' cursors, and in lazy mode it pulled the blocks vector by
-    vector.  Which ones is decided by the meaningful vectors and the
-    realized blocks' document spans; each vector's blocks are realized
-    before its join runs, so no solution decides a fetch.
+    ``docs`` are the component's candidate ``(peer, doc)`` pairs: the
+    documents holding a match, all the index query asks for.  When ordered
+    DPP splits make block vectors meaningful, the block join found them
+    over the fetched blocks' cursors, and in lazy mode it pulled the blocks
+    vector by vector.  Which ones is decided by the meaningful vectors and
+    the realized blocks' document spans; each vector's blocks are realized
+    before its join runs, so no join result decides a fetch.  Every other
+    path asks :func:`twig_docs` over the streams.  The DPP adds
+    ``counters``.
     """
 
     streams: dict  # component node_id -> PostingList
     time_s: float
     ttfa_s: float  # time to first data
-    solutions: tuple = None  # (bindings, block vectors considered)
-    counters: tuple = None  # (blocks fetched, blocks skipped)
+    docs: set = None  # candidate (peer, doc) pairs
+    # (blocks fetched, blocks skipped, block vectors joined)
+    counters: tuple = None
 
 
 class QueryRun:
@@ -406,25 +403,8 @@ class QueryExecutor:
             # a forest query reports the blocks of every component
             report.blocks_fetched += fetched.counters[0]
             report.blocks_skipped += fetched.counters[1]
-        docs, vectors = self.component_docs(component, fetched)
-        report.block_vectors += vectors
-        return docs, component_time, component_ttfa
-
-    def component_docs(self, component, fetched):
-        """The one join dispatch: the candidate ``(peer, doc)`` pairs of
-        ``component`` given what :meth:`fetch` brought, plus the number of
-        meaningful block vectors joined (Section 4.2).  Merged streams are
-        asked only which documents hold a match (:func:`twig_docs`); the
-        block join still enumerates its matches."""
-        if fetched.solutions is None:
-            # plain and pipelined get, the Bloom reducers, Fundex, DPP
-            # blocks split out of order: the documents are all the index
-            # query asks for
-            return twig_docs(component, fetched.streams), 0
-        # the DPP fetch already ran the block-based twig join of Section
-        # 4.2, one meaningful block vector at a time
-        bindings, vectors = fetched.solutions
-        return _root_docs(component, bindings), vectors
+            report.block_vectors += fetched.counters[2]
+        return fetched.docs, component_time, component_ttfa
 
     def _finish_observation(self, state, doc_span, report, answers):
         """Close the query's trace context."""
@@ -445,14 +425,21 @@ class QueryExecutor:
 
     def fetch(self, component, src_peer, strategy, state):
         """Bring every node's posting list to the query peer, by Bloom reducer
-        ``strategy``, DPP blocks, or plain ``get``; returns a :class:`Fetched`."""
+        ``strategy``, DPP blocks, or plain ``get``, and find the component's
+        candidate documents; returns a :class:`Fetched`."""
         if strategy:
-            return Fetched(
+            fetched = Fetched(
                 *self.system.reducers.fetch_reduced(component, src_peer, strategy)
             )
-        if self.system.config.use_dpp:
-            return self._fetch_dpp(component, src_peer, state)
-        return self._fetch_plain(component, src_peer, state)
+        elif self.system.config.use_dpp:
+            fetched = self._fetch_dpp(component, src_peer, state)
+        else:
+            fetched = self._fetch_plain(component, src_peer, state)
+        if fetched.docs is None:
+            # no block join ran: plain and pipelined get, the Bloom
+            # reducers, DPP blocks split out of order
+            fetched.docs = twig_docs(component, fetched.streams)
+        return fetched
 
     def _fetch_plain(self, component, src_peer, state):
         """One stream per term, each from the term owner (Section 3)."""
@@ -663,10 +650,12 @@ class QueryExecutor:
             # root order and entry order; lazy mode leaves it to the join
             for cursor in cursors.values():
                 cursor.realize()
-        solutions = None
+        docs, vectors = None, 0
         if dpp.ordered_splits:
+            # the block-based twig join of Section 4.2, one meaningful
+            # block vector at a time
             result = demand_driven_block_join(component, per_node)
-            solutions = (result.solutions, result.vectors_considered)
+            docs, vectors = result.docs, result.vectors_considered
         makespan = scheduler.run()
         firsts = list(first_times.values())
         if lazy:
@@ -681,7 +670,7 @@ class QueryExecutor:
         fetched = sum(len(parts) for parts in term_parts.values())
         return Fetched(
             _by_node(nodes, term_lists), time_s, ttfa,
-            solutions, (fetched, total_blocks - fetched),
+            docs, (fetched, total_blocks - fetched, vectors),
         )
 
     @staticmethod
@@ -779,17 +768,15 @@ class QueryExecutor:
         # the host runs the twig join locally over its own (disk) list
         streams = _by_node(nodes, term_lists)
         report.postings_fetched += len(term_lists[host_key])
-        bindings = twig_join(component, streams)
+        matches = twig_matches(component, streams)
         join_time = net.cost.join_time(sum(len(s) for s in streams.values()))
 
         # only the join results return to the query peer
-        result_postings = sorted(
-            {posting for sol in bindings for posting in sol.values()}
-        )
+        result_postings = sorted(set(chain.from_iterable(matches)))
         result_bytes = encoded_size(result_postings) + ANSWER_TUPLE_BYTES
         ship_time = net.ship(host_key, result_bytes, "postings")
 
-        docs = _root_docs(component, bindings)
+        docs = {root.doc_id for root in map(_ROOT, matches)}
         return docs, locate_time + transfer_time + join_time + ship_time
 
     # -- document phase -------------------------------------------------------------

@@ -205,7 +205,7 @@ class KadopPeer:
         """The stream of each pattern node of ``plan`` in ``document``
         (this peer's document ``doc_index``, held or just withdrawn), in
         ``node_id`` order; None when some node has nothing to bind in it.
-        Joining them with :func:`twig_join` evaluates the pattern on the
+        Joining them with :func:`twig_matches` evaluates the pattern on the
         document."""
         local = document.streams
         streams = []

@@ -83,13 +83,15 @@ def phase_totals(tracer):
 def served_reads(spans):
     """``(span, peer, key, nbytes)`` for every read a peer served: each
     ``dht`` span whose ``served_by`` names the holder whose copy answered,
-    with its ``response_bytes``.  A read of zero bytes is listed too."""
+    with its ``payload``, the bytes of that copy.  A copy lost under a
+    FaultPlan is in the span's ``response_bytes`` but was served by no
+    peer, so it is not charged.  A read of zero bytes is listed too."""
     for span in spans:
         if span.cat == "dht":
             args = span.args
             peer = args.get("served_by")
             if peer is not None:
-                yield span, peer, args["key"], args["response_bytes"]
+                yield span, peer, args["key"], args["payload"]
 
 
 def utilization(tracer):

@@ -15,13 +15,15 @@ query node — and parallelizes across vectors.  Two facts make this cheap:
   boundary crossing, which the enumeration handles exactly).
 
 Every match lands in at least one meaningful vector and per-vector joins
-never invent matches, so the deduplicated union of the per-vector joins
-equals the join of the merged lists — asserted by differential tests.
+never invent matches.  The index query asks only which documents hold a
+match, so each vector's join asks only that (:func:`twig_docs`), and the
+union of the per-vector document sets equals :func:`twig_docs` of the
+merged lists — asserted by differential tests.
 """
 
 import bisect
 
-from repro.query.twigjoin import TwigPlan, twig_join
+from repro.query.twigjoin import TwigPlan, twig_docs
 
 
 class Block:
@@ -125,22 +127,13 @@ def meaningful_vectors(block_lists):
 
 
 class BlockJoinResult:
-    """Join output plus the statistics the paper's bound talks about."""
+    """The documents holding a match, plus the statistics the paper's bound
+    talks about."""
 
-    def __init__(self, solutions, vectors_considered, vectors_bound):
-        self.solutions = solutions
+    def __init__(self, docs, vectors_considered, vectors_bound):
+        self.docs = docs
         self.vectors_considered = vectors_considered
         self.vectors_bound = vectors_bound
-
-
-def _finish_solutions(solutions):
-    """Deduplicate per-vector join outputs and restore global order."""
-    unique = {}
-    for sol in solutions:
-        unique.setdefault(tuple(sorted(sol.items())), sol)
-    ordered = list(unique.values())
-    ordered.sort(key=lambda sol: tuple(sol[k] for k in sorted(sol)))
-    return ordered
 
 
 def demand_driven_block_join(pattern, lazy_blocks_per_node):
@@ -159,12 +152,12 @@ def demand_driven_block_join(pattern, lazy_blocks_per_node):
     match's document lies in a realized block of every node, so inside
     each block's condition and inside the query's document window: every
     vector holding a match is enumerated, and dropping the others loses no
-    solutions.
+    document.
     ``vectors_considered`` counts the vectors that reached a per-vector
     join: the vectors of non-empty realized blocks whose document spans
     intersect, however many cursors were realized before the join.
-    Returns a :class:`BlockJoinResult` whose ``solutions`` equal
-    ``twig_join`` over the merged lists, in the same order.
+    Returns a :class:`BlockJoinResult` whose ``docs`` equal
+    :func:`twig_docs` over the merged lists.
     """
     nodes = pattern.nodes()
     block_lists = [lazy_blocks_per_node[node.node_id] for node in nodes]
@@ -176,7 +169,7 @@ def demand_driven_block_join(pattern, lazy_blocks_per_node):
     )
     ordered_lists = [block_lists[i] for i in order]
     plan = TwigPlan(pattern)
-    solutions = []
+    docs = set()
     considered = 0
     for vector in meaningful_vectors(ordered_lists):
         blocks = []
@@ -199,5 +192,5 @@ def demand_driven_block_join(pattern, lazy_blocks_per_node):
             nodes[node_pos].node_id: block.postings
             for node_pos, block in zip(order, blocks)
         }
-        solutions.extend(twig_join(pattern, streams, plan=plan))
-    return BlockJoinResult(_finish_solutions(solutions), considered, bound)
+        docs |= twig_docs(pattern, streams, plan)
+    return BlockJoinResult(docs, considered, bound)

@@ -145,7 +145,7 @@ class TestHotReads:
         for peer, key, nbytes in reads:
             tracer.add(
                 "dht:get %s" % key, "dht", "peer:0", 0.0, 0.0,
-                args={"served_by": peer, "key": key, "response_bytes": nbytes},
+                args={"served_by": peer, "key": key, "payload": nbytes},
             )
         tracer.add("dht:append k", "dht", "peer:0", 0.0, 0.0, args={"served_by": None})
 

@@ -32,6 +32,7 @@ from repro.balance import LoadBalancer
 from repro.cli import main
 from repro.experiments import skew_balance
 from repro.experiments.harness import serial_answer_sigs, serve_row
+from repro.faults import FaultPlan
 from repro.kadop.config import KadopConfig
 from repro.kadop.serving import ServedQuery, ServingResult
 from repro.kadop.system import KadopNetwork
@@ -256,7 +257,7 @@ def _traced_reads(reads_per_query):
         for peer, key, nbytes in reads:
             tracer.add(
                 "dht:get %s" % key, "dht", "peer:0", 0.0, 0.0,
-                args={"served_by": peer, "key": key, "response_bytes": nbytes},
+                args={"served_by": peer, "key": key, "payload": nbytes},
                 parent=phase,
             )
         roots.append(root)
@@ -607,6 +608,27 @@ class TestSkewDiagnostics:
             span.args["op"] for span, *_ in served_reads(net.tracer.spans)
         )
         assert ops["block_get"] > 0
+        assert_spans_equal_tally(net, read_tally)
+
+    def test_reads_under_dropped_messages_equal_the_tally(self, read_tally):
+        """A read whose first copies were lost is charged its answering
+        copy alone: the lost copies' bytes are in the span's
+        ``response_bytes`` but were served to no one."""
+        net = KadopNetwork.create(
+            num_peers=8, config=KadopConfig(replication=2), seed=0
+        )
+        gen = DblpGenerator(seed=7, target_doc_bytes=5_000)
+        for i in range(8):
+            net.peers[i].publish(gen.document(), uri="d:%d" % i)
+        net.enable_tracing(Tracer())
+        net.install_faults(FaultPlan(seed=3, drop_rate=0.4))
+        for i, query in enumerate(["//article//author", "//inproceedings//title"]):
+            net.query(query, peer=net.peers[i])
+        lost = [
+            span for span, *_ in served_reads(net.tracer.spans)
+            if span.args["response_bytes"] > span.args["payload"]
+        ]
+        assert lost, "no read lost a copy: the case is not exercised"
         assert_spans_equal_tally(net, read_tally)
 
 
