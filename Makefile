@@ -67,10 +67,11 @@ differential:
 	diff .bench_out/differential.1 .bench_out/differential.2
 	diff benchmarks/differential.digests .bench_out/differential.1
 
-# which executable lines of src/repro no run reaches and which functions
-# no run enters: tier-1, every experiment, the fuzz-smoke sweeps, the three
-# differentials, the telemetry / explain / trace smokes and the four bench
-# workloads under one sys.settrace collector (~10 min; not a CI step)
+# which executable lines of src/repro no run reaches, which functions no
+# run enters and which only tier-1 enters: tier-1, every experiment with its
+# baseline check, the fuzz-smoke sweeps, the three differentials, the CLI
+# smokes and commands, the examples and the four bench workloads under one
+# sys.settrace collector (~15 min; not a CI step)
 line-reach:
 	$(PY) benchmarks/line_reach.py
 

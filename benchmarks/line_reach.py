@@ -3,11 +3,16 @@
 A ``sys.settrace`` line collector, like the step counter of
 ``bench/steps.py`` and sharing its ``bench.layers.repro_relpath``.  It runs,
 in one process and in this order: tier-1 (``pytest tests``), every
-experiment (``repro run --all``), the five sweeps of ``make fuzz-smoke``,
-the three differential scripts, the telemetry, explain and trace smokes,
-and the four ``bench.workloads`` driven through ``bench.child.Driver``.
+experiment with its baseline check (``repro run --all --check``), the five
+sweeps of ``make fuzz-smoke``, the three differential scripts, the
+telemetry, explain and trace smokes and the CLI's other commands, every
+script of ``examples/``, and the four ``bench.workloads`` driven through
+``bench.child.Driver``.
 It then prints, per file, the executable lines no run reached, the
-functions no run entered, and the unreached count under tier-1 alone.
+functions no run entered, the unreached count under tier-1 alone, and the
+functions that tier-1 enters and no other run enters: code that only its
+own tests call.  Each module is imported once, under tier-1, so a function
+called only while its module is imported shows in that last list too.
 
     PYTHONPATH=src python benchmarks/line_reach.py           # = make line-reach
 
@@ -49,7 +54,8 @@ WORKLOADS = ("ingest", "query_index", "query_docphase", "serve_churn")
 
 class LineCollector:
     """Records every ``(file, line)`` of ``src/repro`` that runs, and the
-    first line of every code object entered, for the current run."""
+    ``(file, first line)`` of every code object entered, for the current
+    run."""
 
     def __init__(self):
         self.lines = set()
@@ -104,7 +110,12 @@ def run_tier1(tmp):
 
 
 def run_experiments(tmp):
-    return _cli(["run", "--all"])
+    saved = os.getcwd()
+    os.chdir(ROOT)  # the baselines are named relative to the repo root
+    try:
+        return _cli(["run", "--all", "--check"])
+    finally:
+        os.chdir(saved)
 
 
 def run_fuzz(tmp):
@@ -128,6 +139,13 @@ def run_smokes(tmp):
         _cli(["top", "--queries", "24", "--out", telemetry]),
         _cli(["explain", "//article//author"]),
         _cli(["trace", "demo", "--out", os.path.join(tmp, "trace.json")]),
+        _cli(["top", "--queries", "24"]),
+        _cli(["explain", "--json", "//article//author"]),
+        _cli(["stats"]),
+        _cli(["stats", "--json"]),
+        _cli(["profile", "demo"]),
+        _cli(["demo"]),
+        _cli(["list"]),
     ]
     import json
 
@@ -136,6 +154,13 @@ def run_smokes(tmp):
     with open(telemetry) as handle:
         validate_telemetry(json.load(handle))
     return max(code or 0 for code in codes)
+
+
+def run_examples(tmp):
+    for name in sorted(os.listdir(os.path.join(ROOT, "examples"))):
+        if name.endswith(".py"):
+            runpy.run_path(os.path.join(ROOT, "examples", name), run_name="__main__")
+    return 0
 
 
 def run_workloads(tmp):
@@ -161,6 +186,7 @@ RUNS = {
     "fuzz": run_fuzz,
     "differentials": run_differentials,
     "smokes": run_smokes,
+    "examples": run_examples,
     "workloads": run_workloads,
 }
 
@@ -216,9 +242,9 @@ def _ranges(lines):
     return ", ".join("%d" % a if a == b else "%d-%d" % (a, b) for a, b in out)
 
 
-def report(reached, tier1, entered):
+def report(reached, tier1, entered, tier1_only):
     total = unreached_total = tier1_unreached = 0
-    dead = []
+    dead, tested_only = [], []
     print("unreached executable lines of src/repro, per file:")
     for dirpath, _, filenames in sorted(os.walk(PACKAGE_DIR)):
         for filename in sorted(f for f in filenames if f.endswith(".py")):
@@ -232,8 +258,11 @@ def report(reached, tier1, entered):
             if missed:
                 print("  %-34s %4d  %s" % (rel, len(missed), _ranges(missed)))
             for qualname, first, body in functions(path):
+                row = (rel, first, qualname, len(lines.intersection(body)))
                 if (rel, first) not in entered:
-                    dead.append((rel, first, qualname, len(lines.intersection(body))))
+                    dead.append(row)
+                elif (rel, first) in tier1_only:
+                    tested_only.append(row)
     print(
         "%d of %d executable lines unreached (%.1f %%); under tier-1 alone %d (%.1f %%)"
         % (
@@ -241,12 +270,13 @@ def report(reached, tier1, entered):
             tier1_unreached, 100.0 * tier1_unreached / total,
         )
     )
-    print(
-        "%d functions no run entered (%d body lines):"
-        % (len(dead), sum(n for *_, n in dead))
-    )
-    for rel, first, qualname, body_lines in dead:
-        print("  %s:%d %s (%d)" % (rel, first, qualname, body_lines))
+    for title, rows in (
+        ("functions no run entered", dead),
+        ("functions only tier-1 entered", tested_only),
+    ):
+        print("%d %s (%d body lines):" % (len(rows), title, sum(n for *_, n in rows)))
+        for rel, first, qualname, body_lines in rows:
+            print("  %s:%d %s (%d)" % (rel, first, qualname, body_lines))
 
 
 def main():
@@ -254,17 +284,20 @@ def main():
         sys.exit("repro was imported before the collector started")
     collector = LineCollector()
     reached, tier1, status = set(), set(), []
+    tier1_entered, others_entered = set(), set()
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in RUNS.items():
-            collector.lines = set()
+            collector.lines, collector.entered = set(), set()
             with collector.collecting(), contextlib.redirect_stdout(io.StringIO()):
                 code = run(tmp)
             status.append("%s=%s" % (name, "ok" if not code else "FAILED(%s)" % code))
             reached |= collector.lines
             if name == "tier1":
-                tier1 = collector.lines
+                tier1, tier1_entered = collector.lines, collector.entered
+            else:
+                others_entered |= collector.entered
     print("runs: " + ", ".join(status))
-    report(reached, tier1, collector.entered)
+    report(reached, tier1, tier1_entered | others_entered, tier1_entered - others_entered)
     return 1 if any("FAILED" in s for s in status) else 0
 
 

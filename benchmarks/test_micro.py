@@ -48,7 +48,7 @@ def test_bptree_insert_10k(benchmark):
     def insert_all():
         tree = BPlusTree(order=64)
         for key in keys:
-            tree.insert(key, None)
+            tree.insert(key)
         return tree
 
     tree = benchmark(insert_all)
@@ -58,7 +58,7 @@ def test_bptree_insert_10k(benchmark):
 def test_bptree_scan_10k(benchmark):
     tree = BPlusTree(order=64)
     for i in range(10_000):
-        tree.insert(("k%06d" % i).encode(), i)
+        tree.insert(("k%06d" % i).encode())
     result = benchmark(lambda: sum(1 for _ in tree.scan()))
     assert result == 10_000
 

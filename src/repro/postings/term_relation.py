@@ -19,15 +19,3 @@ def label_key(label):
 def word_key(word):
     """DHT key for text word ``word`` (case-folded)."""
     return WORD_PREFIX + word.lower()
-
-
-def is_label_key(key):
-    return key.startswith(LABEL_PREFIX)
-
-
-def term_of_key(key):
-    """The raw label/word of a ``Term`` key."""
-    for prefix in (LABEL_PREFIX, WORD_PREFIX):
-        if key.startswith(prefix):
-            return key[len(prefix) :]
-    raise ValueError("not a Term key: %r" % (key,))

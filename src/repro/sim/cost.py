@@ -97,12 +97,6 @@ class CostModel:
         """
         return hops * self._hop_s + (nbytes + self._envelope) / self._egress_bw
 
-    def rpc_time(self, request_bytes, response_bytes, hops=1):
-        """A request/response round trip over the overlay."""
-        return self.transfer_time(request_bytes, hops) + self.transfer_time(
-            response_bytes, hops=1
-        )
-
     def expected_hops(self, num_peers, digits_per_hop=4):
         """Expected Pastry route length: ``ceil(log_{2^b} N)`` with b=4."""
         return _route_length(num_peers, digits_per_hop)

@@ -295,25 +295,3 @@ class Scheduler:
     def makespan_of(self, tasks):
         """Max finish time over ``tasks`` (after :meth:`run`)."""
         return max(t.finish for t in tasks)
-
-
-def serial_time(durations):
-    """Helper: total time of strictly sequential work."""
-    return float(sum(durations))
-
-
-def parallel_time(durations, degree):
-    """Helper: makespan of independent tasks on ``degree`` parallel workers.
-
-    Deterministic longest-processing-time-first list scheduling.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    loads = sorted(durations, reverse=True)
-    if not loads:
-        return 0.0
-    heap = [0.0] * min(degree, len(loads))
-    for d in loads:
-        soonest = heapq.heappop(heap)
-        heapq.heappush(heap, soonest + d)
-    return max(heap)

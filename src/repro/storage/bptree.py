@@ -6,8 +6,10 @@ postings in ``(p, d, sid)`` order (see
 :class:`repro.storage.clustered.ClusteredIndexStore`, which builds composite
 keys on top of this tree).
 
-The tree is a textbook B+-tree: inner nodes hold separator keys and child
-pointers, leaves hold key/value pairs and are chained for range scans.
+The tree is a textbook B+-tree over a set of keys: inner nodes hold
+separator keys and child pointers, leaves hold sorted keys and are chained
+for range scans.  The store packs the whole posting into the key, so no
+value is kept beside it.
 "Paged" refers to the I/O accounting: every node visit is charged one page
 read and every node modification one page write against
 :class:`~repro.storage.api.StoreStats`-style counters, so lookups and
@@ -23,11 +25,10 @@ PAGE_SIZE = 4096
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next", "fence")
+    __slots__ = ("keys", "next", "fence")
 
     def __init__(self):
         self.keys = []
-        self.values = []
         self.next = None
         self.fence = None  # the tightest separator above, None for the last leaf
 
@@ -41,7 +42,7 @@ class _Inner:
 
 
 class BPlusTree:
-    """B+-tree mapping bytes keys to arbitrary values.
+    """B+-tree holding a sorted set of bytes keys.
 
     ``order`` is the maximum number of keys per node; nodes split when they
     exceed it.  Deletion removes entries from leaves without rebalancing
@@ -76,16 +77,16 @@ class BPlusTree:
         else:
             self._dirty.add(id(node))
 
-    def insert_many(self, keys, values):
-        """Insert the run ``keys[i] -> values[i]``; dirty pages are charged
-        once for the whole batch.  Returns the number of new keys.
+    def insert_many(self, keys):
+        """Insert the run ``keys``; dirty pages are charged once for the
+        whole batch.  Returns the number of new keys.
 
         A strictly increasing run descends once per leaf it lands in.  The
         key found there and every following key below both the leaf's
         fence (its tightest separator above) and its next existing key go
         in by one slice assignment, or one ``list.insert`` for a single
         key, up to the leaf's free room.  A key that would overflow a full
-        leaf or overwrite an existing one goes through :meth:`insert`, the
+        leaf or that the tree already holds goes through :meth:`insert`, the
         only split routine, and so does every key of a run that is not
         strictly increasing.  Tree shape, size and page counts are exactly
         those of inserting the keys one at a time."""
@@ -97,8 +98,8 @@ class BPlusTree:
         i = 0
         try:
             if n > 1 and not all(map(lt, keys, islice(keys, 1, None))):
-                for key, value in zip(keys, values):
-                    self.insert(key, value)
+                for key in keys:
+                    self.insert(key)
                 return self._size - size
             while i < n:
                 key = keys[i]
@@ -110,7 +111,7 @@ class BPlusTree:
                 bound = leaf_keys[pos] if pos < len(leaf_keys) else node.fence
                 room = self.order - len(leaf_keys)
                 if room <= 0 or bound == key:
-                    self.insert(key, values[i])
+                    self.insert(key)
                     i += 1
                     continue
                 j = i + 1
@@ -119,10 +120,8 @@ class BPlusTree:
                     j = end if bound is None else bisect.bisect_left(keys, bound, j, end)
                 if j == i + 1:
                     leaf_keys.insert(pos, key)
-                    node.values.insert(pos, values[i])
                 else:
                     leaf_keys[pos:pos] = keys[i:j]
-                    node.values[pos:pos] = values[i:j]
                 dirty.add(id(node))
                 self._size += j - i
                 i = j
@@ -132,14 +131,6 @@ class BPlusTree:
             self.pages_written += len(dirty)
             self._dirty = None
         return self._size - size
-
-    @property
-    def bytes_read(self):
-        return self.pages_read * self.page_size
-
-    @property
-    def bytes_written(self):
-        return self.pages_written * self.page_size
 
     # -- lookup ------------------------------------------------------------
 
@@ -153,22 +144,17 @@ class BPlusTree:
             self.pages_read += 1
         return node
 
-    def get(self, key, default=None):
-        leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            return leaf.values[i]
-        return default
-
     def __contains__(self, key):
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
+        keys = self._find_leaf(key).keys
+        i = bisect.bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, key, value):
-        """Insert or overwrite ``key``; returns True if the key was new."""
-        result = self._insert(self._root, key, value)
+    def insert(self, key):
+        """Insert ``key``; returns True if it was new.  A key already held
+        is still charged its leaf's page write."""
+        result = self._insert(self._root, key)
         if result is None:
             return self._last_insert_was_new
         sep, right = result
@@ -179,15 +165,13 @@ class BPlusTree:
         self._mark_dirty(new_root)
         return self._last_insert_was_new
 
-    def _insert(self, node, key, value):
+    def _insert(self, node, key):
         if isinstance(node, _Leaf):
             i = bisect.bisect_left(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
-                node.values[i] = value
                 self._last_insert_was_new = False
             else:
                 node.keys.insert(i, key)
-                node.values.insert(i, value)
                 self._size += 1
                 self._last_insert_was_new = True
             self._mark_dirty(node)
@@ -196,7 +180,7 @@ class BPlusTree:
             return None
 
         idx = bisect.bisect_right(node.keys, key)
-        result = self._insert(node.children[idx], key, value)
+        result = self._insert(node.children[idx], key)
         if result is None:
             return None
         sep, right = result
@@ -211,11 +195,9 @@ class BPlusTree:
         mid = len(leaf.keys) // 2
         right = _Leaf()
         right.keys = leaf.keys[mid:]
-        right.values = leaf.values[mid:]
         right.next = leaf.next
         right.fence = leaf.fence
         leaf.keys = leaf.keys[:mid]
-        leaf.values = leaf.values[:mid]
         leaf.next = right
         leaf.fence = right.keys[0]
         self._mark_dirty(leaf)
@@ -242,7 +224,6 @@ class BPlusTree:
         i = bisect.bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
             del leaf.keys[i]
-            del leaf.values[i]
             self._size -= 1
             self._mark_dirty(leaf)
             return True
@@ -273,13 +254,13 @@ class BPlusTree:
             a = bisect.bisect_left(leaf_keys, key)
             b = a + j - i
             if leaf_keys[a:b] == keys[i:j]:  # all there, side by side
-                del leaf_keys[a:b], node.values[a:b]
+                del leaf_keys[a:b]
                 removed += b - a
             else:  # from the right, so the positions left of a deletion hold
                 for key in reversed(keys[i:j]):
                     p = bisect.bisect_left(leaf_keys, key, a)
                     if p < len(leaf_keys) and leaf_keys[p] == key:
-                        del leaf_keys[p], node.values[p]
+                        del leaf_keys[p]
                         removed += 1
             i = j
         self._size -= removed
@@ -304,7 +285,7 @@ class BPlusTree:
         while True:
             j = len(keys) if hi is None else bisect.bisect_left(keys, hi, i)
             last = j < len(keys) or leaf.next is None
-            del keys[i:j], leaf.values[i:j]
+            del keys[i:j]
             removed += j - i
             if last:
                 break
@@ -319,7 +300,7 @@ class BPlusTree:
     # -- scans ---------------------------------------------------------------
 
     def scan(self, lo=None, hi=None):
-        """Yield ``(key, value)`` pairs with ``lo <= key < hi`` in order.
+        """Yield the keys with ``lo <= key < hi`` in order.
 
         ``lo`` None scans from the smallest key; ``hi`` None to the end.
         """
@@ -338,7 +319,7 @@ class BPlusTree:
                 key = leaf.keys[i]
                 if hi is not None and key >= hi:
                     return
-                yield key, leaf.values[i]
+                yield key
                 i += 1
             leaf = leaf.next
             if leaf is not None:
@@ -366,9 +347,6 @@ class BPlusTree:
             leaf = leaf.next
             keys, i = leaf.keys, 0
             self.pages_read += 1
-
-    def keys(self):
-        return (k for k, _ in self.scan())
 
     # -- invariants (used by tests) -----------------------------------------
 

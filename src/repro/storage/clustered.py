@@ -57,7 +57,7 @@ class ClusteredIndexStore(Store):
         tree = self._tree
         r, w = tree.pages_read, tree.pages_written
         keys = self._keys(_encode_term(term), PostingList.of(postings))
-        added = tree.insert_many(keys, [b""] * len(keys))
+        added = tree.insert_many(keys)
         if added:
             self._counts[term] = self._counts.get(term, 0) + added
         self.stats.num_ops += 1
@@ -75,7 +75,7 @@ class ClusteredIndexStore(Store):
 
     def put(self, term, postings):
         # With a clustered index, "reconciling" a put is just an append:
-        # duplicate composite keys overwrite in place.
+        # a composite key the tree already holds is not added twice.
         self.append(term, postings)
 
     def _read(self, prefix, lo_key, hi_key):

@@ -1,15 +1,8 @@
-"""Shared low-level helpers: hashing, varints, RNG, statistics."""
+"""Shared low-level helpers: deterministic hashing."""
 
 from repro.util.hashing import stable_hash, stable_hash_bytes
-from repro.util.varint import decode_uvarint, encode_uvarint
-from repro.util.stats import Summary, mean, percentile
 
 __all__ = [
     "stable_hash",
     "stable_hash_bytes",
-    "encode_uvarint",
-    "decode_uvarint",
-    "Summary",
-    "mean",
-    "percentile",
 ]

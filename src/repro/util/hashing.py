@@ -30,14 +30,3 @@ def stable_hash(data, seed=0, bits=64):
     if bits % 8:
         value &= (1 << bits) - 1
     return value
-
-
-def hash_to_range(data, n, seed=0):
-    """Hash ``data`` to an integer in ``[0, n)``.
-
-    Uses a 64-bit hash, which keeps modulo bias negligible for the range
-    sizes used in the library (Bloom filter vectors, ring positions).
-    """
-    if n <= 0:
-        raise ValueError("range size must be positive, got %r" % (n,))
-    return stable_hash(data, seed=seed, bits=64) % n

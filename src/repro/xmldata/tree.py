@@ -158,11 +158,6 @@ class Document:
     def is_intensional(self):
         return self.root.is_intensional
 
-    @property
-    def max_tag_number(self):
-        """The largest tag number assigned (the root's ``end``)."""
-        return self.root.sid.end
-
     def __repr__(self):
         return "Document(uri=%r, %d elements)" % (self.uri, self.element_count)
 

@@ -12,12 +12,7 @@ from repro.postings.encoder import (
 )
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting, StructuralId
-from repro.postings.term_relation import (
-    is_label_key,
-    label_key,
-    term_of_key,
-    word_key,
-)
+from repro.postings.term_relation import label_key, word_key
 
 
 def P(peer, doc, start, end, level=1):
@@ -211,15 +206,3 @@ class TestTermRelationKeys:
 
     def test_word_key_case_folds(self):
         assert word_key("Ullman") == word_key("ullman")
-
-    def test_roundtrip(self):
-        assert term_of_key(label_key("a")) == "a"
-        assert term_of_key(word_key("b")) == "b"
-
-    def test_is_label_key(self):
-        assert is_label_key(label_key("a"))
-        assert not is_label_key(word_key("a"))
-
-    def test_bad_key_rejected(self):
-        with pytest.raises(ValueError):
-            term_of_key("bogus:a")

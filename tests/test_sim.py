@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cost import CostModel, CostParams
 from repro.sim.meter import TrafficMeter
-from repro.sim.tasks import Scheduler, parallel_time, serial_time
+from repro.sim.tasks import Scheduler
 
 
 class TestTrafficMeter:
@@ -257,25 +257,3 @@ class TestScheduler:
         s.add_resource("eg", 1)
         s.add_resource("in", 4)
         assert s.capacities() == {"eg": 1, "in": 4}
-
-
-class TestHelpers:
-    def test_serial_time(self):
-        assert serial_time([1.0, 2.0, 3.0]) == 6.0
-
-    def test_parallel_time_unbounded(self):
-        assert parallel_time([1.0, 2.0, 3.0], degree=3) == 3.0
-
-    def test_parallel_time_bounded(self):
-        assert parallel_time([1.0, 1.0, 1.0, 1.0], degree=2) == 2.0
-
-    def test_parallel_time_lpt(self):
-        # LPT: 3 goes to one worker, 2+2 to the other
-        assert parallel_time([3.0, 2.0, 2.0], degree=2) == pytest.approx(4.0)
-
-    def test_parallel_time_empty(self):
-        assert parallel_time([], degree=4) == 0.0
-
-    def test_parallel_degree_validation(self):
-        with pytest.raises(ValueError):
-            parallel_time([1.0], degree=0)

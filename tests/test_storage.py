@@ -106,23 +106,24 @@ class TestNaiveGzipStore:
 class TestBPlusTree:
     def test_insert_get(self):
         tree = BPlusTree(order=4)
-        assert tree.insert(b"b", 1)
-        assert tree.insert(b"a", 2)
-        assert not tree.insert(b"a", 3)  # overwrite is not new
-        assert tree.get(b"a") == 3
-        assert tree.get(b"b") == 1
-        assert tree.get(b"zz") is None
+        assert tree.insert(b"b")
+        assert tree.insert(b"a")
+        writes = tree.pages_written
+        assert not tree.insert(b"a")  # a held key is not new
+        assert tree.pages_written == writes + 1  # but its page is still written
+        assert b"a" in tree and b"b" in tree
+        assert b"zz" not in tree
         assert len(tree) == 2
 
     def test_split_cascade(self):
         tree = BPlusTree(order=4)
         keys = [("k%04d" % i).encode() for i in range(200)]
-        for i, key in enumerate(keys):
-            tree.insert(key, i)
+        for key in keys:
+            tree.insert(key)
         tree.check_invariants()
         assert len(tree) == 200
-        for i, key in enumerate(keys):
-            assert tree.get(key) == i
+        assert all(key in tree for key in keys)
+        assert list(tree.scan()) == keys
 
     def test_reverse_and_random_insertion(self):
         import random
@@ -133,45 +134,45 @@ class TestBPlusTree:
         rng.shuffle(shuffled)
         tree = BPlusTree(order=6)
         for key in shuffled:
-            tree.insert(key, key)
+            tree.insert(key)
         tree.check_invariants()
-        assert list(tree.keys()) == sorted(keys)
+        assert list(tree.scan()) == sorted(keys)
 
     def test_scan_range(self):
         tree = BPlusTree(order=4)
         for i in range(50):
-            tree.insert(("k%03d" % i).encode(), i)
-        result = [v for _, v in tree.scan(b"k010", b"k020")]
-        assert result == list(range(10, 20))
+            tree.insert(("k%03d" % i).encode())
+        result = list(tree.scan(b"k010", b"k020"))
+        assert result == [("k%03d" % i).encode() for i in range(10, 20)]
 
     def test_scan_full(self):
         tree = BPlusTree(order=4)
         for i in range(20):
-            tree.insert(("k%02d" % i).encode(), i)
-        assert [v for _, v in tree.scan()] == list(range(20))
+            tree.insert(("k%02d" % i).encode())
+        assert list(tree.scan()) == [("k%02d" % i).encode() for i in range(20)]
 
     def test_scan_prefix(self):
         tree = BPlusTree(order=4)
         for term in (b"aa1", b"aa2", b"ab1", b"b1"):
-            tree.insert(term, term)
+            tree.insert(term)
         slices = tree.leaf_slices(b"aa", _prefix_upper_bound(b"aa"))
         assert [k for keys in slices for k in keys] == [b"aa1", b"aa2"]
 
     def test_delete(self):
         tree = BPlusTree(order=4)
         for i in range(30):
-            tree.insert(("k%02d" % i).encode(), i)
+            tree.insert(("k%02d" % i).encode())
         assert tree.delete(b"k05")
         assert not tree.delete(b"k05")
-        assert tree.get(b"k05") is None
+        assert b"k05" not in tree
         assert len(tree) == 29
 
     def test_io_accounting_logarithmic(self):
         tree = BPlusTree(order=16)
         for i in range(2000):
-            tree.insert(("k%06d" % i).encode(), None)
+            tree.insert(("k%06d" % i).encode())
         before = tree.pages_read
-        tree.get(b"k001000")
+        assert b"k001000" in tree
         # one lookup touches O(depth) pages, far below a full scan
         assert tree.pages_read - before <= 6
 
@@ -181,7 +182,7 @@ class TestBPlusTree:
 
     def test_contains(self):
         tree = BPlusTree()
-        tree.insert(b"x", 1)
+        tree.insert(b"x")
         assert b"x" in tree
         assert b"y" not in tree
 
@@ -197,21 +198,21 @@ class TestBPlusTree:
         )
     )
     def test_model_based_property(self, keys):
-        """The tree behaves exactly like a sorted dict."""
+        """The tree behaves exactly like a sorted set."""
         tree = BPlusTree(order=5)
-        model = {}
-        for i, key in enumerate(keys):
-            tree.insert(key, i)
-            model[key] = i
+        model = set()
+        for key in keys:
+            assert tree.insert(key) == (key not in model)
+            model.add(key)
         tree.check_invariants()
-        assert list(tree.keys()) == sorted(model)
-        for key, value in model.items():
-            assert tree.get(key) == value
+        assert list(tree.scan()) == sorted(model)
+        assert all(key in tree for key in model)
         # delete half of them
         for key in sorted(model)[::2]:
             assert tree.delete(key)
-            del model[key]
-        assert list(tree.keys()) == sorted(model)
+            model.discard(key)
+        assert list(tree.scan()) == sorted(model)
+        assert not any(key in tree for key in keys if key not in model)
 
 
 class TestClusteredIndexStore:
@@ -321,7 +322,7 @@ def _leaves(tree):
 def _scan_read(tree, lo, hi):
     """The reference: keys and pages of consuming the ``scan`` generator."""
     before = tree.pages_read
-    keys = [key for key, _ in tree.scan(lo, hi)]
+    keys = list(tree.scan(lo, hi))
     return keys, tree.pages_read - before
 
 
@@ -356,7 +357,7 @@ def _trees(draw):
     keys = draw(st.lists(_KEYS, min_size=1, max_size=120, unique=True))
     tree = BPlusTree(order=draw(st.sampled_from([4, 5, 8])))
     for key in keys:
-        tree.insert(key, None)
+        tree.insert(key)
     ordered = sorted(keys)
     if draw(st.booleans()):  # empty a run of neighbouring leaves
         start = draw(st.integers(0, len(ordered) - 1))
@@ -385,7 +386,7 @@ class TestLeafSliceReads:
         leaves among them, and ranges open at the end."""
         tree = BPlusTree(order=4)
         for i in range(60):
-            tree.insert(b"\x00\xff%03d" % i, None)
+            tree.insert(b"\x00\xff%03d" % i)
         for i in range(20, 31):  # at least one leaf left empty
             tree.delete(b"\x00\xff%03d" % i)
         assert any(not leaf.keys for leaf in _leaves(tree))
@@ -397,7 +398,7 @@ class TestLeafSliceReads:
     def test_mutant_without_trailing_charge_fails(self, monkeypatch):
         tree = BPlusTree(order=4)
         for i in range(20):
-            tree.insert(b"k%02d" % i, None)
+            tree.insert(b"k%02d" % i)
         lo, hi = (leaf.keys[0] for leaf in _leaves(tree)[1:3])  # one whole leaf
         assert _slice_read(tree, lo, hi) == _scan_read(tree, lo, hi)
         monkeypatch.setattr(BPlusTree, "leaf_slices", _no_trailing_charge)
@@ -416,11 +417,11 @@ def _row_built_read(store, term, lo=None, hi=None):
     before = tree.pages_read
     prefix = _encode_term(term)
     if lo is None:
-        pairs = tree.scan(prefix, _prefix_upper_bound(prefix))
+        keys = tree.scan(prefix, _prefix_upper_bound(prefix))
     else:
         lo_key = prefix + _POSTING_STRUCT.pack(*lo)
-        pairs = tree.scan(lo_key, prefix + _POSTING_STRUCT.pack(*hi) + b"\x00")
-    rows = [Posting(*_POSTING_STRUCT.unpack(key[len(prefix) :])) for key, _ in pairs]
+        keys = tree.scan(lo_key, prefix + _POSTING_STRUCT.pack(*hi) + b"\x00")
+    rows = [Posting(*_POSTING_STRUCT.unpack(key[len(prefix) :])) for key in keys]
     return PostingList(rows, presorted=True), (tree.pages_read - before) * tree.page_size
 
 
@@ -457,16 +458,15 @@ class TestColumnarStoreReads:
 # -- the sorted-run write path, against the per-key loop it replaced ---------
 
 
-def _per_key_insert_many(self, pairs):
-    """The replaced ``BPlusTree.insert_many``, verbatim: one ``insert``
-    per pair."""
+def _per_key_insert_many(self, keys):
+    """The replaced ``BPlusTree.insert_many``: one ``insert`` per key."""
     if self._dirty is not None:
         raise RuntimeError("insert_many cannot nest")
     self._dirty = set()
     added = 0
     try:
-        for key, value in pairs:
-            if self.insert(key, value):
+        for key in keys:
+            if self.insert(key):
                 added += 1
     finally:
         # each dirty page is read-modified-written once per batch
@@ -477,10 +477,10 @@ def _per_key_insert_many(self, pairs):
 
 
 def _shape(node):
-    """Every key, value and separator of the subtree, nested as stored."""
+    """Every key and separator of the subtree, nested as stored."""
     if hasattr(node, "children"):
         return list(node.keys), [_shape(child) for child in node.children]
-    return list(node.keys), list(node.values)
+    return list(node.keys)
 
 
 def _state(tree):
@@ -512,18 +512,18 @@ def _key(number):
 def _insert_runs(draw):
     """An order, a key universe, and a script of runs and deletes: runs
     that interleave existing keys, cross many fences or fill whole leaves,
-    overwrites, unsorted and repeated keys, empty runs, and deletes that
-    leave empty leaves."""
+    re-insert held keys, unsorted and repeated keys, empty runs, and deletes
+    that leave empty leaves."""
     order = draw(st.sampled_from([4, 5, 64]))
     rng = draw(st.randoms(use_true_random=False))
     universe = draw(st.sampled_from([30, 300, 3000]))
     script = []
-    for batch in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 6))):
         if script and rng.random() < 0.3:
             start = rng.randrange(universe)
             script.append(("delete", range(start, start + rng.randint(1, 3 * order))))
         size = rng.choice([0, 1, 2, 3, rng.randint(4, universe // 2)])
-        if rng.random() < 0.4:  # dense: fills leaves, overwrites what is there
+        if rng.random() < 0.4:  # dense: fills leaves, re-inserts what is there
             start = rng.randrange(universe)
             numbers = list(range(start, start + size))
         else:
@@ -532,8 +532,7 @@ def _insert_runs(draw):
             numbers.insert(rng.randrange(len(numbers)), rng.choice(numbers))
         if rng.random() < 0.15:
             rng.shuffle(numbers)
-        keys = [_key(k) for k in numbers]
-        script.append(("insert", keys, [(batch, k) for k in keys]))
+        script.append(("insert", [_key(k) for k in numbers]))
     return order, script
 
 
@@ -547,13 +546,9 @@ def _run_script(order, script, insert_many):
                 tree.delete(_key(k))
             seen.append(_state(tree))
         else:
-            seen.append((insert_many(tree, step[1], step[2]), _state(tree)))
+            seen.append((insert_many(tree, step[1]), _state(tree)))
             tree.check_invariants()
     return seen
-
-
-def _reference(tree, keys, values):
-    return _per_key_insert_many(tree, zip(keys, values))
 
 
 class TestSortedRunInserts:
@@ -562,25 +557,25 @@ class TestSortedRunInserts:
     def test_equals_the_per_key_loop(self, case):
         order, script = case
         assert _run_script(order, script, BPlusTree.insert_many) == _run_script(
-            order, script, _reference
+            order, script, _per_key_insert_many
         )
 
     def test_runs_that_cross_fences_fill_leaves_and_overwrite(self):
         for order in (4, 5, 64):
             script = [
-                ("insert", sorted(_key(k) for k in range(0, 900, 3)), [0] * 300),
+                ("insert", sorted(_key(k) for k in range(0, 900, 3))),
                 ("delete", range(100, 460)),
-                ("insert", sorted(_key(k) for k in range(1, 900, 2)), [1] * 450),
-                ("insert", sorted(_key(k) for k in range(0, 900, 5)), [2] * 180),
-                ("insert", [], []),
+                ("insert", sorted(_key(k) for k in range(1, 900, 2))),
+                ("insert", sorted(_key(k) for k in range(0, 900, 5))),
+                ("insert", []),
             ]
             assert _run_script(order, script, BPlusTree.insert_many) == _run_script(
-                order, script, _reference
+                order, script, _per_key_insert_many
             )
 
     def test_mutant_without_full_leaf_fallback_fails(self, monkeypatch):
-        script = [("insert", [b"%03d" % k for k in range(20)], [None] * 20)]
-        reference = _run_script(4, script, _reference)
+        script = [("insert", [b"%03d" % k for k in range(20)])]
+        reference = _run_script(4, script, _per_key_insert_many)
         assert _run_script(4, script, BPlusTree.insert_many) == reference
         mutant = _mutant(BPlusTree.insert_many, *_NO_FULL_LEAF_FALLBACK)
         monkeypatch.setattr(BPlusTree, "check_invariants", lambda tree: None)
@@ -589,7 +584,7 @@ class TestSortedRunInserts:
     def test_node_size_invariant_catches_an_overfilled_leaf(self):
         tree = BPlusTree(order=4)
         mutant = _mutant(BPlusTree.insert_many, *_NO_FULL_LEAF_FALLBACK)
-        mutant(tree, [b"%03d" % k for k in range(10)], [None] * 10)
+        mutant(tree, [b"%03d" % k for k in range(10)])
         assert len(tree._root.keys) == 10  # every other invariant holds
         with pytest.raises(AssertionError, match="more than order keys"):
             tree.check_invariants()
@@ -833,7 +828,7 @@ class TestSortedRunDeletes:
         trees = [BPlusTree(order=order) for _ in range(2)]
         for tree in trees:
             for key in held:
-                tree.insert(key, key)
+                tree.insert(key)
         for keys in runs:
             assert trees[0].delete_many(keys) == sum(map(trees[1].delete, keys))
             assert _state(trees[0]) == _state(trees[1])
@@ -843,7 +838,7 @@ class TestSortedRunDeletes:
         for order in (4, 5, 64):
             trees = [BPlusTree(order=order) for _ in range(2)]
             for tree in trees:
-                tree.insert_many([_key(k) for k in sorted(range(300), key=_key)], [None] * 300)
+                tree.insert_many([_key(k) for k in sorted(range(300), key=_key)])
             for numbers in (range(40, 200), range(0, 300, 7), range(30, 210)):
                 keys = sorted(map(_key, numbers))
                 assert trees[0].delete_many(keys) == sum(map(trees[1].delete, keys))

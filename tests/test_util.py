@@ -1,11 +1,8 @@
-"""Tests for repro.util: hashing, varints, statistics."""
+"""Tests for repro.util: deterministic hashing."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.hashing import hash_to_range, stable_hash, stable_hash_bytes
-from repro.util.stats import Summary, mean, percentile
-from repro.util.varint import decode_uvarint, encode_uvarint, uvarint_size
+from repro.util.hashing import stable_hash, stable_hash_bytes
 
 
 class TestStableHash:
@@ -30,105 +27,6 @@ class TestStableHash:
         )
         assert stable_hash_bytes("author") == stable_hash_bytes("author")
 
-    def test_hash_to_range(self):
-        for n in (1, 2, 17, 1000):
-            assert 0 <= hash_to_range("key", n) < n
-
-    def test_hash_to_range_rejects_empty(self):
-        with pytest.raises(ValueError):
-            hash_to_range("key", 0)
-
     @given(st.text(), st.integers(min_value=0, max_value=100))
     def test_distribution_is_function(self, text, seed):
         assert stable_hash(text, seed=seed) == stable_hash(text, seed=seed)
-
-
-class TestVarint:
-    @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**14, 2**35, 2**63])
-    def test_roundtrip(self, value):
-        data = encode_uvarint(value)
-        decoded, offset = decode_uvarint(data)
-        assert decoded == value
-        assert offset == len(data)
-
-    def test_single_byte_small_values(self):
-        assert len(encode_uvarint(0)) == 1
-        assert len(encode_uvarint(127)) == 1
-        assert len(encode_uvarint(128)) == 2
-
-    def test_size_matches_encoding(self):
-        for value in (0, 1, 127, 128, 16384, 2**40):
-            assert uvarint_size(value) == len(encode_uvarint(value))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            encode_uvarint(-1)
-        with pytest.raises(ValueError):
-            uvarint_size(-5)
-
-    def test_truncated_rejected(self):
-        data = encode_uvarint(300)[:-1]
-        with pytest.raises(ValueError):
-            decode_uvarint(data)
-
-    def test_offset_decoding(self):
-        data = encode_uvarint(5) + encode_uvarint(300)
-        first, offset = decode_uvarint(data)
-        second, end = decode_uvarint(data, offset)
-        assert (first, second) == (5, 300)
-        assert end == len(data)
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=50))
-    def test_stream_roundtrip(self, values):
-        data = b"".join(encode_uvarint(v) for v in values)
-        offset = 0
-        decoded = []
-        for _ in values:
-            value, offset = decode_uvarint(data, offset)
-            decoded.append(value)
-        assert decoded == values
-        assert offset == len(data)
-
-
-class TestStats:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2
-
-    def test_mean_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-
-    def test_percentile_bounds(self):
-        values = list(range(101))
-        assert percentile(values, 0) == 0
-        assert percentile(values, 100) == 100
-        assert percentile(values, 50) == 50
-
-    def test_percentile_interpolates(self):
-        assert percentile([0, 10], 50) == 5
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_summary(self):
-        s = Summary()
-        for v in (1.0, 2.0, 3.0):
-            s.add(v)
-        assert s.count == 3
-        assert s.mean == 2.0
-        assert s.min == 1.0
-        assert s.max == 3.0
-        assert s.stddev == pytest.approx((2 / 3) ** 0.5)
-
-    def test_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            Summary().mean
-
-    def test_summary_repr(self):
-        s = Summary()
-        assert "empty" in repr(s)
-        s.add(1)
-        assert "n=1" in repr(s)

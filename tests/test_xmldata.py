@@ -234,10 +234,6 @@ class TestTreeModel:
         assert doc.root.find("c").label == "c"
         assert doc.root.find("zz") is None
 
-    def test_max_tag_number(self):
-        doc = parse_document("<a><b/></a>")
-        assert doc.max_tag_number == 4
-
     def test_repr_smoke(self):
         doc = parse_document("<a>t</a>")
         assert "Document" in repr(doc)
