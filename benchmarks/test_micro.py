@@ -506,14 +506,16 @@ def test_clustered_sorted_append(benchmark, posting_list_10k, size):
     for term in ("author", "title"):
         store.append(term, posting_list_10k)
     docs = iter(range(100, 10**9))
+    ran = []  # one doc per round run: a single one under --benchmark-disable
 
     def fresh_batch():
         doc = next(docs)
+        ran.append(doc)
         batch = PostingList([Posting(0, doc, 2 * s + 1, 2 * s + 2, 1) for s in range(size)])
         return ("author", batch), {}
 
     benchmark.pedantic(store.append, setup=fresh_batch, rounds=max(200, 3000 // size))
-    assert store.count("author") == len(posting_list_10k) + size * max(200, 3000 // size)
+    assert store.count("author") == len(posting_list_10k) + size * len(ran)
 
 
 @pytest.mark.parametrize("size", [1, 6])
@@ -524,15 +526,16 @@ def test_lsm_append(benchmark, size):
     store = LsmStore(memtable_postings=10**6)
     store.append("author", PostingList(_kernel_rows(700, seed=16)))
     docs = iter(range(1000, 10**9))
+    ran = []  # one doc per round run: a single one under --benchmark-disable
 
     def fresh_batch():
         doc = next(docs)
+        ran.append(doc)
         batch = PostingList([Posting(0, doc, 2 * s + 1, 2 * s + 2, 1) for s in range(size)])
         return ("author", batch), {}
 
-    rounds = max(200, 3000 // size)
-    benchmark.pedantic(store.append, setup=fresh_batch, rounds=rounds)
-    assert store.count("author") == store.memtable_entries == 700 + size * rounds
+    benchmark.pedantic(store.append, setup=fresh_batch, rounds=max(200, 3000 // size))
+    assert store.count("author") == store.memtable_entries == 700 + size * len(ran)
 
 
 def test_transfers_run_10(benchmark):

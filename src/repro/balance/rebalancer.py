@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.dht.replicas import reconcile, routing_alias
 
+#: alias groups an overloaded peer sheds per pass
+MAX_KEYS = 2
+
 
 @dataclass
 class RebalanceReport:
@@ -35,15 +38,12 @@ class RebalanceReport:
 class Rebalancer:
     """Periodic overload-driven key migration; see the module docstring."""
 
-    def __init__(self, net, ledger, overload=2.0, max_keys=2):
+    def __init__(self, net, ledger, overload=2.0):
         if overload <= 1.0:
             raise ValueError("overload factor must be > 1")
-        if max_keys < 1:
-            raise ValueError("max_keys must be >= 1")
         self.net = net
         self.ledger = ledger
         self.overload = overload
-        self.max_keys = max_keys
         # cumulative counters for stats
         self.migrations = 0
         self.keys_moved = 0
@@ -91,7 +91,7 @@ class Rebalancer:
         return report
 
     def _hot_groups(self, node):
-        """This peer's hottest owned alias groups, ``max_keys`` of them.
+        """This peer's hottest owned alias groups, ``MAX_KEYS`` of them.
 
         Grouped by routing alias (heat = the group's summed key rates) so
         the whole co-located family moves together.  Membership is every
@@ -115,7 +115,7 @@ class Rebalancer:
         )
         return [
             (alias, keys, heat)
-            for heat, alias, keys in ranked[: self.max_keys]
+            for heat, alias, keys in ranked[:MAX_KEYS]
         ]
 
     def _pick_target(self, alias, loads, avoid, by_node):

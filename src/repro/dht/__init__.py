@@ -6,10 +6,11 @@ paper depends on:
 * 128-bit node identifiers and key hashing (:mod:`repro.dht.nodeid`);
 * prefix routing tables and leaf sets with O(log N) multi-hop lookup
   (:mod:`repro.dht.routing`);
-* the standard DHT API — ``locate``, ``put``, ``get``, ``delete`` — plus
-  the paper's extensions: ``append`` (linear-cost indexing) and
-  ``pipelined_get`` (streamed posting-list retrieval), with fixed-factor
-  replication (:mod:`repro.dht.network`).
+* the standard DHT API — ``locate``, ``get``, ``delete`` — plus the
+  paper's extensions: ``append`` (linear-cost indexing; the paper's
+  ``put`` is ``append`` on the PAST-style store) and ``pipelined_get``
+  (streamed posting-list retrieval), with fixed-factor replication
+  (:mod:`repro.dht.network`).
 
 Every node's key/value state is held in a real local store
 (:mod:`repro.storage`), and every routed message is charged hops and bytes

@@ -33,6 +33,9 @@ died.
 
 from repro.dht.nodeid import ID_BITS, ID_SPACE, NodeId, successor
 
+#: length of each node's successor list
+SUCCESSORS = 8
+
 
 def _in_interval_open_closed(value, lo, hi):
     """value ∈ (lo, hi] on the ring."""
@@ -45,9 +48,8 @@ def _in_interval_open_closed(value, lo, hi):
 class ChordState:
     """One node's Chord state: successor list + finger table."""
 
-    def __init__(self, node_id, successors=8):
+    def __init__(self, node_id):
         self.node_id = NodeId(node_id)
-        self.num_successors = successors
         self.fingers = []  # NodeIds, finger[i] = successor(n + 2^i)
         self.successor_list = []
         self.predecessor = None
@@ -62,10 +64,10 @@ class ChordState:
         self.fingers = [
             ring[successor(ring, (n + (1 << i)) % ID_SPACE)] for i in range(ID_BITS)
         ]
-        # successor list: the next `num_successors` nodes clockwise
+        # successor list: the next SUCCESSORS nodes clockwise
         idx = successor(ring, (n + 1) % ID_SPACE)
         self.successor_list = [
-            ring[(idx + k) % len(ring)] for k in range(min(self.num_successors, len(ring)))
+            ring[(idx + k) % len(ring)] for k in range(min(SUCCESSORS, len(ring)))
         ]
         self.predecessor = ring[successor(ring, n) - 1]
 

@@ -3,14 +3,16 @@
 The API follows Section 2 of the paper —
 
     locate(k)      id of the peer in charge of key k
-    put(k, a)      enter a new posting for k          (read-reconcile-write)
     get(k)         the postings for k                 (blocking)
     delete(k, as)  withdraw postings from k (one routed request per key)
 
 — plus the two extensions of Section 3:
 
-    append(k, as)        add postings without reading the existing list
+    append(k, as)        add postings to k (one routed request)
     pipelined_get(k)     stream the posting list in chunks
+
+The paper's ``put(k, a)`` is :meth:`DhtNetwork.append` on the PAST-style
+naive store, whose only write reads, reconciles and rewrites the list.
 
 Every operation returns its result together with an :class:`OpReceipt`
 recording the hops taken, the bytes moved (also logged to the global
@@ -131,17 +133,14 @@ class Transfers(Scheduler):
 class DhtNetwork(Membership):
     """The full ring.  All peers of a KadoP deployment share one instance."""
 
-    def __init__(
-        self, cost=None, meter=None, replication=2, leaf_size=8, overlay="pastry"
-    ):
+    def __init__(self, cost=None, replication=2, overlay="pastry"):
         if replication < 1:
             raise ValueError("replication factor must be >= 1")
         if overlay not in ("pastry", "chord"):
             raise ValueError("overlay must be 'pastry' or 'chord'")
         self.cost = cost or CostModel()
-        self.meter = meter or TrafficMeter()
+        self.meter = TrafficMeter()
         self.replication = replication
-        self.leaf_size = leaf_size
         self.overlay = overlay
         self.nodes = []  # in join order; index == peer_index
         self._by_id = {}
@@ -194,11 +193,11 @@ class DhtNetwork(Membership):
     # -- construction and writes at a known holder --------------------------------
 
     @classmethod
-    def create(cls, num_peers, store_factory=ClusteredIndexStore, **kwargs):
-        """Build a ring of ``num_peers`` nodes with fresh stores."""
+    def create(cls, num_peers, **kwargs):
+        """Build a ring of ``num_peers`` nodes with fresh B+-tree stores."""
         net = cls(**kwargs)
         for i in range(num_peers):
-            net.add_node("peer://%d" % i, store_factory(), rebuild=False)
+            net.add_node("peer://%d" % i, ClusteredIndexStore(), rebuild=False)
         net._rebuild_routing()
         return net
 
@@ -680,29 +679,20 @@ class DhtNetwork(Membership):
             self._observe_op("locate", src, key, receipt)
         return owner, receipt
 
-    def append(self, src, key, postings, replicate=True):
-        """The Section 3 extension: linear-cost posting insertion."""
-        return self._write("append", src, key, PostingList.of(postings), replicate)
-
-    def put(self, src, key, postings, replicate=True):
-        """The *original* DHT insert: read old value, reconcile, rewrite.
-
-        Kept verbatim so the store ablation can measure the quadratic
-        behaviour the paper had to engineer away."""
-        return self._write("put", src, key, PostingList.of(postings), replicate)
-
-    def _write(self, op, src, key, postings, replicate):
-        """Shared body of ``append`` and ``put`` (they differ only in the
-        store primitive applied at the owner): the postings ride the
-        routed request, charged ``payload × hops``."""
-        idx = self._begin(op, key)
+    def append(self, src, key, postings):
+        """The one routed write: the postings ride the routed request,
+        charged ``payload × hops``, and the owner's store unions them into
+        the key (linear on the B+-tree and LSM stores, a read-reconcile-
+        rewrite on the PAST-style one)."""
+        postings = PostingList.of(postings)
+        idx = self._begin("append", key)
         payload = encoded_size(postings)
-        owner, receipt = self._deliver_request(op, src, key, "postings", payload, idx)
-        self._apply(op, owner, key, postings, payload, receipt, idx, replicate)
-        self._observe_op(op, src, key, receipt, payload=payload)
+        owner, receipt = self._deliver_request("append", src, key, "postings", payload, idx)
+        self._apply(owner, key, postings, payload, receipt, idx)
+        self._observe_op("append", src, key, receipt, payload=payload)
         return receipt
 
-    def append_batch(self, src, key, postings, replicate=True):
+    def append_batch(self, src, key, postings):
         """Bulk-publish insert: one amortized ``locate``, then the whole
         batch in a single direct transfer to the located owner.
 
@@ -739,46 +729,41 @@ class DhtNetwork(Membership):
             receipt.duration_s += self.cost.transfer_time(payload, hops=1)
 
         self._deliver("append_batch", key, idx, "batch", send, land, receipt, src=src)
-        self._apply("append", owner, key, postings, payload, receipt, idx, replicate)
+        self._apply(owner, key, postings, payload, receipt, idx)
         self._observe_op("append_batch", src, key, receipt, payload=payload)
         return receipt
 
-    def _apply(self, store_op, owner, key, postings, payload, receipt, idx, replicate):
-        """Apply a delivered write at ``owner`` under a fresh stamp, charge
+    def _apply(self, owner, key, postings, payload, receipt, idx):
+        """Append a delivered write at ``owner`` under a fresh stamp, charge
         the store time to ``receipt``, and push it under the same stamp to
-        the backups and to any hot extra copies."""
+        the backups (billed to the op and shown to the balancer) and to any
+        hot extra copies."""
         stamp = self.next_stamp()
-        self.timed_store_op(receipt, owner.store, store_op, key, postings)
+        self.timed_store_op(receipt, owner.store, "append", key, postings)
         owner.versions[key] = stamp
         ledger = self.balancer.ledger if self.balancer is not None else None
         if ledger is not None:
             ledger.record_write(owner.peer_index, payload)
-        if replicate:  # billed to the op and shown to the balancer
 
-            def backup(node):
-                node.store.append(key, postings)
-                node.versions[key] = stamp
-                if ledger is not None:
-                    ledger.record_write(node.peer_index, payload)
+        def backup(node):
+            node.store.append(key, postings)
+            node.versions[key] = stamp
+            if ledger is not None:
+                ledger.record_write(node.peer_index, payload)
 
-            pushed = OpReceipt()
-            self._replicate(
-                "replicate", key, idx, owner, self.replica_nodes(key), payload, backup,
-                pushed, billed=True, located=receipt,
-            )
-            receipt.merge(pushed)
+        pushed = OpReceipt()
+        self._replicate(
+            "replicate", key, idx, owner, self.replica_nodes(key), payload, backup,
+            pushed, billed=True, located=receipt,
+        )
+        receipt.merge(pushed)
         extras = self.balancer.hot_copies(key) if self.balancer is not None else None
         if extras:
             # a hot key's extra copies take the write in the background,
             # like anti-entropy: not on the writer's receipt, and no quorum
             # (one that misses it keeps an older stamp, so reads skip it)
-            def extra(node):
-                getattr(node.store, store_op)(key, postings)
-                node.versions[key] = stamp
-                ledger.record_write(node.peer_index, payload)
-
             self._replicate(
-                None, key, idx, owner, extras, payload, extra, OpReceipt(), first=self.replication
+                None, key, idx, owner, extras, payload, backup, OpReceipt(), first=self.replication
             )
 
     def _replicate(

@@ -184,11 +184,6 @@ class FaultPlan:
         self._op = 0
         self._message = 0
 
-    @classmethod
-    def none(cls, seed=0):
-        """A zero-fault plan: installed, consulted, never fires."""
-        return cls(seed=seed)
-
     @property
     def op_count(self):
         """Operations registered so far — the index the *next* op gets.

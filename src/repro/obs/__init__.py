@@ -42,7 +42,6 @@ from repro.obs.profile import (
     format_profile,
     phase_totals,
     served_reads,
-    top_spans,
     utilization,
 )
 from repro.obs.telemetry import serving_view
@@ -85,7 +84,6 @@ __all__ = [
     "serving_view",
     "sparkline",
     "to_chrome_trace",
-    "top_spans",
     "utilization",
     "validate_telemetry",
     "validate_trace",

@@ -37,8 +37,8 @@ def self_times(spans):
 
 
 def aggregate_spans(tracer):
-    """Every ``(name, cat, count, total_self_s, total_s)`` row, sorted by
-    descending self-time — :func:`top_spans` without the truncation."""
+    """Every ``(name, cat, count, total_self_s, total_s)`` row, spans
+    aggregated by name, sorted by descending self-time."""
     selfs = self_times(tracer.spans)
     by_name = {}
     for span in tracer.spans:
@@ -55,15 +55,6 @@ def aggregate_spans(tracer):
     ]
     rows.sort(key=lambda r: (-r[3], r[0]))
     return rows
-
-
-def top_spans(tracer, n=12):
-    """Aggregate spans by name; top ``n`` by total self-time.
-
-    Returns ``[(name, cat, count, total_self_s, total_s)]`` sorted by
-    descending self-time.
-    """
-    return aggregate_spans(tracer)[:n]
 
 
 def phase_totals(tracer):

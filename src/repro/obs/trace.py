@@ -177,7 +177,7 @@ class Tracer:
         return len(self.spans)
 
 
-def observe_schedule(tracer, scheduler, rel_base=0.0, parent=None):
+def observe_schedule(tracer, scheduler, rel_base=0.0):
     """Record one finished :class:`~repro.sim.tasks.Scheduler` run.
 
     Emits a span per task (on the task's egress-link track, or "ingress")
@@ -209,7 +209,7 @@ def observe_schedule(tracer, scheduler, rel_base=0.0, parent=None):
                 task.resources[0] if task.resources else "scheduler",
             )
             start_abs = ctx.base + rel_base + task.start
-            attach = parent if parent is not None else ctx.parent_id
+            attach = ctx.parent_id
             if wait > 0:
                 # the wait span lives on the track of the resource that
                 # actually had no free slot (the overloaded link/CPU), not
@@ -245,7 +245,7 @@ def observe_schedule(tracer, scheduler, rel_base=0.0, parent=None):
 _US = 1_000_000
 
 
-def to_chrome_trace(tracer, process_name="kadop-sim"):
+def to_chrome_trace(tracer):
     """Render the tracer's spans as a Chrome trace-event JSON object.
 
     Every event (including the ``ph: "M"`` metadata that names tracks)
@@ -263,7 +263,7 @@ def to_chrome_trace(tracer, process_name="kadop-sim"):
             "dur": 0,
             "pid": 1,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "kadop-sim"},
         }
     ]
     for track in tracks:
@@ -295,9 +295,9 @@ def to_chrome_trace(tracer, process_name="kadop-sim"):
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer, path, process_name="kadop-sim"):
+def write_chrome_trace(tracer, path):
     """Write :func:`to_chrome_trace` output to ``path``; returns #events."""
-    trace = to_chrome_trace(tracer, process_name=process_name)
+    trace = to_chrome_trace(tracer)
     with open(path, "w") as handle:
         json.dump(trace, handle)
     return len(trace["traceEvents"])

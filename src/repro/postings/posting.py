@@ -47,10 +47,6 @@ class Posting(NamedTuple):
     level: int
 
     @property
-    def sid(self):
-        return StructuralId(self.start, self.end, self.level)
-
-    @property
     def doc_id(self):
         """The global document identifier ``(p, d)``."""
         return (self.peer, self.doc)

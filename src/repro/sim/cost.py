@@ -67,12 +67,13 @@ class CostParams:
 
 
 @functools.lru_cache(maxsize=64)
-def _route_length(num_peers, digits_per_hop):
-    """``ceil(log_{2^b} N)`` hops, at least 1 beyond a single peer; a query
-    asks for it once per document phase, for the same few ``N``."""
+def _route_length(num_peers):
+    """``ceil(log_{2^b} N)`` hops with b=4, at least 1 beyond a single
+    peer; a query asks for it once per document phase, for the same few
+    ``N``."""
     if num_peers <= 1:
         return 0
-    return max(1, math.ceil(math.log(num_peers, 2**digits_per_hop)))
+    return max(1, math.ceil(math.log(num_peers, 2**4)))
 
 
 class CostModel:
@@ -97,9 +98,9 @@ class CostModel:
         """
         return hops * self._hop_s + (nbytes + self._envelope) / self._egress_bw
 
-    def expected_hops(self, num_peers, digits_per_hop=4):
+    def expected_hops(self, num_peers):
         """Expected Pastry route length: ``ceil(log_{2^b} N)`` with b=4."""
-        return _route_length(num_peers, digits_per_hop)
+        return _route_length(num_peers)
 
     # -- local work ------------------------------------------------------
 

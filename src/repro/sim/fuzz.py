@@ -361,7 +361,7 @@ class _Iteration:
                 "anti-entropy lost %s" % sorted(lost)[:3],
             )
 
-    def act_query(self, query_text=None, equality=True):
+    def act_query(self, query_text=None):
         query_text = query_text or _random_query(self.rng)
         pattern = self.system.parse(query_text)
         src = self.rng.choice(self._alive_peers())
@@ -386,8 +386,7 @@ class _Iteration:
                 % (query_text, len(phantom)),
             )
         if (
-            equality
-            and self.exact
+            self.exact
             and report.complete
             and not report.unreachable_keys
             and got != oracle

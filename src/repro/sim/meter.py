@@ -61,11 +61,6 @@ class TrafficMeter:
         """A dict copy of per-category byte counts."""
         return dict(self._by_category)
 
-    def reset(self):
-        """Zero all counters (used between experiment runs)."""
-        self._by_category.clear()
-        self._messages.clear()
-
     def delta_since(self, snapshot):
         """Per-category bytes recorded since ``snapshot`` was taken."""
         current = dict(self._by_category)

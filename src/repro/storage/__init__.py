@@ -4,7 +4,8 @@ KadoP originally used PAST's local storage, where every DHT ``put`` on an
 existing key reads the old value, reconciles and rewrites it — quadratic in
 the posting count.  The paper replaces it with a BerkeleyDB B+-tree holding
 the ``Term`` relation as a clustered index and extends the DHT API with
-``append`` for linear-cost indexing.  Both stores are implemented here, so
+``append`` for linear-cost indexing.  Both stores are implemented here, each
+with ``append`` as its one write (the PAST-style one's is that ``put``), so
 the 2–3 orders-of-magnitude publishing speedup of Section 3 can be
 reproduced as an ablation:
 

@@ -63,16 +63,12 @@ class Store(abc.ABC):
         self.stats = StoreStats()
 
     @abc.abstractmethod
-    def put(self, term, postings):
-        """Make ``term``'s list the union of its postings and ``postings``
-        (old DHT semantics: read the existing value, reconcile, write
-        back).  A store with ``append`` reconciles in place, so there the
-        two are the same write."""
-
-    @abc.abstractmethod
     def append(self, term, postings):
-        """Add ``postings`` to ``term`` without reading the existing list
-        (the paper's DHT API extension)."""
+        """Make ``term``'s list the union of its postings and ``postings``:
+        the one write.  What it costs is the backend's: the clustered and
+        LSM stores add the postings without reading the list (the paper's
+        ``append``), the PAST-style store reads, reconciles and rewrites
+        it (the paper's ``put``)."""
 
     @abc.abstractmethod
     def get(self, term):

@@ -51,11 +51,11 @@ class BPlusTree:
     the paper itself treats document modification as delete + reinsert.
     """
 
-    def __init__(self, order=64, page_size=PAGE_SIZE):
+    def __init__(self, order=64):
         if order < 4:
             raise ValueError("order must be >= 4, got %d" % order)
         self.order = order
-        self.page_size = page_size
+        self.page_size = PAGE_SIZE
         self._root = _Leaf()
         self._size = 0
         self.pages_read = 0

@@ -54,6 +54,8 @@ class ClusteredIndexStore(Store):
         stats.bytes_written += (tree.pages_written - writes_before) * tree.page_size
 
     def append(self, term, postings):
+        # the union needs no read: a composite key the tree already holds
+        # is not added twice
         tree = self._tree
         r, w = tree.pages_read, tree.pages_written
         keys = self._keys(_encode_term(term), PostingList.of(postings))
@@ -72,11 +74,6 @@ class ClusteredIndexStore(Store):
         # packed in C straight off the columns
         rows = map(_POSTING_STRUCT.pack, plist.peer, plist.doc, plist.start, plist.end, plist.level)
         return list(map(prefix.__add__, rows))
-
-    def put(self, term, postings):
-        # With a clustered index, "reconciling" a put is just an append:
-        # a composite key the tree already holds is not added twice.
-        self.append(term, postings)
 
     def _read(self, prefix, lo_key, hi_key):
         """The postings whose composite keys lie in ``[lo_key, hi_key)``.

@@ -131,11 +131,6 @@ class LsmStore(Store):
             self.flush()
         return len(rows)
 
-    def put(self, term, postings):
-        # the memtable absorbs and deduplicates, so a reconciling put is
-        # just an append — like the clustered store's
-        self.append(term, postings)
-
     def delete(self, term, postings=None):
         """Blind tombstone write (plus the metadata presence check): one
         tombstone per live posting of the run, found by one set

@@ -49,12 +49,11 @@ def _serialize_into(node, parts, indent, level):
     parts.append(pad + "</%s>" % node.label + nl)
 
 
-def doctype_for(document, root_label=None):
+def doctype_for(document):
     """The DOCTYPE declaration for a document's intensional references."""
     refs = list(document.iter_refs()) if isinstance(document, Document) else []
     if not refs:
         return ""
-    label = root_label or document.root.label
     decls = []
     seen = set()
     for ref in refs:
@@ -62,13 +61,9 @@ def doctype_for(document, root_label=None):
             continue
         seen.add(ref.name)
         decls.append('<!ENTITY %s SYSTEM "%s">' % (ref.name, ref.target))
-    return "<!DOCTYPE %s [ %s ]>" % (label, " ".join(decls))
+    return "<!DOCTYPE %s [ %s ]>" % (document.root.label, " ".join(decls))
 
 
-def document_to_xml(document, indent=None):
+def document_to_xml(document):
     """Full XML text for ``document``, including any needed DOCTYPE."""
-    doctype = doctype_for(document)
-    body = serialize(document, indent=indent)
-    if doctype:
-        return doctype + ("\n" if indent else "") + body
-    return body
+    return doctype_for(document) + serialize(document)

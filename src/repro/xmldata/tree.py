@@ -154,10 +154,6 @@ class Document:
     def element_count(self):
         return sum(1 for _ in self.iter_elements())
 
-    @property
-    def is_intensional(self):
-        return self.root.is_intensional
-
     def __repr__(self):
         return "Document(uri=%r, %d elements)" % (self.uri, self.element_count)
 

@@ -219,7 +219,7 @@ class TestReadPolicy:
         # writes only the owner applied, of the same posting count: now
         # its stamp alone tells the stale replica copies apart
         owner.store.delete(key)
-        owner.store.put(key, reference[1:])
+        owner.store.append(key, reference[1:])
         owner.store.append(key, [Posting(0, 99, 1, 2, 0)])
         owner.versions[key] = owner.versions.get(key, 0) + 1
         assert owner.store.count(key) == len(reference)
@@ -244,7 +244,7 @@ class TestReadStaleness:
         full = owner.store.get(key)
         assert len(full) >= 2
         victim.store.delete(key)
-        victim.store.put(key, full[:-1])
+        victim.store.append(key, full[:-1])
         victim.versions[key] = owner.versions.get(key, 0)
         return owner, victim
 

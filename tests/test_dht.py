@@ -88,14 +88,6 @@ class TestDhtApi:
         assert [p.start for p in plist] == [1, 3]
         assert receipt.duration_s > 0
 
-    def test_put_reconciles(self):
-        net = DhtNetwork.create(10, replication=1)
-        src = net.nodes[0]
-        net.put(src, "t", [P(1)])
-        net.put(src, "t", [P(5)])
-        plist, _ = net.get(src, "t")
-        assert len(plist) == 2
-
     def test_get_missing_key(self):
         net = DhtNetwork.create(4, replication=1)
         plist, _ = net.get(net.nodes[0], "missing")

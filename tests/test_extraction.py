@@ -121,16 +121,16 @@ class TestExtractionOracle:
 
 class TestIncludeFlag:
     """``ElementStreams.intensional`` equals the tree walk of
-    ``Document.is_intensional``."""
+    ``Element.is_intensional`` from the root."""
 
     def test_inex_with_includes(self):
         documents = inex_documents(inline=False)
-        assert all(document.is_intensional for document in documents)
+        assert all(document.root.is_intensional for document in documents)
         assert all(ElementStreams(document).intensional for document in documents)
 
     def test_inex_inlined(self):
         documents = inex_documents(inline=True)
-        assert not any(document.is_intensional for document in documents)
+        assert not any(document.root.is_intensional for document in documents)
         assert not any(ElementStreams(document).intensional for document in documents)
 
     @pytest.mark.parametrize(
@@ -144,11 +144,11 @@ class TestIncludeFlag:
     )
     def test_fixed_documents(self, text):
         document = parse_document(text)
-        assert ElementStreams(document).intensional == document.is_intensional
+        assert ElementStreams(document).intensional == document.root.is_intensional
 
     def test_generated_corpora(self):
         for document in corpus():
-            assert ElementStreams(document).intensional == document.is_intensional
+            assert ElementStreams(document).intensional == document.root.is_intensional
 
     @settings(max_examples=100, deadline=None)
     @given(documents())
@@ -158,4 +158,4 @@ class TestIncludeFlag:
                 document = parse_document(text, **options)
             except ReproError:
                 continue
-            assert ElementStreams(document).intensional == document.is_intensional
+            assert ElementStreams(document).intensional == document.root.is_intensional

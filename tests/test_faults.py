@@ -195,7 +195,7 @@ class TestZeroFaultDifferential:
             )
             net = KadopNetwork.create(num_peers=8, config=config, seed=11)
             if with_plan:
-                net.install_faults(FaultPlan.none(seed=11))
+                net.install_faults(FaultPlan(seed=11))
             _publish_corpus(net, docs=6)
             results = []
             for query_text in ("//log//s", "//log"):
@@ -268,7 +268,7 @@ class TestOpFateTable:
     KEY = "elem:t"
     OBJ = "obj:t"
     RETRIES = 2
-    WRITES = ("append", "put", "append_batch", "put_object", "delete")
+    WRITES = ("append", "append_batch", "put_object", "delete")
     OPS = ("locate",) + WRITES + ("get", "pipelined_get", "block_get")
     SHIPPED = ("doc_answers", "bloom_filter", "view_fetch", "dpp_split", "write_at")
     #: the value ``faults._unit`` must return for each fate under rates
@@ -314,7 +314,6 @@ class TestOpFateTable:
         calls = {
             "locate": lambda: net.locate(src, self.KEY),
             "append": lambda: net.append(src, self.KEY, new),
-            "put": lambda: net.put(src, self.KEY, new),
             "append_batch": lambda: net.append_batch(src, self.KEY, new),
             "put_object": lambda: net.put_object(src, self.OBJ, "v", 48),
             "get_object": lambda: net.get_object(src, self.OBJ),
@@ -410,7 +409,7 @@ class TestOpFateTable:
             wire = CONTROL_BYTES * span
             return [_Message(request, "control", wire, "request_bytes",
                              CONTROL_BYTES, hops, 0.0)]
-        if op in ("append", "put", "put_object", "delete"):
+        if op in ("append", "put_object", "delete"):
             category = "control" if op == "put_object" else "postings"
             if op == "delete":
                 payload = clean["withdrawn_bytes"]
@@ -555,7 +554,7 @@ class TestOpFateTable:
         else:
             assert old_owner.store.count(key) == 8
             assert new_owner.store.count(key) == 12
-        if op in ("append", "put", "delete"):
+        if op in ("append", "delete"):
             # routed writes bill exactly what they put on the wire
             assert run["meter"] == {"postings": got.request_bytes}
 
@@ -707,7 +706,7 @@ class TestReadHolder:
             if missed_write:
                 backup.store.delete(self.KEY)
         net.crash_node(owner)
-        net.faults = FaultPlan.none()
+        net.faults = FaultPlan()
         assert net.owner_of(self.KEY) is backup
         before = net.meter.snapshot()
         if op == "pipelined_get":

@@ -17,12 +17,11 @@ from repro.obs import (
     observe_schedule,
     phase_totals,
     to_chrome_trace,
-    top_spans,
     validate_trace,
     validate_trace_file,
     write_chrome_trace,
 )
-from repro.obs.profile import format_profile, self_times, utilization
+from repro.obs.profile import aggregate_spans, format_profile, self_times, utilization
 from repro.sim.tasks import Scheduler
 
 
@@ -176,7 +175,7 @@ class TestProfile:
         t.add("fetch", "dht", "a", 0.0, 0.2)
         t.add("fetch", "dht", "b", 0.2, 0.3)
         t.add("join", "join", "a", 0.5, 0.1)
-        rows = top_spans(t, n=5)
+        rows = aggregate_spans(t)
         assert rows[0] == ("fetch", "dht", 2, pytest.approx(0.5), pytest.approx(0.5))
 
     def test_phase_totals(self):

@@ -44,9 +44,6 @@ class TestPosting:
         assert not P(0, 0, 1, 10).is_ancestor_of(P(0, 1, 3, 4))
         assert not P(0, 0, 1, 10).is_ancestor_of(P(1, 0, 3, 4))
 
-    def test_sid(self):
-        assert P(0, 0, 2, 5, level=3).sid == StructuralId(2, 5, 3)
-
     def test_sid_contains(self):
         assert StructuralId(1, 10, 0).contains(StructuralId(2, 3, 1))
         assert not StructuralId(2, 3, 1).contains(StructuralId(2, 3, 1))

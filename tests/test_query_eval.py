@@ -487,7 +487,7 @@ class TestDocumentPhase:
             '<!DOCTYPE a [ <!ENTITY inc SYSTEM "u:inc"> ]>'
             "<a><b>x&inc;</b><b>&inc;</b></a>"
         )
-        assert doc.is_intensional
+        assert doc.root.is_intensional
         for query in ('//a//b[. contains "x"]', "//b//c", "//a/b"):
             pattern = parse_query(query)
             assert stored(doc).evaluate(pattern, [5]) == matcher_answers(pattern, doc, 3, 5)

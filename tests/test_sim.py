@@ -31,12 +31,6 @@ class TestTrafficMeter:
         delta = m.delta_since(snap)
         assert delta == {"a": 7, "b": 3}
 
-    def test_reset(self):
-        m = TrafficMeter()
-        m.record("a", 5)
-        m.reset()
-        assert m.bytes() == 0
-
 
 class TestCostModel:
     def test_transfer_scales_with_bytes(self):

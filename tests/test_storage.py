@@ -35,29 +35,23 @@ def P(start, end=None, peer=0, doc=0, level=1):
 class TestNaiveGzipStore:
     def test_put_get_roundtrip(self):
         store = NaiveGzipStore()
-        store.put("a", [P(1)])
-        store.put("a", [P(3)])
-        assert store.get("a").items() == [P(1), P(3)]
-
-    def test_append_degenerates_to_put(self):
-        store = NaiveGzipStore()
         store.append("a", [P(1)])
         store.append("a", [P(3)])
-        assert len(store.get("a")) == 2
+        assert store.get("a").items() == [P(1), P(3)]
 
     def test_missing_key_empty(self):
         assert len(NaiveGzipStore().get("missing")) == 0
 
     def test_delete_posting(self):
         store = NaiveGzipStore()
-        store.put("a", [P(1), P(3)])
+        store.append("a", [P(1), P(3)])
         assert store.delete("a", [P(1)])
         assert store.get("a").items() == [P(3)]
         assert not store.delete("a", [P(1)])
 
     def test_delete_term(self):
         store = NaiveGzipStore()
-        store.put("a", [P(1)])
+        store.append("a", [P(1)])
         assert store.delete("a")
         assert "a" not in store
         assert not store.delete("a")
@@ -65,13 +59,13 @@ class TestNaiveGzipStore:
     def test_terms_sorted(self):
         store = NaiveGzipStore()
         for term in ("b", "a", "c"):
-            store.put(term, [P(1)])
+            store.append(term, [P(1)])
         assert list(store.terms()) == ["a", "b", "c"]
 
     def test_count(self):
         store = NaiveGzipStore()
         assert store.count("a") == 0
-        store.put("a", [P(1), P(3)])
+        store.append("a", [P(1), P(3)])
         assert store.count("a") == 2
 
     def test_read_modify_write_is_quadratic_in_io(self):
@@ -84,7 +78,7 @@ class TestNaiveGzipStore:
         def run(n):
             store = NaiveGzipStore()
             for s in starts[:n]:
-                store.put("a", [P(s)])
+                store.append("a", [P(s)])
             return store.stats.bytes_read
 
         # 4x the inserts: quadratic I/O grows ~16x, linear only 4x
@@ -92,7 +86,7 @@ class TestNaiveGzipStore:
 
     def test_stored_bytes(self):
         store = NaiveGzipStore()
-        store.put("a", [P(i) for i in range(1, 100, 2)])
+        store.append("a", [P(i) for i in range(1, 100, 2)])
         assert store.stored_bytes() > 0
 
     def test_get_range_default(self):
@@ -850,8 +844,8 @@ class TestPutIsAUnion:
     @pytest.mark.parametrize("make", [ClusteredIndexStore, LsmStore, NaiveGzipStore])
     def test_put_over_an_existing_term(self, make):
         store = make()
-        store.put("t", [P(1), P(3), P(5)])
-        store.put("t", [P(3), P(4)])
+        store.append("t", [P(1), P(3), P(5)])
+        store.append("t", [P(3), P(4)])
         union = [P(1), P(3), P(4), P(5)]
         assert store.get("t").items() == union
         assert store.count("t") == len(union)
@@ -865,13 +859,12 @@ class TestEmptyWrites:
     def test_empty_write_lists_no_term(self, make):
         store = make()
         store.append("t", [])
-        store.put("u", [])
+        store.append("u", [])
         store.append("v", PostingList())
         assert list(store.terms()) == []
         assert store.count("t") == store.count("u") == 0
         store.append("t", [P(1)])
         store.append("t", [])
-        store.put("t", [])
         assert list(store.terms()) == ["t"]
         assert store.get("t").items() == [P(1)]
         assert store.delete("t") and list(store.terms()) == []
@@ -952,11 +945,6 @@ class _ReferenceLsmStore(Store):
         if self._mem_entries >= self._memtable_postings:
             self.flush()
         return added
-
-    def put(self, term, postings):
-        # the memtable absorbs and deduplicates, so a reconciling put is
-        # just an append — like the clustered store's
-        self.append(term, postings)
 
     def delete(self, term, postings=None):
         """Blind tombstone write (plus the metadata presence check)."""

@@ -154,13 +154,13 @@ class TestSeries:
     def test_window_stats(self):
         from repro.obs.report import _series_row
 
-        row = _series_row("x", [4, 1, 7], width=8)
+        row = _series_row("x", [4, 1, 7])
         assert "last        7.0" in row
         assert "mean        4.0" in row
         assert "p99        7.0" in row
         # p99 is quantile_exact's nearest rank, not the max
         values = list(range(1, 201))
-        assert "p99      198.0" in _series_row("y", values, width=8)
+        assert "p99      198.0" in _series_row("y", values)
 
 
 class TestSampler:

@@ -76,7 +76,7 @@ class TestInexGenerator:
     def test_documents_parse_with_include(self):
         gen = InexGenerator(seed=3, match_count=2, collection_size=10)
         doc = parse_document(gen.document(0))
-        assert doc.is_intensional
+        assert doc.root.is_intensional
         (ref,) = doc.iter_refs()
         assert ref.target == gen.abstract_uri(0)
 

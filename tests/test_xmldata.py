@@ -143,14 +143,14 @@ class TestIncludes:
         assert len(refs) == 1
         assert refs[0].target == "u:abs"
         assert refs[0].parent.label == "abstract"
-        assert doc.is_intensional
+        assert doc.root.is_intensional
         assert doc.root.find("abstract").is_intensional
         assert not doc.root.find("title").is_intensional
 
     def test_inlining_expands(self):
         resolver = {"u:abs": "<p>graph stuff</p>"}.get
         doc = parse_document(self.DOC, resolver=resolver, inline=True)
-        assert not doc.is_intensional
+        assert not doc.root.is_intensional
         assert doc.root.find("p").text() == "graph stuff"
 
     def test_inline_requires_resolver(self):
