@@ -51,7 +51,7 @@ DPP = dict(use_dpp=True, dpp_block_entries=16)
 #: name -> (config overrides, crash DOWN_PEER around an extra publish?)
 CONFIGS = (
     ("append", {}, False),
-    ("put-naive", dict(use_append=False, store_backend="naive"), False),
+    ("put-naive", dict(store_backend="naive"), False),
     ("lsm", dict(store_backend="lsm"), False),
     ("dpp-ordered", dict(DPP), False),
     ("dpp-unordered", dict(DPP, dpp_ordered_splits=False), False),

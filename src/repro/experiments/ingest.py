@@ -57,11 +57,7 @@ def _documents(seed):
 
 
 def _network(backend, seed, num_peers):
-    config = KadopConfig(
-        replication=2,
-        store_backend=backend,
-        use_append=(backend != "naive"),
-    )
+    config = KadopConfig(replication=2, store_backend=backend)
     return KadopNetwork.create(num_peers=num_peers, config=config, seed=seed)
 
 

@@ -1,7 +1,7 @@
 """System configuration: every technique of the paper is a toggle here.
 
 The defaults correspond to the *improved* KadoP of Section 3 (B+-tree
-store, ``append``, pipelined ``get``) without the optional techniques; the
+store, pipelined ``get``) without the optional techniques; the
 experiment drivers flip individual switches to reproduce each comparison.
 """
 
@@ -23,8 +23,9 @@ class KadopConfig:
                          sorted immutable runs with background compaction on
                          the serving clock).  Query answers are
                          byte-identical across backends — only the
-                         store-time accounting differs
-    ``use_append``       use the extended ``append`` API instead of ``put``
+                         store-time accounting differs.  Every index
+                         write is an ``append``; on ``"naive"`` that is
+                         the paper's quadratic ``put``
     ``pipelined_get``    stream posting lists instead of blocking ``get``
     ``chunk_postings``   pipeline chunk size, in postings
 
@@ -120,7 +121,6 @@ class KadopConfig:
     """
 
     store_backend: str = "btree"
-    use_append: bool = True
     pipelined_get: bool = True
     chunk_postings: int = 2048
 

@@ -72,7 +72,7 @@ DIMENSIONS = {
     "store": {
         "btree": {},
         "lsm": dict(store_backend="lsm"),
-        "naive": dict(store_backend="naive", use_append=False),
+        "naive": dict(store_backend="naive"),
     },
     "fetch": {"pipelined": {}, "blocking": dict(pipelined_get=False)},
     "index": {
@@ -317,7 +317,7 @@ def build(config, seed=1):
 CONFIGS = {
     "baseline": KadopConfig(replication=1),
     "blocking": KadopConfig(replication=1, pipelined_get=False),
-    "naive-store": KadopConfig(replication=1, store_backend="naive", use_append=False),
+    "naive-store": KadopConfig(replication=1, store_backend="naive"),
     "dpp": KadopConfig(replication=1, **DPP),
     "dpp-random": KadopConfig(replication=1, dpp_ordered_splits=False, **DPP),
     "replicated-ring": KadopConfig(replication=3),

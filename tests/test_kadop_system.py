@@ -118,7 +118,7 @@ class TestNaiveStoreConfig:
     def test_naive_store_same_answers(self, dblp_generator):
         naive = KadopNetwork.create(
             num_peers=6,
-            config=KadopConfig(store_backend="naive", use_append=False, replication=1),
+            config=KadopConfig(store_backend="naive", replication=1),
             seed=3,
         )
         btree = KadopNetwork.create(

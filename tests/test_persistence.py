@@ -114,6 +114,9 @@ class TestSaveLoad:
                 ),
                 "btree",
             ),
+            # the publish path's put/append choice, beside the store it ran on
+            ({"use_append": True}, "btree"),
+            ({"use_append": False, "store_backend": "naive"}, "naive"),
         ],
     )
     def test_legacy_store_key_maps_onto_store_backend(

@@ -62,7 +62,6 @@ DPP_CASES = {
 def _build(backend, overlay, bulk, docs=DOCS, rounds=3, **overrides):
     config = KadopConfig(
         store_backend=backend,
-        use_append=(backend != "naive"),
         overlay=overlay,
         replication=2,
         **overrides
