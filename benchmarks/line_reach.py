@@ -38,16 +38,8 @@ for _path in (SRC, ROOT):
         sys.path.insert(0, _path)
 
 from bench.layers import repro_relpath  # noqa: E402  (imports no repro code)
+from benchmarks.fuzz_smoke import SWEEPS  # noqa: E402  (imports no repro code)
 
-#: the sweeps of ``make fuzz-smoke``
-FUZZ_SMOKE = (
-    ["--seed", "0", "--iterations", "200"],
-    ["--seed", "1000", "--iterations", "60", "--overlay", "chord"],
-    ["--seed", "5000", "--iterations", "60", "--write-quorum", "majority"],
-    ["--seed", "9000", "--iterations", "40", "--crash-rate", "0.15",
-     "--drop-rate", "0.45", "--delay-rate", "0.1", "--duplicate-rate", "0.1"],
-    ["--seed", "3000", "--iterations", "60", "--store-backend", "lsm"],
-)
 DIFFERENTIALS = ("executor", "dht", "write")
 WORKLOADS = ("ingest", "query_index", "query_docphase", "serve_churn")
 
@@ -119,7 +111,7 @@ def run_experiments(tmp):
 
 
 def run_fuzz(tmp):
-    return max(_cli(["fuzz"] + args) or 0 for args in FUZZ_SMOKE)
+    return max(_cli(["fuzz"] + flags.split()) or 0 for flags in SWEEPS)
 
 
 def run_differentials(tmp):
