@@ -275,27 +275,9 @@ def cmd_profile(args):
 
 def cmd_fuzz(args):
     """Run the seed-reproducible scenario fuzzer (repro.sim.fuzz)."""
-    from repro.sim.fuzz import FuzzConfig, FuzzFailure, run_fuzz
+    from repro.sim.fuzz import FuzzFailure, config_from_args, run_fuzz
 
-    config = FuzzConfig(
-        iterations=args.iterations,
-        steps=args.steps,
-        num_peers=args.peers,
-        replication=args.replication,
-        crash_rate=args.crash_rate,
-        drop_rate=args.drop_rate,
-        delay_rate=args.delay_rate,
-        duplicate_rate=args.duplicate_rate,
-        overlay=args.overlay,
-        write_quorum=args.write_quorum,
-        serve_weight=args.serve_weight,
-        hot_read_weight=args.hot_read_weight,
-        rebalance_weight=args.rebalance_weight,
-        store_backend=args.store_backend,
-        bulk_publish_weight=args.bulk_publish_weight,
-        unpublish_weight=args.unpublish_weight,
-        compact_weight=args.compact_weight,
-    )
+    config = config_from_args(args)
     progress = None
     if not getattr(args, "json", False):
         def progress(seed, result):
@@ -367,7 +349,10 @@ def _taking(option):
     return [n for n, e in EXPERIMENTS.items() if option in e.run_options]
 
 
-def main(argv=None):
+def build_parser():
+    """The ``repro`` argument parser, one subcommand per ``cmd_*``."""
+    from repro.sim.fuzz import add_arguments as add_fuzz_arguments
+
     traceable = _taking("tracer")
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -498,65 +483,16 @@ def main(argv=None):
         help="seed-reproducible scenario fuzzer for the fault layer",
     )
     fuzz_parser.add_argument("--seed", type=int, default=0)
-    fuzz_parser.add_argument(
-        "--iterations", type=int, default=20,
-        help="independent scenarios; seeds are seed..seed+iterations-1",
-    )
-    fuzz_parser.add_argument(
-        "--steps", type=int, default=12, help="random actions per scenario"
-    )
-    fuzz_parser.add_argument("--peers", type=int, default=8)
-    fuzz_parser.add_argument("--replication", type=int, default=3)
-    fuzz_parser.add_argument("--crash-rate", type=float, default=0.05)
-    fuzz_parser.add_argument("--drop-rate", type=float, default=0.02)
-    fuzz_parser.add_argument("--delay-rate", type=float, default=0.02)
-    fuzz_parser.add_argument("--duplicate-rate", type=float, default=0.02)
-    fuzz_parser.add_argument(
-        "--overlay", choices=("pastry", "chord"), default="pastry"
-    )
-    fuzz_parser.add_argument(
-        "--write-quorum", choices=("all", "majority"), default="all"
-    )
-    fuzz_parser.add_argument(
-        "--serve-weight", type=int, default=1,
-        help="weight of the concurrent-serving burst step (0 disables it"
-        " and reproduces pre-serving campaigns exactly)",
-    )
-    fuzz_parser.add_argument(
-        "--hot-read-weight", type=int, default=1,
-        help="weight of the hot-read burst step (0 disables balancing"
-        " steps and reproduces pre-balance campaigns exactly)",
-    )
-    fuzz_parser.add_argument(
-        "--rebalance-weight", type=int, default=1,
-        help="weight of the balance-tick step (decay + demotion + one"
-        " rebalancer migration pass; 0 disables)",
-    )
-    fuzz_parser.add_argument(
-        "--store-backend", choices=("btree", "naive", "lsm"), default="btree",
-        help="per-peer storage backend the fuzzed networks use (no rng"
-        " draw, so LSM sweeps replay btree corpus seeds exactly)",
-    )
-    fuzz_parser.add_argument(
-        "--bulk-publish-weight", type=int, default=1,
-        help="weight of the batched-publish burst step (0 disables the"
-        " write-path steps' views draw and reproduces earlier campaigns)",
-    )
-    fuzz_parser.add_argument(
-        "--unpublish-weight", type=int, default=1,
-        help="weight of the document-withdrawal step (checks view"
-        " freshness after the delta; 0 disables)",
-    )
-    fuzz_parser.add_argument(
-        "--compact-weight", type=int, default=1,
-        help="weight of the LSM flush+fold step (checks store invariants"
-        " and content stability across compaction; 0 disables)",
-    )
+    add_fuzz_arguments(fuzz_parser)
     fuzz_parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON summary"
     )
     fuzz_parser.set_defaults(func=cmd_fuzz)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -14,6 +14,7 @@ from collections import Counter
 
 from repro.obs.profile import served_reads
 from repro.postings.encoder import encoded_size
+from repro.views import is_view_key
 
 
 def gini(loads):
@@ -68,7 +69,7 @@ def network_stats(system, top_terms=8):
             view_bytes=0,
         )
         for term in store.terms():
-            if term.startswith("viewblk:"):
+            if is_view_key(term):
                 # view answer blocks are cache, not index: tallied apart
                 row["view_blocks"] += 1
                 row["view_bytes"] += encoded_size(store.get(term))

@@ -24,7 +24,7 @@ more general than the query).
 """
 
 from repro.views.definition import ViewBlock, ViewDefinition, canonical_pattern
-from repro.views.manager import ViewManager, ViewOutcome
+from repro.views.manager import ViewManager, ViewOutcome, is_view_key
 from repro.views.rewrite import subsumes
 
 __all__ = [
@@ -33,5 +33,6 @@ __all__ = [
     "ViewManager",
     "ViewOutcome",
     "canonical_pattern",
+    "is_view_key",
     "subsumes",
 ]

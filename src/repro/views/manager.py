@@ -50,6 +50,13 @@ def view_record_key(view_id):
     return "viewdef:%s" % view_id
 
 
+def is_view_key(key):
+    """Whether DHT ``key`` holds view state rather than the index: an
+    answer block (:func:`~repro.views.definition.block_key`, in a store),
+    a catalog record or the directory (objects)."""
+    return str(key).startswith(("viewblk:", "viewdef:")) or key == DIRECTORY_KEY
+
+
 class ViewOutcome:
     """What consulting the rewriter produced for one query.
 
@@ -355,7 +362,7 @@ class ViewManager:
             blocks = 0
             nbytes = 0
             for key in node.store.terms():
-                if not key.startswith("viewblk:"):
+                if not is_view_key(key):
                     continue
                 blocks += 1
                 nbytes += encoded_size(node.store.get(key))

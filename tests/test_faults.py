@@ -24,6 +24,7 @@ import collections
 import dataclasses
 import json
 import os
+import shlex
 
 import pytest
 
@@ -39,7 +40,14 @@ from repro.kadop.system import KadopNetwork
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
-from repro.sim.fuzz import FuzzConfig, FuzzResult, _Iteration, repro_command
+from repro.cli import build_parser
+from repro.sim.fuzz import (
+    FuzzConfig,
+    FuzzResult,
+    _Iteration,
+    config_from_args,
+    repro_command,
+)
 from repro.views.definition import ViewDefinition
 from repro.views.store import ViewBlockStore
 
@@ -182,6 +190,22 @@ class TestCorpus:
             "--compact-weight 4",
         ):
             assert flag in command, flag
+        # and the line parses back, through the ``repro fuzz`` parser, to
+        # this config and to every corpus config: a field the CLI does not
+        # carry fails here
+        configs = [(4321, cfg)] + [
+            (entry["seed"], FuzzConfig(**entry["config"]))
+            for entry in CORPUS
+            if entry["mode"] == "fuzz"
+        ]
+        for seed, config in configs:
+            tokens = shlex.split(repro_command(seed, config))
+            assert tokens[:4] == ["PYTHONPATH=src", "python", "-m", "repro"]
+            args = build_parser().parse_args(tokens[4:])
+            assert args.seed == seed
+            assert config_from_args(args) == dataclasses.replace(
+                config, iterations=1
+            )
 
 
 class TestZeroFaultDifferential:
