@@ -119,11 +119,8 @@ class ServingResult:
         return sorted(q.latency_s for q in self.queries)
 
     def percentile(self, p):
-        """Nearest-rank latency percentile (p in [0, 100]).
-
-        Delegates to the shared exact-sample quantile in ``obs.metrics``
-        (same rank arithmetic, bit-identical to the formula this method
-        used to inline, so the committed BENCH gate values stand)."""
+        """Nearest-rank latency percentile (p in [0, 100]), by the shared
+        exact-sample quantile of ``obs.metrics``."""
         latencies = self.latencies()
         if not latencies:
             return 0.0
@@ -164,7 +161,6 @@ class _Flight:
         "owner_seq",
         "tasks",
         "finish_s",
-        "waiters",
     )
 
     def __init__(self, kind, key, data, nbytes, receipt_s, owner_seq):
@@ -176,7 +172,6 @@ class _Flight:
         self.owner_seq = owner_seq
         self.tasks = []  # the flight's tasks on the shared timeline
         self.finish_s = None  # provisional completion; None until replayed
-        self.waiters = 0
 
 
 def _flight_matcher(flight):
@@ -240,7 +235,6 @@ class FetchCoalescer:
             return None
         self.hits += 1
         self.bytes_saved += flight.nbytes
-        flight.waiters += 1
         self._joined.setdefault(self.owner_seq, []).append(flight)
         return flight
 
@@ -303,35 +297,29 @@ class ServingEngine:
             while i < len(ordered) or queued:
                 if not queued:
                     clock = max(clock, ordered[i].arrival_s)
-                while i < len(ordered) and ordered[i].arrival_s <= clock + _EPS:
-                    queued.append((i, ordered[i]))
-                    i += 1
-                if self.max_inflight is not None:
-                    # wait for a slot: jump to the earliest provisional
-                    # completion, pulling newly arrived queries into the
-                    # admission queue as simulated time passes
-                    while True:
-                        inflight = [
-                            r
-                            for r in self._records
-                            if r.finish_s > clock + _EPS
-                        ]
-                        if len(inflight) < self.max_inflight:
-                            break
-                        clock = min(r.finish_s for r in inflight)
-                        while (
-                            i < len(ordered)
-                            and ordered[i].arrival_s <= clock + _EPS
-                        ):
-                            queued.append((i, ordered[i]))
-                            i += 1
+                while True:
+                    # pull every query that has arrived by ``clock`` into
+                    # the admission queue, then, while no slot is free,
+                    # jump to the earliest provisional completion
+                    while (
+                        i < len(ordered)
+                        and ordered[i].arrival_s <= clock + _EPS
+                    ):
+                        queued.append((i, ordered[i]))
+                        i += 1
+                    if self.max_inflight is None:
+                        break
+                    inflight = [
+                        r for r in self._records if r.finish_s > clock + _EPS
+                    ]
+                    if len(inflight) < self.max_inflight:
+                        break
+                    clock = min(r.finish_s for r in inflight)
                 seq, arrival = queued.pop(0)
-                balance = getattr(system, "balance", None)
-                if balance is not None:
-                    # advance the rebalance clock to the admission instant:
-                    # rate decay, hot-copy demotion, and migration passes
-                    # all happen on the same simulated timeline as serving
-                    balance.maybe_tick(clock)
+                # advance the rebalance clock to the admission instant:
+                # rate decay, hot-copy demotion, and migration passes all
+                # happen on the same simulated timeline as serving
+                system.balance.maybe_tick(clock)
                 for node in system.net.nodes:
                     # LSM stores fold runs on the same serving clock the
                     # balancer ticks on; other backends have no such hook.
