@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-pure test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare step-profile fence-margins
+.PHONY: test test-pure test-all lint trace fuzz-smoke telemetry-smoke differential line-reach bench-micro check-micro bench bench-check bench-refresh bench-e2e bench-e2e-check bench-compare setup-pairs step-profile fence-margins
 
 # tier-1 gate: unit + integration-differential suites
 test:
@@ -140,6 +140,17 @@ bench-e2e-check: bench-e2e
 # exits non-zero on any "worse"
 bench-compare:
 	python3 bench/run.py --compare $(BASE) $(NEW)
+
+# set-up host time of this checkout against another (PARENT, e.g. a
+# git archive of the parent commit) in PAIRS alternating pairs of fresh
+# bench/child.py --mode setup processes per workload: each side's median
+# setup_s, this side's win count and both sides' kadop.setup_pysteps, e.g.
+# make setup-pairs PARENT=/tmp/parent; a sequential bench-compare reads
+# machine drift between its two blocks as a set-up change
+PARENT ?=
+PAIRS ?= 10
+setup-pairs:
+	python3 benchmarks/setup_pairs.py $(PARENT) --pairs $(PAIRS)
 
 # where one workload of the repo benchmark spends its interpreter steps,
 # per function (bench/ only attributes per layer): top 40 with shares,
