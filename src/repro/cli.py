@@ -481,6 +481,8 @@ def build_parser():
     fuzz_parser = sub.add_parser(
         "fuzz",
         help="seed-reproducible scenario fuzzer for the fault layer",
+        description="A step weight of 0 disables that step and replays "
+        "campaigns from before it existed.",
     )
     fuzz_parser.add_argument("--seed", type=int, default=0)
     add_fuzz_arguments(fuzz_parser)

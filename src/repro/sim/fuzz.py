@@ -65,8 +65,9 @@ class FuzzConfig:
     Each field is one ``repro fuzz`` flag, named after the field except
     ``--peers``.  :func:`add_arguments`, :func:`config_from_args` and
     :func:`repro_command` derive the parser, the config and the replay
-    line from these fields.  A step weight of 0 replays campaigns from
-    before that step existed (see :meth:`_Iteration.run`)."""
+    line from these fields.  A step weight of 0 disables the step and
+    replays campaigns from before it existed (see :meth:`_Iteration.run`).
+    """
 
     iterations: int = _knob(
         20, "independent scenarios; seeds are seed..seed+iterations-1"
@@ -84,41 +85,23 @@ class FuzzConfig:
     write_quorum: str = _knob(
         "all", "replica acks a write waits for", ("all", "majority")
     )
-    serve_weight: int = _knob(
-        1,
-        "weight of the concurrent-serving burst step (0 disables it and"
-        " reproduces pre-serving campaigns exactly)",
-    )
-    hot_read_weight: int = _knob(
-        1,
-        "weight of the hot-read burst step (0 disables balancing steps and"
-        " reproduces pre-balance campaigns exactly)",
-    )
+    serve_weight: int = _knob(1, "weight of the concurrent-serving burst step")
+    hot_read_weight: int = _knob(1, "weight of the hot-read burst step")
     rebalance_weight: int = _knob(
-        1,
-        "weight of the balance-tick step (decay + demotion + one rebalancer"
-        " migration pass; 0 disables)",
+        1, "weight of the balance-tick step (decay, demotion, one migration pass)"
     )
     store_backend: str = _knob(
         "btree",
-        "per-peer storage backend the fuzzed networks use (no rng draw, so"
-        " LSM sweeps replay btree corpus seeds exactly)",
+        "per-peer storage backend (it draws no rng, so seeds replay on every"
+        " backend)",
         ("btree", "naive", "lsm"),
     )
-    bulk_publish_weight: int = _knob(
-        1,
-        "weight of the batched-publish burst step (0 disables the"
-        " write-path steps' views draw and reproduces earlier campaigns)",
-    )
+    bulk_publish_weight: int = _knob(1, "weight of the batched-publish burst step")
     unpublish_weight: int = _knob(
-        1,
-        "weight of the document-withdrawal step (checks view freshness"
-        " after the delta; 0 disables)",
+        1, "weight of the document-withdrawal step, which checks view freshness"
     )
     compact_weight: int = _knob(
-        1,
-        "weight of the LSM flush+fold step (checks store invariants and"
-        " content stability across compaction; 0 disables)",
+        1, "weight of the LSM flush+fold step, which checks store invariants"
     )
 
 
@@ -358,18 +341,13 @@ class _Iteration:
         """Run one publish-like ``write``; if it is acknowledged, the keys
         it added join the durability set.
 
-        A write cut short — it timed out, or the publishing peer itself was
-        crashed mid-write (it is only protected while it is the src of an
-        individual op, not across the whole write) — adds no keys, and
-        equality checks stand down: later queries may legitimately miss
-        its documents.  Only *new* keys join: appends to pre-existing keys
-        were acked too, but a snapshot diff cannot tell them apart from
-        keys an earlier cut-short write left behind unacked, so
-        under-approximating keeps the invariant free of false alarms.
-        View blocks and catalog records are single-copy, rebuildable caches
-        outside the DHT's durability claim (the integrity fallback in the
-        view manager defends their loss, not replication), so they never
-        join."""
+        A write cut short (a timeout, or its own peer crashed mid-write: a
+        peer is protected only while it is the src of one op) adds none,
+        and equality checks stand down.  Only *new* keys join: a snapshot
+        diff cannot tell appends to old keys from keys an earlier cut-short
+        write left unacked, and under-approximating raises no false alarm.
+        View state never joins: it is single-copy, rebuildable cache that
+        the view manager's integrity fallback defends, not replication."""
         before = self.system.net._all_keys()
         try:
             write(*args, **kwargs)
