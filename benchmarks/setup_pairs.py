@@ -44,8 +44,13 @@ def child(tree, mode, workload, seed, extra=()):
         "--workload", workload, "--seed", str(seed), *extra,
     ]
     done = subprocess.run(
-        command, env=env, cwd=tree, capture_output=True, text=True, check=True
+        command, env=env, cwd=tree, capture_output=True, text=True
     )
+    if done.returncode:
+        sys.exit(
+            "%s run of %s in %s exited with %d:\n%s"
+            % (mode, workload, tree, done.returncode, done.stderr[-2000:])
+        )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 

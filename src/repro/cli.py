@@ -279,7 +279,7 @@ def cmd_fuzz(args):
 
     config = config_from_args(args)
     progress = None
-    if not getattr(args, "json", False):
+    if not args.json:
         def progress(seed, result):
             if result.iterations % 50 == 0:
                 print(
@@ -294,7 +294,7 @@ def cmd_fuzz(args):
         print(str(failure), file=sys.stderr)
         return 1
     seconds = time.time() - started
-    if getattr(args, "json", False):
+    if args.json:
         payload = result.to_dict()
         payload["seconds"] = seconds
         print(json.dumps(payload, indent=2, sort_keys=True))
