@@ -681,9 +681,9 @@ class _Iteration:
                         "view %s still answers with withdrawn doc (%d, %d)"
                         % (view.canonical, peer_index, doc_index),
                     )
-                # no blocks check: when a view falls back to the base
-                # index, this step has never held that evaluation to
-                # block conservation
+                # no blocks check: a view that falls back to the base
+                # index would face block conservation here for the first
+                # time and move fuzz outcomes
                 self._check_answers(
                     "view %s after unpublish" % view.canonical,
                     view.pattern,

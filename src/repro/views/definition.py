@@ -16,6 +16,9 @@ from repro.util.hashing import stable_hash
 #: estimated catalog bytes per block entry (two doc ids, key, counters)
 BLOCK_REF_BYTES = 40
 
+#: prefix of every answer block's DHT key
+BLOCK_KEY_PREFIX = "viewblk:"
+
 
 def canonical_pattern(pattern):
     """Deterministic canonical form of a tree pattern.
@@ -46,7 +49,7 @@ def view_id_of(canonical):
 
 def block_key(view_id, seq):
     """DHT pseudo-key of one answer block (scatters blocks over peers)."""
-    return "viewblk:%d:%s" % (seq, view_id)
+    return "%s%d:%s" % (BLOCK_KEY_PREFIX, seq, view_id)
 
 
 class ViewBlock:

@@ -34,7 +34,7 @@ from repro.faults import OpTimeoutError
 from repro.postings.plist import PostingList
 from repro.query.index_plan import build_index_plan
 from repro.query.twigjoin import TwigPlan, twig_roots
-from repro.views.definition import ViewDefinition, canonical_pattern
+from repro.views.definition import BLOCK_KEY_PREFIX, ViewDefinition, canonical_pattern
 from repro.views.rewrite import equivalent, pick_view, subsumes, view_beats_base
 from repro.views.store import ViewBlockStore, ViewIntegrityError
 
@@ -44,17 +44,22 @@ DIRECTORY_KEY = "viewdir"
 #: fixed directory-object header bytes
 DIRECTORY_HEADER_BYTES = 16
 
+#: prefix of every view's catalog-record DHT key
+RECORD_KEY_PREFIX = "viewdef:"
+
+_VIEW_KEY_PREFIXES = (BLOCK_KEY_PREFIX, RECORD_KEY_PREFIX)
+
 
 def view_record_key(view_id):
     """DHT key of one view's catalog record."""
-    return "viewdef:%s" % view_id
+    return "%s%s" % (RECORD_KEY_PREFIX, view_id)
 
 
 def is_view_key(key):
     """Whether DHT ``key`` holds view state rather than the index: an
     answer block (:func:`~repro.views.definition.block_key`, in a store),
     a catalog record or the directory (objects)."""
-    return str(key).startswith(("viewblk:", "viewdef:")) or key == DIRECTORY_KEY
+    return str(key).startswith(_VIEW_KEY_PREFIXES) or key == DIRECTORY_KEY
 
 
 class ViewOutcome:
