@@ -204,9 +204,11 @@ class DhtNetwork(Membership):
     def timed_store_op(self, receipt, store, op, *args):
         """Run ``store.<op>(*args)`` and charge ``receipt`` the simulated
         seconds of its disk traffic and store ops; returns its result."""
-        before = store.stats.snapshot()
+        stats = store.stats
+        read, written, ops = stats.bytes_read, stats.bytes_written, stats.num_ops
         result = getattr(store, op)(*args)
-        receipt.duration_s += store.stats.delta_since(before).cost_seconds(self.cost)
+        read, written = stats.bytes_read - read, stats.bytes_written - written
+        receipt.duration_s += self.cost.store_time(read, written, stats.num_ops - ops)
         return result
 
     def write_at(self, holder, key, postings, receipt, replace=False):

@@ -8,6 +8,7 @@ answer every ownership question on a sorted list of ids.
 """
 
 import bisect
+import functools
 
 from repro.util.hashing import stable_hash
 
@@ -50,8 +51,13 @@ class NodeId(int):
         return "NodeId(%s...)" % self.hex()[:8]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def key_id(key):
-    """Map a string DHT key onto the identifier ring."""
+    """Map a string DHT key onto the identifier ring.
+
+    Memoised, bounded like the routing memo: every route and every replica
+    set looks its key up, over a few thousand distinct keys, and the id
+    depends on the key alone, so membership changes leave it valid."""
     return NodeId(stable_hash(key, seed=0x2B, bits=ID_BITS))
 
 

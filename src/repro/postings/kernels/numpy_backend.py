@@ -373,9 +373,10 @@ def _total_size(cols, offsets=None):
 
 
 def encoded_size(cols):
-    # a one-row list goes to the pure loop, which sizes it in fewer steps
-    # and a tenth of the host time of the array set-up; testing a slice
-    # rather than len() adds no step to the calls that keep the array path
+    # an empty or one-row list goes to the pure kernel, which sizes one row
+    # in closed form, in fewer steps and far less host time than the array
+    # set-up; testing a slice rather than len() adds no step to the calls
+    # that keep the array path
     size = _total_size(cols) if cols[0][1:2] else None
     return _pure.encoded_size(cols) if size is None else size
 

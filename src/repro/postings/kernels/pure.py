@@ -209,8 +209,19 @@ def encode(cols):
     return bytes(out)
 
 
+#: uvarint bytes by the bit length of the value (0 takes one byte); int64
+#: columns keep every wire value, ``end - start`` included, within 64 bits
+_VARINT_BYTES = tuple(((bits + 6) // 7) or 1 for bits in range(65))
+
+
 def encoded_size(cols):
-    """Exact ``len(encode(cols))`` without building the bytes."""
+    """Exact ``len(encode(cols))`` without building the bytes.
+
+    A one-row list is sized in closed form: every delta starts from zero,
+    so its wire values are ``(1, p, d, s, e - s, l)``."""
+    if len(cols[0]) == 1:
+        (p,), (d,), (s,), (e,), (l,) = cols
+        return sum(map(_VARINT_BYTES.__getitem__, map(int.bit_length, (1, p, d, s, e - s, l))))
     return sum(((v.bit_length() + 6) // 7) or 1 for v in wire_values(cols))
 
 

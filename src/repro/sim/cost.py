@@ -113,6 +113,13 @@ class CostModel:
     def store_op_time(self, nops=1):
         return nops * self.params.store_op_s
 
+    def store_time(self, read_bytes, written_bytes, ops):
+        """Disk read, disk write and store-op time of one store operation,
+        summed in that order (the floats of adding the three methods
+        above)."""
+        p = self.params
+        return read_bytes / p.disk_read_bw + written_bytes / p.disk_write_bw + ops * p.store_op_s
+
     def join_time(self, npostings):
         """CPU time for the twig join to consume ``npostings`` inputs."""
         return npostings / self.params.join_rate

@@ -49,11 +49,7 @@ class StoreStatsDelta:
 
     def cost_seconds(self, cost_model):
         """Convert this I/O delta to simulated seconds."""
-        return (
-            cost_model.disk_read_time(self.bytes_read)
-            + cost_model.disk_write_time(self.bytes_written)
-            + cost_model.store_op_time(self.num_ops)
-        )
+        return cost_model.store_time(self.bytes_read, self.bytes_written, self.num_ops)
 
 
 class Store(abc.ABC):

@@ -81,7 +81,11 @@ class BPlusTree:
         """Insert the run ``keys``; dirty pages are charged once for the
         whole batch.  Returns the number of new keys.
 
-        A strictly increasing run descends once per leaf it lands in.  The
+        A strictly increasing run that lies below its first key's bound
+        (the next key its leaf holds, or the leaf's fence) and fits the
+        leaf's free room lands with one slice assignment, charged the one
+        page read and write of its one dirty leaf.  Any other strictly
+        increasing run descends once per leaf it lands in.  The
         key found there and every following key below both the leaf's
         fence (its tightest separator above) and its next existing key go
         in by one slice assignment, or one ``list.insert`` for a single
@@ -92,9 +96,27 @@ class BPlusTree:
         those of inserting the keys one at a time."""
         if self._dirty is not None:
             raise RuntimeError("insert_many cannot nest")
+        n = len(keys)
+        if not n:
+            return 0
+        key = keys[0]
+        node = self._root
+        while node.__class__ is _Inner:
+            node = node.children[bisect.bisect_right(node.keys, key)]
+        leaf_keys = node.keys
+        held = len(leaf_keys)
+        pos = bisect.bisect_left(leaf_keys, key)
+        bound = leaf_keys[pos] if pos < held else node.fence
+        if held + n <= self.order and (bound is None or keys[-1] < bound) and (
+            n == 1 or all(map(lt, keys, islice(keys, 1, None)))
+        ):
+            leaf_keys[pos:pos] = keys
+            self._size += n
+            self.pages_read += 1
+            self.pages_written += 1
+            return n
         self._dirty = dirty = set()
         size = self._size
-        n = len(keys)
         i = 0
         try:
             if n > 1 and not all(map(lt, keys, islice(keys, 1, None))):

@@ -18,6 +18,7 @@ run touches, not with the stored list: that is what makes publishing linear
 (vs. the quadratic :class:`~repro.storage.naive_store.NaiveGzipStore`).
 """
 
+import functools
 import struct
 from itertools import chain
 
@@ -30,11 +31,14 @@ _TERMINATOR = b"\x00\x00"
 _ESCAPED_NUL = b"\x00\x01"
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _encode_term(term):
     """Order-preserving, self-delimiting term encoding.
 
     NUL bytes inside the term are escaped so the terminator sorts below any
     continuation, preserving lexicographic order of the composite keys.
+    Memoised: every store op on a term encodes it, and a ring holds a few
+    thousand distinct terms.
     """
     raw = term.encode("utf-8").replace(b"\x00", _ESCAPED_NUL)
     return raw + _TERMINATOR

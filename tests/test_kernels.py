@@ -23,6 +23,7 @@ from repro.bloom.filter import BloomFilter
 from repro.bloom.structural import DescendantBloomFilter
 from repro.kadop.config import KadopConfig
 from repro.postings import kernels
+from repro.postings.encoder import encode_postings
 from repro.postings.kernels import pure
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
@@ -313,6 +314,37 @@ class TestSegmentedSizeKernel:
         cols = pure._transpose([(0, 1, 5, 6, 1), (2, 0, 3, 9, -1)])
         assert npk.encoded_sizes(cols, [1, 2]) == reference(cols, [1, 2])
         assert calls == [[1, 2]]
+
+
+class TestOneRowSize:
+    """A one-row list is sized in closed form, not by the wire-value loop."""
+
+    BACKENDS = [pure] + ([npk] if HAVE_NUMPY else [])
+    #: the edges of the uvarint widths: one byte up to 127, two up to 16,383
+    WIDTH_EDGES = (0, 127, 128, 16_383, 16_384, BIG)
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.NAME)
+    def test_equals_the_length_of_the_encoding(self, backend):
+        edges = self.WIDTH_EDGES
+        for peer, doc, start, span, level in itertools.product(edges, repeat=5):
+            if start + span > BIG:
+                continue
+            row = (peer, doc, start, start + span, level)
+            expected = len(encode_postings(PostingList([row])))
+            assert backend.encoded_size(arrays_of([row])) == expected, row
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.NAME)
+    def test_negative_fields_size_as_the_wire_value_loop(self, backend):
+        """Unencodable, but sized as before: the loop over wire values."""
+        for row in [
+            (0, 1, 500, 3, 2),  # a negative span
+            (2, 7, 9, 1, -1),
+            (-5, -1, -(2**63), BIG, -1),
+            (1, 2, BIG, -(2**63), 3),  # end - start is -(2**64 - 1)
+        ]:
+            cols = pure._transpose([row])
+            loop = sum(((v.bit_length() + 6) // 7) or 1 for v in pure.wire_values(cols))
+            assert backend.encoded_size(cols) == loop, row
 
 
 class TestSearchKernelEquivalence:

@@ -7,7 +7,8 @@
   leaves, crashes, restarts and placement changes, under tracing and under
   an installed ``FaultPlan``, a memoised network behaves like one whose
   memo is emptied before every call;
-* the memo is bounded.
+* the memo is bounded;
+* ``key_id`` is memoised, bounded, and returns what the hash returns.
 """
 
 import random
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht import network as network_module
 from repro.dht.network import DhtNetwork
-from repro.dht.nodeid import DIGITS, ID_SPACE, NodeId
+from repro.dht.nodeid import DIGITS, ID_SPACE, NodeId, key_id
 from repro.dht.routing import RoutingState
 from repro.faults import FaultPlan, OpTimeoutError
 from repro.obs.trace import Tracer
@@ -230,3 +231,10 @@ def test_memo_never_exceeds_its_cap(monkeypatch):
         owner, _ = net.route(net.nodes[i % 16], key)
         assert owner is net.owner_of(key)
         assert 0 < len(net._hop_memo) <= 8
+
+
+def test_key_id_memo_is_bounded_and_transparent():
+    assert key_id.cache_info().maxsize is not None
+    for key in ["word:alpha", "label:article", "", "dpp:x\x00y", "fun:w"]:
+        assert key_id(key) == key_id.__wrapped__(key)
+        assert key_id(key) == key_id.__wrapped__(key)  # a hit, too

@@ -54,6 +54,14 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostParams(join_rate=-1)
 
+    def test_store_time_is_the_sum_of_the_three_parts(self):
+        """Bit for bit: the same three terms, added in the same order."""
+        cm = CostModel()
+        for read, written, ops in [(0, 0, 0), (4096, 8192, 1), (12_288, 4096, 37), (7, 3, 5)]:
+            assert cm.store_time(read, written, ops) == (
+                cm.disk_read_time(read) + cm.disk_write_time(written) + cm.store_op_time(ops)
+            )
+
     def test_ingress_faster_than_egress_default(self):
         # the DPP parallel-transfer gain depends on this
         p = CostParams()

@@ -496,6 +496,10 @@ def _mutant(method, *edits, module=bptree):
 #: skips the full-leaf fallback: a run fills a leaf past ``order``
 _NO_FULL_LEAF_FALLBACK = (("room <= 0 or ", ""), ("min(n, i + room)", "n"))
 
+#: the one-leaf case without its bound test: a run lands in its first
+#: key's leaf even when it reaches a held key or the fence
+_NO_BOUND_TEST = (("(bound is None or keys[-1] < bound) and ", ""),)
+
 
 def _key(number):
     """Variable-length keys, so bytewise order is not numeric order."""
@@ -528,6 +532,34 @@ def _insert_runs(draw):
             rng.shuffle(numbers)
         script.append(("insert", [_key(k) for k in numbers]))
     return order, script
+
+
+def _fixed(number):
+    """Fixed-width keys: bytewise order is numeric order."""
+    return b"%06d" % number
+
+
+def _tree_of(order, numbers):
+    """A tree built one ``insert`` at a time."""
+    tree = BPlusTree(order=order)
+    for number in numbers:
+        tree.insert(_fixed(number))
+    return tree
+
+
+def _runs_at_leaf_bounds(tree, past_the_end):
+    """For each gap of each leaf of ``tree`` (below each held key, and up
+    to the fence, or to ``past_the_end`` in the last leaf): the runs that
+    end on the gap's bound and one below it, of every length up to one
+    past the leaf's free room."""
+    for leaf in _leaves(tree):
+        room = tree.order - len(leaf.keys)
+        tops = [int(key) for key in leaf.keys]
+        tops.append(past_the_end if leaf.fence is None else int(leaf.fence))
+        for top in tops:
+            for length in range(1, room + 2):
+                for last in (top, top - 1):
+                    yield [_fixed(k) for k in range(last - length + 1, last + 1)]
 
 
 def _run_script(order, script, insert_many):
@@ -574,6 +606,32 @@ class TestSortedRunInserts:
         mutant = _mutant(BPlusTree.insert_many, *_NO_FULL_LEAF_FALLBACK)
         monkeypatch.setattr(BPlusTree, "check_invariants", lambda tree: None)
         assert _run_script(4, script, mutant) != reference
+
+    def test_runs_at_every_leaf_bound(self):
+        """Every gap of every leaf of multi-level trees takes runs that end
+        on its bound (the next held key, or the fence) and one below it,
+        and runs that fill the leaf to exactly ``order`` and one past it;
+        the last leaf's gap has no bound.  Dropping the bound test is
+        caught."""
+        mutant = _mutant(BPlusTree.insert_many, *_NO_BOUND_TEST)
+        caught = 0
+        for order in (4, 5, 8):
+            numbers = range(0, 60 * order, 10)
+            for run in _runs_at_leaf_bounds(_tree_of(order, numbers), numbers[-1] + 100):
+                tree = _tree_of(order, numbers)
+                reference = _per_key_insert_many(tree, run), _state(tree)
+                tree = _tree_of(order, numbers)
+                assert (BPlusTree.insert_many(tree, run), _state(tree)) == reference, run
+                tree.check_invariants()
+                tree = _tree_of(order, numbers)
+                caught += (mutant(tree, run), _state(tree)) != reference
+        assert caught
+
+    def test_empty_run_in_a_multi_level_tree(self):
+        tree = _tree_of(4, range(0, 400, 10))
+        before = _state(tree)
+        assert tree.insert_many([]) == 0
+        assert _state(tree) == before
 
     def test_node_size_invariant_catches_an_overfilled_leaf(self):
         tree = BPlusTree(order=4)
@@ -1277,3 +1335,10 @@ class TestSetMemtable:
             _lsm_step(store, step)
         assert cancelled and empty
         assert store.compactions and store.num_runs
+
+
+def test_encode_term_memo_is_bounded_and_transparent():
+    assert _encode_term.cache_info().maxsize is not None
+    for term in ["alpha", "", "a\x00b", "é"]:
+        assert _encode_term(term) == _encode_term.__wrapped__(term)
+        assert _encode_term(term) == _encode_term.__wrapped__(term)  # a hit, too
