@@ -25,9 +25,12 @@ shape; the table of experiments is ``repro.experiments.EXPERIMENTS``.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
+
+from repro.errors import ReproError
 
 
 def cmd_list(_args):
@@ -203,6 +206,22 @@ def cmd_top(args):
     return 0
 
 
+def _one_line_errors(command):
+    """``command`` with a library error (an unindexable query, say) printed
+    as one line on stderr and exit status 2 instead of a traceback."""
+
+    @functools.wraps(command)
+    def run(args):
+        try:
+            return command(args)
+        except ReproError as exc:
+            print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_one_line_errors
 def cmd_explain(args):
     """EXPLAIN ANALYZE one query against the demo corpus."""
     from repro.obs.explain import explain_query
@@ -250,6 +269,7 @@ def _traced_run(target):
     return tracer
 
 
+@_one_line_errors
 def cmd_trace(args):
     """Record a Perfetto-compatible trace of a query or experiment."""
     from repro.obs import validate_trace_file, write_chrome_trace
@@ -264,6 +284,7 @@ def cmd_trace(args):
     return 0
 
 
+@_one_line_errors
 def cmd_profile(args):
     """Print top spans by simulated self-time and resource utilization."""
     from repro.obs import format_profile

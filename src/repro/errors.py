@@ -40,6 +40,11 @@ class QueryParseError(QueryError):
     """Raised when a tree-pattern (XPath subset) query is malformed."""
 
 
+class UnindexableQueryError(QueryError):
+    """Raised when no node of a query carries an index term (only
+    wildcards and stop words), so the index cannot evaluate it."""
+
+
 class DhtError(ReproError):
     """Base class for DHT-level errors."""
 

@@ -12,6 +12,7 @@ Removing the *root* turns the pattern into a forest: each component is
 joined independently and candidate documents are intersected on ``(p, d)``.
 """
 
+from repro.errors import UnindexableQueryError
 from repro.query.pattern import Axis, PatternNode, TreePattern
 
 
@@ -100,11 +101,12 @@ def _collapse(node, parent_axis_forces_desc):
 def build_index_plan(pattern):
     """Derive the :class:`IndexPlan` for ``pattern``.
 
-    Raises ``ValueError`` if no node carries an index term at all (a query
-    of only wildcards/stop words cannot use the index)."""
+    Raises :class:`~repro.errors.UnindexableQueryError` if no node carries
+    an index term at all (a query of only wildcards/stop words cannot use
+    the index)."""
     roots, pairs, dropped = _collapse(pattern.root, False)
     if not roots:
-        raise ValueError(
+        raise UnindexableQueryError(
             "query %r has no indexable term; the index cannot prune it"
             % (pattern.source,)
         )

@@ -30,6 +30,7 @@ added or withdrawn — publication is the rare, local operation — and routes
 exactly the matching root postings into or out of the view's blocks.
 """
 
+from repro.errors import UnindexableQueryError
 from repro.faults import OpTimeoutError
 from repro.postings.plist import PostingList
 from repro.query.index_plan import build_index_plan
@@ -170,7 +171,7 @@ class ViewManager:
             return view, 0.0
         try:
             build_index_plan(pattern)
-        except ValueError:
+        except UnindexableQueryError:
             return None, 0.0  # no indexable term: not evaluable from the index
         self._active = True
         try:

@@ -139,6 +139,16 @@ class TestTraceAndProfile:
         cats = {e.get("cat") for e in trace["traceEvents"]}
         assert {"query", "dht", "dht-hop"} <= cats
 
+    @pytest.mark.parametrize("command", [["explain"], ["trace"], ["profile"]])
+    def test_unindexable_query_is_one_line_and_non_zero(self, command, tmp_path, capsys):
+        out = ["-o", str(tmp_path / "t.json")] if command == ["trace"] else []
+        assert main(command + ["//*"] + out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "UnindexableQueryError: query '//*' has no indexable term; the index cannot prune it"
+        ]
+        assert not (tmp_path / "t.json").exists()
+
     def test_profile_demo_reports_tables(self, capsys):
         assert main(["profile", "demo", "--top", "5"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnindexableQueryError
 from repro.kadop.config import KadopConfig
 from repro.kadop.execution import Answer
 from repro.kadop.system import KadopNetwork
@@ -62,6 +62,10 @@ class TestQueryEndToEnd:
 
     def test_no_match(self, dblp_net):
         assert dblp_net.query("//nonexistent//thing") == []
+
+    def test_unindexable_query_raises_a_typed_error(self, dblp_net):
+        with pytest.raises(UnindexableQueryError, match="no indexable term"):
+            dblp_net.query("//*")
 
     def test_report_fields(self, dblp_net):
         answers, report = dblp_net.query_with_report("//article//author")

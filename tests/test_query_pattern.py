@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QueryParseError
+from repro.errors import QueryParseError, UnindexableQueryError
 from repro.query.index_plan import build_index_plan
 from repro.query.pattern import Axis, PatternNode, TreePattern
 from repro.query.xpath import parse_query
@@ -176,7 +176,7 @@ class TestIndexPlan:
         assert len(plan.components[0]) == 1
 
     def test_all_dropped_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnindexableQueryError):
             build_index_plan(parse_query('//*[. contains "the"]'))
 
     def test_node_map_translates_back(self):
