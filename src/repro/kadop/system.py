@@ -12,6 +12,7 @@ Wires the substrates together according to a
 
 import dataclasses
 
+from repro.balance import LoadBalancer
 from repro.bloom.reducers import BloomReducers
 from repro.dht.network import DhtNetwork
 from repro.errors import ConfigError
@@ -22,12 +23,14 @@ from repro.index.dpp import DppIndex
 from repro.index.publisher import Publisher
 from repro.kadop.config import KadopConfig
 from repro.kadop.execution import QueryExecutor
+from repro.kadop.optimizer import StrategyOptimizer
 from repro.kadop.peer import KadopPeer
 from repro.query.xpath import parse_query
 from repro.sim.cost import CostModel
 from repro.storage.clustered import ClusteredIndexStore
 from repro.storage.lsm import LsmStore
 from repro.storage.naive_store import NaiveGzipStore
+from repro.views.manager import ViewManager
 
 
 #: ``KadopConfig`` fields of older checkpoints that are gone: constants now
@@ -71,8 +74,6 @@ class KadopNetwork:
         )
         self.net.retry = RetryPolicy(max_retries=self.config.op_max_retries)
         self.net.write_quorum = self.config.write_quorum
-        from repro.balance import LoadBalancer
-
         self.balance = LoadBalancer(
             self.net,
             read_policy=self.config.read_policy,
@@ -95,13 +96,9 @@ class KadopNetwork:
         )
         self.publisher = Publisher(self.net, self.dpp)
         self.reducers = BloomReducers(self)
-        from repro.kadop.optimizer import StrategyOptimizer
-
         self.optimizer = StrategyOptimizer(self)
         self.fundex = FundexIndex(self)
         self.executor = QueryExecutor(self)
-        from repro.views.manager import ViewManager
-
         self.views = ViewManager(self) if self.config.use_views else None
         self.peers = []
         self._resources = {}  # uri -> xml text (the "web" of includable data)

@@ -12,6 +12,7 @@ bushy, so covers average ≈1.2–1.6 intervals.
 import random
 from dataclasses import dataclass
 
+from repro.kadop.serving import QueryArrival
 from repro.xmldata.tree import Document, Element, Text, assign_sids
 
 
@@ -217,8 +218,6 @@ def open_loop_workload(profile, rate_qps, seed=0, num_sources=4):
     Returns ``[QueryArrival]``, deterministic for a given
     ``(profile, rate_qps, seed, num_sources)``.
     """
-    from repro.kadop.serving import QueryArrival
-
     if rate_qps <= 0:
         raise ValueError("rate_qps must be > 0")
     if num_sources < 1:
