@@ -159,13 +159,17 @@ setup-pairs:
 # workload seed, e.g. make step-profile WORKLOAD=serve_churn SEED=7; KIND
 # (publish, unpublish or query) profiles only that kind of op, per op of
 # the kind and without the whole-run check, e.g.
-# make step-profile WORKLOAD=ingest KIND=unpublish
+# make step-profile WORKLOAD=ingest KIND=unpublish; INCLUSIVE=1 ranks by the
+# steps taken with each function on the stack, callees included, counted
+# exactly from call and return events, e.g.
+# make step-profile WORKLOAD=ingest KIND=publish INCLUSIVE=1
 WORKLOAD ?= query_docphase
 SCALE ?= full
 SEED ?= 0
 KIND ?=
+INCLUSIVE ?=
 step-profile:
-	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED) $(if $(KIND),--kind $(KIND))
+	PYTHONHASHSEED=0 python benchmarks/step_profile.py $(WORKLOAD) --scale $(SCALE) --seed $(SEED) $(if $(KIND),--kind $(KIND)) $(if $(INCLUSIVE),--inclusive)
 
 # the margins of the 2 % fences (bench/metrics.py: layer_checks): for each
 # fenced workload at full and tiny scale and each seed of SEEDS, the share

@@ -22,6 +22,15 @@ count; the whole-run check and the fence lines are then skipped::
 
     make step-profile WORKLOAD=ingest KIND=unpublish
 
+``--inclusive`` (``make step-profile INCLUSIVE=1``) ranks functions by the
+steps taken while a frame of theirs is on the stack, their callees'
+included, counted exactly from call and return events (a recursive or
+re-entered function counts from its outermost frame only), beside their own
+steps.  It checks that no function's inclusive count is below its own and
+that the functions the driver calls directly, the roots, sum to the total::
+
+    make step-profile WORKLOAD=ingest KIND=publish INCLUSIVE=1
+
 On the workloads ``bench.metrics.layer_checks`` fences (``BYPASS_WORKLOADS``:
 a ``--trace 1`` run fails when ``sim`` or ``balance`` exceed their
 ``BYPASS_SHARE`` of all steps), the profile ends with each fenced layer's
@@ -63,6 +72,7 @@ class FunctionStepCounter:
     def __init__(self, package_dir):
         self._package_dir = package_dir
         self.steps = {}  # code -> [steps]; absent for the benchmark's frames
+        self.clock = [0]  # every step counted so far
         self._entries = {}  # code -> (local trace function, cell) or (None, None)
         self.enabled = True  # False: the driver's next op goes uncounted
 
@@ -74,15 +84,21 @@ class FunctionStepCounter:
             layer_of(code.co_filename, self._package_dir) is not None
         ):
             cell = self.steps[code] = [0]
-
-            def local(frame, event, arg):
-                if event == "line":
-                    cell[0] += 1
-                return local
-
-            entry = (local, cell)
+            entry = (self._local(code, cell), cell)
         self._entries[code] = entry
         return entry
+
+    def _local(self, code, cell):
+        """The local trace function of ``code``'s frames."""
+        clock = self.clock
+
+        def local(frame, event, arg):
+            if event == "line":
+                cell[0] += 1
+                clock[0] += 1
+            return local
+
+        return local
 
     def _on_call(self, frame, event, arg):
         code = frame.f_code
@@ -99,6 +115,7 @@ class FunctionStepCounter:
                 entry = self._classify(code)
             if entry[1] is not None:
                 entry[1][0] += 1
+                self.clock[0] += 1
 
     def start(self):
         if self.enabled:
@@ -110,30 +127,101 @@ class FunctionStepCounter:
         sys.setprofile(None)
 
     def total(self):
-        return sum(cell[0] for cell in self.steps.values())
+        return self.clock[0]
+
+    def _row(self, code):
+        filename = code.co_filename
+        return (
+            self.steps[code][0],
+            layer_of(filename, self._package_dir),
+            repro_relpath(filename, self._package_dir) or filename,
+            code.co_qualname,
+        )
 
     def rows(self):
         """``(steps, layer, file, qualname)``, largest first."""
-        out = []
-        for code, cell in self.steps.items():
-            filename = code.co_filename
-            out.append(
-                (
-                    cell[0],
-                    layer_of(filename, self._package_dir),
-                    repro_relpath(filename, self._package_dir) or filename,
-                    code.co_qualname,
-                )
-            )
+        out = [self._row(code) for code in self.steps]
         out.sort(key=lambda row: (-row[0], row[2], row[3]))
         return out
 
 
-def profile(workload_name, seed, scale, kind=None):
+class InclusiveStepCounter(FunctionStepCounter):
+    """Also counts, per code object, the steps taken while a frame of it is
+    on the stack (``inclusive``), and the same for the frames entered with
+    no counted frame below them (``roots``: the calls the driver makes).
+
+    Exact: a frame's steps are the step clock at its return minus the clock
+    at its call, and a generator is entered and left at every resume.  Only
+    the outermost frame of a code is timed, so recursion counts once."""
+
+    def __init__(self, package_dir):
+        super().__init__(package_dir)
+        self.inclusive = {}  # code -> steps with a frame of it on the stack
+        self.roots = {}  # code -> steps of its frames entered with none below
+        self._open = {}  # code -> its frames on the stack
+        self._entered = {}  # code -> (clock at its outermost frame's call, is a root)
+        self._depth = 0  # counted frames on the stack
+
+    def _local(self, code, cell):
+        self.inclusive[code] = self._open[code] = 0
+        clock, leave = self.clock, self._leave
+
+        def local(frame, event, arg):
+            if event == "line":
+                cell[0] += 1
+                clock[0] += 1
+            elif event == "return":
+                leave(code)
+            return local
+
+        return local
+
+    def _on_call(self, frame, event, arg):
+        local = super()._on_call(frame, event, arg)
+        if local is not None:
+            code = frame.f_code
+            if not self._open[code]:
+                self._entered[code] = (self.clock[0], not self._depth)
+            self._open[code] += 1
+            self._depth += 1
+        return local
+
+    def _leave(self, code):
+        self._depth -= 1
+        self._open[code] -= 1
+        if not self._open[code]:
+            entered, root = self._entered.pop(code)
+            steps = self.clock[0] - entered
+            self.inclusive[code] += steps
+            if root:
+                self.roots[code] = self.roots.get(code, 0) + steps
+
+    def inclusive_rows(self):
+        """``(inclusive, self, layer, file, qualname)``, largest inclusive
+        first."""
+        rows = [(self.inclusive[code],) + self._row(code) for code in self.steps]
+        rows.sort(key=lambda row: (-row[0], row[3], row[4]))
+        return rows
+
+    def check(self):
+        """The two identities of an exact count, as a list of failures."""
+        failures = [
+            "%s: inclusive %d below its own %d" % (code.co_qualname, self.inclusive[code], cell[0])
+            for code, cell in self.steps.items()
+            if self.inclusive[code] < cell[0]
+        ]
+        if sum(self.roots.values()) != self.total():
+            failures.append(
+                "the roots sum to %d, not the total %d" % (sum(self.roots.values()), self.total())
+            )
+        return failures
+
+
+def profile(workload_name, seed, scale, kind=None, inclusive=False):
     """Run the op stream once; returns ``(counter, ops)``, counting only
-    the ops of ``kind`` when given."""
+    the ops of ``kind`` when given, and inclusive counts when asked."""
     workload = WORKLOADS[workload_name](seed, scale)
-    counter = FunctionStepCounter(C.PACKAGE_DIR)
+    counter = (InclusiveStepCounter if inclusive else FunctionStepCounter)(C.PACKAGE_DIR)
     driver = C.Driver(counter=counter)
     driver.install_boundaries()
     if kind is not None:
@@ -193,16 +281,22 @@ def main(argv=None):
         help="count only this kind of op, per op of the kind; no check, no fences",
     )
     parser.add_argument(
+        "--inclusive", action="store_true",
+        help="rank by steps with the function on the stack, callees included",
+    )
+    parser.add_argument(
         "--fences", action="store_true",
         help="print only the fence lines, each naming its run; no check",
     )
     args = parser.parse_args(argv)
     if args.kind and args.fences:
         parser.error("--fences takes the whole run's shares; drop --kind")
+    if args.inclusive and args.fences:
+        parser.error("--fences prints no functions; drop --inclusive")
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("note: set PYTHONHASHSEED=0 to repeat the benchmark's counts exactly")
 
-    counter, ops = profile(args.workload, args.seed, args.scale, args.kind)
+    counter, ops = profile(args.workload, args.seed, args.scale, args.kind, args.inclusive)
     if args.fences:
         run = "%-14s %-4s seed %-3d" % (args.workload, args.scale, args.seed)
         fences = fence_lines(counter, ops)
@@ -216,21 +310,37 @@ def main(argv=None):
         % (args.workload, args.seed, args.scale, ops,
            args.kind + " " if args.kind else "", per_op)
     )
-    print("%12s %7s %7s  %-16s %s" % ("steps/op", "share", "cum", "layer", "function"))
-    cumulative = 0
-    for steps, layer, filename, qualname in counter.rows()[: args.top]:
-        cumulative += steps
-        print(
-            "%12.1f %6.1f%% %6.1f%%  %-16s %s:%s"
-            % (
-                steps / ops,
-                100.0 * steps / total,
-                100.0 * cumulative / total,
-                layer,
-                filename,
-                qualname,
+    if args.inclusive:
+        print("%12s %7s %12s  %-16s %s" % ("incl/op", "share", "self/op", "layer", "function"))
+        for inclusive, steps, layer, filename, qualname in counter.inclusive_rows()[: args.top]:
+            print(
+                "%12.1f %6.1f%% %12.1f  %-16s %s:%s"
+                % (inclusive / ops, 100.0 * inclusive / total, steps / ops, layer,
+                   filename, qualname)
             )
-        )
+        failures = counter.check()
+        print("\n".join("FAIL: %s" % failure for failure in failures) or (
+            "%d root functions sum to the total; no inclusive count is below its own"
+            % len(counter.roots)
+        ))
+        if failures:
+            return 1
+    else:
+        print("%12s %7s %7s  %-16s %s" % ("steps/op", "share", "cum", "layer", "function"))
+        cumulative = 0
+        for steps, layer, filename, qualname in counter.rows()[: args.top]:
+            cumulative += steps
+            print(
+                "%12.1f %6.1f%% %6.1f%%  %-16s %s:%s"
+                % (
+                    steps / ops,
+                    100.0 * steps / total,
+                    100.0 * cumulative / total,
+                    layer,
+                    filename,
+                    qualname,
+                )
+            )
     if args.kind is not None:
         return 0  # one kind's steps: neither the whole run's total nor its shares
     if args.workload in BYPASS_WORKLOADS:
