@@ -14,7 +14,10 @@ moves between peers outside a write goes through :func:`reconcile`:
 
 * a posting list's reference is the union of the alive copies at the
   highest stamp.  Rewrites (splits, deletes) stamp every copy they touch,
-  so copies at one stamp differ only by appends a quorum write missed;
+  so copies at one stamp differ only by appends a quorum write missed.
+  The copies' store summaries (count and set digest, host-side and never
+  metered) are compared first, and only copies that differ are read and
+  unioned;
 * a control object's reference is the highest-stamp copy, the lowest peer
   winning a tie;
 * a target whose copy is below the reference gets the reference, at its
@@ -89,18 +92,27 @@ def reconcile(net, key, targets, ship=None):
     Returns the copies made, ``(node, category, nbytes)`` each, posting
     lists first.  Each copy is put on the wire by ``ship(category,
     nbytes)`` before it lands (default: the network's meter).  A list is
-    read only when a target needs it: a target that alone holds the top
-    stamp is the reference and costs nothing."""
+    read only when a target needs it, and the top-stamp copies are
+    compared by their stores' summaries (:meth:`Store.summary
+    <repro.storage.api.Store.summary>`) before any is read: when they
+    agree, a target holding one is skipped and a target without one gets
+    one of them as it is; only when they differ is their union built.  A
+    target that alone holds the top stamp is the reference and costs
+    nothing."""
     ship = ship or net.meter.record
     copies = []
     alive = net.alive_nodes()
     stamp, tops = _top_lists(alive, key)
-    reference = nbytes = None
+    agree = reference = nbytes = None
     for node in targets:
         if not tops or tops == [node]:
             continue
+        if agree is None:
+            agree = _agree(key, tops)
+        if agree and node in tops:
+            continue
         if reference is None:
-            reference = _union(key, tops)
+            reference = tops[0].store.get(key) if agree else _union(key, tops)
         if node in tops and node.store.count(key) == len(reference):
             continue
         if nbytes is None:
@@ -125,12 +137,18 @@ def reconcile(net, key, targets, ship=None):
 
 def redundant(net, key, node):
     """Whether the other alive copies of ``key`` hold all that ``node``'s
-    list does, by the same rule: dropping its copy then loses nothing."""
+    list does, by the same rule: dropping its copy then loses nothing.
+    Compared by summaries first: a copy that agrees with every other
+    top-stamp copy is redundant without a read, and the other copies'
+    union is built only when they differ among themselves."""
     stamp, tops = _top_lists([n for n in net.alive_nodes() if n is not node], key)
     mine = node.versions.get(key, 0)
     if not tops or mine != stamp:
         return bool(tops) and mine < stamp
-    reference = _union(key, tops)
+    agree = _agree(key, tops)
+    if agree and node.store.summary(key) == tops[0].store.summary(key):
+        return True
+    reference = tops[0].store.get(key) if agree else _union(key, tops)
     return len(PostingList.concat((reference, node.store.get(key)))) == len(reference)
 
 
@@ -140,6 +158,15 @@ def _top_lists(nodes, key):
     lists = [n for n in nodes if key in n.store]
     stamp = max((n.versions.get(key, 0) for n in lists), default=None)
     return stamp, [n for n in lists if n.versions.get(key, 0) == stamp]
+
+
+def _agree(key, nodes):
+    """Whether ``nodes``' lists of ``key`` hold the same postings, told by
+    their summaries; a lone list agrees with itself unasked."""
+    if len(nodes) == 1:
+        return True
+    first = nodes[0].store.summary(key)
+    return all(node.store.summary(key) == first for node in nodes[1:])
 
 
 def _union(key, nodes):

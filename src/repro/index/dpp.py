@@ -342,7 +342,9 @@ class DppIndex:
         good.  So before any in-place append, split, or delete, the holder
         is reconciled (:func:`~repro.dht.replicas.reconcile`), the copy
         shipped and billed to ``receipt``.  In a fault-free network every
-        copy is identical, so this never transfers (or meters) anything.
+        copy is identical, so this never transfers (or meters) anything,
+        and it reads no block either: the copies' store summaries agree,
+        and only copies whose summaries differ are read and unioned.
         """
 
         def ship(category, nbytes):

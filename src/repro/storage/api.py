@@ -4,9 +4,33 @@ A store maps string *terms* to ordered posting lists.  Implementations
 track their (simulated) disk I/O in a :class:`StoreStats` so the publishing
 and query cost models can charge realistic times: the naive store's
 read-modify-write pattern shows up directly as quadratic ``bytes_read``.
+
+Each store also answers a :meth:`Store.summary` of a term's list, the
+``(count, digest)`` pair replica repair compares before it reads a copy
+(:func:`repro.dht.replicas.reconcile`).  Summaries are host-side
+bookkeeping, like the DHT's write stamps: no :class:`StoreStats` charge,
+no wire bytes.
 """
 
 import abc
+
+_MASK64 = (1 << 64) - 1
+
+#: the summary of a term the store does not hold
+EMPTY_SUMMARY = (0, 0)
+
+
+def digest(rows):
+    """The order-independent 64-bit digest of ``(peer, doc, start, end,
+    level)`` rows: the sum mod 2^64 of each row's ``hash()``.  The hash of
+    a tuple of ints depends on the ints alone (``PYTHONHASHSEED`` seeds
+    only str and bytes hashes), so every process digests a set alike."""
+    return sum(map(hash, rows)) & _MASK64
+
+
+def summarise(plist):
+    """The ``(count, digest)`` summary of a :class:`PostingList`."""
+    return len(plist), digest(zip(*plist.arrays()))
 
 
 class StoreStats:
@@ -57,6 +81,44 @@ class Store(abc.ABC):
 
     def __init__(self):
         self.stats = StoreStats()
+        # term -> (count, digest) of its list, for the terms asked about
+        # once; every write to such a term keeps its entry exact
+        self._summaries = {}
+
+    def summary(self, term):
+        """``(count, digest)`` of ``term``'s list (:func:`summarise`):
+        two lists with equal summaries hold the same postings, barring a
+        64-bit digest collision.
+
+        The first ask counts it (:meth:`_summarise`); from then on every
+        write to ``term`` keeps the entry current, so a later ask reads
+        nothing.  A write to a term never asked about pays one dict
+        membership test."""
+        summary = self._summaries.get(term)
+        if summary is None:
+            summary = self._summaries[term] = self._summarise(term)
+        return summary
+
+    def _summarise(self, term):
+        """``term``'s summary counted afresh, with no :class:`StoreStats`
+        charge: here by :meth:`get`, its charge taken back.  A store that
+        can digest its layout directly overrides this."""
+        stats = self.stats
+        charged = stats.snapshot()
+        summary = summarise(self.get(term))
+        stats.bytes_read, stats.bytes_written, stats.num_ops = charged
+        return summary
+
+    def _check_summaries(self):
+        """Every summary kept equals its recount (for ``check_invariants``)."""
+        for term, summary in self._summaries.items():
+            assert summary == self._summarise(term), "stale summary of %r" % (term,)
+
+    def _fold_summary(self, term, count, rows, sign):
+        """Add (``sign`` 1) or take away (-1) the ``count`` distinct
+        ``rows`` in ``term``'s summary, which the caller found held."""
+        held, total = self._summaries[term]
+        self._summaries[term] = (held + sign * count, (total + sign * digest(rows)) & _MASK64)
 
     @abc.abstractmethod
     def append(self, term, postings):

@@ -23,7 +23,7 @@ import struct
 from itertools import chain
 
 from repro.postings.plist import PostingList
-from repro.storage.api import Store
+from repro.storage.api import EMPTY_SUMMARY, Store, digest
 from repro.storage.bptree import BPlusTree, _prefix_upper_bound
 
 _POSTING_STRUCT = struct.Struct(">QQQQQ")
@@ -66,6 +66,8 @@ class ClusteredIndexStore(Store):
         added = tree.insert_many(keys)
         if added:
             self._counts[term] = self._counts.get(term, 0) + added
+            if term in self._summaries:
+                self._resummarise(term, added, len(keys), postings, 1)
         self.stats.num_ops += 1
         self._charge(r, w)
         return added
@@ -99,6 +101,14 @@ class ClusteredIndexStore(Store):
         prefix = _encode_term(term)
         return self._read(prefix, prefix, _prefix_upper_bound(prefix))
 
+    def _summarise(self, term):
+        # the leaf keys :meth:`_read` decodes, digested with no list built
+        # and nothing charged
+        prefix = _encode_term(term)
+        slices = self._tree.leaf_slices(prefix, _prefix_upper_bound(prefix))
+        rows = struct.iter_unpack(">%dxQQQQQ" % len(prefix), b"".join(chain.from_iterable(slices)))
+        return self._counts.get(term, 0), digest(rows)
+
     def get_range(self, term, lo, hi):
         """Postings of ``term`` in ``[lo, hi]`` straight off the tree.
 
@@ -122,6 +132,8 @@ class ClusteredIndexStore(Store):
         if postings is None:
             removed = bool(tree.delete_range(prefix, _prefix_upper_bound(prefix)))
             self._counts.pop(term, None)
+            if term in self._summaries:
+                self._summaries[term] = EMPTY_SUMMARY
             self.stats.num_ops += 1
         else:
             keys = self._keys(prefix, PostingList.of(postings))
@@ -132,9 +144,20 @@ class ClusteredIndexStore(Store):
                     self._counts[term] = left
                 else:
                     del self._counts[term]
+                if term in self._summaries:
+                    self._resummarise(term, removed, len(keys), postings, -1)
             self.stats.num_ops += len(keys)  # one op per posting, like a point delete
         self._charge(r, w)
         return removed
+
+    def _resummarise(self, term, changed, run, postings, sign):
+        """Fold a write of ``changed`` of the ``run`` postings into the
+        summary.  The tree says how many keys it added or removed, not
+        which: a partial write drops the entry, and the next ask reads."""
+        if changed == run:
+            self._fold_summary(term, changed, zip(*PostingList.of(postings).arrays()), sign)
+        else:
+            del self._summaries[term]
 
     def terms(self):
         return iter(sorted(self._counts))
@@ -148,3 +171,4 @@ class ClusteredIndexStore(Store):
     def check_invariants(self):
         self._tree.check_invariants()
         assert len(self._tree) == self.total_postings()
+        self._check_summaries()

@@ -36,7 +36,7 @@ backends (the differential suite in ``tests/test_write_path.py``).
 
 from repro.postings.encoder import decode_postings, encode_postings, encoded_size
 from repro.postings.plist import PostingList
-from repro.storage.api import Store
+from repro.storage.api import EMPTY_SUMMARY, Store, digest
 
 #: log-record bytes charged per tombstone (posting key or drop marker)
 TOMBSTONE_BYTES = 16
@@ -125,6 +125,8 @@ class LsmStore(Store):
             self._mem.setdefault(term, set()).update(rows)
             self._mem_sorted.pop(term, None)
             self._mem_entries += len(rows)
+            if term in self._summaries:
+                self._fold_summary(term, len(rows), rows, 1)
         self.stats.num_ops += 1
         self.stats.bytes_written += encoded_size(plist)
         if self._mem_entries >= self._memtable_postings:
@@ -146,6 +148,8 @@ class LsmStore(Store):
                 self._mem_entries -= len(buffered)
             self._mem_dead.pop(term, None)
             self._mem_dropped.add(term)
+            if term in self._summaries:
+                self._summaries[term] = EMPTY_SUMMARY
             self.stats.num_ops += 1
             self.stats.bytes_written += TOMBSTONE_BYTES
             return True
@@ -166,6 +170,8 @@ class LsmStore(Store):
             if not mem:
                 del self._mem[term]
         self._mem_dead.setdefault(term, set()).update(gone)
+        if term in self._summaries:
+            self._fold_summary(term, len(gone), gone, -1)
         self.stats.num_ops += len(gone)
         self.stats.bytes_written += TOMBSTONE_BYTES * len(gone)
         return len(gone)
@@ -312,6 +318,10 @@ class LsmStore(Store):
     def get(self, term):
         return self._reconstruct(term)
 
+    def _summarise(self, term):
+        keys = self._keys.get(term, ())
+        return len(keys), digest(keys)
+
     def get_range(self, term, lo, hi):
         """Range read: the runs hold whole-term blobs, so the fragments are
         read in full and the range is cut after the merge (the honest LSM
@@ -365,3 +375,4 @@ class LsmStore(Store):
             )
         assert all(self._keys.values()), "a term is listed with no postings"
         assert self._mem_entries == sum(len(m) for m in self._mem.values())
+        self._check_summaries()

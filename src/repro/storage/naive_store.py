@@ -23,7 +23,7 @@ import zlib
 
 from repro.postings.encoder import decode_postings, encode_postings
 from repro.postings.plist import PostingList
-from repro.storage.api import Store
+from repro.storage.api import EMPTY_SUMMARY, Store, summarise
 
 #: gzipped size of one posting in PAST's XML value format
 XML_ENTRY_BYTES = 16
@@ -54,6 +54,8 @@ class NaiveGzipStore(Store):
     def _write(self, term, plist):
         self._blobs[term] = zlib.compress(encode_postings(plist), COMPRESSION_LEVEL)
         self._counts[term] = len(plist)
+        if term in self._summaries:
+            self._summaries[term] = summarise(plist)
         self.stats.bytes_written += XML_ENTRY_BYTES * len(plist)
         self.stats.num_ops += 1 + len(plist)  # serialize + compress
 
@@ -75,6 +77,8 @@ class NaiveGzipStore(Store):
         if postings is None:
             self._blobs.pop(term)
             count = self._counts.pop(term)
+            if term in self._summaries:
+                self._summaries[term] = EMPTY_SUMMARY
             self.stats.num_ops += 1
             self.stats.bytes_read += XML_ENTRY_BYTES * count
             return True
@@ -90,6 +94,8 @@ class NaiveGzipStore(Store):
                 self._write(term, existing)
             else:  # the last posting: drop the term, like the other stores
                 del self._blobs[term], self._counts[term]
+                if term in self._summaries:
+                    self._summaries[term] = EMPTY_SUMMARY
                 self.stats.num_ops += 1
         return removed
 

@@ -10,19 +10,43 @@ stamps, copies that missed different appends at one stamp, control
 objects, crashed holders, targets with no copy, a stale copy or a fresh
 one) reconcile must do what the single winner did wherever the top
 copies agree, hand over their union where they do not, and never lower a
-stamp.
+stamp.  Each state is built on the B+-tree, LSM and PAST-style stores
+alike, since reconcile tells agreeing copies apart by the stores'
+summaries.
+
+The store summaries themselves are checked against a recount after every
+write of a random script, and a DPP publish pins what they buy: no union
+while the copies agree, and a union as soon as one diverges.
 """
 
+import functools
+import types
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.dht import replicas
 from repro.dht.network import DhtNetwork
-from repro.dht.replicas import reconcile
+from repro.dht.replicas import Membership, reconcile
+from repro.experiments.harness import dblp_network
+from repro.kadop.config import KadopConfig
 from repro.postings.encoder import encoded_size
 from repro.postings.plist import PostingList
 from repro.postings.posting import Posting
+from repro.storage import ClusteredIndexStore, NaiveGzipStore
+from repro.storage.api import EMPTY_SUMMARY, summarise
+from repro.storage.lsm import LsmStore
 
 KEY = "elem:k"
 ROOT = "dpproot:elem:k"
+
+#: every store backend; the LSM store flushes and folds runs every few
+#: postings, so a script crosses its layers
+STORES = (
+    ClusteredIndexStore,
+    functools.partial(LsmStore, memtable_postings=3, max_runs=2),
+    NaiveGzipStore,
+)
 
 
 # -- the replaced DhtNetwork methods, verbatim --------------------------------
@@ -160,9 +184,11 @@ def _append(i, size):
     return [Posting(0, i, 2 * e + 1, 2 * e + 2, 1) for e in range(size)]
 
 
-def build(state):
+def build(state, store):
     stamps, sizes, copies, objects, crashed, _ = state
-    net = DhtNetwork.create(len(copies), replication=2)
+    net = DhtNetwork(replication=2)
+    for index in range(len(copies)):
+        net.add_node("peer://%d" % index, store())
     for node, copy, obj in zip(net.nodes, copies, objects):
         if copy is not None:
             upto, missed = copy
@@ -210,7 +236,12 @@ DIVERGENT = (
 @example(DIVERGENT)
 @given(replica_states())
 def test_reconcile_against_the_single_winner(state):
-    old, new = build(state), build(state)
+    for store in STORES:
+        check_against_the_single_winner(state, store)
+
+
+def check_against_the_single_winner(state, store):
+    old, new = build(state, store), build(state, store)
     targets = state[-1]
     tops = top_copies(new)
     before = snapshot(new)
@@ -244,7 +275,12 @@ def test_reconcile_against_the_single_winner(state):
 def test_reconcile_reaches_the_repair_reference(state):
     """Every target ends at the union repair's reference named, read with
     HEAD's ``freshest_postings``, and a second pass copies nothing."""
-    net = build(state)
+    for store in STORES:
+        check_repair_reference(state, store)
+
+
+def check_repair_reference(state, store):
+    net = build(state, store)
     fresh = freshest_postings(net, KEY)
     targets = [net.nodes[i] for i in state[-1]]
     reconcile(net, KEY, targets)
@@ -255,3 +291,142 @@ def test_reconcile_reaches_the_repair_reference(state):
             assert node.versions[KEY] == fresh[0]
             assert node.store.get(KEY).items() == fresh[1].items()
     assert reconcile(net, KEY, targets) == []
+
+
+# -- store summaries -----------------------------------------------------------
+
+TERMS = ("a", "b")
+
+#: a small universe of rows, so appends repeat postings and deletes miss
+ROWS = st.tuples(
+    st.just(0), st.integers(0, 2), st.integers(0, 5).map(lambda s: 2 * s + 1),
+    st.just(0), st.just(1),
+).map(lambda r: Posting(r[0], r[1], r[2], r[2] + 1, r[4]))
+
+STORE_OPS = st.one_of(
+    st.tuples(st.sampled_from(("append", "delete", "sync", "sync-append")),
+              st.sampled_from(TERMS), st.lists(ROWS, min_size=1, max_size=6)),
+    st.tuples(st.sampled_from(("drop", "ask")), st.sampled_from(TERMS), st.none()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(STORE_OPS, max_size=30))
+def test_summaries_follow_every_write(script):
+    """After each append, run delete, whole-term delete and ``sync_copy``
+    (replacing or appending), every summary a store holds equals the one
+    recounted from its list, on every backend; a summary asked for costs
+    no ``StoreStats`` charge, and at the end every term's does."""
+    for make in STORES:
+        store = make()
+        node = types.SimpleNamespace(store=store, versions={})
+        for op, term, rows in script:
+            if op == "append":
+                store.append(term, rows)
+            elif op == "delete":
+                store.delete(term, rows)
+            elif op == "drop":
+                store.delete(term)
+            elif op.startswith("sync"):
+                Membership.sync_copy(node, term, PostingList(rows), 1, op == "sync")
+            else:
+                charged = store.stats.snapshot()
+                store.summary(term)
+                assert store.stats.snapshot() == charged
+            for held in TERMS:
+                if held in store._summaries:
+                    assert store._summaries[held] == summarise(store.get(held)), (op, held)
+        for term in TERMS:
+            assert store.summary(term) == summarise(store.get(term))
+            assert (store.summary(term) == EMPTY_SUMMARY) == (term not in store)
+
+
+def test_check_invariants_names_a_stale_summary():
+    """The stores' invariant checks (the fuzzer runs the LSM store's)
+    recount every summary kept."""
+    for make in STORES[:2]:
+        store = make()
+        store.append("a", _append(0, 4))
+        store.summary("a")
+        store.check_invariants()
+        store._summaries["a"] = EMPTY_SUMMARY
+        with pytest.raises(AssertionError, match="stale summary"):
+            store.check_invariants()
+
+
+def test_summary_tells_sets_apart():
+    """Equal summaries for equal sets in any order, different ones for a
+    set with one posting swapped or missing."""
+    rows = [Posting(0, d, 2 * s + 1, 2 * s + 2, 1) for d in range(3) for s in range(4)]
+    base = summarise(PostingList(rows))
+    assert summarise(PostingList(rows[::-1])) == base
+    assert summarise(PostingList(rows[1:])) != base
+    swapped = rows[1:] + [Posting(0, 9, 1, 2, 1)]
+    assert summarise(PostingList(swapped))[0] == base[0]
+    assert summarise(PostingList(swapped)) != base
+    assert summarise(PostingList()) == EMPTY_SUMMARY
+
+
+def _count_unions(monkeypatch):
+    calls = []
+    union = replicas._union
+
+    def counted(key, nodes):
+        calls.append(key)
+        return union(key, nodes)
+
+    monkeypatch.setattr(replicas, "_union", counted)
+    return calls
+
+
+def _open_block(system):
+    """``(term, holder, store key)`` of a term's last DPP block that has
+    room for one more posting and two copies at its holder's stamp."""
+    net, dpp = system.net, system.dpp
+    terms = sorted(
+        key[len("dpproot:"):] for node in net.alive_nodes() for key in node.objects
+        if key.startswith("dpproot:")
+    )
+    for term in terms:
+        owner = net.owner_of(term)
+        entry = dpp._root_at(owner, term).entries[-1]
+        holder, store_key = dpp._block_location(owner, entry, term)
+        stamp = holder.versions.get(store_key)
+        copies = [
+            n for n in net.alive_nodes()
+            if store_key in n.store and n.versions.get(store_key) == stamp
+        ]
+        if len(copies) >= 2 and holder.store.count(store_key) < dpp.max_block_entries:
+            return term, holder, store_key
+    raise AssertionError("no open block with two copies")
+
+
+def test_agreeing_dpp_copies_are_never_unioned_and_diverging_ones_are(monkeypatch):
+    """A fault-free DPP publish freshens blocks whose copies agree and so
+    builds no union.  A copy that loses a posting at the same stamp (a
+    run delete, as a missed append leaves it) no longer agrees: the next
+    append's freshen unions the copies, and the holder gets the posting
+    back beside the new one.  Without the run delete's summary update the
+    holder's stale summary would still agree, and the posting stay lost."""
+    unions = _count_unions(monkeypatch)
+    asked = []
+    summary = ClusteredIndexStore.summary
+
+    def counted(store, term):
+        asked.append(term)
+        return summary(store, term)
+
+    monkeypatch.setattr(ClusteredIndexStore, "summary", counted)
+    system = dblp_network(KadopConfig(use_dpp=True, replication=2), 8, 4, 4_000)
+    assert asked and unions == []
+
+    term, holder, store_key = _open_block(system)
+    assert reconcile(system.net, store_key, [holder]) == [] and unions == []
+    before = holder.store.get(store_key)
+    lost = Posting(*before.key(0))
+    assert holder.store.delete(store_key, [lost]) == 1
+    added = Posting(10**6, 0, 1, 2, 1)  # sorts after every block's range
+    system.dpp.append(system.net.nodes[0], term, [added])
+    assert unions == [store_key]
+    after = holder.store.get(store_key)
+    assert after.items() == PostingList(list(before) + [added]).items()
