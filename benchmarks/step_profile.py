@@ -42,6 +42,7 @@ the first tripped fence.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -55,6 +56,10 @@ from bench import run as R  # noqa: E402
 from bench.layers import layer_of, repro_relpath  # noqa: E402
 from bench.metrics import BYPASS_SHARE, BYPASS_WORKLOADS  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from repro.dht.nodeid import key_id  # noqa: E402
+from repro.postings import kernels  # noqa: E402
+from repro.sim.cost import _route_length  # noqa: E402
+from repro.storage.clustered import _encode_term  # noqa: E402
 
 #: relative distance allowed between this profile and the benchmark's number
 TOLERANCE = 1e-6
@@ -217,9 +222,27 @@ class InclusiveStepCounter(FunctionStepCounter):
         return failures
 
 
+def cold_start():
+    """Empty the module-level memos an earlier run in this process left
+    warm (key ids, term encodings, route lengths, the numpy Bloom kernels'
+    key digests), so that every :func:`profile` counts a cold run, as the
+    benchmark does in its fresh child process.  A full collection last
+    zeroes the collector's allocation counts, so it runs at the same
+    points of every run: a ``gc.callbacks`` hook (hypothesis installs
+    one) is then called as often each time, and its steps count alike."""
+    key_id.cache_clear()
+    _encode_term.cache_clear()
+    _route_length.cache_clear()
+    if kernels.numpy_available():
+        kernels.resolve("numpy")._MEMOS.clear()
+    gc.collect()
+
+
 def profile(workload_name, seed, scale, kind=None, inclusive=False):
-    """Run the op stream once; returns ``(counter, ops)``, counting only
-    the ops of ``kind`` when given, and inclusive counts when asked."""
+    """Run the op stream once, from a :func:`cold_start`; returns
+    ``(counter, ops)``, counting only the ops of ``kind`` when given, and
+    inclusive counts when asked."""
+    cold_start()
     workload = WORKLOADS[workload_name](seed, scale)
     counter = (InclusiveStepCounter if inclusive else FunctionStepCounter)(C.PACKAGE_DIR)
     driver = C.Driver(counter=counter)

@@ -1,7 +1,8 @@
-"""The inclusive step profile of ``benchmarks/step_profile.py``: exact
-counts from call and return events, so each function's inclusive count is
-at least its own, recursion counts once, and the functions the driver calls
-sum to the total."""
+"""The step profile of ``benchmarks/step_profile.py``: each run in one
+process counts from cold memos, and the inclusive profile is exact from
+call and return events, so each function's inclusive count is at least its
+own, recursion counts once, and the functions the driver calls sum to the
+total."""
 
 import importlib.util
 import os
@@ -52,3 +53,11 @@ def test_recursion_counts_once(step_profile):
     assert counter.roots.keys() == {BPlusTree.insert.__code__}
     assert sum(counter.roots.values()) == counter.total()
     assert counter.check() == []
+
+
+def test_a_second_profile_in_one_process_counts_the_same(step_profile):
+    """The memos the first run warms are emptied before the second, so
+    both count a cold run."""
+    first, ops = step_profile.profile("ingest", 0, "tiny")
+    second, again = step_profile.profile("ingest", 0, "tiny")
+    assert (second.total(), again) == (first.total(), ops)
