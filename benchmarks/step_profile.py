@@ -228,8 +228,7 @@ def cold_start():
     key digests), so that every :func:`profile` counts a cold run, as the
     benchmark does in its fresh child process.  A full collection last
     zeroes the collector's allocation counts, so it runs at the same
-    points of every run: a ``gc.callbacks`` hook (hypothesis installs
-    one) is then called as often each time, and its steps count alike."""
+    points of every run."""
     key_id.cache_clear()
     _encode_term.cache_clear()
     _route_length.cache_clear()
@@ -241,7 +240,22 @@ def cold_start():
 def profile(workload_name, seed, scale, kind=None, inclusive=False):
     """Run the op stream once, from a :func:`cold_start`; returns
     ``(counter, ops)``, counting only the ops of ``kind`` when given, and
-    inclusive counts when asked."""
+    inclusive counts when asked.
+
+    The ``gc.callbacks`` hooks installed before the run (hypothesis adds
+    one under pytest) are set aside while it runs and put back after: a
+    hook is a Python frame the counter would charge whenever a collection
+    falls inside an op, so an in-process count would not equal the
+    benchmark's fresh-process one."""
+    hooks = gc.callbacks[:]
+    del gc.callbacks[:]
+    try:
+        return _profile(workload_name, seed, scale, kind, inclusive)
+    finally:
+        gc.callbacks[:0] = hooks
+
+
+def _profile(workload_name, seed, scale, kind, inclusive):
     cold_start()
     workload = WORKLOADS[workload_name](seed, scale)
     counter = (InclusiveStepCounter if inclusive else FunctionStepCounter)(C.PACKAGE_DIR)

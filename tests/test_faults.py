@@ -1,12 +1,14 @@
 """Fault-injection layer: corpus replays, differentials, and unit tests.
 
-Three families:
+The families:
 
 * **corpus replays** — ``fuzz_corpus.json`` pins scenarios the fuzzer
   found interesting (crash during a DPP split, crash mid-pipelined-get,
   duplicated appends) plus the seeds behind historical data-loss bugs;
   each entry re-runs under the fuzzer's invariants and re-asserts the
   marker that made it interesting.
+* **known failures** — fuzz runs that still break an invariant, each
+  pinned to the invariant, step and key it breaks today.
 * **zero-fault differential** — installing an all-zero FaultPlan must
   leave answers, query reports, and meter snapshots byte-identical to
   the plain no-plan path, on Pastry and Chord alike.
@@ -43,6 +45,7 @@ from repro.postings.posting import Posting
 from repro.cli import build_parser
 from repro.sim.fuzz import (
     FuzzConfig,
+    FuzzFailure,
     FuzzResult,
     _Iteration,
     config_from_args,
@@ -206,6 +209,35 @@ class TestCorpus:
             assert config_from_args(args) == dataclasses.replace(
                 config, iterations=1
             )
+
+
+#: the hostile rates of ``make fuzz-smoke``'s fourth sweep
+HOSTILE = dict(crash_rate=0.15, drop_rate=0.45, delay_rate=0.1, duplicate_rate=0.1)
+
+
+class TestKnownFailures:
+    """Fuzz runs that still fail, each pinned to the failure it shows
+    today: invariant, step and key.  A change that moves one of them (it
+    stops failing, or fails elsewhere) turns its test red; the fix for
+    the failure turns the pin into a passing corpus entry."""
+
+    @pytest.mark.parametrize(
+        "seed, config, step, invariant, key",
+        [
+            (105071, {}, 10, "acked-key-unavailable", "word:alpha"),
+            (48512, HOSTILE, 10, "acked-key-unavailable", "word:alpha"),
+            (168, {"unpublish_weight": 4}, 10, "acked-key-unavailable", "word:alpha"),
+            (36358, HOSTILE, 12, "stale-read", "dppdata:elem:d"),
+        ],
+        ids=["default-105071", "hostile-48512", "unpublish-168", "hostile-36358"],
+    )
+    def test_still_fails_as_pinned(self, seed, config, step, invariant, key):
+        iteration = _Iteration(seed, FuzzConfig(iterations=1, **config), FuzzResult())
+        with pytest.raises(FuzzFailure) as failure:
+            iteration.run()
+        got = failure.value
+        assert (got.seed, got.step, got.invariant) == (seed, step, invariant)
+        assert got.detail.startswith(repr(key)), got.detail
 
 
 class TestZeroFaultDifferential:

@@ -4,8 +4,11 @@ call and return events, so each function's inclusive count is at least its
 own, recursion counts once, and the functions the driver calls sum to the
 total."""
 
+import gc
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,32 @@ def test_a_second_profile_in_one_process_counts_the_same(step_profile):
     first, ops = step_profile.profile("ingest", 0, "tiny")
     second, again = step_profile.profile("ingest", 0, "tiny")
     assert (second.total(), again) == (first.total(), ops)
+
+
+def test_an_in_process_count_equals_a_fresh_process_count(step_profile):
+    """A ``gc.callbacks`` hook installed before the run (hypothesis adds
+    one under pytest) is not counted, and is back in place afterwards."""
+
+    def hook(phase, info):
+        pass
+
+    gc.callbacks.append(hook)
+    try:
+        counter, ops = step_profile.profile("ingest", 0, "tiny")
+        assert gc.callbacks[-1] is hook
+    finally:
+        gc.callbacks.remove(hook)
+    script = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('step_profile', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "counter, ops = module.profile('ingest', 0, 'tiny')\n"
+        "print(counter.total(), ops)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(ROOT, "benchmarks", "step_profile.py")],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    ).stdout.split()
+    assert [counter.total(), ops] == list(map(int, fresh))
