@@ -1,9 +1,9 @@
 """Seeded fault-script differential for ``DhtNetwork`` refactors.
 
 Runs ``--scripts`` seeded scenarios of ``--ops`` random DHT operations
-each (all nine ops, ``append`` drawn under two names; three stores, both overlays, both write quorums,
-both read policies, hot-key promotion and rebalance ticks, DPP
-publishes; drop 0.25 / delay 0.1 / duplicate 0.1 / crash 0.05,
+each (all eight ops, ``append`` drawn under three names; three stores,
+both overlays, both write quorums, both read policies, hot-key promotion
+and rebalance ticks, DPP publishes; drop 0.25 / delay 0.1 / duplicate 0.1 / crash 0.05,
 ``op_max_retries`` 0-6; a join, a graceful leave and four repairs per
 script) and prints one digest line per script over every receipt
 (``repr(duration_s)``), timeout, meter total, ``plan.stats``,
@@ -26,9 +26,10 @@ from repro.kadop.config import KadopConfig
 from repro.kadop.system import KadopNetwork
 from repro.postings.posting import Posting
 
-#: the ten-op draw of the API that still had ``put``: a drawn "put" runs
-#: ``append`` (the PAST-style store's append is the paper's put), so the
-#: seeded stream, and every digest line, stays where it was
+#: the ten-op draw of the API that still had ``put`` and ``append_batch``:
+#: a drawn "put" or "append_batch" runs ``append`` (the PAST-style store's
+#: append is the paper's put, and a bulk publish's keys are routed appends),
+#: so the seeded stream stays where it was
 OPS = (
     "locate", "append", "put", "append_batch", "put_object", "get_object",
     "get", "pipelined_get", "block_get", "delete",
@@ -122,10 +123,8 @@ def run_script(seed, num_ops):
             serial += 1
             postings.append(Posting(src.peer_index, serial % 5, serial, serial + 1, 1))
         try:
-            if op in ("append", "put"):
+            if op in ("append", "put", "append_batch"):
                 out = _receipt(net.append(src, key, postings))
-            elif op == "append_batch":
-                out = _receipt(net.append_batch(src, key, postings))
             elif op == "locate":
                 owner, receipt = net.locate(src, key)
                 out = "%d %s" % (owner.peer_index, _receipt(receipt))

@@ -8,8 +8,8 @@ corpus is published onto fresh networks through the two publish paths —
                  document that touches it;
 * ``batched``    one :meth:`KadopPeer.publish_batch` over the whole
                  corpus: the publisher buffers postings per destination
-                 key across the batch, so each key sees one amortized
-                 locate plus one batched transfer per round.
+                 key across the batch, so each key sees one routed
+                 append per round.
 
 — crossed with the three per-peer storage backends (clustered B+-tree,
 PAST-style gzip blobs, LSM memtable+runs).  Per cell: routed insertion
@@ -20,7 +20,8 @@ reference cell (btree, unbatched) on a shared query mix — batching and
 backend choice are performance models, never semantics changes.
 
 At batch size 32 the batched pipeline must cut routed insertion messages
-by at least :data:`MESSAGE_REDUCTION` on every backend; ``repro run
+by at least :data:`MESSAGE_REDUCTION` and put no more bytes on the wire
+than the unbatched one, on every backend; ``repro run
 ingest --check`` also compares every number with the committed
 ``BENCH_ingest.json``.
 """
@@ -160,4 +161,9 @@ def check_shape(results):
         assert unb >= MESSAGE_REDUCTION * bat, (
             "%s: unbatched %d msgs < %.1fx batched %d msgs"
             % (backend, unb, MESSAGE_REDUCTION, bat)
+        )
+        # ... without putting more bytes on the wire
+        unb, bat = rows["unbatched"]["bytes"], rows["batched"]["bytes"]
+        assert bat <= unb, "%s: batched %d bytes > unbatched %d bytes" % (
+            backend, bat, unb,
         )

@@ -254,8 +254,8 @@ class FaultPlan:
 
     def message_fate(self, idx, attempt, point):
         """Fate of attempt ``attempt`` of op ``idx``'s message at ``point``:
-        its routed ``"request"`` (a shipped message's only one), its bulk
-        ``"response"``, or ``append_batch``'s direct ``"batch"`` transfer."""
+        its routed ``"request"`` (a shipped message's only one) or its bulk
+        ``"response"``."""
         return self._fate(idx, attempt, (point,))
 
     def replica_fate(self, idx, attempt, replica_index):

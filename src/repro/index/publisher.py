@@ -115,21 +115,20 @@ class Publisher:
         receipt = PublishReceipt(documents=1)
         extracted = self._extract(receipt, document, peer_index, doc_index)
         groups = [(key, document.doc_type, extracted[key]) for key in sorted(extracted)]
-        return self._send(src_node, groups, self.net.append, receipt)
+        return self._send(src_node, groups, receipt)
 
     def publish_many(self, src_node, docs):
         """Bulk-publish a batch of parsed documents; returns one receipt.
 
         ``docs`` is an iterable of ``(document, peer_index, doc_index)``.
         Postings are buffered per destination term key *across the whole
-        batch*, so each key costs one amortized locate plus one batched
-        transfer per round (:meth:`DhtNetwork.append_batch`) instead of one
-        multi-hop routed append per document — the order-of-magnitude
-        routed-message reduction of the bulk pipeline.  The final index
-        state is identical to publishing the same documents one at a time
-        (stores deduplicate and keep postings sorted), so query answers
-        are byte-identical; only message counts, wire bytes, and the
-        simulated durations differ.
+        batch*, so each key costs one routed append per round
+        (:meth:`DhtNetwork.append`, the postings riding the request) instead
+        of one per document — the order-of-magnitude routed-message
+        reduction of the bulk pipeline.  The final index state is identical
+        to publishing the same documents one at a time (stores deduplicate
+        and keep postings sorted), so query answers are byte-identical;
+        only message counts, wire bytes, and the simulated durations differ.
         """
         docs = list(docs)
         receipt = PublishReceipt(documents=len(docs))
@@ -144,7 +143,7 @@ class Publisher:
                 buffered, key=lambda k: (k[0], k[1] or "")
             )
         ]
-        return self._send(src_node, groups, self.net.append_batch, receipt)
+        return self._send(src_node, groups, receipt)
 
     def _extract(self, receipt, document, peer_index, doc_index):
         """:func:`extract_postings` with the document's parse time, terms
@@ -155,23 +154,20 @@ class Publisher:
         receipt.postings += sum(map(len, extracted.values()))
         return extracted
 
-    def _send(self, src_node, groups, flat_append, receipt):
+    def _send(self, src_node, groups, receipt):
         """The one publish loop: ship each ``(term_key, doc_type, postings)``
         group in batches of :data:`BATCH_SIZE` and fold every op into
-        ``receipt``.  The two callers differ in how they group (one
-        document, or a whole batch buffered per key) and in the flat
-        index's send arm: the routed ``append``, or the locate-once
-        ``append_batch``, on every store backend.  DPP appends take the
-        same arm either way (one directory round per term per chunk
-        already amortizes the batch).  A list that fits in one batch is
-        handed on as it is, not copied."""
+        ``receipt``.  The two callers differ only in how they group (one
+        document, or a whole batch buffered per key); each batch is one
+        routed ``append``, or a DPP append on a DPP index.  A list that
+        fits in one batch is handed on as it is, not copied."""
         size = BATCH_SIZE
         for term_key, doc_type, plist in groups:
             for batch in plist.chunks(size) if len(plist) > size else (plist,):
                 if self.dpp is not None:
                     op = self.dpp.append(src_node, term_key, batch, doc_type=doc_type)
                 else:
-                    op = flat_append(src_node, term_key, batch)
+                    op = self.net.append(src_node, term_key, batch)
                 receipt.messages += 1
                 receipt.duration_s += op.duration_s
                 receipt.bytes_sent += op.request_bytes + op.response_bytes

@@ -63,11 +63,11 @@ class KadopPeer:
 
         The batch goes through :meth:`Publisher.publish_many`, which
         buffers postings per destination key across every document before
-        touching the DHT — one amortized locate plus one batched transfer
-        per key per round instead of one routed append per document.  The
-        resulting index state (and therefore every query answer) is
-        identical to publishing the documents one at a time; returns the
-        merged :class:`~repro.index.publisher.PublishReceipt`.  Raises
+        touching the DHT — one routed append per key per round instead of
+        one per document.  The resulting index state (and therefore every
+        query answer) is identical to publishing the documents one at a
+        time; returns the merged
+        :class:`~repro.index.publisher.PublishReceipt`.  Raises
         ``ValueError`` when ``uris`` is given for a different number of
         documents, and a parse error as the parser raises it; either way
         before any document of the batch is admitted.

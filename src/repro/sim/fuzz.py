@@ -577,10 +577,10 @@ class _Iteration:
         """A burst of documents through the batched publish pipeline.
 
         ``publish_batch`` buffers postings per destination key across the
-        whole batch and ships them with one amortized locate + one batched
-        append per key — the same acknowledged-keys durability contract as
-        doc-at-a-time publish, so the diffed keys join the durability set
-        exactly like :meth:`act_publish`'s."""
+        whole batch and ships them with one routed append per key — the
+        same acknowledged-keys durability contract as doc-at-a-time
+        publish, so the diffed keys join the durability set exactly like
+        :meth:`act_publish`'s."""
         peer = self.rng.choice(self._alive_peers())
         count = self.rng.randrange(2, 5)
         xmls = [_random_xml(self.rng) for _ in range(count)]

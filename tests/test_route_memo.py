@@ -190,8 +190,8 @@ def _run_faulted_ops(net, plan_seed, warm):
         key = rng.choice(keys)
         op = rng.choice(["append", "append_batch", "get", "locate", "route"])
         try:
-            if op in ("append", "append_batch"):
-                result = getattr(net, op)(src, key, [P(2 * step + 1)])
+            if op in ("append", "append_batch"):  # both draws run the routed append
+                result = net.append(src, key, [P(2 * step + 1)])
             elif op == "get":
                 plist, result = net.get(src, key)
                 result = (list(plist), result)
